@@ -71,11 +71,9 @@ pub mod window;
 pub use txn::OeTxn;
 
 use std::sync::Arc;
+use stm_core::driver;
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
-use stm_core::stm::{retry_loop_waiting, AttemptFail};
-use stm_core::ticket::next_ticket;
 use stm_core::trace::TraceSink;
-use stm_core::wait;
 use stm_core::{Abort, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats, TxKind};
 
 /// Register this crate's backends: `"oe"` (outheritance on — the paper's
@@ -183,10 +181,6 @@ impl OeStm {
         self.outheritance
     }
 
-    pub(crate) fn sink(&self) -> Option<Arc<dyn TraceSink>> {
-        self.config.trace.clone()
-    }
-
     pub(crate) fn counters(&self) -> &StmStats {
         &self.stats
     }
@@ -222,62 +216,9 @@ impl Stm for OeStm {
     fn try_run<'env, R>(
         &'env self,
         kind: TxKind,
-        mut f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
-        let seed = next_ticket().get();
-        // One transaction object (and one scratch, and one contention-
-        // manager state) per run call: every attempt restarts it in
-        // place, so the read/write sets and the nesting-frame stack keep
-        // their capacity across attempts.
-        let mut txn = OeTxn::begin(
-            self,
-            kind,
-            txn::OeScratch::acquire(),
-            self.config.cm.build(&self.config, seed),
-        );
-        let mut wait_streak: u32 = 0;
-        retry_loop_waiting(&self.config, &self.stats, |attempt| {
-            txn.restart(attempt);
-            let outcome = match f(&mut txn) {
-                Ok(r) => match txn.commit() {
-                    Ok(()) => Ok(r),
-                    Err(abort) => {
-                        txn.on_abort();
-                        Err(abort)
-                    }
-                },
-                Err(abort) => {
-                    txn.on_abort();
-                    Err(abort)
-                }
-            };
-            match outcome {
-                Ok(r) => {
-                    txn.cm_commit();
-                    Ok(r)
-                }
-                Err(abort) => {
-                    if abort.reason.is_explicit_retry() && !wait::alternative_pending() {
-                        // Genuine precondition wait: fold the elastic
-                        // window into the read set and park on the full
-                        // footprint until a commit touches it (uncharged).
-                        if !txn.fold_reads_for_wait() {
-                            return Err(AttemptFail::WouldBlock);
-                        }
-                        wait_streak += 1;
-                        let _ = wait::wait_for_locations(
-                            &mut txn.read_locations(),
-                            &|| txn.reads_still_valid(),
-                            wait_streak,
-                            &self.stats,
-                        );
-                        return Err(AttemptFail::Waited);
-                    }
-                    wait_streak = 0;
-                    Err(AttemptFail::Conflict(abort, txn.arbitrate(abort)))
-                }
-            }
-        })
+        driver::run(&mut OeTxn::begin(self, kind), f)
     }
 }
 

@@ -3,13 +3,12 @@
 //! composition (Sections V and VI of the paper).
 
 use crate::OeStm;
-use stm_core::cm::{Arbitrate, CmState, ConflictCtx, ContentionManager};
-use stm_core::hook::WriteRecord;
+use stm_core::driver::{Attempt, TxnEngine};
+use stm_core::readset::ReadSet;
 use stm_core::scratch::TxScratch;
-use stm_core::ticket::next_ticket;
-use stm_core::trace::{AttemptTracer, TraceOp};
+use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
-use stm_core::wait;
+use stm_core::writeset::WriteSet;
 use stm_core::{Abort, AbortReason, Stm, Transaction, TxKind};
 
 use crate::window::Window;
@@ -33,13 +32,13 @@ struct Frame<'env> {
 /// The per-run reusable buffers of an OE-STM transaction: the shared
 /// [`TxScratch`] (read set, write set) plus the nesting-frame stack.
 #[derive(Debug)]
-pub(crate) struct OeScratch<'env> {
+struct OeScratch<'env> {
     base: TxScratch<'env>,
     frames: Vec<Frame<'env>>,
 }
 
 impl OeScratch<'_> {
-    pub(crate) fn acquire() -> Self {
+    fn acquire() -> Self {
         Self {
             base: TxScratch::acquire(),
             frames: Vec::new(),
@@ -56,7 +55,8 @@ impl OeScratch<'_> {
 /// livelock against a pathological stream of conflicting commits).
 const MAX_ADVANCE_ATTEMPTS: u32 = 16;
 
-/// One OE-STM transaction attempt.
+/// One OE-STM transaction: a single object per `run` call, restarted in
+/// place for every attempt.
 ///
 /// An attempt executes either as a *regular* (classic) transaction or as an
 /// *elastic* one. Elastic attempts keep only a sliding [`Window`] of their
@@ -72,9 +72,7 @@ pub struct OeTxn<'env> {
     stm: &'env OeStm,
     /// Snapshot time: all protected reads are consistent at `rv`.
     rv: u64,
-    ticket: u64,
-    attempt: u64,
-    cm: CmState,
+    at: Attempt<'env>,
     scratch: OeScratch<'env>,
     window: Window<'env>,
     /// The kind the top-level transaction was begun with (restored by
@@ -84,75 +82,94 @@ pub struct OeTxn<'env> {
     /// True once the current (sub)transaction has written (elastic
     /// transactions "harden" into classic behaviour at their first write).
     hardened: bool,
-    pub(crate) tracer: Option<Box<AttemptTracer>>,
 }
 
-impl<'env> OeTxn<'env> {
-    pub(crate) fn begin(
-        stm: &'env OeStm,
-        kind: TxKind,
-        scratch: OeScratch<'env>,
-        cm: CmState,
-    ) -> Self {
-        Self {
-            stm,
-            rv: 0,
-            ticket: 0,
-            attempt: 0,
-            cm,
-            scratch,
-            window: Window::new(stm.config().elastic_window),
-            top_kind: kind,
-            mode: kind,
-            hardened: kind == TxKind::Regular,
-            tracer: None,
-        }
+impl<'env> TxnEngine<'env> for OeTxn<'env> {
+    type Reads = ReadSet<'env>;
+
+    fn attempt(&mut self) -> &mut Attempt<'env> {
+        &mut self.at
     }
 
-    /// Reset for a fresh attempt (see the classic backends' `restart`):
-    /// clear the scratch and nesting frames keeping capacity, empty the
-    /// window, resample the clock, take a new ticket, tell the contention
-    /// manager a new attempt begins, and re-arm the tracer if tracing is
-    /// on.
-    pub(crate) fn restart(&mut self, attempt: u64) {
+    fn restart(&mut self) {
         self.scratch.reset();
         self.window = Window::new(self.stm.config().elastic_window);
         self.mode = self.top_kind;
         self.hardened = self.top_kind == TxKind::Regular;
-        // The tracer reserves the attempt's begin stamp, so it must be
-        // armed *before* the snapshot is sampled (see stm_core::trace on
-        // event stamping).
-        self.tracer = self
-            .stm
-            .sink()
-            .map(|sink| Box::new(AttemptTracer::begin_top(sink, next_ticket().get()))); // lint:allow — tracing arm, off by default
         self.rv = self.stm.clock().now();
-        self.ticket = next_ticket().get();
-        self.attempt = attempt;
-        self.cm.on_start(attempt);
     }
 
-    /// Ask the run's contention manager how to pace the retry after an
-    /// abort (see the classic backends' `arbitrate`). The protected
-    /// window entries count as work alongside the tracked reads/writes.
-    pub(crate) fn arbitrate(&mut self, abort: stm_core::Abort) -> Arbitrate {
-        let ctx = ConflictCtx {
-            reason: abort.reason,
-            attempt: self.attempt,
-            ticket: self.ticket,
-            owner: 0,
-            writes: self.scratch.base.writes.len(),
-            spins: 0,
-            work: (self.scratch.base.reads.len()
-                + self.scratch.base.writes.len()
-                + self.window.len()) as u64,
-        };
-        self.cm.on_conflict(&ctx)
+    /// Top-level commit. Both the elastic and the estm-compat registry
+    /// modes pass through here.
+    fn try_commit(&mut self) -> Result<(), Abort> {
+        debug_assert!(self.scratch.frames.is_empty(), "commit with live children");
+        let mut wv = 0;
+        // Read-only: elastic reads were validated pairwise at each cut,
+        // classic reads against rv — the snapshot is consistent.
+        if !self.scratch.base.writes.is_empty() {
+            // The last elastic reads (r_k..r_n of Section V) are part of
+            // the minimal protected set: fold them into the read set and
+            // validate everything together.
+            self.window.drain_into(&mut self.scratch.base.reads);
+            self.scratch.base.writes.lock_all(self.at.ticket())?;
+            let stamp = self.stm.clock().stamp();
+            wv = stamp.wv;
+            // Validation-skip fast path (see TL2): an exclusively won
+            // wv == rv + 1 means no other update committed since the
+            // snapshot time; an adopted stamp means one did.
+            let valid = (stamp.exclusive && wv == self.rv + 1)
+                || self
+                    .scratch
+                    .base
+                    .reads
+                    .validate(Some(self.at.ticket()), |core| {
+                        self.scratch.base.writes.locked_version_of(core)
+                    });
+            if !valid {
+                return Err(Abort::new(AbortReason::ReadValidation));
+            }
+        }
+        let writes = &mut self.scratch.base.writes;
+        self.at
+            .publish(wv, writes, writes.len(), WriteSet::for_each_write, |w| {
+                w.write_back_and_release(wv)
+            });
+        Ok(())
     }
 
-    /// Settle the contention manager after a committed run.
-    pub(crate) fn cm_commit(&mut self) {
-        self.cm.on_commit();
+    fn rollback(&mut self) {
+        self.scratch.base.writes.release_locks();
+    }
+
+    /// The protected window entries count as work alongside the tracked
+    /// reads/writes.
+    fn footprint(&self) -> (usize, usize) {
+        (self.protected_reads(), self.scratch.base.writes.len())
+    }
+
+    /// Fold the current elastic window into the base read set: the wait
+    /// path parks on the full footprint of the aborted attempt. (Windows
+    /// parked in already-popped nesting frames are not recovered; the
+    /// bounded park timeout covers the resulting — rare — missed-wake
+    /// corner.)
+    fn wait_set(&mut self) -> &ReadSet<'env> {
+        self.window.drain_into(&mut self.scratch.base.reads);
+        &self.scratch.base.reads
+    }
+}
+
+impl<'env> OeTxn<'env> {
+    pub(crate) fn begin(stm: &'env OeStm, kind: TxKind) -> Self {
+        Self {
+            stm,
+            rv: 0,
+            at: Attempt::new(stm.config(), stm.counters()),
+            scratch: OeScratch::acquire(),
+            window: Window::new(stm.config().elastic_window),
+            top_kind: kind,
+            mode: kind,
+            hardened: kind == TxKind::Regular,
+        }
     }
 
     /// The snapshot time of this attempt (diagnostics/tests).
@@ -169,9 +186,13 @@ impl<'env> OeTxn<'env> {
     }
 
     fn validate_all_reads(&self) -> bool {
-        self.scratch.base.reads.validate(Some(self.ticket), |core| {
-            self.scratch.base.writes.locked_version_of(core)
-        }) && self.window.validate()
+        self.scratch
+            .base
+            .reads
+            .validate(Some(self.at.ticket()), |core| {
+                self.scratch.base.writes.locked_version_of(core)
+            })
+            && self.window.validate()
     }
 
     /// Move the snapshot forward to cover `target` (the observed version of
@@ -203,98 +224,9 @@ impl<'env> OeTxn<'env> {
         Ok(())
     }
 
-    pub(crate) fn on_abort(&mut self) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_all();
-        }
-    }
-
-    /// Fold the current elastic window into the base read set and report
-    /// whether any read is registered — the wait path parks on the full
-    /// footprint of the aborted attempt. (Windows parked in already-popped
-    /// nesting frames are not recovered; the bounded park timeout covers
-    /// the resulting — rare — missed-wake corner.)
-    pub(crate) fn fold_reads_for_wait(&mut self) -> bool {
-        self.window.drain_into(&mut self.scratch.base.reads);
-        !self.scratch.base.reads.is_empty()
-    }
-
-    /// The attempt's read locations, for wait registration.
-    pub(crate) fn read_locations(&self) -> impl Iterator<Item = usize> + '_ {
-        self.scratch.base.reads.iter().map(|e| e.core.id())
-    }
-
-    /// Re-validate the folded read set with no locks held by anyone —
-    /// the park-or-rerun check of the wait protocol.
-    pub(crate) fn reads_still_valid(&self) -> bool {
-        self.scratch.base.reads.validate(None, |_| None)
-    }
-
-    /// Top-level commit.
-    pub(crate) fn commit(&mut self) -> Result<(), Abort> {
-        debug_assert!(self.scratch.frames.is_empty(), "commit with live children");
-        if self.scratch.base.writes.is_empty() {
-            // Read-only: elastic reads were validated pairwise at each cut,
-            // classic reads against rv — the snapshot is consistent.
-            if let Some(t) = self.tracer.as_mut() {
-                t.commit_top();
-            }
-            return Ok(());
-        }
-        // The last elastic reads (r_k..r_n of Section V) are part of the
-        // minimal protected set: fold them into the read set and validate
-        // everything together.
-        self.window.drain_into(&mut self.scratch.base.reads);
-        self.scratch.base.writes.lock_all(self.ticket)?;
-        let stamp = self.stm.clock().stamp();
-        let wv = stamp.wv;
-        if !(stamp.exclusive && wv == self.rv + 1) {
-            // Validation-skip fast path (see TL2): an exclusively won
-            // wv == rv + 1 means no other update committed since the
-            // snapshot time; an adopted stamp means one did.
-            let ok = self.scratch.base.reads.validate(Some(self.ticket), |core| {
-                self.scratch.base.writes.locked_version_of(core)
-            });
-            if !ok {
-                self.scratch.base.writes.release_locks();
-                return Err(Abort::new(AbortReason::ReadValidation));
-            }
-        }
-        // Point of no return: validation succeeded (elastic window
-        // already folded into the read set) and every write lock is
-        // held, so the commit hook observes the write set before any
-        // conflicting commit can follow (see stm_core::hook). Both the
-        // elastic and the estm-compat registry modes pass through here.
-        if let Some(hook) = self.stm.config().commit_hook.as_deref() {
-            let writes = &self.scratch.base.writes;
-            let iter = |f: &mut dyn FnMut(usize, u64)| {
-                for e in writes.iter() {
-                    f(e.core.id(), e.value);
-                }
-            };
-            hook.on_commit(&WriteRecord::new(wv, writes.len(), &iter));
-        }
-        // Wake parked retry()-waiters (and backstop sleepers) on every
-        // written location — write locks still held, so notify order is
-        // commit order. Both registry modes pass through here.
-        {
-            let writes = &self.scratch.base.writes;
-            wait::notify_commit(&|f| {
-                for e in writes.iter() {
-                    f(e.core.id());
-                }
-            });
-        }
-        self.scratch.base.writes.write_back_and_release(wv);
-        if let Some(t) = self.tracer.as_mut() {
-            t.commit_top();
-        }
-        Ok(())
-    }
-
     fn read_core(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         if let Some(word) = self.scratch.base.writes.lookup(core) {
-            if let Some(t) = self.tracer.as_mut() {
+            if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Read(word));
             }
             return Ok(word);
@@ -320,7 +252,7 @@ impl<'env> OeTxn<'env> {
                         // Elastic read-only prefix: protect through the
                         // sliding window; the evicted read is released.
                         let evicted = self.window.push(core, version);
-                        if let (Some(t), Some(e)) = (self.tracer.as_mut(), evicted) {
+                        if let (Some(t), Some(e)) = (self.at.tracer(), evicted) {
                             t.drop_hold(e.core.id());
                         }
                         // E-STM's per-read check: the immediate past reads
@@ -332,12 +264,12 @@ impl<'env> OeTxn<'env> {
                             return Err(Abort::new(AbortReason::ElasticCut));
                         }
                     }
-                    if let Some(t) = self.tracer.as_mut() {
+                    if let Some(t) = self.at.tracer() {
                         t.op(core.id(), TraceOp::Read(word));
                     }
                     return Ok(word);
                 }
-                Err(ReadConflict::Locked(owner)) if owner != self.ticket => {
+                Err(ReadConflict::Locked(owner)) if owner != self.at.ticket() => {
                     spins += 1;
                     if spins > self.stm.config().lock_spin_limit {
                         return Err(Abort::new(AbortReason::LockConflict));
@@ -366,7 +298,7 @@ impl<'env> OeTxn<'env> {
         }
         let first_touch = self.scratch.base.writes.lookup(core).is_none();
         self.scratch.base.writes.insert(core, word);
-        if let Some(t) = self.tracer.as_mut() {
+        if let Some(t) = self.at.tracer() {
             if first_touch {
                 t.op(core.id(), TraceOp::Write(word));
             } else {
@@ -400,9 +332,7 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
         });
         self.mode = kind;
         self.hardened = kind == TxKind::Regular;
-        if let Some(t) = self.tracer.as_mut() {
-            t.begin_child(next_ticket().get());
-        }
+        self.at.child_enter();
         Ok(())
     }
 
@@ -430,18 +360,14 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             // they stay protected until the parent commits.
             self.window.drain_into(&mut self.scratch.base.reads);
             self.stm.counters().record_outherit();
-            if let Some(t) = self.tracer.as_mut() {
-                t.commit_child();
-            }
+            self.at.child_commit(false);
         } else if self.mode == TxKind::Regular {
             // E-STM with a *regular* child: flat nesting. A classic
             // child's accesses stay in the parent's sets until the
             // top-level commit — this is the workaround the elastic
             // transactions paper recommends ("use regular mode when
             // composing"), safe but paying classic-conflict aborts.
-            if let Some(t) = self.tracer.as_mut() {
-                t.commit_child();
-            }
+            self.at.child_commit(false);
         } else {
             // E-STM child commit: check the child's access sequence
             // is atomic as of now, then release its protection
@@ -449,14 +375,14 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             // the model).
             let ok = self.scratch.base.reads.validate_suffix(
                 frame.read_mark,
-                Some(self.ticket),
+                Some(self.at.ticket()),
                 |core| self.scratch.base.writes.locked_version_of(core),
             ) && self.window.validate();
             if !ok {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
-            if let Some(t) = self.tracer.as_mut() {
-                let child_id = t.commit_child();
+            let child_id = self.at.child_commit(false);
+            if let (Some(t), Some(child_id)) = (self.at.tracer(), child_id) {
                 for e in self.scratch.base.reads.iter().skip(frame.read_mark) {
                     t.drop_hold_as(child_id, e.core.id());
                 }
@@ -467,7 +393,6 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             self.scratch.base.reads.truncate(frame.read_mark);
             self.window.clear();
         }
-        self.stm.counters().record_child_commit();
         self.mode = frame.saved_mode;
         self.hardened = frame.saved_hardened;
         self.window = frame.saved_window;
@@ -483,9 +408,7 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             .frames
             .pop()
             .expect("child_abort without child_enter");
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_child();
-        }
+        self.at.child_abort();
     }
 
     fn kind(&self) -> TxKind {
@@ -493,6 +416,6 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
     }
 
     fn ticket(&self) -> u64 {
-        self.ticket
+        self.at.ticket()
     }
 }

@@ -27,14 +27,10 @@
 
 use crate::locks::AbstractLocks;
 use stm_core::clock::GlobalClock;
-use stm_core::cm::{ConflictCtx, ContentionManager};
+use stm_core::driver::{self, Attempt, TxnEngine, WaitSet};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
-use stm_core::hook::WriteRecord;
-use stm_core::stm::{retry_loop_waiting, AttemptFail};
-use stm_core::ticket::next_ticket;
-use stm_core::trace::{AttemptTracer, TraceOp};
+use stm_core::trace::TraceOp;
 use stm_core::tvar::TVarCore;
-use stm_core::wait;
 use stm_core::{
     Abort, AbortReason, RunError, StatsSnapshot, Stm, StmConfig, StmStats, Transaction, TxKind,
 };
@@ -89,22 +85,45 @@ impl BoostStm {
     }
 }
 
-/// One attempt of a boosted word transaction.
-pub struct BoostWordTxn<'env> {
-    stm: &'env BoostStm,
-    ticket: u64,
-    kind: TxKind,
+/// The per-run logs of a boosted word transaction, cleared (keeping
+/// capacity) for every attempt.
+#[derive(Default)]
+struct BoostLog<'env> {
     /// Abstract-lock keys acquired by this attempt, in acquisition order.
     held: Vec<i64>,
     /// Compensation log: (location, previous word), in application order.
     undo: Vec<(&'env TVarCore, u64)>,
-    /// First-touch read log: (location, word observed). Boost has no
-    /// version clock, so a parked `retry()` re-validates by *value*
-    /// comparison against these observations.
-    reads: Vec<(&'env TVarCore, u64)>,
-    /// Open child depth (flat nesting — bookkeeping only).
-    depth: u32,
-    tracer: Option<Box<AttemptTracer>>,
+    /// First-touch read log — the attempt's wait footprint.
+    reads: ReadLog<'env>,
+}
+
+/// First-touch reads: (location, word observed). Boost has no version
+/// clock, so a parked `retry()` re-validates by *value* comparison
+/// against these observations.
+#[derive(Default)]
+pub struct ReadLog<'env>(Vec<(&'env TVarCore, u64)>);
+
+impl WaitSet for ReadLog<'_> {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+    fn locations(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().map(|(core, _)| core.id())
+    }
+    fn still_valid(&self) -> bool {
+        self.0
+            .iter()
+            .all(|(core, word)| core.value_unsync() == *word)
+    }
+}
+
+/// One boosted word transaction: a single object per `run` call,
+/// restarted in place for every attempt.
+pub struct BoostWordTxn<'env> {
+    stm: &'env BoostStm,
+    kind: TxKind,
+    at: Attempt<'env>,
+    log: BoostLog<'env>,
 }
 
 impl<'env> BoostWordTxn<'env> {
@@ -113,77 +132,82 @@ impl<'env> BoostWordTxn<'env> {
     /// location.
     fn acquire(&mut self, core: &'env TVarCore) -> Result<bool, Abort> {
         let key = lock_key(core);
-        if !self.stm.locks.try_acquire(key, self.ticket) {
+        if !self.stm.locks.try_acquire(key, self.at.ticket()) {
             return Err(Abort::new(AbortReason::LockConflict));
         }
-        if self.held.contains(&key) {
+        if self.log.held.contains(&key) {
             Ok(false)
         } else {
-            self.held.push(key);
+            self.log.held.push(key);
             Ok(true)
         }
+    }
+}
+
+/// Release every abstract lock in `held`, newest first.
+fn release_all(locks: &AbstractLocks, ticket: u64, held: &mut Vec<i64>) {
+    for key in held.drain(..).rev() {
+        locks.release(key, ticket);
+    }
+}
+
+impl<'env> TxnEngine<'env> for BoostWordTxn<'env> {
+    type Reads = ReadLog<'env>;
+
+    fn attempt(&mut self) -> &mut Attempt<'env> {
+        &mut self.at
+    }
+
+    fn restart(&mut self) {
+        self.log.held.clear();
+        self.log.undo.clear();
+        self.log.reads.0.clear();
     }
 
     /// Top-level commit: discard the compensation log and release every
     /// abstract lock. Cannot fail — under strict 2PL the attempt owns all
     /// of its locations, so there is nothing left to validate.
-    fn commit(&mut self) {
-        debug_assert_eq!(self.depth, 0, "commit with an open child");
-        // Commit hook (durability seam): fire before the compensation
-        // log is discarded and before any abstract lock releases —
-        // under strict 2PL no conflicting transaction can touch these
-        // locations until the locks drop, so per-location hook order
-        // equals commit order (see stm_core::hook). The log appends one
-        // entry per write, so a location written twice is reported
-        // twice — each time with its final committed word
-        // (`value_unsync` is safe under the held abstract lock). Boost
-        // never ticks the clock; the record's version is the advisory 0.
-        if !self.undo.is_empty() {
-            if let Some(hook) = self.stm.config.commit_hook.as_deref() {
-                let undo = &self.undo;
-                let iter = |f: &mut dyn FnMut(usize, u64)| {
-                    for (core, _) in undo {
-                        f(core.id(), core.value_unsync());
-                    }
-                };
-                hook.on_commit(&WriteRecord::new(0, undo.len(), &iter));
-            }
-        }
-        // Wake parked retry()-waiters (and backstop sleepers) on every
-        // written location — abstract locks still held, so notify order
-        // is commit order. The log may repeat a location; the second
-        // notification finds no live waiter and is harmless.
-        if !self.undo.is_empty() {
-            let undo = &self.undo;
-            wait::notify_commit(&|f| {
-                for (core, _) in undo {
-                    f(core.id());
-                }
-            });
-        }
-        self.undo.clear();
-        for key in self.held.drain(..).rev() {
-            self.stm.locks.release(key, self.ticket);
-        }
-        if let Some(t) = self.tracer.as_deref_mut() {
-            // Stamped only now, with every abstract lock released: any
-            // later-stamped begin is guaranteed to observe these writes.
-            t.commit_top();
-        }
+    fn try_commit(&mut self) -> Result<(), Abort> {
+        let (locks, ticket) = (&self.stm.locks, self.at.ticket());
+        // The log appends one entry per write, so a location written
+        // twice is reported twice — each time with its final committed
+        // word (`value_unsync` is safe under the held abstract lock); a
+        // repeated notification finds no live waiter and is harmless.
+        // Boost never ticks the clock; the record's version is the
+        // advisory 0.
+        let len = self.log.undo.len();
+        self.at.publish(
+            0,
+            &mut self.log,
+            len,
+            |log, f| {
+                log.undo
+                    .iter()
+                    .for_each(|(core, _)| f(core.id(), core.value_unsync()));
+            },
+            |log| {
+                log.undo.clear();
+                release_all(locks, ticket, &mut log.held);
+            },
+        );
+        Ok(())
     }
 
-    /// Attempt abort: replay the compensation log backwards, then release
-    /// every abstract lock.
-    fn on_abort(&mut self) {
-        for (core, old) in self.undo.drain(..).rev() {
+    /// Replay the compensation log backwards, then release every abstract
+    /// lock.
+    fn rollback(&mut self) {
+        for (core, old) in self.log.undo.drain(..).rev() {
             core.store_value(old);
         }
-        for key in self.held.drain(..).rev() {
-            self.stm.locks.release(key, self.ticket);
-        }
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.abort_all();
-        }
+        release_all(&self.stm.locks, self.at.ticket(), &mut self.log.held);
+    }
+
+    fn footprint(&self) -> (usize, usize) {
+        (self.log.reads.0.len(), self.log.undo.len())
+    }
+
+    fn wait_set(&mut self) -> &ReadLog<'env> {
+        &self.log.reads
     }
 }
 
@@ -192,9 +216,9 @@ impl<'env> Transaction<'env> for BoostWordTxn<'env> {
         let first = self.acquire(core)?;
         let word = core.value_unsync();
         if first {
-            self.reads.push((core, word));
+            self.log.reads.0.push((core, word));
         }
-        if let Some(t) = self.tracer.as_deref_mut() {
+        if let Some(t) = self.at.tracer() {
             if first {
                 t.op(core.id(), TraceOp::Read(word));
             } else {
@@ -206,9 +230,9 @@ impl<'env> Transaction<'env> for BoostWordTxn<'env> {
 
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
         let first = self.acquire(core)?;
-        self.undo.push((core, core.value_unsync()));
+        self.log.undo.push((core, core.value_unsync()));
         core.store_value(word);
-        if let Some(t) = self.tracer.as_deref_mut() {
+        if let Some(t) = self.at.tracer() {
             if first {
                 t.op(core.id(), TraceOp::Write(word));
             } else {
@@ -219,33 +243,21 @@ impl<'env> Transaction<'env> for BoostWordTxn<'env> {
     }
 
     fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
-        self.depth += 1;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.begin_child(next_ticket().get());
-        }
+        self.at.child_enter();
         Ok(())
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
-        debug_assert!(self.depth > 0, "child commit without child");
-        self.depth -= 1;
-        self.stm.stats.record_child_commit();
-        if let Some(t) = self.tracer.as_deref_mut() {
-            // Eager in-place writes under strict 2PL: the child's effects
-            // are already applied and its abstract locks stay with the
-            // attempt (outheritance by construction), so the child may
-            // settle as a model transaction even when it wrote.
-            t.commit_child_settled();
-        }
+        // Eager in-place writes under strict 2PL: the child's effects are
+        // already applied and its abstract locks stay with the attempt
+        // (outheritance by construction), so the child may settle as a
+        // model transaction even when it wrote.
+        self.at.child_commit(true);
         Ok(())
     }
 
     fn child_abort(&mut self) {
-        debug_assert!(self.depth > 0, "child abort without child");
-        self.depth -= 1;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.abort_child();
-        }
+        self.at.child_abort();
     }
 
     fn kind(&self) -> TxKind {
@@ -253,7 +265,7 @@ impl<'env> Transaction<'env> for BoostWordTxn<'env> {
     }
 
     fn ticket(&self) -> u64 {
-        self.ticket
+        self.at.ticket()
     }
 }
 
@@ -283,64 +295,15 @@ impl Stm for BoostStm {
     fn try_run<'env, R>(
         &'env self,
         kind: TxKind,
-        mut f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
-        let mut cm = self.config.cm.build(&self.config, next_ticket().get());
-        let mut wait_streak: u32 = 0;
-        retry_loop_waiting(&self.config, &self.stats, |attempt| {
-            cm.on_start(attempt);
-            let ticket = next_ticket().get();
-            let tracer = self
-                .config
-                .trace
-                .clone()
-                .map(|sink| Box::new(AttemptTracer::begin_top(sink, ticket)));
-            let mut txn = BoostWordTxn {
-                stm: self,
-                ticket,
-                kind,
-                held: Vec::new(),
-                undo: Vec::new(),
-                reads: Vec::new(),
-                depth: 0,
-                tracer,
-            };
-            match f(&mut txn) {
-                Ok(r) => {
-                    txn.commit();
-                    cm.on_commit();
-                    Ok(r)
-                }
-                Err(abort) => {
-                    txn.on_abort();
-                    if abort.reason.is_explicit_retry() && !wait::alternative_pending() {
-                        // Genuine precondition wait: compensations are
-                        // replayed and locks released, so the read log
-                        // holds pre-attempt observations — park until a
-                        // commit changes one of them (uncharged).
-                        if txn.reads.is_empty() {
-                            return Err(AttemptFail::WouldBlock);
-                        }
-                        wait_streak += 1;
-                        let reads = &txn.reads;
-                        let _ = wait::wait_for_locations(
-                            &mut reads.iter().map(|(core, _)| core.id()),
-                            &|| {
-                                reads
-                                    .iter()
-                                    .all(|(core, word)| core.value_unsync() == *word)
-                            },
-                            wait_streak,
-                            &self.stats,
-                        );
-                        return Err(AttemptFail::Waited);
-                    }
-                    wait_streak = 0;
-                    let decision = cm.on_conflict(&ConflictCtx::retry(abort.reason, attempt));
-                    Err(AttemptFail::Conflict(abort, decision))
-                }
-            }
-        })
+        let mut txn = BoostWordTxn {
+            stm: self,
+            kind,
+            at: Attempt::new(&self.config, &self.stats),
+            log: BoostLog::default(),
+        };
+        driver::run(&mut txn, f)
     }
 }
 

@@ -516,103 +516,7 @@ impl<B: AtomicBackend> Atomic<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::StmStats;
-    use crate::stm::retry_loop;
-    use crate::ticket::next_ticket;
-
-    /// The same deliberately naive single-threaded STM the dynstm tests
-    /// use: eager writes with an undo log, no locking. The real backends
-    /// live in sibling crates; this exercises the facade plumbing.
-    #[derive(Debug, Default)]
-    struct ToyStm {
-        clock: GlobalClock,
-        stats: StmStats,
-        config: StmConfig,
-    }
-
-    struct ToyTxn<'env> {
-        stm: &'env ToyStm,
-        undo: Vec<(&'env TVarCore, u64)>,
-        ticket: u64,
-        depth: u32,
-    }
-
-    impl<'env> ToyTxn<'env> {
-        fn rollback(&mut self) {
-            for (core, old) in self.undo.drain(..).rev() {
-                core.store_value(old);
-            }
-        }
-    }
-
-    impl<'env> Transaction<'env> for ToyTxn<'env> {
-        fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-            Ok(core.value_unsync())
-        }
-        fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-            self.undo.push((core, core.value_unsync()));
-            core.store_value(word);
-            Ok(())
-        }
-        fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
-            self.depth += 1;
-            Ok(())
-        }
-        fn child_commit(&mut self) -> Result<(), Abort> {
-            self.depth -= 1;
-            self.stm.stats.record_child_commit();
-            Ok(())
-        }
-        fn child_abort(&mut self) {
-            self.depth -= 1;
-        }
-        fn kind(&self) -> TxKind {
-            TxKind::Regular
-        }
-        fn ticket(&self) -> u64 {
-            self.ticket
-        }
-    }
-
-    impl Stm for ToyStm {
-        type Txn<'env> = ToyTxn<'env>;
-        fn name(&self) -> &'static str {
-            "Toy"
-        }
-        fn stats(&self) -> StatsSnapshot {
-            self.stats.snapshot()
-        }
-        fn reset_stats(&self) {
-            self.stats.reset();
-        }
-        fn clock(&self) -> &GlobalClock {
-            &self.clock
-        }
-        fn config(&self) -> &StmConfig {
-            &self.config
-        }
-        fn try_run<'env, R>(
-            &'env self,
-            _kind: TxKind,
-            mut f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
-        ) -> Result<R, RunError> {
-            retry_loop(&self.config, &self.stats, 1, || {
-                let mut txn = ToyTxn {
-                    stm: self,
-                    undo: Vec::new(),
-                    ticket: next_ticket().get(),
-                    depth: 0,
-                };
-                match f(&mut txn) {
-                    Ok(r) => Ok(r),
-                    Err(abort) => {
-                        txn.rollback();
-                        Err(abort)
-                    }
-                }
-            })
-        }
-    }
+    use crate::driver::toy::ToyStm;
 
     fn static_runner() -> Atomic<ToyStm> {
         Atomic::new(ToyStm::default())
@@ -658,7 +562,8 @@ mod tests {
         let v = TVar::new(0u64);
         let mut retried = false;
         at.run(Policy::Regular, |tx| {
-            tx.set(&v, 7)?;
+            // Read-then-write: a retry needs a read to wait on.
+            tx.modify(&v, |_| 7)?;
             if !retried {
                 retried = true;
                 return tx.retry();

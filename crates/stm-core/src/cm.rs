@@ -41,13 +41,13 @@
 //!
 //! ## Two call sites, one state
 //!
-//! A policy instance ([`CmState`]) is owned by the *transaction object* of
-//! a `run` call, so the same accumulated state (e.g. Karma's priority)
+//! A policy instance ([`CmState`]) is owned by the
+//! [`Attempt`](crate::driver::Attempt) state of a `run` call's
+//! transaction object, so the same accumulated state (e.g. Karma's priority)
 //! serves both decision points:
 //!
-//! * **retry-time** — the shared
-//!   [`retry_loop_arbitrated`](crate::stm::retry_loop_arbitrated) asks the
-//!   CM how to pace the next attempt after an abort
+//! * **retry-time** — the shared [`driver::run`](crate::driver::run) loop
+//!   asks the CM how to pace the next attempt after an abort
 //!   ([`ConflictCtx::owner`] is 0: the enemy is unknown);
 //! * **encounter-time** — a backend that detects conflicts eagerly
 //!   (SwissTM's write-lock table) consults the CM *at the conflict site*
@@ -104,8 +104,8 @@ pub struct ConflictCtx {
 
 impl ConflictCtx {
     /// A retry-time conflict: the attempt aborted for `reason`; the enemy
-    /// is unknown. Used by the legacy [`retry_loop`](crate::stm::retry_loop)
-    /// wrapper; backends build richer contexts themselves.
+    /// is unknown and no work is credited. The driver's
+    /// [`Attempt`](crate::driver::Attempt) builds the richer contexts.
     #[must_use]
     pub fn retry(reason: AbortReason, attempt: u64) -> Self {
         Self {

@@ -41,7 +41,7 @@ pub struct StmConfig {
     /// retries (escalating bounded sleeps via the parking shim) instead of
     /// only spinning/yielding. The sleeps guarantee some competitor an
     /// uncontended window, which bounds livelock under every CM policy —
-    /// see `stm::retry_loop_arbitrated` and DESIGN.md ("Scalable clocks
+    /// see [`driver::run`](crate::driver::run) and DESIGN.md ("Scalable clocks
     /// and progress"). Low enough to break conflict storms quickly, high
     /// enough that ordinary contention never sleeps.
     pub progress_park_after: u32,

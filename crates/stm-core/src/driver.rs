@@ -1,0 +1,996 @@
+// lint:hot-path
+//! The one transaction driver: everything the word backends share around
+//! their algorithm.
+//!
+//! A backend implements [`TxnEngine`] — begin (`restart`), the
+//! `Transaction` reads and writes, lock/stamp/validate (`try_commit`),
+//! undo (`rollback`) and what it read (`wait_set`) — and nothing else.
+//! This module owns the rest, once:
+//!
+//! * [`Attempt`] — the per-attempt state every backend carries (ticket,
+//!   attempt number, contention manager, child depth, tracer) with the
+//!   common begin prelude, arbitration and child bookkeeping;
+//! * [`Attempt::publish`] — the commit tail, i.e. the *order* of commit
+//!   hook → waiter notification → write-back/release → trace commit event;
+//! * [`run`] — the retry/wait/park policy: which failures park on the
+//!   read set, which are charged and paced, when the run gives up.
+//!
+//! The xtask `commit-tail` lint keeps it that way: firing the commit
+//! hook, `wait::notify_commit` and `wait::wait_for_locations` are allowed
+//! in this file only.
+
+use crate::cm::{Arbitrate, CmState, ConflictCtx, ContentionManager};
+use crate::config::StmConfig;
+use crate::error::{Abort, AbortReason};
+use crate::hook::WriteRecord;
+use crate::readset::ReadSet;
+use crate::stats::StmStats;
+use crate::stm::RunError;
+use crate::ticket::next_ticket;
+use crate::trace::AttemptTracer;
+use crate::wait;
+
+/// The per-attempt state common to every backend, restarted in place for
+/// each attempt of one `run` call.
+#[derive(Debug)]
+pub struct Attempt<'env> {
+    config: &'env StmConfig,
+    stats: &'env StmStats,
+    ticket: u64,
+    number: u64,
+    /// One contention manager per run, so policies with accumulated
+    /// state (Karma) see retry-time and encounter-time conflicts alike.
+    cm: CmState,
+    depth: u32,
+    tracer: Option<Box<AttemptTracer>>,
+}
+
+impl<'env> Attempt<'env> {
+    /// State for one `run` call against an STM instance's configuration
+    /// and counters; the contention manager is seeded per run.
+    #[inline]
+    #[must_use]
+    pub fn new(config: &'env StmConfig, stats: &'env StmStats) -> Self {
+        Self {
+            config,
+            stats,
+            ticket: 0,
+            number: 0,
+            cm: config.cm.build(config, next_ticket().get()),
+            depth: 0,
+            tracer: None,
+        }
+    }
+
+    /// Begin attempt `number` (1-based): fresh ticket, re-armed tracer,
+    /// contention manager told. The tracer reserves the attempt's begin
+    /// stamp, so this runs *before* the backend samples its snapshot (see
+    /// `trace` on event stamping). The ticket doubles as the tracer's
+    /// top-level transaction id.
+    #[inline]
+    fn restart(&mut self, number: u64) {
+        let ticket = next_ticket().get();
+        self.tracer = self
+            .config
+            .trace
+            .clone()
+            .map(|sink| Box::new(AttemptTracer::begin_top(sink, ticket))); // lint:allow — tracing arm, off by default
+        self.ticket = ticket;
+        self.number = number;
+        self.depth = 0;
+        self.cm.on_start(number);
+    }
+
+    /// This attempt's globally unique ticket (lock-owner identity).
+    #[inline]
+    #[must_use]
+    pub fn ticket(&self) -> u64 {
+        self.ticket
+    }
+
+    /// The attempt's tracer, when a trace sink is configured.
+    #[inline]
+    pub fn tracer(&mut self) -> Option<&mut AttemptTracer> {
+        self.tracer.as_deref_mut()
+    }
+
+    /// Consult the run's contention manager about one conflict. `owner`
+    /// and `spins` are the conflicting owner's ticket and the spins burned
+    /// so far at an encounter-time conflict site; `reads`/`writes` are the
+    /// attempt's access counts (the "work" Karma-style policies credit).
+    #[inline]
+    pub fn on_conflict(
+        &mut self,
+        reason: AbortReason,
+        owner: u64,
+        spins: u32,
+        reads: usize,
+        writes: usize,
+    ) -> Arbitrate {
+        self.cm.on_conflict(&ConflictCtx {
+            reason,
+            attempt: self.number,
+            ticket: self.ticket,
+            owner,
+            writes,
+            spins,
+            work: (reads + writes) as u64,
+        })
+    }
+
+    /// Retry-time arbitration: the attempt aborted for `reason`, the
+    /// enemy is unknown.
+    #[inline]
+    fn arbitrate(&mut self, reason: AbortReason, reads: usize, writes: usize) -> Arbitrate {
+        self.on_conflict(reason, 0, 0, reads, writes)
+    }
+
+    /// Enter a child transaction (bookkeeping only).
+    #[inline]
+    pub fn child_enter(&mut self) {
+        self.depth += 1;
+        if let Some(t) = self.tracer.as_mut() {
+            t.begin_child(next_ticket().get());
+        }
+    }
+
+    /// Commit the innermost child. `eager` backends (in-place writes under
+    /// strict 2PL) let a writing child settle as a model transaction;
+    /// lazy ones merge it (see `trace`). Returns the transaction id
+    /// follow-up releases belong to, when tracing.
+    #[inline]
+    pub fn child_commit(&mut self, eager: bool) -> Option<u64> {
+        self.depth -= 1;
+        self.stats.record_child_commit();
+        self.tracer.as_mut().map(|t| {
+            if eager {
+                t.commit_child_settled()
+            } else {
+                t.commit_child()
+            }
+        })
+    }
+
+    /// Unwind the innermost child after its body aborted.
+    #[inline]
+    pub fn child_abort(&mut self) {
+        self.depth -= 1;
+        if let Some(t) = self.tracer.as_mut() {
+            t.abort_child();
+        }
+    }
+
+    /// The commit tail. Call with the attempt past its point of no return
+    /// — validated, every write lock held — and `set` describing the
+    /// `len` committed writes: `each` feeds their `(location, word)` pairs
+    /// to a visitor (repeatably), `release` writes back / unlocks at
+    /// `version`. The order is the contract:
+    ///
+    /// 1. the commit hook observes the writes *under the locks*, so
+    ///    per-location hook order equals commit order (see `hook`);
+    /// 2. waiters parked on a written location are woken, still under the
+    ///    locks, so notify order is commit order too (see `wait`);
+    /// 3. `release` publishes the writes and drops every lock;
+    /// 4. only then is the trace commit event stamped, so any transaction
+    ///    beginning after it observes the writes (see `trace`).
+    ///
+    /// A read-only commit (`len == 0`) fires neither hook nor notify.
+    #[inline]
+    pub fn publish<S: ?Sized>(
+        &mut self,
+        version: u64,
+        set: &mut S,
+        len: usize,
+        each: impl Fn(&S, &mut dyn FnMut(usize, u64)),
+        release: impl FnOnce(&mut S),
+    ) {
+        debug_assert_eq!(self.depth, 0, "commit with an open child");
+        if len != 0 {
+            let set = &*set;
+            if let Some(hook) = self.config.commit_hook.as_deref() {
+                hook.on_commit(&WriteRecord::new(version, len, &|f| each(set, f)));
+            }
+            wait::notify_commit(&|f| each(set, &mut |location, _| f(location)));
+        }
+        release(set);
+        if let Some(t) = self.tracer.as_mut() {
+            t.commit_top();
+        }
+    }
+}
+
+/// The read footprint a parked `retry()` waits on.
+pub trait WaitSet {
+    /// True when nothing was read: no commit could ever wake the waiter.
+    fn is_empty(&self) -> bool;
+    /// The location ids to register on.
+    fn locations(&self) -> impl Iterator<Item = usize> + '_;
+    /// Whether every read still holds (no lock held by anyone) — the
+    /// park-or-rerun check after registration.
+    fn still_valid(&self) -> bool;
+}
+
+impl WaitSet for ReadSet<'_> {
+    fn is_empty(&self) -> bool {
+        ReadSet::is_empty(self)
+    }
+    fn locations(&self) -> impl Iterator<Item = usize> + '_ {
+        self.iter().map(|e| e.core.id())
+    }
+    fn still_valid(&self) -> bool {
+        self.validate(None, |_| None)
+    }
+}
+
+/// What a backend's transaction object implements for [`run`]: its
+/// algorithm, one attempt at a time. The object lives for the whole run
+/// and is restarted in place, so its buffers keep their capacity.
+pub trait TxnEngine<'env> {
+    /// The backend's read log, as a wait footprint.
+    type Reads: WaitSet;
+
+    /// The shared per-attempt state.
+    fn attempt(&mut self) -> &mut Attempt<'env>;
+
+    /// Begin a fresh attempt: clear the per-attempt buffers (keeping
+    /// capacity) and sample the snapshot. The shared state was already
+    /// restarted (new ticket, tracer armed).
+    fn restart(&mut self);
+
+    /// Commit the attempt: acquire/stamp/validate as the algorithm
+    /// demands, then hand the write set to [`Attempt::publish`]. On `Err`
+    /// the driver calls [`rollback`](Self::rollback); failure paths need
+    /// not release anything themselves.
+    fn try_commit(&mut self) -> Result<(), Abort>;
+
+    /// Undo a failed attempt: restore in-place writes, release every lock
+    /// held. Idempotent; called exactly once after any failed attempt,
+    /// whether the body or the commit failed.
+    fn rollback(&mut self);
+
+    /// `(reads, writes)` the failed attempt still tracks, after rollback
+    /// — the work credited by the contention manager.
+    fn footprint(&self) -> (usize, usize);
+
+    /// Everything the rolled-back attempt read, folded into one wait
+    /// footprint (OE-STM folds its elastic window in).
+    fn wait_set(&mut self) -> &Self::Reads;
+}
+
+/// First park of the progress backstop, in microseconds.
+pub const PARK_BASE_MICROS: u64 = 10;
+
+/// The park timeout doubles per further loss up to `PARK_BASE_MICROS <<
+/// PARK_MAX_STEP` (10µs … ~41ms): the ceiling must comfortably exceed the
+/// solo running time of the *longest* transaction in the system (composed
+/// bulk operations included), or a storm of long transactions on an
+/// oversubscribed core never gets a window wide enough for anyone to
+/// finish — the empirically observed failure mode behind the old ~1.3ms
+/// cap. Escalation means well-behaved storms never pay the ceiling; only
+/// a storm that already failed dozens of consecutive windows does.
+pub const PARK_MAX_STEP: u32 = 12;
+
+/// Run `body` on `txn` until an attempt commits: restart → body →
+/// `try_commit`, and on failure `rollback`, then classify.
+///
+/// * **Precondition wait** — [`AbortReason::ExplicitRetry`] with no
+///   `or_else` alternative pending: the attempt is *waiting*, not losing.
+///   It parks on its read set until a relevant commit (or the bounded
+///   timeout), is filed as an explicit retry, and is charged against
+///   neither `max_retries` nor the contention manager; an empty read set
+///   ends the run with [`RunError::WouldBlockForever`].
+/// * **Conflict loss** (or a retry that must alternate `or_else`
+///   branches rather than sleep): charged against `max_retries`, paced by
+///   the contention manager's [`Arbitrate`] decision — retry at once,
+///   busy-wait, or yield — with `Backoff`/`Yield` filed in the statistics.
+///
+/// # The progress backstop
+///
+/// Spin/yield pacing alone cannot *guarantee* forward progress: two
+/// symmetric losers can keep aborting each other forever if their pacing
+/// stays in lockstep (the classic 2-thread livelock — especially on a
+/// single core, where `yield_now` between two runnable threads can
+/// degenerate into a hot hand-off). So on top of whatever the contention
+/// manager decides, the loop counts **consecutive** conflict losses of
+/// this run; past [`StmConfig::progress_park_after`] it additionally
+/// *parks* the loser on an escalating, bounded timeout (doubling from
+/// [`PARK_BASE_MICROS`] up to `PARK_BASE_MICROS << PARK_MAX_STEP`, each
+/// park stretched by a per-thread random factor in `[1, 2)`). The sleep
+/// goes through the `wait` registry's backstop list, which **every**
+/// committing writer wakes — so a loser resumes as soon as a rival
+/// commits instead of sleeping out its full timeout.
+///
+/// Termination argument: once engaged, every loser sleeps for real
+/// wall-clock time, the sleeps *grow* until they exceed the solo running
+/// time of any transaction in the system, and the per-thread jitter keeps
+/// two symmetric losers from sleeping in lockstep — so some competitor
+/// eventually gets an uncontended window wide enough to finish, and a
+/// transaction running alone commits in a bounded number of steps (every
+/// abort needs a concurrent conflictor). Parked `retry()` waiters
+/// terminate the same way: their parks are bounded too and every relevant
+/// commit wakes them. Parks are counted in
+/// [`StatsSnapshot::progress_parks`](crate::StatsSnapshot::progress_parks)
+/// (backstop) and
+/// [`StatsSnapshot::retry_parks`](crate::StatsSnapshot::retry_parks)
+/// (waiters).
+#[inline]
+pub fn run<'env, T: TxnEngine<'env>, R>(
+    txn: &mut T,
+    mut body: impl FnMut(&mut T) -> Result<R, Abort>,
+) -> Result<R, RunError> {
+    let (cfg, stats) = {
+        let at = txn.attempt();
+        (at.config, at.stats)
+    };
+    let mut attempts: u64 = 0;
+    // Conflict losses charged against `max_retries`; waits are free.
+    let mut charged: u64 = 0;
+    let mut losses: u32 = 0;
+    let mut wait_streak: u32 = 0;
+    loop {
+        attempts += 1;
+        txn.attempt().restart(attempts);
+        txn.restart();
+        let abort = match body(txn).and_then(|r| txn.try_commit().map(|()| r)) {
+            Ok(r) => {
+                txn.attempt().cm.on_commit();
+                stats.record_commit();
+                return Ok(r);
+            }
+            Err(abort) => abort,
+        };
+        txn.rollback();
+        if let Some(t) = txn.attempt().tracer() {
+            t.abort_all();
+        }
+        if abort.reason.is_explicit_retry() && !wait::alternative_pending() {
+            let reads = txn.wait_set();
+            if reads.is_empty() {
+                stats.record_abort(abort.reason);
+                return Err(RunError::WouldBlockForever { attempts });
+            }
+            wait_streak += 1;
+            let _ = wait::wait_for_locations(
+                &mut reads.locations(),
+                &|| reads.still_valid(),
+                wait_streak,
+                stats,
+            );
+            stats.record_abort(abort.reason);
+            // Waiting is not losing: the park already paced this attempt,
+            // and a fresh streak starts after the wake.
+            losses = 0;
+            continue;
+        }
+        wait_streak = 0;
+        let (reads, writes) = txn.footprint();
+        let decision = txn.attempt().arbitrate(abort.reason, reads, writes);
+        stats.record_abort(abort.reason);
+        charged += 1;
+        if cfg.max_retries.is_some_and(|max| charged > max) {
+            return Err(RunError::RetriesExhausted {
+                attempts,
+                last: abort.reason,
+            });
+        }
+        match decision {
+            Arbitrate::Abort => {}
+            Arbitrate::Backoff(spins) => {
+                stats.record_cm_backoff();
+                for _ in 0..spins {
+                    core::hint::spin_loop();
+                }
+            }
+            Arbitrate::Yield => {
+                stats.record_cm_yield();
+                std::thread::yield_now();
+            }
+        }
+        losses = losses.saturating_add(1);
+        if losses > cfg.progress_park_after {
+            stats.record_progress_park();
+            let step = (losses - cfg.progress_park_after).min(PARK_MAX_STEP);
+            let base = PARK_BASE_MICROS << step;
+            // Stretch by a per-thread random factor in [1, 2): two
+            // symmetric losers at the same step must not sleep the same
+            // duration, or their wakeups (and the conflicts that follow)
+            // stay phase-locked.
+            let park = base + park_jitter(base);
+            let _ = wait::backstop_park(core::time::Duration::from_micros(park));
+        }
+    }
+}
+
+/// A per-thread pseudo-random jitter in `[0, range)` for park timeouts.
+///
+/// Without it, two symmetric losers reach the same escalation step, sleep
+/// identical durations, wake together, overlap their next attempts and
+/// abort each other again — a stable limit cycle that kept 2-thread
+/// composed workloads livelocked on a single core *despite* the backstop.
+/// A thread-local splitmix64 stream (seeded per thread from a global
+/// counter) breaks the symmetry without any cross-thread coordination.
+fn park_jitter(range: u64) -> u64 {
+    use core::cell::Cell;
+    use core::sync::atomic::{AtomicU64, Ordering};
+    static THREAD_SEED: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
+    thread_local! {
+        static STATE: Cell<u64> = Cell::new(
+            THREAD_SEED.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed),
+        );
+    }
+    STATE.with(|s| {
+        // splitmix64 step.
+        let mut z = s.get().wrapping_add(0x9e37_79b9_7f4a_7c15);
+        s.set(z);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        if range == 0 {
+            0
+        } else {
+            z % range
+        }
+    })
+}
+
+/// A deliberately naive single-threaded STM written against
+/// [`TxnEngine`]: eager writes with an undo log, no locking. It is the
+/// trait's reference implementor and the backend the `api` and `dynstm`
+/// unit tests exercise their plumbing through (the real backends live in
+/// sibling crates).
+#[cfg(test)]
+pub(crate) mod toy {
+    use super::{run, Attempt, TxnEngine};
+    use crate::clock::GlobalClock;
+    use crate::config::StmConfig;
+    use crate::error::Abort;
+    use crate::readset::ReadSet;
+    use crate::stats::{StatsSnapshot, StmStats};
+    use crate::stm::{RunError, Stm, Transaction, TxKind};
+    use crate::tvar::TVarCore;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct ToyStm {
+        pub(crate) clock: GlobalClock,
+        pub(crate) stats: StmStats,
+        pub(crate) config: StmConfig,
+    }
+
+    pub(crate) struct ToyTxn<'env> {
+        at: Attempt<'env>,
+        reads: ReadSet<'env>,
+        undo: Vec<(&'env TVarCore, u64)>,
+    }
+
+    impl<'env> TxnEngine<'env> for ToyTxn<'env> {
+        type Reads = ReadSet<'env>;
+        fn attempt(&mut self) -> &mut Attempt<'env> {
+            &mut self.at
+        }
+        fn restart(&mut self) {
+            self.reads.clear();
+            self.undo.clear();
+        }
+        fn try_commit(&mut self) -> Result<(), Abort> {
+            let len = self.undo.len();
+            self.at.publish(
+                0,
+                &mut self.undo,
+                len,
+                |undo, f| undo.iter().for_each(|(c, _)| f(c.id(), c.value_unsync())),
+                Vec::clear,
+            );
+            Ok(())
+        }
+        fn rollback(&mut self) {
+            for (core, old) in self.undo.drain(..).rev() {
+                core.store_value(old);
+            }
+        }
+        fn footprint(&self) -> (usize, usize) {
+            (self.reads.len(), self.undo.len())
+        }
+        fn wait_set(&mut self) -> &ReadSet<'env> {
+            &self.reads
+        }
+    }
+
+    impl<'env> Transaction<'env> for ToyTxn<'env> {
+        fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
+            let (word, version) = core.read_consistent().expect("the toy never locks");
+            self.reads.push(core, version);
+            Ok(word)
+        }
+        fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
+            self.undo.push((core, core.value_unsync()));
+            core.store_value(word);
+            Ok(())
+        }
+        fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
+            self.at.child_enter();
+            Ok(())
+        }
+        fn child_commit(&mut self) -> Result<(), Abort> {
+            self.at.child_commit(true);
+            Ok(())
+        }
+        fn child_abort(&mut self) {
+            self.at.child_abort();
+        }
+        fn kind(&self) -> TxKind {
+            TxKind::Regular
+        }
+        fn ticket(&self) -> u64 {
+            self.at.ticket()
+        }
+    }
+
+    impl Stm for ToyStm {
+        type Txn<'env> = ToyTxn<'env>;
+        fn name(&self) -> &'static str {
+            "Toy"
+        }
+        fn stats(&self) -> StatsSnapshot {
+            self.stats.snapshot()
+        }
+        fn reset_stats(&self) {
+            self.stats.reset();
+        }
+        fn clock(&self) -> &GlobalClock {
+            &self.clock
+        }
+        fn config(&self) -> &StmConfig {
+            &self.config
+        }
+        fn try_run<'env, R>(
+            &'env self,
+            _kind: TxKind,
+            f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        ) -> Result<R, RunError> {
+            let mut txn = ToyTxn {
+                at: Attempt::new(&self.config, &self.stats),
+                reads: ReadSet::new(),
+                undo: Vec::new(),
+            };
+            run(&mut txn, f)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cm::CmPolicy;
+    use crate::hook::CommitHook;
+    use crate::trace::{TraceOp, TraceSink, TraceStamp};
+    use std::sync::{Arc, Mutex};
+
+    /// A fixed wait footprint that never goes stale.
+    struct FakeReads(Vec<usize>);
+
+    impl WaitSet for FakeReads {
+        fn is_empty(&self) -> bool {
+            self.0.is_empty()
+        }
+        fn locations(&self) -> impl Iterator<Item = usize> + '_ {
+            self.0.iter().copied()
+        }
+        fn still_valid(&self) -> bool {
+            true
+        }
+    }
+
+    /// The scripted fake backend the driver's policy is tested through:
+    /// the test's body closure decides how each attempt's user code ends,
+    /// `commit_failures` how many commits then fail validation *holding
+    /// locks*; everything the driver asks of it is recorded.
+    struct Scripted<'env> {
+        at: Attempt<'env>,
+        reads: FakeReads,
+        commit_failures: u32,
+        locks_held: u32,
+        rollbacks: u32,
+        numbers: Vec<u64>,
+    }
+
+    impl<'env> Scripted<'env> {
+        /// A fake whose attempts read one location (so `retry()` parks).
+        fn new(cfg: &'env StmConfig, stats: &'env StmStats) -> Self {
+            Self {
+                at: Attempt::new(cfg, stats),
+                reads: FakeReads(vec![0xD1CE]),
+                commit_failures: 0,
+                locks_held: 0,
+                rollbacks: 0,
+                numbers: Vec::new(),
+            }
+        }
+    }
+
+    impl<'env> TxnEngine<'env> for Scripted<'env> {
+        type Reads = FakeReads;
+        fn attempt(&mut self) -> &mut Attempt<'env> {
+            &mut self.at
+        }
+        fn restart(&mut self) {
+            assert_eq!(self.locks_held, 0, "restarted with locks held");
+            self.numbers.push(self.at.number);
+        }
+        fn try_commit(&mut self) -> Result<(), Abort> {
+            if self.commit_failures > 0 {
+                self.commit_failures -= 1;
+                self.locks_held = 2;
+                return Err(Abort::new(AbortReason::ReadValidation));
+            }
+            self.at.publish(0, &mut (), 0, |(), _| {}, |()| {});
+            Ok(())
+        }
+        fn rollback(&mut self) {
+            self.locks_held = 0;
+            self.rollbacks += 1;
+        }
+        fn footprint(&self) -> (usize, usize) {
+            (self.reads.0.len(), 0)
+        }
+        fn wait_set(&mut self) -> &FakeReads {
+            &self.reads
+        }
+    }
+
+    /// Run a body that fails with `reason` `failures` times, then commits
+    /// `value`.
+    fn run_failing<R: Copy>(
+        cfg: &StmConfig,
+        stats: &StmStats,
+        reason: AbortReason,
+        mut failures: u32,
+        value: R,
+    ) -> Result<R, RunError> {
+        run(&mut Scripted::new(cfg, stats), |_| {
+            if failures > 0 {
+                failures -= 1;
+                Err(Abort::new(reason))
+            } else {
+                Ok(value)
+            }
+        })
+    }
+
+    #[test]
+    fn commits_first_try() {
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        let r = run_failing(&cfg, &stats, AbortReason::LockConflict, 0, 42).unwrap();
+        assert_eq!(r, 42);
+        let snap = stats.snapshot();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.aborts(), 0);
+    }
+
+    #[test]
+    fn retries_until_success() {
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        let r = run_failing(&cfg, &stats, AbortReason::LockConflict, 3, 7).unwrap();
+        assert_eq!(r, 7);
+        let snap = stats.snapshot();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.aborts(), 3);
+    }
+
+    #[test]
+    fn files_explicit_retries_separately() {
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        run_failing(&cfg, &stats, AbortReason::ExplicitRetry, 2, ()).unwrap();
+        let snap = stats.snapshot();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.explicit_retries(), 2);
+        assert_eq!(snap.aborts(), 0, "retries are not conflict aborts");
+    }
+
+    #[test]
+    fn paces_with_the_configured_cm() {
+        // Suicide never backs off or yields; Backoff does. Both must be
+        // visible in the arbitration counters.
+        for (policy, expect_waits) in [(CmPolicy::Suicide, false), (CmPolicy::Backoff, true)] {
+            let cfg = StmConfig::default().with_cm(policy);
+            let stats = StmStats::new();
+            run_failing(&cfg, &stats, AbortReason::LockConflict, 3, ()).unwrap();
+            let snap = stats.snapshot();
+            assert_eq!(snap.aborts(), 3, "{policy}");
+            assert_eq!(
+                snap.cm_waits() > 0,
+                expect_waits,
+                "{policy}: waits {:?}",
+                (snap.cm_backoffs, snap.cm_yields)
+            );
+        }
+    }
+
+    #[test]
+    fn executes_each_decision_and_counts_it() {
+        // Every `Arbitrate` variant, from real policies: Suicide decides
+        // Abort (no counter); Backoff with a ceiling of 2 spins decides
+        // Backoff(1) on the first loss and, saturated, Yield on the second.
+        let mut backoff = StmConfig::default().with_cm(CmPolicy::Backoff);
+        backoff.backoff_min_spins = 1;
+        backoff.backoff_max_spins = 2;
+        let suicide = StmConfig::default().with_cm(CmPolicy::Suicide);
+        for (cfg, losses, backoffs, yields) in [(suicide, 1, 0, 0), (backoff, 2, 1, 1)] {
+            let stats = StmStats::new();
+            let mut fake = Scripted::new(&cfg, &stats);
+            let mut left = losses;
+            let r = run(&mut fake, |_| {
+                if left > 0 {
+                    left -= 1;
+                    Err(Abort::new(AbortReason::ReadValidation))
+                } else {
+                    Ok(99)
+                }
+            });
+            assert_eq!(r.unwrap(), 99);
+            let expected: Vec<u64> = (1..=losses + 1).collect();
+            assert_eq!(fake.numbers, expected, "attempt numbers are 1-based");
+            let snap = stats.snapshot();
+            assert_eq!(snap.commits, 1);
+            assert_eq!(snap.aborts(), losses);
+            assert_eq!(snap.cm_backoffs, backoffs);
+            assert_eq!(snap.cm_yields, yields);
+            assert_eq!(snap.cm_waits(), backoffs + yields);
+        }
+    }
+
+    #[test]
+    fn respects_max_retries_regardless_of_decision() {
+        for policy in CmPolicy::ALL {
+            for reason in [AbortReason::LockConflict, AbortReason::ReadValidation] {
+                let cfg = StmConfig::default().with_cm(policy).with_max_retries(2);
+                let stats = StmStats::new();
+                let r = run_failing(&cfg, &stats, reason, u32::MAX, ());
+                assert_eq!(
+                    r.unwrap_err(),
+                    RunError::RetriesExhausted {
+                        attempts: 3,
+                        last: reason
+                    },
+                    "{policy}"
+                );
+                assert_eq!(stats.snapshot().aborts(), 3, "{policy}");
+            }
+        }
+    }
+
+    #[test]
+    fn progress_backstop_parks_after_consecutive_losses() {
+        // Threshold 2: attempts 3.. park (with escalating bounded sleeps).
+        let cfg = StmConfig::default()
+            .with_progress_park_after(2)
+            .with_max_retries(6);
+        let stats = StmStats::new();
+        let r = run_failing(&cfg, &stats, AbortReason::LockConflict, u32::MAX, ());
+        assert!(r.is_err());
+        let snap = stats.snapshot();
+        assert_eq!(snap.aborts(), 7, "max_retries 6 = 7 attempts");
+        // Losses 3..=6 park; the exhausted final attempt returns without
+        // parking (it will not retry, so there is nothing to pace).
+        assert_eq!(
+            snap.progress_parks, 4,
+            "every loss past the threshold that retries parks"
+        );
+    }
+
+    #[test]
+    fn progress_backstop_stays_out_of_short_conflicts() {
+        let cfg = StmConfig::default(); // threshold 64
+        let stats = StmStats::new();
+        run_failing(&cfg, &stats, AbortReason::LockConflict, 10, ()).unwrap();
+        assert_eq!(
+            stats.snapshot().progress_parks,
+            0,
+            "ordinary contention must never sleep"
+        );
+    }
+
+    #[test]
+    fn waits_are_not_charged_against_the_budget() {
+        // A bounded budget of 1 conflict: three genuine waits then a
+        // commit must NOT exhaust — a precondition wait is not a loss.
+        let cfg = StmConfig::default().with_max_retries(1);
+        let stats = StmStats::new();
+        let r = run_failing(&cfg, &stats, AbortReason::ExplicitRetry, 3, 11);
+        assert_eq!(r.unwrap(), 11);
+        let snap = stats.snapshot();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.explicit_retries(), 3);
+        assert_eq!(snap.retry_parks, 3, "every wait parks on the read set");
+        assert_eq!(snap.aborts(), 0);
+        assert_eq!(snap.cm_waits(), 0, "waits are parked, never CM-paced");
+    }
+
+    #[test]
+    fn empty_read_set_retry_surfaces_would_block_forever() {
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        let mut fake = Scripted::new(&cfg, &stats);
+        fake.reads.0.clear();
+        let r: Result<(), _> = run(&mut fake, |_| Err(Abort::new(AbortReason::ExplicitRetry)));
+        assert_eq!(r.unwrap_err(), RunError::WouldBlockForever { attempts: 1 });
+        let snap = stats.snapshot();
+        assert_eq!(snap.explicit_retries(), 1, "still filed as a retry");
+        assert_eq!(snap.commits, 0);
+        let msg = RunError::WouldBlockForever { attempts: 1 }.to_string();
+        assert!(msg.contains("empty read set"), "{msg}");
+    }
+
+    #[test]
+    fn pending_alternative_turns_a_retry_into_a_charged_conflict() {
+        // Under an `or_else` frame a retry must alternate, not park: it
+        // is charged and paced like a conflict (yet still filed as a
+        // retry), even with nothing read.
+        let cfg = StmConfig::default().with_max_retries(1);
+        let stats = StmStats::new();
+        let _alt = wait::AlternativeGuard::new();
+        let r = run_failing(&cfg, &stats, AbortReason::ExplicitRetry, u32::MAX, ());
+        assert_eq!(
+            r.unwrap_err(),
+            RunError::RetriesExhausted {
+                attempts: 2,
+                last: AbortReason::ExplicitRetry
+            }
+        );
+        assert_eq!(stats.snapshot().retry_parks, 0);
+    }
+
+    #[test]
+    fn conflicts_between_waits_are_still_charged() {
+        // Budget 1: wait, conflict, conflict -> the second conflict
+        // exhausts (charged 2 > 1) even though a wait sat in between.
+        let cfg = StmConfig::default().with_max_retries(1);
+        let stats = StmStats::new();
+        let mut step = 0;
+        let r: Result<(), _> = run(&mut Scripted::new(&cfg, &stats), |_| {
+            step += 1;
+            Err(Abort::new(match step {
+                1 => AbortReason::ExplicitRetry,
+                _ => AbortReason::LockConflict,
+            }))
+        });
+        assert_eq!(
+            r.unwrap_err(),
+            RunError::RetriesExhausted {
+                attempts: 3,
+                last: AbortReason::LockConflict
+            }
+        );
+        assert_eq!(stats.snapshot().aborts(), 2);
+        assert_eq!(stats.snapshot().explicit_retries(), 1);
+    }
+
+    #[test]
+    fn waits_reset_the_backstop_loss_streak() {
+        // Threshold 2, pattern: conflict x2 (streak 2, no park), wait
+        // (streak resets), conflict x2 (streak 2 again), commit. No
+        // attempt ever exceeds the threshold -> zero parks.
+        let cfg = StmConfig::default().with_progress_park_after(2);
+        let stats = StmStats::new();
+        let mut step = 0;
+        run(&mut Scripted::new(&cfg, &stats), |_| {
+            step += 1;
+            match step {
+                1 | 2 | 4 | 5 => Err(Abort::new(AbortReason::LockConflict)),
+                3 => Err(Abort::new(AbortReason::ExplicitRetry)),
+                _ => Ok(()),
+            }
+        })
+        .unwrap();
+        assert_eq!(stats.snapshot().progress_parks, 0);
+    }
+
+    /// A trace sink and commit hook logging into one shared order.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<String>>);
+
+    impl Recorder {
+        fn push(&self, event: &str) {
+            self.0.lock().unwrap().push(event.into());
+        }
+        fn take(&self) -> Vec<String> {
+            core::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    impl TraceSink for Recorder {
+        fn begin(&self, _: TraceStamp, _: u64, _: u64) {}
+        fn op(&self, _: u64, _: u64, _: usize, _: TraceOp) {}
+        fn acquire(&self, _: u64, _: u64, _: usize) {}
+        fn release(&self, _: u64, _: u64, _: usize) {}
+        fn commit(&self, _: u64, _: u64) {
+            self.push("commit event");
+        }
+        fn abort(&self, _: u64, _: u64) {
+            self.push("abort event");
+        }
+    }
+
+    impl CommitHook for Recorder {
+        fn on_commit(&self, record: &WriteRecord<'_>) {
+            let mut pairs = 0;
+            record.for_each(&mut |_, _| pairs += 1);
+            assert_eq!(record.len(), pairs, "len() is the number of pairs");
+            self.push("hook");
+        }
+    }
+
+    fn recorded_config(rec: &Arc<Recorder>) -> StmConfig {
+        StmConfig::default()
+            .with_trace_sink(rec.clone())
+            .with_commit_hook(rec.clone())
+    }
+
+    #[test]
+    fn commit_validation_failure_releases_every_lock_and_aborts_once() {
+        let rec = Arc::new(Recorder::default());
+        let cfg = recorded_config(&rec);
+        let stats = StmStats::new();
+        let mut fake = Scripted::new(&cfg, &stats);
+        fake.commit_failures = 1;
+        run(&mut fake, |tx| {
+            let t = tx.at.tracer().expect("sink configured");
+            t.op(0xD1CE, TraceOp::Read(0));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(fake.rollbacks, 1, "one rollback per failed attempt");
+        assert_eq!(fake.locks_held, 0);
+        assert_eq!(rec.take(), ["abort event", "commit event"]);
+        let snap = stats.snapshot();
+        assert_eq!((snap.commits, snap.aborts()), (1, 1));
+    }
+
+    #[test]
+    fn publish_orders_hook_notify_release_commit_event() {
+        let rec = Arc::new(Recorder::default());
+        let cfg = recorded_config(&rec);
+        let stats = StmStats::new();
+        let writes = [(0xFEED_usize, 5_u64), (0xF00D, 6)];
+        let publish = |len: usize| {
+            let mut at = Attempt::new(&cfg, &stats);
+            at.restart(1);
+            at.tracer()
+                .expect("sink configured")
+                .op(writes[0].0, TraceOp::Write(5));
+            at.publish(
+                7,
+                &mut (),
+                len,
+                |(), f| {
+                    rec.push("iterate");
+                    writes[..len].iter().for_each(|&(loc, word)| f(loc, word));
+                },
+                |()| rec.push("release"),
+            );
+        };
+        // Publish from inside a waiter's own re-validation — registered,
+        // not yet parked — so the notify step has a live waiter to walk
+        // the writes for; its token then ends the park at once.
+        let woken = wait::wait_for_locations(
+            &mut [writes[1].0].into_iter(),
+            &|| {
+                publish(2);
+                true
+            },
+            1,
+            &stats,
+        );
+        assert_eq!(woken, wait::WaitOutcome::Woken, "notify reached the waiter");
+        assert_eq!(
+            rec.take(),
+            // The hook iterates once (its pair count), then notify does.
+            ["iterate", "hook", "iterate", "release", "commit event"]
+        );
+        // Read-only: neither hook nor notify, still release and the event.
+        publish(0);
+        assert_eq!(rec.take(), ["release", "commit event"]);
+    }
+}

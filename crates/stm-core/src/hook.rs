@@ -43,7 +43,10 @@
 //!   re-entry can deadlock. The xtask `clock-discipline` lint rejects
 //!   clock reads from hook code outside the blessed backend modules.
 //!
-//! Hook-off stays free: backends consult `config.commit_hook` as an
+//! The hook is fired from exactly one place,
+//! [`Attempt::publish`](crate::driver::Attempt::publish), which every
+//! backend's commit ends in (the xtask `commit-tail` lint rejects a second
+//! site). Hook-off stays free: `config.commit_hook` is consulted as an
 //! `Option` exactly like the trace sink, so the default `None` branch
 //! costs one predictable branch per commit and allocates nothing (the
 //! zero-allocation suite pins this).

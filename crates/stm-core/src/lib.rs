@@ -26,9 +26,12 @@
 //!   all four STMs implement — the **backend SPI** underneath the facade —
 //!   including the `child` entry point used for *composition* (the subject
 //!   of the paper),
-//! * retry machinery with bounded exponential [`backoff`] and pluggable
-//!   [`cm`] contention management (suicide / backoff / karma / two-phase
-//!   policies deciding how conflict losers pace their retries),
+//! * the one transaction [`driver`] every backend runs under — the
+//!   per-attempt state, the commit tail (hook → notify → release → trace
+//!   event) and the retry/wait/park loop — with bounded exponential
+//!   [`backoff`] and pluggable [`cm`] contention management (suicide /
+//!   backoff / karma / two-phase policies deciding how conflict losers
+//!   pace their retries),
 //! * the [`wait`] registry — per-TVar waiter lists with token-semantics
 //!   parking, so `retry()` blocks until a commit touches the read set
 //!   instead of burning CPU, and conflict losers in the progress
@@ -57,6 +60,7 @@ pub mod bloom;
 pub mod clock;
 pub mod cm;
 pub mod config;
+pub mod driver;
 pub mod dynstm;
 pub mod error;
 pub mod hook;

@@ -163,8 +163,8 @@ impl StmStats {
 
     /// Record a progress-backstop park: a transaction lost so many
     /// consecutive rounds that the retry loop put it to sleep (see
-    /// `stm::retry_loop_arbitrated`) to guarantee some competitor an
-    /// uncontended window.
+    /// [`driver::run`](crate::driver::run)) to guarantee some competitor
+    /// an uncontended window.
     #[inline]
     pub fn record_progress_park(&self) {
         self.cell().progress_parks.fetch_add(1, Ordering::Relaxed);
@@ -244,7 +244,7 @@ pub struct StatsSnapshot {
     /// Contention-manager `Yield` pacing decisions executed.
     pub cm_yields: u64,
     /// Progress-backstop parks executed (escalating sleeps after runs of
-    /// consecutive losses; see `stm::retry_loop_arbitrated`).
+    /// consecutive losses; see [`driver::run`](crate::driver::run)).
     pub progress_parks: u64,
     /// `retry()` waiters that actually parked on their read set.
     pub retry_parks: u64,

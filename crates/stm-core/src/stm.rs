@@ -1,5 +1,5 @@
-//! The `Stm` / `Transaction` traits all four STMs implement, plus the shared
-//! retry loop.
+//! The `Stm` / `Transaction` traits every STM implements — the backend SPI.
+//! (The retry loop behind [`Stm::try_run`] is [`driver::run`](crate::driver::run).)
 //!
 //! The trait surface mirrors the paper's system model (Section II): a
 //! transactional memory lets processes begin transactions, invoke operations
@@ -8,10 +8,9 @@
 //! existing operations in sequence inside a parent transaction.
 
 use crate::clock::GlobalClock;
-use crate::cm::{Arbitrate, ConflictCtx, ContentionManager};
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason};
-use crate::stats::{StatsSnapshot, StmStats};
+use crate::stats::StatsSnapshot;
 use crate::tvar::{TVar, TVarCore};
 use crate::word::Word;
 
@@ -223,527 +222,5 @@ pub trait Stm: Send + Sync {
             Ok(r) => r,
             Err(e) => panic!("{e}"),
         }
-    }
-}
-
-/// How one attempt of [`retry_loop_waiting`] failed — the distinction
-/// the wake-on-commit subsystem runs on.
-#[derive(Debug)]
-pub enum AttemptFail {
-    /// A conflict loss (or an `or_else`-suppressed retry, which must
-    /// alternate branches rather than park): charged against
-    /// `max_retries` and paced by the arbitration decision.
-    Conflict(Abort, Arbitrate),
-    /// A genuine precondition wait: the backend already registered the
-    /// read set and parked until a relevant commit (or the bounded
-    /// timeout). Filed as an explicit retry; *not* charged against the
-    /// budget and not paced — the park was the pacing.
-    Waited,
-    /// `retry()` with an empty read set: no commit anywhere could wake
-    /// it, so the run ends with [`RunError::WouldBlockForever`].
-    WouldBlock,
-}
-
-/// The shared retry loop, wake-on-commit edition: runs `attempt` until
-/// it returns `Ok`, recording commit/abort statistics, executing the
-/// [`Arbitrate`] decision attached to each conflict loss, and keeping
-/// precondition waits out of the budget and pacing entirely.
-///
-/// `attempt` receives the 1-based attempt number and must perform a
-/// complete begin → body → commit cycle. On a conflict it returns the
-/// [`Abort`] *paired with* the arbitration decision, which the backend
-/// obtains from the [`ContentionManager`] owned by its transaction
-/// object (the same instance that arbitrates encounter-time conflicts,
-/// so policies like Karma keep one coherent priority). The loop
-/// executes the decision — retry immediately, busy-wait, or yield — and
-/// files `Backoff`/`Yield` pacing events in the statistics.
-///
-/// [`AbortReason::ExplicitRetry`] is different: a retrying transaction
-/// is *waiting for a precondition*, not losing a conflict, so the
-/// backend parks it on its read set (the `wait` registry) and reports
-/// [`AttemptFail::Waited`] — filed in the explicit-retry statistics
-/// category but charged against neither `max_retries` nor the
-/// contention manager's work-lost accounting. Only when an `or_else`
-/// alternative is pending does a retry come back as a charged, paced
-/// [`AttemptFail::Conflict`] (alternation must make progress through
-/// the loop, not sleep in it).
-///
-/// # The progress backstop
-///
-/// Spin/yield pacing alone cannot *guarantee* forward progress: two
-/// symmetric losers can keep aborting each other forever if their pacing
-/// stays in lockstep (the classic 2-thread livelock — especially on a
-/// single core, where `yield_now` between two runnable threads can
-/// degenerate into a hot hand-off). So on top of whatever the contention
-/// manager decides, the loop counts **consecutive** conflict losses of
-/// this `run` call; past [`StmConfig::progress_park_after`] it
-/// additionally *parks* the loser on an escalating, bounded timeout
-/// (doubling from [`PARK_BASE_MICROS`] up to `PARK_BASE_MICROS <<
-/// PARK_MAX_STEP`, each park stretched by a per-thread random factor in
-/// `[1, 2)`). The sleep goes through the `wait` registry's backstop
-/// list, which **every** committing writer wakes — so a loser resumes
-/// as soon as a rival commits instead of sleeping out its full timeout.
-///
-/// Termination argument: once engaged, every loser sleeps for real
-/// wall-clock time, the sleeps *grow* until they exceed the solo running
-/// time of any transaction in the system (the cap is sized for the
-/// longest composed operations), and the per-thread jitter keeps two
-/// symmetric losers from sleeping in lockstep — so some competitor
-/// eventually gets an uncontended window wide enough to finish, and a
-/// transaction running alone commits in a bounded number of steps (every
-/// abort needs a concurrent conflictor). The jitter matters as much as
-/// the escalation: identical timeouts produced synchronized wakeups whose
-/// overlapping attempts re-conflicted forever on a single core. The
-/// sleeps stay bounded — and since the wake-on-commit change they are
-/// usually cut short by the first rival commit, so the backstop no
-/// longer trades livelock-freedom for latency. Parked `retry()` waiters
-/// terminate the same way: their parks are bounded too, every relevant
-/// commit wakes them through the per-location registries, and an
-/// empty-read-set retry (which no commit could ever wake) ends the run
-/// with [`RunError::WouldBlockForever`] instead of sleeping forever.
-/// Parks are counted in [`StatsSnapshot::progress_parks`] (backstop)
-/// and [`StatsSnapshot::retry_parks`] (waiters).
-pub fn retry_loop_waiting<R>(
-    cfg: &StmConfig,
-    stats: &StmStats,
-    mut attempt: impl FnMut(u64) -> Result<R, AttemptFail>,
-) -> Result<R, RunError> {
-    let mut attempts: u64 = 0;
-    // Conflict losses charged against `max_retries`; waits are free.
-    let mut charged: u64 = 0;
-    let mut losses: u32 = 0;
-    loop {
-        attempts += 1;
-        match attempt(attempts) {
-            Ok(r) => {
-                stats.record_commit();
-                return Ok(r);
-            }
-            Err(AttemptFail::Waited) => {
-                stats.record_abort(AbortReason::ExplicitRetry);
-                // Waiting is not losing: the park already paced this
-                // attempt, and a fresh streak starts after the wake.
-                losses = 0;
-            }
-            Err(AttemptFail::WouldBlock) => {
-                stats.record_abort(AbortReason::ExplicitRetry);
-                return Err(RunError::WouldBlockForever { attempts });
-            }
-            Err(AttemptFail::Conflict(abort, decision)) => {
-                stats.record_abort(abort.reason);
-                charged += 1;
-                if let Some(max) = cfg.max_retries {
-                    if charged > max {
-                        return Err(RunError::RetriesExhausted {
-                            attempts,
-                            last: abort.reason,
-                        });
-                    }
-                }
-                match decision {
-                    Arbitrate::Abort => {}
-                    Arbitrate::Backoff(spins) => {
-                        stats.record_cm_backoff();
-                        for _ in 0..spins {
-                            core::hint::spin_loop();
-                        }
-                    }
-                    Arbitrate::Yield => {
-                        stats.record_cm_yield();
-                        std::thread::yield_now();
-                    }
-                }
-                losses = losses.saturating_add(1);
-                if losses > cfg.progress_park_after {
-                    stats.record_progress_park();
-                    let step = (losses - cfg.progress_park_after).min(PARK_MAX_STEP);
-                    let base = PARK_BASE_MICROS << step;
-                    // Stretch by a per-thread random factor in [1, 2): two
-                    // symmetric losers at the same step must not sleep the
-                    // same duration, or their wakeups (and the conflicts
-                    // that follow) stay phase-locked.
-                    let park = base + park_jitter(base);
-                    progress_park(core::time::Duration::from_micros(park));
-                }
-            }
-        }
-    }
-}
-
-/// The contention-management retry loop without a wait path: every
-/// failure is a charged, paced conflict. A thin adapter over
-/// [`retry_loop_waiting`] for callers that never park — budget,
-/// pacing and backstop semantics are identical.
-pub fn retry_loop_arbitrated<R>(
-    cfg: &StmConfig,
-    stats: &StmStats,
-    mut attempt: impl FnMut(u64) -> Result<R, (Abort, Arbitrate)>,
-) -> Result<R, RunError> {
-    retry_loop_waiting(cfg, stats, |n| {
-        attempt(n).map_err(|(abort, decision)| AttemptFail::Conflict(abort, decision))
-    })
-}
-
-/// First park of the progress backstop, in microseconds.
-pub const PARK_BASE_MICROS: u64 = 10;
-
-/// The park timeout doubles per further loss up to `PARK_BASE_MICROS <<
-/// PARK_MAX_STEP` (10µs … ~41ms): the ceiling must comfortably exceed the
-/// solo running time of the *longest* transaction in the system (composed
-/// bulk operations included), or a storm of long transactions on an
-/// oversubscribed core never gets a window wide enough for anyone to
-/// finish — the empirically observed failure mode behind the old ~1.3ms
-/// cap. Escalation means well-behaved storms never pay the ceiling; only
-/// a storm that already failed dozens of consecutive windows does.
-pub const PARK_MAX_STEP: u32 = 12;
-
-/// A per-thread pseudo-random jitter in `[0, range)` for park timeouts.
-///
-/// Without it, two symmetric losers reach the same escalation step, sleep
-/// identical durations, wake together, overlap their next attempts and
-/// abort each other again — a stable limit cycle that kept 2-thread
-/// composed workloads livelocked on a single core *despite* the backstop.
-/// A thread-local splitmix64 stream (seeded per thread from a global
-/// counter) breaks the symmetry without any cross-thread coordination.
-fn park_jitter(range: u64) -> u64 {
-    use core::cell::Cell;
-    use core::sync::atomic::{AtomicU64, Ordering};
-    static THREAD_SEED: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
-    thread_local! {
-        static STATE: Cell<u64> = Cell::new(
-            THREAD_SEED.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed),
-        );
-    }
-    STATE.with(|s| {
-        // splitmix64 step.
-        let mut z = s.get().wrapping_add(0x9e37_79b9_7f4a_7c15);
-        s.set(z);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        if range == 0 {
-            0
-        } else {
-            z % range
-        }
-    })
-}
-
-/// Park the calling thread for at most `timeout` on the `wait`
-/// registry's backstop list. Commit-driven wakeups are live now: every
-/// committing writer wakes the backstop sleepers (see
-/// [`wait::notify_commit`](crate::wait::notify_commit)), so a loser
-/// parked here resumes as soon as a rival commits — the bounded timeout
-/// only matters when no rival ever does.
-fn progress_park(timeout: core::time::Duration) {
-    let _ = crate::wait::backstop_park(timeout);
-}
-
-/// The classic retry loop: like [`retry_loop_arbitrated`] but with the
-/// contention manager built internally from [`StmConfig::cm`] and consulted
-/// with retry-time-only context (no owner, no work accounting).
-///
-/// The word-based backends use [`retry_loop_arbitrated`] directly so their
-/// transaction-owned CM sees encounter-time conflicts and real work
-/// counts; this wrapper serves simpler STMs (tests, toy backends,
-/// `stm-boost`) that have no per-conflict context to offer.
-pub fn retry_loop<R>(
-    cfg: &StmConfig,
-    stats: &StmStats,
-    seed: u64,
-    mut attempt: impl FnMut() -> Result<R, Abort>,
-) -> Result<R, RunError> {
-    let mut cm = cfg.cm.build(cfg, seed);
-    retry_loop_arbitrated(cfg, stats, |attempts| {
-        cm.on_start(attempts);
-        match attempt() {
-            Ok(r) => {
-                cm.on_commit();
-                Ok(r)
-            }
-            Err(abort) => {
-                let decision = cm.on_conflict(&ConflictCtx::retry(abort.reason, attempts));
-                Err((abort, decision))
-            }
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retry_loop_commits_first_try() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let r = retry_loop(&cfg, &stats, 1, || Ok::<_, Abort>(42)).unwrap();
-        assert_eq!(r, 42);
-        let snap = stats.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.aborts(), 0);
-    }
-
-    #[test]
-    fn retry_loop_retries_until_success() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let mut left = 3;
-        let r = retry_loop(&cfg, &stats, 1, || {
-            if left > 0 {
-                left -= 1;
-                Err(Abort::new(AbortReason::LockConflict))
-            } else {
-                Ok(7)
-            }
-        })
-        .unwrap();
-        assert_eq!(r, 7);
-        let snap = stats.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.aborts(), 3);
-    }
-
-    #[test]
-    fn retry_loop_files_explicit_retries_separately() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let mut left = 2;
-        retry_loop(&cfg, &stats, 1, || {
-            if left > 0 {
-                left -= 1;
-                Err(Abort::new(AbortReason::ExplicitRetry))
-            } else {
-                Ok(())
-            }
-        })
-        .unwrap();
-        let snap = stats.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.explicit_retries(), 2);
-        assert_eq!(snap.aborts(), 0, "retries are not conflict aborts");
-    }
-
-    #[test]
-    fn retry_loop_paces_with_the_configured_cm() {
-        use crate::cm::CmPolicy;
-        // Suicide never backs off or yields; Backoff does. Both must be
-        // visible in the new arbitration counters.
-        for (policy, expect_waits) in [(CmPolicy::Suicide, false), (CmPolicy::Backoff, true)] {
-            let cfg = StmConfig::default().with_cm(policy);
-            let stats = StmStats::new();
-            let mut left = 3;
-            retry_loop(&cfg, &stats, 1, || {
-                if left > 0 {
-                    left -= 1;
-                    Err(Abort::new(AbortReason::LockConflict))
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap();
-            let snap = stats.snapshot();
-            assert_eq!(snap.aborts(), 3, "{policy}");
-            assert_eq!(
-                snap.cm_waits() > 0,
-                expect_waits,
-                "{policy}: waits {:?}",
-                (snap.cm_backoffs, snap.cm_yields)
-            );
-        }
-    }
-
-    #[test]
-    fn arbitrated_loop_executes_decisions_and_counts_them() {
-        use crate::cm::Arbitrate;
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let mut step = 0;
-        let r = retry_loop_arbitrated(&cfg, &stats, |attempt| {
-            assert_eq!(attempt, step + 1, "attempt numbers are 1-based");
-            step += 1;
-            match step {
-                1 => Err((Abort::new(AbortReason::LockConflict), Arbitrate::Abort)),
-                2 => Err((
-                    Abort::new(AbortReason::ReadValidation),
-                    Arbitrate::Backoff(4),
-                )),
-                3 => Err((Abort::new(AbortReason::Explicit), Arbitrate::Yield)),
-                _ => Ok(99),
-            }
-        });
-        assert_eq!(r.unwrap(), 99);
-        let snap = stats.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.aborts(), 3);
-        assert_eq!(snap.cm_backoffs, 1);
-        assert_eq!(snap.cm_yields, 1);
-        assert_eq!(snap.cm_waits(), 2);
-    }
-
-    #[test]
-    fn arbitrated_loop_respects_max_retries_regardless_of_decision() {
-        use crate::cm::Arbitrate;
-        let cfg = StmConfig::default().with_max_retries(2);
-        let stats = StmStats::new();
-        let r: Result<(), _> = retry_loop_arbitrated(&cfg, &stats, |_| {
-            Err((Abort::new(AbortReason::LockConflict), Arbitrate::Abort))
-        });
-        assert_eq!(
-            r.unwrap_err(),
-            RunError::RetriesExhausted {
-                attempts: 3,
-                last: AbortReason::LockConflict
-            }
-        );
-    }
-
-    #[test]
-    fn progress_backstop_parks_after_consecutive_losses() {
-        use crate::cm::Arbitrate;
-        // Threshold 2: attempts 3.. park (with escalating bounded sleeps).
-        let cfg = StmConfig::default()
-            .with_progress_park_after(2)
-            .with_max_retries(6);
-        let stats = StmStats::new();
-        let r: Result<(), _> = retry_loop_arbitrated(&cfg, &stats, |_| {
-            Err((Abort::new(AbortReason::LockConflict), Arbitrate::Abort))
-        });
-        assert!(r.is_err());
-        let snap = stats.snapshot();
-        assert_eq!(snap.aborts(), 7, "max_retries 6 = 7 attempts");
-        // Losses 3..=6 park; the exhausted final attempt returns without
-        // parking (it will not retry, so there is nothing to pace).
-        assert_eq!(
-            snap.progress_parks, 4,
-            "every loss past the threshold that retries parks"
-        );
-    }
-
-    #[test]
-    fn progress_backstop_stays_out_of_short_conflicts() {
-        let cfg = StmConfig::default(); // threshold 64
-        let stats = StmStats::new();
-        let mut left = 10;
-        retry_loop(&cfg, &stats, 1, || {
-            if left > 0 {
-                left -= 1;
-                Err(Abort::new(AbortReason::LockConflict))
-            } else {
-                Ok(())
-            }
-        })
-        .unwrap();
-        assert_eq!(
-            stats.snapshot().progress_parks,
-            0,
-            "ordinary contention must never sleep"
-        );
-    }
-
-    #[test]
-    fn waiting_loop_does_not_charge_waits_against_the_budget() {
-        // A bounded budget of 1 conflict: three genuine waits then a
-        // commit must NOT exhaust — a precondition wait is not a loss.
-        let cfg = StmConfig::default().with_max_retries(1);
-        let stats = StmStats::new();
-        let mut waits_left = 3;
-        let r = retry_loop_waiting(&cfg, &stats, |_| {
-            if waits_left > 0 {
-                waits_left -= 1;
-                Err(AttemptFail::Waited)
-            } else {
-                Ok(11)
-            }
-        });
-        assert_eq!(r.unwrap(), 11);
-        let snap = stats.snapshot();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.explicit_retries(), 3);
-        assert_eq!(snap.aborts(), 0);
-        assert_eq!(snap.cm_waits(), 0, "waits are parked, never CM-paced");
-    }
-
-    #[test]
-    fn waiting_loop_surfaces_would_block_forever() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let r: Result<(), _> = retry_loop_waiting(&cfg, &stats, |_| Err(AttemptFail::WouldBlock));
-        assert_eq!(r.unwrap_err(), RunError::WouldBlockForever { attempts: 1 });
-        let snap = stats.snapshot();
-        assert_eq!(snap.explicit_retries(), 1, "still filed as a retry");
-        assert_eq!(snap.commits, 0);
-        let msg = RunError::WouldBlockForever { attempts: 1 }.to_string();
-        assert!(msg.contains("empty read set"), "{msg}");
-    }
-
-    #[test]
-    fn waiting_loop_still_charges_conflicts_between_waits() {
-        use crate::cm::Arbitrate;
-        // Budget 1: wait, conflict, conflict -> the second conflict
-        // exhausts (charged 2 > 1) even though a wait sat in between.
-        let cfg = StmConfig::default().with_max_retries(1);
-        let stats = StmStats::new();
-        let mut step = 0;
-        let r: Result<(), _> = retry_loop_waiting(&cfg, &stats, |_| {
-            step += 1;
-            match step {
-                1 => Err(AttemptFail::Waited),
-                _ => Err(AttemptFail::Conflict(
-                    Abort::new(AbortReason::LockConflict),
-                    Arbitrate::Abort,
-                )),
-            }
-        });
-        assert_eq!(
-            r.unwrap_err(),
-            RunError::RetriesExhausted {
-                attempts: 3,
-                last: AbortReason::LockConflict
-            }
-        );
-        assert_eq!(stats.snapshot().aborts(), 2);
-        assert_eq!(stats.snapshot().explicit_retries(), 1);
-    }
-
-    #[test]
-    fn waits_reset_the_backstop_loss_streak() {
-        use crate::cm::Arbitrate;
-        // Threshold 2, pattern: conflict x2 (streak 2, no park), wait
-        // (streak resets), conflict x2 (streak 2 again), commit. No
-        // attempt ever exceeds the threshold -> zero parks.
-        let cfg = StmConfig::default().with_progress_park_after(2);
-        let stats = StmStats::new();
-        let mut step = 0;
-        retry_loop_waiting(&cfg, &stats, |_| {
-            step += 1;
-            match step {
-                1 | 2 | 4 | 5 => Err(AttemptFail::Conflict(
-                    Abort::new(AbortReason::LockConflict),
-                    Arbitrate::Abort,
-                )),
-                3 => Err(AttemptFail::Waited),
-                _ => Ok(()),
-            }
-        })
-        .unwrap();
-        assert_eq!(stats.snapshot().progress_parks, 0);
-    }
-
-    #[test]
-    fn retry_loop_respects_max_retries() {
-        let cfg = StmConfig::default().with_max_retries(2);
-        let stats = StmStats::new();
-        let r: Result<(), _> = retry_loop(&cfg, &stats, 1, || {
-            Err(Abort::new(AbortReason::ReadValidation))
-        });
-        assert_eq!(
-            r.unwrap_err(),
-            RunError::RetriesExhausted {
-                attempts: 3,
-                last: AbortReason::ReadValidation
-            }
-        );
-        assert_eq!(stats.snapshot().aborts(), 3);
     }
 }

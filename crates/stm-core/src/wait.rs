@@ -31,7 +31,7 @@
 //! `spurious_wakeup` and simply re-runs the attempt.
 //!
 //! The same table carries the progress backstop's sleepers: conflict
-//! losers parked by `retry_loop`'s escalating backstop register on a
+//! losers parked by the driver loop's escalating backstop register on a
 //! global list that *every* commit wakes, so a loser no longer sleeps
 //! out its full timeout once its rival has finished.
 //!
@@ -217,13 +217,14 @@ pub fn wait_for_locations(
 }
 
 /// Commit-side notification: wake every waiter registered on a written
-/// location, then every progress-backstop sleeper. Called by each
-/// backend right after the commit-hook seam, with write locks still
-/// held — so a waiter woken here observes either the locked vlocks or
-/// the already-published new versions, never the stale world.
+/// location, then every progress-backstop sleeper. Called by
+/// [`Attempt::publish`](crate::driver::Attempt::publish) right after the
+/// commit-hook seam, with write locks still held — so a waiter woken
+/// here observes either the locked vlocks or the already-published new
+/// versions, never the stale world.
 ///
 /// `write_locations` is a caller-driven iteration (the same shape as
-/// the commit hook's write iterator) so backends pass their write set
+/// the commit hook's write iterator) so the write set is passed
 /// without materializing it. The nested-closure type stays spelled out:
 /// a `type` alias changes the trait objects' elided lifetimes and
 /// forces callers' borrows to `'static`.
@@ -283,8 +284,9 @@ pub fn backstop_park(timeout: Duration) -> bool {
 }
 
 /// An RAII frame marking "an `or_else` alternative is pending on this
-/// thread": while any frame is live, a backend seeing `ExplicitRetry`
-/// must alternate branches (the facade's job) instead of parking.
+/// thread": while any frame is live, the driver loop treats
+/// `ExplicitRetry` as a charged conflict — the facade alternates
+/// branches — instead of parking.
 #[must_use = "the frame suppresses parking only while it is alive"]
 pub struct AlternativeGuard(());
 

@@ -187,6 +187,15 @@ impl<'env> WriteSet<'env> {
         self.entries.iter()
     }
 
+    /// Feed every buffered `(location id, value)` pair to `f`, in
+    /// insertion order — the shape the commit tail
+    /// ([`Attempt::publish`](crate::driver::Attempt::publish)) iterates.
+    pub fn for_each_write(&self, f: &mut dyn FnMut(usize, u64)) {
+        for e in &self.entries {
+            f(e.core.id(), e.value);
+        }
+    }
+
     /// Acquire the lock of every entry for `owner`, in ascending location-id
     /// order so that concurrent committers cannot deadlock. On failure,
     /// releases everything acquired and reports a lock conflict.

@@ -35,15 +35,11 @@
 #![warn(missing_docs)]
 
 use stm_core::bloom::Bloom;
-use stm_core::cm::{Arbitrate, CmState, ConflictCtx, ContentionManager};
+use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
-use stm_core::hook::WriteRecord;
 use stm_core::readset::ReadSet;
-use stm_core::stm::{retry_loop_waiting, AttemptFail};
-use stm_core::ticket::next_ticket;
-use stm_core::trace::{AttemptTracer, TraceOp};
+use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
-use stm_core::wait;
 use stm_core::{
     Abort, AbortReason, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats,
     Transaction, TxKind,
@@ -175,7 +171,8 @@ impl LsaScratch<'_> {
     }
 }
 
-/// One LSA transaction attempt.
+/// One LSA transaction: a single object per `run` call, restarted in
+/// place for every attempt.
 #[derive(Debug)]
 pub struct LsaTxn<'env> {
     stm: &'env Lsa,
@@ -183,66 +180,72 @@ pub struct LsaTxn<'env> {
     rv: u64,
     /// Upper bound: the snapshot is consistent for all times in `[rv, ub]`.
     ub: u64,
-    ticket: u64,
-    attempt: u64,
+    at: Attempt<'env>,
     scratch: LsaScratch<'env>,
-    cm: CmState,
-    depth: u32,
-    tracer: Option<Box<AttemptTracer>>,
 }
 
-impl<'env> LsaTxn<'env> {
-    fn begin(stm: &'env Lsa, scratch: LsaScratch<'env>, cm: CmState) -> Self {
-        Self {
-            stm,
-            rv: 0,
-            ub: 0,
-            ticket: 0,
-            attempt: 0,
-            scratch,
-            cm,
-            depth: 0,
-            tracer: None,
-        }
+impl<'env> TxnEngine<'env> for LsaTxn<'env> {
+    type Reads = ReadSet<'env>;
+
+    fn attempt(&mut self) -> &mut Attempt<'env> {
+        &mut self.at
     }
 
-    /// Reset for a fresh attempt (see `Tl2Txn::restart`): clear the
-    /// scratch keeping capacity, resample the clock, take a new ticket,
-    /// tell the contention manager a new attempt begins.
-    fn restart(&mut self, attempt: u64) {
+    fn restart(&mut self) {
         self.scratch.reset();
-        // The tracer reserves the attempt's begin stamp, so it must be
-        // armed *before* the snapshot is sampled (see stm_core::trace).
-        self.tracer = self
-            .stm
-            .config
-            .trace
-            .clone()
-            .map(|sink| Box::new(AttemptTracer::begin_top(sink, next_ticket().get()))); // lint:allow — tracing arm, off by default
         let now = self.stm.clock.now();
         self.rv = now;
         self.ub = now;
-        self.ticket = next_ticket().get();
-        self.attempt = attempt;
-        self.depth = 0;
-        self.cm.on_start(attempt);
     }
 
-    /// Ask the run's contention manager how to pace the retry after an
-    /// abort (see `Tl2Txn::arbitrate`).
-    fn arbitrate(&mut self, abort: Abort) -> Arbitrate {
-        let ctx = ConflictCtx {
-            reason: abort.reason,
-            attempt: self.attempt,
-            ticket: self.ticket,
-            owner: 0,
-            writes: self.scratch.undo.len(),
-            spins: 0,
-            work: (self.scratch.reads.len() + self.scratch.undo.len()) as u64,
-        };
-        self.cm.on_conflict(&ctx)
+    fn try_commit(&mut self) -> Result<(), Abort> {
+        let mut wv = 0;
+        if !self.scratch.undo.is_empty() {
+            let stamp = self.stm.clock.stamp();
+            wv = stamp.wv;
+            // Validation-skip fast path (see TL2): only an exclusively won
+            // wv == ub + 1 proves no concurrent commit; adoption must
+            // revalidate.
+            let valid = (stamp.exclusive && wv == self.ub + 1)
+                || self.scratch.reads.validate(Some(self.at.ticket()), |core| {
+                    self.scratch.undo.old_version_of(core)
+                });
+            if !valid {
+                return Err(Abort::new(AbortReason::ReadValidation));
+            }
+        }
+        // The undo log is first-write-wins, so each written location
+        // appears exactly once; its committed word is the in-place value
+        // (`value_unsync` is safe under the held lock).
+        let undo = &mut self.scratch.undo;
+        self.at.publish(
+            wv,
+            undo,
+            undo.len(),
+            |u, f| {
+                u.entries
+                    .iter()
+                    .for_each(|e| f(e.core.id(), e.core.value_unsync()));
+            },
+            |u| u.release_at(wv),
+        );
+        Ok(())
     }
 
+    fn rollback(&mut self) {
+        self.scratch.undo.rollback();
+    }
+
+    fn footprint(&self) -> (usize, usize) {
+        (self.scratch.reads.len(), self.scratch.undo.len())
+    }
+
+    fn wait_set(&mut self) -> &ReadSet<'env> {
+        &self.scratch.reads
+    }
+}
+
+impl<'env> LsaTxn<'env> {
     /// The current validity interval `[rv, ub]`: the snapshot this
     /// transaction has observed is consistent at every clock time in the
     /// interval. Exposed for diagnostics and tests.
@@ -260,7 +263,7 @@ impl<'env> LsaTxn<'env> {
     /// instead of a fresh clock sample keeps the extension path — and with
     /// it the whole read path — off the contended global clock line.
     fn extend(&mut self, target: u64) -> Result<(), Abort> {
-        let ok = self.scratch.reads.validate(Some(self.ticket), |core| {
+        let ok = self.scratch.reads.validate(Some(self.at.ticket()), |core| {
             self.scratch.undo.old_version_of(core)
         });
         if ok {
@@ -270,70 +273,6 @@ impl<'env> LsaTxn<'env> {
         } else {
             Err(Abort::new(AbortReason::ExtensionFailed))
         }
-    }
-
-    fn on_abort(&mut self) {
-        self.scratch.undo.rollback();
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_all();
-        }
-    }
-
-    fn commit(&mut self) -> Result<(), Abort> {
-        if self.scratch.undo.is_empty() {
-            if let Some(t) = self.tracer.as_mut() {
-                t.commit_top();
-            }
-            return Ok(());
-        }
-        let stamp = self.stm.clock.stamp();
-        let wv = stamp.wv;
-        if !(stamp.exclusive && wv == self.ub + 1) {
-            // Validation-skip fast path (see TL2): only an exclusively won
-            // wv == ub + 1 proves no concurrent commit; adoption must
-            // revalidate.
-            let ok = self.scratch.reads.validate(Some(self.ticket), |core| {
-                self.scratch.undo.old_version_of(core)
-            });
-            if !ok {
-                self.on_abort();
-                return Err(Abort::new(AbortReason::ReadValidation));
-            }
-        }
-        // Point of no return: validation succeeded and the in-place
-        // values sit behind write locks this transaction still holds, so
-        // the commit hook observes them before any conflicting commit
-        // can follow (see stm_core::hook). The undo log is first-write-
-        // wins, so each written location appears exactly once; its
-        // committed word is the in-place value (`value_unsync` is safe
-        // under the held lock).
-        if let Some(hook) = self.stm.config.commit_hook.as_deref() {
-            let undo = &self.scratch.undo;
-            let iter = |f: &mut dyn FnMut(usize, u64)| {
-                for e in &undo.entries {
-                    f(e.core.id(), e.core.value_unsync());
-                }
-            };
-            hook.on_commit(&WriteRecord::new(wv, undo.len(), &iter));
-        }
-        // Wake parked retry()-waiters (and backstop sleepers) on every
-        // written location — locks still held, notify order is commit
-        // order. First-write-wins keeps each location to one entry.
-        {
-            let undo = &self.scratch.undo;
-            wait::notify_commit(&|f| {
-                for e in &undo.entries {
-                    f(e.core.id());
-                }
-            });
-        }
-        self.scratch.undo.release_at(wv);
-        // The commit event is stamped only now, with the in-place values
-        // published and every lock released (see stm_core::trace).
-        if let Some(t) = self.tracer.as_mut() {
-            t.commit_top();
-        }
-        Ok(())
     }
 
     /// Bounded wait for a foreign lock, then give up (simple conservative
@@ -352,9 +291,9 @@ impl<'env> LsaTxn<'env> {
 impl<'env> Transaction<'env> for LsaTxn<'env> {
     fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         // In-place writes: if we hold the lock, the current word is ours.
-        if core.lock().is_locked_by(self.ticket) {
+        if core.lock().is_locked_by(self.at.ticket()) {
             let word = core.value_unsync();
-            if let Some(t) = self.tracer.as_mut() {
+            if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Read(word));
             }
             return Ok(word);
@@ -380,7 +319,7 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
                         // Location is newer than our snapshot: lazily extend.
                         self.extend(version)?;
                     }
-                    if let Some(t) = self.tracer.as_mut() {
+                    if let Some(t) = self.at.tracer() {
                         t.op(core.id(), TraceOp::Read(word));
                     }
                     return Ok(word);
@@ -398,9 +337,9 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
     }
 
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        if core.lock().is_locked_by(self.ticket) {
+        if core.lock().is_locked_by(self.at.ticket()) {
             core.store_value(word);
-            if let Some(t) = self.tracer.as_mut() {
+            if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Write(word));
             }
             return Ok(());
@@ -411,14 +350,14 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
             if attempts > 64 {
                 return Err(Abort::new(AbortReason::LockConflict));
             }
-            match core.lock().try_lock_any(self.ticket) {
+            match core.lock().try_lock_any(self.at.ticket()) {
                 Ok(old_version) => {
                     let old_value = core.value_unsync();
                     self.scratch
                         .undo
                         .record_first_write(core, old_value, old_version);
                     core.store_value(word);
-                    if let Some(t) = self.tracer.as_mut() {
+                    if let Some(t) = self.at.tracer() {
                         t.op(core.id(), TraceOp::Write(word));
                     }
                     return Ok(());
@@ -434,27 +373,17 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
 
     // Flat nesting (see TL2): classic transactions outherit trivially.
     fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
-        self.depth += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.begin_child(next_ticket().get());
-        }
+        self.at.child_enter();
         Ok(())
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
-        self.depth -= 1;
-        self.stm.stats.record_child_commit();
-        if let Some(t) = self.tracer.as_mut() {
-            t.commit_child();
-        }
+        self.at.child_commit(false);
         Ok(())
     }
 
     fn child_abort(&mut self) {
-        self.depth -= 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_child();
-        }
+        self.at.child_abort();
     }
 
     fn kind(&self) -> TxKind {
@@ -462,7 +391,7 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
     }
 
     fn ticket(&self) -> u64 {
-        self.ticket
+        self.at.ticket()
     }
 }
 
@@ -492,56 +421,16 @@ impl Stm for Lsa {
     fn try_run<'env, R>(
         &'env self,
         _kind: TxKind,
-        mut f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
-        let seed = next_ticket().get();
-        // One transaction object per run call: every attempt restarts it
-        // in place, so the read set and undo log keep their capacity
-        // across attempts, and one contention-manager state arbitrates
-        // the whole run.
-        let mut txn = LsaTxn::begin(
-            self,
-            LsaScratch::default(),
-            self.config.cm.build(&self.config, seed),
-        );
-        let mut wait_streak: u32 = 0;
-        retry_loop_waiting(&self.config, &self.stats, |attempt| {
-            txn.restart(attempt);
-            let outcome = match f(&mut txn) {
-                Ok(r) => txn.commit().map(|()| r),
-                Err(abort) => {
-                    txn.on_abort();
-                    Err(abort)
-                }
-            };
-            match outcome {
-                Ok(r) => {
-                    txn.cm.on_commit();
-                    Ok(r)
-                }
-                Err(abort) => {
-                    if abort.reason.is_explicit_retry() && !wait::alternative_pending() {
-                        // Genuine precondition wait: rollback already ran
-                        // (eager writes restored), so park on the read set
-                        // until a commit touches it (uncharged).
-                        if txn.scratch.reads.is_empty() {
-                            return Err(AttemptFail::WouldBlock);
-                        }
-                        wait_streak += 1;
-                        let reads = &txn.scratch.reads;
-                        let _ = wait::wait_for_locations(
-                            &mut reads.iter().map(|e| e.core.id()),
-                            &|| reads.validate(None, |_| None),
-                            wait_streak,
-                            &self.stats,
-                        );
-                        return Err(AttemptFail::Waited);
-                    }
-                    wait_streak = 0;
-                    Err(AttemptFail::Conflict(abort, txn.arbitrate(abort)))
-                }
-            }
-        })
+        let mut txn = LsaTxn {
+            stm: self,
+            rv: 0,
+            ub: 0,
+            at: Attempt::new(&self.config, &self.stats),
+            scratch: LsaScratch::default(),
+        };
+        driver::run(&mut txn, f)
     }
 }
 

@@ -45,15 +45,13 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use stm_core::bloom::hash_id;
-use stm_core::cm::{Arbitrate, CmState, ConflictCtx, ContentionManager};
+use stm_core::cm::Arbitrate;
+use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
-use stm_core::hook::WriteRecord;
+use stm_core::readset::ReadSet;
 use stm_core::scratch::TxScratch;
-use stm_core::stm::{retry_loop_waiting, AttemptFail};
-use stm_core::ticket::next_ticket;
-use stm_core::trace::{AttemptTracer, TraceOp};
+use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
-use stm_core::wait;
 use stm_core::{
     Abort, AbortReason, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats,
     Transaction, TxKind,
@@ -142,12 +140,13 @@ impl Swiss {
     }
 }
 
-/// One SwissTM transaction attempt.
+/// One SwissTM transaction: a single object per `run` call, restarted
+/// in place for every attempt.
 ///
 /// The read/write sets and the held write-lock list live in a
-/// [`TxScratch`] threaded through the retry loop (the write-lock indices
-/// use the scratch's pooled `aux` buffer), so a warmed-up attempt performs
-/// no heap allocation.
+/// [`TxScratch`] that survives from attempt to attempt (the write-lock
+/// indices use the scratch's pooled `aux` buffer), so a warmed-up attempt
+/// performs no heap allocation.
 #[derive(Debug)]
 pub struct SwissTxn<'env> {
     stm: &'env Swiss,
@@ -155,77 +154,86 @@ pub struct SwissTxn<'env> {
     rv: u64,
     /// Validity interval upper bound (grows by extension).
     ub: u64,
-    ticket: u64,
-    attempt: u64,
+    /// Also arbitrates the encounter-time write-lock conflicts in
+    /// `acquire_wlock`, with the same contention-manager state.
+    at: Attempt<'env>,
     /// Reads, writes, and (in `aux`) the write-lock table slots held.
     scratch: TxScratch<'env>,
-    cm: CmState,
-    depth: u32,
-    tracer: Option<Box<AttemptTracer>>,
 }
 
-impl<'env> SwissTxn<'env> {
-    fn begin(stm: &'env Swiss, scratch: TxScratch<'env>, cm: CmState) -> Self {
-        Self {
-            stm,
-            rv: 0,
-            ub: 0,
-            ticket: 0,
-            attempt: 0,
-            scratch,
-            cm,
-            depth: 0,
-            tracer: None,
-        }
+/// Release the encounter-time write locks `held` by `ticket`.
+fn release_wlocks(wlocks: &WLockTable, ticket: u64, held: &mut Vec<usize>) {
+    for i in held.drain(..) {
+        // Only we can hold it; a plain store would also be correct but
+        // the CAS documents the invariant.
+        let _ = wlocks.slots[i].compare_exchange(ticket, 0, Ordering::AcqRel, Ordering::Relaxed);
+    }
+}
+
+impl<'env> TxnEngine<'env> for SwissTxn<'env> {
+    type Reads = ReadSet<'env>;
+
+    fn attempt(&mut self) -> &mut Attempt<'env> {
+        &mut self.at
     }
 
-    /// Reset for a fresh attempt (see `Tl2Txn::restart`): clear the
-    /// scratch keeping capacity, resample the clock, take a new ticket,
-    /// tell the contention manager a new attempt begins.
-    fn restart(&mut self, attempt: u64) {
+    fn restart(&mut self) {
         self.scratch.reset();
-        // The tracer reserves the attempt's begin stamp, so it must be
-        // armed *before* the snapshot is sampled (see stm_core::trace).
-        self.tracer = self
-            .stm
-            .config
-            .trace
-            .clone()
-            .map(|sink| Box::new(AttemptTracer::begin_top(sink, next_ticket().get()))); // lint:allow — tracing arm, off by default
         let now = self.stm.clock.now();
         self.rv = now;
         self.ub = now;
-        self.ticket = next_ticket().get();
-        self.attempt = attempt;
-        self.depth = 0;
-        self.cm.on_start(attempt);
     }
 
-    /// Emit the attempt-wide abort events (tracing only; lock cleanup is
-    /// handled by `on_abort`/`commit` on their respective failure paths).
-    fn trace_abort(&mut self) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_all();
+    fn try_commit(&mut self) -> Result<(), Abort> {
+        let ticket = self.at.ticket();
+        let mut wv = 0;
+        if !self.scratch.writes.is_empty() {
+            self.scratch.writes.lock_all(ticket)?;
+            let stamp = self.stm.clock.stamp();
+            wv = stamp.wv;
+            // Validation-skip fast path (see TL2): an exclusively won
+            // wv == ub + 1 means no other update committed since the
+            // snapshot was last validated; an adopted stamp means one did.
+            let valid = (stamp.exclusive && wv == self.ub + 1)
+                || self.scratch.reads.validate(Some(ticket), |core| {
+                    self.scratch.writes.locked_version_of(core)
+                });
+            if !valid {
+                return Err(Abort::new(AbortReason::ReadValidation));
+            }
         }
+        // Both lock layers (commit-time versioned locks and encounter-
+        // time write locks) stay held until the release step.
+        let wlocks = &self.stm.wlocks;
+        let len = self.scratch.writes.len();
+        self.at.publish(
+            wv,
+            &mut self.scratch,
+            len,
+            |s, f| s.writes.for_each_write(f),
+            |s| {
+                s.writes.write_back_and_release(wv);
+                release_wlocks(wlocks, ticket, &mut s.aux);
+            },
+        );
+        Ok(())
     }
 
-    /// Ask the run's contention manager how to pace the retry after an
-    /// abort (see `Tl2Txn::arbitrate`). The same CM instance arbitrates
-    /// the encounter-time write-lock conflicts in `acquire_wlock`, so
-    /// policies with accumulated state (Karma) see one coherent run.
-    fn arbitrate(&mut self, abort: Abort) -> Arbitrate {
-        let ctx = ConflictCtx {
-            reason: abort.reason,
-            attempt: self.attempt,
-            ticket: self.ticket,
-            owner: 0,
-            writes: self.scratch.writes.len(),
-            spins: 0,
-            work: (self.scratch.reads.len() + self.scratch.writes.len()) as u64,
-        };
-        self.cm.on_conflict(&ctx)
+    fn rollback(&mut self) {
+        self.scratch.writes.release_locks();
+        release_wlocks(&self.stm.wlocks, self.at.ticket(), &mut self.scratch.aux);
     }
 
+    fn footprint(&self) -> (usize, usize) {
+        (self.scratch.reads.len(), self.scratch.writes.len())
+    }
+
+    fn wait_set(&mut self) -> &ReadSet<'env> {
+        &self.scratch.reads
+    }
+}
+
+impl<'env> SwissTxn<'env> {
     /// The current validity interval `[rv, ub]`.
     #[must_use]
     pub fn validity_interval(&self) -> (u64, u64) {
@@ -238,7 +246,7 @@ impl<'env> SwissTxn<'env> {
     /// `target`, so the extension path never re-reads the contended global
     /// clock line.
     fn extend(&mut self, target: u64) -> Result<(), Abort> {
-        let ok = self.scratch.reads.validate(Some(self.ticket), |core| {
+        let ok = self.scratch.reads.validate(Some(self.at.ticket()), |core| {
             self.scratch.writes.locked_version_of(core)
         });
         if ok {
@@ -250,25 +258,11 @@ impl<'env> SwissTxn<'env> {
         }
     }
 
-    fn release_wlocks(&mut self) {
-        for i in self.scratch.aux.drain(..) {
-            let slot = &self.stm.wlocks.slots[i];
-            // Only we can hold it; a plain store would also be correct but
-            // the CAS documents the invariant.
-            let _ = slot.compare_exchange(self.ticket, 0, Ordering::AcqRel, Ordering::Relaxed);
-        }
-    }
-
-    fn on_abort(&mut self) {
-        self.scratch.writes.release_locks();
-        self.release_wlocks();
-    }
-
     /// Eagerly acquire the write lock for `core`, arbitrating conflicts
     /// through the configured contention manager.
     ///
     /// This is the stack's one *encounter-time* arbitration site: the
-    /// owner's ticket is known, so the CM sees a full [`ConflictCtx`] and
+    /// owner's ticket is known, so the CM sees a full `ConflictCtx` and
     /// its decision is interpreted in place — `Abort` aborts the attempt
     /// (filed as [`AbortReason::ContentionManager`]), `Backoff(n)` spins
     /// and re-polls the lock, `Yield` cedes the core and re-polls. Under
@@ -284,25 +278,24 @@ impl<'env> SwissTxn<'env> {
         let idx = self.stm.wlocks.index_of(core);
         let slot = &self.stm.wlocks.slots[idx];
         let backstop = self.stm.config.lock_spin_limit.saturating_mul(16).max(1024);
+        let ticket = self.at.ticket();
         let mut spins = 0u32;
         loop {
-            match slot.compare_exchange(0, self.ticket, Ordering::AcqRel, Ordering::Acquire) {
+            match slot.compare_exchange(0, ticket, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
                     self.scratch.aux.push(idx);
                     return Ok(());
                 }
-                Err(owner) if owner == self.ticket => return Ok(()),
+                Err(owner) if owner == ticket => return Ok(()),
                 Err(owner) => {
-                    let ctx = ConflictCtx {
-                        reason: AbortReason::ContentionManager,
-                        attempt: self.attempt,
-                        ticket: self.ticket,
+                    let decision = self.at.on_conflict(
+                        AbortReason::ContentionManager,
                         owner,
-                        writes: self.scratch.writes.len(),
                         spins,
-                        work: (self.scratch.reads.len() + self.scratch.writes.len()) as u64,
-                    };
-                    match self.cm.on_conflict(&ctx) {
+                        self.scratch.reads.len(),
+                        self.scratch.writes.len(),
+                    );
+                    match decision {
                         Arbitrate::Abort => {
                             return Err(Abort::new(AbortReason::ContentionManager));
                         }
@@ -324,72 +317,12 @@ impl<'env> SwissTxn<'env> {
             }
         }
     }
-
-    fn commit(&mut self) -> Result<(), Abort> {
-        if self.scratch.writes.is_empty() {
-            if let Some(t) = self.tracer.as_mut() {
-                t.commit_top();
-            }
-            return Ok(());
-        }
-        if let Err(abort) = self.scratch.writes.lock_all(self.ticket) {
-            self.release_wlocks();
-            return Err(abort);
-        }
-        let stamp = self.stm.clock.stamp();
-        let wv = stamp.wv;
-        if !(stamp.exclusive && wv == self.ub + 1) {
-            // Validation-skip fast path (see TL2): an exclusively won
-            // wv == ub + 1 means no other update committed since the
-            // snapshot was last validated; an adopted stamp means one did.
-            let ok = self.scratch.reads.validate(Some(self.ticket), |core| {
-                self.scratch.writes.locked_version_of(core)
-            });
-            if !ok {
-                self.scratch.writes.release_locks();
-                self.release_wlocks();
-                return Err(Abort::new(AbortReason::ReadValidation));
-            }
-        }
-        // Point of no return: validation succeeded and both lock layers
-        // (commit-time versioned locks and encounter-time write locks)
-        // are still held, so the commit hook observes the write set
-        // before any conflicting commit can follow (see stm_core::hook).
-        if let Some(hook) = self.stm.config.commit_hook.as_deref() {
-            let writes = &self.scratch.writes;
-            let iter = |f: &mut dyn FnMut(usize, u64)| {
-                for e in writes.iter() {
-                    f(e.core.id(), e.value);
-                }
-            };
-            hook.on_commit(&WriteRecord::new(wv, writes.len(), &iter));
-        }
-        // Wake parked retry()-waiters (and backstop sleepers) on every
-        // written location — both lock layers still held, so notify
-        // order is commit order.
-        {
-            let writes = &self.scratch.writes;
-            wait::notify_commit(&|f| {
-                for e in writes.iter() {
-                    f(e.core.id());
-                }
-            });
-        }
-        self.scratch.writes.write_back_and_release(wv);
-        self.release_wlocks();
-        // The commit event is stamped only now, with write-back complete
-        // and every lock released (see stm_core::trace on stamping).
-        if let Some(t) = self.tracer.as_mut() {
-            t.commit_top();
-        }
-        Ok(())
-    }
 }
 
 impl<'env> Transaction<'env> for SwissTxn<'env> {
     fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         if let Some(word) = self.scratch.writes.lookup(core) {
-            if let Some(t) = self.tracer.as_mut() {
+            if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Read(word));
             }
             return Ok(word);
@@ -408,7 +341,7 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
                     if version > self.ub {
                         self.extend(version)?;
                     }
-                    if let Some(t) = self.tracer.as_mut() {
+                    if let Some(t) = self.at.tracer() {
                         t.op(core.id(), TraceOp::Read(word));
                     }
                     return Ok(word);
@@ -435,7 +368,7 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
         self.acquire_wlock(core)?;
         let first_touch = self.scratch.writes.lookup(core).is_none();
         self.scratch.writes.insert(core, word);
-        if let Some(t) = self.tracer.as_mut() {
+        if let Some(t) = self.at.tracer() {
             if first_touch {
                 t.op(core.id(), TraceOp::Write(word));
             } else {
@@ -447,27 +380,17 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
 
     // Flat nesting (see TL2): classic transactions outherit trivially.
     fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
-        self.depth += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.begin_child(next_ticket().get());
-        }
+        self.at.child_enter();
         Ok(())
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
-        self.depth -= 1;
-        self.stm.stats.record_child_commit();
-        if let Some(t) = self.tracer.as_mut() {
-            t.commit_child();
-        }
+        self.at.child_commit(false);
         Ok(())
     }
 
     fn child_abort(&mut self) {
-        self.depth -= 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_child();
-        }
+        self.at.child_abort();
     }
 
     fn kind(&self) -> TxKind {
@@ -475,7 +398,7 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
     }
 
     fn ticket(&self) -> u64 {
-        self.ticket
+        self.at.ticket()
     }
 }
 
@@ -505,55 +428,16 @@ impl Stm for Swiss {
     fn try_run<'env, R>(
         &'env self,
         _kind: TxKind,
-        mut f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
-        let seed = next_ticket().get();
-        // One transaction object (and one scratch, and one contention-
-        // manager state) per run call: every attempt restarts it in place.
-        let mut txn = SwissTxn::begin(
-            self,
-            TxScratch::acquire(),
-            self.config.cm.build(&self.config, seed),
-        );
-        let mut wait_streak: u32 = 0;
-        retry_loop_waiting(&self.config, &self.stats, |attempt| {
-            txn.restart(attempt);
-            let outcome = match f(&mut txn) {
-                Ok(r) => txn.commit().map(|()| r),
-                Err(abort) => {
-                    txn.on_abort();
-                    Err(abort)
-                }
-            };
-            match outcome {
-                Ok(r) => {
-                    txn.cm.on_commit();
-                    Ok(r)
-                }
-                Err(abort) => {
-                    txn.trace_abort();
-                    if abort.reason.is_explicit_retry() && !wait::alternative_pending() {
-                        // Genuine precondition wait: all locks released by
-                        // on_abort, so park on the read set until a commit
-                        // touches it (uncharged).
-                        if txn.scratch.reads.is_empty() {
-                            return Err(AttemptFail::WouldBlock);
-                        }
-                        wait_streak += 1;
-                        let reads = &txn.scratch.reads;
-                        let _ = wait::wait_for_locations(
-                            &mut reads.iter().map(|e| e.core.id()),
-                            &|| reads.validate(None, |_| None),
-                            wait_streak,
-                            &self.stats,
-                        );
-                        return Err(AttemptFail::Waited);
-                    }
-                    wait_streak = 0;
-                    Err(AttemptFail::Conflict(abort, txn.arbitrate(abort)))
-                }
-            }
-        })
+        let mut txn = SwissTxn {
+            stm: self,
+            rv: 0,
+            ub: 0,
+            at: Attempt::new(&self.config, &self.stats),
+            scratch: TxScratch::acquire(),
+        };
+        driver::run(&mut txn, f)
     }
 }
 

@@ -26,15 +26,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use stm_core::cm::{Arbitrate, CmState, ConflictCtx, ContentionManager};
+use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
-use stm_core::hook::WriteRecord;
+use stm_core::readset::ReadSet;
 use stm_core::scratch::TxScratch;
-use stm_core::stm::{retry_loop_waiting, AttemptFail};
-use stm_core::ticket::next_ticket;
-use stm_core::trace::{AttemptTracer, TraceOp};
+use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
-use stm_core::wait;
+use stm_core::writeset::WriteSet;
 use stm_core::{
     Abort, AbortReason, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats,
     Transaction, TxKind,
@@ -82,150 +80,79 @@ impl Tl2 {
     }
 }
 
-/// One TL2 transaction attempt.
+/// One TL2 transaction: a single object per `run` call, restarted in
+/// place for every attempt.
 ///
-/// The read/write sets live in a [`TxScratch`] that the retry loop threads
-/// from attempt to attempt (and, for the lifetime-free buffers, from
-/// transaction to transaction via the per-thread pool), so a warmed-up
-/// attempt performs no heap allocation.
+/// The read/write sets live in a [`TxScratch`] that survives from attempt
+/// to attempt (and, for the lifetime-free buffers, from transaction to
+/// transaction via the per-thread pool), so a warmed-up attempt performs
+/// no heap allocation.
 #[derive(Debug)]
 pub struct Tl2Txn<'env> {
     stm: &'env Tl2,
     rv: u64,
-    ticket: u64,
-    attempt: u64,
+    at: Attempt<'env>,
     scratch: TxScratch<'env>,
-    cm: CmState,
-    depth: u32,
-    tracer: Option<Box<AttemptTracer>>,
 }
 
-impl<'env> Tl2Txn<'env> {
-    fn begin(stm: &'env Tl2, scratch: TxScratch<'env>, cm: CmState) -> Self {
-        Self {
-            stm,
-            rv: 0,
-            ticket: 0,
-            attempt: 0,
-            scratch,
-            cm,
-            depth: 0,
-            tracer: None,
-        }
+impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
+    type Reads = ReadSet<'env>;
+
+    fn attempt(&mut self) -> &mut Attempt<'env> {
+        &mut self.at
     }
 
-    /// Reset for a fresh attempt: clear the scratch (keeping capacity),
-    /// resample the clock, take a new ticket, tell the contention manager
-    /// a new attempt begins. Called by the retry loop before every
-    /// attempt, so the transaction object itself — and its buffers — live
-    /// for the whole run.
-    fn restart(&mut self, attempt: u64) {
+    fn restart(&mut self) {
         self.scratch.reset();
-        // The tracer reserves the attempt's begin stamp, so it must be
-        // armed *before* the snapshot is sampled (see stm_core::trace).
-        self.tracer = self
-            .stm
-            .config
-            .trace
-            .clone()
-            .map(|sink| Box::new(AttemptTracer::begin_top(sink, next_ticket().get()))); // lint:allow — tracing arm, off by default
         self.rv = self.stm.clock.now();
-        self.ticket = next_ticket().get();
-        self.attempt = attempt;
-        self.depth = 0;
-        self.cm.on_start(attempt);
     }
 
-    fn on_abort(&mut self) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_all();
-        }
-    }
-
-    /// Ask the run's contention manager how to pace the retry after an
-    /// abort. The failed attempt's access counts feed Karma-style
-    /// policies as "work done".
-    fn arbitrate(&mut self, abort: Abort) -> Arbitrate {
-        let ctx = ConflictCtx {
-            reason: abort.reason,
-            attempt: self.attempt,
-            ticket: self.ticket,
-            owner: 0,
-            writes: self.scratch.writes.len(),
-            spins: 0,
-            work: (self.scratch.reads.len() + self.scratch.writes.len()) as u64,
-        };
-        self.cm.on_conflict(&ctx)
-    }
-
-    /// Commit the attempt. On `Err` the caller retries with a fresh
-    /// transaction; all locks have been released.
-    fn commit(&mut self) -> Result<(), Abort> {
-        if self.scratch.writes.is_empty() {
-            // Read-only fast path: every read was validated against rv at
-            // read time, so the snapshot is consistent as of rv. The clock
-            // is not ticked.
-            if let Some(t) = self.tracer.as_mut() {
-                t.commit_top();
-            }
-            return Ok(());
-        }
-        self.scratch.writes.lock_all(self.ticket)?;
-        let stamp = self.stm.clock.stamp();
-        let wv = stamp.wv;
-        if !(stamp.exclusive && wv == self.rv + 1) {
+    fn try_commit(&mut self) -> Result<(), Abort> {
+        let mut wv = 0;
+        // Read-only: every read was validated against rv at read time, so
+        // the snapshot is consistent as of rv. The clock is not ticked.
+        if !self.scratch.writes.is_empty() {
+            self.scratch.writes.lock_all(self.at.ticket())?;
+            let stamp = self.stm.clock.stamp();
+            wv = stamp.wv;
             // Someone committed after we sampled rv: re-validate the reads.
             // Only an *exclusively won* wv == rv + 1 proves nothing can
             // have invalidated them (TL2's validation-skip fast path); an
             // adopted stamp proves a concurrent commit just happened, even
             // when the shared timestamp happens to equal rv + 1.
-            let ok = self.scratch.reads.validate(Some(self.ticket), |core| {
-                self.scratch.writes.locked_version_of(core)
-            });
-            if !ok {
-                self.scratch.writes.release_locks();
+            let valid = (stamp.exclusive && wv == self.rv + 1)
+                || self.scratch.reads.validate(Some(self.at.ticket()), |core| {
+                    self.scratch.writes.locked_version_of(core)
+                });
+            if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
         }
-        // Point of no return: validation succeeded and every write lock
-        // is held, so the commit hook (the durability seam) observes the
-        // write set *before* any conflicting transaction can lock it —
-        // per-location hook order equals commit order (see
-        // stm_core::hook).
-        if let Some(hook) = self.stm.config.commit_hook.as_deref() {
-            let writes = &self.scratch.writes;
-            let iter = |f: &mut dyn FnMut(usize, u64)| {
-                for e in writes.iter() {
-                    f(e.core.id(), e.value);
-                }
-            };
-            hook.on_commit(&WriteRecord::new(wv, writes.len(), &iter));
-        }
-        // Wake parked retry()-waiters (and backstop sleepers) registered
-        // on any written location. Locks are still held, so notify order
-        // is commit order.
-        {
-            let writes = &self.scratch.writes;
-            wait::notify_commit(&|f| {
-                for e in writes.iter() {
-                    f(e.core.id());
-                }
+        let writes = &mut self.scratch.writes;
+        self.at
+            .publish(wv, writes, writes.len(), WriteSet::for_each_write, |w| {
+                w.write_back_and_release(wv)
             });
-        }
-        self.scratch.writes.write_back_and_release(wv);
-        // The commit event is stamped only now, with write-back complete
-        // and every lock released (see stm_core::trace on stamping).
-        if let Some(t) = self.tracer.as_mut() {
-            t.commit_top();
-        }
         Ok(())
+    }
+
+    fn rollback(&mut self) {
+        self.scratch.writes.release_locks();
+    }
+
+    fn footprint(&self) -> (usize, usize) {
+        (self.scratch.reads.len(), self.scratch.writes.len())
+    }
+
+    fn wait_set(&mut self) -> &ReadSet<'env> {
+        &self.scratch.reads
     }
 }
 
 impl<'env> Transaction<'env> for Tl2Txn<'env> {
     fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         if let Some(word) = self.scratch.writes.lookup(core) {
-            if let Some(t) = self.tracer.as_mut() {
+            if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Read(word));
             }
             return Ok(word);
@@ -237,7 +164,7 @@ impl<'env> Transaction<'env> for Tl2Txn<'env> {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 self.scratch.reads.push(core, version);
-                if let Some(t) = self.tracer.as_mut() {
+                if let Some(t) = self.at.tracer() {
                     t.op(core.id(), TraceOp::Read(word));
                 }
                 Ok(word)
@@ -250,7 +177,7 @@ impl<'env> Transaction<'env> for Tl2Txn<'env> {
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
         let first_touch = self.scratch.writes.lookup(core).is_none();
         self.scratch.writes.insert(core, word);
-        if let Some(t) = self.tracer.as_mut() {
+        if let Some(t) = self.at.tracer() {
             if first_touch {
                 t.op(core.id(), TraceOp::Write(word));
             } else {
@@ -264,27 +191,17 @@ impl<'env> Transaction<'env> for Tl2Txn<'env> {
     // sets and stay protected until the parent commits — the classic
     // instantiation of outheritance the paper describes in Section I.
     fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
-        self.depth += 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.begin_child(next_ticket().get());
-        }
+        self.at.child_enter();
         Ok(())
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
-        self.depth -= 1;
-        self.stm.stats.record_child_commit();
-        if let Some(t) = self.tracer.as_mut() {
-            t.commit_child();
-        }
+        self.at.child_commit(false);
         Ok(())
     }
 
     fn child_abort(&mut self) {
-        self.depth -= 1;
-        if let Some(t) = self.tracer.as_mut() {
-            t.abort_child();
-        }
+        self.at.child_abort();
     }
 
     fn kind(&self) -> TxKind {
@@ -292,7 +209,7 @@ impl<'env> Transaction<'env> for Tl2Txn<'env> {
     }
 
     fn ticket(&self) -> u64 {
-        self.ticket
+        self.at.ticket()
     }
 }
 
@@ -322,53 +239,15 @@ impl Stm for Tl2 {
     fn try_run<'env, R>(
         &'env self,
         _kind: TxKind,
-        mut f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
-        let seed = next_ticket().get();
-        // One transaction object (and one scratch, and one contention-
-        // manager state) per run call: every attempt restarts it in
-        // place, so aborted attempts hand their warmed buffers to the
-        // next one with no per-attempt moves.
-        let mut txn = Tl2Txn::begin(
-            self,
-            TxScratch::acquire(),
-            self.config.cm.build(&self.config, seed),
-        );
-        let mut wait_streak: u32 = 0;
-        retry_loop_waiting(&self.config, &self.stats, |attempt| {
-            txn.restart(attempt);
-            let outcome = match f(&mut txn) {
-                Ok(r) => txn.commit().map(|()| r),
-                Err(abort) => Err(abort),
-            };
-            match outcome {
-                Ok(r) => {
-                    txn.cm.on_commit();
-                    Ok(r)
-                }
-                Err(abort) => {
-                    txn.on_abort();
-                    if abort.reason.is_explicit_retry() && !wait::alternative_pending() {
-                        // A genuine precondition wait: park on the read
-                        // set until a commit touches it (uncharged).
-                        if txn.scratch.reads.is_empty() {
-                            return Err(AttemptFail::WouldBlock);
-                        }
-                        wait_streak += 1;
-                        let reads = &txn.scratch.reads;
-                        let _ = wait::wait_for_locations(
-                            &mut reads.iter().map(|e| e.core.id()),
-                            &|| reads.validate(None, |_| None),
-                            wait_streak,
-                            &self.stats,
-                        );
-                        return Err(AttemptFail::Waited);
-                    }
-                    wait_streak = 0;
-                    Err(AttemptFail::Conflict(abort, txn.arbitrate(abort)))
-                }
-            }
-        })
+        let mut txn = Tl2Txn {
+            stm: self,
+            rv: 0,
+            at: Attempt::new(&self.config, &self.stats),
+            scratch: TxScratch::acquire(),
+        };
+        driver::run(&mut txn, f)
     }
 }
 

@@ -1,6 +1,6 @@
 //! # xtask — the workspace's static lint pass
 //!
-//! `cargo run -p xtask -- lint` enforces four repository invariants that
+//! `cargo run -p xtask -- lint` enforces the repository invariants that
 //! rustc and clippy cannot express, all purely textual so the pass runs
 //! in milliseconds with no dependencies:
 //!
@@ -17,10 +17,19 @@
 //!    runs, the lint covers every line of the tagged files. A line may
 //!    carry `lint:allow` with a justification for cold-path exceptions
 //!    (backend construction, tracer arming).
-//! 3. **clock-discipline** — global-clock reads (`clock…now()` /
-//!    `clock…tick()`) appear only in the blessed backend modules; the
-//!    clock protocol (when to sample, when to tick) is the correctness
-//!    core of every STM here and must not leak into helper code.
+//! 3. **blessed call sites** — one table ([`BLESSED_CALL_SITES`]) of
+//!    calls that may appear only in named files:
+//!    * `clock-discipline` — global-clock reads (`clock…now()` /
+//!      `clock…tick()` / `clock…stamp()`) appear only in the blessed
+//!      backend modules; the clock protocol (when to sample, when to
+//!      tick) is the correctness core of every STM here and must not leak
+//!      into helper code;
+//!    * `commit-tail` — firing the commit hook (building its
+//!      `WriteRecord`), `wait::notify_commit` and
+//!      `wait::wait_for_locations` appear only in `stm-core`'s `driver`
+//!      module, which alone owns the order hook → notify → release →
+//!      trace event and the park-or-pace policy; a backend growing its
+//!      own copy is how the five hand-threaded tails came about.
 //! 4. **shim-isolation** — `shims/*/Cargo.toml` declare no dependencies:
 //!    the shims exist so the workspace builds offline, so a shim that
 //!    grows a dependency defeats its purpose.
@@ -43,8 +52,8 @@ pub struct Violation {
     pub file: PathBuf,
     /// 1-based line number (0 for whole-file findings).
     pub line: usize,
-    /// Which rule fired: `unsafe-forbid`, `hot-path`, `clock-discipline`
-    /// or `shim-isolation`.
+    /// Which rule fired: `unsafe-forbid`, `hot-path`, `clock-discipline`,
+    /// `commit-tail` or `shim-isolation`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub msg: String,
@@ -89,6 +98,50 @@ pub const BLESSED_CLOCK_FILES: &[&str] = &[
     "crates/durable/src/store.rs",
 ];
 
+/// One row of the blessed-call-sites table: calls that may appear only
+/// in the listed files.
+#[derive(Debug)]
+pub struct BlessedCallSites {
+    /// The rule name violations are reported under.
+    pub rule: &'static str,
+    /// Human-readable explanation of a violation.
+    pub msg: &'static str,
+    /// A line is only considered when it mentions one of these (empty:
+    /// every line is).
+    pub context: &'static [&'static str],
+    /// The guarded callees; a line calls one when it contains the name
+    /// followed by `(` (appended at match time, so this table never
+    /// matches itself).
+    pub calls: &'static [&'static str],
+    /// The files (workspace-relative) the calls are allowed in.
+    pub files: &'static [&'static str],
+}
+
+/// The blessed-call-sites table.
+pub const BLESSED_CALL_SITES: &[BlessedCallSites] = &[
+    BlessedCallSites {
+        rule: "clock-discipline",
+        msg: "global-clock read outside the blessed backend modules",
+        context: &["clock", "Clock"],
+        // `stamp` is the lazy clock's CAS-or-adopt tick (`CommitStamp`):
+        // backends must take their write-versions through it, and nothing
+        // outside the blessed modules may mint one.
+        calls: &[".now", ".tick", ".stamp"],
+        files: BLESSED_CLOCK_FILES,
+    },
+    BlessedCallSites {
+        rule: "commit-tail",
+        msg: "commit hook / waiter notify / waiter park outside stm-core's driver module",
+        context: &[],
+        calls: &[
+            "WriteRecord::new",
+            "wait::notify_commit",
+            "wait::wait_for_locations",
+        ],
+        files: &["crates/stm-core/src/driver.rs"],
+    },
+];
+
 /// Substrings banned in hot-path-tagged files (timing and allocation).
 const HOT_PATH_BANNED: &[&str] = &[
     "Instant",
@@ -113,7 +166,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     for file in &sources {
         let text = fs::read_to_string(root.join(file))?;
         check_hot_path(file, &text, &mut v);
-        check_clock_discipline(file, &text, &mut v);
+        check_blessed_call_sites(file, &text, &mut v);
     }
     check_shim_isolation(root, &mut v)?;
     v.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -241,25 +294,23 @@ fn check_hot_path(file: &Path, text: &str, v: &mut Vec<Violation>) {
     }
 }
 
-fn check_clock_discipline(file: &Path, text: &str, v: &mut Vec<Violation>) {
+fn check_blessed_call_sites(file: &Path, text: &str, v: &mut Vec<Violation>) {
     let rel = file.to_string_lossy().replace('\\', "/");
-    if BLESSED_CLOCK_FILES.contains(&rel.as_str()) {
-        return;
-    }
-    // Built at runtime so this very function never matches itself.
-    // `stamp` is the lazy clock's CAS-or-adopt tick (`CommitStamp`):
-    // backends must take their write-versions through it, and nothing
-    // outside the blessed modules may mint one.
-    let reads = ["now", "tick", "stamp"].map(|m| format!(".{m}()"));
-    for (line, l) in effective_lines(text) {
-        let clockish = l.contains("clock") || l.contains("Clock");
-        if clockish && reads.iter().any(|r| l.contains(r.as_str())) {
-            v.push(Violation {
-                file: file.to_path_buf(),
-                line,
-                rule: "clock-discipline",
-                msg: "global-clock read outside the blessed backend modules".into(),
-            });
+    for row in BLESSED_CALL_SITES {
+        if row.files.contains(&rel.as_str()) {
+            continue;
+        }
+        let calls: Vec<String> = row.calls.iter().map(|c| format!("{c}(")).collect();
+        for (line, l) in effective_lines(text) {
+            let in_context = row.context.is_empty() || row.context.iter().any(|c| l.contains(c));
+            if in_context && calls.iter().any(|c| l.contains(c.as_str())) {
+                v.push(Violation {
+                    file: file.to_path_buf(),
+                    line,
+                    rule: row.rule,
+                    msg: row.msg.into(),
+                });
+            }
         }
     }
 }
@@ -337,22 +388,37 @@ mod tests {
     fn clock_discipline_blesses_the_backend_modules() {
         let mut v = Vec::new();
         let line = "let rv = self.clock.now();\n";
-        check_clock_discipline(Path::new("crates/stm-tl2/src/lib.rs"), line, &mut v);
+        check_blessed_call_sites(Path::new("crates/stm-tl2/src/lib.rs"), line, &mut v);
         assert!(v.is_empty());
-        check_clock_discipline(Path::new("crates/durable/src/wal.rs"), line, &mut v);
+        check_blessed_call_sites(Path::new("crates/durable/src/wal.rs"), line, &mut v);
         assert!(v.is_empty(), "the durable IO modules are blessed");
-        check_clock_discipline(Path::new("crates/cec/src/lib.rs"), line, &mut v);
+        check_blessed_call_sites(Path::new("crates/cec/src/lib.rs"), line, &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "clock-discipline");
         // A hook crate is NOT blessed: the durability seam must not let a
         // CommitHook impl elsewhere mint versions.
         v.clear();
-        check_clock_discipline(
+        check_blessed_call_sites(
             Path::new("crates/someplugin/src/hook.rs"),
             "impl CommitHook for H { fn on_commit(&self) { self.clock.tick(); } }\n",
             &mut v,
         );
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn commit_tail_calls_are_blessed_in_the_driver_only() {
+        let tail = "hook.on_commit(&WriteRecord::new(wv, n, &iter));\n\
+                    wait::notify_commit(&|f| f(1));\n\
+                    let _ = wait::wait_for_locations(&mut it, &|| true, 1, stats);\n\
+                    self.cm.on_commit();\n";
+        let mut v = Vec::new();
+        check_blessed_call_sites(Path::new("crates/stm-core/src/driver.rs"), tail, &mut v);
+        assert!(v.is_empty(), "the driver owns the tail: {v:?}");
+        check_blessed_call_sites(Path::new("crates/stm-tl2/src/lib.rs"), tail, &mut v);
+        let lines: Vec<usize> = v.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [1, 2, 3], "cm.on_commit() must not match: {v:?}");
+        assert!(v.iter().all(|x| x.rule == "commit-tail"));
     }
 
     #[test]

@@ -25,6 +25,7 @@ fn seeded_fixtures_trip_every_rule() {
         "unsafe-forbid",
         "hot-path",
         "clock-discipline",
+        "commit-tail",
         "shim-isolation",
     ] {
         assert!(
@@ -101,6 +102,23 @@ fn seeded_fixtures_trip_every_rule() {
             .count(),
         1,
         "a CommitHook impl ticking the clock must fire: {clock:?}"
+    );
+    // tail.rs (a backend with its own commit tail and wait path): firing
+    // the hook, notifying and parking each trip; `cm.on_commit()` stays
+    // quiet.
+    let tail: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == "commit-tail")
+        .collect();
+    assert_eq!(
+        tail.len(),
+        3,
+        "WriteRecord::new + notify_commit + wait_for_locations: {tail:?}"
+    );
+    assert!(
+        tail.iter()
+            .all(|v| v.file == Path::new("crates/badcrate/src/tail.rs")),
+        "only the rogue tail fixture fires: {tail:?}"
     );
 }
 
