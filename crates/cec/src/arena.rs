@@ -137,7 +137,10 @@ impl<T: Default> Arena<T> {
 
 /// Pin the current thread's epoch (convenience re-export so callers don't
 /// need a direct `crossbeam` dependency). The guard is global to the epoch
-/// collector, not per-arena.
+/// collector, not per-arena. Every collection operation pins once, so this
+/// is on the per-operation hot path: it announces the epoch in the
+/// thread's own slot — no lock, no allocation — and dropping the guard
+/// takes the collector's lock only if something was retired meanwhile.
 #[must_use]
 pub fn pin() -> Guard {
     epoch::pin()
@@ -222,6 +225,54 @@ mod tests {
             }
         }
         assert!(reused, "retired slot never re-entered the free list");
+    }
+
+    /// Drain `a`'s free list, reporting whether `idx` came back. Other
+    /// tests of this binary pin concurrently and can hold a retirement
+    /// back for a moment, hence the bounded polling.
+    fn eventually_freed(a: &Arena<Cell>, idx: u64) -> bool {
+        for _ in 0..1000 {
+            quiesce();
+            if let Some(i) = a.free.pop() {
+                assert_eq!(i, idx);
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        false
+    }
+
+    #[test]
+    fn quiesce_drains_retirements() {
+        let a: Arena<Cell> = Arena::new();
+        let idx = a.alloc();
+        a.retire(idx, &pin());
+        assert!(eventually_freed(&a, idx), "quiesce never drained the slot");
+    }
+
+    #[test]
+    fn retired_slot_is_not_reissued_under_an_older_guard() {
+        use std::sync::mpsc;
+        let a: Arena<Cell> = Arena::new();
+        let idx = a.alloc();
+        let (pinned_tx, pinned_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        // A traverser pinned before the retire, possibly dwelling on `idx`.
+        let traverser = std::thread::spawn(move || {
+            let guard = pin();
+            pinned_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            drop(guard);
+        });
+        pinned_rx.recv().unwrap();
+        a.retire(idx, &pin());
+        quiesce();
+        for _ in 0..200 {
+            assert_ne!(a.alloc(), idx, "slot re-issued under a live guard");
+        }
+        release_tx.send(()).unwrap();
+        traverser.join().unwrap();
+        assert!(eventually_freed(&a, idx), "slot never came back");
     }
 
     #[test]

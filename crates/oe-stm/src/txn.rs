@@ -5,7 +5,7 @@
 use crate::OeStm;
 use stm_core::driver::{Attempt, TxnEngine};
 use stm_core::readset::ReadSet;
-use stm_core::scratch::TxScratch;
+use stm_core::scratch::{SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::writeset::WriteSet;
@@ -29,15 +29,23 @@ struct Frame<'env> {
     read_mark: usize,
 }
 
+thread_local! {
+    /// The nesting-frame stack's allocation between runs.
+    static FRAMES_SPARE: SpareVec<Frame<'static>> = const { SpareVec::new() };
+}
+
 /// The per-run reusable buffers of an OE-STM transaction: the shared
-/// [`TxScratch`] (read set, write set) plus the nesting-frame stack.
+/// [`TxScratch`] (read set, write set) plus the nesting-frame stack,
+/// borrowed from [`FRAMES_SPARE`] at the run's first child and returned
+/// on drop — a warmed-up thread composes without allocating and a run
+/// without children never touches the thread-local.
 #[derive(Debug)]
 struct OeScratch<'env> {
     base: TxScratch<'env>,
     frames: Vec<Frame<'env>>,
 }
 
-impl OeScratch<'_> {
+impl<'env> OeScratch<'env> {
     fn acquire() -> Self {
         Self {
             base: TxScratch::acquire(),
@@ -48,6 +56,21 @@ impl OeScratch<'_> {
     fn reset(&mut self) {
         self.base.reset();
         self.frames.clear();
+    }
+
+    fn push_frame(&mut self, frame: Frame<'env>) {
+        if self.frames.capacity() == 0 {
+            self.frames = FRAMES_SPARE.with(SpareVec::take);
+        }
+        self.frames.push(frame);
+    }
+}
+
+impl Drop for OeScratch<'_> {
+    fn drop(&mut self) {
+        if self.frames.capacity() != 0 {
+            FRAMES_SPARE.with(|spare| spare.put(core::mem::take(&mut self.frames)));
+        }
     }
 }
 
@@ -93,7 +116,8 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
 
     fn restart(&mut self) {
         self.scratch.reset();
-        self.window = Window::new(self.stm.config().elastic_window);
+        // `begin` built the window empty; only a retry finds it used.
+        self.window.clear();
         self.mode = self.top_kind;
         self.hardened = self.top_kind == TxKind::Regular;
         self.rv = self.stm.clock().now();
@@ -324,7 +348,7 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
     /// [`child_commit`](Transaction::child_commit).
     fn child_enter(&mut self, kind: TxKind) -> Result<(), Abort> {
         let fresh = Window::new(self.stm.config().elastic_window);
-        self.scratch.frames.push(Frame {
+        self.scratch.push_frame(Frame {
             saved_mode: self.mode,
             saved_hardened: self.hardened,
             saved_window: core::mem::replace(&mut self.window, fresh),

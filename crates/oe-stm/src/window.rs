@@ -120,11 +120,14 @@ impl<'env> Window<'env> {
     }
 
     /// Drop everything (E-STM child commit: the child's window is released
-    /// instead of outherited).
+    /// instead of outherited; attempt restart). An empty window has every
+    /// slot vacant and `next` at 0 already, so clearing one costs a test.
     pub fn clear(&mut self) {
-        self.slots = Default::default();
-        self.len = 0;
-        self.next = 0;
+        if self.len != 0 {
+            self.slots = Default::default();
+            self.len = 0;
+            self.next = 0;
+        }
     }
 
     /// Number of protected reads currently windowed.

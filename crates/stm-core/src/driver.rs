@@ -47,29 +47,37 @@ pub struct Attempt<'env> {
 
 impl<'env> Attempt<'env> {
     /// State for one `run` call against an STM instance's configuration
-    /// and counters; the contention manager is seeded per run.
+    /// and counters. Draws the first attempt's ticket, which also seeds
+    /// the run's contention manager — one draw on the process-global
+    /// counter per attempt, none per run.
     #[inline]
     #[must_use]
     pub fn new(config: &'env StmConfig, stats: &'env StmStats) -> Self {
+        let ticket = next_ticket().get();
         Self {
             config,
             stats,
-            ticket: 0,
+            ticket,
             number: 0,
-            cm: config.cm.build(config, next_ticket().get()),
+            cm: config.cm.build(config, ticket),
             depth: 0,
             tracer: None,
         }
     }
 
-    /// Begin attempt `number` (1-based): fresh ticket, re-armed tracer,
-    /// contention manager told. The tracer reserves the attempt's begin
-    /// stamp, so this runs *before* the backend samples its snapshot (see
-    /// `trace` on event stamping). The ticket doubles as the tracer's
-    /// top-level transaction id.
+    /// Begin attempt `number` (1-based): its ticket (the first attempt
+    /// runs on the one `new` drew), re-armed tracer, contention manager
+    /// told. The tracer reserves the attempt's begin stamp, so this runs
+    /// *before* the backend samples its snapshot (see `trace` on event
+    /// stamping). The ticket doubles as the tracer's top-level
+    /// transaction id.
     #[inline]
     fn restart(&mut self, number: u64) {
-        let ticket = next_ticket().get();
+        let ticket = if number == 1 {
+            self.ticket
+        } else {
+            next_ticket().get()
+        };
         self.tracer = self
             .config
             .trace
@@ -665,6 +673,42 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.aborts(), 0);
+    }
+
+    #[test]
+    fn first_attempt_runs_on_the_ticket_that_seeded_the_cm() {
+        // A single-attempt run draws one ticket: the one `new` seeds the
+        // contention manager with is the one attempt 1 owns its locks
+        // under. The ticket counter is process-global and other tests
+        // draw from it concurrently, so nothing here counts draws; the
+        // seed is observed through the pacing it determines.
+        let mut cfg = StmConfig::default().with_cm(CmPolicy::Backoff);
+        cfg.backoff_min_spins = 1;
+        cfg.backoff_max_spins = 1 << 20;
+        let stats = StmStats::new();
+        let mut at = Attempt::new(&cfg, &stats);
+        at.restart(1);
+        let first = at.ticket();
+        let pacing = |seed: u64| {
+            let mut cm = CmPolicy::Backoff.build(&cfg, seed);
+            let ctx = ConflictCtx {
+                reason: AbortReason::LockConflict,
+                attempt: 1,
+                ticket: first,
+                owner: 0,
+                writes: 0,
+                spins: 0,
+                work: 0,
+            };
+            (0..12).map(|_| cm.on_conflict(&ctx)).collect::<Vec<_>>()
+        };
+        let got: Vec<_> = (0..12)
+            .map(|_| at.arbitrate(AbortReason::LockConflict, 0, 0))
+            .collect();
+        assert_eq!(got, pacing(first), "seeded with the first ticket");
+        assert_ne!(got, pacing(first + 2), "the pacing does tell seeds apart");
+        at.restart(2);
+        assert_ne!(at.ticket(), first, "every later attempt draws its own");
     }
 
     #[test]

@@ -42,18 +42,20 @@ impl<'env> ReadSet<'env> {
         }
     }
 
-    /// An empty read set with room for `cap` entries. The scratch pool uses
-    /// this to pre-size a fresh run's read set to the thread's recent
-    /// high-water mark, replacing a cascade of growth reallocations with
-    /// one up-front reservation.
+    /// A read set over a pooled entry vector (cleared defensively; its
+    /// capacity is what is being recycled).
     #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            entries: Vec::with_capacity(cap),
-        }
+    pub(crate) fn from_entries(mut entries: Vec<ReadEntry<'env>>) -> Self {
+        entries.clear();
+        Self { entries }
     }
 
-    /// Current capacity (used by the scratch pool's sizing hint).
+    /// Extract the entry vector for pooling; `self` is left empty.
+    pub(crate) fn take_entries(&mut self) -> Vec<ReadEntry<'env>> {
+        core::mem::take(&mut self.entries)
+    }
+
+    /// Entries the set holds without growing.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.entries.capacity()

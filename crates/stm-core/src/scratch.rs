@@ -12,13 +12,15 @@
 //!    [`TxScratch`] per run and threads it through the retry loop; every
 //!    buffer keeps its capacity, so a warmed-up retry performs zero heap
 //!    allocations per attempt.
-//! 2. **Across transactions** (same thread): the lifetime-free buffers —
-//!    the open-addressed [`IndexTable`] and the `u32` order/aux vectors —
-//!    return to a thread-local pool when the scratch drops and are recycled
-//!    by the next `run` call. The entry vectors hold `&'env TVarCore`
-//!    borrows and therefore cannot be pooled across environments without
-//!    `unsafe` (this crate is `#![forbid(unsafe_code)]`); they warm up
-//!    within each run instead.
+//! 2. **Across transactions** (same thread): every buffer returns to a
+//!    thread-local pool when the scratch drops and is recycled by the next
+//!    `run` call, so a warmed-up transaction never touches the allocator.
+//!    The open-addressed [`IndexTable`] and the `u32` order/aux vectors
+//!    are lifetime-free and pool as they are. The entry vectors hold
+//!    `&'env TVarCore` borrows, so only their *allocations* are pooled:
+//!    an emptied vector is re-typed to `'static` by [`recycle`] on the way
+//!    in (no `unsafe`) and narrows to the next run's `'env` by plain
+//!    covariance on the way out.
 //!
 //! The index replaces the old `std::collections::HashMap<usize, usize>`
 //! spill index: open addressing with linear probing, a multiplicative hash
@@ -26,8 +28,8 @@
 //! generation-stamped slots so clearing is O(1) and never frees.
 
 use crate::bloom::hash_id;
-use crate::readset::ReadSet;
-use crate::writeset::WriteSet;
+use crate::readset::{ReadEntry, ReadSet};
+use crate::writeset::{WriteEntry, WriteSet};
 use std::cell::Cell;
 
 /// One slot of the open-addressed index. `gen` stamps which clear-epoch the
@@ -153,25 +155,89 @@ impl IndexTable {
     }
 }
 
-/// Lifetime-free buffers recycled across transactions through the
-/// thread-local pool, plus capacity *hints* for the entry vectors: those
-/// hold `&'env` borrows and cannot themselves be pooled, but remembering
-/// their high-water capacity lets the next run reserve once up front
-/// instead of re-growing through a cascade of doublings (a long list
-/// traversal pushes thousands of read entries).
+/// Re-type an emptied vector, keeping its allocation: how a vector of
+/// `&'env` borrows outlives `'env` (as a `Vec<Entry<'static>>`) without
+/// `unsafe`.
+///
+/// The hand-over is std's in-place `collect`: for a source and target of
+/// identical size and alignment, `into_iter().map(..).collect()` reuses
+/// the source allocation instead of making a new one. It is an
+/// optimisation std documents but does not promise; without it this
+/// returns a fresh empty vector — still correct, merely unpooled — and
+/// `recycle_keeps_the_allocation` (here) and `tests/zero_alloc.rs` fail.
+#[must_use]
+pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was just cleared"))
+        .collect()
+}
+
+/// Cap on the capacity of any pooled vector, bounding pooled memory (a
+/// `WriteEntry` is 32 bytes, so 8192 entries = 256 KiB). A vector grown
+/// past this by one outlier transaction is dropped instead of pinned in
+/// thread-local storage forever.
+const POOLED_CAP_MAX: usize = 8192;
+
+/// Free `v`'s allocation if it outgrew [`POOLED_CAP_MAX`].
+fn drop_outlier<T>(v: &mut Vec<T>) {
+    if v.capacity() > POOLED_CAP_MAX {
+        *v = Vec::new();
+    }
+}
+
+/// A thread-local home for the allocation of one backend-specific
+/// per-run vector (LSA's undo log, OE-STM's nesting frames), for
+/// buffers the shared [`TxScratch`] does not carry. Declare it
+/// lifetime-erased, [`take`](Self::take) the vector where a run first
+/// needs it and [`put`](Self::put) it back when the run ends:
+///
+/// ```
+/// use stm_core::scratch::SpareVec;
+/// struct Entry<'env>(&'env u64);
+/// thread_local! {
+///     static SPARE: SpareVec<Entry<'static>> = const { SpareVec::new() };
+/// }
+/// let x = 7;
+/// let mut log: Vec<Entry<'_>> = SPARE.with(SpareVec::take);
+/// log.push(Entry(&x));
+/// SPARE.with(|s| s.put(log));
+/// ```
+#[derive(Default)]
+pub struct SpareVec<T>(Cell<Vec<T>>);
+
+impl<T> SpareVec<T> {
+    /// An empty home (for `thread_local!`'s `const` initialiser).
+    #[must_use]
+    pub const fn new() -> Self {
+        Self(Cell::new(Vec::new()))
+    }
+
+    /// The parked vector — empty, with whatever capacity was last put
+    /// back; a nested taker gets a fresh, unallocated one.
+    #[must_use]
+    pub fn take(&self) -> Vec<T> {
+        self.0.take()
+    }
+
+    /// Park `v`'s allocation (its elements are dropped). `U` is `T` at
+    /// another lifetime; see [`recycle`].
+    pub fn put<U>(&self, mut v: Vec<U>) {
+        drop_outlier(&mut v);
+        self.0.set(recycle(v));
+    }
+}
+
+/// The buffers recycled across transactions through the thread-local
+/// pool. The entry vectors are always empty here; see [`recycle`].
 #[derive(Debug, Default)]
 struct ScratchParts {
     index: IndexTable,
     lock_order: Vec<u32>,
     aux: Vec<usize>,
-    reads_hint: usize,
-    writes_hint: usize,
+    reads: Vec<ReadEntry<'static>>,
+    writes: Vec<WriteEntry<'static>>,
 }
-
-/// Cap on the remembered entry-vector capacities, bounding pooled memory
-/// (a `ReadEntry` is ~24 bytes, so 8192 entries ≈ 192 KiB per pooled
-/// scratch).
-const HINT_MAX: usize = 8192;
 
 /// Cap on the pooled index table's slot count (~24 bytes/slot, so 32 Ki
 /// slots ≈ 768 KiB). A table grown past this by one outlier transaction is
@@ -186,12 +252,10 @@ impl ScratchParts {
         if self.index.slots.len() > INDEX_SLOTS_MAX {
             self.index = IndexTable::new();
         }
-        if self.lock_order.capacity() > HINT_MAX {
-            self.lock_order = Vec::new();
-        }
-        if self.aux.capacity() > HINT_MAX {
-            self.aux = Vec::new();
-        }
+        drop_outlier(&mut self.lock_order);
+        drop_outlier(&mut self.aux);
+        drop_outlier(&mut self.reads);
+        drop_outlier(&mut self.writes);
     }
 }
 
@@ -225,8 +289,6 @@ pub struct TxScratch<'env> {
 
 impl<'env> TxScratch<'env> {
     /// Take a scratch from the thread-local pool (or create a fresh one).
-    /// The entry vectors are pre-sized to the thread's recent high-water
-    /// marks.
     #[must_use]
     pub fn acquire() -> Self {
         let mut pool_box = POOL.with(Cell::take);
@@ -237,8 +299,8 @@ impl<'env> TxScratch<'env> {
         let mut aux = parts.aux;
         aux.clear();
         Self {
-            reads: ReadSet::with_capacity(parts.reads_hint),
-            writes: WriteSet::from_parts(parts.index, parts.lock_order, parts.writes_hint),
+            reads: ReadSet::from_entries(parts.reads),
+            writes: WriteSet::from_parts(parts.index, parts.lock_order, parts.writes),
             aux,
             pool_box,
         }
@@ -254,14 +316,13 @@ impl<'env> TxScratch<'env> {
 
 impl Drop for TxScratch<'_> {
     fn drop(&mut self) {
-        let reads_hint = self.reads.capacity().min(HINT_MAX);
-        let (index, lock_order, writes_cap) = self.writes.take_parts();
+        let (index, lock_order, writes) = self.writes.take_parts();
         let mut parts = ScratchParts {
             index,
             lock_order,
             aux: core::mem::take(&mut self.aux),
-            reads_hint,
-            writes_hint: writes_cap.min(HINT_MAX),
+            reads: recycle(self.reads.take_entries()),
+            writes: recycle(writes),
         };
         parts.enforce_bounds();
         match self.pool_box.take() {
@@ -378,30 +439,107 @@ mod tests {
         for i in 0..(INDEX_SLOTS_MAX + 1) {
             parts.index.insert(i * 16, 0);
         }
-        parts.lock_order.reserve(HINT_MAX + 1);
+        parts.lock_order.reserve(POOLED_CAP_MAX + 1);
+        parts.reads.reserve(POOLED_CAP_MAX + 1);
+        parts.writes.reserve(POOLED_CAP_MAX + 1);
         parts.aux = Vec::with_capacity(4);
         parts.enforce_bounds();
         assert!(parts.index.is_empty() && parts.index.slots.is_empty());
         assert_eq!(parts.lock_order.capacity(), 0);
+        assert_eq!(parts.reads.capacity(), 0);
+        assert_eq!(parts.writes.capacity(), 0);
         assert!(parts.aux.capacity() >= 4, "in-bounds buffers survive");
+
+        // The same through the pool: an outlier read set is gone at the
+        // next acquire, an ordinary one is not.
+        let var = TVar::new(0u64);
+        for (reads, pooled) in [(POOLED_CAP_MAX + 1, false), (POOLED_CAP_MAX / 2, true)] {
+            let mut s = TxScratch::acquire();
+            for _ in 0..reads {
+                s.reads.push(var.core(), 0);
+            }
+            drop(s);
+            let cap = TxScratch::acquire().reads.capacity();
+            assert_eq!(cap >= reads, pooled, "{reads} reads left capacity {cap}");
+        }
     }
 
     #[test]
-    fn pool_remembers_entry_capacity_hints() {
-        // A run with a large read set teaches the pool its high-water
-        // mark; the next acquire on this thread starts pre-sized.
-        let vars: Vec<TVar<u64>> = (0..300).map(TVar::new).collect();
-        {
+    fn recycle_keeps_the_allocation() {
+        // The std in-place-collect dependency, pinned: the re-typed vector
+        // is the same allocation.
+        let var = TVar::new(0u64);
+        let mut v: Vec<ReadEntry<'_>> = Vec::with_capacity(100);
+        v.push(ReadEntry {
+            core: var.core(),
+            version: 0,
+        });
+        let (ptr, cap) = (v.as_ptr() as usize, v.capacity());
+        let w: Vec<ReadEntry<'static>> = recycle(v);
+        assert!(w.is_empty());
+        assert_eq!((w.as_ptr() as usize, w.capacity()), (ptr, cap));
+    }
+
+    /// Where a filled scratch's two entry vectors live.
+    fn first_entries(s: &TxScratch<'_>) -> (usize, usize) {
+        let read = s.reads.iter().next().expect("filled") as *const ReadEntry<'_>;
+        let write = s.writes.iter().next().expect("filled") as *const WriteEntry<'_>;
+        (read as usize, write as usize)
+    }
+
+    #[test]
+    fn pool_recycles_entry_vectors() {
+        // The entry vectors' allocations survive the pool: the next
+        // acquire on this thread — under another `'env` — gets the very
+        // same buffers back, empty.
+        let (reads_ptr, writes_ptr) = {
+            let vars: Vec<TVar<u64>> = (0..300).map(TVar::new).collect();
             let mut s = TxScratch::acquire();
             for v in &vars {
                 s.reads.push(v.core(), 0);
+                s.writes.insert(v.core(), 1);
             }
+            first_entries(&s)
+        };
+        let vars: Vec<TVar<u64>> = (0..300).map(TVar::new).collect();
+        let mut s = TxScratch::acquire();
+        assert!(s.reads.is_empty() && s.writes.is_empty());
+        assert!(s.reads.capacity() >= 300);
+        for v in &vars {
+            s.reads.push(v.core(), 0);
+            s.writes.insert(v.core(), 1);
         }
-        let s = TxScratch::acquire();
-        assert!(
-            s.reads.capacity() >= 300,
-            "read-set capacity hint must survive the pool (got {})",
-            s.reads.capacity()
+        assert_eq!(
+            first_entries(&s),
+            (reads_ptr, writes_ptr),
+            "refilling to the same size must not have reallocated"
+        );
+    }
+
+    #[test]
+    fn spare_vec_parks_one_allocation() {
+        thread_local! {
+            static SPARE: SpareVec<ReadEntry<'static>> = const { SpareVec::new() };
+        }
+        let var = TVar::new(0u64);
+        let mut v: Vec<ReadEntry<'_>> = SPARE.with(SpareVec::take);
+        assert_eq!(v.capacity(), 0, "nothing parked yet");
+        v.push(ReadEntry {
+            core: var.core(),
+            version: 0,
+        });
+        let ptr = v.as_ptr() as usize;
+        let nested: Vec<ReadEntry<'_>> = SPARE.with(SpareVec::take);
+        assert_eq!(nested.capacity(), 0, "a nested taker starts cold");
+        SPARE.with(|s| s.put(v));
+        let v: Vec<ReadEntry<'_>> = SPARE.with(SpareVec::take);
+        assert!(v.is_empty());
+        assert_eq!(v.as_ptr() as usize, ptr);
+        SPARE.with(|s| s.put(Vec::<ReadEntry<'_>>::with_capacity(POOLED_CAP_MAX + 1)));
+        assert_eq!(
+            SPARE.with(SpareVec::take).capacity(),
+            0,
+            "outliers are freed"
         );
     }
 

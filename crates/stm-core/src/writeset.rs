@@ -64,35 +64,31 @@ impl<'env> WriteSet<'env> {
     }
 
     /// Build a write set around previously pooled buffers (the buffers are
-    /// cleared defensively; their capacity is what is being recycled) with
-    /// room for `entries_hint` entries.
+    /// cleared defensively; their capacity is what is being recycled).
     #[must_use]
     pub(crate) fn from_parts(
         mut index: IndexTable,
         mut lock_order: Vec<u32>,
-        entries_hint: usize,
+        mut entries: Vec<WriteEntry<'env>>,
     ) -> Self {
         index.clear();
         lock_order.clear();
+        entries.clear();
         Self {
-            entries: Vec::with_capacity(entries_hint),
+            entries,
             bloom: Bloom::new(),
             index,
             lock_order,
         }
     }
 
-    /// Extract the lifetime-free buffers for pooling plus the entry
-    /// vector's high-water capacity (the set must not be used afterwards;
-    /// `self` is left empty).
-    pub(crate) fn take_parts(&mut self) -> (IndexTable, Vec<u32>, usize) {
-        let cap = self.entries.capacity();
-        self.entries.clear();
+    /// Extract the buffers for pooling; `self` is left empty.
+    pub(crate) fn take_parts(&mut self) -> (IndexTable, Vec<u32>, Vec<WriteEntry<'env>>) {
         self.bloom.clear();
         (
             core::mem::take(&mut self.index),
             core::mem::take(&mut self.lock_order),
-            cap,
+            core::mem::take(&mut self.entries),
         )
     }
 
@@ -433,13 +429,14 @@ mod tests {
         for (i, v) in vars.iter().enumerate() {
             ws.insert(v.core(), i as u64);
         }
-        let (index, order, entries_cap) = ws.take_parts();
-        assert!(entries_cap >= 50, "high-water capacity must be reported");
-        let cap_before = order.capacity();
-        let mut ws2 = WriteSet::from_parts(index, order, entries_cap);
-        assert!(ws2.is_empty());
-        assert!(ws2.entries.capacity() >= 50, "hint must pre-size entries");
-        assert_eq!(ws2.lock_order.capacity(), cap_before);
+        let (index, order, entries) = ws.take_parts();
+        assert!(ws.is_empty() && ws.lookup(vars[3].core()).is_none());
+        assert_eq!(entries.len(), 50, "the entry vector leaves as it is");
+        let (order_cap, entries_ptr) = (order.capacity(), entries.as_ptr());
+        let mut ws2 = WriteSet::from_parts(index, order, entries);
+        assert!(ws2.is_empty(), "pooled buffers come back cleared");
+        assert_eq!(ws2.entries.as_ptr(), entries_ptr, "same entry allocation");
+        assert_eq!(ws2.lock_order.capacity(), order_cap);
         ws2.insert(vars[3].core(), 7);
         assert_eq!(ws2.lookup(vars[3].core()), Some(7));
         assert_eq!(ws2.lookup(vars[4].core()), None);

@@ -38,6 +38,7 @@ use stm_core::bloom::Bloom;
 use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::readset::ReadSet;
+use stm_core::scratch::{SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::{
@@ -65,12 +66,28 @@ struct UndoEntry<'env> {
     old_version: u64,
 }
 
+thread_local! {
+    /// The undo log's allocation between runs.
+    static UNDO_SPARE: SpareVec<UndoEntry<'static>> = const { SpareVec::new() };
+}
+
 /// The undo log: first-write-wins saved states, released on commit, rolled
-/// back in reverse on abort.
+/// back in reverse on abort. The entry vector is borrowed from
+/// [`UNDO_SPARE`] at the run's first write and returned on drop, so a
+/// warmed-up thread logs without allocating and a read-only run never
+/// touches the thread-local.
 #[derive(Debug, Default)]
 struct UndoLog<'env> {
     entries: Vec<UndoEntry<'env>>,
     bloom: Bloom,
+}
+
+impl Drop for UndoLog<'_> {
+    fn drop(&mut self) {
+        if self.entries.capacity() != 0 {
+            UNDO_SPARE.with(|spare| spare.put(core::mem::take(&mut self.entries)));
+        }
+    }
 }
 
 impl<'env> UndoLog<'env> {
@@ -82,6 +99,9 @@ impl<'env> UndoLog<'env> {
     }
 
     fn record_first_write(&mut self, core: &'env TVarCore, old_value: u64, old_version: u64) {
+        if self.entries.capacity() == 0 {
+            self.entries = UNDO_SPARE.with(SpareVec::take);
+        }
         self.bloom.insert(core.id());
         self.entries.push(UndoEntry {
             core,
@@ -156,21 +176,6 @@ impl Lsa {
     }
 }
 
-/// The per-run reusable buffers of an LSA transaction: the read set and
-/// the undo log (both keep their capacity across retry attempts).
-#[derive(Debug, Default)]
-struct LsaScratch<'env> {
-    reads: ReadSet<'env>,
-    undo: UndoLog<'env>,
-}
-
-impl LsaScratch<'_> {
-    fn reset(&mut self) {
-        self.reads.clear();
-        self.undo.reset();
-    }
-}
-
 /// One LSA transaction: a single object per `run` call, restarted in
 /// place for every attempt.
 #[derive(Debug)]
@@ -181,7 +186,10 @@ pub struct LsaTxn<'env> {
     /// Upper bound: the snapshot is consistent for all times in `[rv, ub]`.
     ub: u64,
     at: Attempt<'env>,
-    scratch: LsaScratch<'env>,
+    /// Only the pooled read set is used: writes go in place, through
+    /// the undo log.
+    scratch: TxScratch<'env>,
+    undo: UndoLog<'env>,
 }
 
 impl<'env> TxnEngine<'env> for LsaTxn<'env> {
@@ -193,6 +201,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
 
     fn restart(&mut self) {
         self.scratch.reset();
+        self.undo.reset();
         let now = self.stm.clock.now();
         self.rv = now;
         self.ub = now;
@@ -200,7 +209,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
 
     fn try_commit(&mut self) -> Result<(), Abort> {
         let mut wv = 0;
-        if !self.scratch.undo.is_empty() {
+        if !self.undo.is_empty() {
             let stamp = self.stm.clock.stamp();
             wv = stamp.wv;
             // Validation-skip fast path (see TL2): only an exclusively won
@@ -208,7 +217,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
             // revalidate.
             let valid = (stamp.exclusive && wv == self.ub + 1)
                 || self.scratch.reads.validate(Some(self.at.ticket()), |core| {
-                    self.scratch.undo.old_version_of(core)
+                    self.undo.old_version_of(core)
                 });
             if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
@@ -217,7 +226,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
         // The undo log is first-write-wins, so each written location
         // appears exactly once; its committed word is the in-place value
         // (`value_unsync` is safe under the held lock).
-        let undo = &mut self.scratch.undo;
+        let undo = &mut self.undo;
         self.at.publish(
             wv,
             undo,
@@ -233,11 +242,11 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
     }
 
     fn rollback(&mut self) {
-        self.scratch.undo.rollback();
+        self.undo.rollback();
     }
 
     fn footprint(&self) -> (usize, usize) {
-        (self.scratch.reads.len(), self.scratch.undo.len())
+        (self.scratch.reads.len(), self.undo.len())
     }
 
     fn wait_set(&mut self) -> &ReadSet<'env> {
@@ -264,7 +273,7 @@ impl<'env> LsaTxn<'env> {
     /// it the whole read path — off the contended global clock line.
     fn extend(&mut self, target: u64) -> Result<(), Abort> {
         let ok = self.scratch.reads.validate(Some(self.at.ticket()), |core| {
-            self.scratch.undo.old_version_of(core)
+            self.undo.old_version_of(core)
         });
         if ok {
             self.ub = target;
@@ -353,9 +362,7 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
             match core.lock().try_lock_any(self.at.ticket()) {
                 Ok(old_version) => {
                     let old_value = core.value_unsync();
-                    self.scratch
-                        .undo
-                        .record_first_write(core, old_value, old_version);
+                    self.undo.record_first_write(core, old_value, old_version);
                     core.store_value(word);
                     if let Some(t) = self.at.tracer() {
                         t.op(core.id(), TraceOp::Write(word));
@@ -428,7 +435,8 @@ impl Stm for Lsa {
             rv: 0,
             ub: 0,
             at: Attempt::new(&self.config, &self.stats),
-            scratch: LsaScratch::default(),
+            scratch: TxScratch::acquire(),
+            undo: UndoLog::default(),
         };
         driver::run(&mut txn, f)
     }

@@ -5,110 +5,17 @@
 //! * [`epoch`] — pin/defer-based reclamation with the same safety
 //!   contract as `crossbeam-epoch`: a function deferred through a
 //!   [`epoch::Guard`] runs only once every guard that was pinned at
-//!   defer time has been dropped. The implementation is a global
-//!   mutexed registry rather than per-thread epoch counters — correct,
-//!   just not lock-free (the consumers here only touch it on node
-//!   retirement, never on hot read paths).
+//!   defer time has been dropped. Like the real crate, each thread
+//!   announces the epoch it pinned at in a slot of its own, so `pin` and
+//!   unpin take no lock and allocate nothing (the consumers pin once per
+//!   collection operation); only `defer` and an actual collection lock
+//!   the registry. The module header gives the ordering argument.
 //! * [`queue`] — a [`queue::SegQueue`] MPMC queue backed by a mutexed
 //!   `VecDeque`.
 
 #![forbid(unsafe_code)]
 
-/// Epoch-based deferred execution.
-pub mod epoch {
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    type Deferred = Box<dyn FnOnce() + Send>;
-
-    struct Collector {
-        /// Monotone pin counter; doubles as the "epoch".
-        epoch: u64,
-        /// Epochs of currently live guards (multiset, sorted by construction).
-        active: VecDeque<u64>,
-        /// Deferred functions tagged with the epoch current at defer time.
-        pending: VecDeque<(u64, Deferred)>,
-    }
-
-    static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
-
-    fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> R {
-        let mut slot = COLLECTOR.lock().unwrap_or_else(|p| p.into_inner());
-        let collector = slot.get_or_insert_with(|| Collector {
-            epoch: 0,
-            active: VecDeque::new(),
-            pending: VecDeque::new(),
-        });
-        f(collector)
-    }
-
-    /// Pop every deferred function that is now safe to run: its tag is
-    /// older than every still-active guard. Runs them after releasing
-    /// the collector lock (a deferred fn may itself pin or push).
-    fn collect() {
-        let ready: Vec<Deferred> = with_collector(|c| {
-            let min_active = c.active.front().copied().unwrap_or(u64::MAX);
-            let mut ready = Vec::new();
-            while let Some((tag, _)) = c.pending.front() {
-                if *tag < min_active {
-                    ready.push(c.pending.pop_front().unwrap().1);
-                } else {
-                    break;
-                }
-            }
-            ready
-        });
-        for f in ready {
-            f();
-        }
-    }
-
-    /// A pinned-thread witness. While alive, deferred functions
-    /// scheduled earlier (by any thread) will not run.
-    #[derive(Debug)]
-    pub struct Guard {
-        epoch: u64,
-    }
-
-    /// Pin the current thread, returning a guard.
-    #[must_use]
-    pub fn pin() -> Guard {
-        with_collector(|c| {
-            c.epoch += 1;
-            let epoch = c.epoch;
-            c.active.push_back(epoch);
-            Guard { epoch }
-        })
-    }
-
-    impl Guard {
-        /// Schedule `f` to run once every currently pinned guard
-        /// (including this one) has been dropped.
-        pub fn defer<F: FnOnce() + Send + 'static>(&self, f: F) {
-            with_collector(|c| {
-                let tag = c.epoch;
-                c.pending.push_back((tag, Box::new(f)));
-            });
-        }
-
-        /// Give the collector an opportunity to run ripe deferred
-        /// functions (those not blocked by this or other guards).
-        pub fn flush(&self) {
-            collect();
-        }
-    }
-
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            with_collector(|c| {
-                if let Some(pos) = c.active.iter().position(|&e| e == self.epoch) {
-                    c.active.remove(pos);
-                }
-            });
-            collect();
-        }
-    }
-}
+pub mod epoch;
 
 /// Concurrent queues.
 pub mod queue {
@@ -163,18 +70,7 @@ pub mod queue {
 
 #[cfg(test)]
 mod tests {
-    use super::epoch;
     use super::queue::SegQueue;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard};
-
-    /// The epoch collector is process-global, so tests that assert on
-    /// exact collection timing must not overlap with each other's pins.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     #[test]
     fn segqueue_fifo() {
@@ -186,53 +82,5 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn deferred_runs_only_after_unpin() {
-        let _serial = serial();
-        let ran = Arc::new(AtomicBool::new(false));
-        let g = epoch::pin();
-        let r = Arc::clone(&ran);
-        g.defer(move || r.store(true, Ordering::SeqCst));
-        g.flush();
-        assert!(!ran.load(Ordering::SeqCst), "ran while still pinned");
-        drop(g);
-        // Collection is triggered by the drop itself.
-        assert!(ran.load(Ordering::SeqCst), "never ran after unpin");
-    }
-
-    #[test]
-    fn deferred_blocked_by_other_guard() {
-        let _serial = serial();
-        let ran = Arc::new(AtomicBool::new(false));
-        let blocker = epoch::pin();
-        let g = epoch::pin();
-        let r = Arc::clone(&ran);
-        g.defer(move || r.store(true, Ordering::SeqCst));
-        drop(g);
-        assert!(
-            !ran.load(Ordering::SeqCst),
-            "ran while a pre-defer guard was still pinned"
-        );
-        drop(blocker);
-        assert!(ran.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn later_pins_do_not_block_older_deferrals() {
-        let _serial = serial();
-        let ran = Arc::new(AtomicBool::new(false));
-        let g = epoch::pin();
-        let r = Arc::clone(&ran);
-        g.defer(move || r.store(true, Ordering::SeqCst));
-        drop(g);
-        let late = epoch::pin();
-        late.flush();
-        assert!(
-            ran.load(Ordering::SeqCst),
-            "a pin taken after the deferral must not block it"
-        );
-        drop(late);
     }
 }

@@ -1,15 +1,17 @@
-//! The allocation-free hot path, enforced: a warmed-up transaction retry
-//! loop must perform **zero heap allocations per attempt** on every
-//! word-based backend — both at the SPI level and through the `atomic`
-//! facade (`Atomic`/`Tx`/`or_else`), which must add nothing of its own.
+//! The allocation-free hot path, enforced: a warmed-up transaction must
+//! perform **zero heap allocations** on every word-based backend — the
+//! committing run itself and every retry attempt, both at the SPI level
+//! and through the `atomic` facade (`Atomic`/`Tx`/`or_else`), which must
+//! add nothing of its own — and so must the operation wrappers around it
+//! (`cec::SetExt`, `txkv::KeySpace`: epoch pin + run + unpin).
 //!
 //! Method: a `#[global_allocator]` wrapper around the system allocator
 //! counts every `alloc`/`realloc`/`alloc_zeroed` call. For each backend we
-//! run the same transaction body twice on warmed state — once committing
-//! immediately and once after 32 forced aborts — and require the allocation
-//! counts to be *identical*: every retry attempt beyond the first must
-//! reuse the run's scratch (read set, write set, spill index, lock order,
-//! undo log, nesting frames) without touching the allocator.
+//! run the same transaction body on warmed state and require the count to
+//! be **0** for a committing run (read set, write set, spill index, lock
+//! order, undo log and nesting frames all come back from the thread-local
+//! pool), and *identical* between a run that commits immediately and one
+//! that commits after 32 forced aborts.
 //!
 //! The body deliberately stresses every scratch component: reads, >16
 //! distinct writes (past the write set's linear-scan threshold, so the
@@ -99,20 +101,54 @@ fn alloc_events_for_run<S: Stm>(stm: &S, kind: TxKind, vars: &[TVar<u64>], abort
 /// into a trial — but never remove any. The minimum over a handful of
 /// trials is therefore the undisturbed per-run count.
 fn min_events<S: Stm>(stm: &S, kind: TxKind, vars: &[TVar<u64>], aborts: u32) -> u64 {
+    min_events_of(|| {
+        alloc_events_for_run(stm, kind, vars, aborts);
+    })
+}
+
+/// [`min_events`] for any measured region.
+fn min_events_of(mut f: impl FnMut()) -> u64 {
     (0..8)
-        .map(|_| alloc_events_for_run(stm, kind, vars, aborts))
+        .map(|_| {
+            let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+            f();
+            ALLOC_EVENTS.load(Ordering::Relaxed) - before
+        })
         .min()
         .expect("at least one trial")
 }
 
-/// The assertion: once warm, a run with 32 forced aborts allocates exactly
-/// as much as a run with none — i.e. retry attempts are allocation-free.
+/// Reads of the read-only body: more than the scratch's first growth step,
+/// fewer than the write body's footprint.
+const RO_READS: usize = 12;
+
+/// The assertions: once warm, a committing run — the read/child/write
+/// body and a read-only one — performs no allocation at all, and a run
+/// with 32 forced aborts allocates exactly as much as a run with none.
 fn assert_retries_do_not_allocate<S: Stm>(stm: &S, kind: TxKind, name: &str) {
     let vars: Vec<TVar<u64>> = (0..WRITES as u64).map(TVar::new).collect();
-    // Warm up: fills the thread-local scratch pool (index table, lock
-    // order, aux buffers) and any lazy statics.
+    // Warm up: fills the thread-local scratch pool (entry vectors, index
+    // table, lock order, aux buffers) and any lazy statics.
     alloc_events_for_run(stm, kind, &vars, 2);
     let clean = min_events(stm, kind, &vars, 0);
+    assert_eq!(
+        clean, 0,
+        "{name}: a warmed-up committing run allocated {clean} times — \
+         every buffer must come back from the pool"
+    );
+    let read_only = min_events_of(|| {
+        stm.run(kind, |tx| {
+            let mut acc = 0u64;
+            for v in &vars[..RO_READS] {
+                acc = acc.wrapping_add(tx.read(v)?);
+            }
+            Ok(acc)
+        });
+    });
+    assert_eq!(
+        read_only, 0,
+        "{name}: a warmed-up read-only run allocated {read_only} times"
+    );
     let storm = min_events(stm, kind, &vars, 32);
     assert_eq!(
         storm, clean,
@@ -159,10 +195,9 @@ fn facade_min_events<B: AtomicBackend>(
     vars: &[TVar<u64>],
     aborts: u32,
 ) -> u64 {
-    (0..8)
-        .map(|_| facade_events_for_run(at, policy, vars, aborts))
-        .min()
-        .expect("at least one trial")
+    min_events_of(|| {
+        facade_events_for_run(at, policy, vars, aborts);
+    })
 }
 
 fn assert_facade_retries_do_not_allocate<B: AtomicBackend>(
@@ -173,6 +208,23 @@ fn assert_facade_retries_do_not_allocate<B: AtomicBackend>(
     let vars: Vec<TVar<u64>> = (0..WRITES as u64).map(TVar::new).collect();
     facade_events_for_run(at, policy, &vars, 2); // warm the scratch pool
     let clean = facade_min_events(at, policy, &vars, 0);
+    assert_eq!(
+        clean, 0,
+        "{name}: a warmed-up committing facade run allocated {clean} times"
+    );
+    let read_only = min_events_of(|| {
+        at.run(policy, |tx| {
+            let mut acc = 0u64;
+            for v in &vars[..RO_READS] {
+                acc = acc.wrapping_add(tx.get(v)?);
+            }
+            Ok(acc)
+        });
+    });
+    assert_eq!(
+        read_only, 0,
+        "{name}: a warmed-up read-only facade run allocated {read_only} times"
+    );
     let storm = facade_min_events(at, policy, &vars, 32);
     assert_eq!(
         storm, clean,
@@ -339,20 +391,37 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
     );
     assert_eq!(hist.count(), 10_001, "every record must land in a bucket");
 
-    // Cross-transaction reuse: after warmup, back-to-back `run` calls may
-    // allocate only the per-run entry vectors (which hold `&TVar` borrows
-    // and cannot be pooled without `unsafe`), never the index table or
-    // order buffers. Pin that down loosely: a whole fresh `run` must cost
-    // at most a handful of allocation events.
-    let stm = Tl2::new();
-    let vars: Vec<TVar<u64>> = (0..WRITES as u64).map(TVar::new).collect();
-    for _ in 0..4 {
-        alloc_events_for_run(&stm, TxKind::Regular, &vars, 0);
+    // Operation level: what a service request pays around its
+    // transaction — the epoch pin, the run, the unpin. With nothing
+    // retired the pin takes no lock and nothing here may allocate, on the
+    // static `SetExt` path and the registry-erased `KeySpace` one.
+    use composing_relaxed_transactions::cec::{LinkedListSet, SetExt};
+    use composing_relaxed_transactions::txkv::{KeySpace, ShardKind};
+    let at = Atomic::new(OeStm::new());
+    let set = LinkedListSet::new();
+    for k in 0..64 {
+        set.add(&at, k * 2);
     }
-    let per_run = min_events(&stm, TxKind::Regular, &vars, 0);
-    assert!(
-        per_run <= 12,
-        "a warmed-up transaction allocated {per_run} times; the pooled \
-         scratch should leave only the entry-vector growth"
-    );
+    composing_relaxed_transactions::cec::arena::quiesce();
+    assert!(set.contains(&at, 10) && !set.contains(&at, 11)); // warm
+    let events = min_events_of(|| {
+        for k in 0..64 {
+            assert_eq!(set.contains(&at, k), k % 2 == 0);
+        }
+    });
+    assert_eq!(events, 0, "SetExt::contains allocated {events} times");
+
+    let at = Atomic::new(backend_registry().build_default("oe").unwrap());
+    let kv = KeySpace::new(ShardKind::Hash, 8, 1 << 10);
+    for k in 0..512 {
+        kv.set(&at, k * 2, k as u64);
+    }
+    composing_relaxed_transactions::cec::arena::quiesce();
+    assert_eq!((kv.get(&at, 10), kv.get(&at, 11)), (Some(5), None)); // warm
+    let events = min_events_of(|| {
+        for k in 0..64 {
+            assert_eq!(kv.get(&at, k).is_some(), k % 2 == 0);
+        }
+    });
+    assert_eq!(events, 0, "KeySpace::get allocated {events} times");
 }
