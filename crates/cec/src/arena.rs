@@ -49,13 +49,23 @@ impl<T: Default> Default for Arena<T> {
 /// Segment/offset decomposition: segment `s` holds indices
 /// `[BASE*(2^s - 1) + 1, BASE*(2^(s+1) - 1)]` (shifted by one because index
 /// 0 is reserved).
+///
+/// Shifted once more by `BASE`, segment `s` is exactly the numbers whose
+/// leading bit is bit `BASE_BITS + s`: `j = index - 1 + BASE` lies in
+/// `[BASE * 2^s, BASE * 2^(s+1))`, so the leading bit names the segment
+/// and the bits below it are the offset. The reserved index 0 gives
+/// `j = BASE - 1`, whose leading bit sits below `BASE_BITS`: the segment
+/// number wraps far out of range and the slice index in [`Arena::get`]
+/// panics, in release builds as in debug ones.
 #[inline]
 fn locate(index: u64) -> (usize, usize) {
     debug_assert!(index >= 1);
-    let i = index - 1;
-    let seg = (i / BASE + 1).ilog2() as usize;
-    let seg_start = BASE * ((1u64 << seg) - 1);
-    (seg, (i - seg_start) as usize)
+    let j = index.wrapping_sub(1).wrapping_add(BASE);
+    // `| 1` leaves the leading bit of any `j >= 1` alone and lets `ilog2`
+    // drop its zero test.
+    let top = (j | 1).ilog2();
+    let seg = top.wrapping_sub(BASE_BITS) as usize;
+    (seg, (j ^ (1 << top)) as usize)
 }
 
 #[inline]
@@ -170,6 +180,56 @@ mod tests {
         assert_eq!(locate(BASE + 1), (1, 0));
         assert_eq!(locate(3 * BASE), (1, (2 * BASE - 1) as usize));
         assert_eq!(locate(3 * BASE + 1), (2, 0));
+    }
+
+    /// First and last index of segment `seg`, from the documented layout.
+    fn segment_bounds(seg: u32) -> (u64, u64) {
+        (BASE * ((1 << seg) - 1) + 1, BASE * ((1 << (seg + 1)) - 1))
+    }
+
+    #[test]
+    fn locate_matches_the_documented_layout() {
+        // Every index of the first 2^16, against a walk of the layout.
+        let (mut seg, mut first, mut last) = (0u32, 1u64, BASE);
+        for index in 1..=(1u64 << 16) {
+            if index > last {
+                seg += 1;
+                (first, last) = segment_bounds(seg);
+            }
+            assert_eq!(
+                locate(index),
+                (seg as usize, (index - first) as usize),
+                "index {index}"
+            );
+        }
+        // The two indices either side of every boundary up to segment 39.
+        for seg in 0..=39u32 {
+            let (first, last) = segment_bounds(seg);
+            assert_eq!(last - first + 1, segment_len(seg as usize) as u64);
+            assert_eq!(locate(first), (seg as usize, 0));
+            assert_eq!(locate(first + 1), (seg as usize, 1));
+            assert_eq!(
+                locate(last - 1),
+                (seg as usize, (last - first - 1) as usize)
+            );
+            assert_eq!(locate(last), (seg as usize, (last - first) as usize));
+            if seg > 0 {
+                assert_eq!(segment_bounds(seg - 1).1 + 1, first, "segments abut");
+            }
+        }
+        // Past the last segment the segment number is out of range, never
+        // an alias of a valid slot.
+        assert!(locate(segment_bounds(39).1 + 1).0 >= SEGMENTS);
+    }
+
+    /// The reserved null index must never resolve to a slot — also in
+    /// release builds, where `locate`'s debug assertion is compiled out.
+    #[test]
+    #[should_panic]
+    fn get_of_the_null_index_panics() {
+        let a: Arena<Cell> = Arena::new();
+        let _ = a.alloc();
+        let _ = a.get(0);
     }
 
     #[test]

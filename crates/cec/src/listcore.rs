@@ -1,3 +1,4 @@
+// lint:hot-path
 //! The sorted transactional linked list underlying [`LinkedListSet`] and
 //! every [`HashSet`] bucket.
 //!
@@ -96,6 +97,9 @@ pub(crate) fn check_key(key: i64) {
 /// correct commit simply aborts us) and continues through the preserved
 /// successor. Aborts with [`AbortReason::StepBound`] if the walk runs
 /// longer than any consistent list could be (defensive termination bound).
+///
+/// A step of the walk is two transactional reads of one node, resolved in
+/// the arena once; both repairs live in `#[cold]` helpers.
 pub fn find<'e, T: Transaction<'e>>(
     arena: &'e Arena<ListNode>,
     head: u64,
@@ -104,7 +108,10 @@ pub fn find<'e, T: Transaction<'e>>(
 ) -> Result<Find, Abort> {
     let bound = 2 * arena.high_water() + 64;
     let mut steps: u64 = 0;
-    let mut prev: Option<u64> = None;
+    // `pred`'s own predecessor, or the null index when there is no link to
+    // repair through: at the first hop (the head sentinel is never
+    // removed) and right after a repair.
+    let mut prev: u64 = 0;
     let mut pred = head;
     // `pred`'s key, tracked by value. Keys ascend strictly along `next`
     // links in every committed state and are immutable while a slot is
@@ -116,78 +123,91 @@ pub fn find<'e, T: Transaction<'e>>(
     let mut curr = tx.read(&arena.get(pred).next)?;
     loop {
         if curr.is_dead() {
-            // `pred` was removed under us. The head sentinel is never
-            // removed, so at the first hop there is no previous link to
-            // repair through — restart.
-            let Some(p0) = prev else {
-                return Err(Abort::new(AbortReason::Explicit));
-            };
-            // Re-read the previous predecessor's link under full
-            // protection; repair only if it still points at the corpse.
-            let pn = tx.read(&arena.get(p0).next)?;
-            if pn != NodeRef::node(pred) {
-                return Err(Abort::new(AbortReason::Explicit));
+            (pred, curr) = repair_dead(arena, tx, prev, pred, curr)?;
+            prev = 0;
+        } else {
+            if curr.is_null() {
+                return Ok(Find {
+                    pred,
+                    curr,
+                    curr_key: None,
+                });
             }
-            tx.write(&arena.get(p0).next, curr.successor())?;
-            pred = p0;
-            curr = curr.successor();
-            prev = None;
-            steps += 1;
-            if steps > bound {
-                return Err(Abort::new(AbortReason::StepBound));
+            let c = curr.index();
+            let node = arena.get(c);
+            let ck = tx.read(&node.key)?;
+            if ck >= key {
+                return Ok(Find {
+                    pred,
+                    curr,
+                    curr_key: Some(ck),
+                });
             }
-            continue;
-        }
-        if curr.is_null() {
-            return Ok(Find {
-                pred,
-                curr,
-                curr_key: None,
-            });
-        }
-        let c = curr.index();
-        let ck = tx.read(&arena.get(c).key)?;
-        if ck >= key {
-            return Ok(Find {
-                pred,
-                curr,
-                curr_key: Some(ck),
-            });
-        }
-        if ck <= last_key {
-            // Key-order inversion: committed corruption (see `last_key`).
-            // Unlink `curr` from `pred` — a validated write on a link we
-            // already read, so a correct backend racing us simply aborts
-            // us — and re-examine pred's new successor. A self-loop has
-            // no sane successor: cut to the terminator.
-            let next = if c == pred {
-                NodeRef::NULL
+            if ck <= last_key {
+                curr = cut_inversion(arena, tx, pred, c)?;
             } else {
-                let n = tx.read(&arena.get(c).next)?;
-                if n.is_dead() {
-                    n.successor()
-                } else {
-                    n
-                }
-            };
-            tx.write(&arena.get(pred).next, next)?;
-            curr = next;
-            steps += 1;
-            if steps > bound {
-                return Err(Abort::new(AbortReason::StepBound));
+                curr = tx.read(&node.next)?;
+                prev = pred;
+                pred = c;
+                last_key = ck;
             }
-            continue;
         }
-        let next = tx.read(&arena.get(c).next)?;
-        prev = Some(pred);
-        pred = c;
-        last_key = ck;
-        curr = next;
         steps += 1;
         if steps > bound {
             return Err(Abort::new(AbortReason::StepBound));
         }
     }
+}
+
+/// `pred` was removed under the walk: its `next` reads `dead`. Re-read the
+/// previous predecessor's link under full protection and repair only if it
+/// still points at the corpse; otherwise (or with no previous link, at the
+/// first hop) restart. Returns the walk's new `(pred, curr)`.
+#[cold]
+#[inline(never)]
+fn repair_dead<'e, T: Transaction<'e>>(
+    arena: &'e Arena<ListNode>,
+    tx: &mut T,
+    prev: u64,
+    pred: u64,
+    dead: NodeRef,
+) -> Result<(u64, NodeRef), Abort> {
+    if prev == 0 {
+        return Err(Abort::new(AbortReason::Explicit));
+    }
+    let link = &arena.get(prev).next;
+    if tx.read(link)? != NodeRef::node(pred) {
+        return Err(Abort::new(AbortReason::Explicit));
+    }
+    tx.write(link, dead.successor())?;
+    Ok((prev, dead.successor()))
+}
+
+/// Key-order inversion at node `c` after `pred`: committed corruption (see
+/// `last_key` in [`find`]). Unlink `c` from `pred` — a validated write on a
+/// link the walk already read, so a correct backend racing us simply
+/// aborts us — and hand back pred's new successor to re-examine. A
+/// self-loop has no sane successor: cut to the terminator.
+#[cold]
+#[inline(never)]
+fn cut_inversion<'e, T: Transaction<'e>>(
+    arena: &'e Arena<ListNode>,
+    tx: &mut T,
+    pred: u64,
+    c: u64,
+) -> Result<NodeRef, Abort> {
+    let next = if c == pred {
+        NodeRef::NULL
+    } else {
+        let n = tx.read(&arena.get(c).next)?;
+        if n.is_dead() {
+            n.successor()
+        } else {
+            n
+        }
+    };
+    tx.write(&arena.get(pred).next, next)?;
+    Ok(next)
 }
 
 /// Membership test. Read-only: under an elastic transaction this never
@@ -317,8 +337,9 @@ pub fn snapshot_in<'e, T: Transaction<'e>>(
             // Skip reachable corpses (see `len_in`).
             curr = curr.successor();
         } else {
-            out.push(tx.read(&arena.get(curr.index()).key)?);
-            curr = tx.read(&arena.get(curr.index()).next)?;
+            let node = arena.get(curr.index());
+            out.push(tx.read(&node.key)?);
+            curr = tx.read(&node.next)?;
         }
         steps += 1;
         if steps > bound {
@@ -447,5 +468,82 @@ mod tests {
         assert_eq!(n, 3, "walk terminates and reaches the tail");
         let snap = at.run(Policy::Regular, |tx| snapshot_in(&arena, head, tx));
         assert_eq!(snap, vec![10, 20, 30]);
+    }
+
+    /// The head sentinel is never removed, so a dead marker read at the
+    /// first hop has no previous link to repair through: restart.
+    #[test]
+    fn dead_marker_at_the_first_hop_restarts() {
+        let (arena, head, at) = build(&[1, 2]);
+        let n1 = slot_of(&arena, head, &at, 1);
+        arena
+            .get(head)
+            .next
+            .store_atomic(NodeRef::dead(NodeRef::node(n1)), 1);
+        for policy in [Policy::Regular, Policy::Elastic] {
+            let reason = at.run(policy, |tx| {
+                Ok(find(&arena, head, tx, 2).map_err(|abort| abort.reason))
+            });
+            assert_eq!(reason.unwrap_err(), AbortReason::Explicit);
+        }
+        // Nothing was written: the marker is still there.
+        assert!(arena.get(head).next.load_atomic().is_dead());
+    }
+
+    /// A list spread over three arena segments: `find` agrees with the
+    /// sequential list on first, last, present and absent keys, and the
+    /// read-only walks see every node.
+    #[test]
+    fn find_agrees_with_the_sequential_list_across_segments() {
+        use crate::seq::{SeqLinkedListSet, SeqSet};
+
+        const KEYS: i64 = 3_100;
+        let at = Atomic::new(OeStm::new());
+        let arena: Arena<ListNode> = Arena::new();
+        let head = new_sentinel(&arena);
+        let mut seq = SeqLinkedListSet::new();
+        // Even keys, inserted in descending order: every insertion lands
+        // at the first hop, and the finished list runs from the newest
+        // arena slot down to the oldest.
+        for k in (1..=KEYS).rev().map(|i| 2 * i) {
+            let mut scratch = OpScratch::default();
+            assert!(at.run(Policy::Elastic, |tx| add_in(
+                &arena,
+                head,
+                tx,
+                k,
+                &mut scratch
+            )));
+            assert!(seq.add(k));
+        }
+        assert!(arena.high_water() > 3 * 1024 + 1, "three segments in use");
+
+        let (first, last) = (2, 2 * KEYS);
+        let probes = [
+            first - 1,
+            first,
+            first + 1,
+            2 * 1024,
+            2 * 1024 + 1,
+            2 * 3072 - 1,
+            2 * 3072,
+            last - 1,
+            last,
+            last + 1,
+        ];
+        for policy in [Policy::Elastic, Policy::Regular] {
+            for key in probes {
+                let f = at.run(policy, |tx| find(&arena, head, tx, key));
+                assert_eq!(f.curr_key == Some(key), seq.contains(key), "key {key}");
+                // The insertion point: the first key at or past `key`.
+                let expect = (key <= last).then_some(key + key.rem_euclid(2));
+                assert_eq!(f.curr_key, expect, "key {key}");
+                assert_eq!(f.curr.is_null(), key > last);
+            }
+        }
+        let n = at.run(Policy::Regular, |tx| len_in(&arena, head, tx));
+        assert_eq!(n, seq.size());
+        let snap = at.run(Policy::Regular, |tx| snapshot_in(&arena, head, tx));
+        assert!(snap.iter().copied().eq((1..=KEYS).map(|i| 2 * i)));
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::OeStm;
 use stm_core::driver::{Attempt, TxnEngine};
-use stm_core::readset::ReadSet;
+use stm_core::readset::{ReadEntry, ReadSet};
 use stm_core::scratch::{SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
@@ -248,7 +248,47 @@ impl<'env> OeTxn<'env> {
         Ok(())
     }
 
+    /// Protect an un-hardened elastic read through the sliding window and
+    /// run E-STM's per-read check: the immediate past reads (the remaining
+    /// window) must still be valid, so every *consecutive pair* of reads
+    /// is consistent — the property elastic traversals rely on. The
+    /// just-pushed entry is fresh by construction. Returns the read the
+    /// push released, if the window was full.
+    #[inline]
+    fn protect_elastic(
+        &mut self,
+        core: &'env TVarCore,
+        version: u64,
+    ) -> Result<Option<ReadEntry<'env>>, Abort> {
+        let evicted = self.window.push(core, version);
+        if self.window.validate_previous() {
+            Ok(evicted)
+        } else {
+            Err(Abort::new(AbortReason::ElasticCut))
+        }
+    }
+
+    /// One transactional read. The head is the whole cost of a step of an
+    /// elastic traversal: with nothing buffered and no tracer armed, a
+    /// location that reads consistently at or below the snapshot needs
+    /// only its window slot and the check of the previous read. Every
+    /// other read — and a head read that met a lock, a moving version or
+    /// a version past the snapshot, of which nothing was recorded — is
+    /// done from the start by [`read_tail`](Self::read_tail).
+    #[inline]
     fn read_core(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
+        if !self.hardened && self.scratch.base.writes.is_empty() && self.at.tracer().is_none() {
+            if let Ok((word, version)) = core.read_consistent() {
+                if version <= self.rv {
+                    return self.protect_elastic(core, version).map(|_| word);
+                }
+            }
+        }
+        self.read_tail(core)
+    }
+
+    #[inline(never)]
+    fn read_tail(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         if let Some(word) = self.scratch.base.writes.lookup(core) {
             if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Read(word));
@@ -273,19 +313,13 @@ impl<'env> OeTxn<'env> {
                     if self.hardened {
                         self.scratch.base.reads.push(core, version);
                     } else {
-                        // Elastic read-only prefix: protect through the
-                        // sliding window; the evicted read is released.
-                        let evicted = self.window.push(core, version);
+                        // Elastic read-only prefix: the evicted read is
+                        // released. (A failed check aborts the attempt and
+                        // the tracer discards an aborted attempt's pending
+                        // releases, so it need not hear of that eviction.)
+                        let evicted = self.protect_elastic(core, version)?;
                         if let (Some(t), Some(e)) = (self.at.tracer(), evicted) {
                             t.drop_hold(e.core.id());
-                        }
-                        // E-STM's per-read check: the immediate past reads
-                        // (the remaining window) must still be valid, so
-                        // every *consecutive pair* of reads is consistent —
-                        // the property elastic traversals rely on. The
-                        // just-pushed entry is fresh by construction.
-                        if !self.window.validate_previous() {
-                            return Err(Abort::new(AbortReason::ElasticCut));
                         }
                     }
                     if let Some(t) = self.at.tracer() {
@@ -334,6 +368,7 @@ impl<'env> OeTxn<'env> {
 }
 
 impl<'env> Transaction<'env> for OeTxn<'env> {
+    #[inline]
     fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         self.read_core(core)
     }
@@ -441,5 +476,218 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
 
     fn ticket(&self) -> u64 {
         self.at.ticket()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The read path, scripted: every case runs once through the inlined
+    //! head (no tracer) and once through the tail (a trace sink armed) and
+    //! must be indistinguishable from outside.
+
+    use super::*;
+    use core::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use stm_core::trace::{TraceSink, TraceStamp};
+    use stm_core::{StatsSnapshot, StmConfig, TVar};
+
+    /// A sink that only counts operations — enough to arm the tracer and
+    /// to prove it was armed.
+    #[derive(Default)]
+    struct CountingSink(AtomicU64);
+
+    impl TraceSink for CountingSink {
+        fn begin(&self, _: TraceStamp, _: u64, _: u64) {}
+        fn op(&self, _: u64, _: u64, _: usize, _: TraceOp) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        fn acquire(&self, _: u64, _: u64, _: usize) {}
+        fn release(&self, _: u64, _: u64, _: usize) {}
+        fn commit(&self, _: u64, _: u64) {}
+        fn abort(&self, _: u64, _: u64) {}
+    }
+
+    /// Everything a script lets the outside see.
+    #[derive(Debug, PartialEq, Default)]
+    struct Outcome {
+        /// Words returned by the reads of the committing attempt.
+        words: Vec<u64>,
+        /// `protected_reads()` after each of those reads.
+        protected: Vec<usize>,
+        /// The abort the first attempt was scripted into, if any.
+        abort: Option<AbortReason>,
+        /// Snapshot advance across the read of interest, as `after - before`.
+        advanced_by: u64,
+        stats: StatsSnapshot,
+    }
+
+    const SPIN_LIMIT: u32 = 3;
+    const FOREIGN_TICKET: u64 = u64::MAX >> 2;
+
+    /// Run `script` against an untraced and a traced instance, require the
+    /// two outcomes to be equal, and hand back the common one.
+    fn both_paths(script: impl Fn(&OeStm) -> Outcome) -> Outcome {
+        let config = || StmConfig {
+            lock_spin_limit: SPIN_LIMIT,
+            ..StmConfig::default()
+        };
+        let head = script(&OeStm::with_config(config()));
+        let sink = Arc::new(CountingSink::default());
+        let traced = OeStm::with_config(config()).with_trace(sink.clone());
+        let tail = script(&traced);
+        assert!(sink.0.load(Ordering::Relaxed) > 0, "the tracer was armed");
+        assert_eq!(head, tail, "head and tail must be indistinguishable");
+        head
+    }
+
+    fn read_logged<'env>(
+        tx: &mut OeTxn<'env>,
+        var: &'env TVar<u64>,
+        out: &mut Outcome,
+    ) -> Result<u64, Abort> {
+        let word = tx.read_word(var.core())?;
+        out.words.push(word);
+        out.protected.push(tx.protected_reads());
+        Ok(word)
+    }
+
+    #[test]
+    fn plain_elastic_walk() {
+        let out = both_paths(|stm| {
+            let vars: Vec<TVar<u64>> = (10..16).map(TVar::new).collect();
+            let mut out = Outcome::default();
+            stm.run(TxKind::Elastic, |tx| {
+                for v in &vars {
+                    read_logged(tx, v, &mut out)?;
+                }
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.words, vec![10, 11, 12, 13, 14, 15]);
+        assert_eq!(out.protected, vec![1, 2, 2, 2, 2, 2], "a two-slot window");
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+        assert_eq!(out.stats.elastic_cuts, 0);
+    }
+
+    #[test]
+    fn overwritten_previous_read_cuts() {
+        let out = both_paths(|stm| {
+            let (a, b) = (TVar::new(1u64), TVar::new(2u64));
+            let mut out = Outcome::default();
+            let mut sabotage = true;
+            stm.run(TxKind::Elastic, |tx| {
+                out.words.clear();
+                out.protected.clear();
+                read_logged(tx, &a, &mut out)?;
+                if sabotage {
+                    sabotage = false;
+                    a.store_atomic(7, stm.clock().tick());
+                    let cut = read_logged(tx, &b, &mut out).expect_err("a is still windowed");
+                    out.abort = Some(cut.reason);
+                    return Err(cut);
+                }
+                read_logged(tx, &b, &mut out)?;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.abort, Some(AbortReason::ElasticCut));
+        assert_eq!(out.words, vec![7, 2]);
+        assert_eq!(out.protected, vec![1, 2]);
+        assert_eq!(out.stats.commits, 1);
+        assert_eq!(
+            out.stats.aborts_by_cause[AbortReason::ElasticCut.index()],
+            1
+        );
+        assert_eq!(
+            out.stats.elastic_cuts, 0,
+            "a failed cut is an abort, not a cut"
+        );
+    }
+
+    #[test]
+    fn newer_location_advances_the_snapshot_once() {
+        let out = both_paths(|stm| {
+            let (a, c) = (TVar::new(1u64), TVar::new(2u64));
+            let mut out = Outcome::default();
+            stm.run(TxKind::Elastic, |tx| {
+                read_logged(tx, &a, &mut out)?;
+                let before = tx.snapshot_time();
+                c.store_atomic(9, stm.clock().tick());
+                read_logged(tx, &c, &mut out)?;
+                out.advanced_by = tx.snapshot_time() - before;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.words, vec![1, 9]);
+        assert_eq!(out.protected, vec![1, 2]);
+        assert_eq!(out.advanced_by, 1, "rv moved to c's version");
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+        assert_eq!(out.stats.elastic_cuts, 1);
+    }
+
+    #[test]
+    fn foreign_lock_is_a_lock_conflict_after_the_spin_limit() {
+        let out = both_paths(|stm| {
+            let (a, l) = (TVar::new(1u64), TVar::new(2u64));
+            assert!(l.core().lock().try_lock_at(0, FOREIGN_TICKET));
+            let mut out = Outcome::default();
+            let mut locked = true;
+            stm.run(TxKind::Elastic, |tx| {
+                out.words.clear();
+                out.protected.clear();
+                read_logged(tx, &a, &mut out)?;
+                if locked {
+                    locked = false;
+                    let conflict = read_logged(tx, &l, &mut out).expect_err("l is locked");
+                    out.abort = Some(conflict.reason);
+                    l.core().lock().unlock_to(0);
+                    return Err(conflict);
+                }
+                read_logged(tx, &l, &mut out)?;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.abort, Some(AbortReason::LockConflict));
+        assert_eq!(out.words, vec![1, 2]);
+        assert_eq!(out.stats.commits, 1);
+        assert_eq!(
+            out.stats.aborts_by_cause[AbortReason::LockConflict.index()],
+            1
+        );
+    }
+
+    /// The case the head's `writes.is_empty()` gate exists for: the child
+    /// is elastic and has not written, so it is un-hardened — but the
+    /// location it reads is buffered in the write set it shares with its
+    /// parent, and memory still holds the old value.
+    #[test]
+    fn unhardened_child_reads_its_parents_buffered_write() {
+        let out = both_paths(|stm| {
+            let (x, y) = (TVar::new(1u64), TVar::new(2u64));
+            let mut out = Outcome::default();
+            stm.run(TxKind::Elastic, |tx| {
+                tx.write(&x, 42)?;
+                tx.child(TxKind::Elastic, |tx| {
+                    read_logged(tx, &x, &mut out)?;
+                    read_logged(tx, &y, &mut out)?;
+                    Ok(())
+                })
+            });
+            out.stats = stm.stats();
+            assert_eq!(x.load_atomic(), 42);
+            out
+        });
+        assert_eq!(out.words, vec![42, 2], "the buffered value, not memory's");
+        assert_eq!(out.protected, vec![0, 1], "a buffered hit protects nothing");
+        assert_eq!((out.stats.commits, out.stats.child_commits), (1, 1));
+        assert_eq!(out.stats.aborts(), 0);
     }
 }

@@ -11,8 +11,10 @@
 //! the prefix in the minimal protected set.
 //!
 //! The window sits on the hot path of every elastic read, so it is a
-//! fixed-capacity inline ring buffer — no heap allocation per transaction
-//! and O(window) validation with window ≤ [`MAX_WINDOW`].
+//! fixed-capacity inline ring buffer — no heap allocation per transaction.
+//! At the default capacity 2 the per-read check is O(1): the slot the next
+//! push overwrites *is* the previous read. Capacities 3..=[`MAX_WINDOW`]
+//! scan the ring, off the inlined path.
 
 use stm_core::readset::{ReadEntry, ReadSet};
 use stm_core::tvar::TVarCore;
@@ -57,7 +59,8 @@ impl<'env> Window<'env> {
     /// protection element has left the protected set.
     #[inline]
     pub fn push(&mut self, core: &'env TVarCore, version: u64) -> Option<ReadEntry<'env>> {
-        let evicted = self.slots[self.next].replace(ReadEntry { core, version });
+        // `next < cap <= MAX_WINDOW` always; the mask tells the compiler.
+        let evicted = self.slots[self.next % MAX_WINDOW].replace(ReadEntry { core, version });
         self.next = if self.next + 1 == self.cap {
             0
         } else {
@@ -83,6 +86,18 @@ impl<'env> Window<'env> {
     #[inline]
     #[must_use]
     pub fn validate_previous(&self) -> bool {
+        if self.cap == 2 {
+            // Two slots: the one the next push overwrites is the previous
+            // read (vacant until the second push).
+            return self.slots[self.next % 2].as_ref().is_none_or(entry_valid);
+        }
+        self.validate_previous_wide()
+    }
+
+    /// [`validate_previous`](Self::validate_previous) for capacities above
+    /// two: every occupied slot but the newest.
+    #[cold]
+    fn validate_previous_wide(&self) -> bool {
         if self.len <= 1 {
             return true;
         }
@@ -282,5 +297,96 @@ mod tests {
         assert!(!w.validate());
         a.core().lock().unlock_to(0);
         assert!(w.validate());
+    }
+
+    /// The window against a plain model — a queue of `(variable, version
+    /// recorded)` — over every capacity, driven by seeded sequences of
+    /// pushes, out-of-band overwrites and lock/unlock of the variables.
+    #[test]
+    fn window_agrees_with_a_queue_model() {
+        use std::collections::VecDeque;
+
+        const VARS: usize = 6;
+        const OWNER: u64 = 77;
+
+        // xorshift64*: seeded, dependency-free.
+        fn next(state: &mut u64) -> usize {
+            *state ^= *state >> 12;
+            *state ^= *state << 25;
+            *state ^= *state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize
+        }
+
+        for cap in 2..=MAX_WINDOW {
+            for seed in 1..=8u64 {
+                let vars: Vec<TVar<u64>> = (0..VARS as u64).map(TVar::new).collect();
+                // Ground truth per variable: committed version, locked?
+                let mut version = [0u64; VARS];
+                let mut locked = [false; VARS];
+                let mut model: VecDeque<(usize, u64)> = VecDeque::new();
+                let mut w = Window::new(cap);
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                for step in 0..400 {
+                    let i = next(&mut rng) % VARS;
+                    match next(&mut rng) % 16 {
+                        // A consistent read of an unlocked variable.
+                        0..=8 if !locked[i] => {
+                            let expect = (model.len() == cap).then(|| model.pop_front().unwrap());
+                            model.push_back((i, version[i]));
+                            let evicted = w.push(vars[i].core(), version[i]);
+                            assert_eq!(
+                                evicted.map(|e| (e.core.id(), e.version)),
+                                expect.map(|(v, ver)| (vars[v].core().id(), ver)),
+                                "cap {cap} seed {seed} step {step}: oldest-first eviction"
+                            );
+                        }
+                        9..=11 if !locked[i] => {
+                            version[i] += 1;
+                            vars[i].store_atomic(step, version[i]);
+                        }
+                        12..=13 if !locked[i] => {
+                            assert!(vars[i].core().lock().try_lock_at(version[i], OWNER));
+                            locked[i] = true;
+                        }
+                        12..=14 if locked[i] => {
+                            vars[i].core().lock().unlock_to(version[i]);
+                            locked[i] = false;
+                        }
+                        15 => {
+                            let mut rs = ReadSet::new();
+                            w.drain_into(&mut rs);
+                            let drained: Vec<(usize, u64)> =
+                                rs.iter().map(|e| (e.core.id(), e.version)).collect();
+                            let expect: Vec<(usize, u64)> = model
+                                .drain(..)
+                                .map(|(v, ver)| (vars[v].core().id(), ver))
+                                .collect();
+                            assert_eq!(drained, expect, "cap {cap} seed {seed} step {step}");
+                        }
+                        _ => {}
+                    }
+                    let current = |&(v, ver): &(usize, u64)| !locked[v] && version[v] == ver;
+                    let ctx = format!("cap {cap} seed {seed} step {step}");
+                    assert_eq!(w.len(), model.len(), "{ctx}");
+                    assert_eq!(w.is_empty(), model.is_empty(), "{ctx}");
+                    assert_eq!(
+                        w.iter()
+                            .map(|e| (e.core.id(), e.version))
+                            .collect::<Vec<_>>(),
+                        model
+                            .iter()
+                            .map(|&(v, ver)| (vars[v].core().id(), ver))
+                            .collect::<Vec<_>>(),
+                        "{ctx}: iter is oldest-first"
+                    );
+                    assert_eq!(w.validate(), model.iter().all(current), "{ctx}");
+                    assert_eq!(
+                        w.validate_previous(),
+                        model.iter().rev().skip(1).all(current),
+                        "{ctx}: every windowed entry but the newest"
+                    );
+                }
+            }
+        }
     }
 }

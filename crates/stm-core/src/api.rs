@@ -61,13 +61,23 @@
 //! `max_retries`, so two branches that both keep retrying still exhaust a
 //! bounded budget.
 //!
-//! ## Zero-cost discipline
+//! ## What the facade costs
 //!
 //! [`Tx`] borrows the backend's transaction object (one `&mut dyn`
 //! indirection — the same hop the erased benchmark path already paid) and
 //! every [`Atomic::run`] reuses the backend's pooled scratch state, so the
 //! facade adds **no heap allocation** to the steady-state hot path; the
 //! workspace-level `zero_alloc` test pins this down.
+//!
+//! The hop itself is paid per operation: each [`Tx`] read is an indirect
+//! call through `&mut dyn DynTransaction` that returns its
+//! `Result<u64, Abort>` through memory, so code generic over
+//! [`Transaction`] cannot inline it under the facade and spills its loop
+//! state around every call. A long traversal feels that (the sorted
+//! list's `find` makes two reads per node: ≈ 2–3 µs over the ≈ 4 100
+//! reads of a 2 050-node walk, about a tenth of the op), an 8-read hash
+//! operation does not (≈ 4 ns). See DESIGN.md, "API layers: facade vs
+//! SPI".
 //!
 //! ```text
 //! let at = Atomic::new(backend_registry().build_default("oe")?);

@@ -156,26 +156,35 @@ impl<'env> WriteSet<'env> {
         i
     }
 
+    /// Index of `core`'s entry, if it has one. An empty set — every
+    /// read of a read-only transaction, every validation of a read-only
+    /// commit — answers before hashing; otherwise the bloom signature
+    /// screens out most misses.
+    #[inline]
+    fn entry_of(&self, core: &TVarCore) -> Option<usize> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        let id = core.id();
+        if !self.bloom.may_contain(id) {
+            return None;
+        }
+        self.position(id)
+    }
+
     /// Read-after-write lookup: the buffered value for `core`, if any.
     #[inline]
     #[must_use]
     pub fn lookup(&self, core: &TVarCore) -> Option<u64> {
-        let id = core.id();
-        if !self.bloom.may_contain(id) {
-            return None;
-        }
-        self.position(id).map(|i| self.entries[i].value)
+        self.entry_of(core).map(|i| self.entries[i].value)
     }
 
     /// The pre-lock version of `core` if this write set holds its lock.
     /// Used by read-set validation for self-locked locations.
+    #[inline]
     #[must_use]
     pub fn locked_version_of(&self, core: &TVarCore) -> Option<u64> {
-        let id = core.id();
-        if !self.bloom.may_contain(id) {
-            return None;
-        }
-        self.position(id).and_then(|i| self.entries[i].locked_at)
+        self.entry_of(core).and_then(|i| self.entries[i].locked_at)
     }
 
     /// Iterate over entries in insertion order.
@@ -299,6 +308,22 @@ mod tests {
         let mut ws = WriteSet::new();
         ws.insert(a.core(), 1);
         assert_eq!(ws.lookup(b.core()), None);
+    }
+
+    #[test]
+    fn empty_set_answers_none() {
+        let a = TVar::new(0u64);
+        let mut ws = WriteSet::new();
+        assert_eq!(ws.lookup(a.core()), None);
+        assert_eq!(ws.locked_version_of(a.core()), None);
+        // Emptied, not just fresh: the shortcut keys on the entries.
+        ws.insert(a.core(), 1);
+        ws.lock_all(5).unwrap();
+        assert_eq!(ws.locked_version_of(a.core()), Some(0));
+        ws.release_locks();
+        ws.clear();
+        assert_eq!(ws.lookup(a.core()), None);
+        assert_eq!(ws.locked_version_of(a.core()), None);
     }
 
     #[test]
