@@ -230,7 +230,7 @@ mod tests {
                 break;
             }
             std::thread::yield_now();
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2)); // lint:allow — poll interval of a bounded wait on an observed state
         }
         assert!(ok, "snapshotter never checkpointed");
         drop(store); // joins the thread cleanly

@@ -5,7 +5,7 @@
 use crate::OeStm;
 use stm_core::driver::{Attempt, TxnEngine};
 use stm_core::readset::{ReadEntry, ReadSet};
-use stm_core::scratch::{SpareVec, TxScratch};
+use stm_core::scratch::{give_back, SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::writeset::WriteSet;
@@ -68,9 +68,7 @@ impl<'env> OeScratch<'env> {
 
 impl Drop for OeScratch<'_> {
     fn drop(&mut self) {
-        if self.frames.capacity() != 0 {
-            FRAMES_SPARE.with(|spare| spare.put(core::mem::take(&mut self.frames)));
-        }
+        give_back(&FRAMES_SPARE, core::mem::take(&mut self.frames));
     }
 }
 
@@ -142,13 +140,9 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
             // wv == rv + 1 means no other update committed since the
             // snapshot time; an adopted stamp means one did.
             let valid = (stamp.exclusive && wv == self.rv + 1)
-                || self
-                    .scratch
-                    .base
-                    .reads
-                    .validate(Some(self.at.ticket()), |core| {
-                        self.scratch.base.writes.locked_version_of(core)
-                    });
+                || self.scratch.base.reads.validate(self.at.owner(), |core| {
+                    self.scratch.base.writes.locked_version_of(core)
+                });
             if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
@@ -210,13 +204,9 @@ impl<'env> OeTxn<'env> {
     }
 
     fn validate_all_reads(&self) -> bool {
-        self.scratch
-            .base
-            .reads
-            .validate(Some(self.at.ticket()), |core| {
-                self.scratch.base.writes.locked_version_of(core)
-            })
-            && self.window.validate()
+        self.scratch.base.reads.validate(self.at.owner(), |core| {
+            self.scratch.base.writes.locked_version_of(core)
+        }) && self.window.validate()
     }
 
     /// Move the snapshot forward to cover `target` (the observed version of
@@ -268,19 +258,31 @@ impl<'env> OeTxn<'env> {
         }
     }
 
-    /// One transactional read. The head is the whole cost of a step of an
-    /// elastic traversal: with nothing buffered and no tracer armed, a
-    /// location that reads consistently at or below the snapshot needs
-    /// only its window slot and the check of the previous read. Every
-    /// other read — and a head read that met a lock, a moving version or
-    /// a version past the snapshot, of which nothing was recorded — is
-    /// done from the start by [`read_tail`](Self::read_tail).
+    /// One transactional read, with two inlined heads for the reads that
+    /// need nothing but the location: nothing buffered, no tracer armed,
+    /// and a consistent read at or below the snapshot. The elastic head is
+    /// the whole cost of a step of an elastic traversal: its window slot
+    /// and the check of the previous read. The regular head (hardened:
+    /// a regular transaction, or an elastic one past its first write) is
+    /// one read-set entry, when the read set has room for it: growing is
+    /// a call, and a call in the head would make every read save the
+    /// registers it clobbers. Every other read — and a head read that met
+    /// a lock, a moving version, a version past the snapshot or a full
+    /// read set, of which nothing was recorded — is done from the start
+    /// by [`read_tail`](Self::read_tail).
     #[inline]
     fn read_core(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         if !self.hardened && self.scratch.base.writes.is_empty() && self.at.tracer().is_none() {
             if let Ok((word, version)) = core.read_consistent() {
                 if version <= self.rv {
                     return self.protect_elastic(core, version).map(|_| word);
+                }
+            }
+        }
+        if self.hardened && self.scratch.base.writes.is_empty() && self.at.tracer().is_none() {
+            if let Ok((word, version)) = core.read_consistent() {
+                if version <= self.rv && self.scratch.base.reads.try_push(core, version) {
+                    return Ok(word);
                 }
             }
         }
@@ -327,7 +329,7 @@ impl<'env> OeTxn<'env> {
                     }
                     return Ok(word);
                 }
-                Err(ReadConflict::Locked(owner)) if owner != self.at.ticket() => {
+                Err(ReadConflict::Locked(owner)) if Some(owner) != self.at.owner() => {
                     spins += 1;
                     if spins > self.stm.config().lock_spin_limit {
                         return Err(Abort::new(AbortReason::LockConflict));
@@ -432,11 +434,14 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             // is atomic as of now, then release its protection
             // (the releases follow the child's commit event, as in
             // the model).
-            let ok = self.scratch.base.reads.validate_suffix(
-                frame.read_mark,
-                Some(self.at.ticket()),
-                |core| self.scratch.base.writes.locked_version_of(core),
-            ) && self.window.validate();
+            let ok =
+                self.scratch
+                    .base
+                    .reads
+                    .validate_suffix(frame.read_mark, self.at.owner(), |core| {
+                        self.scratch.base.writes.locked_version_of(core)
+                    })
+                    && self.window.validate();
             if !ok {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
@@ -689,5 +694,110 @@ mod tests {
         assert_eq!(out.protected, vec![0, 1], "a buffered hit protects nothing");
         assert_eq!((out.stats.commits, out.stats.child_commits), (1, 1));
         assert_eq!(out.stats.aborts(), 0);
+    }
+
+    #[test]
+    fn plain_regular_walk() {
+        let out = both_paths(|stm| {
+            let vars: Vec<TVar<u64>> = (10..16).map(TVar::new).collect();
+            let mut out = Outcome::default();
+            stm.run(TxKind::Regular, |tx| {
+                for v in &vars {
+                    read_logged(tx, v, &mut out)?;
+                }
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.words, vec![10, 11, 12, 13, 14, 15]);
+        assert_eq!(
+            out.protected,
+            vec![1, 2, 3, 4, 5, 6],
+            "every read is logged"
+        );
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+        assert_eq!(out.stats.extensions, 0);
+    }
+
+    #[test]
+    fn newer_location_extends_a_regular_snapshot() {
+        let out = both_paths(|stm| {
+            let (a, c) = (TVar::new(1u64), TVar::new(2u64));
+            let mut out = Outcome::default();
+            stm.run(TxKind::Regular, |tx| {
+                read_logged(tx, &a, &mut out)?;
+                let before = tx.snapshot_time();
+                c.store_atomic(9, stm.clock().tick());
+                read_logged(tx, &c, &mut out)?;
+                out.advanced_by = tx.snapshot_time() - before;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.words, vec![1, 9]);
+        assert_eq!(out.protected, vec![1, 2]);
+        assert_eq!(out.advanced_by, 1, "rv moved to c's version");
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+        assert_eq!((out.stats.extensions, out.stats.elastic_cuts), (1, 0));
+    }
+
+    #[test]
+    fn foreign_lock_stops_a_regular_read_after_the_spin_limit() {
+        let out = both_paths(|stm| {
+            let (a, l) = (TVar::new(1u64), TVar::new(2u64));
+            assert!(l.core().lock().try_lock_at(0, FOREIGN_TICKET));
+            let mut out = Outcome::default();
+            let mut locked = true;
+            stm.run(TxKind::Regular, |tx| {
+                out.words.clear();
+                out.protected.clear();
+                read_logged(tx, &a, &mut out)?;
+                if locked {
+                    locked = false;
+                    let conflict = read_logged(tx, &l, &mut out).expect_err("l is locked");
+                    out.abort = Some(conflict.reason);
+                    l.core().lock().unlock_to(0);
+                    return Err(conflict);
+                }
+                read_logged(tx, &l, &mut out)?;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.abort, Some(AbortReason::LockConflict));
+        assert_eq!(out.words, vec![1, 2]);
+        assert_eq!(out.protected, vec![1, 2]);
+        assert_eq!(out.stats.commits, 1);
+        assert_eq!(
+            out.stats.aborts_by_cause[AbortReason::LockConflict.index()],
+            1
+        );
+    }
+
+    /// The case the regular head's `writes.is_empty()` gate exists for: a
+    /// hardened transaction reading a location it has buffered a write
+    /// to, while memory still holds the old value. The first read gives
+    /// the read set room, so the buffered read reaches the head.
+    #[test]
+    fn regular_read_after_a_buffered_write_sees_the_buffered_value() {
+        let out = both_paths(|stm| {
+            let (x, y) = (TVar::new(1u64), TVar::new(2u64));
+            let mut out = Outcome::default();
+            stm.run(TxKind::Regular, |tx| {
+                read_logged(tx, &y, &mut out)?;
+                tx.write(&x, 42)?;
+                read_logged(tx, &x, &mut out)?;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            assert_eq!(x.load_atomic(), 42);
+            out
+        });
+        assert_eq!(out.words, vec![2, 42], "the buffered value, not memory's");
+        assert_eq!(out.protected, vec![1, 1], "a buffered hit protects nothing");
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
     }
 }

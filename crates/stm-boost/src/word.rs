@@ -144,8 +144,13 @@ impl<'env> BoostWordTxn<'env> {
     }
 }
 
-/// Release every abstract lock in `held`, newest first.
-fn release_all(locks: &AbstractLocks, ticket: u64, held: &mut Vec<i64>) {
+/// Release every abstract lock in `held` by `owner`, newest first. An
+/// attempt that has not drawn its ticket holds none.
+fn release_all(locks: &AbstractLocks, owner: Option<u64>, held: &mut Vec<i64>) {
+    let Some(ticket) = owner else {
+        debug_assert!(held.is_empty(), "abstract locks held without a ticket");
+        return;
+    };
     for key in held.drain(..).rev() {
         locks.release(key, ticket);
     }
@@ -168,7 +173,7 @@ impl<'env> TxnEngine<'env> for BoostWordTxn<'env> {
     /// abstract lock. Cannot fail — under strict 2PL the attempt owns all
     /// of its locations, so there is nothing left to validate.
     fn try_commit(&mut self) -> Result<(), Abort> {
-        let (locks, ticket) = (&self.stm.locks, self.at.ticket());
+        let (locks, owner) = (&self.stm.locks, self.at.owner());
         // The log appends one entry per write, so a location written
         // twice is reported twice — each time with its final committed
         // word (`value_unsync` is safe under the held abstract lock); a
@@ -187,7 +192,7 @@ impl<'env> TxnEngine<'env> for BoostWordTxn<'env> {
             },
             |log| {
                 log.undo.clear();
-                release_all(locks, ticket, &mut log.held);
+                release_all(locks, owner, &mut log.held);
             },
         );
         Ok(())
@@ -199,7 +204,7 @@ impl<'env> TxnEngine<'env> for BoostWordTxn<'env> {
         for (core, old) in self.log.undo.drain(..).rev() {
             core.store_value(old);
         }
-        release_all(&self.stm.locks, self.at.ticket(), &mut self.log.held);
+        release_all(&self.stm.locks, self.at.owner(), &mut self.log.held);
     }
 
     fn footprint(&self) -> (usize, usize) {

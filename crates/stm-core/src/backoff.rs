@@ -17,7 +17,8 @@ pub struct Backoff {
 
 impl Backoff {
     /// Create a backoff with the given bounds, seeded from `seed`
-    /// (callers use the transaction ticket so threads decorrelate).
+    /// (the driver seeds each run from its thread's random stream, so
+    /// threads decorrelate).
     #[must_use]
     pub fn new(min_spins: u32, max_spins: u32, seed: u64) -> Self {
         Self {

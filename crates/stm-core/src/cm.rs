@@ -103,22 +103,6 @@ pub struct ConflictCtx {
 }
 
 impl ConflictCtx {
-    /// A retry-time conflict: the attempt aborted for `reason`; the enemy
-    /// is unknown and no work is credited. The driver's
-    /// [`Attempt`](crate::driver::Attempt) builds the richer contexts.
-    #[must_use]
-    pub fn retry(reason: AbortReason, attempt: u64) -> Self {
-        Self {
-            reason,
-            attempt,
-            ticket: 0,
-            owner: 0,
-            writes: 0,
-            spins: 0,
-            work: 0,
-        }
-    }
-
     /// True when the conflicting owner is known (encounter-time).
     #[must_use]
     pub fn is_encounter(&self) -> bool {
@@ -534,8 +518,13 @@ mod tests {
 
     fn retry_ctx(attempt: u64, work: u64) -> ConflictCtx {
         ConflictCtx {
+            reason: AbortReason::LockConflict,
+            attempt,
+            ticket: 7,
+            owner: 0,
+            writes: 0,
+            spins: 0,
             work,
-            ..ConflictCtx::retry(AbortReason::LockConflict, attempt)
         }
     }
 

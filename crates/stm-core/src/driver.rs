@@ -8,8 +8,9 @@
 //! This module owns the rest, once:
 //!
 //! * [`Attempt`] — the per-attempt state every backend carries (ticket,
-//!   attempt number, contention manager, child depth, tracer) with the
-//!   common begin prelude, arbitration and child bookkeeping;
+//!   drawn on first need; attempt number, contention manager, child
+//!   depth, tracer) with the common begin prelude, arbitration and child
+//!   bookkeeping;
 //! * [`Attempt::publish`] — the commit tail, i.e. the *order* of commit
 //!   hook → waiter notification → write-back/release → trace commit event;
 //! * [`run`] — the retry/wait/park policy: which failures park on the
@@ -29,6 +30,8 @@ use crate::stm::RunError;
 use crate::ticket::next_ticket;
 use crate::trace::AttemptTracer;
 use crate::wait;
+use core::cell::Cell;
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// The per-attempt state common to every backend, restarted in place for
 /// each attempt of one `run` call.
@@ -36,7 +39,10 @@ use crate::wait;
 pub struct Attempt<'env> {
     config: &'env StmConfig,
     stats: &'env StmStats,
-    ticket: u64,
+    /// The attempt's ticket, 0 until something needs one (a `Cell`
+    /// because [`Transaction::ticket`](crate::Transaction::ticket) takes
+    /// `&self`).
+    ticket: Cell<u64>,
     number: u64,
     /// One contention manager per run, so policies with accumulated
     /// state (Karma) see retry-time and encounter-time conflicts alike.
@@ -47,53 +53,71 @@ pub struct Attempt<'env> {
 
 impl<'env> Attempt<'env> {
     /// State for one `run` call against an STM instance's configuration
-    /// and counters. Draws the first attempt's ticket, which also seeds
-    /// the run's contention manager — one draw on the process-global
-    /// counter per attempt, none per run.
+    /// and counters. Draws no ticket: the run's contention manager is
+    /// seeded from the calling thread's random stream.
     #[inline]
     #[must_use]
     pub fn new(config: &'env StmConfig, stats: &'env StmStats) -> Self {
-        let ticket = next_ticket().get();
         Self {
             config,
             stats,
-            ticket,
+            ticket: Cell::new(0),
             number: 0,
-            cm: config.cm.build(config, ticket),
+            cm: config.cm.build(config, thread_random()),
             depth: 0,
             tracer: None,
         }
     }
 
-    /// Begin attempt `number` (1-based): its ticket (the first attempt
-    /// runs on the one `new` drew), re-armed tracer, contention manager
-    /// told. The tracer reserves the attempt's begin stamp, so this runs
-    /// *before* the backend samples its snapshot (see `trace` on event
-    /// stamping). The ticket doubles as the tracer's top-level
-    /// transaction id.
+    /// Begin attempt `number` (1-based): no ticket yet, re-armed tracer,
+    /// contention manager told. The tracer reserves the attempt's begin
+    /// stamp, so this runs *before* the backend samples its snapshot (see
+    /// `trace` on event stamping). An armed tracer draws the ticket here:
+    /// it doubles as the tracer's top-level transaction id.
     #[inline]
     fn restart(&mut self, number: u64) {
-        let ticket = if number == 1 {
-            self.ticket
-        } else {
-            next_ticket().get()
-        };
+        self.ticket.set(0);
         self.tracer = self
             .config
             .trace
             .clone()
-            .map(|sink| Box::new(AttemptTracer::begin_top(sink, ticket))); // lint:allow — tracing arm, off by default
-        self.ticket = ticket;
+            .map(|sink| Box::new(AttemptTracer::begin_top(sink, self.ticket()))); // lint:allow — tracing arm, off by default
         self.number = number;
         self.depth = 0;
         self.cm.on_start(number);
     }
 
-    /// This attempt's globally unique ticket (lock-owner identity).
+    /// This attempt's globally unique ticket (lock-owner identity), drawn
+    /// from the process-wide counter the first time anything asks: lock
+    /// acquisition, a conflict context, an armed tracer. A read-only
+    /// attempt never draws one.
     #[inline]
     #[must_use]
     pub fn ticket(&self) -> u64 {
-        self.ticket
+        match self.ticket.get() {
+            0 => self.draw_ticket(),
+            t => t,
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn draw_ticket(&self) -> u64 {
+        let t = next_ticket().get();
+        self.ticket.set(t);
+        t
+    }
+
+    /// The ticket, if this attempt has drawn one — the identity every
+    /// self-ownership test compares a lock owner against. An attempt
+    /// without a ticket holds no lock, so `None` matches nothing.
+    #[inline]
+    #[must_use]
+    pub fn owner(&self) -> Option<u64> {
+        match self.ticket.get() {
+            0 => None,
+            t => Some(t),
+        }
     }
 
     /// The attempt's tracer, when a trace sink is configured.
@@ -118,7 +142,7 @@ impl<'env> Attempt<'env> {
         self.cm.on_conflict(&ConflictCtx {
             reason,
             attempt: self.number,
-            ticket: self.ticket,
+            ticket: self.ticket(),
             owner,
             writes,
             spins,
@@ -242,7 +266,7 @@ pub trait TxnEngine<'env> {
 
     /// Begin a fresh attempt: clear the per-attempt buffers (keeping
     /// capacity) and sample the snapshot. The shared state was already
-    /// restarted (new ticket, tracer armed).
+    /// restarted (no ticket, tracer armed).
     fn restart(&mut self);
 
     /// Commit the attempt: acquire/stamp/validate as the algorithm
@@ -415,29 +439,32 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
 /// identical durations, wake together, overlap their next attempts and
 /// abort each other again — a stable limit cycle that kept 2-thread
 /// composed workloads livelocked on a single core *despite* the backstop.
-/// A thread-local splitmix64 stream (seeded per thread from a global
-/// counter) breaks the symmetry without any cross-thread coordination.
 fn park_jitter(range: u64) -> u64 {
-    use core::cell::Cell;
-    use core::sync::atomic::{AtomicU64, Ordering};
-    static THREAD_SEED: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
-    thread_local! {
-        static STATE: Cell<u64> = Cell::new(
-            THREAD_SEED.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed),
-        );
+    if range == 0 {
+        0
+    } else {
+        thread_random() % range
     }
-    STATE.with(|s| {
-        // splitmix64 step.
+}
+
+thread_local! {
+    /// State of the calling thread's [`thread_random`] stream.
+    static RANDOM: Cell<u64> = Cell::new(THREAD_SEED.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed));
+}
+
+/// Seeds of the threads' [`thread_random`] streams, one step apart.
+static THREAD_SEED: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
+
+/// The next word of the calling thread's splitmix64 stream: what seeds
+/// each run's contention manager and stretches each park, so threads
+/// decorrelate without touching a shared line.
+fn thread_random() -> u64 {
+    RANDOM.with(|s| {
         let mut z = s.get().wrapping_add(0x9e37_79b9_7f4a_7c15);
         s.set(z);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        if range == 0 {
-            0
-        } else {
-            z % range
-        }
+        z ^ (z >> 31)
     })
 }
 
@@ -465,9 +492,19 @@ pub(crate) mod toy {
     }
 
     pub(crate) struct ToyTxn<'env> {
-        at: Attempt<'env>,
+        pub(crate) at: Attempt<'env>,
         reads: ReadSet<'env>,
         undo: Vec<(&'env TVarCore, u64)>,
+    }
+
+    impl<'env> ToyTxn<'env> {
+        pub(crate) fn new(stm: &'env ToyStm) -> Self {
+            Self {
+                at: Attempt::new(&stm.config, &stm.stats),
+                reads: ReadSet::new(),
+                undo: Vec::new(),
+            }
+        }
     }
 
     impl<'env> TxnEngine<'env> for ToyTxn<'env> {
@@ -555,12 +592,7 @@ pub(crate) mod toy {
             _kind: TxKind,
             f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
         ) -> Result<R, RunError> {
-            let mut txn = ToyTxn {
-                at: Attempt::new(&self.config, &self.stats),
-                reads: ReadSet::new(),
-                undo: Vec::new(),
-            };
-            run(&mut txn, f)
+            run(&mut ToyTxn::new(self), f)
         }
     }
 }
@@ -676,39 +708,98 @@ mod tests {
     }
 
     #[test]
-    fn first_attempt_runs_on_the_ticket_that_seeded_the_cm() {
-        // A single-attempt run draws one ticket: the one `new` seeds the
-        // contention manager with is the one attempt 1 owns its locks
-        // under. The ticket counter is process-global and other tests
-        // draw from it concurrently, so nothing here counts draws; the
-        // seed is observed through the pacing it determines.
+    fn the_cm_is_seeded_from_the_threads_stream_not_a_ticket() {
+        // A run's pacing is the pacing of a CM built from the next word
+        // of the thread's stream, and building it draws no ticket.
         let mut cfg = StmConfig::default().with_cm(CmPolicy::Backoff);
         cfg.backoff_min_spins = 1;
         cfg.backoff_max_spins = 1 << 20;
         let stats = StmStats::new();
+        let pacing = |at: &mut Attempt<'_>| {
+            (0..12)
+                .map(|_| at.arbitrate(AbortReason::LockConflict, 0, 0))
+                .collect::<Vec<_>>()
+        };
+        RANDOM.with(|s| s.set(42));
         let mut at = Attempt::new(&cfg, &stats);
         at.restart(1);
-        let first = at.ticket();
-        let pacing = |seed: u64| {
-            let mut cm = CmPolicy::Backoff.build(&cfg, seed);
-            let ctx = ConflictCtx {
-                reason: AbortReason::LockConflict,
-                attempt: 1,
-                ticket: first,
-                owner: 0,
-                writes: 0,
-                spins: 0,
-                work: 0,
-            };
-            (0..12).map(|_| cm.on_conflict(&ctx)).collect::<Vec<_>>()
+        assert_eq!(at.owner(), None, "seeding the CM drew no ticket");
+        RANDOM.with(|s| s.set(42));
+        let mut reference = CmPolicy::Backoff.build(&cfg, thread_random());
+        let ctx = ConflictCtx {
+            reason: AbortReason::LockConflict,
+            attempt: 1,
+            ticket: 0,
+            owner: 0,
+            writes: 0,
+            spins: 0,
+            work: 0,
         };
-        let got: Vec<_> = (0..12)
-            .map(|_| at.arbitrate(AbortReason::LockConflict, 0, 0))
-            .collect();
-        assert_eq!(got, pacing(first), "seeded with the first ticket");
-        assert_ne!(got, pacing(first + 2), "the pacing does tell seeds apart");
+        let expected: Vec<_> = (0..12).map(|_| reference.on_conflict(&ctx)).collect();
+        let got = pacing(&mut at);
+        assert_eq!(got, expected, "seeded from the thread's stream");
+        let mut next = Attempt::new(&cfg, &stats);
+        next.restart(1);
+        assert_ne!(pacing(&mut next), got, "the next run takes the next seed");
+    }
+
+    #[test]
+    fn a_read_only_run_commits_without_a_ticket() {
+        let stm = toy::ToyStm::default();
+        let v = crate::TVar::new(3u64);
+        let mut txn = toy::ToyTxn::new(&stm);
+        let got = run(&mut txn, |tx| {
+            use crate::Transaction;
+            tx.read(&v)
+        });
+        assert_eq!(got.unwrap(), 3);
+        assert_eq!(txn.at.owner(), None, "the toy read and committed");
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        let mut fake = Scripted::new(&cfg, &stats);
+        run(&mut fake, |_| Ok(())).unwrap();
+        assert_eq!(fake.at.owner(), None, "publish draws none either");
+    }
+
+    #[test]
+    fn a_writing_attempt_draws_one_ticket_and_a_retry_starts_without() {
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        let mut fake = Scripted::new(&cfg, &stats);
+        let mut seen = Vec::new();
+        let mut losses = 1;
+        run(&mut fake, |tx| {
+            let before = tx.at.owner();
+            // What lock acquisition does: draw, then reuse.
+            let ticket = tx.at.ticket();
+            assert_eq!(tx.at.ticket(), ticket, "drawn once per attempt");
+            assert_eq!(tx.at.owner(), Some(ticket));
+            seen.push((before, ticket));
+            if losses > 0 {
+                losses -= 1;
+                return Err(Abort::new(AbortReason::LockConflict));
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen.len(), 2);
+        assert!(seen.iter().all(|&(before, _)| before.is_none()));
+        assert_ne!(seen[0].1, seen[1].1, "the retry drew a fresh ticket");
+        assert_eq!(fake.at.owner(), Some(seen[1].1));
+    }
+
+    #[test]
+    fn an_armed_tracer_draws_the_ticket_at_restart() {
+        let rec = Arc::new(Recorder::default());
+        let cfg = StmConfig::default().with_trace_sink(rec);
+        let stats = StmStats::new();
+        let mut at = Attempt::new(&cfg, &stats);
+        assert_eq!(at.owner(), None);
+        at.restart(1);
+        let first = at.owner().expect("the tracer's top-level id");
         at.restart(2);
-        assert_ne!(at.ticket(), first, "every later attempt draws its own");
+        let second = at.owner().expect("drawn again");
+        assert_ne!(first, second, "each attempt is its own top-level id");
     }
 
     #[test]

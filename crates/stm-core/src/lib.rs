@@ -13,9 +13,9 @@
 //! * read/write sets ([`readset`], [`writeset`]) with a small-set fast path
 //!   and a bloom-filter-accelerated lookup,
 //! * reusable transaction [`scratch`] state (read/write sets, spill index,
-//!   lock order) retained across retry attempts and — for the lifetime-free
-//!   buffers — pooled per thread across transactions, so the steady-state
-//!   hot path performs no heap allocation,
+//!   lock order) retained across retry attempts and, each buffer through
+//!   its own thread-local spare fetched on first use, across transactions,
+//!   so the steady-state hot path performs no heap allocation,
 //! * the [`api`] module — the **`atomic` facade** user code targets: the
 //!   [`Atomic`] runner (over any static backend or a registry
 //!   [`Backend`]), the typed [`Tx`] handle with

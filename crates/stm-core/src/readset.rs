@@ -15,6 +15,7 @@
 //! outheritance is the *absence* of the truncation that the non-composable
 //! E-STM mode performs.
 
+use crate::scratch::{SpareVec, READ_SPARE};
 use crate::tvar::TVarCore;
 use crate::vlock::LockState;
 
@@ -42,14 +43,6 @@ impl<'env> ReadSet<'env> {
         }
     }
 
-    /// A read set over a pooled entry vector (cleared defensively; its
-    /// capacity is what is being recycled).
-    #[must_use]
-    pub(crate) fn from_entries(mut entries: Vec<ReadEntry<'env>>) -> Self {
-        entries.clear();
-        Self { entries }
-    }
-
     /// Extract the entry vector for pooling; `self` is left empty.
     pub(crate) fn take_entries(&mut self) -> Vec<ReadEntry<'env>> {
         core::mem::take(&mut self.entries)
@@ -64,7 +57,34 @@ impl<'env> ReadSet<'env> {
     /// Record a read of `core` at `version`.
     #[inline]
     pub fn push(&mut self, core: &'env TVarCore, version: u64) {
+        if self.entries.len() == self.entries.capacity() {
+            self.grow();
+        }
         self.entries.push(ReadEntry { core, version });
+    }
+
+    /// Record a read of `core` at `version` if the set has room for it
+    /// without growing; `false` (nothing recorded) otherwise. For inlined
+    /// read heads, which leave growth to their out-of-line tail.
+    #[inline]
+    pub fn try_push(&mut self, core: &'env TVarCore, version: u64) -> bool {
+        if self.entries.len() == self.entries.capacity() {
+            return false;
+        }
+        self.entries.push(ReadEntry { core, version });
+        true
+    }
+
+    /// `push`'s cold path: make room for one more entry. A set that never
+    /// grew first adopts the thread's spare allocation (see
+    /// [`scratch`](crate::scratch)).
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        if self.entries.capacity() == 0 {
+            self.entries = READ_SPARE.with(SpareVec::take);
+        }
+        self.entries.reserve(1);
     }
 
     /// Number of recorded reads (duplicates included).

@@ -8,19 +8,22 @@
 //!
 //! Two layers of reuse:
 //!
-//! 1. **Across attempts** (same `Stm::run` call): the backend acquires one
+//! 1. **Across attempts** (same `Stm::run` call): the backend builds one
 //!    [`TxScratch`] per run and threads it through the retry loop; every
 //!    buffer keeps its capacity, so a warmed-up retry performs zero heap
 //!    allocations per attempt.
-//! 2. **Across transactions** (same thread): every buffer returns to a
-//!    thread-local pool when the scratch drops and is recycled by the next
-//!    `run` call, so a warmed-up transaction never touches the allocator.
-//!    The open-addressed [`IndexTable`] and the `u32` order/aux vectors
-//!    are lifetime-free and pool as they are. The entry vectors hold
-//!    `&'env TVarCore` borrows, so only their *allocations* are pooled:
-//!    an emptied vector is re-typed to `'static` by [`recycle`] on the way
-//!    in (no `unsafe`) and narrows to the next run's `'env` by plain
-//!    covariance on the way out.
+//! 2. **Across transactions** (same thread): each buffer has its own
+//!    thread-local spare allocation, a [`SpareVec`] (an [`IndexTable`]
+//!    for the spill index). A buffer fetches its spare on its own cold
+//!    grow path, the first time it grows from capacity 0, and
+//!    [`TxScratch`]'s `drop` hands back each buffer that holds an
+//!    allocation. So a run pays only for the buffers it touches: a
+//!    read-only run moves the read-entry vector and nothing else, an empty
+//!    run no buffer at all. The entry vectors hold `&'env TVarCore`
+//!    borrows, so only their *allocations* are parked: an emptied vector
+//!    is re-typed to `'static` by [`recycle`] on the way in (no `unsafe`)
+//!    and narrows to the next run's `'env` by plain covariance on the way
+//!    out.
 //!
 //! The index replaces the old `std::collections::HashMap<usize, usize>`
 //! spill index: open addressing with linear probing, a multiplicative hash
@@ -31,6 +34,7 @@ use crate::bloom::hash_id;
 use crate::readset::{ReadEntry, ReadSet};
 use crate::writeset::{WriteEntry, WriteSet};
 use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// One slot of the open-addressed index. `gen` stamps which clear-epoch the
 /// slot was written in; a stale stamp means "empty".
@@ -64,7 +68,7 @@ impl Default for IndexTable {
 impl IndexTable {
     /// An empty table. Allocates nothing until the first insert.
     #[must_use]
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
             slots: Vec::new(),
             mask: 0,
@@ -137,8 +141,17 @@ impl IndexTable {
         }
     }
 
-    /// Double the slot array (or create it) and re-insert the live entries.
+    /// Double the slot array and re-insert the live entries. A table with
+    /// no slots first adopts the thread's spare, cleared, if there is one.
     fn grow(&mut self) {
+        if self.slots.is_empty() {
+            let spare = INDEX_SPARE.with(Cell::take);
+            if !spare.slots.is_empty() {
+                *self = spare;
+                self.clear();
+                return;
+            }
+        }
         let new_cap = (self.slots.len() * 2).max(INDEX_MIN_SLOTS);
         let old = core::mem::replace(&mut self.slots, vec![Slot::default(); new_cap]);
         let old_gen = self.gen;
@@ -173,27 +186,22 @@ pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
         .collect()
 }
 
-/// Cap on the capacity of any pooled vector, bounding pooled memory (a
+/// Cap on the capacity of any parked vector, bounding parked memory (a
 /// `WriteEntry` is 32 bytes, so 8192 entries = 256 KiB). A vector grown
-/// past this by one outlier transaction is dropped instead of pinned in
+/// past this by one outlier transaction is freed instead of pinned in
 /// thread-local storage forever.
 const POOLED_CAP_MAX: usize = 8192;
 
-/// Free `v`'s allocation if it outgrew [`POOLED_CAP_MAX`].
-fn drop_outlier<T>(v: &mut Vec<T>) {
-    if v.capacity() > POOLED_CAP_MAX {
-        *v = Vec::new();
-    }
-}
+/// Cap on the parked index table's slot count (~24 bytes/slot, so 32 Ki
+/// slots ≈ 768 KiB), for the same reason.
+const INDEX_SLOTS_MAX: usize = 1 << 15;
 
-/// A thread-local home for the allocation of one backend-specific
-/// per-run vector (LSA's undo log, OE-STM's nesting frames), for
-/// buffers the shared [`TxScratch`] does not carry. Declare it
-/// lifetime-erased, [`take`](Self::take) the vector where a run first
-/// needs it and [`put`](Self::put) it back when the run ends:
+/// A thread-local home for the allocation of one per-run vector. Declare
+/// it lifetime-erased, [`take`](Self::take) the vector where a run first
+/// grows it and hand it back with [`give_back`] when the run ends:
 ///
 /// ```
-/// use stm_core::scratch::SpareVec;
+/// use stm_core::scratch::{give_back, SpareVec};
 /// struct Entry<'env>(&'env u64);
 /// thread_local! {
 ///     static SPARE: SpareVec<Entry<'static>> = const { SpareVec::new() };
@@ -201,8 +209,11 @@ fn drop_outlier<T>(v: &mut Vec<T>) {
 /// let x = 7;
 /// let mut log: Vec<Entry<'_>> = SPARE.with(SpareVec::take);
 /// log.push(Entry(&x));
-/// SPARE.with(|s| s.put(log));
+/// give_back(&SPARE, log);
 /// ```
+///
+/// Every buffer of [`TxScratch`], LSA's undo log and OE-STM's frame stack
+/// are pooled this way.
 #[derive(Default)]
 pub struct SpareVec<T>(Cell<Vec<T>>);
 
@@ -213,97 +224,60 @@ impl<T> SpareVec<T> {
         Self(Cell::new(Vec::new()))
     }
 
-    /// The parked vector — empty, with whatever capacity was last put
+    /// The parked vector — empty, with whatever capacity was last handed
     /// back; a nested taker gets a fresh, unallocated one.
     #[must_use]
     pub fn take(&self) -> Vec<T> {
         self.0.take()
     }
-
-    /// Park `v`'s allocation (its elements are dropped). `U` is `T` at
-    /// another lifetime; see [`recycle`].
-    pub fn put<U>(&self, mut v: Vec<U>) {
-        drop_outlier(&mut v);
-        self.0.set(recycle(v));
-    }
 }
 
-/// The buffers recycled across transactions through the thread-local
-/// pool. The entry vectors are always empty here; see [`recycle`].
-#[derive(Debug, Default)]
-struct ScratchParts {
-    index: IndexTable,
-    lock_order: Vec<u32>,
-    aux: Vec<usize>,
-    reads: Vec<ReadEntry<'static>>,
-    writes: Vec<WriteEntry<'static>>,
-}
-
-/// Cap on the pooled index table's slot count (~24 bytes/slot, so 32 Ki
-/// slots ≈ 768 KiB). A table grown past this by one outlier transaction is
-/// dropped instead of pinned in thread-local storage forever.
-const INDEX_SLOTS_MAX: usize = 1 << 15;
-
-impl ScratchParts {
-    /// Drop any buffer an outlier transaction grew past the pool bounds,
-    /// so the thread-local slot stays a bounded cache rather than a
-    /// high-water-mark pin.
-    fn enforce_bounds(&mut self) {
-        if self.index.slots.len() > INDEX_SLOTS_MAX {
-            self.index = IndexTable::new();
-        }
-        drop_outlier(&mut self.lock_order);
-        drop_outlier(&mut self.aux);
-        drop_outlier(&mut self.reads);
-        drop_outlier(&mut self.writes);
+/// Park `v`'s allocation in `spare` (its elements are dropped), replacing
+/// whatever is parked there — unless it has none, so a buffer the run
+/// never grew costs no thread-local access, or it outgrew the cap. The
+/// last hand-back wins: after a nested run the outer run's buffers are
+/// the parked ones. `U` is `T` at another lifetime; see [`recycle`].
+pub fn give_back<T: 'static, U>(spare: &'static LocalKey<SpareVec<T>>, v: Vec<U>) {
+    if v.capacity() != 0 && v.capacity() <= POOLED_CAP_MAX {
+        spare.with(|s| s.0.set(recycle(v)));
     }
 }
 
 thread_local! {
-    /// Per-thread single-slot pool. `acquire`/`drop` sit on the hot path of
-    /// *every* transaction, so the pool is a bare `Cell` holding one boxed
-    /// parts bundle: taking and restoring it is pointer-sized TLS traffic
-    /// with no `RefCell` bookkeeping and no re-boxing (the box itself is
-    /// recycled). One slot suffices — a thread runs one transaction at a
-    /// time; the rare nested `run` call simply starts cold.
-    static POOL: Cell<Option<Box<ScratchParts>>> = const { Cell::new(None) };
+    /// The read set's entry allocation between runs.
+    pub(crate) static READ_SPARE: SpareVec<ReadEntry<'static>> = const { SpareVec::new() };
+    /// The write set's entry allocation between runs.
+    pub(crate) static WRITE_SPARE: SpareVec<WriteEntry<'static>> = const { SpareVec::new() };
+    /// The write set's lock-order allocation between runs.
+    pub(crate) static ORDER_SPARE: SpareVec<u32> = const { SpareVec::new() };
+    /// [`TxScratch::aux`]'s allocation between runs.
+    static AUX_SPARE: SpareVec<usize> = const { SpareVec::new() };
+    /// The write set's spill index between runs.
+    static INDEX_SPARE: Cell<IndexTable> = const { Cell::new(IndexTable::new()) };
 }
 
 /// The reusable per-run transaction scratch: a read set, a write set and a
 /// general-purpose `usize` buffer (used e.g. for SwissTM's held write-lock
-/// slots). Acquire once per `Stm::try_run`, [`reset`](TxScratch::reset)
-/// between attempts; dropping it returns the lifetime-free buffers to the
-/// thread-local pool.
-#[derive(Debug)]
+/// slots). Build once per `Stm::try_run`, [`reset`](TxScratch::reset)
+/// between attempts; each buffer fetches its thread-local spare when it
+/// first grows, and dropping the scratch hands back every buffer that
+/// holds an allocation.
+#[derive(Debug, Default)]
 pub struct TxScratch<'env> {
     /// The attempt's read set.
     pub reads: ReadSet<'env>,
-    /// The attempt's write set (owns the pooled index and lock order).
+    /// The attempt's write set (owns the spill index and lock order).
     pub writes: WriteSet<'env>,
-    /// Backend-specific `usize` buffer (pooled).
+    /// Backend-specific `usize` buffer; grow it through
+    /// [`push_aux`](Self::push_aux).
     pub aux: Vec<usize>,
-    /// The recycled pool box, kept so `drop` can refill it without
-    /// allocating. `None` when this scratch started cold (nested run).
-    pool_box: Option<Box<ScratchParts>>,
 }
 
-impl<'env> TxScratch<'env> {
-    /// Take a scratch from the thread-local pool (or create a fresh one).
+impl TxScratch<'_> {
+    /// An empty scratch. Allocates nothing and touches no thread-local.
     #[must_use]
     pub fn acquire() -> Self {
-        let mut pool_box = POOL.with(Cell::take);
-        let parts = pool_box
-            .as_mut()
-            .map(|b| core::mem::take(&mut **b))
-            .unwrap_or_default();
-        let mut aux = parts.aux;
-        aux.clear();
-        Self {
-            reads: ReadSet::from_entries(parts.reads),
-            writes: WriteSet::from_parts(parts.index, parts.lock_order, parts.writes),
-            aux,
-            pool_box,
-        }
+        Self::default()
     }
 
     /// Clear every buffer, retaining capacity. Call at attempt begin.
@@ -312,34 +286,34 @@ impl<'env> TxScratch<'env> {
         self.writes.clear();
         self.aux.clear();
     }
+
+    /// Append `x` to [`aux`](Self::aux), fetching the thread's spare
+    /// allocation at the run's first push.
+    #[inline]
+    pub fn push_aux(&mut self, x: usize) {
+        if self.aux.capacity() == 0 {
+            self.aux = AUX_SPARE.with(SpareVec::take);
+        }
+        self.aux.push(x);
+    }
 }
 
 impl Drop for TxScratch<'_> {
     fn drop(&mut self) {
+        give_back(&READ_SPARE, self.reads.take_entries());
         let (index, lock_order, writes) = self.writes.take_parts();
-        let mut parts = ScratchParts {
-            index,
-            lock_order,
-            aux: core::mem::take(&mut self.aux),
-            reads: recycle(self.reads.take_entries()),
-            writes: recycle(writes),
-        };
-        parts.enforce_bounds();
-        match self.pool_box.take() {
-            Some(mut b) => {
-                *b = parts;
-                POOL.with(|pool| pool.set(Some(b)));
-            }
-            None => {
-                // Cold (nested) scratch: only adopt the slot if it is
-                // still empty, so an outer transaction's warmer parts are
-                // not displaced.
-                POOL.with(|pool| {
-                    let current = pool.take();
-                    pool.set(Some(current.unwrap_or_else(|| Box::new(parts))));
-                });
-            }
-        }
+        give_back(&WRITE_SPARE, writes);
+        give_back(&ORDER_SPARE, lock_order);
+        give_back(&AUX_SPARE, core::mem::take(&mut self.aux));
+        give_back_index(index);
+    }
+}
+
+/// [`give_back`] for the spill index: park `index` unless it has no slots
+/// or outgrew the cap.
+fn give_back_index(index: IndexTable) {
+    if !index.slots.is_empty() && index.slots.len() <= INDEX_SLOTS_MAX {
+        INDEX_SPARE.with(|s| s.set(index));
     }
 }
 
@@ -406,62 +380,12 @@ mod tests {
         let mut s = TxScratch::acquire();
         s.reads.push(a.core(), 0);
         s.writes.insert(a.core(), 5);
-        s.aux.push(3);
+        s.push_aux(3);
         s.reset();
         assert!(s.reads.is_empty());
         assert!(s.writes.is_empty());
         assert!(s.aux.is_empty());
         assert_eq!(s.writes.lookup(a.core()), None);
-    }
-
-    #[test]
-    fn pool_recycles_lock_order_capacity() {
-        // Fill a scratch with a large write set, drop it, and check the
-        // next acquire on this thread starts with the recycled capacity.
-        let vars: Vec<TVar<u64>> = (0..200).map(TVar::new).collect();
-        {
-            let mut s = TxScratch::acquire();
-            for (i, v) in vars.iter().enumerate() {
-                s.writes.insert(v.core(), i as u64);
-            }
-        }
-        let s = TxScratch::acquire();
-        // The pooled index table has grown past the default minimum.
-        assert!(s.writes.is_empty(), "recycled scratch must start out empty");
-        drop(s);
-    }
-
-    #[test]
-    fn pool_bounds_drop_outlier_buffers() {
-        // Buffers grown past the pool bounds by one outlier transaction
-        // must not be pinned in thread-local storage.
-        let mut parts = ScratchParts::default();
-        for i in 0..(INDEX_SLOTS_MAX + 1) {
-            parts.index.insert(i * 16, 0);
-        }
-        parts.lock_order.reserve(POOLED_CAP_MAX + 1);
-        parts.reads.reserve(POOLED_CAP_MAX + 1);
-        parts.writes.reserve(POOLED_CAP_MAX + 1);
-        parts.aux = Vec::with_capacity(4);
-        parts.enforce_bounds();
-        assert!(parts.index.is_empty() && parts.index.slots.is_empty());
-        assert_eq!(parts.lock_order.capacity(), 0);
-        assert_eq!(parts.reads.capacity(), 0);
-        assert_eq!(parts.writes.capacity(), 0);
-        assert!(parts.aux.capacity() >= 4, "in-bounds buffers survive");
-
-        // The same through the pool: an outlier read set is gone at the
-        // next acquire, an ordinary one is not.
-        let var = TVar::new(0u64);
-        for (reads, pooled) in [(POOLED_CAP_MAX + 1, false), (POOLED_CAP_MAX / 2, true)] {
-            let mut s = TxScratch::acquire();
-            for _ in 0..reads {
-                s.reads.push(var.core(), 0);
-            }
-            drop(s);
-            let cap = TxScratch::acquire().reads.capacity();
-            assert_eq!(cap >= reads, pooled, "{reads} reads left capacity {cap}");
-        }
     }
 
     #[test]
@@ -480,40 +404,161 @@ mod tests {
         assert_eq!((w.as_ptr() as usize, w.capacity()), (ptr, cap));
     }
 
-    /// Where a filled scratch's two entry vectors live.
-    fn first_entries(s: &TxScratch<'_>) -> (usize, usize) {
-        let read = s.reads.iter().next().expect("filled") as *const ReadEntry<'_>;
-        let write = s.writes.iter().next().expect("filled") as *const WriteEntry<'_>;
-        (read as usize, write as usize)
+    /// Run `f` on a thread of its own, so it starts with empty spares
+    /// whatever the test harness ran before on the calling thread.
+    fn on_fresh_thread(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            s.spawn(f).join().expect("test thread");
+        });
     }
 
-    #[test]
-    fn pool_recycles_entry_vectors() {
-        // The entry vectors' allocations survive the pool: the next
-        // acquire on this thread — under another `'env` — gets the very
-        // same buffers back, empty.
-        let (reads_ptr, writes_ptr) = {
-            let vars: Vec<TVar<u64>> = (0..300).map(TVar::new).collect();
-            let mut s = TxScratch::acquire();
-            for v in &vars {
-                s.reads.push(v.core(), 0);
-                s.writes.insert(v.core(), 1);
-            }
-            first_entries(&s)
-        };
-        let vars: Vec<TVar<u64>> = (0..300).map(TVar::new).collect();
+    /// What each spare holds, as the address of its allocation (0: none),
+    /// in the order reads, writes, lock order, aux, index.
+    fn parked() -> [usize; 5] {
+        fn addr<T: 'static>(spare: &'static LocalKey<SpareVec<T>>) -> usize {
+            spare.with(|s| {
+                let v = s.take();
+                let a = if v.capacity() == 0 {
+                    0
+                } else {
+                    v.as_ptr() as usize
+                };
+                s.0.set(v);
+                a
+            })
+        }
+        let index = INDEX_SPARE.with(|s| {
+            let t = s.take();
+            let a = if t.slots.is_empty() {
+                0
+            } else {
+                t.slots.as_ptr() as usize
+            };
+            s.set(t);
+            a
+        });
+        [
+            addr(&READ_SPARE),
+            addr(&WRITE_SPARE),
+            addr(&ORDER_SPARE),
+            addr(&AUX_SPARE),
+            index,
+        ]
+    }
+
+    /// Fill every spare: one run that touches every buffer, the write set
+    /// past its linear-scan threshold so the index engages.
+    fn warm_every_spare() -> [usize; 5] {
+        let vars: Vec<TVar<u64>> = (0..40).map(TVar::new).collect();
         let mut s = TxScratch::acquire();
-        assert!(s.reads.is_empty() && s.writes.is_empty());
-        assert!(s.reads.capacity() >= 300);
         for v in &vars {
             s.reads.push(v.core(), 0);
             s.writes.insert(v.core(), 1);
         }
-        assert_eq!(
-            first_entries(&s),
-            (reads_ptr, writes_ptr),
-            "refilling to the same size must not have reallocated"
-        );
+        s.push_aux(1);
+        drop(s);
+        let warm = parked();
+        assert!(warm.iter().all(|&a| a != 0), "every spare filled: {warm:?}");
+        warm
+    }
+
+    #[test]
+    fn a_read_only_run_moves_only_the_read_entry_spare() {
+        on_fresh_thread(|| {
+            let warm = warm_every_spare();
+            let var = TVar::new(0u64);
+            let mut s = TxScratch::acquire();
+            assert_eq!(parked(), warm, "acquire touches no spare");
+            s.reads.push(var.core(), 0);
+            assert_eq!(parked(), [0, warm[1], warm[2], warm[3], warm[4]]);
+            drop(s);
+            assert_eq!(parked(), warm, "the same allocation came back");
+            drop(TxScratch::acquire());
+            assert_eq!(parked(), warm, "an empty run moves nothing");
+        });
+    }
+
+    #[test]
+    fn a_write_fetches_the_write_entry_and_lock_order_spares() {
+        on_fresh_thread(|| {
+            let warm = warm_every_spare();
+            let var = TVar::new(0u64);
+            let mut s = TxScratch::acquire();
+            s.writes.insert(var.core(), 1);
+            assert_eq!(parked(), [warm[0], 0, 0, warm[3], warm[4]]);
+            assert_eq!(s.writes.lookup(var.core()), Some(1));
+            drop(s);
+            assert_eq!(parked(), warm);
+        });
+    }
+
+    #[test]
+    fn the_index_spare_comes_back_only_once_a_set_outgrew_the_scan() {
+        on_fresh_thread(|| {
+            let vars: Vec<TVar<u64>> = (0..17).map(TVar::new).collect();
+            let mut s = TxScratch::acquire();
+            for v in &vars[..16] {
+                s.writes.insert(v.core(), 0);
+            }
+            drop(s);
+            assert_eq!(parked()[4], 0, "16 writes are scanned, never indexed");
+            let mut s = TxScratch::acquire();
+            for v in &vars {
+                s.writes.insert(v.core(), 0);
+            }
+            drop(s);
+            let index = parked()[4];
+            assert_ne!(index, 0, "the 17th write built the index");
+            let mut s = TxScratch::acquire();
+            for (i, v) in vars.iter().enumerate() {
+                s.writes.insert(v.core(), i as u64);
+            }
+            assert_eq!(parked()[4], 0, "the index adopted its spare");
+            assert_eq!(s.writes.lookup(vars[16].core()), Some(16));
+            drop(s);
+            assert_eq!(parked()[4], index, "the same slots came back");
+        });
+    }
+
+    #[test]
+    fn outliers_past_the_caps_are_freed() {
+        on_fresh_thread(|| {
+            let warm = warm_every_spare();
+            let var = TVar::new(0u64);
+            let mut s = TxScratch::acquire();
+            for _ in 0..=POOLED_CAP_MAX {
+                s.reads.push(var.core(), 0);
+            }
+            drop(s);
+            assert_eq!(parked(), [0, warm[1], warm[2], warm[3], warm[4]]);
+            let mut outlier = INDEX_SPARE.with(Cell::take);
+            for i in 0..INDEX_SLOTS_MAX {
+                outlier.insert(i * 16, 0);
+            }
+            assert!(outlier.slots.len() > INDEX_SLOTS_MAX);
+            give_back_index(outlier);
+            assert_eq!(parked()[4], 0, "an outlier index is not parked");
+        });
+    }
+
+    #[test]
+    fn a_nested_run_starts_cold_and_the_outer_runs_buffers_win() {
+        on_fresh_thread(|| {
+            let warm = warm_every_spare();
+            let var = TVar::new(0u64);
+            let mut outer = TxScratch::acquire();
+            outer.reads.push(var.core(), 0);
+            {
+                let mut inner = TxScratch::acquire();
+                inner.reads.push(var.core(), 1);
+                let cold = inner.reads.iter().next().expect("pushed") as *const _ as usize;
+                assert_ne!(cold, warm[0], "the outer run holds the spare");
+            }
+            assert_ne!(parked()[0], 0, "the inner run handed its buffer back");
+            assert_ne!(parked()[0], warm[0]);
+            drop(outer);
+            assert_eq!(parked()[0], warm[0], "the outer run's buffer wins");
+        });
     }
 
     #[test]
@@ -531,11 +576,14 @@ mod tests {
         let ptr = v.as_ptr() as usize;
         let nested: Vec<ReadEntry<'_>> = SPARE.with(SpareVec::take);
         assert_eq!(nested.capacity(), 0, "a nested taker starts cold");
-        SPARE.with(|s| s.put(v));
+        give_back(&SPARE, v);
         let v: Vec<ReadEntry<'_>> = SPARE.with(SpareVec::take);
         assert!(v.is_empty());
         assert_eq!(v.as_ptr() as usize, ptr);
-        SPARE.with(|s| s.put(Vec::<ReadEntry<'_>>::with_capacity(POOLED_CAP_MAX + 1)));
+        give_back(
+            &SPARE,
+            Vec::<ReadEntry<'_>>::with_capacity(POOLED_CAP_MAX + 1),
+        );
         assert_eq!(
             SPARE.with(SpareVec::take).capacity(),
             0,

@@ -108,7 +108,8 @@ pub trait Transaction<'env> {
     /// The kind this (sub)transaction currently runs under.
     fn kind(&self) -> TxKind;
 
-    /// This attempt's globally unique ticket (lock-owner identity).
+    /// This attempt's globally unique ticket (lock-owner identity), drawn
+    /// on the first call if the attempt has not needed one yet.
     fn ticket(&self) -> u64;
 
     /// Transactionally read `var`.

@@ -1,10 +1,15 @@
 // lint:hot-path
 //! Globally unique transaction-attempt tickets.
 //!
-//! Every transaction *attempt* (each retry counts separately) draws a fresh
-//! ticket. Tickets identify lock owners in [`VLock`](crate::VLock) words and
-//! double as the "greedy" priority of SwissTM's contention manager: a lower
-//! ticket means the attempt started earlier and wins conflicts.
+//! A transaction *attempt* (each retry counts separately) draws a fresh
+//! ticket the first time it needs one — to take a lock, to build a
+//! conflict context, or for an armed tracer, which draws at attempt begin
+//! ([`Attempt::ticket`](crate::driver::Attempt::ticket)). A read-only
+//! attempt never draws one, so the counter's cache line is an update's
+//! cost only. Tickets identify lock owners in [`VLock`](crate::VLock)
+//! words and double as the "greedy" priority of SwissTM's contention
+//! manager: a lower ticket means the attempt started writing earlier and
+//! wins conflicts.
 
 use core::num::NonZeroU64;
 use core::sync::atomic::{AtomicU64, Ordering};

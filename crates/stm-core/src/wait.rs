@@ -256,6 +256,20 @@ pub fn notify_commit(write_locations: &dyn Fn(&mut dyn FnMut(usize))) {
     }
 }
 
+/// How many waiters are registered on `location` right now — in a wait
+/// episode, parked or about to be. A rendezvous probe for tests that
+/// must commit while a crowd is waiting; nothing else should need it.
+#[doc(hidden)]
+#[must_use]
+pub fn registered_waiters(location: usize) -> usize {
+    let Some(t) = TABLE.get() else { return 0 };
+    let entries = t.buckets[location & (BUCKET_COUNT - 1)].lock();
+    entries
+        .iter()
+        .filter(|e| e.location == location && e.is_live())
+        .count()
+}
+
 /// Park the progress backstop's way: on the global list any commit
 /// wakes, bounded by `timeout`. Returns `true` when a commit cut the
 /// sleep short. The caller keeps its own escalation schedule and its
@@ -417,21 +431,29 @@ mod tests {
         let _serial = SERIAL.lock();
         let s = stats();
         let committed = AtomicBool::new(false);
+        let registered = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let committed = &committed;
+            let (committed, registered) = (&committed, &registered);
             let s = &s;
             let waiter = scope.spawn(move || {
                 // A long bound: only a real wake ends this quickly.
                 let out = wait_on(
                     &mut [31337usize].into_iter(),
-                    &|| true,
+                    &|| {
+                        registered.store(true, Ordering::SeqCst);
+                        true
+                    },
                     Duration::from_secs(30),
                     s,
                 );
                 assert!(committed.load(Ordering::SeqCst), "woke before the commit");
                 assert_eq!(out, WaitOutcome::Woken);
             });
-            std::thread::sleep(Duration::from_millis(30));
+            // Commit once the waiter is registered: its park then ends
+            // on the token, whether or not it has started.
+            while !registered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
             committed.store(true, Ordering::SeqCst);
             notify_commit(&|f| f(31337));
             waiter.join().unwrap();
@@ -460,12 +482,27 @@ mod tests {
     fn backstop_sleepers_wake_on_any_commit() {
         let _serial = SERIAL.lock();
         let woke = AtomicBool::new(false);
+        let node = OnceLock::new();
         std::thread::scope(|scope| {
             let woke = &woke;
+            let node = &node;
             let sleeper = scope.spawn(move || {
+                let _ = node.set(NODE.with(Arc::clone));
                 woke.store(backstop_park(Duration::from_secs(30)), Ordering::SeqCst);
             });
-            std::thread::sleep(Duration::from_millis(30));
+            // Commit once the sleeper is on the list: its park then ends
+            // on the token, whether or not it has started.
+            let on_list = || {
+                node.get().is_some_and(|node| {
+                    let sleepers = table().backstop.lock();
+                    sleepers
+                        .iter()
+                        .any(|e| Arc::ptr_eq(&e.node, node) && e.is_live())
+                })
+            };
+            while !on_list() {
+                std::thread::yield_now();
+            }
             // Any commit at all — the location is irrelevant.
             notify_commit(&|f| f(1));
             sleeper.join().unwrap();

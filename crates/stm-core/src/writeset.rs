@@ -15,14 +15,14 @@
 //!   never allocates or sorts at commit;
 //! * the spill **index** uses a multiplicative hash and generation-stamped
 //!   slots, so [`clear`](WriteSet::clear) is O(1) and a cleared table keeps
-//!   its capacity for the next attempt (and, via the
-//!   [`scratch`](crate::scratch) pool, the next transaction);
+//!   its capacity for the next attempt (and, via its
+//!   [`scratch`](crate::scratch) spare, the next transaction);
 //! * `clear` never frees: a warmed-up write set performs zero heap
 //!   allocations per transaction attempt.
 
 use crate::bloom::Bloom;
 use crate::error::{Abort, AbortReason};
-use crate::scratch::IndexTable;
+use crate::scratch::{IndexTable, SpareVec, ORDER_SPARE, WRITE_SPARE};
 use crate::tvar::TVarCore;
 use crate::vlock::LockState;
 
@@ -61,25 +61,6 @@ impl<'env> WriteSet<'env> {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Build a write set around previously pooled buffers (the buffers are
-    /// cleared defensively; their capacity is what is being recycled).
-    #[must_use]
-    pub(crate) fn from_parts(
-        mut index: IndexTable,
-        mut lock_order: Vec<u32>,
-        mut entries: Vec<WriteEntry<'env>>,
-    ) -> Self {
-        index.clear();
-        lock_order.clear();
-        entries.clear();
-        Self {
-            entries,
-            bloom: Bloom::new(),
-            index,
-            lock_order,
-        }
     }
 
     /// Extract the buffers for pooling; `self` is left empty.
@@ -130,6 +111,9 @@ impl<'env> WriteSet<'env> {
         }
         self.bloom.insert(id);
         let i = self.entries.len();
+        if i == self.entries.capacity() {
+            self.grow();
+        }
         self.entries.push(WriteEntry {
             core,
             value,
@@ -154,6 +138,21 @@ impl<'env> WriteSet<'env> {
             }
         }
         i
+    }
+
+    /// `insert`'s cold path: make room for one more entry. A set that
+    /// never grew first adopts the thread's spare entry and lock-order
+    /// allocations (see [`scratch`](crate::scratch)).
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        if self.entries.capacity() == 0 {
+            self.entries = WRITE_SPARE.with(SpareVec::take);
+            if self.lock_order.capacity() == 0 {
+                self.lock_order = ORDER_SPARE.with(SpareVec::take);
+            }
+        }
+        self.entries.reserve(1);
     }
 
     /// Index of `core`'s entry, if it has one. An empty set — every
@@ -448,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn parts_roundtrip_recycles_capacity() {
+    fn take_parts_hands_over_every_buffer() {
         let vars: Vec<TVar<u64>> = (0..50).map(TVar::new).collect();
         let mut ws = WriteSet::new();
         for (i, v) in vars.iter().enumerate() {
@@ -457,13 +456,10 @@ mod tests {
         let (index, order, entries) = ws.take_parts();
         assert!(ws.is_empty() && ws.lookup(vars[3].core()).is_none());
         assert_eq!(entries.len(), 50, "the entry vector leaves as it is");
-        let (order_cap, entries_ptr) = (order.capacity(), entries.as_ptr());
-        let mut ws2 = WriteSet::from_parts(index, order, entries);
-        assert!(ws2.is_empty(), "pooled buffers come back cleared");
-        assert_eq!(ws2.entries.as_ptr(), entries_ptr, "same entry allocation");
-        assert_eq!(ws2.lock_order.capacity(), order_cap);
-        ws2.insert(vars[3].core(), 7);
-        assert_eq!(ws2.lookup(vars[3].core()), Some(7));
-        assert_eq!(ws2.lookup(vars[4].core()), None);
+        assert_eq!((order.len(), index.len()), (50, 50));
+        // The emptied set still works, from fresh buffers.
+        ws.insert(vars[3].core(), 7);
+        assert_eq!(ws.lookup(vars[3].core()), Some(7));
+        assert_eq!(ws.lookup(vars[4].core()), None);
     }
 }

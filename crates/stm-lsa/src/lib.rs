@@ -38,7 +38,7 @@ use stm_core::bloom::Bloom;
 use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::readset::ReadSet;
-use stm_core::scratch::{SpareVec, TxScratch};
+use stm_core::scratch::{give_back, SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::{
@@ -84,9 +84,7 @@ struct UndoLog<'env> {
 
 impl Drop for UndoLog<'_> {
     fn drop(&mut self) {
-        if self.entries.capacity() != 0 {
-            UNDO_SPARE.with(|spare| spare.put(core::mem::take(&mut self.entries)));
-        }
+        give_back(&UNDO_SPARE, core::mem::take(&mut self.entries));
     }
 }
 
@@ -216,9 +214,10 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
             // wv == ub + 1 proves no concurrent commit; adoption must
             // revalidate.
             let valid = (stamp.exclusive && wv == self.ub + 1)
-                || self.scratch.reads.validate(Some(self.at.ticket()), |core| {
-                    self.undo.old_version_of(core)
-                });
+                || self
+                    .scratch
+                    .reads
+                    .validate(self.at.owner(), |core| self.undo.old_version_of(core));
             if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
@@ -272,9 +271,10 @@ impl<'env> LsaTxn<'env> {
     /// instead of a fresh clock sample keeps the extension path — and with
     /// it the whole read path — off the contended global clock line.
     fn extend(&mut self, target: u64) -> Result<(), Abort> {
-        let ok = self.scratch.reads.validate(Some(self.at.ticket()), |core| {
-            self.undo.old_version_of(core)
-        });
+        let ok = self
+            .scratch
+            .reads
+            .validate(self.at.owner(), |core| self.undo.old_version_of(core));
         if ok {
             self.ub = target;
             self.stm.stats.record_extension();
@@ -282,6 +282,15 @@ impl<'env> LsaTxn<'env> {
         } else {
             Err(Abort::new(AbortReason::ExtensionFailed))
         }
+    }
+
+    /// Whether this attempt holds `core`'s lock. An attempt that has not
+    /// drawn its ticket holds none, so reads never draw one.
+    #[inline]
+    fn holds(&self, core: &TVarCore) -> bool {
+        self.at
+            .owner()
+            .is_some_and(|ticket| core.lock().is_locked_by(ticket))
     }
 
     /// Bounded wait for a foreign lock, then give up (simple conservative
@@ -300,7 +309,7 @@ impl<'env> LsaTxn<'env> {
 impl<'env> Transaction<'env> for LsaTxn<'env> {
     fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
         // In-place writes: if we hold the lock, the current word is ours.
-        if core.lock().is_locked_by(self.at.ticket()) {
+        if self.holds(core) {
             let word = core.value_unsync();
             if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Read(word));
@@ -346,7 +355,7 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
     }
 
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        if core.lock().is_locked_by(self.at.ticket()) {
+        if self.holds(core) {
             core.store_value(word);
             if let Some(t) = self.at.tracer() {
                 t.op_held(core.id(), TraceOp::Write(word));

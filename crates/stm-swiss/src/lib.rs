@@ -161,8 +161,13 @@ pub struct SwissTxn<'env> {
     scratch: TxScratch<'env>,
 }
 
-/// Release the encounter-time write locks `held` by `ticket`.
-fn release_wlocks(wlocks: &WLockTable, ticket: u64, held: &mut Vec<usize>) {
+/// Release the encounter-time write locks `held` by `owner`. An attempt
+/// that has not drawn its ticket holds none.
+fn release_wlocks(wlocks: &WLockTable, owner: Option<u64>, held: &mut Vec<usize>) {
+    let Some(ticket) = owner else {
+        debug_assert!(held.is_empty(), "write locks held without a ticket");
+        return;
+    };
     for i in held.drain(..) {
         // Only we can hold it; a plain store would also be correct but
         // the CAS documents the invariant.
@@ -185,9 +190,9 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
     }
 
     fn try_commit(&mut self) -> Result<(), Abort> {
-        let ticket = self.at.ticket();
         let mut wv = 0;
         if !self.scratch.writes.is_empty() {
+            let ticket = self.at.ticket();
             self.scratch.writes.lock_all(ticket)?;
             let stamp = self.stm.clock.stamp();
             wv = stamp.wv;
@@ -204,7 +209,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
         }
         // Both lock layers (commit-time versioned locks and encounter-
         // time write locks) stay held until the release step.
-        let wlocks = &self.stm.wlocks;
+        let (wlocks, owner) = (&self.stm.wlocks, self.at.owner());
         let len = self.scratch.writes.len();
         self.at.publish(
             wv,
@@ -213,7 +218,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
             |s, f| s.writes.for_each_write(f),
             |s| {
                 s.writes.write_back_and_release(wv);
-                release_wlocks(wlocks, ticket, &mut s.aux);
+                release_wlocks(wlocks, owner, &mut s.aux);
             },
         );
         Ok(())
@@ -221,7 +226,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
 
     fn rollback(&mut self) {
         self.scratch.writes.release_locks();
-        release_wlocks(&self.stm.wlocks, self.at.ticket(), &mut self.scratch.aux);
+        release_wlocks(&self.stm.wlocks, self.at.owner(), &mut self.scratch.aux);
     }
 
     fn footprint(&self) -> (usize, usize) {
@@ -246,7 +251,7 @@ impl<'env> SwissTxn<'env> {
     /// `target`, so the extension path never re-reads the contended global
     /// clock line.
     fn extend(&mut self, target: u64) -> Result<(), Abort> {
-        let ok = self.scratch.reads.validate(Some(self.at.ticket()), |core| {
+        let ok = self.scratch.reads.validate(self.at.owner(), |core| {
             self.scratch.writes.locked_version_of(core)
         });
         if ok {
@@ -283,7 +288,7 @@ impl<'env> SwissTxn<'env> {
         loop {
             match slot.compare_exchange(0, ticket, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    self.scratch.aux.push(idx);
+                    self.scratch.push_aux(idx);
                     return Ok(());
                 }
                 Err(owner) if owner == ticket => return Ok(()),

@@ -84,9 +84,9 @@ impl Tl2 {
 /// place for every attempt.
 ///
 /// The read/write sets live in a [`TxScratch`] that survives from attempt
-/// to attempt (and, for the lifetime-free buffers, from transaction to
-/// transaction via the per-thread pool), so a warmed-up attempt performs
-/// no heap allocation.
+/// to attempt (and, through each buffer's thread-local spare, from
+/// transaction to transaction), so a warmed-up attempt performs no heap
+/// allocation.
 #[derive(Debug)]
 pub struct Tl2Txn<'env> {
     stm: &'env Tl2,
@@ -121,7 +121,7 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
             // adopted stamp proves a concurrent commit just happened, even
             // when the shared timestamp happens to equal rv + 1.
             let valid = (stamp.exclusive && wv == self.rv + 1)
-                || self.scratch.reads.validate(Some(self.at.ticket()), |core| {
+                || self.scratch.reads.validate(self.at.owner(), |core| {
                     self.scratch.writes.locked_version_of(core)
                 });
             if !valid {

@@ -33,6 +33,13 @@
 //! 4. **shim-isolation** — `shims/*/Cargo.toml` declare no dependencies:
 //!    the shims exist so the workspace builds offline, so a shim that
 //!    grows a dependency defeats its purpose.
+//! 5. **test-sleep** — test code (every file under a `tests/` directory
+//!    of the workspace, a crate or a shim, and the `#[cfg(test)]` tail of
+//!    every source file) calls `thread::sleep` only on a line carrying a
+//!    `lint:allow` justification. A sleep that waits for another thread
+//!    to get somewhere is a rendezvous by timing, which a loaded host
+//!    breaks; wait for something the other thread makes observable
+//!    instead.
 //!
 //! The checks operate on a root directory, so the integration tests run
 //! them against seeded violation fixtures as well as the real workspace.
@@ -53,7 +60,7 @@ pub struct Violation {
     /// 1-based line number (0 for whole-file findings).
     pub line: usize,
     /// Which rule fired: `unsafe-forbid`, `hot-path`, `clock-discipline`,
-    /// `commit-tail` or `shim-isolation`.
+    /// `commit-tail`, `shim-isolation` or `test-sleep`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub msg: String,
@@ -167,6 +174,15 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
         let text = fs::read_to_string(root.join(file))?;
         check_hot_path(file, &text, &mut v);
         check_blessed_call_sites(file, &text, &mut v);
+        check_test_sleep(file, test_tail(&text), &mut v);
+    }
+    for file in &test_files(root)? {
+        let text = fs::read_to_string(root.join(file))?;
+        check_test_sleep(
+            file,
+            text.lines().enumerate().map(|(i, l)| (i + 1, l)),
+            &mut v,
+        );
     }
     check_shim_isolation(root, &mut v)?;
     v.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -256,6 +272,75 @@ fn source_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
+}
+
+/// Every `.rs` file under a `tests/` directory (`tests/`,
+/// `crates/*/tests/`, `shims/*/tests/`), except lint fixtures: a
+/// directory named `fixtures` is a tree linted on its own.
+fn test_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut dirs = vec![root.join("tests")];
+    for family in ["crates", "shims"] {
+        let dir = root.join(family);
+        if dir.is_dir() {
+            for entry in fs::read_dir(&dir)? {
+                dirs.push(entry?.path().join("tests"));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        if !dir.is_dir() || dir.file_name().is_some_and(|n| n == "fixtures") {
+            continue;
+        }
+        for entry in fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(
+                    path.strip_prefix(root)
+                        .expect("test under linted root")
+                        .to_path_buf(),
+                );
+            }
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// The `#[cfg(test)]` tail of a source file: every line from the first
+/// `#[cfg(test)]` on (the repo convention puts the test module last).
+fn test_tail(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .skip_while(|(_, l)| l.trim() != "#[cfg(test)]")
+        .map(|(i, l)| (i + 1, l))
+}
+
+/// The call the test-sleep rule looks for (its `(` is appended at match
+/// time, so this file never matches itself).
+const SLEEP_CALL: &str = "thread::sleep";
+
+fn check_test_sleep<'a>(
+    file: &Path,
+    lines: impl Iterator<Item = (usize, &'a str)>,
+    v: &mut Vec<Violation>,
+) {
+    let call = format!("{SLEEP_CALL}(");
+    for (line, l) in lines {
+        let code = !l.trim_start().starts_with("//");
+        if code && l.contains(&call) && !l.contains(ALLOW_MARKER) {
+            v.push(Violation {
+                file: file.to_path_buf(),
+                line,
+                rule: "test-sleep",
+                msg: "thread::sleep in test code without a lint:allow justification \
+                      (rendezvous on something observable instead)"
+                    .into(),
+            });
+        }
+    }
 }
 
 /// The lines of `text` the source rules look at: everything up to the
@@ -419,6 +504,24 @@ mod tests {
         let lines: Vec<usize> = v.iter().map(|x| x.line).collect();
         assert_eq!(lines, [1, 2, 3], "cm.on_commit() must not match: {v:?}");
         assert!(v.iter().all(|x| x.rule == "commit-tail"));
+    }
+
+    #[test]
+    fn test_sleep_fires_in_test_code_only_without_a_waiver() {
+        let text = format!(
+            "fn f() {{ std::{SLEEP_CALL}(d); }}\n\
+             #[cfg(test)]\n\
+             mod tests {{\n\
+             // std::{SLEEP_CALL}(d) in a comment\n\
+             fn a() {{ std::{SLEEP_CALL}(d); }}\n\
+             fn b() {{ std::{SLEEP_CALL}(d); }} // lint:allow poll interval\n\
+             }}\n"
+        );
+        let mut v = Vec::new();
+        check_test_sleep(Path::new("a.rs"), test_tail(&text), &mut v);
+        let lines: Vec<usize> = v.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [5], "only the un-waived test-tail sleep: {v:?}");
+        assert_eq!(v[0].rule, "test-sleep");
     }
 
     #[test]

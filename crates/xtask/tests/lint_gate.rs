@@ -27,6 +27,7 @@ fn seeded_fixtures_trip_every_rule() {
         "clock-discipline",
         "commit-tail",
         "shim-isolation",
+        "test-sleep",
     ] {
         assert!(
             rules.contains(&rule),
@@ -119,6 +120,22 @@ fn seeded_fixtures_trip_every_rule() {
         tail.iter()
             .all(|v| v.file == Path::new("crates/badcrate/src/tail.rs")),
         "only the rogue tail fixture fires: {tail:?}"
+    );
+    // Test code that sleeps: the integration test's rendezvous and the
+    // unit test's fire; the waived poll interval and the sleep outside
+    // the test module stay quiet.
+    let sleeps: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == "test-sleep")
+        .map(|v| (v.file.clone(), v.line))
+        .collect();
+    assert_eq!(
+        sleeps,
+        [
+            (PathBuf::from("crates/badcrate/src/sleepy.rs"), 13),
+            (PathBuf::from("crates/badcrate/tests/sleepy.rs"), 7),
+        ],
+        "{sleeps:?}"
     );
 }
 

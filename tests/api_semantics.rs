@@ -242,7 +242,11 @@ fn or_else_unblocks_when_another_thread_opens_the_gate() {
             let at = Arc::clone(&at);
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                // Open only once the runner has retried, so the waiting
+                // path is what the test exercises.
+                while at.stats().explicit_retries() == 0 {
+                    std::thread::yield_now();
+                }
                 at.run(Policy::Regular, |tx| tx.set(&gate, 1));
             })
         };

@@ -17,9 +17,18 @@
 //! [`Stm::run`] hooks underneath the `atomic` facade, so it drives the
 //! [`SetOps`] building blocks directly. (The facade-level twin of the
 //! safe path lives in `tests/api_semantics.rs`.)
+//!
+//! The last test is the same bug met by accident rather than by
+//! injection: threads composing `add_all` over thread-disjoint keys whose
+//! list nodes neighbour each other lose updates under E-STM and never
+//! under OE-STM.
 
-use composing_relaxed_transactions::cec::{HashSet, LinkedListSet, OpScratch, SetOps, SkipListSet};
+use composing_relaxed_transactions::cec::{
+    HashSet, LinkedListSet, OpScratch, SetExt, SetOps, SkipListSet,
+};
 use composing_relaxed_transactions::oe_stm::OeStm;
+use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
+use composing_relaxed_transactions::stm_core::parallel::worker_threads;
 use composing_relaxed_transactions::stm_core::{Stm, Transaction, TxKind};
 
 /// SPI-level atomic helpers over the building blocks (what `SetExt` does
@@ -156,4 +165,70 @@ fn regular_mode_workaround_is_safe_even_without_outheritance() {
         stm.stats().aborts() >= 1,
         "correctness recovered at the price of classic-transaction aborts"
     );
+}
+
+/// Pairs each thread inserts per round.
+const PAIRS: i64 = 256;
+
+/// `add_all(keys)` as `SetExt` composes it — one elastic section per
+/// key — but yielding the core between sections, so the other threads
+/// get to commit inside the window even on a single core.
+fn add_all_yielding(at: &Atomic<OeStm>, set: &LinkedListSet, keys: &[i64]) {
+    let mut scratch = OpScratch::default();
+    at.run(Policy::Elastic, |tx| {
+        set.release_unpublished(&mut scratch.allocated);
+        for &k in keys {
+            tx.section(Policy::Elastic, |t| set.add_in(t, k, &mut scratch))?;
+            std::thread::yield_now();
+        }
+        Ok(())
+    });
+}
+
+/// One round of concurrent composed inserts on a fresh list: thread `t`
+/// of `n` owns the keys `k ≡ t (mod n)` and inserts them two at a time,
+/// `add_all([k + n, k])`, so every node it links goes in beside another
+/// thread's. Returns how many of the keys the threads inserted are
+/// missing afterwards: updates lost.
+fn lost_updates(at: &Atomic<OeStm>) -> usize {
+    let set = LinkedListSet::new();
+    let n = worker_threads(2) as i64;
+    std::thread::scope(|s| {
+        for t in 0..n {
+            let set = &set;
+            s.spawn(move || {
+                for p in 0..PAIRS {
+                    let k = t + 2 * p * n;
+                    add_all_yielding(at, set, &[k + n, k]);
+                }
+            });
+        }
+    });
+    let keys = 2 * PAIRS * n;
+    (0..keys).filter(|&k| !set.contains(at, k)).count() + keys as usize - set.size(at)
+}
+
+/// Rounds per backend: enough for E-STM to lose an update on a loaded
+/// host, where a single round may not overlap two compositions at all.
+const ROUNDS: usize = 40;
+
+#[test]
+fn concurrent_composed_adds_lose_updates_only_without_outheritance() {
+    let estm = Atomic::new(OeStm::estm_compat());
+    let lost: Vec<usize> = (0..ROUNDS)
+        .map(|_| lost_updates(&estm))
+        .take_while(|&l| l == 0)
+        .collect();
+    assert!(
+        lost.len() < ROUNDS,
+        "E-STM: {ROUNDS} rounds of neighbouring composed adds lost no update"
+    );
+    let oe = Atomic::new(OeStm::new());
+    for round in 0..ROUNDS {
+        assert_eq!(
+            lost_updates(&oe),
+            0,
+            "OE-STM lost an update in round {round}"
+        );
+    }
 }

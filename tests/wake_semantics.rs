@@ -22,10 +22,17 @@ use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::{wait, StmStats, TVar};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 
 /// Every backend in the registry — wake-on-commit must be uniform.
 const BACKENDS: [&str; 6] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boost"];
+
+/// Spin (yielding) until `ready` holds: the rendezvous with a thread
+/// that must have reached a state the test observes.
+fn wait_until(ready: impl Fn() -> bool) {
+    while !ready() {
+        std::thread::yield_now();
+    }
+}
 
 fn runner(backend: &str) -> Atomic<Backend> {
     Atomic::new(
@@ -120,8 +127,10 @@ fn blocked_retry_wakes_on_a_committing_writer_every_backend() {
                     Ok(g)
                 })
             });
-            // Let the consumer reach its park, then open the gate.
-            std::thread::sleep(Duration::from_millis(2));
+            // Open the gate once the consumer has parked: a park is filed
+            // after registration and re-validation, so a commit from here
+            // on deposits the token or is seen by the next attempt.
+            wait_until(|| at.stats().retry_parks >= 1);
             at.run(Policy::Regular, |tx| tx.set(&gate, 7));
             consumer.join().expect("consumer thread")
         });
@@ -156,7 +165,16 @@ fn one_commit_wakes_the_whole_parked_crowd() {
                 })
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(3));
+        // Commit once every waiter has had time to park, on average
+        // PARKS times — the parks of a waiting run lengthen with each
+        // re-park (20 µs up to 320 µs), so by then the crowd mostly
+        // sleeps — and the whole crowd is registered on the gate, so the
+        // commit's notify deposits a token with each of them.
+        const PARKS: u64 = 8;
+        wait_until(|| {
+            at.stats().retry_parks >= PARKS * CROWD as u64
+                && wait::registered_waiters(gate.core().id()) == CROWD
+        });
         at.run(Policy::Regular, |tx| tx.set(&gate, 1));
         for w in waiters {
             assert_eq!(w.join().expect("waiter thread"), 1);
