@@ -88,9 +88,13 @@ impl<T: Default> Arena<T> {
 
     /// Allocate a slot and return its index. The node's contents are
     /// whatever the previous user left (fresh slots hold `T::default()`);
-    /// callers initialize fields through their own protocol (typically
-    /// transactional writes, so the initialization publishes atomically
-    /// with the linking write).
+    /// callers initialize fields through their own protocol. A field that
+    /// never changes while the slot is reachable (a list node's key) is a
+    /// plain store made before the first link to the slot is written: no
+    /// pinned traverser can reach a slot this returns, and the linking
+    /// commit's `Release` store publishes it. Fields that change while
+    /// published are written transactionally, so their initialization
+    /// publishes atomically with the linking write.
     pub fn alloc(&self) -> u64 {
         if let Some(idx) = self.free.pop() {
             return idx;

@@ -6,12 +6,14 @@
 //! paper shows the skip-list sibling): a sorted singly linked list with a
 //! head sentinel, where
 //!
-//! * `contains`/`add`/`remove` traverse with transactional reads — under an
+//! * `contains`/`add`/`remove` traverse with one transactional read per
+//!   node, its `next` (a key is a plain word, see [`ListNode`]) — under an
 //!   *elastic* transaction only the immediate past reads stay protected,
 //!   so long traversals don't conflict with updates behind them;
-//! * `add` links a fresh node; the reads that locate the insertion point
-//!   (`pred.next`, `curr.key`) are exactly the transaction's elastic window
-//!   at its first write, so hardening protects them through commit;
+//! * `add` links a fresh node; the two links that locate the insertion
+//!   point (pred's predecessor link and `pred.next`) are exactly the
+//!   transaction's elastic window at its first write, so hardening
+//!   protects them through commit;
 //! * `remove` writes the **dead marker** into the removed node's `next` and
 //!   redirects the predecessor *in the same transaction*. The dead marker
 //!   creates the write-write overlap that makes adjacent removals conflict
@@ -41,15 +43,34 @@
 use crate::arena::Arena;
 use crate::noderef::NodeRef;
 use crate::set::OpScratch;
+use core::sync::atomic::{AtomicI64, Ordering};
 use stm_core::{Abort, AbortReason, TVar, Transaction};
 
-/// One sorted-list node. Both fields are transactional: `key` is written
-/// once per (re)use of the slot but must be read under the STM protocol so
-/// that slot reuse is always detected by validation.
+/// One sorted-list node: a plain key and a transactional link.
+///
+/// The key is written once per use of the slot, before any link to the
+/// slot is, and cannot change while a pinned traverser can reach the slot.
+/// So it is an ordinary atomic word, stored and loaded without the STM,
+/// and a traversal step costs one transactional read (`next`). Why a plain
+/// load sees the right key:
+///
+/// * a slot's key is stored only while no pinned traverser can reach the
+///   slot: a fresh slot, one freed unpublished after an abort
+///   ([`Arena::free_unpublished`]), or one retired and collected after
+///   every guard pinned at retirement dropped ([`Arena::retire`]);
+/// * the key store is sequenced before the commit that links the slot,
+///   whose link store is a `Release`, and a traverser reaches the slot only
+///   through a link it loaded with `Acquire` (`read_consistent`, or the
+///   owner's own buffered write), so the link publishes the key;
+/// * every caller of the building blocks pins an epoch guard around the
+///   whole operation (`SetExt`, `TxQueue`'s wrappers, `compose`, `txkv`).
+///
+/// Every link stays a `TVar`: reads and writes of `next` are what the STM
+/// validates.
 #[derive(Debug)]
 pub struct ListNode {
     /// The element stored at this node (head sentinels hold `i64::MIN`).
-    pub key: TVar<i64>,
+    key: AtomicI64,
     /// Link to the successor; a dead marker (still carrying the successor,
     /// see [`NodeRef::dead`]) once the node is removed.
     pub next: TVar<NodeRef>,
@@ -58,9 +79,26 @@ pub struct ListNode {
 impl Default for ListNode {
     fn default() -> Self {
         Self {
-            key: TVar::new(0),
+            key: AtomicI64::new(0),
             next: TVar::new(NodeRef::NULL),
         }
+    }
+}
+
+impl ListNode {
+    /// The node's key. `Relaxed` suffices: the `Acquire` load of the link
+    /// that led here pairs with the linking commit's `Release` store, which
+    /// follows the key store (see the type docs).
+    #[inline]
+    pub(crate) fn key(&self) -> i64 {
+        self.key.load(Ordering::Relaxed)
+    }
+
+    /// Set the key of a slot no traverser can reach: freshly allocated and
+    /// not yet linked. The commit that links it publishes the key.
+    #[inline]
+    pub(crate) fn set_key(&self, key: i64) {
+        self.key.store(key, Ordering::Relaxed);
     }
 }
 
@@ -98,8 +136,9 @@ pub(crate) fn check_key(key: i64) {
 /// successor. Aborts with [`AbortReason::StepBound`] if the walk runs
 /// longer than any consistent list could be (defensive termination bound).
 ///
-/// A step of the walk is two transactional reads of one node, resolved in
-/// the arena once; both repairs live in `#[cold]` helpers.
+/// A step of the walk resolves one node in the arena and makes one
+/// transactional read of it (`next`) and one plain load (`key`, see
+/// [`ListNode`]); both repairs live in `#[cold]` helpers.
 pub fn find<'e, T: Transaction<'e>>(
     arena: &'e Arena<ListNode>,
     head: u64,
@@ -115,7 +154,7 @@ pub fn find<'e, T: Transaction<'e>>(
     let mut pred = head;
     // `pred`'s key, tracked by value. Keys ascend strictly along `next`
     // links in every committed state and are immutable while a slot is
-    // published (epoch pinning blocks reuse mid-walk), so observing
+    // reachable (epoch pinning blocks reuse mid-walk), so observing
     // `curr.key <= pred.key` proves a relaxed backend committed stale
     // redirects — the shape that can close a cycle and turn the step
     // bound into a permanent livelock. Such nodes are unlinked on sight.
@@ -135,7 +174,7 @@ pub fn find<'e, T: Transaction<'e>>(
             }
             let c = curr.index();
             let node = arena.get(c);
-            let ck = tx.read(&node.key)?;
+            let ck = node.key();
             if ck >= key {
                 return Ok(Find {
                     pred,
@@ -241,10 +280,12 @@ pub fn add_in<'e, T: Transaction<'e>>(
     let n = arena.alloc();
     scratch.allocated.push(n);
     let node = arena.get(n);
+    // The slot is unreachable until the link below commits: its key is a
+    // plain store, made before any link to it is written (see `ListNode`).
+    node.set_key(key);
     // First write: the transaction hardens here; the elastic window is
-    // exactly {pred.next, curr.key}, so the insertion point is protected
-    // from now until commit.
-    tx.write(&node.key, key)?;
+    // exactly {pred's predecessor link, pred.next}, so the insertion point
+    // is protected from now until commit.
     tx.write(&node.next, f.curr)?;
     tx.write(&arena.get(f.pred).next, NodeRef::node(n))?;
     Ok(true)
@@ -272,12 +313,14 @@ pub fn remove_in<'e, T: Transaction<'e>>(
         // Concurrently removed; linearize after that removal.
         return Ok(false);
     }
-    // Logical delete; hardens the transaction with {curr.key, curr.next}
+    // Logical delete; hardens the transaction with {pred.next, curr.next}
     // protected. The marker keeps `cnext` recoverable so a traverser stuck
     // behind a redirect-less commit (relaxed backends) can repair past it.
     tx.write(&arena.get(c).next, NodeRef::dead(cnext))?;
-    // Re-read the predecessor link under full protection (the elastic
-    // window may have evicted it during the curr.next read).
+    // Re-read the predecessor link, now under full protection. It was
+    // still windowed at the hardening write, so an attempt that can commit
+    // reads `f.curr` back; anything else ends a doomed attempt here rather
+    // than at commit.
     let pn = tx.read(&arena.get(f.pred).next)?;
     if pn != f.curr {
         // Somebody inserted before curr or removed pred: retry.
@@ -338,7 +381,7 @@ pub fn snapshot_in<'e, T: Transaction<'e>>(
             curr = curr.successor();
         } else {
             let node = arena.get(curr.index());
-            out.push(tx.read(&node.key)?);
+            out.push(node.key());
             curr = tx.read(&node.next)?;
         }
         steps += 1;
@@ -355,7 +398,7 @@ pub fn snapshot_in<'e, T: Transaction<'e>>(
 /// setup).
 pub fn new_sentinel(arena: &Arena<ListNode>) -> u64 {
     let head = arena.alloc();
-    arena.get(head).key.store_atomic(i64::MIN, 0);
+    arena.get(head).set_key(i64::MIN);
     arena.get(head).next.store_atomic(NodeRef::NULL, 0);
     head
 }
@@ -365,6 +408,7 @@ mod tests {
     use super::*;
     use oe_stm::OeStm;
     use stm_core::api::{Atomic, Policy};
+    use stm_core::trace::{TraceOp, TraceSink, TraceStamp};
 
     fn build(keys: &[i64]) -> (Arena<ListNode>, u64, Atomic<OeStm>) {
         let at = Atomic::new(OeStm::new());
@@ -545,5 +589,150 @@ mod tests {
         assert_eq!(n, seq.size());
         let snap = at.run(Policy::Regular, |tx| snapshot_in(&arena, head, tx));
         assert!(snap.iter().copied().eq((1..=KEYS).map(|i| 2 * i)));
+    }
+
+    /// The key is in the slot before the link to it is buffered: the
+    /// transaction that inserts a node walks onto it by key straight away.
+    #[test]
+    fn a_transaction_finds_the_node_it_just_inserted() {
+        for policy in [Policy::Regular, Policy::Elastic] {
+            let (arena, head, at) = build(&[2, 8]);
+            let mut scratch = OpScratch::default();
+            let n = at.run(policy, |tx| {
+                assert!(add_in(&arena, head, tx, 5, &mut scratch)?);
+                let n = *scratch.allocated.last().expect("the add allocated");
+                let f = find(&arena, head, tx, 5)?;
+                assert_eq!((f.curr_key, f.curr.index()), (Some(5), n), "{policy:?}");
+                assert!(!add_in(&arena, head, tx, 5, &mut scratch)?, "{policy:?}");
+                assert!(add_in(&arena, head, tx, 6, &mut scratch)?);
+                let f = find(&arena, head, tx, 6)?;
+                assert_eq!((f.pred, f.curr_key), (n, Some(6)), "{policy:?}");
+                Ok(n)
+            });
+            let snap = at.run(Policy::Regular, |tx| snapshot_in(&arena, head, tx));
+            assert_eq!(snap, vec![2, 5, 6, 8], "{policy:?}");
+            assert_eq!(slot_of(&arena, head, &at, 5), n);
+        }
+    }
+
+    /// Insert `key` as its own operation; returns the slot it took.
+    fn insert(arena: &Arena<ListNode>, head: u64, at: &Atomic<OeStm>, key: i64) -> u64 {
+        let _guard = crate::arena::pin();
+        let mut scratch = OpScratch::default();
+        assert!(at.run(Policy::Elastic, |tx| {
+            for n in scratch.allocated.drain(..) {
+                arena.free_unpublished(n);
+            }
+            add_in(arena, head, tx, key, &mut scratch)
+        }));
+        scratch.allocated[0]
+    }
+
+    /// Remove `key` as its own operation: commit, then retire the slot.
+    fn remove(arena: &Arena<ListNode>, head: u64, at: &Atomic<OeStm>, key: i64) {
+        let guard = crate::arena::pin();
+        let mut scratch = OpScratch::default();
+        assert!(at.run(Policy::Elastic, |tx| {
+            scratch.unlinked.clear();
+            remove_in(arena, head, tx, key, &mut scratch)
+        }));
+        for idx in scratch.unlinked.drain(..) {
+            arena.retire(idx, &guard);
+        }
+        guard.flush();
+    }
+
+    /// A removed node's slot keeps its key, and is not reissued, while a
+    /// guard pinned before the removal lives; once that guard is gone the
+    /// slot comes back with its new node's key.
+    #[test]
+    fn a_reused_slot_changes_its_key_only_after_older_guards_unpin() {
+        use std::sync::mpsc;
+        const K: i64 = 50;
+        let (arena, head, at) = build(&[10, K, 90]);
+        let (slot_tx, slot_rx) = mpsc::channel();
+        let (churned_tx, churned_rx) = mpsc::channel::<()>();
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let slot = std::thread::scope(|s| {
+            // A traverser pinned before the removal, holding the slot its
+            // walk found for K.
+            let (arena, at) = (&arena, &at);
+            s.spawn(move || {
+                let guard = crate::arena::pin();
+                let slot = at.run(Policy::Elastic, |tx| {
+                    Ok(find(arena, head, tx, K)?.curr.index())
+                });
+                slot_tx.send(slot).unwrap();
+                churned_rx.recv().unwrap();
+                seen_tx.send(arena.get(slot).key()).unwrap();
+                drop(guard);
+            });
+            let slot = slot_rx.recv().unwrap();
+            remove(arena, head, at, K);
+            crate::arena::quiesce();
+            for k in 100..300 {
+                assert_ne!(insert(arena, head, at, k), slot, "reissued under a guard");
+                assert_eq!(arena.get(slot).key(), K, "rekeyed under a guard");
+            }
+            churned_tx.send(()).unwrap();
+            assert_eq!(seen_rx.recv().unwrap(), K, "the traverser saw a new key");
+            slot
+        });
+        // The traverser has unpinned. Other tests of this binary pin too
+        // and can hold the collection back for a moment: poll, bounded.
+        let came_back = (300..1300).find(|&k| {
+            crate::arena::quiesce();
+            std::thread::yield_now();
+            insert(&arena, head, &at, k) == slot
+        });
+        let k = came_back.expect("the slot never came back");
+        assert_eq!(arena.get(slot).key(), k);
+        assert_eq!(slot_of(&arena, head, &at, k), slot);
+    }
+
+    /// Counts the read events a traced backend reports.
+    #[derive(Default)]
+    struct ReadEvents(core::sync::atomic::AtomicU64);
+
+    impl TraceSink for ReadEvents {
+        fn begin(&self, _: TraceStamp, _: u64, _: u64) {}
+        fn op(&self, _: u64, _: u64, _: usize, op: TraceOp) {
+            if matches!(op, TraceOp::Read(_)) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        fn acquire(&self, _: u64, _: u64, _: usize) {}
+        fn release(&self, _: u64, _: u64, _: usize) {}
+        fn commit(&self, _: u64, _: u64) {}
+        fn abort(&self, _: u64, _: u64) {}
+    }
+
+    /// A `contains` that walks `n` nodes makes `n + 1` transactional reads:
+    /// the head's link and each node's `next`, never a key.
+    #[test]
+    fn a_traversal_step_is_one_transactional_read() {
+        use crate::hashset::HashSet;
+        use crate::linkedlist::LinkedListSet;
+        use crate::set::SetExt;
+
+        const N: i64 = 20;
+        let sink = std::sync::Arc::new(ReadEvents::default());
+        let at = Atomic::new(OeStm::new().with_trace(sink.clone()));
+        let list = LinkedListSet::new();
+        // Four buckets; every key is 1 mod 4, so all N share bucket 1.
+        let hash = HashSet::new(4);
+        for i in 1..=N {
+            assert!(list.add(&at, i));
+            assert!(hash.add(&at, 4 * i + 1));
+        }
+        let reads = |contains: &dyn Fn() -> bool| {
+            sink.0.store(0, Ordering::Relaxed);
+            assert!(!contains(), "the probe is past the last key");
+            sink.0.load(Ordering::Relaxed)
+        };
+        let n = N as u64;
+        assert_eq!(reads(&|| list.contains(&at, N + 1)), n + 1, "list");
+        assert_eq!(reads(&|| hash.contains(&at, 4 * N + 5)), n + 1, "bucket");
+        assert_eq!(core::mem::size_of::<ListNode>(), 24, "a key and a link");
     }
 }

@@ -47,7 +47,6 @@ impl TxQueue {
     pub fn new() -> Self {
         let arena: Arena<ListNode> = Arena::new();
         let head = arena.alloc();
-        arena.get(head).key.store_atomic(0, 0);
         arena.get(head).next.store_atomic(NodeRef::NULL, 0);
         Self {
             arena,
@@ -75,7 +74,9 @@ impl TxQueue {
         let n = self.arena.alloc();
         pending.push(n);
         let node = self.node(n);
-        tx.write(&node.key, value)?;
+        // A plain store before the tail link to the slot is written (see
+        // `ListNode`).
+        node.set_key(value);
         tx.write(&node.next, NodeRef::NULL)?;
         let t = tx.read(&self.tail)?;
         tx.write(&self.node(t).next, NodeRef::node(n))?;
@@ -101,7 +102,7 @@ impl TxQueue {
             return Ok(None);
         }
         let f = first.index();
-        let value = tx.read(&self.node(f).key)?;
+        let value = self.node(f).key();
         let rest = tx.read(&self.node(f).next)?;
         if rest.is_dead() {
             return Err(Abort::new(AbortReason::Explicit));
@@ -131,7 +132,7 @@ impl TxQueue {
         if first.is_null() {
             return Ok(None);
         }
-        Ok(Some(tx.read(&self.node(first.index()).key)?))
+        Ok(Some(self.node(first.index()).key()))
     }
 
     /// Element count inside an ambient transaction (atomic under a

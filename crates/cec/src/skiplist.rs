@@ -36,7 +36,14 @@ use stm_core::{Abort, AbortReason, TVar, Transaction};
 pub const MAX_LEVEL: usize = 16;
 
 /// One skip-list node: a key, its tower height, and one link per level.
-/// All fields are transactional so slot reuse is always detected.
+///
+/// All fields are transactional, the key included, although the argument
+/// that lets a list node's key be a plain word (see
+/// [`ListNode`](crate::listcore::ListNode)) would carry over. It stays a
+/// `TVar` for now: OE-STM still loses updates on this structure under
+/// concurrent uncomposed ops (the list and the hash set never do), the
+/// fault is in the elastic window at link-in, and a plain key would change
+/// what that window holds. The key can leave the STM once that is fixed.
 #[derive(Debug)]
 pub struct SkipNode {
     key: TVar<i64>,

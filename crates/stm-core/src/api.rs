@@ -73,11 +73,10 @@
 //! call through `&mut dyn DynTransaction` that returns its
 //! `Result<u64, Abort>` through memory, so code generic over
 //! [`Transaction`] cannot inline it under the facade and spills its loop
-//! state around every call. A long traversal feels that (the sorted
-//! list's `find` makes two reads per node: ≈ 2–3 µs over the ≈ 4 100
-//! reads of a 2 050-node walk, about a tenth of the op), an 8-read hash
-//! operation does not (≈ 4 ns). See DESIGN.md, "API layers: facade vs
-//! SPI".
+//! state around every call. A long traversal feels that most (the
+//! sorted list's `find` makes one read per node, ≈ 2 050 over the
+//! benchmark's list walk), an 8-read hash operation hardly (≈ 4 ns).
+//! See DESIGN.md, "API layers: facade vs SPI".
 //!
 //! ```text
 //! let at = Atomic::new(backend_registry().build_default("oe")?);

@@ -450,6 +450,34 @@ mod tests {
         assert_eq!(ks.get(&at, b), None);
     }
 
+    /// Two absent keys on one shard and one bucket, inserted by one MULTI:
+    /// the second section walks past the node the first just linked and
+    /// must read its key, and a third section finds the first key again.
+    #[test]
+    fn multi_finds_the_nodes_its_earlier_sections_inserted() {
+        let ks = KeySpace::new(ShardKind::Hash, 8, 4096);
+        let at = oe();
+        let lo = 3i64;
+        let hi = (1..64)
+            .map(|j| lo + j * SHARD_HASH_BUCKETS as i64)
+            .find(|&k| ks.shard_of(k) == ks.shard_of(lo))
+            .expect("some key of lo's bucket lands on lo's shard");
+        let mut seen = None;
+        let changed = ks.multi(&at, &[hi, lo, hi], |i, cur| match i {
+            0 => MultiOp::Put(10),
+            1 => MultiOp::Put(20),
+            _ => {
+                seen = Some(cur);
+                MultiOp::Keep
+            }
+        });
+        assert_eq!(changed, 2);
+        assert_eq!(seen, Some(Some(10)), "the third section found hi");
+        assert_eq!(ks.get(&at, lo), Some(20));
+        assert_eq!(ks.get(&at, hi), Some(10));
+        assert_eq!(ks.len(&at), 2);
+    }
+
     #[test]
     fn get_or_insert_takes_the_or_else_path_once() {
         let ks = KeySpace::new(ShardKind::Hash, 2, 32);
