@@ -1,7 +1,7 @@
 //! Ablation: what does outheritance itself cost, and what does elasticity
 //! buy?
 //!
-//! Three comparisons on the Fig. 6 (linked list) workload:
+//! Two comparisons on the Fig. 6 (linked list) workload:
 //!
 //! 1. **OE-STM vs E-STM** on the composed workload — the price of the
 //!    `outherit()` bookkeeping (merging child windows into the parent's
@@ -10,8 +10,6 @@
 //! 2. **OE-STM vs E-STM on a composition-free workload** (0% composed) —
 //!    both behave identically there; any difference is framework noise,
 //!    bounding the cost of having outheritance "on" when unused.
-//! 3. **Elastic window size sweep** (2, 4, 8) — how much relaxation the
-//!    window grants (larger windows protect more, relax less).
 
 use bench::harness::{prefill, run_fixed};
 use bench::workload::{Mix, DEFAULT_INITIAL_SIZE, DEFAULT_SEED};
@@ -20,7 +18,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oe_stm::OeStm;
 use std::time::Duration;
 use stm_core::api::Atomic;
-use stm_core::StmConfig;
 
 const OPS: u64 = 300;
 const THREADS: usize = 4;
@@ -79,19 +76,6 @@ fn ablation(c: &mut Criterion) {
         &Atomic::new(OeStm::estm_compat()),
         flat,
     );
-
-    // 3. Elastic window sweep.
-    for window in [2usize, 4, 8] {
-        let stm = Atomic::new(OeStm::with_config(
-            StmConfig::default().with_elastic_window(window),
-        ));
-        bench_case(
-            &mut group,
-            BenchmarkId::new("window", window),
-            &stm,
-            composed,
-        );
-    }
     group.finish();
 }
 

@@ -30,12 +30,15 @@
 //! word-STM histories only ever contain register reads and writes, so
 //! nothing is lost on recorder output.
 //!
+//! A child whose provisional commit was revoked by its attempt's abort
+//! (both a commit and an abort event) counts as aborted throughout.
+//!
 //! The witness search is a DFS over serialization prefixes with immediate
-//! replay pruning and memoization on (chosen set, object states) — unlike
-//! the exhaustive permutation search in [`crate::search`], it stays
-//! tractable on fuzzer-sized histories (tens of transactions), and it
-//! tries transactions in commit order first, so the common correct case
-//! confirms in near-linear time.
+//! replay pruning and memoization on (chosen set, object states): it
+//! stays tractable on fuzzer-sized histories (tens of transactions), and
+//! it tries transactions in commit order first, so the common correct
+//! case confirms in near-linear time. It is also the workspace's one
+//! serializability check ([`is_serializable`](crate::search::is_serializable)).
 
 use crate::event::{Event, ObjId, ObjState, OpKind, TxId, Val};
 use crate::history::History;
@@ -94,7 +97,7 @@ type ReplayOp = (ObjId, OpKind, Val);
 /// `ghost` is given, that aborted transaction reduced to its external
 /// reads — that is consistent with `<H` and legal under the serial
 /// specifications?
-fn serializes(h: &History, ghost: Option<TxId>) -> bool {
+pub(crate) fn serializes(h: &History, ghost: Option<TxId>) -> bool {
     let committed = h.committed();
     let aborted = h.aborted();
     // Units in commit order (the natural witness order); a transaction

@@ -15,8 +15,8 @@
 //!   specification), or `<H ⊆ <S` (a transaction beginning before a
 //!   `<H`-predecessor committed). An `accept` predicate then filters for
 //!   the composability conditions.
-//! * [`is_serializable`] enumerates permutations of the committed
-//!   transactions consistent with `<H` and replays them serially.
+//! * [`is_serializable`] is the opacity checker's memoised serialization
+//!   search over the committed transactions (see [`crate::opacity`]).
 //!
 //! One restriction, documented for honesty: witnesses are searched within
 //! the *protection structure* of `H` (`S` reuses `H`'s acquire/release
@@ -165,84 +165,14 @@ pub fn is_relax_serializable(h: &History) -> bool {
     find_relax_serial_witness(h, |_| true).is_some()
 }
 
-/// Is `h` (strictly) serializable? Enumerates permutations of the
-/// committed transactions consistent with `<H` and replays each serially
-/// against the objects' serial specifications.
+/// Is `h` (strictly) serializable? There must be a total order of the
+/// committed transactions, consistent with `<H`, whose serial replay
+/// matches every recorded response. A child whose provisional commit was
+/// revoked (it has both a commit and an abort event) counts as aborted,
+/// as in [`check_opacity`](crate::opacity::check_opacity).
 #[must_use]
 pub fn is_serializable(h: &History) -> bool {
-    let hp = h.committed_projection();
-    let txs: Vec<TxId> = hp.committed().into_iter().collect();
-    let order = h.partial_order();
-    let tx_events: HashMap<TxId, Vec<Event>> = txs
-        .iter()
-        .map(|&t| {
-            (
-                t,
-                hp.events
-                    .iter()
-                    .copied()
-                    .filter(|e| e.tx() == t && matches!(e, Event::Op { .. }))
-                    .collect(),
-            )
-        })
-        .collect();
-
-    fn perms(
-        remaining: &mut Vec<TxId>,
-        chosen: &mut Vec<TxId>,
-        order: &BTreeSet<(TxId, TxId)>,
-        check: &mut dyn FnMut(&[TxId]) -> bool,
-    ) -> bool {
-        if remaining.is_empty() {
-            return check(chosen);
-        }
-        for i in 0..remaining.len() {
-            let t = remaining[i];
-            // t may come next only if all <H-predecessors already chosen.
-            let ok = order
-                .iter()
-                .filter(|&&(_, b)| b == t)
-                .all(|&(a, _)| chosen.contains(&a) || !remaining.contains(&a));
-            if !ok {
-                continue;
-            }
-            remaining.swap_remove(i);
-            chosen.push(t);
-            if perms(remaining, chosen, order, check) {
-                return true;
-            }
-            chosen.pop();
-            remaining.push(t);
-            let last = remaining.len() - 1;
-            remaining.swap(i, last);
-        }
-        false
-    }
-
-    let mut remaining = txs.clone();
-    let mut chosen = Vec::new();
-    perms(
-        &mut remaining,
-        &mut chosen,
-        &order,
-        &mut |seq: &[TxId]| {
-            let mut states: BTreeMap<ObjId, ObjState> =
-                hp.objects.iter().map(|(&o, &k)| (o, k.initial())).collect();
-            for t in seq {
-                for e in &tx_events[t] {
-                    if let Event::Op { o, op, val, .. } = *e {
-                        let Some(s) = states.get_mut(&o) else {
-                            return false;
-                        };
-                        if !s.step(op, val) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            true
-        },
-    )
+    crate::opacity::serializes(h, None)
 }
 
 #[cfg(test)]

@@ -496,83 +496,4 @@ mod tests {
         assert_eq!(OeStm::new().name(), "OE-STM");
         assert_eq!(OeStm::estm_compat().name(), "E-STM");
     }
-
-    #[test]
-    fn explicit_retry_is_not_a_conflict_abort_in_both_modes() {
-        // The facade's user-level retry must propagate through the OE
-        // retry loop — in outheriting mode AND in the E-STM compatibility
-        // mode — and land in its own statistics category, even when the
-        // retry is raised inside an elastic child.
-        for stm in [OeStm::new(), OeStm::estm_compat()] {
-            let v = TVar::new(0u64);
-            let mut retried = false;
-            stm.run(TxKind::Elastic, |tx| {
-                tx.child(TxKind::Elastic, |tx| {
-                    let cur = tx.read(&v)?;
-                    tx.write(&v, cur + 5)?;
-                    if !retried {
-                        retried = true;
-                        return tx.retry();
-                    }
-                    Ok(())
-                })
-            });
-            assert_eq!(v.load_atomic(), 5, "{}", stm.name());
-            let snap = stm.stats();
-            assert_eq!(snap.commits, 1, "{}", stm.name());
-            assert_eq!(snap.explicit_retries(), 1, "{}", stm.name());
-            assert_eq!(
-                snap.aborts(),
-                0,
-                "{}: retry counted as conflict",
-                stm.name()
-            );
-            assert_eq!(snap.retry_parks, 1, "{}: retry must park", stm.name());
-            assert_eq!(snap.cm_waits(), 0, "{}: waits are unpaced", stm.name());
-        }
-    }
-
-    #[test]
-    fn waiting_retries_are_not_charged_against_a_bounded_budget() {
-        // max_retries = 1 conflict, but FOUR precondition waits then a
-        // commit: a wait is not a loss, so the run must not exhaust.
-        // Exercised in both registry modes, with the read held in the
-        // elastic window (the wait path must fold it into the read set).
-        for stm in [
-            OeStm::with_config(StmConfig::default().with_max_retries(1)),
-            OeStm::estm_compat_with_config(StmConfig::default().with_max_retries(1)),
-        ] {
-            let v = TVar::new(0u64);
-            let mut waits_left = 4;
-            let r = stm.try_run(TxKind::Elastic, |tx| {
-                let x = tx.read(&v)?;
-                if waits_left > 0 {
-                    waits_left -= 1;
-                    return tx.retry();
-                }
-                tx.write(&v, x + 1)
-            });
-            assert!(r.is_ok(), "{}: waits charged: {r:?}", stm.name());
-            assert_eq!(v.load_atomic(), 1, "{}", stm.name());
-            let snap = stm.stats();
-            assert_eq!(snap.explicit_retries(), 4, "{}", stm.name());
-            assert_eq!(snap.retry_parks, 4, "{}", stm.name());
-            assert_eq!(snap.cm_waits(), 0, "{}", stm.name());
-        }
-    }
-
-    #[test]
-    fn empty_read_set_retry_is_would_block_forever() {
-        // retry() before reading anything: no commit could ever wake
-        // it, so the run ends with the distinct error instead of
-        // parking until a watchdog kills it.
-        for stm in [OeStm::new(), OeStm::estm_compat()] {
-            let r: Result<(), _> = stm.try_run(TxKind::Elastic, |tx| tx.retry());
-            assert!(
-                matches!(r, Err(RunError::WouldBlockForever { attempts: 1 })),
-                "{}: {r:?}",
-                stm.name()
-            );
-        }
-    }
 }

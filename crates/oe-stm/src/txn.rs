@@ -16,9 +16,9 @@ use crate::window::Window;
 /// Saved parent state across a child transaction (one nesting frame).
 ///
 /// The parent's window is parked here *by value*: [`Window`] is a
-/// fixed-capacity inline ring, so saving and restoring it moves a couple
-/// hundred bytes on the stack instead of allocating a `Vec` per child —
-/// composition stays on the allocation-free hot path.
+/// two-slot inline ring, so saving and restoring it moves a few words on
+/// the stack instead of allocating a `Vec` per child — composition stays
+/// on the allocation-free hot path.
 #[derive(Debug)]
 struct Frame<'env> {
     saved_mode: TxKind,
@@ -183,7 +183,7 @@ impl<'env> OeTxn<'env> {
             rv: 0,
             at: Attempt::new(stm.config(), stm.counters()),
             scratch: OeScratch::acquire(),
-            window: Window::new(stm.config().elastic_window),
+            window: Window::new(),
             top_kind: kind,
             mode: kind,
             hardened: kind == TxKind::Regular,
@@ -384,11 +384,10 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
     /// hardening flag and window are parked in a `Frame` until
     /// [`child_commit`](Transaction::child_commit).
     fn child_enter(&mut self, kind: TxKind) -> Result<(), Abort> {
-        let fresh = Window::new(self.stm.config().elastic_window);
         self.scratch.push_frame(Frame {
             saved_mode: self.mode,
             saved_hardened: self.hardened,
-            saved_window: core::mem::replace(&mut self.window, fresh),
+            saved_window: core::mem::replace(&mut self.window, Window::new()),
             read_mark: self.scratch.base.reads.len(),
         });
         self.mode = kind;

@@ -14,34 +14,33 @@
 //! > the child to the parent transaction would make transactional
 //! > boosting satisfy outheritance and therefore provide composition."
 //!
-//! This crate implements exactly that sentence:
+//! This crate implements exactly that sentence, with one transaction:
 //!
 //! * [`BaseSet`] — a linearizable concurrent integer set (lock-striped),
 //!   standing in for the "separate thread-safe library";
 //! * [`AbstractLocks`] — per-key two-phase abstract locks;
-//! * [`BoostedSet`] / [`BoostTxn`] — boosted transactions whose updates
-//!   apply eagerly to the base set, log compensations (`add(k)` ↦
-//!   `remove(k)` and vice versa), and hold abstract locks until commit;
-//! * composition with a switch: with **outheritance on** a committing
-//!   child passes its locks *and compensations* to the parent (atomic
-//!   composition — the parent can still undo the child); with
-//!   **outheritance off** the child releases its locks at child commit,
-//!   reproducing the open-nesting-style composition hazard the paper
-//!   describes for Moss's model;
-//! * [`BoostStm`] — the same discipline at word granularity, implementing
-//!   the full [`Stm`](stm_core::Stm) SPI so boosting joins the
-//!   [`BackendRegistry`](stm_core::BackendRegistry) (name `"boost"`) and
-//!   runs every generic workload next to the four native STMs.
+//! * [`BoostStm`] / [`BoostTxn`] — the boosted transaction, run by the
+//!   shared `stm_core::driver` like every other backend: eager abstract
+//!   locks, in-place updates, one undo log, flat children whose locks and
+//!   undo entries stay with the attempt (outheritance). It implements the
+//!   [`Stm`](stm_core::Stm) SPI over plain words, so boosting joins the
+//!   [`BackendRegistry`](stm_core::BackendRegistry) (name `"boost"`);
+//! * [`BoostedSet`] — a boosted set whose `add`/`remove`/`contains` run
+//!   inside a [`BoostTxn`], logging compensations (`add(k)` ↦ `remove(k)`
+//!   and vice versa) in the same undo log as word writes;
+//! * [`BoostStm::open_nested`] — the contrast: a child commit releases
+//!   the child's locks and drops its undo entries, reproducing the
+//!   open-nesting composition hazard the paper describes for Moss's model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base;
 pub mod locks;
-pub mod txn;
-pub mod word;
+pub mod set;
+pub mod stm;
 
 pub use base::BaseSet;
 pub use locks::AbstractLocks;
-pub use txn::{BoostError, BoostTxn, BoostedSet};
-pub use word::{register_backends, BoostStm, BoostWordTxn};
+pub use set::BoostedSet;
+pub use stm::{register_backends, BoostStm, BoostTxn};

@@ -46,15 +46,6 @@ impl AbstractLocks {
         }
     }
 
-    /// Transfer ownership of `key` from `child` to `parent` — the
-    /// mechanical heart of outheritance for boosting.
-    pub fn pass_up(&self, key: i64, child: u64, parent: u64) {
-        let mut m = self.owners.lock();
-        if m.get(&key) == Some(&child) {
-            m.insert(key, parent);
-        }
-    }
-
     /// Current owner of `key` (diagnostics/tests).
     #[must_use]
     pub fn owner_of(&self, key: i64) -> Option<u64> {
@@ -90,15 +81,5 @@ mod tests {
         l.release(7, 1);
         assert_eq!(l.owner_of(7), None);
         assert!(l.try_acquire(7, 2));
-    }
-
-    #[test]
-    fn pass_up_transfers_ownership() {
-        let l = AbstractLocks::new();
-        assert!(l.try_acquire(7, 10)); // child
-        l.pass_up(7, 10, 1); // outherit to parent
-        assert_eq!(l.owner_of(7), Some(1));
-        assert!(!l.try_acquire(7, 10), "child no longer owns it");
-        assert!(l.try_acquire(7, 1), "parent does (reentrant)");
     }
 }

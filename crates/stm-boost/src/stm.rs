@@ -1,30 +1,33 @@
-//! A word-granular boosted STM — the registry-facing face of this crate.
+//! The boosted transaction — the crate's one runtime, run by
+//! `stm_core::driver::run` like every other backend.
 //!
-//! [`BoostedSet`](crate::BoostedSet) boosts a concrete data structure; this
-//! module applies the same discipline to plain transactional words so the
-//! boosting model can join the `BackendRegistry` and run every generic
-//! workload next to TL2/LSA/SwissTM/OE-STM:
+//! Boosting treats every object as a black box whose protection element
+//! is an [`AbstractLocks`] entry:
 //!
-//! * each [`TVarCore`] is treated as a black-box cell whose protection
-//!   element is an [`AbstractLocks`] entry keyed by the location identity;
+//! * a transactional word ([`TVarCore`]) locks its identity in the
+//!   [`BoostStm`]'s own table; a [`BoostedSet`](crate::BoostedSet) locks
+//!   its keys in the set's table. Each held lock is logged with its table;
 //! * locks are acquired *eagerly* at first touch, for reads and writes
-//!   alike (strict two-phase locking — the degenerate commutativity
-//!   specification in which no two operations on the same word commute);
-//! * writes apply in place immediately, logging the previous word as the
-//!   compensating operation; an abort replays the log backwards;
+//!   alike (strict two-phase locking — for words, the degenerate
+//!   commutativity specification in which no two operations on the same
+//!   word commute);
+//! * updates apply in place immediately. One undo log holds both word
+//!   undos (the previous word) and set compensations (`add(k)` ↦
+//!   `remove(k)` and vice versa), so one backwards replay unwinds both;
 //! * a conflicting acquisition aborts the requester on the spot, so lock
 //!   waits never form a cycle and the scheme is deadlock-free by
 //!   construction;
-//! * children nest flat: their locks and compensations stay with the
-//!   attempt, which trivially satisfies outheritance (the paper's
-//!   Section VIII reading of boosting — conflict information is passed to
-//!   the parent rather than dropped at child commit).
+//! * children nest flat: their locks and undo entries stay with the
+//!   attempt's ticket, so a committing child passes them to its parent
+//!   without a transfer step — the paper's Section VIII outheritance for
+//!   boosting, by construction. [`BoostStm::open_nested`] is the contrast.
 //!
 //! Because every access holds the abstract lock before touching the word,
 //! transactional loads and stores can use the unsynchronized primitives —
 //! mutual exclusion comes entirely from the abstract layer, exactly as in
 //! boosting, where the base structure's own synchronization is opaque.
 
+use crate::base::BaseSet;
 use crate::locks::AbstractLocks;
 use stm_core::clock::GlobalClock;
 use stm_core::driver::{self, Attempt, TxnEngine, WaitSet};
@@ -53,13 +56,14 @@ fn lock_key(core: &TVarCore) -> i64 {
     i64::from_ne_bytes((core.id() as u64).to_ne_bytes())
 }
 
-/// A word-based boosted STM instance (registry name `"boost"`).
+/// A boosted STM instance (registry name `"boost"`).
 #[derive(Debug, Default)]
 pub struct BoostStm {
     clock: GlobalClock,
     stats: StmStats,
     config: StmConfig,
     locks: AbstractLocks,
+    open_nested: bool,
 }
 
 impl BoostStm {
@@ -78,28 +82,85 @@ impl BoostStm {
         }
     }
 
-    /// The instance's abstract-lock table (diagnostics/tests).
+    /// Moss-style open nesting, the contrast to outheritance (not
+    /// registered): a child commit releases the abstract locks the child
+    /// took and drops its undo entries. A later parent abort cannot undo
+    /// the child, and foreign transactions may touch its keys before the
+    /// parent commits — the composition hazard the paper attributes to
+    /// open nesting ("no guarantees of atomicity are given"). An open
+    /// child's word writes reach neither the commit hook nor waiters.
+    #[must_use]
+    pub fn open_nested() -> Self {
+        Self {
+            open_nested: true,
+            ..Self::default()
+        }
+    }
+
+    /// The instance's abstract-lock table for words (diagnostics/tests).
     #[must_use]
     pub fn locks(&self) -> &AbstractLocks {
         &self.locks
     }
 }
 
-/// The per-run logs of a boosted word transaction, cleared (keeping
-/// capacity) for every attempt.
-#[derive(Default)]
-struct BoostLog<'env> {
-    /// Abstract-lock keys acquired by this attempt, in acquisition order.
-    held: Vec<i64>,
-    /// Compensation log: (location, previous word), in application order.
-    undo: Vec<(&'env TVarCore, u64)>,
-    /// First-touch read log — the attempt's wait footprint.
-    reads: ReadLog<'env>,
+/// How to undo one update applied in place.
+pub(crate) enum Undo<'env> {
+    /// Restore the word a write overwrote.
+    Word(&'env TVarCore, u64),
+    /// Remove the key a set `add` inserted.
+    Remove(&'env BaseSet, i64),
+    /// Re-insert the key a set `remove` deleted.
+    Add(&'env BaseSet, i64),
 }
 
-/// First-touch reads: (location, word observed). Boost has no version
-/// clock, so a parked `retry()` re-validates by *value* comparison
-/// against these observations.
+impl Undo<'_> {
+    fn apply(self) {
+        match self {
+            Undo::Word(core, old) => core.store_value(old),
+            Undo::Remove(base, key) => {
+                base.remove(key);
+            }
+            Undo::Add(base, key) => {
+                base.add(key);
+            }
+        }
+    }
+}
+
+/// The per-run logs of a boosted transaction, cleared (keeping capacity)
+/// for every attempt.
+#[derive(Default)]
+struct BoostLog<'env> {
+    /// Abstract locks acquired by this attempt, with their tables, in
+    /// acquisition order.
+    held: Vec<(&'env AbstractLocks, i64)>,
+    /// The undo log, in application order.
+    undo: Vec<Undo<'env>>,
+    /// First-touch word reads — the attempt's wait footprint.
+    reads: ReadLog<'env>,
+    /// Open nesting only: `(held, undo)` lengths at each open child's
+    /// entry.
+    marks: Vec<(usize, usize)>,
+}
+
+impl BoostLog<'_> {
+    /// Release every abstract lock taken since `held[from]`, newest first.
+    /// An attempt that has not drawn its ticket holds none.
+    fn release_from(&mut self, owner: Option<u64>, from: usize) {
+        let Some(ticket) = owner else {
+            debug_assert!(self.held.is_empty(), "abstract locks held without a ticket");
+            return;
+        };
+        for (table, key) in self.held.drain(from..).rev() {
+            table.release(key, ticket);
+        }
+    }
+}
+
+/// First-touch word reads: (location, word observed). Boost has no
+/// version clock, so a parked `retry()` re-validates by *value* comparison
+/// against these observations. Set keys are not wait locations.
 #[derive(Default)]
 pub struct ReadLog<'env>(Vec<(&'env TVarCore, u64)>);
 
@@ -117,46 +178,42 @@ impl WaitSet for ReadLog<'_> {
     }
 }
 
-/// One boosted word transaction: a single object per `run` call,
-/// restarted in place for every attempt.
-pub struct BoostWordTxn<'env> {
+/// One boosted transaction: a single object per `run` call, restarted in
+/// place for every attempt. Words are read and written through
+/// [`Transaction`]; a [`BoostedSet`](crate::BoostedSet)'s operations take
+/// it as their argument.
+pub struct BoostTxn<'env> {
     stm: &'env BoostStm,
     kind: TxKind,
     at: Attempt<'env>,
     log: BoostLog<'env>,
 }
 
-impl<'env> BoostWordTxn<'env> {
-    /// Acquire the abstract lock of `core` for this attempt, aborting on
-    /// conflict. Returns whether this was the attempt's first touch of the
-    /// location.
-    fn acquire(&mut self, core: &'env TVarCore) -> Result<bool, Abort> {
-        let key = lock_key(core);
-        if !self.stm.locks.try_acquire(key, self.at.ticket()) {
+impl<'env> BoostTxn<'env> {
+    /// Take `key`'s abstract lock in `table` for this attempt, aborting on
+    /// conflict. Returns whether this was the attempt's first touch of it.
+    pub(crate) fn lock(&mut self, table: &'env AbstractLocks, key: i64) -> Result<bool, Abort> {
+        if !table.try_acquire(key, self.at.ticket()) {
             return Err(Abort::new(AbortReason::LockConflict));
         }
-        if self.log.held.contains(&key) {
-            Ok(false)
-        } else {
-            self.log.held.push(key);
-            Ok(true)
+        let first = !self
+            .log
+            .held
+            .iter()
+            .any(|&(t, k)| k == key && core::ptr::eq(t, table));
+        if first {
+            self.log.held.push((table, key));
         }
+        Ok(first)
+    }
+
+    /// Log how to undo an update just applied in place.
+    pub(crate) fn log_undo(&mut self, undo: Undo<'env>) {
+        self.log.undo.push(undo);
     }
 }
 
-/// Release every abstract lock in `held` by `owner`, newest first. An
-/// attempt that has not drawn its ticket holds none.
-fn release_all(locks: &AbstractLocks, owner: Option<u64>, held: &mut Vec<i64>) {
-    let Some(ticket) = owner else {
-        debug_assert!(held.is_empty(), "abstract locks held without a ticket");
-        return;
-    };
-    for key in held.drain(..).rev() {
-        locks.release(key, ticket);
-    }
-}
-
-impl<'env> TxnEngine<'env> for BoostWordTxn<'env> {
+impl<'env> TxnEngine<'env> for BoostTxn<'env> {
     type Reads = ReadLog<'env>;
 
     fn attempt(&mut self) -> &mut Attempt<'env> {
@@ -167,44 +224,51 @@ impl<'env> TxnEngine<'env> for BoostWordTxn<'env> {
         self.log.held.clear();
         self.log.undo.clear();
         self.log.reads.0.clear();
+        self.log.marks.clear();
     }
 
-    /// Top-level commit: discard the compensation log and release every
-    /// abstract lock. Cannot fail — under strict 2PL the attempt owns all
-    /// of its locations, so there is nothing left to validate.
+    /// Top-level commit: discard the undo log and release every abstract
+    /// lock. Cannot fail — under strict 2PL the attempt owns everything it
+    /// touched, so there is nothing left to validate.
     fn try_commit(&mut self) -> Result<(), Abort> {
-        let (locks, owner) = (&self.stm.locks, self.at.owner());
+        let owner = self.at.owner();
         // The log appends one entry per write, so a location written
         // twice is reported twice — each time with its final committed
         // word (`value_unsync` is safe under the held abstract lock); a
         // repeated notification finds no live waiter and is harmless.
-        // Boost never ticks the clock; the record's version is the
-        // advisory 0.
-        let len = self.log.undo.len();
+        // Set compensations are not words and are not reported. Boost
+        // never ticks the clock; the record's version is the advisory 0.
+        let words = self
+            .log
+            .undo
+            .iter()
+            .filter(|u| matches!(u, Undo::Word(..)))
+            .count();
         self.at.publish(
             0,
             &mut self.log,
-            len,
+            words,
             |log, f| {
-                log.undo
-                    .iter()
-                    .for_each(|(core, _)| f(core.id(), core.value_unsync()));
+                for undo in &log.undo {
+                    if let Undo::Word(core, _) = undo {
+                        f(core.id(), core.value_unsync());
+                    }
+                }
             },
             |log| {
                 log.undo.clear();
-                release_all(locks, owner, &mut log.held);
+                log.release_from(owner, 0);
             },
         );
         Ok(())
     }
 
-    /// Replay the compensation log backwards, then release every abstract
-    /// lock.
+    /// Replay the undo log backwards, then release every abstract lock.
     fn rollback(&mut self) {
-        for (core, old) in self.log.undo.drain(..).rev() {
-            core.store_value(old);
+        for undo in self.log.undo.drain(..).rev() {
+            undo.apply();
         }
-        release_all(&self.stm.locks, self.at.owner(), &mut self.log.held);
+        self.log.release_from(self.at.owner(), 0);
     }
 
     fn footprint(&self) -> (usize, usize) {
@@ -216,9 +280,9 @@ impl<'env> TxnEngine<'env> for BoostWordTxn<'env> {
     }
 }
 
-impl<'env> Transaction<'env> for BoostWordTxn<'env> {
+impl<'env> Transaction<'env> for BoostTxn<'env> {
     fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        let first = self.acquire(core)?;
+        let first = self.lock(&self.stm.locks, lock_key(core))?;
         let word = core.value_unsync();
         if first {
             self.log.reads.0.push((core, word));
@@ -234,8 +298,8 @@ impl<'env> Transaction<'env> for BoostWordTxn<'env> {
     }
 
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        let first = self.acquire(core)?;
-        self.log.undo.push((core, core.value_unsync()));
+        let first = self.lock(&self.stm.locks, lock_key(core))?;
+        self.log_undo(Undo::Word(core, core.value_unsync()));
         core.store_value(word);
         if let Some(t) = self.at.tracer() {
             if first {
@@ -248,20 +312,35 @@ impl<'env> Transaction<'env> for BoostWordTxn<'env> {
     }
 
     fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
+        if self.stm.open_nested {
+            self.log
+                .marks
+                .push((self.log.held.len(), self.log.undo.len()));
+        }
         self.at.child_enter();
         Ok(())
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
+        if self.stm.open_nested {
+            // Open nesting: the child is durable on its own — its locks
+            // release now and the parent can no longer undo it.
+            let (held, undo) = self.log.marks.pop().expect("child_enter pushed a mark");
+            self.log.undo.truncate(undo);
+            self.log.release_from(self.at.owner(), held);
+        }
         // Eager in-place writes under strict 2PL: the child's effects are
-        // already applied and its abstract locks stay with the attempt
-        // (outheritance by construction), so the child may settle as a
-        // model transaction even when it wrote.
+        // already applied and (flat nesting) its abstract locks stay with
+        // the attempt, so the child may settle as a model transaction even
+        // when it wrote.
         self.at.child_commit(true);
         Ok(())
     }
 
     fn child_abort(&mut self) {
+        if self.stm.open_nested {
+            self.log.marks.pop();
+        }
         self.at.child_abort();
     }
 
@@ -275,7 +354,7 @@ impl<'env> Transaction<'env> for BoostWordTxn<'env> {
 }
 
 impl Stm for BoostStm {
-    type Txn<'env> = BoostWordTxn<'env>;
+    type Txn<'env> = BoostTxn<'env>;
 
     fn name(&self) -> &'static str {
         "Boost"
@@ -302,7 +381,7 @@ impl Stm for BoostStm {
         kind: TxKind,
         f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
-        let mut txn = BoostWordTxn {
+        let mut txn = BoostTxn {
             stm: self,
             kind,
             at: Attempt::new(&self.config, &self.stats),

@@ -16,11 +16,6 @@ pub struct StmConfig {
     /// Backoff cap: the exponential backoff never exceeds this many spins
     /// before falling through to `thread::yield_now`.
     pub backoff_max_spins: u32,
-    /// Size of the elastic window (the number of most recent reads an
-    /// elastic transaction keeps protected before its first write). The
-    /// paper and the original E-STM keep the immediate past read, i.e. a
-    /// window of 2 (previous and current).
-    pub elastic_window: usize,
     /// The contention-management policy: how conflict losers pace their
     /// retries, and how encounter-time conflicts (SwissTM's write locks)
     /// are arbitrated. The default, [`CmPolicy::TwoPhase`], reproduces the
@@ -69,7 +64,6 @@ impl core::fmt::Debug for StmConfig {
         f.debug_struct("StmConfig")
             .field("backoff_min_spins", &self.backoff_min_spins)
             .field("backoff_max_spins", &self.backoff_max_spins)
-            .field("elastic_window", &self.elastic_window)
             .field("cm", &self.cm)
             .field("cm_write_threshold", &self.cm_write_threshold)
             .field("lock_spin_limit", &self.lock_spin_limit)
@@ -89,7 +83,6 @@ impl Default for StmConfig {
         Self {
             backoff_min_spins: 32,
             backoff_max_spins: 1 << 14,
-            elastic_window: 2,
             cm: CmPolicy::default(),
             cm_write_threshold: 4,
             lock_spin_limit: 64,
@@ -107,14 +100,6 @@ impl StmConfig {
     #[must_use]
     pub fn with_max_retries(mut self, retries: u64) -> Self {
         self.max_retries = Some(retries);
-        self
-    }
-
-    /// Override the elastic window size.
-    #[must_use]
-    pub fn with_elastic_window(mut self, window: usize) -> Self {
-        assert!(window >= 2, "elastic window must hold at least 2 entries");
-        self.elastic_window = window;
         self
     }
 
@@ -156,24 +141,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_window_matches_paper() {
-        assert_eq!(StmConfig::default().elastic_window, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn window_below_two_rejected() {
-        let _ = StmConfig::default().with_elastic_window(1);
-    }
-
-    #[test]
     fn builders_compose() {
         let c = StmConfig::default()
             .with_max_retries(5)
-            .with_elastic_window(4)
             .with_cm(CmPolicy::Karma);
         assert_eq!(c.max_retries, Some(5));
-        assert_eq!(c.elastic_window, 4);
         assert_eq!(c.cm, CmPolicy::Karma);
     }
 

@@ -461,69 +461,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn explicit_retry_is_not_a_conflict_abort() {
-        // The facade's user-level retry must propagate through this
-        // backend's retry loop, park on the read set (the bounded
-        // timeout recovers a single-threaded waiter), re-run the body,
-        // and land in its own statistics category — not in the
-        // conflict-abort counters.
-        let stm = Tl2::new();
-        let v = TVar::new(0u64);
-        let mut retried = false;
-        stm.run(TxKind::Regular, |tx| {
-            let cur = tx.read(&v)?;
-            tx.write(&v, cur + 5)?;
-            if !retried {
-                retried = true;
-                return tx.retry();
-            }
-            Ok(())
-        });
-        assert_eq!(v.load_atomic(), 5, "retried writes must not leak");
-        let snap = stm.stats();
-        assert_eq!(snap.commits, 1);
-        assert_eq!(snap.explicit_retries(), 1);
-        assert_eq!(snap.aborts(), 0, "TL2: retry counted as conflict");
-        assert_eq!(snap.abort_rate(), 0.0);
-        assert_eq!(snap.retry_parks, 1, "the retry must actually park");
-        assert_eq!(snap.cm_waits(), 0, "a wait is parked, not CM-paced");
-    }
-
-    #[test]
-    fn waiting_retries_are_not_charged_against_a_bounded_budget() {
-        // max_retries = 1 conflict, but FOUR precondition waits then a
-        // commit: a wait is not a loss, so the run must not exhaust.
-        let stm = Tl2::with_config(StmConfig::default().with_max_retries(1));
-        let v = TVar::new(0u64);
-        let mut waits_left = 4;
-        let r = stm.try_run(TxKind::Regular, |tx| {
-            let x = tx.read(&v)?;
-            if waits_left > 0 {
-                waits_left -= 1;
-                return tx.retry();
-            }
-            tx.write(&v, x + 1)
-        });
-        assert!(r.is_ok(), "waits charged against max_retries: {r:?}");
-        assert_eq!(v.load_atomic(), 1);
-        let snap = stm.stats();
-        assert_eq!(snap.explicit_retries(), 4);
-        assert_eq!(snap.retry_parks, 4);
-        assert_eq!(snap.cm_waits(), 0);
-    }
-
-    #[test]
-    fn empty_read_set_retry_is_would_block_forever() {
-        // retry() before reading anything: no commit could ever wake
-        // it, so the run ends with the distinct error instead of
-        // parking until a watchdog kills it.
-        let stm = Tl2::new();
-        let r: Result<(), _> = stm.try_run(TxKind::Regular, |tx| tx.retry());
-        assert!(
-            matches!(r, Err(RunError::WouldBlockForever { attempts: 1 })),
-            "{r:?}"
-        );
-    }
 }

@@ -76,41 +76,44 @@ fn facade_over_static_backend_matches_registry_backend() {
 
 #[test]
 fn retry_reruns_and_counts_separately_every_backend() {
-    for at in runners() {
-        let v = TVar::new(0u64);
-        let mut retried = false;
-        at.run(Policy::Regular, |tx| {
-            let cur = tx.get(&v)?;
-            tx.set(&v, cur + 9)?;
-            if !retried {
-                retried = true;
-                return tx.retry();
-            }
-            Ok(())
-        });
-        assert_eq!(v.load_atomic(), 9, "{}", key(&at));
-        let snap = at.stats();
-        assert_eq!(snap.commits, 1, "{}", key(&at));
-        assert_eq!(snap.explicit_retries(), 1, "{}", key(&at));
-        assert_eq!(
-            snap.aborts(),
-            0,
-            "{}: a user-level retry must not count as a conflict abort",
-            key(&at)
-        );
-        assert_eq!(snap.abort_rate(), 0.0, "{}", key(&at));
-        assert_eq!(
-            snap.retry_parks,
-            1,
-            "{}: a genuine retry parks on its read set",
-            key(&at)
-        );
-        assert_eq!(
-            snap.cm_waits(),
-            0,
-            "{}: a precondition wait is parked, never CM-paced",
-            key(&at)
-        );
+    // The retry is raised inside a section, so under `Policy::Elastic` it
+    // leaves OE-STM through an elastic child in both registry modes.
+    for policy in [Policy::Regular, Policy::Elastic] {
+        for at in runners() {
+            let v = TVar::new(0u64);
+            let mut retried = false;
+            at.run(policy, |tx| {
+                tx.section(policy, |tx| {
+                    let cur = tx.get(&v)?;
+                    tx.set(&v, cur + 9)?;
+                    if !retried {
+                        retried = true;
+                        return tx.retry();
+                    }
+                    Ok(())
+                })
+            });
+            let ctx = format!("{} {policy:?}", key(&at));
+            assert_eq!(v.load_atomic(), 9, "{ctx}");
+            let snap = at.stats();
+            assert_eq!(snap.commits, 1, "{ctx}");
+            assert_eq!(snap.explicit_retries(), 1, "{ctx}");
+            assert_eq!(
+                snap.aborts(),
+                0,
+                "{ctx}: a user-level retry must not count as a conflict abort"
+            );
+            assert_eq!(snap.abort_rate(), 0.0, "{ctx}");
+            assert_eq!(
+                snap.retry_parks, 1,
+                "{ctx}: a genuine retry parks on its read set"
+            );
+            assert_eq!(
+                snap.cm_waits(),
+                0,
+                "{ctx}: a precondition wait is parked, never CM-paced"
+            );
+        }
     }
 }
 
@@ -120,21 +123,30 @@ fn empty_read_set_retry_would_block_forever_every_backend() {
     // instead of parking forever (or burning a retry budget) the run
     // ends with the distinct WouldBlockForever error on every backend.
     let reg = backend_registry();
-    for name in reg.names() {
-        let at = Atomic::new(
-            reg.build(name, StmConfig::default().with_max_retries(2))
-                .unwrap(),
-        );
-        let r: Result<(), _> = at.try_run(Policy::Regular, |tx| tx.retry());
-        match r {
-            Err(RunError::WouldBlockForever { attempts }) => {
-                assert_eq!(attempts, 1, "{name}: ends on the first attempt");
+    for policy in [Policy::Regular, Policy::Elastic] {
+        for name in reg.names() {
+            let at = Atomic::new(
+                reg.build(name, StmConfig::default().with_max_retries(2))
+                    .unwrap(),
+            );
+            let r: Result<(), _> = at.try_run(policy, |tx| tx.retry());
+            match r {
+                Err(RunError::WouldBlockForever { attempts }) => {
+                    assert_eq!(attempts, 1, "{name} {policy:?}: ends on the first attempt");
+                }
+                other => panic!("{name} {policy:?}: expected WouldBlockForever, got {other:?}"),
             }
-            other => panic!("{name}: expected WouldBlockForever, got {other:?}"),
+            let snap = at.stats();
+            assert_eq!(
+                snap.explicit_retries(),
+                1,
+                "{name} {policy:?}: still filed as retry"
+            );
+            assert_eq!(
+                snap.retry_parks, 0,
+                "{name} {policy:?}: must not park unwakeable"
+            );
         }
-        let snap = at.stats();
-        assert_eq!(snap.explicit_retries(), 1, "{name}: still filed as retry");
-        assert_eq!(snap.retry_parks, 0, "{name}: must not park unwakeable");
     }
 }
 
@@ -142,28 +154,34 @@ fn empty_read_set_retry_would_block_forever_every_backend() {
 fn waiting_retries_never_exhaust_a_bounded_budget_every_backend() {
     // The bugfix pin: a bounded budget counts conflict LOSSES, and a
     // precondition wait is not a loss. Retry (with a read set) more
-    // times than max_retries allows, then succeed — must commit.
+    // times than max_retries allows, then succeed — must commit. Under
+    // `Policy::Elastic` OE-STM holds the read in its elastic window, which
+    // the wait path must fold into the read set it parks on.
     let reg = backend_registry();
-    for name in reg.names() {
-        let at = Atomic::new(
-            reg.build(name, StmConfig::default().with_max_retries(2))
-                .unwrap(),
-        );
-        let v = TVar::new(0u64);
-        let mut waits_left = 5;
-        let r = at.try_run(Policy::Regular, |tx| {
-            let x = tx.get(&v)?;
-            if waits_left > 0 {
-                waits_left -= 1;
-                return tx.retry();
-            }
-            tx.set(&v, x + 1)
-        });
-        assert!(r.is_ok(), "{name}: waits charged against budget: {r:?}");
-        assert_eq!(v.load_atomic(), 1, "{name}");
-        let snap = at.stats();
-        assert_eq!(snap.explicit_retries(), 5, "{name}");
-        assert_eq!(snap.retry_parks, 5, "{name}");
+    for policy in [Policy::Regular, Policy::Elastic] {
+        for name in reg.names() {
+            let at = Atomic::new(
+                reg.build(name, StmConfig::default().with_max_retries(2))
+                    .unwrap(),
+            );
+            let v = TVar::new(0u64);
+            let mut waits_left = 5;
+            let r = at.try_run(policy, |tx| {
+                let x = tx.get(&v)?;
+                if waits_left > 0 {
+                    waits_left -= 1;
+                    return tx.retry();
+                }
+                tx.set(&v, x + 1)
+            });
+            let ctx = format!("{name} {policy:?}");
+            assert!(r.is_ok(), "{ctx}: waits charged against budget: {r:?}");
+            assert_eq!(v.load_atomic(), 1, "{ctx}");
+            let snap = at.stats();
+            assert_eq!(snap.explicit_retries(), 5, "{ctx}");
+            assert_eq!(snap.retry_parks, 5, "{ctx}");
+            assert_eq!(snap.cm_waits(), 0, "{ctx}: waits are parked, not CM-paced");
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Workspace smoke test: one commit round-trip and one abort round-trip
 //! through every STM backend, driven exclusively through the
-//! `stm_core::Stm` trait (plus `stm-boost`'s own entry point, which
-//! deliberately does not implement the word-based trait).
+//! `stm_core::Stm` trait (plus `stm-boost`'s boosted set, which runs
+//! inside the same boosted transaction).
 //!
 //! This is the canary for backend refactors: if a backend's trait
 //! surface drifts — begin/commit protocol, rollback-on-abort, stats
@@ -9,9 +9,9 @@
 //! run.
 
 use composing_relaxed_transactions::oe_stm::OeStm;
-use composing_relaxed_transactions::stm_boost::BoostedSet;
+use composing_relaxed_transactions::stm_boost::{BoostStm, BoostedSet};
 use composing_relaxed_transactions::stm_core::{
-    RunError, Stm, StmConfig, TVar, Transaction, TxKind,
+    Abort, AbortReason, RunError, Stm, StmConfig, TVar, Transaction, TxKind,
 };
 use composing_relaxed_transactions::stm_lsa::Lsa;
 use composing_relaxed_transactions::stm_swiss::Swiss;
@@ -114,28 +114,34 @@ fn estm_compat_commit_and_abort() {
     smoke(&OeStm::estm_compat_with_config(no_retry()), TxKind::Elastic);
 }
 
-/// The boosted backend has its own transaction type (abstract locks over
-/// a linearizable base), so it is smoked through its own API.
+#[test]
+fn boost_commit_and_abort() {
+    smoke(&BoostStm::with_config(no_retry()), TxKind::Regular);
+}
+
+/// The boosted set runs inside the boosted transaction: its compensations
+/// share the undo log and its children nest flat.
 #[test]
 fn boosted_commit_and_abort() {
+    let stm = BoostStm::new();
     let set = BoostedSet::new();
-    assert!(set.run(|tx| tx.add(5)));
-    assert!(set.run(|tx| tx.contains(5)));
-    // Abort path: a child inserts, then the parent retries once; the
+    assert!(stm.run(TxKind::Regular, |tx| set.add(tx, 5)));
+    assert!(stm.run(TxKind::Regular, |tx| set.contains(tx, 5)));
+    // Abort path: a child inserts, then the parent aborts once; the
     // undo log must remove the child's insert on the way out.
     let mut attempts = 0;
-    let committed = set.run(|tx| {
+    let committed = stm.run(TxKind::Regular, |tx| {
         attempts += 1;
-        tx.child(|t| t.add(6))?;
+        tx.child(TxKind::Regular, |t| set.add(t, 6))?;
         if attempts == 1 {
-            return tx.retry();
+            return Err(Abort::new(AbortReason::Explicit));
         }
         Ok(true)
     });
     assert!(committed);
-    assert_eq!(attempts, 2, "explicit retry must re-run the body");
+    assert_eq!(attempts, 2, "an explicit abort must re-run the body");
     assert!(
-        set.run(|tx| tx.contains(6)),
+        stm.run(TxKind::Regular, |tx| set.contains(tx, 6)),
         "second attempt's add persists"
     );
     assert_eq!(set.locks().held(), 0, "no abstract locks leak");
