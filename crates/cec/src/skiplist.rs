@@ -39,11 +39,9 @@ pub const MAX_LEVEL: usize = 16;
 ///
 /// All fields are transactional, the key included, although the argument
 /// that lets a list node's key be a plain word (see
-/// [`ListNode`](crate::listcore::ListNode)) would carry over. It stays a
-/// `TVar` for now: OE-STM still loses updates on this structure under
-/// concurrent uncomposed ops (the list and the hash set never do), the
-/// fault is in the elastic window at link-in, and a plain key would change
-/// what that window holds. The key can leave the STM once that is fixed.
+/// [`ListNode`](crate::listcore::ListNode)) carries over now that a
+/// removal redirects every in-link of its tower (see `in_link`): a
+/// published slot is never reachable once retired.
 #[derive(Debug)]
 pub struct SkipNode {
     key: TVar<i64>,
@@ -234,6 +232,120 @@ impl SkipListSet {
             succ0_key,
         })
     }
+
+    /// The node whose level-`l` link points at slot `c` (key `key`),
+    /// found by walking level `l` from `from` with protected reads (the
+    /// caller has hardened). `None` when the walk reaches a key `>= key`,
+    /// a key inversion or the end first: `c` is not linked at this level.
+    ///
+    /// A removal must redirect *every* in-link of its victim's tower. The
+    /// relaxed descent's predecessor can be stale by the time the removal
+    /// hardens — a concurrent insert may have landed between it and the
+    /// victim — and a redirect skipped there would leave that insert's
+    /// link pointing at a slot that is retired once the removal commits.
+    /// Epoch pinning protects traversers pinned before a retirement, not
+    /// links left in the structure: once the slot is reused, the stale
+    /// link splices a foreign node into this level, whose key an elastic
+    /// descent reads levels before it relies on the node's level-0 link.
+    fn in_link<'e, T: Transaction<'e>>(
+        &'e self,
+        tx: &mut T,
+        from: u64,
+        l: usize,
+        c: u64,
+        key: i64,
+    ) -> Result<Option<u64>, Abort> {
+        let mut pred = from;
+        let mut last_key = i64::MIN;
+        loop {
+            let curr = tx.read(&self.node(pred).next[l])?;
+            if curr == NodeRef::node(c) {
+                return Ok(Some(pred));
+            }
+            if curr.is_dead() {
+                // `pred` was removed since the descent: retry afresh.
+                return Err(Abort::new(AbortReason::Explicit));
+            }
+            if !curr.is_node() {
+                return Ok(None);
+            }
+            let k = tx.read(&self.node(curr.index()).key)?;
+            if k >= key || k <= last_key {
+                return Ok(None);
+            }
+            last_key = k;
+            pred = curr.index();
+        }
+    }
+
+    /// The removal proper, from the descent `f` for `key`: logically
+    /// delete the level-0 successor if it holds `key`, then unlink its
+    /// tower level by level.
+    fn unlink<'e, T: Transaction<'e>>(
+        &'e self,
+        tx: &mut T,
+        f: &FindResult,
+        key: i64,
+        scratch: &mut OpScratch,
+    ) -> Result<bool, Abort> {
+        if f.succ0_key != Some(key) {
+            return Ok(false);
+        }
+        let c = f.succs[0].index();
+        let victim = self.node(c);
+        let level = tx.read(&victim.level)? as usize;
+        let c0 = tx.read(&victim.next[0])?;
+        if c0.is_dead() {
+            // Concurrently removed; linearize after that removal.
+            return Ok(false);
+        }
+        // Logical delete: hardens the transaction with {victim.level,
+        // victim.next[0]} protected. The marker preserves the successor so
+        // traversals can repair past a corpse left reachable by a relaxed
+        // backend's redirect-less commit.
+        tx.write(&victim.next[0], NodeRef::dead(c0))?;
+        for l in 0..level {
+            // Current successor at this level (for l = 0 we captured it
+            // before overwriting with DEAD).
+            let cl = if l == 0 {
+                c0
+            } else {
+                let v = tx.read(&victim.next[l])?;
+                if v.is_dead() {
+                    // Already marked at this level while level 0 was live:
+                    // a mixed tower, possible only when a relaxed backend's
+                    // stale redirect resurrected a lower link of an earlier
+                    // removal's corpse. Nothing left to unlink here.
+                    continue;
+                }
+                v
+            };
+            let pred = if l == 0 {
+                // Re-read the level-0 predecessor link under full
+                // protection: membership is decided here, so a changed
+                // insertion point means retry.
+                let pn = tx.read(&self.node(f.preds[0]).next[0])?;
+                if pn != NodeRef::node(c) {
+                    return Err(Abort::new(AbortReason::Explicit));
+                }
+                f.preds[0]
+            } else if let Some(p) = self.in_link(tx, f.preds[l], l, c, key)? {
+                p
+            } else {
+                // The victim is not linked at this level (a relaxed
+                // backend corrupted the index levels). Level 0 stays
+                // authoritative for membership: mark the level dead so any
+                // remaining in-link repairs on sight, and skip the
+                // redirect.
+                tx.write(&victim.next[l], NodeRef::dead(cl))?;
+                continue;
+            };
+            tx.write(&self.node(pred).next[l], cl)?;
+            tx.write(&victim.next[l], NodeRef::dead(cl))?;
+        }
+        scratch.unlinked.push(c);
+        Ok(true)
+    }
 }
 
 impl SetOps for SkipListSet {
@@ -286,61 +398,7 @@ impl SetOps for SkipListSet {
     ) -> Result<bool, Abort> {
         crate::listcore::check_key(key);
         let f = self.locate(tx, key)?;
-        if f.succ0_key != Some(key) {
-            return Ok(false);
-        }
-        let c = f.succs[0].index();
-        let victim = self.node(c);
-        let level = tx.read(&victim.level)? as usize;
-        let c0 = tx.read(&victim.next[0])?;
-        if c0.is_dead() {
-            // Concurrently removed; linearize after that removal.
-            return Ok(false);
-        }
-        // Logical delete: hardens the transaction with {victim.level,
-        // victim.next[0]} protected. The marker preserves the successor so
-        // traversals can repair past a corpse left reachable by a relaxed
-        // backend's redirect-less commit.
-        tx.write(&victim.next[0], NodeRef::dead(c0))?;
-        for l in 0..level {
-            // Current successor at this level (for l = 0 we captured it
-            // before overwriting with DEAD).
-            let cl = if l == 0 {
-                c0
-            } else {
-                let v = tx.read(&victim.next[l])?;
-                if v.is_dead() {
-                    // Already marked at this level while level 0 was live:
-                    // a mixed tower, possible only when a relaxed backend's
-                    // stale redirect resurrected a lower link of an earlier
-                    // removal's corpse. Nothing left to unlink here.
-                    continue;
-                }
-                v
-            };
-            // Re-read the predecessor link under full protection and
-            // verify it still points at the victim.
-            let pn = tx.read(&self.node(f.preds[l]).next[l])?;
-            if pn != NodeRef::node(c) {
-                if l == 0 {
-                    // Somebody changed the level-0 insertion point under
-                    // us: membership is decided here, so retry.
-                    return Err(Abort::new(AbortReason::Explicit));
-                }
-                // The victim is not linked at this level from the pred we
-                // found (a concurrent insert beat us to it, or a relaxed
-                // backend corrupted the index levels). Level 0 stays
-                // authoritative for membership: mark the level dead so any
-                // remaining in-link repairs on sight, and skip the
-                // redirect.
-                tx.write(&victim.next[l], NodeRef::dead(cl))?;
-                continue;
-            }
-            tx.write(&self.node(f.preds[l]).next[l], cl)?;
-            tx.write(&victim.next[l], NodeRef::dead(cl))?;
-        }
-        scratch.unlinked.push(c);
-        Ok(true)
+        self.unlink(tx, &f, key, scratch)
     }
 
     fn len_in<'e, T: Transaction<'e>>(&'e self, tx: &mut T) -> Result<usize, Abort> {
@@ -393,7 +451,7 @@ mod tests {
     use super::*;
     use crate::set::SetExt;
     use oe_stm::OeStm;
-    use stm_core::api::{Atomic, AtomicBackend};
+    use stm_core::api::{Atomic, AtomicBackend, Policy};
     use stm_swiss::Swiss;
     use stm_tl2::Tl2;
 
@@ -510,6 +568,179 @@ mod tests {
         }
         let net: i64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(set.size(&*stm) as i64, 32 + net, "updates lost or doubled");
+    }
+
+    /// Check every level of a quiescent set: keys ascend strictly, each
+    /// linked node is live and tall enough for the level, and no link
+    /// leads into a removed tower.
+    fn assert_levels_sound(set: &SkipListSet) {
+        for l in 0..MAX_LEVEL {
+            let mut last = i64::MIN;
+            let mut curr = set.node(set.head).next[l].load_atomic();
+            while curr.is_node() {
+                let n = set.node(curr.index());
+                let k = n.key.load_atomic();
+                assert!(k > last, "level {l}: {k} follows {last}");
+                assert!(
+                    !n.next[0].load_atomic().is_dead(),
+                    "level {l}: a link into removed {k}"
+                );
+                assert!(
+                    l < n.level.load_atomic() as usize,
+                    "level {l}: {k} linked above its tower"
+                );
+                last = k;
+                curr = n.next[l].load_atomic();
+            }
+            assert!(curr.is_null(), "level {l} ends in {curr:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_churn_leaves_no_level_linking_a_removed_tower() {
+        use std::sync::Arc;
+        let stm = Arc::new(Atomic::new(OeStm::new()));
+        let set = Arc::new(SkipListSet::new());
+        let handles: Vec<_> = (0..stm_core::parallel::worker_threads(4) as i64)
+            .map(|t| {
+                let (stm, set) = (Arc::clone(&stm), Arc::clone(&set));
+                std::thread::spawn(move || {
+                    for i in 0..1500i64 {
+                        let k = (i * 5 + t * 11) % 16;
+                        if i % 2 == 0 {
+                            set.add(&*stm, k);
+                        } else {
+                            set.remove(&*stm, k);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_levels_sound(&set);
+    }
+
+    #[test]
+    fn removing_every_key_empties_every_level() {
+        let stm = Atomic::new(OeStm::new());
+        let set = SkipListSet::new();
+        for k in 0..300 {
+            assert!(set.add(&stm, k));
+        }
+        assert_levels_sound(&set);
+        for k in (0..300).step_by(2).chain((1..300).step_by(2)) {
+            assert!(set.remove(&stm, k), "remove {k}");
+        }
+        for l in 0..MAX_LEVEL {
+            assert!(
+                set.node(set.head).next[l].load_atomic().is_null(),
+                "level {l}"
+            );
+        }
+    }
+
+    /// A fresh slot holding `key` with a `level`-high tower of null links,
+    /// for fabricating states no schedule reaches deterministically.
+    fn fabricate(set: &SkipListSet, key: i64, level: u64) -> u64 {
+        let n = set.arena.alloc();
+        set.node(n).key.store_atomic(key, 0);
+        set.node(n).level.store_atomic(level, 0);
+        n
+    }
+
+    /// Point `from`'s level-`l` link at node `to`.
+    fn link(set: &SkipListSet, from: u64, l: usize, to: u64) {
+        set.node(from).next[l].store_atomic(NodeRef::node(to), 0);
+    }
+
+    #[test]
+    fn removal_redirects_an_in_link_its_descent_missed() {
+        // head -L0-> b(25) -L0-> c(30), head -L1-> c. The removal's
+        // descent for 30 finds pred b at level 0 and head at level 1.
+        let at = Atomic::new(OeStm::new());
+        let set = SkipListSet::new();
+        let head = set.head;
+        let (b, c) = (fabricate(&set, 25, 1), fabricate(&set, 30, 2));
+        link(&set, head, 0, b);
+        link(&set, b, 0, c);
+        link(&set, head, 1, c);
+        let f = at.run(Policy::Regular, |tx| set.locate(tx, 30));
+        assert_eq!((f.preds[0], f.preds[1]), (b, head));
+        // Before the removal hardens, an insert of 20 with a two-level
+        // tower commits: ahead of b at level 0, so the level-0 insertion
+        // point still holds, but between head and c at level 1.
+        let x = fabricate(&set, 20, 2);
+        link(&set, x, 0, b);
+        link(&set, x, 1, c);
+        link(&set, head, 0, x);
+        link(&set, head, 1, x);
+        let mut scratch = OpScratch::default();
+        assert!(at.run(Policy::Regular, |tx| set.unlink(tx, &f, 30, &mut scratch)));
+        assert_eq!(scratch.unlinked, [c]);
+        assert!(
+            set.node(x).next[1].load_atomic().is_null(),
+            "the in-link the descent missed is redirected past the victim"
+        );
+        assert_levels_sound(&set);
+        assert_eq!(set.size(&at), 2);
+    }
+
+    #[test]
+    fn in_link_walks_to_the_node_linking_the_target() {
+        // head -L1-> a(10) -L1-> b(20) -L1-> c(30).
+        let at = Atomic::new(OeStm::new());
+        let set = SkipListSet::new();
+        let head = set.head;
+        let (a, b, c) = (
+            fabricate(&set, 10, 2),
+            fabricate(&set, 20, 2),
+            fabricate(&set, 30, 2),
+        );
+        link(&set, head, 1, a);
+        link(&set, a, 1, b);
+        link(&set, b, 1, c);
+        let found = at.run(Policy::Regular, |tx| {
+            Ok([
+                set.in_link(tx, head, 1, a, 10)?,
+                set.in_link(tx, head, 1, c, 30)?,
+                set.in_link(tx, b, 1, c, 30)?,
+            ])
+        });
+        assert_eq!(found, [Some(head), Some(b), Some(b)]);
+    }
+
+    #[test]
+    fn in_link_reports_a_level_the_target_is_not_linked_at() {
+        // head -L1-> a(10) -L1-> c(30); b(20) has a two-level tower but
+        // is linked at level 0 only.
+        let at = Atomic::new(OeStm::new());
+        let set = SkipListSet::new();
+        let head = set.head;
+        let (a, b, c) = (
+            fabricate(&set, 10, 2),
+            fabricate(&set, 20, 2),
+            fabricate(&set, 30, 2),
+        );
+        link(&set, head, 1, a);
+        link(&set, a, 1, c);
+        let found = at.run(Policy::Regular, |tx| {
+            Ok([
+                // The walk reaches a key >= 20 (c) first.
+                set.in_link(tx, head, 1, b, 20)?,
+                // The walk runs off the level's end.
+                set.in_link(tx, c, 1, b, 40)?,
+            ])
+        });
+        assert_eq!(found, [None, None]);
+        // A dead link on the walk means its owner was removed since the
+        // descent: the removal retries.
+        set.node(a).next[1].store_atomic(NodeRef::dead(NodeRef::node(c)), 1);
+        let dead = at.run(Policy::Regular, |tx| {
+            Ok(set.in_link(tx, head, 1, c, 30).map_err(|e| e.reason))
+        });
+        assert_eq!(dead, Err(AbortReason::Explicit));
     }
 
     /// A redirect-less removal (the compat backend's Fig. 1 shape) leaves

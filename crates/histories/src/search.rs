@@ -257,6 +257,32 @@ mod tests {
     }
 
     #[test]
+    fn revoked_child_counts_as_aborted() {
+        // t2 committed provisionally, then its attempt aborted. Its read
+        // of x = 7 matches no state, yet the history stays serializable:
+        // the revoked child is no committed transaction. Opacity judges it
+        // as what it is, an aborted reader of an inconsistent snapshot.
+        let h = History::new()
+            .with_object(1, ObjKind::Register)
+            .begin(1, 1)
+            .acquire(1, 1, 1)
+            .op(1, 1, OpKind::Write(1), 0)
+            .commit(1, 1)
+            .release(1, 1, 1)
+            .begin(2, 2)
+            .acquire(1, 2, 2)
+            .op(2, 1, OpKind::Read, 7)
+            .commit(2, 2)
+            .abort(2, 2)
+            .release(1, 2, 2);
+        assert!(is_serializable(&h));
+        assert_eq!(
+            crate::opacity::check_opacity(&h),
+            Err(crate::opacity::OpacityViolation::ZombieRead { t: 2 })
+        );
+    }
+
+    #[test]
     fn witness_preserves_per_process_order() {
         let h = sequential();
         let w = find_relax_serial_witness(&h, |_| true).unwrap();

@@ -396,6 +396,56 @@ mod tests {
     }
 
     #[test]
+    fn read_only_composition_revalidates_outherited_reads() {
+        // Neither child writes, yet the overwrite of y between them must
+        // still abort the parent: the first child's window passed to the
+        // parent, which validates it at commit.
+        let stm = OeStm::new();
+        let (y, z) = (TVar::new(0u64), TVar::new(0u64));
+        let mut sabotage = true;
+        let observed = stm.run(TxKind::Elastic, |tx| {
+            let ry = tx.child(TxKind::Elastic, |tx| tx.read(&y))?;
+            if sabotage {
+                sabotage = false;
+                let nv = stm.clock().tick();
+                y.store_atomic(1, nv);
+            }
+            tx.child(TxKind::Elastic, |tx| tx.read(&z))?;
+            Ok(ry)
+        });
+        assert_eq!(observed, 1, "the retry observes the overwrite");
+        let snap = stm.stats();
+        assert_eq!((snap.commits, snap.aborts()), (1, 1));
+        assert_eq!(
+            snap.aborts_by_cause[AbortReason::ReadValidation.index()],
+            1,
+            "caught by the commit-time validation"
+        );
+    }
+
+    #[test]
+    fn estm_compat_read_only_composition_misses_the_overwrite() {
+        // The same composition with outheritance disabled: the first
+        // child's protection was released at its commit, so nothing is
+        // left for the parent to validate.
+        let stm = OeStm::estm_compat();
+        let (y, z) = (TVar::new(0u64), TVar::new(0u64));
+        let mut sabotage = true;
+        let observed = stm.run(TxKind::Elastic, |tx| {
+            let ry = tx.child(TxKind::Elastic, |tx| tx.read(&y))?;
+            if sabotage {
+                sabotage = false;
+                let nv = stm.clock().tick();
+                y.store_atomic(1, nv);
+            }
+            tx.child(TxKind::Elastic, |tx| tx.read(&z))?;
+            Ok(ry)
+        });
+        assert_eq!(observed, 0, "E-STM commits against the stale read of y");
+        assert_eq!(stm.stats().aborts(), 0);
+    }
+
+    #[test]
     fn child_results_compose_sequentially() {
         let stm = OeStm::new();
         let a = TVar::new(5u64);

@@ -127,8 +127,14 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
         debug_assert!(self.scratch.frames.is_empty(), "commit with live children");
         let mut wv = 0;
         // Read-only: elastic reads were validated pairwise at each cut,
-        // classic reads against rv — the snapshot is consistent.
-        if !self.scratch.base.writes.is_empty() {
+        // classic reads against rv — the snapshot is consistent. A
+        // read-only composition still validates what its children
+        // outherited (see `Attempt::read_only_commit`).
+        if self.scratch.base.writes.is_empty() {
+            let (reads, window) = (&self.scratch.base.reads, &self.window);
+            self.at
+                .read_only_commit(|| reads.validate(None, |_| None) && window.validate())?;
+        } else {
             // The last elastic reads (r_k..r_n of Section V) are part of
             // the minimal protected set: fold them into the read set and
             // validate everything together.

@@ -218,6 +218,23 @@ mod tests {
     }
 
     #[test]
+    fn each_set_locks_its_keys_in_its_own_table() {
+        // A transaction holding key 4 of one set leaves key 4 of another
+        // set, and the STM's word table, free.
+        let stm = BoostStm::new();
+        let (a, b) = (BoostedSet::new(), BoostedSet::new());
+        stm.run(R, |tx| {
+            a.add(tx, 4)?;
+            assert!(!foreign_can_lock(&a, 4), "held in a's table");
+            assert!(foreign_can_lock(&b, 4), "b's key 4 is another lock");
+            assert_eq!(stm.locks().held(), 0, "no word lock taken");
+            b.add(tx, 4)
+        });
+        assert!(a.base().contains(4) && b.base().contains(4));
+        assert_eq!((a.locks().held(), b.locks().held()), (0, 0));
+    }
+
+    #[test]
     fn concurrent_boosted_updates_conserve_elements() {
         let stm = BoostStm::new();
         let s = BoostedSet::new();

@@ -48,6 +48,9 @@ pub struct Attempt<'env> {
     /// state (Karma) see retry-time and encounter-time conflicts alike.
     cm: CmState,
     depth: u32,
+    /// Whether a child committed during this attempt (see
+    /// [`read_only_commit`](Self::read_only_commit)).
+    composed: bool,
     tracer: Option<Box<AttemptTracer>>,
 }
 
@@ -65,6 +68,7 @@ impl<'env> Attempt<'env> {
             number: 0,
             cm: config.cm.build(config, thread_random()),
             depth: 0,
+            composed: false,
             tracer: None,
         }
     }
@@ -84,6 +88,7 @@ impl<'env> Attempt<'env> {
             .map(|sink| Box::new(AttemptTracer::begin_top(sink, self.ticket()))); // lint:allow — tracing arm, off by default
         self.number = number;
         self.depth = 0;
+        self.composed = false;
         self.cm.on_start(number);
     }
 
@@ -173,6 +178,7 @@ impl<'env> Attempt<'env> {
     #[inline]
     pub fn child_commit(&mut self, eager: bool) -> Option<u64> {
         self.depth -= 1;
+        self.composed = true;
         self.stats.record_child_commit();
         self.tracer.as_mut().map(|t| {
             if eager {
@@ -181,6 +187,27 @@ impl<'env> Attempt<'env> {
                 t.commit_child()
             }
         })
+    }
+
+    /// The check a lazy backend's read-only commit makes; `reads_hold`
+    /// validates everything the attempt read. An attempt that did not
+    /// compose skips it: each read was consistent with its snapshot, so
+    /// the transaction serializes there. A composition is several model
+    /// transactions, though, and outheritance (Definition 4.1) keeps
+    /// every child's protected set protected until the *parent* commits:
+    /// a later child can begin after a commit that overwrote what an
+    /// earlier child read, and only a validation at the parent's commit
+    /// shows no such commit happened.
+    ///
+    /// # Errors
+    /// [`AbortReason::ReadValidation`] when a child committed during this
+    /// attempt and `reads_hold` fails.
+    #[inline]
+    pub fn read_only_commit(&self, reads_hold: impl FnOnce() -> bool) -> Result<(), Abort> {
+        if self.composed && !reads_hold() {
+            return Err(Abort::new(AbortReason::ReadValidation));
+        }
+        Ok(())
     }
 
     /// Unwind the innermost child after its body aborted.
@@ -800,6 +827,27 @@ mod tests {
         at.restart(2);
         let second = at.owner().expect("drawn again");
         assert_ne!(first, second, "each attempt is its own top-level id");
+    }
+
+    #[test]
+    fn a_read_only_commit_validates_only_after_a_child_commit() {
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        let mut at = Attempt::new(&cfg, &stats);
+        let stale = Err(Abort::new(AbortReason::ReadValidation));
+        let check = |at: &Attempt<'_>| at.read_only_commit(|| false);
+        at.restart(1);
+        assert_eq!(check(&at), Ok(()), "a plain read-only attempt");
+        at.child_enter();
+        assert_eq!(check(&at), Ok(()), "an open child is no composition yet");
+        at.child_abort();
+        assert_eq!(check(&at), Ok(()), "nor is an aborted one");
+        at.child_enter();
+        at.child_commit(false);
+        assert_eq!(check(&at), stale);
+        assert_eq!(at.read_only_commit(|| true), Ok(()));
+        at.restart(2);
+        assert_eq!(check(&at), Ok(()), "each attempt starts uncomposed");
     }
 
     #[test]

@@ -207,7 +207,14 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
 
     fn try_commit(&mut self) -> Result<(), Abort> {
         let mut wv = 0;
-        if !self.undo.is_empty() {
+        if self.undo.is_empty() {
+            // Read-only: consistent at the (possibly extended) snapshot;
+            // a composition still validates (see
+            // `Attempt::read_only_commit`).
+            let reads = &self.scratch.reads;
+            self.at
+                .read_only_commit(|| reads.validate(None, |_| None))?;
+        } else {
             let stamp = self.stm.clock.stamp();
             wv = stamp.wv;
             // Validation-skip fast path (see TL2): only an exclusively won

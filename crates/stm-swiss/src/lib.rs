@@ -191,7 +191,14 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
 
     fn try_commit(&mut self) -> Result<(), Abort> {
         let mut wv = 0;
-        if !self.scratch.writes.is_empty() {
+        if self.scratch.writes.is_empty() {
+            // Read-only: consistent at the (possibly extended) snapshot;
+            // a composition still validates (see
+            // `Attempt::read_only_commit`).
+            let reads = &self.scratch.reads;
+            self.at
+                .read_only_commit(|| reads.validate(None, |_| None))?;
+        } else {
             let ticket = self.at.ticket();
             self.scratch.writes.lock_all(ticket)?;
             let stamp = self.stm.clock.stamp();

@@ -110,8 +110,14 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
     fn try_commit(&mut self) -> Result<(), Abort> {
         let mut wv = 0;
         // Read-only: every read was validated against rv at read time, so
-        // the snapshot is consistent as of rv. The clock is not ticked.
-        if !self.scratch.writes.is_empty() {
+        // the snapshot is consistent as of rv. The clock is not ticked. A
+        // read-only composition still validates (see
+        // `Attempt::read_only_commit`).
+        if self.scratch.writes.is_empty() {
+            let reads = &self.scratch.reads;
+            self.at
+                .read_only_commit(|| reads.validate(None, |_| None))?;
+        } else {
             self.scratch.writes.lock_all(self.at.ticket())?;
             let stamp = self.stm.clock.stamp();
             wv = stamp.wv;

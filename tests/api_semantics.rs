@@ -186,6 +186,85 @@ fn waiting_retries_never_exhaust_a_bounded_budget_every_backend() {
 }
 
 // ---------------------------------------------------------------------
+// Read-only commits: a plain one keeps its snapshot, a composition
+// revalidates what its children read.
+// ---------------------------------------------------------------------
+
+/// The invisible-read backends. Boost's readers hold abstract locks, so
+/// an overwrite issued from inside a reader's body would wait on them
+/// forever.
+fn invisible_read_runners() -> Vec<Atomic<Backend>> {
+    runners()
+        .into_iter()
+        .filter(|at| at.backend().key() != "boost")
+        .collect()
+}
+
+/// Commit `x = 1` from another thread while the caller's attempt is live.
+fn overwrite(at: &Atomic<Backend>, x: &TVar<u64>) {
+    std::thread::scope(|s| {
+        s.spawn(|| at.run(Policy::Regular, |tx| tx.set(x, 1)));
+    });
+}
+
+#[test]
+fn read_only_composition_revalidates_at_parent_commit_every_backend() {
+    // Outheritance keeps a child's reads protected until the parent
+    // commits. An overwrite committed between two read-only children
+    // must abort the parent, although each read matched the snapshot and
+    // the parent wrote nothing.
+    for at in invisible_read_runners() {
+        let (x, y) = (TVar::new(0u64), TVar::new(0u64));
+        let mut attempts = 0;
+        let seen = at.run(Policy::Regular, |tx| {
+            attempts += 1;
+            let a = tx.section(Policy::Regular, |tx| tx.get(&x))?;
+            if attempts == 1 {
+                overwrite(&at, &x);
+            }
+            let b = tx.section(Policy::Regular, |tx| tx.get(&y))?;
+            Ok((a, b))
+        });
+        let ctx = key(&at);
+        assert_eq!(
+            seen,
+            (1, 0),
+            "{ctx}: the committed attempt saw the overwrite"
+        );
+        assert_eq!(attempts, 2, "{ctx}");
+        let snap = at.stats();
+        assert_eq!(snap.commits, 2, "{ctx}: the writer and the composition");
+        assert_eq!(
+            snap.aborts(),
+            1,
+            "{ctx}: the parent's commit-time validation"
+        );
+    }
+}
+
+#[test]
+fn read_only_transaction_keeps_its_snapshot_every_backend() {
+    // Without children a read-only attempt serializes at its snapshot:
+    // an overwrite committed after its read does not abort it.
+    for at in invisible_read_runners() {
+        let (x, y) = (TVar::new(0u64), TVar::new(0u64));
+        let mut attempts = 0;
+        let seen = at.run(Policy::Regular, |tx| {
+            attempts += 1;
+            let a = tx.get(&x)?;
+            if attempts == 1 {
+                overwrite(&at, &x);
+            }
+            Ok((a, tx.get(&y)?))
+        });
+        let ctx = key(&at);
+        assert_eq!(seen, (0, 0), "{ctx}");
+        assert_eq!(attempts, 1, "{ctx}: no validation, no abort");
+        assert_eq!(at.stats().aborts(), 0, "{ctx}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // or_else: branch selection, alternation, atomicity of the winner.
 // ---------------------------------------------------------------------
 
