@@ -7,10 +7,18 @@
 //! failure the recovery battery exercises is reproducible from a plan
 //! value, no timing or randomness involved, so a failing case is a
 //! one-line repro.
+//!
+//! [`GatedVfs`] is the same idea for *order*: it holds every fsync at a
+//! gate until the test lets that one through (or fails it), so a test
+//! can force any order among overlapping fsyncs without sleeping.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::vfs::Vfs;
 
@@ -141,6 +149,148 @@ impl<V: Vfs> Vfs for FaultVfs<V> {
     }
 }
 
+/// How long [`GatedVfs::await_arrivals`] waits before it calls the test
+/// wedged.
+const GATE_PATIENCE: Duration = Duration::from_secs(60);
+
+/// A [`Vfs`] decorator that holds each [`Vfs::sync`] at a gate until the
+/// test decides it: [`pass`](Self::pass) lets the `n`th sync through to
+/// the wrapped filesystem, [`fail`](Self::fail) makes it return an
+/// injected error, [`open`](Self::open) lets every sync through from then
+/// on. Syncs are numbered from 1 in the order they reach the gate;
+/// everything but `sync` passes straight through.
+pub struct GatedVfs<V: Vfs> {
+    inner: Arc<V>,
+    gate: Mutex<Gate>,
+    moved: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    /// Syncs that have reached the gate.
+    arrived: u64,
+    /// Decided syncs: number → pass (`true`) or fail (`false`).
+    verdicts: BTreeMap<u64, bool>,
+    open: bool,
+}
+
+impl<V: Vfs> GatedVfs<V> {
+    /// Wrap `inner` behind a closed gate.
+    pub fn new(inner: Arc<V>) -> Self {
+        Self {
+            inner,
+            gate: Mutex::new(Gate::default()),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// The wrapped filesystem.
+    pub fn inner(&self) -> &Arc<V> {
+        &self.inner
+    }
+
+    /// Block until `n` syncs have reached the gate.
+    ///
+    /// # Panics
+    /// When that does not happen within a minute: the code under test is
+    /// wedged.
+    pub fn await_arrivals(&self, n: u64) {
+        let mut gate = self.gate.lock();
+        while gate.arrived < n {
+            let waited = self.moved.wait_for(&mut gate, GATE_PATIENCE);
+            assert!(
+                !waited.timed_out() || gate.arrived >= n,
+                "{} of {n} syncs reached the gate",
+                gate.arrived
+            );
+        }
+    }
+
+    /// Let the `nth` sync (1-based, arrival order) through, now or when
+    /// it arrives.
+    pub fn pass(&self, nth: u64) {
+        self.decide(nth, true);
+    }
+
+    /// Make the `nth` sync return an injected error without syncing.
+    pub fn fail(&self, nth: u64) {
+        self.decide(nth, false);
+    }
+
+    /// Let every sync through, held or future.
+    pub fn open(&self) {
+        self.gate.lock().open = true;
+        self.moved.notify_all();
+    }
+
+    /// A guard that [`open`](Self::open)s the gate when dropped — also
+    /// while a failed assertion unwinds, so the threads held at the gate
+    /// finish and a scope waiting for them ends.
+    pub fn opener(&self) -> impl Drop + '_ {
+        struct Opener<'a, V: Vfs>(&'a GatedVfs<V>);
+        impl<V: Vfs> Drop for Opener<'_, V> {
+            fn drop(&mut self) {
+                self.0.open();
+            }
+        }
+        Opener(self)
+    }
+
+    fn decide(&self, nth: u64, pass: bool) {
+        self.gate.lock().verdicts.insert(nth, pass);
+        self.moved.notify_all();
+    }
+}
+
+impl<V: Vfs> Vfs for GatedVfs<V> {
+    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        self.inner.read(name)
+    }
+
+    fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
+        self.inner.append(name, data)
+    }
+
+    fn sync(&self, name: &str) -> io::Result<()> {
+        let pass = {
+            let mut gate = self.gate.lock();
+            gate.arrived += 1;
+            let me = gate.arrived;
+            self.moved.notify_all();
+            loop {
+                if gate.open {
+                    break true;
+                }
+                if let Some(&pass) = gate.verdicts.get(&me) {
+                    break pass;
+                }
+                self.moved.wait(&mut gate);
+            }
+        };
+        if pass {
+            self.inner.sync(name)
+        } else {
+            Err(injected("gated fsync failure"))
+        }
+    }
+
+    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.inner.remove(name)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(name, len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,5 +345,29 @@ mod tests {
         vfs.append("g", b"\x00").unwrap();
         assert_eq!(vfs.read("f").unwrap(), b"\x01", "bit 0 flipped");
         assert_eq!(vfs.read("g").unwrap(), b"\x00", "other files untouched");
+    }
+
+    #[test]
+    fn gated_syncs_wait_for_their_own_verdict() {
+        let vfs = GatedVfs::new(Arc::new(MemVfs::new()));
+        vfs.append("f", b"a").unwrap();
+        std::thread::scope(|s| {
+            let first = s.spawn(|| vfs.sync("f"));
+            vfs.await_arrivals(1);
+            let second = s.spawn(|| vfs.sync("f"));
+            vfs.await_arrivals(2);
+            assert!(vfs.inner().durable_bytes("f").is_empty(), "both held");
+            vfs.fail(2);
+            assert!(second.join().unwrap().is_err());
+            assert!(
+                vfs.inner().durable_bytes("f").is_empty(),
+                "a failed sync syncs nothing"
+            );
+            vfs.pass(1);
+            first.join().unwrap().unwrap();
+        });
+        assert_eq!(vfs.inner().durable_bytes("f"), b"a");
+        vfs.open();
+        vfs.sync("f").unwrap();
     }
 }

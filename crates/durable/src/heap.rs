@@ -1,3 +1,4 @@
+// lint:hot-path
 //! The bridge from STM commits to the WAL: stable keys and the
 //! [`CommitHook`] implementation.
 //!
@@ -10,10 +11,20 @@
 //! can share one transaction, and only the durable part pays for the
 //! fsync.
 //!
+//! `on_commit` is the *stage* step of a durable commit: it runs under
+//! the committer's write locks, encodes the registered writes straight
+//! from the [`WriteRecord`] into the WAL's batch buffer
+//! ([`Wal::stage`]), and defers the record's sequence number to the
+//! committer, which waits for it after releasing its locks. Nothing on
+//! that path allocates, does I/O or waits for another thread; staging is
+//! the whole time the hook holds the locks. A commit whose writes are all
+//! unregistered stages nothing and defers 0, so its committer waits for
+//! what it observed instead (see `stm_core::hook`).
+//!
 //! `on_commit` is infallible by contract (stm-core fires it past the
 //! point of no return). When the WAL is poisoned the hook therefore
-//! *degrades itself*: the commit proceeds in memory, the append is
-//! dropped, and the original IO failure stays queryable via
+//! *degrades itself*: the commit proceeds in memory, nothing is staged,
+//! and the original IO failure stays queryable via
 //! [`DurableHook::io_error`] for the harness/CLI to surface.
 
 use std::collections::HashMap;
@@ -132,26 +143,24 @@ impl DurableHook {
 
 impl CommitHook for DurableHook {
     fn on_commit(&self, record: &WriteRecord<'_>) {
-        // Hot-path note: this path only runs with durability *on*, where
-        // the fsync dominates; the hook-off config stays zero-alloc.
-        let mut writes = Vec::with_capacity(record.len());
-        if self.heap.identity {
-            record.for_each(&mut |core_id, word| writes.push((core_id as u64, word)));
+        let version = record.version();
+        let seq = if self.heap.identity {
+            self.wal.stage(version, |push| {
+                record.for_each(&mut |core_id, word| push(core_id as u64, word));
+            })
         } else {
             let keys = self.heap.keys.read().expect("durable heap lock");
-            record.for_each(&mut |core_id, word| {
-                if let Some(&key) = keys.get(&core_id) {
-                    writes.push((key, word));
-                }
-            });
-        }
-        if writes.is_empty() {
-            return;
-        }
-        // on_commit is infallible: a poisoned WAL degrades durability
-        // (queryable via io_error), it does not unwind a commit that the
-        // backend has already validated.
-        let _ = self.wal.append(record.version(), &writes);
+            self.wal.stage(version, |push| {
+                record.for_each(&mut |core_id, word| {
+                    if let Some(&key) = keys.get(&core_id) {
+                        push(key, word);
+                    }
+                });
+            })
+        };
+        // No record (nothing registered, or the WAL is poisoned): the
+        // committer waits for what it observed instead.
+        record.defer(&self.wal, seq.unwrap_or(0));
     }
 }
 
@@ -184,6 +193,8 @@ mod tests {
             }
         };
         hook.on_commit(&WriteRecord::new(12, writes.len(), &iter));
+        // No committer awaits a record built outside a commit.
+        hook.wal().flush().unwrap();
 
         let (records, _, err) = record::decode_stream(&mem.read(WAL_FILE).unwrap());
         assert!(err.is_none());
@@ -212,6 +223,7 @@ mod tests {
             }
         };
         hook.on_commit(&WriteRecord::new(3, writes.len(), &iter));
+        hook.wal().flush().unwrap();
 
         let (records, _, err) = record::decode_stream(&mem.read(WAL_FILE).unwrap());
         assert!(err.is_none());
@@ -236,6 +248,7 @@ mod tests {
             }
         };
         hook.on_commit(&WriteRecord::new(1, writes.len(), &iter));
+        hook.wal().flush().unwrap();
         assert!(!mem.exists(WAL_FILE));
     }
 }

@@ -4,11 +4,12 @@
 //! The paper's backends are in-memory by design; this crate adds the
 //! robustness layer the harness uses to prove crash-consistency claims:
 //!
-//! * [`wal`] — a **group-committed write-ahead log**: concurrent
-//!   committers stage records under a mutex, one leader fsyncs the whole
-//!   batch, everyone returns only once *their* record is durable. A
-//!   failed fsync sticky-poisons the log so durable state is always a
-//!   prefix of committed history.
+//! * [`wal`] — a **group-committed write-ahead log**: committers stage
+//!   records under a mutex while they hold their write locks, then wait
+//!   after releasing them; a leader appends and fsyncs the whole batch,
+//!   and the next leader may overlap its fsync with it. Everyone returns
+//!   only once *their* record is durable. A failed fsync sticky-poisons
+//!   the log so durable state is always a prefix of committed history.
 //! * [`record`] — length-prefixed, CRC-checksummed record framing with
 //!   typed decode errors: a torn tail is distinguishable from bit-rot,
 //!   and no byte sequence ever decodes to garbage.
@@ -24,7 +25,9 @@
 //! * [`vfs`] / [`fault`] — the IO seam that makes all of the above
 //!   testable: [`MemVfs`] tracks fsynced-vs-pending bytes and can
 //!   [`MemVfs::crash`]; [`FaultVfs`] injects scripted torn writes, fsync
-//!   failures and bit flips at exact operation counts. The crash-point
+//!   failures and bit flips at exact operation counts; [`GatedVfs`] holds
+//!   each fsync until the test lets it through, to force an order among
+//!   overlapping fsyncs. The crash-point
 //!   battery in `tests/durability.rs` recovers from *every prefix* of a
 //!   real WAL and checks the image equals the longest clean record
 //!   prefix.
@@ -45,7 +48,7 @@ pub mod store;
 pub mod vfs;
 pub mod wal;
 
-pub use fault::{BitFlip, FaultPlan, FaultVfs, TornAppend};
+pub use fault::{BitFlip, FaultPlan, FaultVfs, GatedVfs, TornAppend};
 pub use heap::{DurableHeap, DurableHook};
 pub use record::{Record, RecordError};
 pub use recover::{recover, RecoverError, Recovery};

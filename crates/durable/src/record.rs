@@ -151,22 +151,39 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Append one encoded record for `(version, writes)` onto `buf`.
 pub fn encode_into(buf: &mut Vec<u8>, version: u64, writes: &[(u64, u64)]) {
-    let count = u32::try_from(writes.len()).expect("write set exceeds u32");
-    let payload_len = PAYLOAD_FIXED_LEN + PAIR_LEN * writes.len();
-    buf.reserve(HEADER_LEN + payload_len);
+    encode_with(buf, version, |push| {
+        for &(key, word) in writes {
+            push(key, word);
+        }
+    });
+}
+
+/// Append one encoded record onto `buf` whose `(key, word)` pairs
+/// `writes` pushes, in order, and return how many it pushed. The pairs go
+/// straight into `buf`: nothing is collected first.
+pub fn encode_with(
+    buf: &mut Vec<u8>,
+    version: u64,
+    writes: impl FnOnce(&mut dyn FnMut(u64, u64)),
+) -> usize {
     let header_at = buf.len();
     buf.extend_from_slice(&[0u8; HEADER_LEN]);
     let payload_at = buf.len();
     buf.extend_from_slice(&version.to_le_bytes());
-    buf.extend_from_slice(&count.to_le_bytes());
-    for &(key, word) in writes {
+    buf.extend_from_slice(&[0u8; 4]); // count, patched below
+    let mut count = 0usize;
+    writes(&mut |key, word| {
         buf.extend_from_slice(&key.to_le_bytes());
         buf.extend_from_slice(&word.to_le_bytes());
-    }
+        count += 1;
+    });
+    let payload_len = u32::try_from(buf.len() - payload_at).expect("payload exceeds u32");
+    let count_field = u32::try_from(count).expect("write set exceeds u32");
+    buf[payload_at + 8..payload_at + PAYLOAD_FIXED_LEN].copy_from_slice(&count_field.to_le_bytes());
     let crc = crc32(&buf[payload_at..]);
-    let len = u32::try_from(payload_len).expect("payload exceeds u32");
-    buf[header_at..header_at + 4].copy_from_slice(&len.to_le_bytes());
+    buf[header_at..header_at + 4].copy_from_slice(&payload_len.to_le_bytes());
     buf[header_at + 4..header_at + 8].copy_from_slice(&crc.to_le_bytes());
+    count
 }
 
 fn read_u32(bytes: &[u8]) -> u32 {

@@ -103,6 +103,10 @@ pub struct OeTxn<'env> {
     /// True once the current (sub)transaction has written (elastic
     /// transactions "harden" into classic behaviour at their first write).
     hardened: bool,
+    /// Whether any part of this attempt ran elastic. Reads an elastic
+    /// window released are gone from every log, so only `rv` still bounds
+    /// the versions the attempt observed.
+    elastic: bool,
 }
 
 impl<'env> TxnEngine<'env> for OeTxn<'env> {
@@ -118,6 +122,7 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
         self.window.clear();
         self.mode = self.top_kind;
         self.hardened = self.top_kind == TxKind::Regular;
+        self.elastic = !self.hardened;
         self.rv = self.stm.clock().now();
     }
 
@@ -153,11 +158,16 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
         }
-        let writes = &mut self.scratch.base.writes;
-        self.at
-            .publish(wv, writes, writes.len(), WriteSet::for_each_write, |w| {
-                w.write_back_and_release(wv)
-            });
+        let (reads, writes) = (&self.scratch.base.reads, &mut self.scratch.base.writes);
+        let (elastic, rv) = (self.elastic, self.rv);
+        self.at.publish(
+            wv,
+            writes,
+            writes.len(),
+            WriteSet::for_each_write,
+            |w| w.write_back_and_release(wv),
+            |_| if elastic { rv } else { reads.max_version() },
+        );
         Ok(())
     }
 
@@ -193,6 +203,7 @@ impl<'env> OeTxn<'env> {
             top_kind: kind,
             mode: kind,
             hardened: kind == TxKind::Regular,
+            elastic: kind == TxKind::Elastic,
         }
     }
 
@@ -398,6 +409,7 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
         });
         self.mode = kind;
         self.hardened = kind == TxKind::Regular;
+        self.elastic |= !self.hardened;
         self.at.child_enter();
         Ok(())
     }

@@ -259,6 +259,9 @@ impl<'env> TxnEngine<'env> for BoostTxn<'env> {
                 log.undo.clear();
                 log.release_from(owner, 0);
             },
+            // No word versions: a commit that staged nothing waits for
+            // everything staged before it.
+            |_| u64::MAX,
         );
         Ok(())
     }

@@ -1,7 +1,7 @@
 //! Tunables shared by the STM implementations.
 
 use crate::cm::CmPolicy;
-use crate::hook::CommitHook;
+use crate::hook::{CommitHook, InstalledHook};
 use crate::trace::TraceSink;
 use std::sync::Arc;
 
@@ -52,11 +52,12 @@ pub struct StmConfig {
     /// Optional commit hook (see [`crate::hook`]): when set, every
     /// backend fires [`CommitHook::on_commit`] once per committed
     /// top-level update transaction, after validation succeeds and
-    /// before its write locks release — the seam the opt-in durable
+    /// before its write locks release, and every commit then awaits what
+    /// the hook deferred after the release — the seam the opt-in durable
     /// mode (WAL + snapshot) plugs into. Every registry backend honours
     /// this; `None` (the default) is a single predictable branch per
     /// commit, pinned allocation-free by the zero-allocation suite.
-    pub commit_hook: Option<Arc<dyn CommitHook>>,
+    pub commit_hook: Option<Arc<InstalledHook>>,
 }
 
 impl core::fmt::Debug for StmConfig {
@@ -131,7 +132,7 @@ impl StmConfig {
     /// transaction, after validation and before lock release.
     #[must_use]
     pub fn with_commit_hook(mut self, hook: Arc<dyn CommitHook>) -> Self {
-        self.commit_hook = Some(hook);
+        self.commit_hook = Some(Arc::new(InstalledHook::new(hook)));
         self
     }
 }

@@ -12,7 +12,8 @@
 //!   depth, tracer) with the common begin prelude, arbitration and child
 //!   bookkeeping;
 //! * [`Attempt::publish`] — the commit tail, i.e. the *order* of commit
-//!   hook → waiter notification → write-back/release → trace commit event;
+//!   hook (stage) → waiter notification → write-back/release → trace
+//!   commit event → durability await;
 //! * [`run`] — the retry/wait/park policy: which failures park on the
 //!   read set, which are charged and paced, when the run gives up.
 //!
@@ -23,7 +24,7 @@
 use crate::cm::{Arbitrate, CmState, ConflictCtx, ContentionManager};
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason};
-use crate::hook::WriteRecord;
+use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::ReadSet;
 use crate::stats::StmStats;
 use crate::stm::RunError;
@@ -223,15 +224,21 @@ impl<'env> Attempt<'env> {
     /// — validated, every write lock held — and `set` describing the
     /// `len` committed writes: `each` feeds their `(location, word)` pairs
     /// to a visitor (repeatably), `release` writes back / unlocks at
-    /// `version`. The order is the contract:
+    /// `version`, and `observed` bounds what the attempt read: the highest
+    /// version among the words it observed, `u64::MAX` when the backend
+    /// cannot tell. The order is the contract:
     ///
-    /// 1. the commit hook observes the writes *under the locks*, so
+    /// 1. the commit hook stages the writes *under the locks*, so
     ///    per-location hook order equals commit order (see `hook`);
     /// 2. waiters parked on a written location are woken, still under the
     ///    locks, so notify order is commit order too (see `wait`);
     /// 3. `release` publishes the writes and drops every lock;
     /// 4. only then is the trace commit event stamped, so any transaction
-    ///    beginning after it observes the writes (see `trace`).
+    ///    beginning after it observes the writes (see `trace`);
+    /// 5. last, with nothing held, the commit awaits durability: the
+    ///    record its hook staged, or — when it staged nothing — every
+    ///    record it could have observed (see `hook`). `observed` is only
+    ///    called here, with a hook installed.
     ///
     /// A read-only commit (`len == 0`) fires neither hook nor notify.
     #[inline]
@@ -242,13 +249,53 @@ impl<'env> Attempt<'env> {
         len: usize,
         each: impl Fn(&S, &mut dyn FnMut(usize, u64)),
         release: impl FnOnce(&mut S),
+        observed: impl FnOnce(&S) -> u64,
     ) {
         debug_assert_eq!(self.depth, 0, "commit with an open child");
+        match self.config.commit_hook.as_deref() {
+            None => self.notify_release(set, len, each, release),
+            Some(hook) => self.publish_hooked(hook, version, set, len, each, release, observed),
+        }
+    }
+
+    /// [`publish`](Self::publish) with a commit hook installed: step 1
+    /// before the shared steps 2–4, step 5 after them. Kept out of line so
+    /// the hookless tail stays one branch.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn publish_hooked<S: ?Sized>(
+        &mut self,
+        hook: &InstalledHook,
+        version: u64,
+        set: &mut S,
+        len: usize,
+        each: impl Fn(&S, &mut dyn FnMut(usize, u64)),
+        release: impl FnOnce(&mut S),
+        observed: impl FnOnce(&S) -> u64,
+    ) {
+        let staged = Cell::new(0);
+        if len != 0 {
+            let shared = &*set;
+            let writes = |f: &mut dyn FnMut(usize, u64)| each(shared, f);
+            hook.hook()
+                .on_commit(&WriteRecord::new(version, len, &writes).awaited_by(hook, &staged));
+        }
+        self.notify_release(set, len, &each, release);
+        hook.await_durable(staged.get(), || observed(set));
+    }
+
+    /// Steps 2–4 of [`publish`](Self::publish): notify, release, commit
+    /// event.
+    #[inline]
+    fn notify_release<S: ?Sized>(
+        &mut self,
+        set: &mut S,
+        len: usize,
+        each: impl Fn(&S, &mut dyn FnMut(usize, u64)),
+        release: impl FnOnce(&mut S),
+    ) {
         if len != 0 {
             let set = &*set;
-            if let Some(hook) = self.config.commit_hook.as_deref() {
-                hook.on_commit(&WriteRecord::new(version, len, &|f| each(set, f)));
-            }
             wait::notify_commit(&|f| each(set, &mut |location, _| f(location)));
         }
         release(set);
@@ -551,6 +598,7 @@ pub(crate) mod toy {
                 len,
                 |undo, f| undo.iter().for_each(|(c, _)| f(c.id(), c.value_unsync())),
                 Vec::clear,
+                |_| u64::MAX,
             );
             Ok(())
         }
@@ -628,7 +676,7 @@ pub(crate) mod toy {
 mod tests {
     use super::*;
     use crate::cm::CmPolicy;
-    use crate::hook::CommitHook;
+    use crate::hook::{CommitHook, DurableLog};
     use crate::trace::{TraceOp, TraceSink, TraceStamp};
     use std::sync::{Arc, Mutex};
 
@@ -689,7 +737,7 @@ mod tests {
                 self.locks_held = 2;
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
-            self.at.publish(0, &mut (), 0, |(), _| {}, |()| {});
+            self.at.publish(0, &mut (), 0, |(), _| {}, |()| {}, |()| 0);
             Ok(())
         }
         fn rollback(&mut self) {
@@ -1105,6 +1153,25 @@ mod tests {
         }
     }
 
+    impl DurableLog for Recorder {
+        fn wait_durable(&self, seq: u64) {
+            self.push(&format!("await {seq}"));
+        }
+        fn wait_observed(&self, observed: u64) {
+            self.push(&format!("await observed {observed}"));
+        }
+    }
+
+    /// A hook that stages every commit as record 3 of the recorder.
+    struct Staging(Arc<Recorder>);
+
+    impl CommitHook for Staging {
+        fn on_commit(&self, record: &WriteRecord<'_>) {
+            self.0.push("stage");
+            record.defer(&self.0, 3);
+        }
+    }
+
     fn recorded_config(rec: &Arc<Recorder>) -> StmConfig {
         StmConfig::default()
             .with_trace_sink(rec.clone())
@@ -1152,6 +1219,7 @@ mod tests {
                     writes[..len].iter().for_each(|&(loc, word)| f(loc, word));
                 },
                 |()| rec.push("release"),
+                |()| 0,
             );
         };
         // Publish from inside a waiter's own re-validation — registered,
@@ -1175,5 +1243,50 @@ mod tests {
         // Read-only: neither hook nor notify, still release and the event.
         publish(0);
         assert_eq!(rec.take(), ["release", "commit event"]);
+    }
+
+    #[test]
+    fn publish_awaits_durability_after_the_commit_event() {
+        let rec = Arc::new(Recorder::default());
+        let cfg = StmConfig::default()
+            .with_trace_sink(rec.clone())
+            .with_commit_hook(Arc::new(Staging(rec.clone())));
+        let stats = StmStats::new();
+        let publish = |len: usize| {
+            let mut at = Attempt::new(&cfg, &stats);
+            at.restart(1);
+            at.tracer()
+                .expect("sink configured")
+                .op(0xFEED, TraceOp::Write(5));
+            at.publish(
+                7,
+                &mut (),
+                len,
+                |(), f| f(0xFEED, 5),
+                |()| rec.push("release"),
+                |()| {
+                    rec.push("bound what it read");
+                    6
+                },
+            );
+        };
+        // No log bound yet: nothing to await.
+        publish(0);
+        assert_eq!(rec.take(), ["release", "commit event"]);
+        // A commit that stages waits for its own record, after everything
+        // else, with nothing held.
+        publish(1);
+        assert_eq!(rec.take(), ["stage", "release", "commit event", "await 3"]);
+        // One that stages nothing waits for what it observed.
+        publish(0);
+        assert_eq!(
+            rec.take(),
+            [
+                "release",
+                "commit event",
+                "bound what it read",
+                "await observed 6"
+            ]
+        );
     }
 }

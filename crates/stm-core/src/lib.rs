@@ -85,7 +85,7 @@ pub use dynstm::{
     Backend, BackendRegistry, BackendSpec, DynStm, DynTransaction, DynTxn, UnknownBackend,
 };
 pub use error::{Abort, AbortReason};
-pub use hook::{CommitHook, WriteRecord};
+pub use hook::{CommitHook, DurableLog, WriteRecord};
 pub use scratch::TxScratch;
 pub use stats::{StatsSnapshot, StmStats};
 pub use stm::{RunError, Stm, Transaction, TxKind};

@@ -115,6 +115,13 @@ impl<'env> ReadSet<'env> {
         self.entries.iter()
     }
 
+    /// The highest version recorded (0 when empty): a bound on the commit
+    /// versions of everything this set observed.
+    #[must_use]
+    pub fn max_version(&self) -> u64 {
+        self.entries.iter().map(|e| e.version).max().unwrap_or(0)
+    }
+
     /// Validate every entry: each location must be unlocked at its recorded
     /// version, or locked by `self_owner` with a pre-lock version (looked up
     /// via `locked_version_of`, typically the write set) equal to the

@@ -232,7 +232,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
         // The undo log is first-write-wins, so each written location
         // appears exactly once; its committed word is the in-place value
         // (`value_unsync` is safe under the held lock).
-        let undo = &mut self.undo;
+        let (reads, undo) = (&self.scratch.reads, &mut self.undo);
         self.at.publish(
             wv,
             undo,
@@ -243,6 +243,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
                     .for_each(|e| f(e.core.id(), e.core.value_unsync()));
             },
             |u| u.release_at(wv),
+            |_| reads.max_version(),
         );
         Ok(())
     }

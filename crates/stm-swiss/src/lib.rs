@@ -227,6 +227,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
                 s.writes.write_back_and_release(wv);
                 release_wlocks(wlocks, owner, &mut s.aux);
             },
+            |s| s.reads.max_version(),
         );
         Ok(())
     }

@@ -134,11 +134,15 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
         }
-        let writes = &mut self.scratch.writes;
-        self.at
-            .publish(wv, writes, writes.len(), WriteSet::for_each_write, |w| {
-                w.write_back_and_release(wv)
-            });
+        let (reads, writes) = (&self.scratch.reads, &mut self.scratch.writes);
+        self.at.publish(
+            wv,
+            writes,
+            writes.len(),
+            WriteSet::for_each_write,
+            |w| w.write_back_and_release(wv),
+            |_| reads.max_version(),
+        );
         Ok(())
     }
 

@@ -14,19 +14,27 @@
 //! continuation, clean durable prefix), bit-flip corruption (typed
 //! verdict, clean-prefix replay), and a checkpoint/crash/reopen
 //! generation cycle including a crash between seal and fold.
+//!
+//! Last, the rules of a commit that releases its locks before its fsync,
+//! forced with a gate that holds each fsync until the test lets it go:
+//! a second writer stages behind a held fsync without a lock conflict, in
+//! commit order; a commit that stages nothing returns only once what it
+//! observed is durable; a read of durable words never waits — all of it
+//! also through a hook wrapper that forwards nothing but `on_commit`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::hook::{CommitHook, WriteRecord};
-use composing_relaxed_transactions::stm_core::{StmConfig, TVar, Transaction, TxKind};
+use composing_relaxed_transactions::stm_core::{AbortReason, StmConfig, TVar, Transaction, TxKind};
 use durable::record::{self, Record};
 use durable::wal::WAL_FILE;
-use durable::{recover, BitFlip, DurableStore, FaultPlan, FaultVfs, MemVfs, Vfs};
+use durable::{recover, BitFlip, DurableStore, FaultPlan, FaultVfs, GatedVfs, MemVfs, Vfs};
 
 const BACKENDS: [&str; 6] = ["tl2", "lsa", "swiss", "oe", "oe-estm-compat", "boost"];
 const VARS: usize = 8;
@@ -225,8 +233,8 @@ fn run_durable_workload(name: &str, mem: &Arc<MemVfs>) -> Vec<u8> {
         store.io_error().is_none(),
         "{name}: WAL poisoned during workload"
     );
-    // `Wal::append` returns only after fsync, so the crash loses nothing
-    // that a transaction observed as committed-durable.
+    // A `run` returns only after its record is fsynced, so the crash
+    // loses nothing that a transaction observed as committed-durable.
     mem.crash();
     mem.durable_bytes(WAL_FILE)
 }
@@ -427,4 +435,196 @@ fn checkpoint_crash_reopen_cycle_preserves_state_across_generations() {
     );
     assert_eq!(rec.values.len(), VARS);
     assert_eq!(rec.values.values().sum::<u64>(), TOTAL);
+}
+
+/// A hook wrapper that forwards `on_commit` and nothing else, the shape
+/// of a timing wrapper: the await after the release must survive it.
+struct ForwardOnly(Arc<dyn CommitHook>);
+
+impl CommitHook for ForwardOnly {
+    fn on_commit(&self, record: &WriteRecord<'_>) {
+        self.0.on_commit(record);
+    }
+}
+
+/// A durable store whose fsyncs wait at a gate, and a backend committing
+/// through its hook.
+struct Gated {
+    gate: Arc<GatedVfs<MemVfs>>,
+    store: DurableStore,
+    backend: Backend,
+}
+
+impl Gated {
+    fn new(name: &str, wrapped: bool) -> Self {
+        let gate = Arc::new(GatedVfs::new(Arc::new(MemVfs::new())));
+        let (store, _) = DurableStore::open(gate.clone() as Arc<dyn Vfs>).unwrap();
+        let hook = if wrapped {
+            Arc::new(ForwardOnly(store.hook())) as Arc<dyn CommitHook>
+        } else {
+            store.hook()
+        };
+        let backend = backend_registry()
+            .build(name, StmConfig::default().with_commit_hook(hook))
+            .unwrap();
+        Self {
+            gate,
+            store,
+            backend,
+        }
+    }
+}
+
+/// Every backend, with the store's hook and with it wrapped.
+fn cells() -> impl Iterator<Item = (&'static str, bool)> {
+    BACKENDS
+        .into_iter()
+        .flat_map(|name| [(name, false), (name, true)])
+}
+
+/// Wait (yielding) until `cond` holds; `false` after a generous deadline.
+fn within_deadline(cond: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
+}
+
+/// Give a thread that should stay blocked a long run of chances to
+/// finish anyway, then report whether it stayed blocked. Never fails on
+/// correct code; on code that lets the thread through, it catches it.
+fn stays_unset(flag: &AtomicBool) -> bool {
+    for _ in 0..2000 {
+        if flag.load(Ordering::SeqCst) {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    !flag.load(Ordering::SeqCst)
+}
+
+#[test]
+fn a_second_writer_stages_behind_a_held_fsync_in_commit_order_every_backend() {
+    for (name, wrapped) in cells() {
+        let g = Gated::new(name, wrapped);
+        let x = TVar::new(0u64);
+        g.store.heap().register(1, x.core());
+        let (first, second) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            let _open = g.gate.opener();
+            s.spawn(|| {
+                g.backend.run(TxKind::Regular, |tx| tx.set(&x, 1));
+                first.store(true, Ordering::SeqCst);
+            });
+            g.gate.await_arrivals(1);
+            s.spawn(|| {
+                g.backend.run(TxKind::Regular, |tx| {
+                    let v = tx.get(&x)?;
+                    tx.set(&x, v + 1)
+                });
+                second.store(true, Ordering::SeqCst);
+            });
+            assert!(
+                within_deadline(|| g.store.wal().stats().records == 2),
+                "{name}/{wrapped}: the second writer never staged"
+            );
+            assert_eq!(x.load_atomic(), 2, "{name}/{wrapped}: write not released");
+            // The second commit leads its own fsync while the first is held.
+            g.gate.await_arrivals(2);
+            assert!(
+                !first.load(Ordering::SeqCst) && !second.load(Ordering::SeqCst),
+                "{name}/{wrapped}: a run returned before its record was durable"
+            );
+        });
+        let lock_conflicts = g.backend.stats().aborts_by_cause[AbortReason::LockConflict.index()];
+        assert_eq!(lock_conflicts, 0, "{name}/{wrapped}");
+        g.gate.inner().crash();
+        let (records, _, err) = record::decode_stream(&g.gate.inner().durable_bytes(WAL_FILE));
+        assert!(err.is_none(), "{name}/{wrapped}");
+        let logged: Vec<_> = records.iter().map(|r| r.writes.clone()).collect();
+        assert_eq!(logged, [[(1, 1)], [(1, 2)]], "{name}/{wrapped}: log order");
+    }
+}
+
+#[test]
+fn commits_that_stage_nothing_wait_for_what_they_observed_every_backend() {
+    for (name, wrapped) in cells() {
+        let g = Gated::new(name, wrapped);
+        let (x, y) = (TVar::new(0u64), TVar::new(0u64));
+        g.store.heap().register(1, x.core());
+        let (reader_read, reader_done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (writer_read, writer_done) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            let _open = g.gate.opener();
+            s.spawn(|| g.backend.run(TxKind::Regular, |tx| tx.set(&x, 1)));
+            g.gate.await_arrivals(1);
+            // Read-only, having observed the staged word.
+            let reader = s.spawn(|| {
+                let v = g.backend.run(TxKind::Regular, |tx| {
+                    let v = tx.get(&x)?;
+                    reader_read.store(true, Ordering::SeqCst);
+                    Ok(v)
+                });
+                reader_done.store(true, Ordering::SeqCst);
+                v
+            });
+            // Writes only an unregistered location.
+            s.spawn(|| {
+                g.backend.run(TxKind::Regular, |tx| {
+                    let v = tx.get(&x)?;
+                    writer_read.store(true, Ordering::SeqCst);
+                    tx.set(&y, v + 10)
+                });
+                writer_done.store(true, Ordering::SeqCst);
+            });
+            assert!(
+                within_deadline(|| {
+                    reader_read.load(Ordering::SeqCst) && writer_read.load(Ordering::SeqCst)
+                }),
+                "{name}/{wrapped}: the staged word stayed locked"
+            );
+            assert!(
+                within_deadline(|| y.load_atomic() == 11),
+                "{name}/{wrapped}: the unregistered write never committed"
+            );
+            assert!(stays_unset(&reader_done), "{name}/{wrapped}: reader");
+            assert!(stays_unset(&writer_done), "{name}/{wrapped}: writer");
+            assert_eq!(g.store.wal().stats().records, 1, "{name}/{wrapped}");
+            g.gate.open();
+            assert_eq!(reader.join().unwrap(), 1, "{name}/{wrapped}");
+        });
+    }
+}
+
+#[test]
+fn a_read_of_durable_words_does_not_wait_for_a_held_fsync() {
+    // Boost has no word versions, so its commits that stage nothing wait
+    // for everything staged before them; every other backend bounds what
+    // a read observed by the versions it read.
+    for (name, wrapped) in cells().filter(|&(name, _)| name != "boost") {
+        let g = Gated::new(name, wrapped);
+        let (k, x) = (TVar::new(0u64), TVar::new(0u64));
+        g.store.heap().register(1, k.core());
+        g.store.heap().register(2, x.core());
+        g.gate.pass(1);
+        g.backend.run(TxKind::Regular, |tx| tx.set(&k, 5));
+        let got = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let _open = g.gate.opener();
+            s.spawn(|| g.backend.run(TxKind::Regular, |tx| tx.set(&x, 1)));
+            g.gate.await_arrivals(2);
+            s.spawn(|| {
+                let v = g.backend.run(TxKind::Regular, |tx| tx.get(&k));
+                got.store(v, Ordering::SeqCst);
+            });
+            assert!(
+                within_deadline(|| got.load(Ordering::SeqCst) == 5),
+                "{name}/{wrapped}: a read of a durable key waited for an unrelated fsync"
+            );
+        });
+    }
 }

@@ -185,8 +185,8 @@ fn racing_cross_shard_transfers_conserve_the_total() {
 fn durable_multis_survive_a_crash_as_a_committed_prefix() {
     // Run a deterministic MULTI sequence through the WAL hook, crash the
     // VFS, recover into a fresh keyspace, and check the recovered image
-    // equals one of the reference prefix states. `Wal::append` fsyncs
-    // before the commit returns, so the surviving prefix is in fact the
+    // equals one of the reference prefix states. A commit returns only
+    // after its record is fsynced, so the surviving prefix is in fact the
     // *full* sequence — asserted last, separately, to keep the prefix
     // property and the no-loss property distinct.
     let mem = Arc::new(MemVfs::new());

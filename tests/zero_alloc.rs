@@ -436,4 +436,38 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         events, 0,
         "KeySpace::set of a present key allocated {events} times"
     );
+
+    // The stage step of a durable commit, run under the committer's
+    // locks: the hook encodes the registered writes straight into the
+    // WAL's batch buffer. With both batch buffers warm it allocates
+    // nothing; the flush after each trial (I/O, the await step) is not
+    // measured.
+    use composing_relaxed_transactions::stm_core::hook::WriteRecord;
+    use durable::{DurableStore, MemVfs, Vfs};
+    let (store, _) =
+        DurableStore::open(std::sync::Arc::new(MemVfs::new()) as std::sync::Arc<dyn Vfs>)
+            .expect("open an empty store");
+    let vars: Vec<TVar<u64>> = (0..4).map(TVar::new).collect();
+    for (key, var) in vars.iter().enumerate() {
+        store.heap().register(key as u64, var.core());
+    }
+    let (hook, wal) = (store.hook(), store.wal());
+    let writes: Vec<(usize, u64)> = vars.iter().map(|v| (v.core().id(), 9)).collect();
+    let iter = |f: &mut dyn FnMut(usize, u64)| writes.iter().for_each(|&(id, w)| f(id, w));
+    let record = WriteRecord::new(1, writes.len(), &iter);
+    let events = (0..8)
+        .map(|_| {
+            let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+            hook.on_commit(&record);
+            let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+            wal.flush().expect("flush to memory");
+            events
+        })
+        .skip(2) // warm both batch buffers
+        .min()
+        .expect("trials ran");
+    assert_eq!(
+        events, 0,
+        "staging a durable commit allocated {events} times"
+    );
 }
