@@ -147,6 +147,10 @@ impl<V: Vfs> Vfs for FaultVfs<V> {
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
         self.inner.truncate(name, len)
     }
+
+    fn reserve(&self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.reserve(name, len)
+    }
 }
 
 /// How long [`GatedVfs::await_arrivals`] waits before it calls the test
@@ -158,7 +162,8 @@ const GATE_PATIENCE: Duration = Duration::from_secs(60);
 /// the wrapped filesystem, [`fail`](Self::fail) makes it return an
 /// injected error, [`open`](Self::open) lets every sync through from then
 /// on. Syncs are numbered from 1 in the order they reach the gate;
-/// everything but `sync` passes straight through.
+/// everything but `sync` passes straight through (a reservation's own
+/// fsync included).
 pub struct GatedVfs<V: Vfs> {
     inner: Arc<V>,
     gate: Mutex<Gate>,
@@ -288,6 +293,10 @@ impl<V: Vfs> Vfs for GatedVfs<V> {
 
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
         self.inner.truncate(name, len)
+    }
+
+    fn reserve(&self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.reserve(name, len)
     }
 }
 

@@ -14,6 +14,14 @@
 //! [`RecordError::TruncatedBody`]) is distinguishable from corruption
 //! ([`RecordError::BadChecksum`] / [`RecordError::BadLength`] /
 //! [`RecordError::BadCount`]), and recovery reports the distinction.
+//!
+//! A log may also end in zeros it reserved ahead of its writes (see
+//! [`crate::vfs::Vfs::reserve`]). A record header is never all zero (its
+//! length byte is `12 + 16·n`), so [`decode_stream`] reads an all-zero
+//! header at a record boundary as the clean end of the log
+//! ([`RecordError::Unwritten`]), and a bad record followed by zeros only,
+//! whose written bytes stop short of the end its header claims, as a
+//! tear. A bad record followed by non-zero bytes is still corruption.
 
 use std::fmt;
 
@@ -78,6 +86,12 @@ pub enum RecordError {
         /// The payload length it contradicts.
         len: u32,
     },
+    /// An all-zero header at a record boundary: reserved space that was
+    /// never written — the clean end of the log, not damage.
+    Unwritten {
+        /// Bytes from the boundary to the end of the stream.
+        len: usize,
+    },
 }
 
 impl RecordError {
@@ -89,6 +103,13 @@ impl RecordError {
             self,
             RecordError::TruncatedHeader { .. } | RecordError::TruncatedBody { .. }
         )
+    }
+
+    /// Whether decoding stopped at reserved space that was never written
+    /// (the log ended cleanly).
+    #[must_use]
+    pub fn is_unwritten(&self) -> bool {
+        matches!(self, RecordError::Unwritten { .. })
     }
 }
 
@@ -112,6 +133,9 @@ impl fmt::Display for RecordError {
             }
             RecordError::BadCount { count, len } => {
                 write!(f, "record count {count} contradicts payload length {len}")
+            }
+            RecordError::Unwritten { len } => {
+                write!(f, "{len} reserved byte(s) never written")
             }
         }
     }
@@ -242,21 +266,43 @@ pub fn decode(bytes: &[u8]) -> Result<(Record, usize), RecordError> {
 /// Decode as many whole records as `bytes` holds, front to back.
 /// Returns the records, the length of the clean prefix they occupy, and
 /// the error that stopped decoding (`None` when `bytes` ends exactly on
-/// a record boundary).
+/// a record boundary, [`RecordError::Unwritten`] when reserved zeros
+/// follow that boundary; see the module docs for the tear rule).
 #[must_use]
 pub fn decode_stream(bytes: &[u8]) -> (Vec<Record>, usize, Option<RecordError>) {
     let mut records = Vec::new();
     let mut at = 0;
     while at < bytes.len() {
-        match decode(&bytes[at..]) {
+        let rest = &bytes[at..];
+        if rest.iter().take(HEADER_LEN).all(|&b| b == 0) {
+            let err = RecordError::Unwritten { len: rest.len() };
+            return (records, at, Some(err));
+        }
+        match decode(rest) {
             Ok((record, used)) => {
                 records.push(record);
                 at += used;
             }
-            Err(err) => return (records, at, Some(err)),
+            Err(err) if err.is_truncation() => return (records, at, Some(err)),
+            Err(err) => return (records, at, Some(torn_into_zeros(rest).unwrap_or(err))),
         }
     }
     (records, at, None)
+}
+
+/// The tear verdict for a bad record at the front of `rest` that is
+/// followed by nothing but zeros and whose last non-zero byte falls short
+/// of the end its header claims: written up to there, then cut off.
+/// `None` when non-zero bytes follow the record, or nothing does.
+fn torn_into_zeros(rest: &[u8]) -> Option<RecordError> {
+    let extent = HEADER_LEN + read_u32(rest) as usize;
+    let written = rest.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    if written >= extent || extent >= rest.len() {
+        return None;
+    }
+    decode(&rest[..written])
+        .err()
+        .filter(RecordError::is_truncation)
 }
 
 #[cfg(test)]
@@ -336,5 +382,43 @@ mod tests {
         let mut bad = buf;
         bad[0..4].copy_from_slice(&(PAYLOAD_FIXED_LEN as u32 + 1).to_le_bytes());
         assert!(matches!(decode(&bad), Err(RecordError::BadLength { .. })));
+    }
+
+    #[test]
+    fn reserved_zeros_end_the_log_and_a_record_torn_into_them_is_a_tear() {
+        let mut buf = Vec::new();
+        encode_into(&mut buf, 1, &[(5, 0x55)]);
+        let first = buf.len();
+        // Its last byte is not zero: the record is written to its end.
+        encode_into(&mut buf, 2, &[(6, 0x66), (7, u64::MAX)]);
+        let padded = |bytes: &[u8]| [bytes, &[0u8; 100]].concat();
+
+        assert_eq!(
+            decode_stream(&[0u8; 3]),
+            (vec![], 0, Some(RecordError::Unwritten { len: 3 }))
+        );
+        let (records, clean, err) = decode_stream(&padded(&buf));
+        assert_eq!((records.len(), clean), (2, buf.len()));
+        assert_eq!(err, Some(RecordError::Unwritten { len: 100 }));
+
+        // Torn inside the second record's header, then inside its body.
+        for cut in [first + 1, first + 9] {
+            let (records, clean, err) = decode_stream(&padded(&buf[..cut]));
+            assert_eq!((records.len(), clean), (1, first), "cut {cut}");
+            assert!(err.expect("a tear").is_truncation(), "cut {cut}");
+        }
+
+        // A bad record followed by a record stays corruption; the same
+        // record followed only by zeros, but written to its end, too.
+        let mut bad = padded(&buf);
+        bad[HEADER_LEN + 2] ^= 0x10;
+        let (records, _, err) = decode_stream(&bad);
+        assert!(records.is_empty());
+        assert!(matches!(err, Some(RecordError::BadChecksum { .. })));
+        let mut bad = padded(&buf);
+        bad[first + HEADER_LEN + 2] ^= 0x10;
+        let (records, _, err) = decode_stream(&bad);
+        assert_eq!(records.len(), 1);
+        assert!(matches!(err, Some(RecordError::BadChecksum { .. })));
     }
 }

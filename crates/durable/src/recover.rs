@@ -18,7 +18,10 @@
 //!    file, and a diagnostic note records the byte offset and whether it
 //!    looked like a tear (crash mid-append) or corruption (checksum).
 //!    Nothing past the first bad frame is ever applied — a record is
-//!    only replayed when every byte of it was fsynced.
+//!    only replayed when every byte of it was fsynced. Zeros a log
+//!    reserved ahead of its writes end replay cleanly: they are cut off
+//!    the same way, under an "unwritten tail" note, so the repaired file
+//!    is exactly what an appending log would have left.
 //! 4. Return the rebuilt key→word image plus the diagnostics. The caller
 //!    installs the image into its `TVar`s (see `tests/durability.rs`)
 //!    and resumes appending to the now-clean `wal`.
@@ -44,6 +47,9 @@ pub struct Recovery {
     pub records_applied: u64,
     /// Highest advisory commit version seen in replayed records.
     pub last_version: u64,
+    /// Length of the live log `wal` after repair (0 when absent): where
+    /// the next append goes.
+    pub wal_len: u64,
     /// Human-readable diagnostics: discarded temp files, truncated
     /// tails, corruption verdicts. Empty means a perfectly clean start.
     pub notes: Vec<String>,
@@ -73,10 +79,11 @@ impl fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// Replay one log file into `out`, truncating a bad tail in place.
-fn replay_log(vfs: &dyn Vfs, name: &str, out: &mut Recovery) -> Result<(), RecoverError> {
+/// Replay one log file into `out`, truncating a bad or unwritten tail
+/// in place. Returns the file's length after repair.
+fn replay_log(vfs: &dyn Vfs, name: &str, out: &mut Recovery) -> Result<u64, RecoverError> {
     if !vfs.exists(name) {
-        return Ok(());
+        return Ok(0);
     }
     let bytes = vfs.read(name).map_err(RecoverError::Io)?;
     let (records, clean, err) = record::decode_stream(&bytes);
@@ -87,21 +94,28 @@ fn replay_log(vfs: &dyn Vfs, name: &str, out: &mut Recovery) -> Result<(), Recov
         out.last_version = out.last_version.max(rec.version);
     }
     out.records_applied += records.len() as u64;
-    if let Some(err) = err {
+    let Some(err) = err else {
+        return Ok(clean as u64);
+    };
+    let (lost, n) = (bytes.len() - clean, records.len());
+    out.notes.push(if err.is_unwritten() {
+        format!(
+            "{name}: unwritten tail of {lost} reserved byte(s) at byte {clean}; \
+             truncated, kept {n} record(s)"
+        )
+    } else {
         let kind = if err.is_truncation() {
             "torn tail"
         } else {
             "corrupt record"
         };
-        out.notes.push(format!(
+        format!(
             "{name}: {kind} at byte {clean} ({err}); truncated {lost} byte(s), \
-             kept {n} record(s)",
-            lost = bytes.len() - clean,
-            n = records.len(),
-        ));
-        vfs.truncate(name, clean as u64).map_err(RecoverError::Io)?;
-    }
-    Ok(())
+             kept {n} record(s)"
+        )
+    });
+    vfs.truncate(name, clean as u64).map_err(RecoverError::Io)?;
+    Ok(clean as u64)
 }
 
 /// Rebuild the durable image from `vfs`, repairing torn tails and
@@ -139,7 +153,7 @@ pub fn recover(vfs: &dyn Vfs) -> Result<Recovery, RecoverError> {
         ));
     }
     replay_log(vfs, WAL_OLD_FILE, &mut out)?;
-    replay_log(vfs, WAL_FILE, &mut out)?;
+    out.wal_len = replay_log(vfs, WAL_FILE, &mut out)?;
 
     Ok(out)
 }

@@ -76,7 +76,7 @@ impl DurableStore {
     ) -> Result<(Self, Recovery), recover::RecoverError> {
         let recovery = recover::recover(vfs.as_ref())?;
         let heap = Arc::new(heap);
-        let wal = Arc::new(Wal::open(vfs));
+        let wal = Arc::new(Wal::open_at(vfs, recovery.wal_len));
         let hook = Arc::new(DurableHook::new(Arc::clone(&heap), Arc::clone(&wal)));
         Ok((
             Self {

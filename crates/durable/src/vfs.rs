@@ -16,14 +16,32 @@
 //! — the POSIX idiom of `rename(2)` over a synced temp file; the
 //! directory-entry fsync a fully paranoid production store would add is
 //! out of scope here and called out in DESIGN.md.
+//!
+//! # The trait surface
+//!
+//! [`Vfs`] is eight methods. Seven are the file operations the layers
+//! above need: whole-file [`read`](Vfs::read), [`append`](Vfs::append),
+//! [`sync`](Vfs::sync) (fsync), atomic [`rename`](Vfs::rename),
+//! [`remove`](Vfs::remove), [`exists`](Vfs::exists) and
+//! [`truncate`](Vfs::truncate). The eighth, [`reserve`](Vfs::reserve), is
+//! a hint with a no-op default: it backs the first `len` bytes of a file
+//! with written, synced zeros, so that later appends overwrite space
+//! that already exists instead of growing the file, and an fsync has no
+//! file-size change to journal. It changes neither what `read` returns
+//! nor where `append` writes. A reserved file that outlives its process
+//! (a crash, or a second [`StdVfs`] on the same directory) reads as its
+//! logical bytes followed by zeros; recovery reads the zeros as an
+//! *unwritten tail* (see [`crate::record::decode_stream`]).
 
-use std::collections::BTreeMap;
-use std::io;
+use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Object-safe filesystem surface of the durable layer: whole-file reads,
-/// appends, fsync, atomic rename, remove, truncate.
+/// appends, fsync, atomic rename, remove, truncate, and the `reserve`
+/// hint (see the module docs).
 pub trait Vfs: Send + Sync {
     /// Read the entire current content of `name` (durable *and* pending
     /// bytes — what a live process sees). Missing files read as
@@ -70,13 +88,54 @@ pub trait Vfs: Send + Sync {
     /// # Errors
     /// `NotFound` when the file does not exist; backend IO errors.
     fn truncate(&self, name: &str, len: u64) -> io::Result<()>;
+
+    /// Back the first `len` bytes of `name` with zeros that are written
+    /// and synced, creating the file if missing. Changes neither what
+    /// [`read`](Self::read) returns nor where [`append`](Self::append)
+    /// writes. The default does nothing: a `Vfs` that ignores the hint
+    /// simply keeps growing the file on every append.
+    ///
+    /// # Errors
+    /// Backend IO errors. A failed reservation leaves the file's logical
+    /// content as it was.
+    fn reserve(&self, name: &str, len: u64) -> io::Result<()> {
+        let _ = (name, len);
+        Ok(())
+    }
 }
+
+/// Bytes a [`StdVfs`] reservation writes per call: the zeros come from
+/// one static block, so a reservation costs no heap.
+const ZERO_BLOCK: usize = 64 << 10;
+static ZEROS: [u8; ZERO_BLOCK] = [0; ZERO_BLOCK];
 
 /// Production binding: files under a root directory on the real
 /// filesystem.
+///
+/// An unreserved file is appended through a fresh append-mode handle and
+/// synced through a fresh handle. Once [`Vfs::reserve`] has zero-filled
+/// space for a file, this instance keeps one handle open for it and
+/// remembers its *logical length* in memory: `append` writes there,
+/// `sync` fsyncs the kept handle, and `read` stops there. A second
+/// instance (or process) does not share that length; it reads the
+/// logical bytes followed by the reserved zeros and relies on recovery
+/// to cut them off.
 #[derive(Debug)]
 pub struct StdVfs {
     root: PathBuf,
+    /// Reserved files, by name. Also held across an unreserved append, so
+    /// a reservation never starts between an append's open and its write.
+    reserved: Mutex<HashMap<String, Reserved>>,
+}
+
+/// A reserved file of one [`StdVfs`].
+#[derive(Debug)]
+struct Reserved {
+    file: Arc<File>,
+    /// The logical end: where the next append goes, where `read` stops.
+    len: u64,
+    /// How far the file is backed by data or written zeros.
+    filled: u64,
 }
 
 impl StdVfs {
@@ -87,21 +146,46 @@ impl StdVfs {
     pub fn new(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(Self { root })
+        Ok(Self {
+            root,
+            reserved: Mutex::new(HashMap::new()),
+        })
     }
 
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }
+
+    fn reserved(&self) -> MutexGuard<'_, HashMap<String, Reserved>> {
+        self.reserved.lock().expect("std vfs lock")
+    }
+}
+
+/// Write all of `data` at byte `at` of `file`.
+fn write_at(file: &File, at: u64, data: &[u8]) -> io::Result<()> {
+    let mut f = file;
+    f.seek(SeekFrom::Start(at))?;
+    f.write_all(data)
 }
 
 impl Vfs for StdVfs {
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        std::fs::read(self.path(name))
+        let len = self.reserved().get(name).map(|r| r.len);
+        let mut bytes = std::fs::read(self.path(name))?;
+        if let Some(len) = len {
+            bytes.truncate(usize::try_from(len).unwrap_or(usize::MAX));
+        }
+        Ok(bytes)
     }
 
     fn append(&self, name: &str, data: &[u8]) -> io::Result<()> {
-        use std::io::Write;
+        let mut reserved = self.reserved();
+        if let Some(r) = reserved.get_mut(name) {
+            write_at(&r.file, r.len, data)?;
+            r.len += data.len() as u64;
+            r.filled = r.filled.max(r.len);
+            return Ok(());
+        }
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -110,17 +194,30 @@ impl Vfs for StdVfs {
     }
 
     fn sync(&self, name: &str) -> io::Result<()> {
-        // fsync(2) applies to the file, not the handle that wrote it, so
-        // a fresh handle is sufficient to flush earlier appends.
-        std::fs::File::open(self.path(name))?.sync_all()
+        let kept = self.reserved().get(name).map(|r| Arc::clone(&r.file));
+        match kept {
+            Some(file) => file.sync_all(),
+            // fsync(2) applies to the file, not the handle that wrote it,
+            // so a fresh handle is sufficient to flush earlier appends.
+            None => File::open(self.path(name))?.sync_all(),
+        }
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        std::fs::rename(self.path(from), self.path(to))
+        let mut reserved = self.reserved();
+        std::fs::rename(self.path(from), self.path(to))?;
+        reserved.remove(to);
+        if let Some(r) = reserved.remove(from) {
+            reserved.insert(to.to_string(), r);
+        }
+        Ok(())
     }
 
     fn remove(&self, name: &str) -> io::Result<()> {
-        std::fs::remove_file(self.path(name))
+        let mut reserved = self.reserved();
+        std::fs::remove_file(self.path(name))?;
+        reserved.remove(name);
+        Ok(())
     }
 
     fn exists(&self, name: &str) -> bool {
@@ -128,6 +225,13 @@ impl Vfs for StdVfs {
     }
 
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        let mut reserved = self.reserved();
+        if let Some(r) = reserved.remove(name) {
+            // The zeros past the logical end go too: the file is plain
+            // again.
+            r.file.set_len(len.min(r.len))?;
+            return r.file.sync_all();
+        }
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(self.path(name))?;
@@ -137,20 +241,83 @@ impl Vfs for StdVfs {
         }
         Ok(())
     }
+
+    fn reserve(&self, name: &str, len: u64) -> io::Result<()> {
+        let file = {
+            let mut reserved = self.reserved();
+            match reserved.get(name) {
+                Some(r) => Arc::clone(&r.file),
+                None => {
+                    let file = std::fs::OpenOptions::new()
+                        .read(true)
+                        .write(true)
+                        .create(true)
+                        .truncate(false)
+                        .open(self.path(name))?;
+                    let end = file.metadata()?.len();
+                    let file = Arc::new(file);
+                    reserved.insert(
+                        name.to_string(),
+                        Reserved {
+                            file: Arc::clone(&file),
+                            len: end,
+                            filled: end,
+                        },
+                    );
+                    file
+                }
+            }
+        };
+        // One block per lock hold, never below the logical end: an append
+        // racing the fill waits at most one block and is never zeroed.
+        loop {
+            let mut reserved = self.reserved();
+            let Some(r) = reserved.get_mut(name) else {
+                break; // renamed or removed meanwhile
+            };
+            let at = r.filled.max(r.len);
+            if at >= len {
+                break;
+            }
+            let n = (len - at).min(ZERO_BLOCK as u64);
+            write_at(&r.file, at, &ZEROS[..n as usize])?;
+            r.filled = at + n;
+        }
+        file.sync_all()
+    }
 }
 
 /// One in-memory file: the durable prefix (survives [`MemVfs::crash`])
-/// plus the pending suffix (appended but not yet fsynced).
+/// plus the pending suffix (appended but not yet fsynced), and the length
+/// [`Vfs::reserve`] backed with synced zeros.
 #[derive(Debug, Default, Clone)]
 struct MemFile {
     durable: Vec<u8>,
     pending: Vec<u8>,
+    reserved: usize,
 }
 
 impl MemFile {
+    fn synced(durable: Vec<u8>) -> Self {
+        Self {
+            durable,
+            ..Self::default()
+        }
+    }
+
     fn combined(&self) -> Vec<u8> {
         let mut out = self.durable.clone();
         out.extend_from_slice(&self.pending);
+        out
+    }
+
+    /// What a crash leaves of this file: the synced bytes, then zeros up
+    /// to the reserved length.
+    fn crashed(&self) -> Vec<u8> {
+        let mut out = self.durable.clone();
+        if out.len() < self.reserved {
+            out.resize(self.reserved, 0);
+        }
         out
     }
 }
@@ -170,16 +337,20 @@ impl MemVfs {
     }
 
     /// Simulate a process kill / power loss: every pending (unsynced)
-    /// byte vanishes, every durable byte survives.
+    /// byte vanishes, every durable byte survives. A reserved file then
+    /// holds its synced bytes followed by zeros up to the reserved length,
+    /// and its logical length is forgotten: the zeros read back as data,
+    /// as they would to a fresh process.
     pub fn crash(&self) {
         let mut files = self.files.lock().expect("mem vfs lock");
         for file in files.values_mut() {
-            file.pending.clear();
+            *file = MemFile::synced(file.crashed());
         }
     }
 
-    /// The bytes of `name` that would survive a crash right now (empty if
-    /// the file does not exist).
+    /// The synced bytes of `name` (empty if the file does not exist). The
+    /// zeros a reservation keeps past them are not included until a
+    /// [`crash`](Self::crash) makes them part of the file.
     #[must_use]
     pub fn durable_bytes(&self, name: &str) -> Vec<u8> {
         self.files
@@ -191,31 +362,31 @@ impl MemVfs {
     }
 
     /// A fresh `MemVfs` seeded with exactly one durable file — the
-    /// building block of the crash-point battery (`wal = W[..offset]`).
+    /// building block of the crash-point battery: `W[..offset]` is what a
+    /// crash leaves of an appended log, `W[..offset]` followed by zeros
+    /// what it leaves of a reserved one.
     #[must_use]
     pub fn with_file(name: &str, durable: Vec<u8>) -> Self {
         let vfs = Self::new();
-        vfs.files.lock().expect("mem vfs lock").insert(
-            name.to_string(),
-            MemFile {
-                durable,
-                pending: Vec::new(),
-            },
-        );
+        vfs.files
+            .lock()
+            .expect("mem vfs lock")
+            .insert(name.to_string(), MemFile::synced(durable));
         vfs
     }
 
-    /// Clone the current *durable* image (name → synced bytes), i.e. the
-    /// filesystem a crash right now would leave behind. Use it to build a
-    /// post-crash replica with [`from_durable_image`](Self::from_durable_image).
+    /// Clone the current *durable* image (name → the bytes a crash would
+    /// leave, reserved zeros included), i.e. the filesystem a crash right
+    /// now would leave behind. Use it to build a post-crash replica with
+    /// [`from_durable_image`](Self::from_durable_image).
     #[must_use]
     pub fn durable_image(&self) -> BTreeMap<String, Vec<u8>> {
         self.files
             .lock()
             .expect("mem vfs lock")
             .iter()
-            .filter(|(_, f)| !f.durable.is_empty())
-            .map(|(name, f)| (name.clone(), f.durable.clone()))
+            .map(|(name, f)| (name.clone(), f.crashed()))
+            .filter(|(_, bytes)| !bytes.is_empty())
             .collect()
     }
 
@@ -227,13 +398,7 @@ impl MemVfs {
         {
             let mut files = vfs.files.lock().expect("mem vfs lock");
             for (name, durable) in image {
-                files.insert(
-                    name,
-                    MemFile {
-                        durable,
-                        pending: Vec::new(),
-                    },
-                );
+                files.insert(name, MemFile::synced(durable));
             }
         }
         vfs
@@ -303,6 +468,17 @@ impl Vfs for MemVfs {
         } else {
             file.pending.truncate(len - file.durable.len());
         }
+        // As on disk: the zeros past the logical end are cut off too.
+        file.reserved = 0;
+        Ok(())
+    }
+
+    fn reserve(&self, name: &str, len: u64) -> io::Result<()> {
+        let mut files = self.files.lock().expect("mem vfs lock");
+        let file = files.entry(name.to_string()).or_default();
+        file.reserved = file
+            .reserved
+            .max(usize::try_from(len).unwrap_or(usize::MAX));
         Ok(())
     }
 }
@@ -350,6 +526,60 @@ mod tests {
         let replica = MemVfs::from_durable_image(vfs.durable_image());
         assert_eq!(replica.read("wal").unwrap(), b"synced");
         assert!(!replica.exists("tmp"), "unsynced files do not survive");
+    }
+
+    #[test]
+    fn mem_vfs_crash_leaves_a_reserved_file_synced_bytes_then_zeros() {
+        let vfs = MemVfs::new();
+        vfs.append("wal", b"synced").unwrap();
+        vfs.sync("wal").unwrap();
+        vfs.reserve("wal", 16).unwrap();
+        vfs.append("wal", b"+lost").unwrap();
+        assert_eq!(vfs.read("wal").unwrap(), b"synced+lost", "logical bytes");
+        assert_eq!(vfs.durable_image()["wal"], b"synced\0\0\0\0\0\0\0\0\0\0");
+        vfs.crash();
+        // The logical length is gone: the zeros now read as file content.
+        assert_eq!(vfs.read("wal").unwrap(), b"synced\0\0\0\0\0\0\0\0\0\0");
+        vfs.truncate("wal", 6).unwrap();
+        vfs.crash();
+        assert_eq!(
+            vfs.read("wal").unwrap(),
+            b"synced",
+            "truncation cut the zeros"
+        );
+        vfs.reserve("fresh", 4).unwrap();
+        assert_eq!(vfs.read("fresh").unwrap(), b"", "reserve creates the file");
+        vfs.crash();
+        assert_eq!(vfs.read("fresh").unwrap(), b"\0\0\0\0");
+    }
+
+    #[test]
+    fn std_vfs_reserve_keeps_the_logical_view_and_backs_it_with_zeros() {
+        let root = std::env::temp_dir().join(format!("durable-reserve-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let vfs = StdVfs::new(&root).unwrap();
+        let on_disk = |name: &str| std::fs::metadata(root.join(name)).unwrap().len();
+        vfs.append("log", b"hello").unwrap();
+        vfs.reserve("log", 100_000).unwrap();
+        assert_eq!(on_disk("log"), 100_000);
+        vfs.append("log", b" world").unwrap();
+        vfs.sync("log").unwrap();
+        assert_eq!(vfs.read("log").unwrap(), b"hello world");
+        assert_eq!(on_disk("log"), 100_000, "the append overwrote zeros");
+        // A second instance sees the zeros; it relies on recovery.
+        let fresh = StdVfs::new(&root).unwrap().read("log").unwrap();
+        assert_eq!(fresh.len(), 100_000);
+        assert!(fresh.starts_with(b"hello world") && fresh[11..].iter().all(|&b| b == 0));
+        // The reservation follows a rename; truncation cuts the zeros off.
+        vfs.rename("log", "old").unwrap();
+        assert_eq!(vfs.read("old").unwrap(), b"hello world");
+        vfs.truncate("old", 5).unwrap();
+        assert_eq!(on_disk("old"), 5);
+        assert_eq!(StdVfs::new(&root).unwrap().read("old").unwrap(), b"hello");
+        vfs.append("old", b"!").unwrap();
+        assert_eq!(vfs.read("old").unwrap(), b"hello!", "plain appends again");
+        vfs.remove("old").unwrap();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -40,6 +40,16 @@
 //! records it could have observed. Each record keeps its commit version,
 //! and the log tracks the lowest version among those not yet durable;
 //! a reader whose words are all older returns after one atomic load.
+//!
+//! **Reserved space.** An append that grows the file makes its fsync
+//! journal a file-size change too. The log therefore keeps
+//! [`RESERVE_CHUNK`] bytes of written, synced zeros ahead of its end
+//! ([`Vfs::reserve`]), so a batch overwrites space that already exists.
+//! No other commit waits for a fill: the leader whose batch lands with
+//! less than half a chunk left extends the reservation by one chunk
+//! *after* its batch is durable, holding no lock another leader needs
+//! (only a seal waits for it). Recovery reads the zeros past the last record as
+//! an unwritten tail. A `Vfs` that ignores the hint keeps appending.
 // lint:allow — this file is deliberately clock-blessed (see xtask): the
 // WAL runs on the IO path, not the transactional hot path.
 
@@ -61,6 +71,9 @@ pub const WAL_OLD_FILE: &str = "wal.old";
 
 /// The lowest-pending-version value that says nothing is pending.
 const NONE_PENDING: u64 = u64::MAX;
+
+/// Bytes each reservation adds ahead of the live segment's end.
+pub const RESERVE_CHUNK: u64 = 1 << 20;
 
 /// Why an append could not be made durable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,6 +104,12 @@ pub struct WalStats {
     pub flushes: u64,
     /// Bytes durably written to the live segment.
     pub bytes: u64,
+    /// Reservations made ahead of the end of the log, one chunk
+    /// ([`RESERVE_CHUNK`]) each, across segments.
+    pub reservations: u64,
+    /// Reserved length of the live segment: its first `reserved` bytes
+    /// exist on disk as data or zeros (0 before the first reservation).
+    pub reserved: u64,
 }
 
 /// A batch a leader took: appended (or being appended) and fsynced (or
@@ -123,6 +142,12 @@ struct WalState {
     durable: u64,
     /// Taken batches past the durable watermark, in log order.
     flights: VecDeque<Flight>,
+    /// Length of the live segment once every taken batch is appended.
+    end: u64,
+    /// The `end` from which the next reservation is due.
+    reserve_at: u64,
+    /// A leader is extending the reservation (a seal waits for it).
+    extending: bool,
     /// A seal is waiting for the fsyncs in flight: no leader takes a
     /// batch until it has renamed the segment.
     sealing: bool,
@@ -141,6 +166,9 @@ impl Default for WalState {
             taken: 0,
             durable: 0,
             flights: VecDeque::new(),
+            end: 0,
+            reserve_at: 0,
+            extending: false,
             sealing: false,
             poisoned: None,
             stats: WalStats::default(),
@@ -180,9 +208,19 @@ impl Wal {
     /// after whatever the file already holds — run
     /// [`crate::recover::recover`] first so the tail is known-clean.
     pub fn open(vfs: Arc<dyn Vfs>) -> Self {
+        let len = vfs.read(WAL_FILE).map_or(0, |bytes| bytes.len() as u64);
+        Self::open_at(vfs, len)
+    }
+
+    /// [`open`](Self::open) for a live segment known to hold `len` bytes
+    /// ([`crate::recover::Recovery::wal_len`]), without reading it.
+    pub fn open_at(vfs: Arc<dyn Vfs>, len: u64) -> Self {
         Self {
             vfs,
-            state: Mutex::new(WalState::default()),
+            state: Mutex::new(WalState {
+                end: len,
+                ..WalState::default()
+            }),
             io: Mutex::new(()),
             low: AtomicU64::new(NONE_PENDING),
             flushed: Condvar::new(),
@@ -309,6 +347,7 @@ impl Wal {
         }
         let spare = st.spares.pop().unwrap_or_default();
         let mut batch = std::mem::replace(&mut st.buf, spare);
+        st.end += batch.len() as u64;
         st.taken = st.staged;
         let covers = st.taken;
         st.flights.push_back(Flight {
@@ -334,6 +373,30 @@ impl Wal {
         batch.clear();
         st.spares.push(batch);
         self.land(&mut st, covers, synced);
+        self.reserve_ahead(st)
+    }
+
+    /// After a landing: extend the reservation by one chunk once less
+    /// than half a chunk is left ahead of the end. The fill runs with
+    /// only `extending` set, which no leader waits on; a failed fill is
+    /// retried a half chunk later and never poisons the log, whose
+    /// appends do not depend on it.
+    fn reserve_ahead<'a>(&'a self, mut st: MutexGuard<'a, WalState>) -> MutexGuard<'a, WalState> {
+        if st.end < st.reserve_at || st.extending || st.sealing || st.poisoned.is_some() {
+            return st;
+        }
+        let target = st.stats.reserved.max(st.end) + RESERVE_CHUNK;
+        st.reserve_at = target - RESERVE_CHUNK / 2;
+        st.extending = true;
+        drop(st);
+        let reserved = self.vfs.reserve(WAL_FILE, target);
+        let mut st = self.state.lock();
+        st.extending = false;
+        if reserved.is_ok() {
+            st.stats.reservations += 1;
+            st.stats.reserved = target;
+        }
+        self.flushed.notify_all();
         st
     }
 
@@ -393,10 +456,11 @@ impl Wal {
     }
 
     /// Seal the live segment: flush staged records, wait for every fsync
-    /// still in flight, then rename [`WAL_FILE`] → [`WAL_OLD_FILE`] so a
-    /// checkpoint can fold it in while new appends start a fresh live
-    /// segment. Leaders are held out from the wait until the rename is
-    /// done; records staged meanwhile go to the fresh segment.
+    /// and reservation still in flight, then rename [`WAL_FILE`] →
+    /// [`WAL_OLD_FILE`] so a checkpoint can fold it in while new appends
+    /// start a fresh live segment (whose first leader reserves it anew).
+    /// Leaders are held out from the wait until the rename is done;
+    /// records staged meanwhile go to the fresh segment.
     ///
     /// Returns `false` (without renaming) when there is nothing to seal.
     ///
@@ -407,7 +471,7 @@ impl Wal {
         self.flush()?;
         let mut st = self.state.lock();
         st.sealing = true;
-        while st.syncing() {
+        while st.syncing() || st.extending {
             self.flushed.wait(&mut st);
         }
         let sealed = self.rename_live(&mut st);
@@ -416,7 +480,8 @@ impl Wal {
         sealed
     }
 
-    /// The rename step of [`seal`](Self::seal), with no fsync in flight.
+    /// The rename step of [`seal`](Self::seal), with no fsync or
+    /// reservation in flight.
     fn rename_live(&self, st: &mut WalState) -> Result<bool, WalError> {
         if st.poisoned.is_some() {
             return Err(st.poison_error());
@@ -429,7 +494,10 @@ impl Wal {
         }
         match self.vfs.rename(WAL_FILE, WAL_OLD_FILE) {
             Ok(()) => {
+                st.end = 0;
+                st.reserve_at = 0;
                 st.stats.bytes = 0;
+                st.stats.reserved = 0;
                 Ok(true)
             }
             Err(err) => {
@@ -495,10 +563,11 @@ mod tests {
         let wal = Wal::open(mem.clone());
         wal.append(5, &[(1, 100)]).unwrap();
         wal.append(6, &[(2, 200), (3, 300)]).unwrap();
-        // Durable, not merely written: a crash right now keeps both.
+        // Durable, not merely written: a crash right now keeps both, and
+        // the reserved zeros after them.
         mem.crash();
         let (records, _, err) = record::decode_stream(&mem.read(WAL_FILE).unwrap());
-        assert!(err.is_none());
+        assert!(err.is_some_and(|e| e.is_unwritten()), "{err:?}");
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].writes, vec![(2, 200), (3, 300)]);
     }
@@ -560,8 +629,41 @@ mod tests {
         wal.append(1, &[(1, 1)]).unwrap();
         assert!(wal.seal().unwrap());
         assert!(mem.exists(WAL_OLD_FILE) && !mem.exists(WAL_FILE));
+        assert_eq!((wal.stats().bytes, wal.stats().reserved), (0, 0));
         wal.append(2, &[(2, 2)]).unwrap();
         assert!(mem.exists(WAL_FILE), "appends restart a fresh segment");
+        let stats = wal.stats();
+        assert_eq!(stats.reservations, 2, "the fresh segment is reserved anew");
+        assert_eq!(stats.reserved, stats.bytes + RESERVE_CHUNK);
+    }
+
+    #[test]
+    fn the_log_reserves_one_chunk_at_a_time_ahead_of_its_end() {
+        let mem = Arc::new(MemVfs::new());
+        let wal = Wal::open(mem.clone() as Arc<dyn Vfs>);
+        // Records of 16 KiB: 64 to a chunk.
+        let pairs: Vec<(u64, u64)> = (0..1023).map(|k| (k, k)).collect();
+        wal.append(1, &pairs).unwrap();
+        let first = wal.stats().bytes;
+        assert_eq!(wal.stats().reservations, 1, "the first landing reserves");
+        assert_eq!(wal.stats().reserved, first + RESERVE_CHUNK);
+        while wal.stats().bytes < 2 * RESERVE_CHUNK {
+            wal.append(1, &pairs).unwrap();
+        }
+        // Extensions fell due at `first + C/2` and `first + 3C/2`.
+        let stats = wal.stats();
+        assert_eq!(stats.reservations, 3, "{stats:?}");
+        assert_eq!(stats.reserved, first + 3 * RESERVE_CHUNK);
+        assert!(stats.reserved - stats.bytes >= RESERVE_CHUNK / 2);
+        // A crash leaves the records, then the zeros reserved past them.
+        mem.crash();
+        let image = mem.read(WAL_FILE).unwrap();
+        assert_eq!(image.len() as u64, stats.reserved);
+        let (records, clean, err) = record::decode_stream(&image);
+        assert_eq!(clean as u64, stats.bytes);
+        assert_eq!(records.len() as u64, stats.records);
+        let len = (stats.reserved - stats.bytes) as usize;
+        assert_eq!(err, Some(record::RecordError::Unwritten { len }));
     }
 
     #[test]

@@ -467,10 +467,13 @@ impl AttemptTracer {
     /// Child abort: retracts the child's acquisitions (their acquire
     /// events vanish with the aborted transaction, so the hold counts
     /// must vanish too) and revokes any settled descendant that reached
-    /// the sink. When the parent is the top level and the buffer holds no
-    /// settled descendants, the child's own events are flushed followed
-    /// by an `abort` — giving the opacity checker's zombie-read analysis
-    /// the aborted child's reads; otherwise the buffer is discarded.
+    /// the sink. When the parent is a still invisible top level and the
+    /// buffer holds no settled descendants, the child's own events are
+    /// flushed followed by an `abort` — giving the opacity checker's
+    /// zombie-read analysis the aborted child's reads; otherwise the
+    /// buffer is discarded. Once the top is visible the child may have
+    /// read the top's buffered writes, which no model transaction of its
+    /// own could have seen.
     pub fn abort_child(&mut self) {
         self.flush_pending_releases();
         let lvl = self.stack.pop().expect("child abort without child");
@@ -484,7 +487,7 @@ impl AttemptTracer {
             .buf
             .iter()
             .any(|e| matches!(e, Buffered::Begin { .. } | Buffered::Commit { .. }));
-        if lvl.begun && clean && self.stack.len() == 1 {
+        if lvl.begun && clean && self.stack.len() == 1 && !self.stack[0].begun {
             self.sink.begin(lvl.at, lvl.id, self.proc_id);
             for e in lvl.buf {
                 self.flush_one(e, lvl.id);
@@ -809,14 +812,32 @@ mod tests {
     fn child_abort_retracts_acquisitions_and_is_recorded() {
         let sink = Arc::new(LogSink::default());
         let mut tr = AttemptTracer::begin_top(Arc::clone(&sink) as Arc<dyn TraceSink>, 1);
-        tr.op(3, TraceOp::Read(0));
         tr.begin_child(2);
         tr.op(5, TraceOp::Read(0));
         tr.abort_child();
-        // The aborted child's buffered events flush for the zombie-read
-        // analysis, closed by its abort.
+        // The top is still invisible: the aborted child's buffered events
+        // flush for the zombie-read analysis, closed by its abort.
         assert_eq!(sink.lines().last().unwrap(), "abort t2");
         assert!(sink.lines().contains(&"op t2 l5 Read(0)".to_string()));
+        // l5's acquire belonged to the aborted child: the parent's touch
+        // re-acquires it.
+        tr.op(5, TraceOp::Read(0));
+        assert!(sink.lines().contains(&"acq t1 l5".to_string()));
+    }
+
+    #[test]
+    fn child_abort_under_a_visible_top_retracts_acquisitions_silently() {
+        let sink = Arc::new(LogSink::default());
+        let mut tr = AttemptTracer::begin_top(Arc::clone(&sink) as Arc<dyn TraceSink>, 1);
+        tr.op(3, TraceOp::Write(7));
+        tr.begin_child(2);
+        tr.op(3, TraceOp::Read(7));
+        tr.op(5, TraceOp::Read(0));
+        tr.abort_child();
+        // The child read the top's buffered write: as a model transaction
+        // of its own that read would look like a zombie read, so the
+        // child leaves no trace.
+        assert!(!sink.lines().iter().any(|l| l.contains("t2")));
         // l5's acquire belonged to the aborted child; a fresh touch by the
         // parent must re-acquire, while l3 stays held.
         tr.op(5, TraceOp::Read(0));

@@ -18,7 +18,9 @@
 //! choreography: pin an epoch guard, recycle slots a previous aborted
 //! attempt allocated at the start of each attempt, and retire unlinked
 //! slots after commit. `MULTI` keeps one [`OpScratch`] per shard because
-//! arena slots must be returned to the arena that issued them.
+//! arena slots must be returned to the arena that issued them; the
+//! per-shard scratch is a thread-local kept between calls, so a warm
+//! `MULTI` allocates nothing.
 //!
 //! All transactions run under [`Policy::Regular`]. The keyspace is
 //! generic over every registry backend — including the deliberately
@@ -30,7 +32,14 @@
 use cec::arena::pin;
 use cec::{HashSet, OpScratch, SkipListSet, TxSet};
 use durable::{DurableHeap, Recovery};
+use std::cell::Cell;
 use stm_core::api::{Atomic, AtomicBackend, Policy};
+
+thread_local! {
+    /// This thread's per-shard `MULTI` scratch, kept between calls with
+    /// every vector emptied.
+    static MULTI_SCRATCH: Cell<Vec<OpScratch>> = const { Cell::new(Vec::new()) };
+}
 
 /// Which `cec` structure each shard uses for membership.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,8 +255,8 @@ impl KeySpace {
         let guard = pin();
         // One scratch per shard: arena slots must go back to the arena
         // that issued them.
-        let mut scratches: Vec<OpScratch> =
-            self.shards.iter().map(|_| OpScratch::default()).collect();
+        let mut scratches = MULTI_SCRATCH.take();
+        scratches.resize_with(self.shards.len(), OpScratch::default);
         let out = at.run(Policy::Regular, |tx| {
             for (shard, scratch) in self.shards.iter().zip(scratches.iter_mut()) {
                 shard.release_unpublished(&mut scratch.allocated);
@@ -292,7 +301,10 @@ impl KeySpace {
         });
         for (shard, scratch) in self.shards.iter().zip(scratches.iter_mut()) {
             shard.retire_unlinked(&mut scratch.unlinked, &guard);
+            // The committed attempt's slots are linked now: forget them.
+            scratch.allocated.clear();
         }
+        MULTI_SCRATCH.set(scratches);
         out
     }
 

@@ -6,7 +6,11 @@
 //! fresh replica and checks the rebuilt image equals an independent
 //! replay of the longest clean record prefix — a crash at *any* instant
 //! loses at most the in-flight suffix, never a committed record, and a
-//! torn tail is truncated with a diagnostic rather than guessed at.
+//! torn tail is truncated with a diagnostic rather than guessed at. Each
+//! cut is recovered twice: as an appending log leaves it (`W[..cut]`) and
+//! as a log that reserved space ahead of its writes leaves it (`W[..cut]`
+//! followed by zeros). A real-disk test then kills a committing child
+//! process and recovers what it left.
 //!
 //! Around it: hook-contract checks (fires once per top-level update
 //! commit, never for read-only transactions, retried branches, or child
@@ -23,6 +27,7 @@
 //! also through a hook wrapper that forwards nothing but `on_commit`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -33,8 +38,8 @@ use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::hook::{CommitHook, WriteRecord};
 use composing_relaxed_transactions::stm_core::{AbortReason, StmConfig, TVar, Transaction, TxKind};
 use durable::record::{self, Record};
-use durable::wal::WAL_FILE;
-use durable::{recover, BitFlip, DurableStore, FaultPlan, FaultVfs, GatedVfs, MemVfs, Vfs};
+use durable::wal::{RESERVE_CHUNK, WAL_FILE};
+use durable::{recover, BitFlip, DurableStore, FaultPlan, FaultVfs, GatedVfs, MemVfs, StdVfs, Vfs};
 
 const BACKENDS: [&str; 6] = ["tl2", "lsa", "swiss", "oe", "oe-estm-compat", "boost"];
 const VARS: usize = 8;
@@ -203,7 +208,8 @@ fn transfer_loop(backend: &Backend, vars: &[TVar<u64>], thread_seed: u64, rounds
 }
 
 /// Run a multi-threaded durable transfer workload for `name` against
-/// `vfs`, then crash the machine and return the surviving WAL bytes.
+/// `vfs`, then crash the machine and return the surviving WAL file: the
+/// synced records, then the zeros the log reserved past them.
 fn run_durable_workload(name: &str, mem: &Arc<MemVfs>) -> Vec<u8> {
     let (store, recovered) = DurableStore::open(mem.clone() as Arc<dyn Vfs>).unwrap();
     assert!(recovered.values.is_empty(), "{name}: fresh store not empty");
@@ -239,20 +245,76 @@ fn run_durable_workload(name: &str, mem: &Arc<MemVfs>) -> Vec<u8> {
     mem.durable_bytes(WAL_FILE)
 }
 
+/// Zeros past a cut in the reserved layout: more than any record of the
+/// workload, so a torn record runs into them.
+const RESERVED_PAD: usize = 256;
+
+/// Recover a replica seeded with `bytes` as its WAL and hold it to the
+/// framing's verdict on those bytes: the image replays the clean record
+/// prefix, one note names what was cut off (a torn or an unwritten tail,
+/// never corruption), the file is cut to the prefix, and a second
+/// recovery is clean. Returns the image.
+fn recovers_the_clean_prefix(what: &str, bytes: &[u8]) -> BTreeMap<u64, u64> {
+    let replica = MemVfs::with_file(WAL_FILE, bytes.to_vec());
+    let rec = recover(&replica).unwrap();
+    let (records, clean, err) = record::decode_stream(bytes);
+    assert_eq!(
+        rec.values,
+        replay(&records),
+        "{what}: image is not the longest clean record prefix"
+    );
+    assert_eq!(rec.records_applied, records.len() as u64, "{what}");
+    let Some(err) = err else {
+        assert!(
+            rec.notes.is_empty(),
+            "{what}: spurious diagnostics {:?}",
+            rec.notes
+        );
+        return rec.values;
+    };
+    let kind = if err.is_unwritten() {
+        "unwritten tail"
+    } else {
+        assert!(
+            err.is_truncation(),
+            "{what}: a crash prefix misread as corruption: {err}"
+        );
+        "torn tail"
+    };
+    assert!(
+        rec.notes.len() == 1 && rec.notes[0].contains(kind),
+        "{what}: expected one {kind} note, got {:?}",
+        rec.notes
+    );
+    assert_eq!(
+        replica.read(WAL_FILE).unwrap().len(),
+        clean,
+        "{what}: tail not physically truncated"
+    );
+    // Double crash: recovering the repaired replica again reaches the same
+    // image, now without diagnostics.
+    let rec2 = recover(&replica).unwrap();
+    assert_eq!(rec2.values, rec.values, "{what}: not idempotent");
+    assert!(rec2.notes.is_empty(), "{what}: {:?}", rec2.notes);
+    rec.values
+}
+
 #[test]
 fn crash_point_exhaustion_recovers_every_wal_prefix_on_every_backend() {
     for name in BACKENDS {
         let mem = Arc::new(MemVfs::new());
-        let wal_bytes = run_durable_workload(name, &mem);
-        assert!(!wal_bytes.is_empty(), "{name}: no WAL written");
+        let image = run_durable_workload(name, &mem);
+        let (all_records, log_len, end) = record::decode_stream(&image);
+        assert!(
+            end.is_some_and(|e| e.is_unwritten()),
+            "{name}: the crash did not leave the log followed by reserved zeros: {end:?}"
+        );
+        let log = &image[..log_len];
+        assert!(!log.is_empty(), "{name}: no WAL written");
 
         // The full durable log replays to a complete, money-conserving
-        // image.
-        let (all_records, _, end_err) = record::decode_stream(&wal_bytes);
-        assert!(
-            end_err.is_none(),
-            "{name}: durable log has a bad tail: {end_err:?}"
-        );
+        // image, and a fresh process recovers exactly that from the file
+        // the crash left, reserved zeros and all.
         let full = replay(&all_records);
         assert_eq!(full.len(), VARS, "{name}: keys missing from replay");
         assert_eq!(
@@ -260,48 +322,24 @@ fn crash_point_exhaustion_recovers_every_wal_prefix_on_every_backend() {
             TOTAL,
             "{name}: money not conserved"
         );
+        assert_eq!(recovers_the_clean_prefix(name, &image), full, "{name}");
 
         // Kill the machine at every byte offset of the log and recover.
-        for cut in 0..=wal_bytes.len() {
-            let replica = MemVfs::with_file(WAL_FILE, wal_bytes[..cut].to_vec());
-            let rec = recover(&replica).unwrap();
-            let (records, clean, err) = record::decode_stream(&wal_bytes[..cut]);
-            assert_eq!(
-                rec.values,
-                replay(&records),
-                "{name} cut {cut}: image is not the longest clean record prefix"
-            );
-            assert_eq!(
-                rec.records_applied,
-                records.len() as u64,
-                "{name} cut {cut}"
-            );
-            match err {
-                None => assert!(
-                    rec.notes.is_empty(),
-                    "{name} cut {cut}: spurious diagnostics {:?}",
-                    rec.notes
-                ),
-                Some(e) => {
-                    assert!(
-                        e.is_truncation(),
-                        "{name} cut {cut}: a crash prefix misread as corruption: {e}"
-                    );
-                    assert!(
-                        rec.notes.iter().any(|n| n.contains("torn tail")),
-                        "{name} cut {cut}: missing torn-tail diagnostic"
-                    );
-                    assert_eq!(
-                        replica.read(WAL_FILE).unwrap().len(),
-                        clean,
-                        "{name} cut {cut}: tail not physically truncated"
-                    );
-                    // Double crash: recovering the repaired replica again
-                    // reaches the same image, now without diagnostics.
-                    let rec2 = recover(&replica).unwrap();
-                    assert_eq!(rec2.values, rec.values, "{name} cut {cut}: not idempotent");
-                    assert!(rec2.notes.is_empty(), "{name} cut {cut}");
-                }
+        for cut in 0..=log.len() {
+            let what = format!("{name} cut {cut}");
+            let appended = recovers_the_clean_prefix(&what, &log[..cut]);
+            let zeros = [&log[..cut], &[0u8; RESERVED_PAD][..]].concat();
+            let reserved = recovers_the_clean_prefix(&format!("{what} reserved"), &zeros);
+            if reserved != appended {
+                // Only when every byte the cut lost of the next record was
+                // a zero anyway: the padding restores that record whole.
+                let (whole, clean, _) = record::decode_stream(&log[..cut]);
+                let next = clean + record::decode(&log[clean..]).expect("a record follows").1;
+                assert!(
+                    log[cut..next].iter().all(|&b| b == 0),
+                    "{what}: the reserved layout recovered another image"
+                );
+                assert_eq!(reserved, replay(&all_records[..=whole.len()]), "{what}");
             }
         }
     }
@@ -333,45 +371,52 @@ fn fsync_failure_poisons_durability_while_commits_continue_in_memory() {
     assert!(err.contains("injected fault"), "{err}");
     // The durable prefix is exactly the two successfully fsynced batches
     // (single-threaded appends flush one record per batch) and recovers
-    // without diagnostics.
+    // with no diagnostic but the reserved space past them.
     mem.crash();
     let rec = recover(mem.as_ref()).unwrap();
-    assert!(rec.notes.is_empty(), "{:?}", rec.notes);
+    assert!(
+        rec.notes.len() == 1 && rec.notes[0].contains("unwritten tail"),
+        "{:?}",
+        rec.notes
+    );
     assert_eq!(rec.values, [(1u64, 2u64)].into());
 }
 
 #[test]
 fn bit_flip_corruption_ends_replay_with_a_typed_diagnostic() {
     let mem = Arc::new(MemVfs::new());
-    let wal_bytes = run_durable_workload("lsa", &mem);
-    let (records, _, _) = record::decode_stream(&wal_bytes);
-    assert!(records.len() >= 2);
+    let image = run_durable_workload("lsa", &mem);
+    let (records, log_len, _) = record::decode_stream(&image);
+    assert!(records.len() >= 3);
     // Corrupt a payload byte of the second record via the fault layer's
-    // read-path bit flip.
+    // read-path bit flip, in the file an appending log leaves and in the
+    // one a reserving log leaves.
     let first_len =
         record::HEADER_LEN + record::PAYLOAD_FIXED_LEN + record::PAIR_LEN * records[0].writes.len();
-    let replica = Arc::new(MemVfs::with_file(WAL_FILE, wal_bytes.clone()));
-    let flipping = FaultVfs::new(
-        replica.clone(),
-        FaultPlan {
-            flip_on_read: Some(BitFlip {
-                file: WAL_FILE.to_string(),
-                offset: first_len + record::HEADER_LEN + 3,
-                bit: 5,
-            }),
-            ..FaultPlan::default()
-        },
-    );
-    let rec = recover(&flipping).unwrap();
-    // Only the record before the flip survives; the verdict is
-    // corruption, not a tear; the bad suffix is gone from the file.
-    assert_eq!(rec.values, replay(&records[..1]));
-    assert!(
-        rec.notes.iter().any(|n| n.contains("corrupt record")),
-        "{:?}",
-        rec.notes
-    );
-    assert_eq!(replica.read(WAL_FILE).unwrap().len(), first_len);
+    for (layout, bytes) in [("appended", &image[..log_len]), ("reserved", &image[..])] {
+        let replica = Arc::new(MemVfs::with_file(WAL_FILE, bytes.to_vec()));
+        let flipping = FaultVfs::new(
+            replica.clone(),
+            FaultPlan {
+                flip_on_read: Some(BitFlip {
+                    file: WAL_FILE.to_string(),
+                    offset: first_len + record::HEADER_LEN + 3,
+                    bit: 5,
+                }),
+                ..FaultPlan::default()
+            },
+        );
+        let rec = recover(&flipping).unwrap();
+        // Only the record before the flip survives; the verdict is
+        // corruption, not a tear; the bad suffix is gone from the file.
+        assert_eq!(rec.values, replay(&records[..1]), "{layout}");
+        assert!(
+            rec.notes.len() == 1 && rec.notes[0].contains("corrupt record"),
+            "{layout}: {:?}",
+            rec.notes
+        );
+        assert_eq!(replica.read(WAL_FILE).unwrap().len(), first_len, "{layout}");
+    }
 }
 
 #[test]
@@ -544,7 +589,7 @@ fn a_second_writer_stages_behind_a_held_fsync_in_commit_order_every_backend() {
         assert_eq!(lock_conflicts, 0, "{name}/{wrapped}");
         g.gate.inner().crash();
         let (records, _, err) = record::decode_stream(&g.gate.inner().durable_bytes(WAL_FILE));
-        assert!(err.is_none(), "{name}/{wrapped}");
+        assert!(err.is_some_and(|e| e.is_unwritten()), "{name}/{wrapped}");
         let logged: Vec<_> = records.iter().map(|r| r.writes.clone()).collect();
         assert_eq!(logged, [[(1, 1)], [(1, 2)]], "{name}/{wrapped}: log order");
     }
@@ -627,4 +672,123 @@ fn a_read_of_durable_words_does_not_wait_for_a_held_fsync() {
             );
         });
     }
+}
+
+/// Set in the environment of the kill test's child process: the store
+/// directory it commits into.
+const KILL_CHILD_DIR: &str = "DURABILITY_KILL_CHILD_DIR";
+/// Keys the child updates; thread `t` owns the keys `k % 2 == t`.
+const KILL_KEYS: usize = 4;
+/// Acknowledged updates after which the child aborts.
+const KILL_AFTER: usize = 300;
+
+/// The child's body: commit increments through a durable store on a
+/// real directory from two threads, print each acknowledged update as
+/// `ack <key> <value>`, and abort mid-run.
+fn kill_child(dir: &Path) -> ! {
+    let vfs = Arc::new(StdVfs::new(dir).expect("create the store directory")) as Arc<dyn Vfs>;
+    let (store, recovered) = DurableStore::open(vfs).expect("open an empty store");
+    assert!(
+        recovered.values.is_empty(),
+        "the store directory is not fresh"
+    );
+    let backend = backend_registry()
+        .build("oe", StmConfig::default().with_commit_hook(store.hook()))
+        .unwrap();
+    let vars: Vec<TVar<u64>> = (0..KILL_KEYS).map(|_| TVar::new(0)).collect();
+    for (key, var) in vars.iter().enumerate() {
+        store.heap().register(key as u64, var.core());
+    }
+    let acked = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let (backend, vars, acked) = (&backend, &vars, &acked);
+            s.spawn(move || loop {
+                for key in (t..KILL_KEYS).step_by(2) {
+                    let v = backend.run(TxKind::Regular, |tx| {
+                        let v = tx.get(&vars[key])? + 1;
+                        tx.set(&vars[key], v)?;
+                        Ok(v)
+                    });
+                    // `run` returned: the update is durable. Stdout is
+                    // line-buffered, so the line leaves whole.
+                    println!("ack {key} {v}");
+                    acked.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        while acked.load(Ordering::SeqCst) < KILL_AFTER as u64 {
+            std::thread::yield_now();
+        }
+        std::process::abort()
+    })
+}
+
+/// A real-disk crash: this test binary re-runs itself as a child that
+/// commits through `DurableStore` over `StdVfs` and aborts mid-run, then
+/// a fresh `StdVfs` recovers the directory it left. Every update the
+/// child acknowledged is in the image, nothing reads as corruption, and a
+/// second recovery has nothing left to repair.
+#[test]
+fn acknowledged_updates_survive_a_process_abort_on_a_real_disk() {
+    if let Some(dir) = std::env::var_os(KILL_CHILD_DIR) {
+        kill_child(Path::new(&dir));
+    }
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.subsec_nanos());
+    let dir = std::env::temp_dir().join(format!("durability-kill-{}-{nanos}", std::process::id()));
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "acknowledged_updates_survive_a_process_abort_on_a_real_disk",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env(KILL_CHILD_DIR, &dir)
+        .output()
+        .expect("spawn the child");
+    assert!(!out.status.success(), "the child was meant to abort");
+    let mut acked = BTreeMap::new();
+    for line in String::from_utf8_lossy(&out.stdout).lines() {
+        let Some(rest) = line.strip_prefix("ack ") else {
+            continue;
+        };
+        let (key, value) = rest.split_once(' ').expect("ack <key> <value>");
+        let (key, value): (u64, u64) = (key.parse().unwrap(), value.parse().unwrap());
+        let last = acked.entry(key).or_insert(0);
+        *last = value.max(*last);
+    }
+    assert!(
+        acked.values().sum::<u64>() >= KILL_AFTER as u64,
+        "the child acknowledged too little: {acked:?}"
+    );
+    let on_disk = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    assert!(
+        on_disk >= RESERVE_CHUNK,
+        "the child's log was never reserved"
+    );
+
+    // An abort does not tear a write: the log is whole batches, then the
+    // zeros reserved past them — one unwritten tail, no corruption.
+    let rec = recover(&StdVfs::new(&dir).unwrap()).unwrap();
+    assert!(
+        rec.notes.len() == 1 && rec.notes[0].contains("unwritten tail"),
+        "{:?}",
+        rec.notes
+    );
+    for (key, &value) in &acked {
+        // One thread per key, one update in flight: the image holds the
+        // last acknowledged value, or the one after it if that update
+        // was durable but not yet printed.
+        let got = rec.values.get(key).copied().unwrap_or(0);
+        assert!(
+            got == value || got == value + 1,
+            "key {key}: acknowledged {value}, recovered {got}"
+        );
+    }
+    let again = recover(&StdVfs::new(&dir).unwrap()).unwrap();
+    assert!(again.notes.is_empty(), "{:?}", again.notes);
+    assert_eq!(again.values, rec.values);
+    let _ = std::fs::remove_dir_all(&dir);
 }

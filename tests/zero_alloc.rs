@@ -436,6 +436,18 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         events, 0,
         "KeySpace::set of a present key allocated {events} times"
     );
+    // A 4-key MULTI over present keys: four sections under one parent,
+    // crossing shards, with the per-shard scratch reused.
+    use composing_relaxed_transactions::txkv::MultiOp;
+    let keys = [0, 2, 4, 6];
+    let bump = |_: usize, cur: Option<u64>| MultiOp::Put(cur.expect("present") + 1);
+    assert_eq!(kv.multi(&at, &keys, bump), 4); // warm
+    let events = min_events_of(|| {
+        for _ in 0..16 {
+            assert_eq!(kv.multi(&at, &keys, bump), 4);
+        }
+    });
+    assert_eq!(events, 0, "KeySpace::multi allocated {events} times");
 
     // The stage step of a durable commit, run under the committer's
     // locks: the hook encodes the registered writes straight into the
