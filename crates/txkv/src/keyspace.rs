@@ -4,7 +4,11 @@
 //! Layout: the key universe is the fixed range `0..capacity`. Membership
 //! lives in `N` shards of a `cec` set (hash or skip list, picked per
 //! [`ShardKind`]); a key's shard is chosen by a SplitMix64 hash of the
-//! key, so a multi-key transaction routinely crosses shards. Every key
+//! key, so a multi-key transaction routinely crosses shards. Hash shards
+//! put their nodes in one shared arena ([`HashSet::in_arena`]): its
+//! first segment holds a paper-size keyspace's nodes (2^13 keys at 50 %
+//! fill plus the bucket heads), so eight shards cost one arena's memory,
+//! not eight. Skip-list shards keep an arena each. Every key
 //! additionally owns two `TVar<u64>`s: its **value slot** and a 0/1
 //! **presence mirror**. The mirror duplicates what the shard set already
 //! knows, but as a named transactional word — which is exactly what the
@@ -18,9 +22,11 @@
 //! choreography: pin an epoch guard, recycle slots a previous aborted
 //! attempt allocated at the start of each attempt, and retire unlinked
 //! slots after commit. `MULTI` keeps one [`OpScratch`] per shard because
-//! arena slots must be returned to the arena that issued them; the
-//! per-shard scratch is a thread-local kept between calls, so a warm
-//! `MULTI` allocates nothing.
+//! arena slots must be returned to the arena that issued them. Hash
+//! shards share theirs, so for them one scratch would do and the
+//! per-shard split is merely still correct; skip-list shards each own an
+//! arena and need it. The per-shard scratch is a thread-local kept
+//! between calls, so a warm `MULTI` allocates nothing.
 //!
 //! All transactions run under [`Policy::Regular`]. The keyspace is
 //! generic over every registry backend — including the deliberately
@@ -29,10 +35,11 @@
 //! sections keep `MULTI` atomic on all six backends, which the
 //! `txkv_multi_atomicity` oracle battery asserts.
 
-use cec::arena::pin;
+use cec::arena::{pin, Arena};
 use cec::{HashSet, OpScratch, SkipListSet, TxSet};
 use durable::{DurableHeap, Recovery};
 use std::cell::Cell;
+use std::sync::Arc;
 use stm_core::api::{Atomic, AtomicBackend, Policy};
 
 thread_local! {
@@ -51,7 +58,7 @@ pub enum ShardKind {
 }
 
 /// Buckets per hash shard: with the default 8 shards over a 2^13 key
-/// range, ~16 keys per bucket at 50% fill.
+/// range, 2^13 · 0.5 / (8 · 64) = 8 keys per bucket at 50 % fill.
 const SHARD_HASH_BUCKETS: usize = 64;
 
 /// One key's update decision inside a [`KeySpace::multi`] transaction.
@@ -91,14 +98,20 @@ impl KeySpace {
     pub fn new(kind: ShardKind, shards: usize, capacity: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(capacity > 0, "need a non-empty key range");
-        let shards: Vec<Box<dyn TxSet + Send + Sync>> = (0..shards)
-            .map(|_| match kind {
-                ShardKind::Hash => {
-                    Box::new(HashSet::new(SHARD_HASH_BUCKETS)) as Box<dyn TxSet + Send + Sync>
-                }
-                ShardKind::SkipList => Box::new(SkipListSet::new()),
-            })
-            .collect();
+        let shards: Vec<Box<dyn TxSet + Send + Sync>> = match kind {
+            ShardKind::Hash => {
+                let arena = Arc::new(Arena::new());
+                (0..shards)
+                    .map(|_| {
+                        let shard = HashSet::in_arena(Arc::clone(&arena), SHARD_HASH_BUCKETS);
+                        Box::new(shard) as Box<dyn TxSet + Send + Sync>
+                    })
+                    .collect()
+            }
+            ShardKind::SkipList => (0..shards)
+                .map(|_| Box::new(SkipListSet::new()) as Box<dyn TxSet + Send + Sync>)
+                .collect(),
+        };
         Self {
             shards,
             slots: (0..capacity).map(|_| stm_core::TVar::new(0)).collect(),
@@ -119,10 +132,18 @@ impl KeySpace {
         self.shards.len()
     }
 
-    /// The shard a key hashes to (stable across runs).
+    /// The shard a key hashes to (stable across runs). A power-of-two
+    /// shard count takes the mask instead of a division, equal to `%`.
     #[must_use]
     pub fn shard_of(&self, key: i64) -> usize {
-        (mix64(key as u64) % self.shards.len() as u64) as usize
+        let h = mix64(key as u64);
+        let n = self.shards.len() as u64;
+        let s = if n.is_power_of_two() {
+            h & (n - 1)
+        } else {
+            h % n
+        };
+        s as usize
     }
 
     /// Scatter a popularity rank over `0..n` (YCSB-style hashed-key
@@ -505,6 +526,18 @@ mod tests {
         let ks = KeySpace::new(ShardKind::Hash, 2, 32);
         let at = oe();
         let _ = ks.get(&at, 32);
+    }
+
+    #[test]
+    fn shard_of_agrees_with_the_modulo() {
+        let keys = [i64::MIN, -65, -64, -1, 0, 1, 63, 64, 8191, 8192, i64::MAX];
+        for n in [1usize, 2, 3, 7, 8, 9, 16] {
+            let ks = KeySpace::new(ShardKind::Hash, n, 32);
+            for key in keys.into_iter().chain(0..1024) {
+                let expected = (mix64(key as u64) % n as u64) as usize;
+                assert_eq!(ks.shard_of(key), expected, "key {key}, {n} shards");
+            }
+        }
     }
 
     #[test]
