@@ -223,6 +223,29 @@ pub fn quiesce() {
 }
 
 #[cfg(test)]
+impl<T> Arena<T> {
+    /// Wait, bounded, for a retired slot to re-enter the free list, and
+    /// return it, left there for the next [`Arena::alloc`]. Other tests
+    /// of a binary pin concurrently and can hold a retirement back for a
+    /// moment, so a test that counts on reuse polls (quiesce, then yield)
+    /// instead of assuming that one collection suffices.
+    pub(crate) fn await_free(&self) -> Option<u64> {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            quiesce();
+            if let Some(i) = self.free.pop() {
+                self.free.push(i);
+                return Some(i);
+            }
+            if std::time::Instant::now() > deadline {
+                return None;
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -410,35 +433,21 @@ mod tests {
             let guard = pin();
             a.retire(idx, &guard);
         }
-        // Force epoch advancement by pinning repeatedly.
-        let mut reused = false;
-        for _ in 0..1000 {
-            let g = pin();
-            g.flush();
-            drop(g);
-            // Drain to check whether the slot came back.
-            if let Some(i) = a.free.pop() {
-                assert_eq!(i, idx);
-                reused = true;
-                break;
-            }
-        }
-        assert!(reused, "retired slot never re-entered the free list");
+        let i = a
+            .await_free()
+            .expect("retired slot never re-entered the free list");
+        assert_eq!(i, idx);
+        assert_eq!(a.alloc(), idx, "the returned slot is issued again");
     }
 
-    /// Drain `a`'s free list, reporting whether `idx` came back. Other
-    /// tests of this binary pin concurrently and can hold a retirement
-    /// back for a moment, hence the bounded polling.
+    /// Take `a`'s first free slot, reporting whether `idx` came back
+    /// (see [`Arena::await_free`] for why it polls).
     fn eventually_freed(a: &Arena<Cell>, idx: u64) -> bool {
-        for _ in 0..1000 {
-            quiesce();
-            if let Some(i) = a.free.pop() {
-                assert_eq!(i, idx);
-                return true;
-            }
-            std::thread::yield_now();
+        let freed = a.await_free();
+        if freed.is_some() {
+            assert_eq!(a.free.pop(), Some(idx));
         }
-        false
+        freed.is_some()
     }
 
     #[test]

@@ -179,11 +179,16 @@ mod tests {
         set.add(&stm, 1);
         let hw_before = set.arena.high_water();
         set.remove(&stm, 1);
-        // Churn so the epoch advances and the retired slot returns.
-        for _ in 0..64 {
+        // Churn one slot: each round waits for the slot the previous one
+        // retired, so the next add can take it.
+        for round in 0..64 {
+            let back = set.arena.await_free();
+            assert!(
+                back.is_some(),
+                "round {round}: the retired slot never came back"
+            );
             set.add(&stm, 2);
             set.remove(&stm, 2);
-            crate::arena::quiesce();
         }
         let growth = set.arena.high_water() - hw_before;
         assert!(

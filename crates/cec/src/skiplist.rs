@@ -783,7 +783,12 @@ mod tests {
             let k = 100 + round;
             set.add(&stm, k);
             set.remove(&stm, k);
-            crate::arena::quiesce();
+            // The next round's add takes the tower this one retired.
+            let back = set.arena.await_free();
+            assert!(
+                back.is_some(),
+                "round {round}: the retired tower never came back"
+            );
         }
         let growth = set.arena.high_water() - hw;
         assert!(growth < 50, "towers must be recycled, grew {growth}");

@@ -10,18 +10,28 @@
 //! fill plus the bucket heads), so eight shards cost one arena's memory,
 //! not eight. Skip-list shards keep an arena each. Every key
 //! additionally owns two `TVar<u64>`s: its **value slot** and a 0/1
-//! **presence mirror**. The mirror duplicates what the shard set already
-//! knows, but as a named transactional word — which is exactly what the
-//! durability seam needs: sets hide their nodes behind arena indices, so
-//! only the `(slot, present)` pair can be registered under restart-stable
-//! keys with [`KeySpace::register_durable`] and re-installed by
-//! [`KeySpace::restore`]. The mirror is written only when membership
-//! changes and never read on the query path.
+//! **presence mirror**.
 //!
-//! Every operation follows the `cec::SetExt` memory-management
-//! choreography: pin an epoch guard, recycle slots a previous aborted
-//! attempt allocated at the start of each attempt, and retire unlinked
-//! slots after commit. `MULTI` keeps one [`OpScratch`] per shard because
+//! The mirror is the query path. Every point operation learns whether
+//! its key is present by reading the mirror, one word, and a `GET` is
+//! that read plus the slot's. The mirror is sound as the membership
+//! answer because every transaction that changes membership writes the
+//! shard and the mirror together under [`Policy::Regular`]: any snapshot
+//! a regular attempt sees has them equal. The shards serve what a word
+//! per key cannot: `len()`, the inserts and removes of a membership
+//! change, and `MULTI`'s composition of those across shards. A lookup
+//! therefore never conflicts with an update to another key of its
+//! bucket. The mirror is also what the durability seam needs: sets hide
+//! their nodes behind arena indices, so only the `(slot, present)` pair
+//! can be registered under restart-stable keys with
+//! [`KeySpace::register_durable`] and re-installed by
+//! [`KeySpace::restore`].
+//!
+//! Every operation that can change membership follows the `cec::SetExt`
+//! memory-management choreography: pin an epoch guard, recycle slots a
+//! previous aborted attempt allocated at the start of each attempt, and
+//! retire unlinked slots after commit. `GET` touches no arena node and
+//! takes no pin. `MULTI` keeps one [`OpScratch`] per shard because
 //! arena slots must be returned to the arena that issued them. Hash
 //! shards share theirs, so for them one scratch would do and the
 //! per-shard split is merely still correct; skip-list shards each own an
@@ -40,7 +50,8 @@ use cec::{HashSet, OpScratch, SkipListSet, TxSet};
 use durable::{DurableHeap, Recovery};
 use std::cell::Cell;
 use std::sync::Arc;
-use stm_core::api::{Atomic, AtomicBackend, Policy};
+use stm_core::api::{Atomic, AtomicBackend, Policy, Tx};
+use stm_core::Abort;
 
 thread_local! {
     /// This thread's per-shard `MULTI` scratch, kept between calls with
@@ -164,22 +175,55 @@ impl KeySpace {
         key as usize
     }
 
-    /// `GET key` — the committed value, or `None` if absent. One regular
-    /// read-only transaction over the shard set and the value slot.
-    pub fn get<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64) -> Option<u64> {
-        let idx = self.index(key);
-        let shard = &self.shards[self.shard_of(key)];
-        let _guard = pin();
-        at.run(Policy::Regular, |tx| {
-            if shard.contains_in(tx, key)? {
-                Ok(Some(tx.get(&self.slots[idx])?))
-            } else {
-                Ok(None)
-            }
-        })
+    /// The key at `idx`'s value, or `None` if absent: its presence
+    /// mirror, then its value slot if present. No shard is walked (the
+    /// module docs say why the mirror answers membership).
+    fn read_key<'env>(&'env self, tx: &mut Tx<'env, '_>, idx: usize) -> Result<Option<u64>, Abort> {
+        if tx.get(&self.present[idx])? == 1 {
+            Ok(Some(tx.get(&self.slots[idx])?))
+        } else {
+            Ok(None)
+        }
     }
 
-    /// `SET key value` — upsert; returns the previous value, if any.
+    /// Insert the absent `key` into its shard and set its mirror: one of
+    /// the two writers of membership, which keep shard and mirror equal.
+    fn insert_key<'env>(
+        &'env self,
+        tx: &mut Tx<'env, '_>,
+        key: i64,
+        scratch: &mut OpScratch,
+    ) -> Result<(), Abort> {
+        let added = self.shards[self.shard_of(key)].add_in(tx, key, scratch)?;
+        debug_assert!(added, "key {key}: mirror absent, shard present");
+        tx.set(&self.present[key as usize], 1)
+    }
+
+    /// Unlink the present `key` from its shard and clear its mirror: the
+    /// other writer of membership.
+    fn remove_key<'env>(
+        &'env self,
+        tx: &mut Tx<'env, '_>,
+        key: i64,
+        scratch: &mut OpScratch,
+    ) -> Result<(), Abort> {
+        let removed = self.shards[self.shard_of(key)].remove_in(tx, key, scratch)?;
+        debug_assert!(removed, "key {key}: mirror present, shard absent");
+        tx.set(&self.present[key as usize], 0)
+    }
+
+    /// `GET key` — the committed value, or `None` if absent. One regular
+    /// read-only transaction of two word reads: the presence mirror and,
+    /// if present, the value slot. It touches no shard and no arena node,
+    /// so it takes no epoch pin.
+    pub fn get<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64) -> Option<u64> {
+        let idx = self.index(key);
+        at.run(Policy::Regular, |tx| self.read_key(tx, idx))
+    }
+
+    /// `SET key value` — upsert; returns the previous value, if any. The
+    /// shard is walked only to insert an absent key: updating a present
+    /// one reads two words and writes one.
     pub fn set<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64, value: u64) -> Option<u64> {
         let idx = self.index(key);
         let shard = &self.shards[self.shard_of(key)];
@@ -188,13 +232,10 @@ impl KeySpace {
         let out = at.run(Policy::Regular, |tx| {
             shard.release_unpublished(&mut scratch.allocated);
             scratch.unlinked.clear();
-            let prev = if shard.contains_in(tx, key)? {
-                Some(tx.get(&self.slots[idx])?)
-            } else {
-                shard.add_in(tx, key, &mut scratch)?;
-                tx.set(&self.present[idx], 1)?;
-                None
-            };
+            let prev = self.read_key(tx, idx)?;
+            if prev.is_none() {
+                self.insert_key(tx, key, &mut scratch)?;
+            }
             tx.set(&self.slots[idx], value)?;
             Ok(prev)
         });
@@ -218,17 +259,12 @@ impl KeySpace {
         let out = at.run(Policy::Regular, |tx| {
             shard.release_unpublished(&mut scratch.allocated);
             scratch.unlinked.clear();
-            let cur = if shard.contains_in(tx, key)? {
-                Some(tx.get(&self.slots[idx])?)
-            } else {
-                None
-            };
+            let cur = self.read_key(tx, idx)?;
             if cur != expected {
                 return Ok(false);
             }
             if cur.is_none() {
-                shard.add_in(tx, key, &mut scratch)?;
-                tx.set(&self.present[idx], 1)?;
+                self.insert_key(tx, key, &mut scratch)?;
             }
             tx.set(&self.slots[idx], new)?;
             Ok(true)
@@ -237,7 +273,9 @@ impl KeySpace {
         out
     }
 
-    /// `DEL key` — remove; returns the deleted value, if any.
+    /// `DEL key` — remove; returns the deleted value, if any. An absent
+    /// key costs one read of its mirror; only a present one walks the
+    /// shard to unlink it.
     pub fn del<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64) -> Option<u64> {
         let idx = self.index(key);
         let shard = &self.shards[self.shard_of(key)];
@@ -246,13 +284,11 @@ impl KeySpace {
         let out = at.run(Policy::Regular, |tx| {
             shard.release_unpublished(&mut scratch.allocated);
             scratch.unlinked.clear();
-            if shard.remove_in(tx, key, &mut scratch)? {
-                let prev = tx.get(&self.slots[idx])?;
-                tx.set(&self.present[idx], 0)?;
-                Ok(Some(prev))
-            } else {
-                Ok(None)
+            if tx.get(&self.present[idx])? == 0 {
+                return Ok(None);
             }
+            self.remove_key(tx, key, &mut scratch)?;
+            Ok(Some(tx.get(&self.slots[idx])?))
         });
         shard.retire_unlinked(&mut scratch.unlinked, &guard);
         out
@@ -286,29 +322,21 @@ impl KeySpace {
             let mut changed = 0u64;
             for (i, &key) in keys.iter().enumerate() {
                 let idx = key as usize;
-                let s = self.shard_of(key);
-                let shard = &self.shards[s];
-                let scratch = &mut scratches[s];
+                let scratch = &mut scratches[self.shard_of(key)];
                 let applied = tx.section(Policy::Regular, |t| {
-                    let cur = if shard.contains_in(t, key)? {
-                        Some(t.get(&self.slots[idx])?)
-                    } else {
-                        None
-                    };
+                    let cur = self.read_key(t, idx)?;
                     match f(i, cur) {
                         MultiOp::Keep => Ok(false),
                         MultiOp::Put(v) => {
                             if cur.is_none() {
-                                shard.add_in(t, key, scratch)?;
-                                t.set(&self.present[idx], 1)?;
+                                self.insert_key(t, key, scratch)?;
                             }
                             t.set(&self.slots[idx], v)?;
                             Ok(true)
                         }
                         MultiOp::Delete => {
                             if cur.is_some() {
-                                shard.remove_in(t, key, scratch)?;
-                                t.set(&self.present[idx], 0)?;
+                                self.remove_key(t, key, scratch)?;
                             }
                             Ok(cur.is_some())
                         }
@@ -331,9 +359,11 @@ impl KeySpace {
 
     /// `GET key` with an insert-on-miss fallback, composed with
     /// [`or_else`](Atomic::or_else): the primary branch reads the value
-    /// and explicit-retries if the key is absent; the alternative inserts
-    /// `default` and returns it. Either way the caller observes one
-    /// atomic outcome.
+    /// as `GET` does and explicit-retries if the key is absent; the
+    /// alternative inserts `default` and returns it, unless another
+    /// client inserted the key between the two branches, in which case it
+    /// returns that value. Either way the caller observes one atomic
+    /// outcome.
     pub fn get_or_insert<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64, default: u64) -> u64 {
         let idx = self.index(key);
         let shard = &self.shards[self.shard_of(key)];
@@ -341,18 +371,17 @@ impl KeySpace {
         let mut scratch = OpScratch::default();
         let out = at.or_else(
             Policy::Regular,
-            |tx| {
-                if shard.contains_in(tx, key)? {
-                    tx.get(&self.slots[idx])
-                } else {
-                    tx.retry()
-                }
+            |tx| match self.read_key(tx, idx)? {
+                Some(value) => Ok(value),
+                None => tx.retry(),
             },
             |tx| {
                 shard.release_unpublished(&mut scratch.allocated);
                 scratch.unlinked.clear();
-                shard.add_in(tx, key, &mut scratch)?;
-                tx.set(&self.present[idx], 1)?;
+                if let Some(value) = self.read_key(tx, idx)? {
+                    return Ok(value);
+                }
+                self.insert_key(tx, key, &mut scratch)?;
                 tx.set(&self.slots[idx], default)?;
                 Ok(default)
             },
@@ -422,6 +451,8 @@ impl std::fmt::Debug for KeySpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use stm_core::trace::{TraceOp, TraceSink, TraceStamp};
 
     fn oe() -> Atomic<oe_stm::OeStm> {
         Atomic::new(oe_stm::OeStm::new())
@@ -484,8 +515,10 @@ mod tests {
     }
 
     /// Two absent keys on one shard and one bucket, inserted by one MULTI:
-    /// the second section walks past the node the first just linked and
-    /// must read its key, and a third section finds the first key again.
+    /// the second section's insert walks past the node the first just
+    /// linked and must read its key, a third section finds the first key
+    /// again through the mirror the first section wrote, and `len()`
+    /// counts both nodes in the shard.
     #[test]
     fn multi_finds_the_nodes_its_earlier_sections_inserted() {
         let ks = KeySpace::new(ShardKind::Hash, 8, 4096);
@@ -509,6 +542,65 @@ mod tests {
         assert_eq!(ks.get(&at, lo), Some(20));
         assert_eq!(ks.get(&at, hi), Some(10));
         assert_eq!(ks.len(&at), 2);
+    }
+
+    /// Counts the read and write events a traced backend reports.
+    #[derive(Default)]
+    struct WordEvents {
+        reads: AtomicU64,
+        writes: AtomicU64,
+    }
+
+    impl TraceSink for WordEvents {
+        fn begin(&self, _: TraceStamp, _: u64, _: u64) {}
+        fn op(&self, _: u64, _: u64, _: usize, op: TraceOp) {
+            let counter = match op {
+                TraceOp::Read(_) => &self.reads,
+                TraceOp::Write(_) => &self.writes,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        fn acquire(&self, _: u64, _: u64, _: usize) {}
+        fn release(&self, _: u64, _: u64, _: usize) {}
+        fn commit(&self, _: u64, _: u64) {}
+        fn abort(&self, _: u64, _: u64) {}
+    }
+
+    /// A point operation that changes no membership reads the key's words
+    /// only, however long its bucket's chain: the probed bucket holds
+    /// `N` keys, none of which is read.
+    #[test]
+    fn a_point_operation_reads_only_its_keys_words() {
+        const N: i64 = 24;
+        let sink = Arc::new(WordEvents::default());
+        let at = Atomic::new(oe_stm::OeStm::new().with_trace(sink.clone()));
+        // One shard: every key congruent to 5 modulo the bucket count
+        // shares a bucket.
+        let ks = KeySpace::new(ShardKind::Hash, 1, 4096);
+        let in_bucket = |j: i64| 5 + j * SHARD_HASH_BUCKETS as i64;
+        for j in 0..N {
+            ks.set(&at, in_bucket(j), j as u64);
+        }
+        let (present, absent) = (in_bucket(N - 1), in_bucket(N));
+        let footprint = |op: &dyn Fn()| {
+            sink.reads.store(0, Ordering::Relaxed);
+            sink.writes.store(0, Ordering::Relaxed);
+            op();
+            (
+                sink.reads.load(Ordering::Relaxed),
+                sink.writes.load(Ordering::Relaxed),
+            )
+        };
+        let last = Some(N as u64 - 1);
+        let hit = footprint(&|| assert_eq!(ks.get(&at, present), last));
+        assert_eq!(hit, (2, 0), "GET of a present key");
+        let miss = footprint(&|| assert_eq!(ks.get(&at, absent), None));
+        assert_eq!(miss, (1, 0), "GET of an absent key");
+        let update = footprint(&|| assert_eq!(ks.set(&at, present, 7), last));
+        assert_eq!(update, (2, 1), "SET of a present key");
+        let del = footprint(&|| assert_eq!(ks.del(&at, absent), None));
+        assert_eq!(del, (1, 0), "DEL of an absent key");
+        assert_eq!(ks.len(&at), N as usize);
     }
 
     #[test]

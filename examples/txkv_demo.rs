@@ -6,10 +6,13 @@
 //! cargo run --example txkv_demo
 //! ```
 //!
-//! The keyspace is eight `cec::HashSet` shards plus one value slot per
-//! key, all reached through the `Atomic` facade, so every operation —
-//! including the MULTI that touches two shards at once — is one atomic
-//! transaction on whichever STM backend you hand it.
+//! The keyspace is eight `cec::HashSet` shards plus one value slot and
+//! one presence word per key, all reached through the `Atomic` facade,
+//! so every operation — including the MULTI that touches two shards at
+//! once — is one atomic transaction on whichever STM backend you hand
+//! it. A GET reads the key's presence word and its value slot and
+//! nothing else; the shards are walked only when a key is inserted or
+//! deleted.
 
 use composing_relaxed_transactions::oe_stm::OeStm;
 use composing_relaxed_transactions::stm_core::api::Atomic;

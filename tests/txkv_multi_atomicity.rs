@@ -11,12 +11,13 @@
 //! what makes the reference map a complete atomicity oracle.
 //!
 //! The battery sweeps all six registry backends × every CM policy, a
-//! transfer-sum invariant under racing cross-shard MULTIs, and a durable
-//! kill-and-recover cycle proving the recovered image equals a committed
-//! prefix of the MULTI sequence.
+//! transfer-sum invariant under racing cross-shard MULTIs, racing
+//! inserts and deletes that must leave the shards and the presence
+//! mirrors agreeing, and a durable kill-and-recover cycle proving the
+//! recovered image equals a committed prefix of the MULTI sequence.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::stm_core::api::Atomic;
@@ -178,6 +179,73 @@ fn racing_cross_shard_transfers_conserve_the_total() {
             ACCOUNTS as u64 * PER,
             "{backend}: a torn MULTI created or destroyed value"
         );
+    }
+}
+
+#[test]
+fn racing_inserts_and_deletes_keep_the_shards_and_the_mirrors_in_agreement() {
+    // Membership changes in both directions under contention: SET, DEL,
+    // CAS and two-key MULTIs that delete a present key and insert an
+    // absent one. A point operation answers membership from the key's
+    // presence mirror and walks the shard only to change it, so the
+    // shards (counted by `len`) and the mirrors (read by `get`) must
+    // agree at the end. Each operation also `debug_assert!`s that its
+    // own insert or remove found what the mirror predicted.
+    const KEYS: u64 = 16;
+    for kind in [ShardKind::Hash, ShardKind::SkipList] {
+        for backend in BACKENDS {
+            let ks = KeySpace::new(kind, SHARDS, CAPACITY);
+            let at = runner(backend, CmPolicy::TwoPhase);
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                for t in 0..2u64 {
+                    let (ks, at, start) = (&ks, &at, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut x = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
+                        for i in 0..2000u64 {
+                            // xorshift64: a fixed op stream per thread.
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            let key = (x % KEYS) as i64;
+                            match (x >> 32) % 4 {
+                                0 => {
+                                    ks.set(at, key, i);
+                                }
+                                1 => {
+                                    ks.del(at, key);
+                                }
+                                2 => {
+                                    let seen = ks.get(at, key);
+                                    ks.cas(at, key, seen, i);
+                                }
+                                _ => {
+                                    let other = ((x >> 40) % KEYS) as i64;
+                                    if other == key {
+                                        continue;
+                                    }
+                                    // Sorted footprint (see `multis`).
+                                    let keys = [key.min(other), key.max(other)];
+                                    ks.multi(at, &keys, |_, cur| match cur {
+                                        Some(_) => MultiOp::Delete,
+                                        None => MultiOp::Put(i),
+                                    });
+                                }
+                            }
+                        }
+                    });
+                }
+            });
+            let found = (0..CAPACITY as i64)
+                .filter(|&k| ks.get(&at, k).is_some())
+                .count();
+            assert_eq!(
+                ks.len(&at),
+                found,
+                "{backend}/{kind:?}: the shards and the presence mirrors disagree"
+            );
+        }
     }
 }
 

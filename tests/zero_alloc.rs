@@ -3,7 +3,8 @@
 //! committing run itself and every retry attempt, both at the SPI level
 //! and through the `atomic` facade (`Atomic`/`Tx`/`or_else`), which must
 //! add nothing of its own — and so must the operation wrappers around it
-//! (`cec::SetExt`, `txkv::KeySpace`: epoch pin + run + unpin).
+//! (`cec::SetExt` and `txkv::KeySpace` updates: epoch pin + run + unpin;
+//! a `KeySpace` GET: the run alone).
 //!
 //! Method: a `#[global_allocator]` wrapper around the system allocator
 //! counts every `alloc`/`realloc`/`alloc_zeroed` call. For each backend we
@@ -392,9 +393,11 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
     assert_eq!(hist.count(), 10_001, "every record must land in a bucket");
 
     // Operation level: what a service request pays around its
-    // transaction — the epoch pin, the run, the unpin. With nothing
-    // retired the pin takes no lock and nothing here may allocate, on the
-    // static `SetExt` path and the registry-erased `KeySpace` one.
+    // transaction. A set operation and a keyspace update pin an epoch,
+    // run and unpin; with nothing retired the pin takes no lock. A
+    // keyspace GET is the run alone, two word reads with no pin. Nothing
+    // here may allocate, on the static `SetExt` path or the
+    // registry-erased `KeySpace` one.
     use composing_relaxed_transactions::cec::{LinkedListSet, SetExt};
     use composing_relaxed_transactions::txkv::{KeySpace, ShardKind};
     let at = Atomic::new(OeStm::new());
