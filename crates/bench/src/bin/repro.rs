@@ -4,10 +4,9 @@
 //! ```text
 //! repro [fig6|fig7|fig8|summary|txkv|all|list]
 //!       [--stm tl2,lsa,swiss,oe,oe-estm-compat] [--scenario fig6,bank-transfer,...]
-//!       [--cm suicide,backoff,karma,two-phase]
 //!       [--threads 1,2,4] [--duration-ms 500] [--composed 5,15]
 //!       [--seed N] [--json BENCH.json]
-//! repro trace [--stm oe] [--scenario bank-transfer] [--cm two-phase] [--steps 3]
+//! repro trace [--stm oe] [--scenario bank-transfer] [--steps 3]
 //! repro validate-json BENCH.json [--require-full-coverage]
 //! repro compare-json BENCH_base.json BENCH_new.json [--threshold-pct 10] [--report-only]
 //! repro merge-json BENCH_merged.json run1.json run2.json run3.json
@@ -15,11 +14,7 @@
 //! ```
 //!
 //! Tables print throughput (ops/ms), abort rate, and the relaxation /
-//! composition counters (elastic cuts, outherits). `--cm` sweeps every
-//! run over the named contention-management policies (the rows are tagged
-//! with the policy in tables and JSON); without it the built-in default
-//! arbitrates and rows stay identical to the committed baselines. `--json`
-//! additionally
+//! composition counters (elastic cuts, outherits). `--json` additionally
 //! writes every measured row as schema-stable JSON (`bench::json`), the
 //! machine-comparable perf artifact CI archives; `validate-json` checks
 //! such a file and, with `--require-full-coverage`, that every registered
@@ -56,10 +51,6 @@ fn print_list() {
     println!("\nscenarios:");
     for s in scenarios() {
         println!("  {:<16} {}", s.name(), s.summary());
-    }
-    println!("\ncontention managers (--cm):");
-    for p in stm_core::cm::CmPolicy::ALL {
-        println!("  {:<16} {}", p.name(), p.summary());
     }
 }
 
@@ -108,7 +99,6 @@ fn figure(structure: Structure, fig_no: u32, opts: &Options, all_rows: &mut Vec<
         threads: opts.threads.clone(),
         duration: opts.duration,
         composed: opts.composed.clone(),
-        cms: opts.cm_axis(),
         seed: opts.seed,
         include_sequential: true,
         durable: opts.durable,
@@ -146,7 +136,6 @@ fn summary(opts: &Options, all_rows: &mut Vec<BenchRow>) {
         duration: opts.duration,
         // The paper's headline numbers use the 15% composed mix.
         composed: vec![opts.composed.last().copied().unwrap_or(15)],
-        cms: opts.cm_axis(),
         seed: opts.seed,
         include_sequential: true,
         durable: opts.durable,
@@ -276,14 +265,6 @@ fn record_scenario(
 /// registered scenario instead.
 fn trace(opts: &Options) -> ! {
     let registry = backend_registry();
-    let cm = opts
-        .cm
-        .as_ref()
-        .and_then(|names| names.first())
-        .map(|name| {
-            name.parse::<stm_core::cm::CmPolicy>()
-                .unwrap_or_else(|e| die(&format!("{e}; try --help")))
-        });
     let specs = scenarios();
     for name in chosen_backends(opts, &["oe"]) {
         // `None` = the built-in composition; `Some(spec)` = a registered
@@ -304,11 +285,7 @@ fn trace(opts: &Options) -> ! {
         };
         for spec in cells {
             let recorder = Arc::new(Recorder::new());
-            let config = match cm {
-                Some(policy) => stm_core::StmConfig::default().with_cm(policy),
-                None => stm_core::StmConfig::default(),
-            }
-            .with_trace_sink(recorder.clone());
+            let config = stm_core::StmConfig::default().with_trace_sink(recorder.clone());
             let backend = registry
                 .build(&name, config)
                 .unwrap_or_else(|e| die(&e.to_string()));
@@ -327,11 +304,7 @@ fn trace(opts: &Options) -> ! {
             };
             let raw = recorder.raw_history();
             let committed = recorder.history();
-            println!(
-                "== {name} · {what}: {} step(s)/proc{} ==",
-                opts.steps,
-                cm.map(|p| format!(", cm {}", p.name())).unwrap_or_default()
-            );
+            println!("== {name} · {what}: {} step(s)/proc ==", opts.steps);
             println!("-- raw attempt history ({} events) --", raw.events.len());
             println!("{raw:#}");
             println!(
@@ -431,7 +404,6 @@ fn cell(opts: &Options) -> ! {
         threads: opts.threads.clone(),
         duration: opts.duration,
         composed: opts.composed.clone(),
-        cms: opts.cm_axis(),
         seed: opts.seed,
         include_sequential: false,
         durable: opts.durable,

@@ -35,9 +35,6 @@ flags:
   --stm a,b,...        backends to run (default: all registered; see list)
   --scenario a,b,...   scenarios for `summary` / `trace` (default: all
                        registered / the built-in composition)
-  --cm a,b,...         contention managers to sweep (suicide, backoff,
-                       karma, two-phase; default: built-in two-phase,
-                       rows untagged for baseline compatibility)
   --threads 1,2,4      worker thread counts (default: 1,2,4,8,16,32,64)
   --duration-ms 500    wall-clock milliseconds per data point
   --composed 5,15      composed-update percentages (paper: 5 and 15)
@@ -80,9 +77,6 @@ pub struct Options {
     pub stm: Option<Vec<String>>,
     /// Scenario subset (`None` = all registered).
     pub scenario: Option<Vec<String>>,
-    /// Contention-management policies to sweep (`None` = the built-in
-    /// default policy, rows untagged).
-    pub cm: Option<Vec<String>>,
     /// Base seed.
     pub seed: u64,
     /// `--steps` (for `trace`): composed children per recorded process.
@@ -120,7 +114,6 @@ impl Default for Options {
             composed: vec![5, 15],
             stm: None,
             scenario: None,
-            cm: None,
             seed: DEFAULT_SEED,
             steps: 3,
             json: None,
@@ -131,19 +124,6 @@ impl Default for Options {
             threshold_pct: crate::compare::DEFAULT_THRESHOLD_PCT,
             report_only: false,
             help: false,
-        }
-    }
-}
-
-impl Options {
-    /// The contention-management axis the parsed `--cm` flag expands to:
-    /// the selected policy names, or the single untagged default entry
-    /// ([`crate::scenario::MatrixPlan::cms`] semantics).
-    #[must_use]
-    pub fn cm_axis(&self) -> Vec<Option<String>> {
-        match &self.cm {
-            Some(names) => names.iter().cloned().map(Some).collect(),
-            None => vec![None],
         }
     }
 }
@@ -206,17 +186,6 @@ pub fn parse_args(argv: &[String]) -> Result<Options, String> {
                     flag_value(argv, i, "--scenario")?,
                     "scenario name",
                 )?);
-                i += 1;
-            }
-            "--cm" => {
-                let names: Vec<String> = parse_list(flag_value(argv, i, "--cm")?, "cm name")?;
-                // Validate eagerly so a typo fails before any measurement
-                // runs; the parse error lists the known policies.
-                for name in &names {
-                    name.parse::<stm_core::cm::CmPolicy>()
-                        .map_err(|e| format!("{e}; try --help"))?;
-                }
-                opts.cm = Some(names);
                 i += 1;
             }
             "--seed" => {
@@ -323,29 +292,6 @@ mod tests {
         assert_eq!(o.threads, vec![1, 2]);
         assert_eq!(o.duration, Duration::from_millis(50));
         assert_eq!(o.composed, vec![15]);
-    }
-
-    #[test]
-    fn cm_flag_parses_and_expands_to_the_axis() {
-        let o = parse_args(&args("summary --cm suicide,two-phase")).unwrap();
-        assert_eq!(
-            o.cm.as_deref(),
-            Some(&["suicide".into(), "two-phase".into()][..])
-        );
-        assert_eq!(
-            o.cm_axis(),
-            vec![Some("suicide".to_string()), Some("two-phase".to_string())]
-        );
-        // No flag: one untagged default entry.
-        assert_eq!(parse_args(&[]).unwrap().cm_axis(), vec![None]);
-    }
-
-    #[test]
-    fn unknown_cm_name_is_a_usage_error_listing_policies() {
-        let err = parse_args(&args("summary --cm frobnicate")).unwrap_err();
-        assert!(err.contains("unknown contention manager"), "{err}");
-        assert!(err.contains("karma") && err.contains("two-phase"), "{err}");
-        assert!(parse_args(&args("--cm")).unwrap_err().contains("--cm"));
     }
 
     #[test]
@@ -464,7 +410,6 @@ mod tests {
         for flag in [
             "--stm",
             "--scenario",
-            "--cm",
             "--threads",
             "--duration-ms",
             "--composed",

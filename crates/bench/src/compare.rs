@@ -1,16 +1,13 @@
 //! Comparison of two `BENCH.json` perf artifacts — the regression gate of
 //! the tracked performance trajectory.
 //!
-//! Rows are matched by their full identity `(scenario, backend, cm,
-//! structure, threads, composed_pct)` and compared on throughput. The `cm`
-//! component is the optional contention-manager tag of the `--cm` axis; it
-//! reads as "" when absent, so pre-CM baselines and default-policy
-//! candidates keep matching row-for-row. A row counts as a *regression*
+//! Rows are matched by their full identity `(scenario, backend,
+//! structure, threads, composed_pct)` and compared on throughput. A row
+//! counts as a *regression*
 //! when the candidate's throughput falls below the baseline's by more than
 //! the configured threshold (percent). Rows present in only one artifact
-//! are reported but are never an error: thread counts, scenario sets and
-//! CM sweeps legitimately differ between a committed baseline and a CI
-//! smoke run.
+//! are reported but are never an error: thread counts and scenario sets
+//! legitimately differ between a committed baseline and a CI smoke run.
 //!
 //! Rows the progress watchdog killed (`livelocked: 1` in the artifact)
 //! are **not data points** — their measurement is zeroed by construction,
@@ -28,15 +25,14 @@ use std::collections::BTreeMap;
 /// Default regression threshold, in percent of baseline throughput.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
 
-/// Full identity of a measured row: `(scenario, backend, cm, structure,
-/// threads, composed_pct)` — `cm` is "" for rows without the optional
-/// contention-manager tag.
-pub type RowKey = (String, String, String, String, u64, u64);
+/// Full identity of a measured row: `(scenario, backend, structure,
+/// threads, composed_pct)`.
+pub type RowKey = (String, String, String, u64, u64);
 
 /// One matched row with its throughput delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
-    /// `(scenario, backend, cm, structure, threads, composed_pct)`.
+    /// `(scenario, backend, structure, threads, composed_pct)`.
     pub key: RowKey,
     /// Baseline throughput (ops/ms).
     pub base: f64,
@@ -183,15 +179,10 @@ pub fn merge(texts: &[&str]) -> Result<String, String> {
     ));
     let total = samples.len();
     for (i, (key, rows)) in samples.iter().enumerate() {
-        let (scenario, backend, cm, structure, threads, composed) = key;
+        let (scenario, backend, structure, threads, composed) = key;
         let med = |f: usize| median(rows.iter().map(|r| r[f]).collect());
-        let cm_field = if cm.is_empty() {
-            String::new()
-        } else {
-            format!("\"cm\": \"{}\", ", json::escape(cm))
-        };
         out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", {cm_field}\
+            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \
              \"structure\": \"{}\", \"threads\": {threads}, \
              \"composed_pct\": {composed}, \"ops\": {}, \"throughput\": {:.6}, \
              \"abort_rate\": {:.6}, \"elastic_cuts\": {}, \"outherits\": {}, \
@@ -243,14 +234,11 @@ fn parse_full_rows(text: &str) -> Result<BTreeMap<RowKey, (Vec<f64>, bool)>, Str
                 .to_string()
         };
         // Missing numeric fields default to 0 — that is how the optional
-        // `explicit_retries`/`cm_waits` read from pre-facade artifacts —
-        // and the optional `cm` tag reads as "", so untagged rows from
-        // different schema generations share one identity.
+        // `explicit_retries`/`cm_waits` read from pre-facade artifacts.
         let n = |f: &str| row.get(f).and_then(Value::as_num).unwrap_or_default();
         let key = (
             s("scenario"),
             s("backend"),
-            s("cm"),
             s("structure"),
             n("threads") as u64,
             n("composed_pct") as u64,
@@ -324,10 +312,9 @@ pub fn compare(base_text: &str, cand_text: &str) -> Result<Comparison, String> {
 pub fn render_table(c: &Comparison, threshold_pct: f64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<16} {:<16} {:<10} {:<16} {:>7} {:>9} {:>12} {:>12} {:>9}\n",
+        "{:<16} {:<16} {:<16} {:>7} {:>9} {:>12} {:>12} {:>9}\n",
         "scenario",
         "backend",
-        "cm",
         "structure",
         "threads",
         "composed",
@@ -336,15 +323,14 @@ pub fn render_table(c: &Comparison, threshold_pct: f64) -> String {
         "delta"
     ));
     for d in &c.deltas {
-        let (scenario, backend, cm, structure, threads, composed) = &d.key;
-        let cm = if cm.is_empty() { "-" } else { cm };
+        let (scenario, backend, structure, threads, composed) = &d.key;
         let flag = if d.regresses(threshold_pct) {
             "  REGRESSION"
         } else {
             ""
         };
         out.push_str(&format!(
-            "{scenario:<16} {backend:<16} {cm:<10} {structure:<16} {threads:>7} {composed:>9} {:>12.1} {:>12.1} {:>+8.1}%{flag}\n",
+            "{scenario:<16} {backend:<16} {structure:<16} {threads:>7} {composed:>9} {:>12.1} {:>12.1} {:>+8.1}%{flag}\n",
             d.base, d.cand, d.delta_pct
         ));
     }
@@ -366,10 +352,9 @@ pub fn render_table(c: &Comparison, threshold_pct: f64) -> String {
              measurement and are excluded from the deltas:\n",
             c.skipped_livelocked.len()
         ));
-        for (scenario, backend, cm, _, threads, composed) in &c.skipped_livelocked {
-            let cm = if cm.is_empty() { "-" } else { cm };
+        for (scenario, backend, _, threads, composed) in &c.skipped_livelocked {
             out.push_str(&format!(
-                "  {scenario}/{backend} cm={cm} threads={threads} composed={composed}\n"
+                "  {scenario}/{backend} threads={threads} composed={composed}\n"
             ));
         }
     }
@@ -394,7 +379,6 @@ mod tests {
             scenario: scenario.into(),
             backend: backend.into(),
             system: backend.to_uppercase(),
-            cm: None,
             structure: "LinkedListSet".into(),
             threads,
             composed_pct: 15,
@@ -472,60 +456,32 @@ mod tests {
         assert!(table.contains("only in candidate"));
     }
 
-    fn cm_row(backend: &str, cm: &str, throughput: f64) -> BenchRow {
-        let mut r = row("contention-sweep", backend, 1, throughput);
-        r.cm = Some(cm.into());
-        r
-    }
-
-    #[test]
-    fn cm_tag_is_part_of_the_row_identity() {
-        // Same backend under two policies: two distinct rows that compare
-        // against themselves, not each other.
-        let base = doc(&[
-            cm_row("tl2", "suicide", 100.0),
-            cm_row("tl2", "karma", 50.0),
-        ]);
-        let cand = doc(&[
-            cm_row("tl2", "suicide", 100.0),
-            cm_row("tl2", "karma", 40.0),
-        ]);
-        let c = compare(&base, &cand).unwrap();
-        assert_eq!(c.deltas.len(), 2);
-        let regressions = c.regressions(10.0);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].key.2, "karma");
-        assert!(render_table(&c, 10.0).contains("karma"));
-    }
-
     #[test]
     fn untagged_rows_match_pre_cm_baselines() {
-        // A pre-CM artifact (no cm field anywhere, no cm_waits) must match
-        // a new default-policy artifact row-for-row; CM-tagged candidate
-        // rows are extra, reported, never an error.
+        // A pre-CM artifact (no cm_waits, no explicit_retries) must match
+        // a new artifact row-for-row.
         let old = doc(&[row("fig6", "tl2", 1, 100.0)])
             .replace("\"cm_waits\": 0, ", "")
             .replace("\"explicit_retries\": 0, ", "");
         crate::json::validate(&old).expect("pre-CM artifacts stay schema-valid");
-        let new = doc(&[row("fig6", "tl2", 1, 98.0), cm_row("tl2", "suicide", 70.0)]);
+        let new = doc(&[row("fig6", "tl2", 1, 98.0)]);
         let c = compare(&old, &new).unwrap();
-        assert_eq!(c.deltas.len(), 1, "the untagged rows must pair up");
-        assert!(c.only_in_base.is_empty());
-        assert_eq!(c.only_in_cand.len(), 1, "the cm-tagged row is unmatched");
+        assert_eq!(c.deltas.len(), 1, "the rows must pair up");
+        assert!(c.only_in_base.is_empty() && c.only_in_cand.is_empty());
         assert!(c.regressions(10.0).is_empty());
     }
 
     #[test]
-    fn merge_preserves_cm_tags_and_medians_cm_waits() {
-        let mut a_row = cm_row("oe", "karma", 100.0);
+    fn merge_medians_cm_waits() {
+        let mut a_row = row("contention-sweep", "oe", 1, 100.0);
         a_row.m.cm_waits = 10;
-        let mut b_row = cm_row("oe", "karma", 120.0);
+        let mut b_row = row("contention-sweep", "oe", 1, 120.0);
         b_row.m.cm_waits = 30;
         let merged = merge(&[&doc(&[a_row]), &doc(&[b_row])]).unwrap();
-        crate::json::validate(&merged).expect("merged cm rows must validate");
+        crate::json::validate(&merged).expect("merged rows must validate");
         let rows = parse_full_rows(&merged).unwrap();
         let (key, (fields, _)) = rows.iter().next().unwrap();
-        assert_eq!(key.2, "karma", "the cm tag must survive the merge");
+        assert_eq!(key.0, "contention-sweep");
         assert!((fields[1] - 110.0).abs() < 1e-6, "throughput median");
         assert!((fields[6] - 20.0).abs() < 1e-6, "cm_waits median");
     }
@@ -540,7 +496,6 @@ mod tests {
         let tp = rows[&(
             "fig6".to_string(),
             "tl2".to_string(),
-            String::new(),
             "LinkedListSet".to_string(),
             1,
             15,

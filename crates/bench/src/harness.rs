@@ -27,9 +27,8 @@ pub struct Measurement {
     /// User-level explicit retries (`tx.retry()` / `or_else` branch
     /// switches) — a control-flow category, not conflicts.
     pub explicit_retries: u64,
-    /// Contention-manager pacing decisions executed (backoffs + yields) —
-    /// how often conflict losers actually waited before retrying. Zero
-    /// under the `suicide` policy by construction.
+    /// Retry-time pacing steps executed (backoffs + yields) — how often
+    /// conflict losers actually waited before retrying.
     pub cm_waits: u64,
     /// Times an `ExplicitRetry` attempt parked on its read set waiting
     /// for a committing writer (0 for workloads that never `retry()`).

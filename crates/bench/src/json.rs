@@ -64,10 +64,9 @@ pub const ROW_FIELDS: [(&str, bool); 11] = [
 /// field to 0 and a missing string field to "".
 ///
 /// `explicit_retries`, `cm_waits`, `system`, `commits` and `aborts` are
-/// always emitted by [`render`]; `cm` is emitted only for rows measured
-/// under an explicitly selected contention manager (the `--cm` axis), and
-/// `livelocked` (0/1) only for rows the progress watchdog killed — so
-/// default runs stay row-key-identical to the committed baselines.
+/// always emitted by [`render`]; `livelocked` (0/1) only for rows the
+/// progress watchdog killed — so measured runs stay row-key-identical to
+/// the committed baselines.
 /// `system`/`commits`/`aborts` exist so a row round-trips losslessly
 /// through JSON: the watchdog measures each row in a subprocess and
 /// reassembles the [`BenchRow`] from the child's artifact
@@ -78,9 +77,8 @@ pub const ROW_FIELDS: [(&str, bool); 11] = [
 /// The wait trio (`retry_parks`/`wakeups`/`spurious_wakeups`) arrived
 /// with the wake-on-commit subsystem; artifacts from before it simply
 /// lack the fields and default to 0.
-pub const OPTIONAL_ROW_FIELDS: [(&str, bool); 13] = [
+pub const OPTIONAL_ROW_FIELDS: [(&str, bool); 12] = [
     ("explicit_retries", true),
-    ("cm", false),
     ("cm_waits", true),
     ("retry_parks", true),
     ("wakeups", true),
@@ -133,17 +131,13 @@ pub fn render(rows: &[BenchRow], seed: u64) -> String {
     ));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let cm_field =
-            r.cm.as_ref()
-                .map(|cm| format!("\"cm\": \"{}\", ", escape(cm)))
-                .unwrap_or_default();
         let livelocked_field = if r.livelocked {
             "\"livelocked\": 1, "
         } else {
             ""
         };
         out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", {cm_field}\"system\": \"{}\", \
+            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"system\": \"{}\", \
              \"structure\": \"{}\", \
              \"threads\": {}, \"composed_pct\": {}, {livelocked_field}\"ops\": {}, \
              \"throughput\": {}, \
@@ -571,10 +565,6 @@ pub fn parse_rows(text: &str) -> Result<Vec<BenchRow>, String> {
                 scenario: str_field("scenario"),
                 backend,
                 system,
-                cm: row
-                    .get("cm")
-                    .and_then(Value::as_str)
-                    .map(ToString::to_string),
                 structure: str_field("structure"),
                 threads: get_num(row, "threads") as usize,
                 composed_pct: get_num(row, "composed_pct") as u32,
@@ -615,7 +605,6 @@ mod tests {
             scenario: "fig6".into(),
             backend: "oe".into(),
             system: "OE-STM".into(),
-            cm: None,
             structure: "LinkedListSet".into(),
             threads: 2,
             composed_pct: 5,
@@ -656,29 +645,7 @@ mod tests {
         assert_eq!(row["retry_parks"].as_num(), Some(2.0));
         assert_eq!(row["wakeups"].as_num(), Some(2.0));
         assert_eq!(row["spurious_wakeups"].as_num(), Some(1.0));
-        assert!(
-            !row.contains_key("cm"),
-            "default-policy rows must stay key-compatible with old baselines"
-        );
         assert!((row["elapsed_ms"].as_num().unwrap() - 50.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cm_tagged_rows_carry_and_validate_the_cm_field() {
-        let mut r = sample_row();
-        r.cm = Some("karma".into());
-        let text = render(&[r], 7);
-        validate(&text).expect("cm-tagged rows must validate");
-        let doc = parse(&text).unwrap();
-        let row = doc.as_obj().unwrap()["rows"].as_arr().unwrap()[0]
-            .as_obj()
-            .unwrap()
-            .clone();
-        assert_eq!(row["cm"].as_str(), Some("karma"));
-        // A present-but-mistyped cm field is still an error.
-        let mistyped = text.replace("\"cm\": \"karma\"", "\"cm\": 3");
-        let err = validate(&mistyped).unwrap_err();
-        assert!(err.contains("\"cm\""), "{err}");
     }
 
     #[test]
@@ -686,7 +653,6 @@ mod tests {
         let mut killed = sample_row();
         killed.backend = "swiss".into();
         killed.system = "SwissTM".into();
-        killed.cm = Some("karma".into());
         killed.livelocked = true;
         killed.m = Measurement {
             throughput: 0.0,
@@ -716,7 +682,6 @@ mod tests {
             assert_eq!(got.scenario, orig.scenario);
             assert_eq!(got.backend, orig.backend);
             assert_eq!(got.system, orig.system, "display names must round-trip");
-            assert_eq!(got.cm, orig.cm);
             assert_eq!(got.structure, orig.structure);
             assert_eq!(got.threads, orig.threads);
             assert_eq!(got.composed_pct, orig.composed_pct);

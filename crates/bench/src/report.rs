@@ -99,7 +99,6 @@ pub fn run_figure_rows(
         threads: threads.to_vec(),
         duration,
         composed: vec![composed_pct],
-        cms: vec![None],
         seed,
         include_sequential: true,
         durable: false,

@@ -40,13 +40,6 @@
 //! The knobs (key distribution, op mix, MULTI size) are baked into the
 //! scenario names because [`ScenarioSpec`] construction is a plain fn
 //! pointer — each sweep point is its own named, reproducible row.
-//!
-//! The matrix additionally sweeps a **contention-management axis**
-//! ([`MatrixPlan::cms`], driven by `repro --cm`): each entry builds every
-//! backend with that [`CmPolicy`] and tags the resulting rows, so one run
-//! crosses scenarios × backends × threads × arbitration policies. The
-//! default axis (`[None]`) runs the built-in policy and leaves rows
-//! untagged — byte-compatible with the committed `BENCH_*.json` baselines.
 
 use crate::harness::Measurement;
 use crate::report::{paper_hash_buckets, Structure};
@@ -60,7 +53,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stm_core::api::{Atomic, Policy};
-use stm_core::cm::CmPolicy;
 use stm_core::dynstm::{Backend, BackendRegistry};
 use stm_core::{StmConfig, TVar};
 
@@ -431,16 +423,16 @@ fn build_or_else_fallback(mix: Mix) -> Box<dyn Workload + Send + Sync> {
 }
 
 // ---------------------------------------------------------------------
-// Contention-sweep scenario: retry-storm pressure for the CM axis.
+// Contention-sweep scenario: retry-storm pressure on the arbitration.
 // ---------------------------------------------------------------------
 
 /// Hot read-modify-write targets: few enough that concurrent workers
-/// collide constantly, so every arbitration policy has conflicts to
+/// collide constantly, so the contention manager has conflicts to
 /// arbitrate.
 const SWEEP_HOT_VARS: usize = 8;
 
-/// The forced-contention workload crossing retry-storm pressure with the
-/// contention-management axis:
+/// The forced-contention workload: retry-storm pressure on the
+/// contention manager:
 ///
 /// * 50% hot increments — read-modify-write on one of
 ///   [`SWEEP_HOT_VARS`] shared counters, the densest write-write
@@ -453,7 +445,7 @@ const SWEEP_HOT_VARS: usize = 8;
 ///
 /// Unlike the set scenarios there is no structure to traverse: the
 /// transactions are tiny and conflict-dense on purpose, putting the
-/// arbitration policy — not the data structure — on the critical path.
+/// arbitration — not the data structure — on the critical path.
 struct ContentionSweepWorkload {
     hot: Vec<TVar<u64>>,
     gate: TVar<u64>,
@@ -957,7 +949,7 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
         },
         ScenarioSpec {
             name: "contention-sweep",
-            summary: "retry-storm pressure: hot RMWs + gated or_else (the --cm axis)",
+            summary: "retry-storm pressure: hot RMWs + gated or_else",
             structure: "8xTVar+gate",
             uses_composed_pct: false,
             build: build_contention_sweep,
@@ -1067,12 +1059,6 @@ pub struct BenchRow {
     pub backend: String,
     /// Backend display name ("TL2", "OE-STM", "Sequential", …).
     pub system: String,
-    /// Contention-management policy the backend was built with, when one
-    /// was explicitly selected on the CM axis ("suicide", "karma", …).
-    /// `None` for default-policy rows (and all sequential rows) — such
-    /// rows serialize without a `cm` field, keeping them key-compatible
-    /// with the pre-CM `BENCH_*.json` baselines.
-    pub cm: Option<String>,
     /// Structure label ("LinkedListSet", "2xTxQueue", …).
     pub structure: String,
     /// Worker threads.
@@ -1089,21 +1075,15 @@ pub struct BenchRow {
 }
 
 impl BenchRow {
-    /// Display name for tables: the system, tagged with the CM policy
-    /// when the row was measured on the `--cm` axis ("OE-STM+karma"),
-    /// so one backend under different arbiters stays tellable apart.
-    /// Watchdog-killed rows additionally carry a `LIVELOCK!` marker so a
-    /// zeroed row can never be mistaken for a measured one.
+    /// Display name for tables: the system. Watchdog-killed rows carry a
+    /// `LIVELOCK!` marker so a zeroed row can never be mistaken for a
+    /// measured one.
     #[must_use]
     pub fn tagged_system(&self) -> String {
-        let base = match &self.cm {
-            Some(cm) => format!("{}+{}", self.system, cm),
-            None => self.system.clone(),
-        };
         if self.livelocked {
-            format!("{base} LIVELOCK!")
+            format!("{} LIVELOCK!", self.system)
         } else {
-            base
+            self.system.clone()
         }
     }
 }
@@ -1185,10 +1165,6 @@ pub struct MatrixPlan {
     pub duration: Duration,
     /// Composed-update percentages for scenarios that sweep them.
     pub composed: Vec<u32>,
-    /// The contention-management axis: one entry per sweep point. `None`
-    /// runs the default policy and leaves rows untagged; `Some(name)`
-    /// builds every backend with that [`CmPolicy`] and tags the rows.
-    pub cms: Vec<Option<String>>,
     /// Base seed (prefills and per-thread op streams derive from it).
     pub seed: u64,
     /// Include the uninstrumented sequential reference rows where a
@@ -1217,7 +1193,6 @@ impl MatrixPlan {
             threads,
             duration,
             composed,
-            cms: vec![None],
             seed,
             include_sequential: true,
             durable: false,
@@ -1265,18 +1240,16 @@ impl Drop for DurableCell {
     }
 }
 
-/// Run the full `scenarios × composed × cms × backends × threads` sweep.
+/// Run the full `scenarios × composed × backends × threads` sweep.
 ///
-/// Builds a fresh workload instance per (scenario, composed, cm, backend)
+/// Builds a fresh workload instance per (scenario, composed, backend)
 /// cell — transactional state is never shared across backends — prefills
 /// it once, and measures every thread count on the warmed instance.
-/// Sequential reference rows are measured once per (scenario, composed):
-/// an uninstrumented run has no conflicts to arbitrate, so the CM axis
-/// does not apply to it.
+/// Sequential reference rows are measured once per (scenario, composed).
 ///
 /// # Errors
-/// Returns `Err` with a message naming any unknown scenario, backend or
-/// contention-management policy (and the registered names for each).
+/// Returns `Err` with a message naming any unknown scenario or backend
+/// (and the registered names for each).
 pub fn run_matrix(plan: &MatrixPlan) -> Result<Vec<BenchRow>, String> {
     let registry = backend_registry();
     for name in &plan.backends {
@@ -1289,21 +1262,6 @@ pub fn run_matrix(plan: &MatrixPlan) -> Result<Vec<BenchRow>, String> {
                 .expect_err("get() returned None")
                 .to_string());
         }
-    }
-    // Validate and normalize the CM axis up front too; the parse error
-    // lists the known policies.
-    let cms: Vec<Option<CmPolicy>> = plan
-        .cms
-        .iter()
-        .map(|entry| {
-            entry
-                .as_deref()
-                .map(|name| name.parse::<CmPolicy>().map_err(|e| e.to_string()))
-                .transpose()
-        })
-        .collect::<Result<_, _>>()?;
-    if cms.is_empty() {
-        return Err("the cm axis needs at least one entry (use None for the default)".to_string());
     }
     let specs: Vec<ScenarioSpec> = plan
         .scenarios
@@ -1346,7 +1304,6 @@ pub fn run_matrix(plan: &MatrixPlan) -> Result<Vec<BenchRow>, String> {
                             scenario: spec.name().to_string(),
                             backend: "sequential".to_string(),
                             system: "Sequential".to_string(),
-                            cm: None,
                             structure: spec.structure().to_string(),
                             threads: t,
                             composed_pct: pct,
@@ -1356,46 +1313,39 @@ pub fn run_matrix(plan: &MatrixPlan) -> Result<Vec<BenchRow>, String> {
                     }
                 }
             }
-            for &cm in &cms {
-                let cfg = match cm {
-                    Some(policy) => StmConfig::default().with_cm(policy),
+            for name in &plan.backends {
+                // The durable rig lives exactly as long as the cell: a
+                // fresh store (and temp dir) per (scenario, backend), torn
+                // down before the next cell opens.
+                let durable_cell = if plan.durable {
+                    cell_no += 1;
+                    Some(DurableCell::open(cell_no)?)
+                } else {
+                    None
+                };
+                let cfg = match &durable_cell {
+                    Some(cell) => StmConfig::default().with_commit_hook(cell.hook()),
                     None => StmConfig::default(),
                 };
-                for name in &plan.backends {
-                    // The durable rig lives exactly as long as the cell:
-                    // a fresh store (and temp dir) per (scenario, cm,
-                    // backend), torn down before the next cell opens.
-                    let durable_cell = if plan.durable {
-                        cell_no += 1;
-                        Some(DurableCell::open(cell_no)?)
-                    } else {
-                        None
-                    };
-                    let cfg = match &durable_cell {
-                        Some(cell) => cfg.clone().with_commit_hook(cell.hook()),
-                        None => cfg.clone(),
-                    };
-                    let at = Atomic::new(
-                        registry
-                            .build(name, cfg)
-                            .expect("validated against the registry above"),
-                    );
-                    let workload = spec.build(mix);
-                    workload.prefill(&at, plan.seed);
-                    for &t in &plan.threads {
-                        let m = run_timed_dyn(&at, &*workload, t, plan.duration, plan.seed);
-                        rows.push(BenchRow {
-                            scenario: spec.name().to_string(),
-                            backend: at.backend().key().to_string(),
-                            system: at.name().to_string(),
-                            cm: cm.map(|p| p.name().to_string()),
-                            structure: spec.structure().to_string(),
-                            threads: t,
-                            composed_pct: pct,
-                            livelocked: false,
-                            m,
-                        });
-                    }
+                let at = Atomic::new(
+                    registry
+                        .build(name, cfg)
+                        .expect("validated against the registry above"),
+                );
+                let workload = spec.build(mix);
+                workload.prefill(&at, plan.seed);
+                for &t in &plan.threads {
+                    let m = run_timed_dyn(&at, &*workload, t, plan.duration, plan.seed);
+                    rows.push(BenchRow {
+                        scenario: spec.name().to_string(),
+                        backend: at.backend().key().to_string(),
+                        system: at.name().to_string(),
+                        structure: spec.structure().to_string(),
+                        threads: t,
+                        composed_pct: pct,
+                        livelocked: false,
+                        m,
+                    });
                 }
             }
         }
@@ -1468,7 +1418,6 @@ mod tests {
             threads: vec![1, 2],
             duration: Duration::from_millis(30),
             composed: vec![5],
-            cms: vec![None],
             seed: 21,
             include_sequential: true,
             durable: false,
@@ -1502,7 +1451,6 @@ mod tests {
             threads: vec![1],
             duration: Duration::from_millis(20),
             composed: vec![5],
-            cms: vec![None],
             seed: 4,
             include_sequential: false,
             durable: false,
@@ -1524,7 +1472,6 @@ mod tests {
             threads: vec![1, 2],
             duration: Duration::from_millis(25),
             composed: vec![5],
-            cms: vec![None],
             seed: 42,
             include_sequential: true,
             durable: false,
@@ -1553,52 +1500,33 @@ mod tests {
             err.contains("tl2") && err.contains("oe-estm-compat"),
             "the error must list the registered backends: {err}"
         );
-        let mut plan = MatrixPlan::new(vec![1], Duration::from_millis(5), vec![5], 1);
-        plan.cms = vec![Some("nope".into())];
-        let err = run_matrix(&plan).unwrap_err();
-        assert!(err.contains("unknown contention manager"), "{err}");
-        assert!(err.contains("two-phase"), "must list the policies: {err}");
     }
 
     #[test]
-    fn cm_axis_tags_rows_and_multiplies_the_matrix() {
+    fn contention_sweep_storms_and_paces_the_retry_path() {
         let plan = MatrixPlan {
             scenarios: vec!["contention-sweep".into()],
             backends: vec!["tl2".into(), "oe".into()],
             threads: vec![1],
             duration: Duration::from_millis(30),
             composed: vec![5],
-            cms: vec![None, Some("suicide".into()), Some("karma".into())],
             seed: 9,
             include_sequential: true,
             durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
-        // No sequential reference for this scenario: 2 backends × 3 cms.
-        assert_eq!(rows.len(), 6);
+        // No sequential reference for this scenario: one row per backend.
+        assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert!(r.m.ops > 0, "{}/{:?} produced no ops", r.backend, r.cm);
+            assert!(r.m.ops > 0, "{} produced no ops", r.backend);
             assert!(
                 r.m.explicit_retries > 0,
-                "{}/{:?}: the gated or_else must storm the retry path, got {:?}",
+                "{}: the gated or_else must storm the retry path, got {:?}",
                 r.backend,
-                r.cm,
                 r.m
             );
-        }
-        let tags: Vec<Option<&str>> = rows.iter().map(|r| r.cm.as_deref()).collect();
-        assert_eq!(tags.iter().filter(|t| t.is_none()).count(), 2);
-        assert_eq!(
-            tags.iter().filter(|t| **t == Some("suicide")).count(),
-            2,
-            "{tags:?}"
-        );
-        // Suicide never paces; the default (two-phase) paces every retry.
-        for r in &rows {
-            match r.cm.as_deref() {
-                Some("suicide") => assert_eq!(r.m.cm_waits, 0, "{}", r.backend),
-                _ => assert!(r.m.cm_waits > 0, "{}/{:?}: {:?}", r.backend, r.cm, r.m),
-            }
+            // An or_else alternation is paced like a conflict loss.
+            assert!(r.m.cm_waits > 0, "{}: {:?}", r.backend, r.m);
         }
     }
 
@@ -1612,7 +1540,6 @@ mod tests {
             threads: vec![2],
             duration: Duration::from_millis(40),
             composed: vec![15],
-            cms: vec![None],
             seed: 7,
             include_sequential: false,
             durable: false,
@@ -1635,7 +1562,6 @@ mod tests {
             threads: vec![1],
             duration: Duration::from_millis(60),
             composed: vec![5],
-            cms: vec![None],
             seed: 3,
             include_sequential: true,
             durable: false,
@@ -1661,7 +1587,6 @@ mod tests {
             threads: vec![2],
             duration: Duration::from_millis(80),
             composed: vec![5],
-            cms: vec![None],
             seed: 17,
             include_sequential: true,
             durable: false,
@@ -1705,7 +1630,6 @@ mod tests {
             threads: vec![1, 2],
             duration: Duration::from_millis(30),
             composed: vec![5],
-            cms: vec![None],
             seed: 11,
             include_sequential: true,
             durable: true,

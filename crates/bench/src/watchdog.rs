@@ -11,7 +11,7 @@
 //! * the parent ([`run_matrix_watchdogged`]) measures the uninstrumented
 //!   sequential references in-process (no conflicts, nothing to bound)
 //!   and spawns one `repro __cell … --json <tmp>` subprocess per measured
-//!   `(scenario, composed, cm, backend, threads)` row;
+//!   `(scenario, composed, backend, threads)` row;
 //! * a child that exits within the bound hands its row back through the
 //!   JSON artifact ([`crate::json::parse_rows`] — the reason the schema
 //!   carries the `system`/`commits`/`aborts` fields);
@@ -37,7 +37,6 @@ struct Cell {
     scenario: String,
     structure: String,
     composed_pct: u32,
-    cm: Option<String>,
     backend: String,
     threads: usize,
 }
@@ -63,10 +62,6 @@ impl Cell {
             "--json".to_string(),
             json_path.display().to_string(),
         ];
-        if let Some(cm) = &self.cm {
-            args.push("--cm".to_string());
-            args.push(cm.clone());
-        }
         if plan.durable {
             args.push("--durable".to_string());
         }
@@ -80,7 +75,6 @@ impl Cell {
             scenario: self.scenario.clone(),
             backend: self.backend.clone(),
             system: system.to_string(),
-            cm: self.cm.clone(),
             structure: self.structure.clone(),
             threads: self.threads,
             composed_pct: self.composed_pct,
@@ -158,7 +152,7 @@ fn run_bounded(exe: &Path, args: &[String], bound: Duration) -> Result<bool, Str
 /// watchdog.
 ///
 /// # Errors
-/// Returns a message for unknown scenario/backend/cm names (same
+/// Returns a message for unknown scenario/backend names (same
 /// validation as `run_matrix`), for a child that crashes outright, or for
 /// an unreadable child artifact.
 pub fn run_matrix_watchdogged(
@@ -178,14 +172,6 @@ pub fn run_matrix_watchdogged(
                 .map_err(|e| e.to_string())?
                 .name(),
         );
-    }
-    for entry in plan.cms.iter().flatten() {
-        entry
-            .parse::<stm_core::cm::CmPolicy>()
-            .map_err(|e| e.to_string())?;
-    }
-    if plan.cms.is_empty() {
-        return Err("the cm axis needs at least one entry (use None for the default)".to_string());
     }
 
     let mut rows = Vec::new();
@@ -211,7 +197,6 @@ pub fn run_matrix_watchdogged(
                             scenario: spec.name().to_string(),
                             backend: "sequential".to_string(),
                             system: "Sequential".to_string(),
-                            cm: None,
                             structure: spec.structure().to_string(),
                             threads: t,
                             composed_pct: pct,
@@ -221,42 +206,34 @@ pub fn run_matrix_watchdogged(
                     }
                 }
             }
-            for cm in &plan.cms {
-                for (backend, system) in plan.backends.iter().zip(&systems) {
-                    for &t in &plan.threads {
-                        let cell = Cell {
-                            scenario: spec.name().to_string(),
-                            structure: spec.structure().to_string(),
-                            composed_pct: pct,
-                            cm: cm.clone(),
-                            backend: backend.clone(),
-                            threads: t,
-                        };
-                        cell_no += 1;
-                        let json_path = temp_json_path(cell_no);
-                        let finished = run_bounded(exe, &cell.child_args(plan, &json_path), bound)?;
-                        if finished {
-                            let text = std::fs::read_to_string(&json_path).map_err(|e| {
-                                format!("cannot read cell artifact {}: {e}", json_path.display())
-                            })?;
-                            let cell_rows = json::parse_rows(&text)
-                                .map_err(|e| format!("cell artifact invalid: {e}"))?;
-                            rows.extend(cell_rows);
-                        } else {
-                            eprintln!(
-                                "watchdog: {}/{}{} @ {t} thread(s) exceeded {bound:?} — \
-                                 killed, reporting LIVELOCK",
-                                cell.scenario,
-                                cell.backend,
-                                cell.cm
-                                    .as_deref()
-                                    .map(|c| format!("+{c}"))
-                                    .unwrap_or_default(),
-                            );
-                            rows.push(cell.livelocked_row(system, bound));
-                        }
-                        let _ = std::fs::remove_file(&json_path);
+            for (backend, system) in plan.backends.iter().zip(&systems) {
+                for &t in &plan.threads {
+                    let cell = Cell {
+                        scenario: spec.name().to_string(),
+                        structure: spec.structure().to_string(),
+                        composed_pct: pct,
+                        backend: backend.clone(),
+                        threads: t,
+                    };
+                    cell_no += 1;
+                    let json_path = temp_json_path(cell_no);
+                    let finished = run_bounded(exe, &cell.child_args(plan, &json_path), bound)?;
+                    if finished {
+                        let text = std::fs::read_to_string(&json_path).map_err(|e| {
+                            format!("cannot read cell artifact {}: {e}", json_path.display())
+                        })?;
+                        let cell_rows = json::parse_rows(&text)
+                            .map_err(|e| format!("cell artifact invalid: {e}"))?;
+                        rows.extend(cell_rows);
+                    } else {
+                        eprintln!(
+                            "watchdog: {}/{} @ {t} thread(s) exceeded {bound:?} — \
+                             killed, reporting LIVELOCK",
+                            cell.scenario, cell.backend,
+                        );
+                        rows.push(cell.livelocked_row(system, bound));
                     }
+                    let _ = std::fs::remove_file(&json_path);
                 }
             }
         }
@@ -274,7 +251,6 @@ mod tests {
             scenario: "fig6".into(),
             structure: "LinkedListSet".into(),
             composed_pct: 15,
-            cm: Some("karma".into()),
             backend: "tl2".into(),
             threads: 4,
         };
@@ -291,7 +267,6 @@ mod tests {
             "--duration-ms 250",
             "--seed 99",
             "--json /tmp/x.json",
-            "--cm karma",
             "--durable",
         ] {
             assert!(joined.contains(want), "missing {want} in {joined}");
@@ -309,7 +284,6 @@ mod tests {
             scenario: "contention-sweep".into(),
             structure: "8xTVar+gate".into(),
             composed_pct: 0,
-            cm: None,
             backend: "swiss".into(),
             threads: 2,
         };

@@ -8,9 +8,8 @@ use oe_stm::OeStm;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use stm_core::api::{Atomic, AtomicBackend, Policy};
-use stm_core::cm::CmPolicy;
 use stm_core::dynstm::Backend;
-use stm_core::{StmConfig, TVar};
+use stm_core::TVar;
 use stm_tl2::Tl2;
 
 #[derive(Debug, Clone)]
@@ -78,10 +77,10 @@ fn check_against_oracle<B: AtomicBackend, C: TxSet>(stm: &Atomic<B>, set: &C, op
 }
 
 // ---------------------------------------------------------------------
-// CM-swept operation trees: randomized `or_else` / `section(Policy, …)`
-// compositions executed through the facade under each contention manager,
-// replayed against a sequential oracle. The arbiter must never change
-// results — only pacing.
+// Operation trees: randomized `or_else` / `section(Policy, …)`
+// compositions executed through the facade on every backend, replayed
+// against a sequential oracle. The arbiter must never change results —
+// only pacing.
 // ---------------------------------------------------------------------
 
 /// One node of a random operation tree over a transactional counter bank.
@@ -237,37 +236,32 @@ proptest! {
         check_against_oracle(&Atomic::new(Tl2::new()), &LinkedListSet::new(), &ops);
     }
 
-    /// Randomized or_else/section trees × every CM × every backend: the
-    /// facade execution must match the sequential oracle exactly — the
-    /// arbitration policy may only change pacing, never results.
+    /// Randomized or_else/section trees × every backend: the facade
+    /// execution must match the sequential oracle exactly — the
+    /// arbitration may only change pacing, never results.
     #[test]
     fn operation_trees_match_oracle_under_every_cm(
         ops in prop::collection::vec(tree_op_strategy(), 1..10)
     ) {
         let reg = registry();
-        for cm in CmPolicy::ALL {
-            for backend in TREE_BACKENDS {
-                let at = Atomic::new(
-                    reg.build(backend, StmConfig::default().with_cm(cm))
-                        .expect("registry backend"),
+        for backend in TREE_BACKENDS {
+            let at = Atomic::new(reg.build_default(backend).expect("registry backend"));
+            let bank: Vec<TVar<u64>> = (0..BANK).map(|_| TVar::new(0u64)).collect();
+            let mut oracle = [0u64; BANK];
+            for op in &ops {
+                apply_top(&at, &bank, op);
+                apply_oracle(&mut oracle, op);
+                let got: Vec<u64> = bank.iter().map(TVar::load_atomic).collect();
+                prop_assert_eq!(
+                    &got[..], &oracle[..],
+                    "{}: diverged after {:?}", backend, op
                 );
-                let bank: Vec<TVar<u64>> = (0..BANK).map(|_| TVar::new(0u64)).collect();
-                let mut oracle = [0u64; BANK];
-                for op in &ops {
-                    apply_top(&at, &bank, op);
-                    apply_oracle(&mut oracle, op);
-                    let got: Vec<u64> = bank.iter().map(TVar::load_atomic).collect();
-                    prop_assert_eq!(
-                        &got[..], &oracle[..],
-                        "{}/{}: diverged after {:?}", backend, cm, op
-                    );
-                }
-                // The arbiter must also keep the books straight: no
-                // conflict aborts single-threaded, retries only from
-                // abandoned or_else branches.
-                let snap = at.stats();
-                prop_assert_eq!(snap.aborts(), 0, "{}/{}: {:?}", backend, cm, snap);
             }
+            // The arbiter must also keep the books straight: no conflict
+            // aborts single-threaded, retries only from abandoned or_else
+            // branches.
+            let snap = at.stats();
+            prop_assert_eq!(snap.aborts(), 0, "{}: {:?}", backend, snap);
         }
     }
 

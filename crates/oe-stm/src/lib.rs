@@ -504,41 +504,34 @@ mod tests {
 
     #[test]
     fn every_cm_policy_recovers_elastic_window_conflicts() {
-        use stm_core::cm::CmPolicy;
-        // A windowed conflict (not relaxable) must retry to success under
-        // each contention manager, in elastic mode, with the elastic-cut
-        // aborts filed as conflicts and pacing matching the policy.
-        for cm in CmPolicy::ALL {
-            let stm = OeStm::with_config(StmConfig::default().with_cm(cm));
-            let a = TVar::new(1u64);
-            let b = TVar::new(2u64);
-            let d = TVar::new(0u64);
-            let mut sabotage_left = 2;
-            stm.run(TxKind::Elastic, |tx| {
-                let ra = tx.read(&a)?;
-                let rb = tx.read(&b)?; // window = {a, b}
-                if sabotage_left > 0 {
-                    sabotage_left -= 1;
-                    let nv = stm.clock().tick();
-                    b.store_atomic(rb + 10, nv); // b is still windowed
-                }
-                let _ = tx.read(&d)?; // snapshot advance validates the window
-                tx.write(&d, ra + rb)
-            });
-            let snap = stm.stats();
-            assert_eq!(snap.commits, 1, "{cm}");
-            assert_eq!(snap.aborts(), 2, "{cm}");
-            assert!(
-                snap.aborts_by_cause[AbortReason::ElasticCut.index()] >= 1,
-                "{cm}: the windowed conflict must cut"
-            );
-            assert_eq!(snap.explicit_retries(), 0, "{cm}");
-            if cm == CmPolicy::Suicide {
-                assert_eq!(snap.cm_waits(), 0, "{cm}: suicide must not pace");
-            } else {
-                assert_eq!(snap.cm_waits(), 2, "{cm}: every abort is paced");
+        // A windowed conflict (not relaxable) must retry to success in
+        // elastic mode, with the elastic-cut aborts filed as conflicts and
+        // every one paced.
+        let stm = OeStm::new();
+        let a = TVar::new(1u64);
+        let b = TVar::new(2u64);
+        let d = TVar::new(0u64);
+        let mut sabotage_left = 2;
+        stm.run(TxKind::Elastic, |tx| {
+            let ra = tx.read(&a)?;
+            let rb = tx.read(&b)?; // window = {a, b}
+            if sabotage_left > 0 {
+                sabotage_left -= 1;
+                let nv = stm.clock().tick();
+                b.store_atomic(rb + 10, nv); // b is still windowed
             }
-        }
+            let _ = tx.read(&d)?; // snapshot advance validates the window
+            tx.write(&d, ra + rb)
+        });
+        let snap = stm.stats();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.aborts(), 2);
+        assert!(
+            snap.aborts_by_cause[AbortReason::ElasticCut.index()] >= 1,
+            "the windowed conflict must cut"
+        );
+        assert_eq!(snap.explicit_retries(), 0);
+        assert_eq!(snap.cm_waits(), 2, "every abort is paced");
     }
 
     #[test]

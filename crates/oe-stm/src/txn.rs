@@ -175,12 +175,6 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
         self.scratch.base.writes.release_locks();
     }
 
-    /// The protected window entries count as work alongside the tracked
-    /// reads/writes.
-    fn footprint(&self) -> (usize, usize) {
-        (self.protected_reads(), self.scratch.base.writes.len())
-    }
-
     /// Fold the current elastic window into the base read set: the wait
     /// path parks on the full footprint of the aborted attempt. (Windows
     /// parked in already-popped nesting frames are not recovered; the
@@ -348,7 +342,7 @@ impl<'env> OeTxn<'env> {
                 }
                 Err(ReadConflict::Locked(owner)) if Some(owner) != self.at.owner() => {
                     spins += 1;
-                    if spins > self.stm.config().lock_spin_limit {
+                    if spins > stm_core::cm::LOCK_SPIN_LIMIT {
                         return Err(Abort::new(AbortReason::LockConflict));
                     }
                     core::hint::spin_loop();
@@ -511,7 +505,7 @@ mod tests {
     use core::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use stm_core::trace::{TraceSink, TraceStamp};
-    use stm_core::{StatsSnapshot, StmConfig, TVar};
+    use stm_core::{StatsSnapshot, TVar};
 
     /// A sink that only counts operations — enough to arm the tracer and
     /// to prove it was armed.
@@ -543,19 +537,14 @@ mod tests {
         stats: StatsSnapshot,
     }
 
-    const SPIN_LIMIT: u32 = 3;
     const FOREIGN_TICKET: u64 = u64::MAX >> 2;
 
     /// Run `script` against an untraced and a traced instance, require the
     /// two outcomes to be equal, and hand back the common one.
     fn both_paths(script: impl Fn(&OeStm) -> Outcome) -> Outcome {
-        let config = || StmConfig {
-            lock_spin_limit: SPIN_LIMIT,
-            ..StmConfig::default()
-        };
-        let head = script(&OeStm::with_config(config()));
+        let head = script(&OeStm::new());
         let sink = Arc::new(CountingSink::default());
-        let traced = OeStm::with_config(config()).with_trace(sink.clone());
+        let traced = OeStm::new().with_trace(sink.clone());
         let tail = script(&traced);
         assert!(sink.0.load(Ordering::Relaxed) > 0, "the tracer was armed");
         assert_eq!(head, tail, "head and tail must be indistinguishable");

@@ -82,7 +82,7 @@ mod tests {
     use super::*;
     use crate::BoostStm;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use stm_core::{AbortReason, CmPolicy, RunError, Stm, StmConfig, TVar, Transaction, TxKind};
+    use stm_core::{AbortReason, RunError, Stm, StmConfig, TVar, Transaction, TxKind};
 
     const R: TxKind = TxKind::Regular;
 
@@ -335,24 +335,20 @@ mod tests {
 
     #[test]
     fn a_squatted_set_key_exhausts_a_bounded_budget_under_every_cm() {
-        for policy in CmPolicy::ALL {
-            let cfg = StmConfig::default().with_cm(policy).with_max_retries(1);
-            let stm = BoostStm::with_config(cfg);
-            let s = BoostedSet::new();
-            // A foreign owner squats on key 5 out-of-band.
-            assert!(s.locks().try_acquire(5, u64::MAX));
-            let r = stm.try_run(R, |tx| s.add(tx, 5));
-            assert_eq!(
-                r,
-                Err(RunError::RetriesExhausted {
-                    attempts: 2,
-                    last: AbortReason::LockConflict
-                }),
-                "{policy}"
-            );
-            assert!(s.base().is_empty(), "{policy}");
-            assert_eq!(s.locks().owner_of(5), Some(u64::MAX), "{policy}");
-        }
+        let stm = BoostStm::with_config(StmConfig::default().with_max_retries(1));
+        let s = BoostedSet::new();
+        // A foreign owner squats on key 5 out-of-band.
+        assert!(s.locks().try_acquire(5, u64::MAX));
+        let r = stm.try_run(R, |tx| s.add(tx, 5));
+        assert_eq!(
+            r,
+            Err(RunError::RetriesExhausted {
+                attempts: 2,
+                last: AbortReason::LockConflict
+            })
+        );
+        assert!(s.base().is_empty());
+        assert_eq!(s.locks().owner_of(5), Some(u64::MAX));
     }
 
     #[test]

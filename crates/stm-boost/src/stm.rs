@@ -274,10 +274,6 @@ impl<'env> TxnEngine<'env> for BoostTxn<'env> {
         self.log.release_from(self.at.owner(), 0);
     }
 
-    fn footprint(&self) -> (usize, usize) {
-        (self.log.reads.0.len(), self.log.undo.len())
-    }
-
     fn wait_set(&mut self) -> &ReadLog<'env> {
         &self.log.reads
     }

@@ -38,15 +38,13 @@
 //! [`StatsSnapshot::retry_parks`] / [`StatsSnapshot::wakeups`] /
 //! [`StatsSnapshot::spurious_wakeups`]. A waiting transaction is *not*
 //! losing a conflict, so the wait is charged against neither
-//! `max_retries` nor the contention manager's work-lost accounting; a
-//! retry whose attempt read **nothing** could never be woken, so it ends
+//! `max_retries` nor the conflict pacing; a retry whose attempt read **nothing** could never be woken, so it ends
 //! the run with [`RunError::WouldBlockForever`] instead of parking.
 //!
 //! How conflict losers (the *other* failure mode) are arbitrated and
-//! paced is the configured contention-management policy
-//! ([`crate::cm::CmPolicy`], selected with [`StmConfig::with_cm`] when the
-//! backend is built and visible through [`Atomic::cm`]); the default
-//! two-phase policy reproduces the classic randomized exponential backoff.
+//! paced is the one contention-management policy in [`crate::cm`]:
+//! randomized exponential backoff between attempts, SwissTM's two-phase
+//! rule at an encounter-time conflict.
 //!
 //! Under [`Atomic::or_else`], an explicit retry does *not* park: it flips
 //! which branch the *next* attempt runs (first ↦ second, second ↦ first),
@@ -431,19 +429,6 @@ impl<B: AtomicBackend> Atomic<B> {
         self.inner.config()
     }
 
-    /// The contention-management policy this runner's backend arbitrates
-    /// conflicts with. Select one at construction time through the
-    /// [`StmConfig::with_cm`] builder:
-    ///
-    /// ```text
-    /// let cfg = StmConfig::default().with_cm(CmPolicy::Karma);
-    /// let at = Atomic::new(registry.build("oe", cfg)?);
-    /// ```
-    #[must_use]
-    pub fn cm(&self) -> crate::cm::CmPolicy {
-        self.inner.config().cm
-    }
-
     /// Run `body` transactionally under `policy`, retrying on aborts with
     /// backoff, until commit or until the configured retry budget is
     /// exceeded.
@@ -692,37 +677,30 @@ mod tests {
 
     #[test]
     fn facade_semantics_hold_under_every_cm_policy() {
-        use crate::cm::CmPolicy;
-        // retry / or_else / sections must behave identically under every
-        // contention manager — the CM only paces, it never changes results
-        // or statistics filing.
-        for cm in CmPolicy::ALL {
-            let at = Atomic::new(ToyStm {
-                config: StmConfig::default().with_cm(cm),
-                ..ToyStm::default()
-            });
-            assert_eq!(at.cm(), cm);
-            let v = TVar::new(0u64);
-            let out = at.or_else(
-                Policy::Regular,
-                |tx| {
-                    if tx.get(&v)? == 0 {
-                        return tx.retry();
-                    }
-                    Ok("primary")
-                },
-                |tx| {
-                    tx.set(&v, 7)?;
-                    Ok("fallback")
-                },
-            );
-            assert_eq!(out, "fallback", "{cm}");
-            assert_eq!(v.load_atomic(), 7, "{cm}");
-            let snap = at.stats();
-            assert_eq!(snap.commits, 1, "{cm}");
-            assert_eq!(snap.explicit_retries(), 1, "{cm}");
-            assert_eq!(snap.aborts(), 0, "{cm}: retry filed as conflict");
-        }
+        // retry / or_else / sections: the contention manager only paces,
+        // it never changes results or statistics filing.
+        let at = Atomic::new(ToyStm::default());
+        let v = TVar::new(0u64);
+        let out = at.or_else(
+            Policy::Regular,
+            |tx| {
+                if tx.get(&v)? == 0 {
+                    return tx.retry();
+                }
+                Ok("primary")
+            },
+            |tx| {
+                tx.set(&v, 7)?;
+                Ok("fallback")
+            },
+        );
+        assert_eq!(out, "fallback");
+        assert_eq!(v.load_atomic(), 7);
+        let snap = at.stats();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.explicit_retries(), 1);
+        assert_eq!(snap.aborts(), 0, "retry filed as conflict");
+        assert_eq!(snap.cm_waits(), 1, "the alternation was paced once");
     }
 
     #[test]

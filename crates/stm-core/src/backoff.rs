@@ -2,7 +2,8 @@
 //! Bounded randomized exponential backoff for the retry loop.
 //!
 //! Aborted transactions back off before retrying so that conflicting
-//! transactions desynchronize instead of livelocking. The implementation is
+//! transactions desynchronize instead of livelocking; `cm::pace_retry`
+//! executes the schedule drawn here. The implementation is
 //! self-contained (a xorshift generator seeded per instance) to keep
 //! `stm-core` dependency-free and the hot path allocation-free.
 
@@ -50,10 +51,7 @@ impl Backoff {
     /// spin count in `[min, min * 2^attempt]` (capped at the max), plus
     /// whether the exponential ceiling has saturated — the signal that
     /// spinning is no longer productive and the waiter should yield.
-    /// Advances the attempt counter and the RNG exactly like
-    /// [`wait`](Self::wait), which is implemented on top of it; the `cm`
-    /// module's backoff-flavoured policies consume the plan directly and
-    /// let the shared retry loop execute it.
+    /// Advances the attempt counter and the RNG.
     pub fn plan(&mut self) -> (u32, bool) {
         let ceiling = self
             .min_spins
@@ -68,21 +66,7 @@ impl Backoff {
         (spins, ceiling >= self.max_spins)
     }
 
-    /// Wait before the next retry. Spins for a random duration in
-    /// `[min, min * 2^attempt]` (capped), then yields the thread once the
-    /// cap is reached so single-core machines make progress.
-    pub fn wait(&mut self) {
-        let (spins, saturated) = self.plan();
-        for _ in 0..spins {
-            core::hint::spin_loop();
-        }
-        if saturated {
-            // Saturated: we are contending hard; let other threads run.
-            std::thread::yield_now();
-        }
-    }
-
-    /// Reset after a successful commit (reused loop objects).
+    /// Restart the schedule at its first step.
     pub fn reset(&mut self) {
         self.attempt = 0;
     }
@@ -96,8 +80,8 @@ mod tests {
     fn attempts_increment_and_reset() {
         let mut b = Backoff::new(1, 4, 42);
         assert_eq!(b.attempts(), 0);
-        b.wait();
-        b.wait();
+        b.plan();
+        b.plan();
         assert_eq!(b.attempts(), 2);
         b.reset();
         assert_eq!(b.attempts(), 0);
@@ -106,7 +90,8 @@ mod tests {
     #[test]
     fn zero_min_is_clamped() {
         let mut b = Backoff::new(0, 0, 1);
-        b.wait(); // must not divide by zero or hang
+        // Must not divide by zero: both bounds clamp to one spin.
+        assert_eq!(b.plan(), (1, true));
         assert_eq!(b.attempts(), 1);
     }
 
@@ -137,7 +122,8 @@ mod tests {
     fn many_waits_terminate() {
         let mut b = Backoff::new(2, 64, 7);
         for _ in 0..100 {
-            b.wait();
+            let (spins, _) = b.plan();
+            assert!((2..=64).contains(&spins));
         }
         assert_eq!(b.attempts(), 100);
     }

@@ -8,20 +8,21 @@
 //! This module owns the rest, once:
 //!
 //! * [`Attempt`] — the per-attempt state every backend carries (ticket,
-//!   drawn on first need; attempt number, contention manager, child
-//!   depth, tracer) with the common begin prelude, arbitration and child
-//!   bookkeeping;
+//!   drawn on first need; child depth, tracer) with the common begin
+//!   prelude and child bookkeeping;
 //! * [`Attempt::publish`] — the commit tail, i.e. the *order* of commit
 //!   hook (stage) → waiter notification → write-back/release → trace
 //!   commit event → durability await;
 //! * [`run`] — the retry/wait/park policy: which failures park on the
-//!   read set, which are charged and paced, when the run gives up.
+//!   read set, which are charged and paced, when the run gives up, and
+//!   what a body that panics leaves behind (nothing: it is rolled back).
 //!
 //! The xtask `commit-tail` lint keeps it that way: firing the commit
 //! hook, `wait::notify_commit` and `wait::wait_for_locations` are allowed
 //! in this file only.
 
-use crate::cm::{Arbitrate, CmState, ConflictCtx, ContentionManager};
+use crate::backoff::Backoff;
+use crate::cm::{self, PROGRESS_PARK_AFTER};
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
@@ -31,8 +32,10 @@ use crate::stm::RunError;
 use crate::ticket::next_ticket;
 use crate::trace::AttemptTracer;
 use crate::wait;
+use core::any::Any;
 use core::cell::Cell;
 use core::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
 
 /// The per-attempt state common to every backend, restarted in place for
 /// each attempt of one `run` call.
@@ -44,10 +47,6 @@ pub struct Attempt<'env> {
     /// because [`Transaction::ticket`](crate::Transaction::ticket) takes
     /// `&self`).
     ticket: Cell<u64>,
-    number: u64,
-    /// One contention manager per run, so policies with accumulated
-    /// state (Karma) see retry-time and encounter-time conflicts alike.
-    cm: CmState,
     depth: u32,
     /// Whether a child committed during this attempt (see
     /// [`read_only_commit`](Self::read_only_commit)).
@@ -57,8 +56,7 @@ pub struct Attempt<'env> {
 
 impl<'env> Attempt<'env> {
     /// State for one `run` call against an STM instance's configuration
-    /// and counters. Draws no ticket: the run's contention manager is
-    /// seeded from the calling thread's random stream.
+    /// and counters. Draws no ticket.
     #[inline]
     #[must_use]
     pub fn new(config: &'env StmConfig, stats: &'env StmStats) -> Self {
@@ -66,37 +64,32 @@ impl<'env> Attempt<'env> {
             config,
             stats,
             ticket: Cell::new(0),
-            number: 0,
-            cm: config.cm.build(config, thread_random()),
             depth: 0,
             composed: false,
             tracer: None,
         }
     }
 
-    /// Begin attempt `number` (1-based): no ticket yet, re-armed tracer,
-    /// contention manager told. The tracer reserves the attempt's begin
-    /// stamp, so this runs *before* the backend samples its snapshot (see
-    /// `trace` on event stamping). An armed tracer draws the ticket here:
-    /// it doubles as the tracer's top-level transaction id.
+    /// Begin an attempt: no ticket yet, re-armed tracer. The tracer
+    /// reserves the attempt's begin stamp, so this runs *before* the
+    /// backend samples its snapshot (see `trace` on event stamping). An
+    /// armed tracer draws the ticket here: it doubles as the tracer's
+    /// top-level transaction id.
     #[inline]
-    fn restart(&mut self, number: u64) {
+    fn restart(&mut self) {
         self.ticket.set(0);
         self.tracer = self
             .config
             .trace
             .clone()
             .map(|sink| Box::new(AttemptTracer::begin_top(sink, self.ticket()))); // lint:allow — tracing arm, off by default
-        self.number = number;
         self.depth = 0;
         self.composed = false;
-        self.cm.on_start(number);
     }
 
     /// This attempt's globally unique ticket (lock-owner identity), drawn
     /// from the process-wide counter the first time anything asks: lock
-    /// acquisition, a conflict context, an armed tracer. A read-only
-    /// attempt never draws one.
+    /// acquisition, an armed tracer. A read-only attempt never draws one.
     #[inline]
     #[must_use]
     pub fn ticket(&self) -> u64 {
@@ -130,37 +123,6 @@ impl<'env> Attempt<'env> {
     #[inline]
     pub fn tracer(&mut self) -> Option<&mut AttemptTracer> {
         self.tracer.as_deref_mut()
-    }
-
-    /// Consult the run's contention manager about one conflict. `owner`
-    /// and `spins` are the conflicting owner's ticket and the spins burned
-    /// so far at an encounter-time conflict site; `reads`/`writes` are the
-    /// attempt's access counts (the "work" Karma-style policies credit).
-    #[inline]
-    pub fn on_conflict(
-        &mut self,
-        reason: AbortReason,
-        owner: u64,
-        spins: u32,
-        reads: usize,
-        writes: usize,
-    ) -> Arbitrate {
-        self.cm.on_conflict(&ConflictCtx {
-            reason,
-            attempt: self.number,
-            ticket: self.ticket(),
-            owner,
-            writes,
-            spins,
-            work: (reads + writes) as u64,
-        })
-    }
-
-    /// Retry-time arbitration: the attempt aborted for `reason`, the
-    /// enemy is unknown.
-    #[inline]
-    fn arbitrate(&mut self, reason: AbortReason, reads: usize, writes: usize) -> Arbitrate {
-        self.on_conflict(reason, 0, 0, reads, writes)
     }
 
     /// Enter a child transaction (bookkeeping only).
@@ -351,12 +313,8 @@ pub trait TxnEngine<'env> {
 
     /// Undo a failed attempt: restore in-place writes, release every lock
     /// held. Idempotent; called exactly once after any failed attempt,
-    /// whether the body or the commit failed.
+    /// whether the body failed, panicked or the commit failed.
     fn rollback(&mut self);
-
-    /// `(reads, writes)` the failed attempt still tracks, after rollback
-    /// — the work credited by the contention manager.
-    fn footprint(&self) -> (usize, usize);
 
     /// Everything the rolled-back attempt read, folded into one wait
     /// footprint (OE-STM folds its elastic window in).
@@ -383,12 +341,15 @@ pub const PARK_MAX_STEP: u32 = 12;
 ///   `or_else` alternative pending: the attempt is *waiting*, not losing.
 ///   It parks on its read set until a relevant commit (or the bounded
 ///   timeout), is filed as an explicit retry, and is charged against
-///   neither `max_retries` nor the contention manager; an empty read set
-///   ends the run with [`RunError::WouldBlockForever`].
+///   neither `max_retries` nor the pacing; an empty read set ends the run
+///   with [`RunError::WouldBlockForever`].
 /// * **Conflict loss** (or a retry that must alternate `or_else`
-///   branches rather than sleep): charged against `max_retries`, paced by
-///   the contention manager's [`Arbitrate`] decision — retry at once,
-///   busy-wait, or yield — with `Backoff`/`Yield` filed in the statistics.
+///   branches rather than sleep): charged against `max_retries` and paced
+///   by [`cm::pace_retry`] on a [`Backoff`] the run creates at its first
+///   loss, seeded from the thread's random stream.
+/// * **Panic** — a body that unwinds is rolled back (its locks released)
+///   and its tracer aborted before the panic resumes, so other clients do
+///   not wait on what the dead attempt held.
 ///
 /// # The progress backstop
 ///
@@ -397,8 +358,8 @@ pub const PARK_MAX_STEP: u32 = 12;
 /// stays in lockstep (the classic 2-thread livelock — especially on a
 /// single core, where `yield_now` between two runnable threads can
 /// degenerate into a hot hand-off). So on top of whatever the contention
-/// manager decides, the loop counts **consecutive** conflict losses of
-/// this run; past [`StmConfig::progress_park_after`] it additionally
+/// pacing does, the loop counts **consecutive** conflict losses of
+/// this run; past [`PROGRESS_PARK_AFTER`] it additionally
 /// *parks* the loser on an escalating, bounded timeout (doubling from
 /// [`PARK_BASE_MICROS`] up to `PARK_BASE_MICROS << PARK_MAX_STEP`, each
 /// park stretched by a per-thread random factor in `[1, 2)`). The sleep
@@ -433,13 +394,17 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
     let mut charged: u64 = 0;
     let mut losses: u32 = 0;
     let mut wait_streak: u32 = 0;
+    let mut pacing: Option<Backoff> = None;
     loop {
         attempts += 1;
-        txn.attempt().restart(attempts);
+        txn.attempt().restart();
         txn.restart();
-        let abort = match body(txn).and_then(|r| txn.try_commit().map(|()| r)) {
+        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| body(txn))) {
+            Ok(outcome) => outcome,
+            Err(payload) => unwind(txn, payload),
+        };
+        let abort = match outcome.and_then(|r| txn.try_commit().map(|()| r)) {
             Ok(r) => {
-                txn.attempt().cm.on_commit();
                 stats.record_commit();
                 return Ok(r);
             }
@@ -469,8 +434,6 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
             continue;
         }
         wait_streak = 0;
-        let (reads, writes) = txn.footprint();
-        let decision = txn.attempt().arbitrate(abort.reason, reads, writes);
         stats.record_abort(abort.reason);
         charged += 1;
         if cfg.max_retries.is_some_and(|max| charged > max) {
@@ -479,23 +442,18 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
                 last: abort.reason,
             });
         }
-        match decision {
-            Arbitrate::Abort => {}
-            Arbitrate::Backoff(spins) => {
-                stats.record_cm_backoff();
-                for _ in 0..spins {
-                    core::hint::spin_loop();
-                }
-            }
-            Arbitrate::Yield => {
-                stats.record_cm_yield();
-                std::thread::yield_now();
-            }
-        }
+        let backoff = pacing.get_or_insert_with(|| {
+            Backoff::new(
+                cm::BACKOFF_MIN_SPINS,
+                cm::BACKOFF_MAX_SPINS,
+                thread_random(),
+            )
+        });
+        cm::pace_retry(backoff, stats);
         losses = losses.saturating_add(1);
-        if losses > cfg.progress_park_after {
+        if losses > PROGRESS_PARK_AFTER {
             stats.record_progress_park();
-            let step = (losses - cfg.progress_park_after).min(PARK_MAX_STEP);
+            let step = (losses - PROGRESS_PARK_AFTER).min(PARK_MAX_STEP);
             let base = PARK_BASE_MICROS << step;
             // Stretch by a per-thread random factor in [1, 2): two
             // symmetric losers at the same step must not sleep the same
@@ -505,6 +463,18 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
             let _ = wait::backstop_park(core::time::Duration::from_micros(park));
         }
     }
+}
+
+/// A body panicked: roll the attempt back — releasing every lock it took
+/// at write time — and abort its tracer, then resume the panic.
+#[cold]
+#[inline(never)]
+fn unwind<'env, T: TxnEngine<'env>>(txn: &mut T, payload: Box<dyn Any + Send>) -> ! {
+    txn.rollback();
+    if let Some(t) = txn.attempt().tracer() {
+        t.abort_all();
+    }
+    panic::resume_unwind(payload)
 }
 
 /// A per-thread pseudo-random jitter in `[0, range)` for park timeouts.
@@ -530,7 +500,7 @@ thread_local! {
 static THREAD_SEED: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
 
 /// The next word of the calling thread's splitmix64 stream: what seeds
-/// each run's contention manager and stretches each park, so threads
+/// each run's retry backoff and stretches each park, so threads
 /// decorrelate without touching a shared line.
 fn thread_random() -> u64 {
     RANDOM.with(|s| {
@@ -607,9 +577,6 @@ pub(crate) mod toy {
                 core.store_value(old);
             }
         }
-        fn footprint(&self) -> (usize, usize) {
-            (self.reads.len(), self.undo.len())
-        }
         fn wait_set(&mut self) -> &ReadSet<'env> {
             &self.reads
         }
@@ -675,7 +642,6 @@ pub(crate) mod toy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cm::CmPolicy;
     use crate::hook::{CommitHook, DurableLog};
     use crate::trace::{TraceOp, TraceSink, TraceStamp};
     use std::sync::{Arc, Mutex};
@@ -705,7 +671,7 @@ mod tests {
         commit_failures: u32,
         locks_held: u32,
         rollbacks: u32,
-        numbers: Vec<u64>,
+        restarts: u64,
     }
 
     impl<'env> Scripted<'env> {
@@ -717,7 +683,7 @@ mod tests {
                 commit_failures: 0,
                 locks_held: 0,
                 rollbacks: 0,
-                numbers: Vec::new(),
+                restarts: 0,
             }
         }
     }
@@ -729,7 +695,7 @@ mod tests {
         }
         fn restart(&mut self) {
             assert_eq!(self.locks_held, 0, "restarted with locks held");
-            self.numbers.push(self.at.number);
+            self.restarts += 1;
         }
         fn try_commit(&mut self) -> Result<(), Abort> {
             if self.commit_failures > 0 {
@@ -743,9 +709,6 @@ mod tests {
         fn rollback(&mut self) {
             self.locks_held = 0;
             self.rollbacks += 1;
-        }
-        fn footprint(&self) -> (usize, usize) {
-            (self.reads.0.len(), 0)
         }
         fn wait_set(&mut self) -> &FakeReads {
             &self.reads
@@ -784,38 +747,32 @@ mod tests {
 
     #[test]
     fn the_cm_is_seeded_from_the_threads_stream_not_a_ticket() {
-        // A run's pacing is the pacing of a CM built from the next word
-        // of the thread's stream, and building it draws no ticket.
-        let mut cfg = StmConfig::default().with_cm(CmPolicy::Backoff);
-        cfg.backoff_min_spins = 1;
-        cfg.backoff_max_spins = 1 << 20;
+        // A run creates its backoff at its first conflict loss, from one
+        // word of the thread's stream, and a retry-time loss draws no
+        // ticket.
+        let cfg = StmConfig::default();
         let stats = StmStats::new();
-        let pacing = |at: &mut Attempt<'_>| {
-            (0..12)
-                .map(|_| at.arbitrate(AbortReason::LockConflict, 0, 0))
-                .collect::<Vec<_>>()
+        let stream_after = |losses: u32| {
+            RANDOM.with(|s| s.set(42));
+            let mut fake = Scripted::new(&cfg, &stats);
+            let mut left = losses;
+            run(&mut fake, |_| {
+                if left > 0 {
+                    left -= 1;
+                    return Err(Abort::new(AbortReason::LockConflict));
+                }
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(fake.at.owner(), None, "{losses} losses drew no ticket");
+            RANDOM.with(Cell::get)
         };
+        assert_eq!(stream_after(0), 42, "a run without a loss draws nothing");
         RANDOM.with(|s| s.set(42));
-        let mut at = Attempt::new(&cfg, &stats);
-        at.restart(1);
-        assert_eq!(at.owner(), None, "seeding the CM drew no ticket");
-        RANDOM.with(|s| s.set(42));
-        let mut reference = CmPolicy::Backoff.build(&cfg, thread_random());
-        let ctx = ConflictCtx {
-            reason: AbortReason::LockConflict,
-            attempt: 1,
-            ticket: 0,
-            owner: 0,
-            writes: 0,
-            spins: 0,
-            work: 0,
-        };
-        let expected: Vec<_> = (0..12).map(|_| reference.on_conflict(&ctx)).collect();
-        let got = pacing(&mut at);
-        assert_eq!(got, expected, "seeded from the thread's stream");
-        let mut next = Attempt::new(&cfg, &stats);
-        next.restart(1);
-        assert_ne!(pacing(&mut next), got, "the next run takes the next seed");
+        let _ = thread_random();
+        let one_draw = RANDOM.with(Cell::get);
+        assert_eq!(stream_after(1), one_draw);
+        assert_eq!(stream_after(12), one_draw, "one draw per run, not per loss");
     }
 
     #[test]
@@ -870,9 +827,9 @@ mod tests {
         let stats = StmStats::new();
         let mut at = Attempt::new(&cfg, &stats);
         assert_eq!(at.owner(), None);
-        at.restart(1);
+        at.restart();
         let first = at.owner().expect("the tracer's top-level id");
-        at.restart(2);
+        at.restart();
         let second = at.owner().expect("drawn again");
         assert_ne!(first, second, "each attempt is its own top-level id");
     }
@@ -884,7 +841,7 @@ mod tests {
         let mut at = Attempt::new(&cfg, &stats);
         let stale = Err(Abort::new(AbortReason::ReadValidation));
         let check = |at: &Attempt<'_>| at.read_only_commit(|| false);
-        at.restart(1);
+        at.restart();
         assert_eq!(check(&at), Ok(()), "a plain read-only attempt");
         at.child_enter();
         assert_eq!(check(&at), Ok(()), "an open child is no composition yet");
@@ -894,7 +851,7 @@ mod tests {
         at.child_commit(false);
         assert_eq!(check(&at), stale);
         assert_eq!(at.read_only_commit(|| true), Ok(()));
-        at.restart(2);
+        at.restart();
         assert_eq!(check(&at), Ok(()), "each attempt starts uncomposed");
     }
 
@@ -922,33 +879,26 @@ mod tests {
 
     #[test]
     fn paces_with_the_configured_cm() {
-        // Suicide never backs off or yields; Backoff does. Both must be
-        // visible in the arbitration counters.
-        for (policy, expect_waits) in [(CmPolicy::Suicide, false), (CmPolicy::Backoff, true)] {
-            let cfg = StmConfig::default().with_cm(policy);
-            let stats = StmStats::new();
-            run_failing(&cfg, &stats, AbortReason::LockConflict, 3, ()).unwrap();
-            let snap = stats.snapshot();
-            assert_eq!(snap.aborts(), 3, "{policy}");
-            assert_eq!(
-                snap.cm_waits() > 0,
-                expect_waits,
-                "{policy}: waits {:?}",
-                (snap.cm_backoffs, snap.cm_yields)
-            );
-        }
+        // Every conflict loss that retries is paced exactly once.
+        let cfg = StmConfig::default();
+        let stats = StmStats::new();
+        run_failing(&cfg, &stats, AbortReason::LockConflict, 3, ()).unwrap();
+        let snap = stats.snapshot();
+        assert_eq!(snap.aborts(), 3);
+        assert_eq!(
+            snap.cm_waits(),
+            3,
+            "{:?}",
+            (snap.cm_backoffs, snap.cm_yields)
+        );
     }
 
     #[test]
     fn executes_each_decision_and_counts_it() {
-        // Every `Arbitrate` variant, from real policies: Suicide decides
-        // Abort (no counter); Backoff with a ceiling of 2 spins decides
-        // Backoff(1) on the first loss and, saturated, Yield on the second.
-        let mut backoff = StmConfig::default().with_cm(CmPolicy::Backoff);
-        backoff.backoff_min_spins = 1;
-        backoff.backoff_max_spins = 2;
-        let suicide = StmConfig::default().with_cm(CmPolicy::Suicide);
-        for (cfg, losses, backoffs, yields) in [(suicide, 1, 0, 0), (backoff, 2, 1, 1)] {
+        // Both pacing steps: losses 1..=9 back off within a growing
+        // ceiling, the tenth (saturated) yields.
+        for (losses, backoffs, yields) in [(1, 1, 0), (10, 9, 1)] {
+            let cfg = StmConfig::default();
             let stats = StmStats::new();
             let mut fake = Scripted::new(&cfg, &stats);
             let mut left = losses;
@@ -961,8 +911,7 @@ mod tests {
                 }
             });
             assert_eq!(r.unwrap(), 99);
-            let expected: Vec<u64> = (1..=losses + 1).collect();
-            assert_eq!(fake.numbers, expected, "attempt numbers are 1-based");
+            assert_eq!(fake.restarts, losses + 1, "one restart per attempt");
             let snap = stats.snapshot();
             assert_eq!(snap.commits, 1);
             assert_eq!(snap.aborts(), losses);
@@ -974,37 +923,33 @@ mod tests {
 
     #[test]
     fn respects_max_retries_regardless_of_decision() {
-        for policy in CmPolicy::ALL {
-            for reason in [AbortReason::LockConflict, AbortReason::ReadValidation] {
-                let cfg = StmConfig::default().with_cm(policy).with_max_retries(2);
-                let stats = StmStats::new();
-                let r = run_failing(&cfg, &stats, reason, u32::MAX, ());
-                assert_eq!(
-                    r.unwrap_err(),
-                    RunError::RetriesExhausted {
-                        attempts: 3,
-                        last: reason
-                    },
-                    "{policy}"
-                );
-                assert_eq!(stats.snapshot().aborts(), 3, "{policy}");
-            }
+        for reason in [AbortReason::LockConflict, AbortReason::ReadValidation] {
+            let cfg = StmConfig::default().with_max_retries(2);
+            let stats = StmStats::new();
+            let r = run_failing(&cfg, &stats, reason, u32::MAX, ());
+            assert_eq!(
+                r.unwrap_err(),
+                RunError::RetriesExhausted {
+                    attempts: 3,
+                    last: reason
+                }
+            );
+            assert_eq!(stats.snapshot().aborts(), 3);
         }
     }
 
     #[test]
     fn progress_backstop_parks_after_consecutive_losses() {
-        // Threshold 2: attempts 3.. park (with escalating bounded sleeps).
-        let cfg = StmConfig::default()
-            .with_progress_park_after(2)
-            .with_max_retries(6);
+        // Losses past the threshold park (with escalating bounded sleeps).
+        let cfg = StmConfig::default().with_max_retries(u64::from(PROGRESS_PARK_AFTER) + 4);
         let stats = StmStats::new();
         let r = run_failing(&cfg, &stats, AbortReason::LockConflict, u32::MAX, ());
         assert!(r.is_err());
         let snap = stats.snapshot();
-        assert_eq!(snap.aborts(), 7, "max_retries 6 = 7 attempts");
-        // Losses 3..=6 park; the exhausted final attempt returns without
-        // parking (it will not retry, so there is nothing to pace).
+        assert_eq!(snap.aborts(), u64::from(PROGRESS_PARK_AFTER) + 5);
+        // The four losses past the threshold park; the exhausted final
+        // attempt returns without parking (it will not retry, so there is
+        // nothing to pace).
         assert_eq!(
             snap.progress_parks, 4,
             "every loss past the threshold that retries parks"
@@ -1013,7 +958,7 @@ mod tests {
 
     #[test]
     fn progress_backstop_stays_out_of_short_conflicts() {
-        let cfg = StmConfig::default(); // threshold 64
+        let cfg = StmConfig::default();
         let stats = StmStats::new();
         run_failing(&cfg, &stats, AbortReason::LockConflict, 10, ()).unwrap();
         assert_eq!(
@@ -1100,21 +1045,23 @@ mod tests {
 
     #[test]
     fn waits_reset_the_backstop_loss_streak() {
-        // Threshold 2, pattern: conflict x2 (streak 2, no park), wait
-        // (streak resets), conflict x2 (streak 2 again), commit. No
-        // attempt ever exceeds the threshold -> zero parks.
-        let cfg = StmConfig::default().with_progress_park_after(2);
+        // A full streak of conflicts up to the threshold (no park), a wait
+        // (the streak resets), the same streak again, commit. Without the
+        // reset the second streak would park.
+        let cfg = StmConfig::default();
         let stats = StmStats::new();
+        let streak = u64::from(PROGRESS_PARK_AFTER);
         let mut step = 0;
         run(&mut Scripted::new(&cfg, &stats), |_| {
             step += 1;
             match step {
-                1 | 2 | 4 | 5 => Err(Abort::new(AbortReason::LockConflict)),
-                3 => Err(Abort::new(AbortReason::ExplicitRetry)),
+                s if s == streak + 1 => Err(Abort::new(AbortReason::ExplicitRetry)),
+                s if s <= 2 * streak + 1 => Err(Abort::new(AbortReason::LockConflict)),
                 _ => Ok(()),
             }
         })
         .unwrap();
+        assert_eq!(stats.snapshot().aborts(), 2 * streak);
         assert_eq!(stats.snapshot().progress_parks, 0);
     }
 
@@ -1206,7 +1153,7 @@ mod tests {
         let writes = [(0xFEED_usize, 5_u64), (0xF00D, 6)];
         let publish = |len: usize| {
             let mut at = Attempt::new(&cfg, &stats);
-            at.restart(1);
+            at.restart();
             at.tracer()
                 .expect("sink configured")
                 .op(writes[0].0, TraceOp::Write(5));
@@ -1254,7 +1201,7 @@ mod tests {
         let stats = StmStats::new();
         let publish = |len: usize| {
             let mut at = Attempt::new(&cfg, &stats);
-            at.restart(1);
+            at.restart();
             at.tracer()
                 .expect("sink configured")
                 .op(0xFEED, TraceOp::Write(5));

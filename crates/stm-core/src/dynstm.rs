@@ -426,21 +426,6 @@ impl BackendRegistry {
         self.build(name, StmConfig::default())
     }
 
-    /// Build `name` with the default configuration under an explicit
-    /// contention-management policy — the CM axis of the backend matrix
-    /// (what `repro --cm` sweeps).
-    ///
-    /// # Errors
-    /// Returns [`UnknownBackend`] (listing the registered names) when
-    /// `name` is not registered.
-    pub fn build_with_cm(
-        &self,
-        name: &str,
-        cm: crate::cm::CmPolicy,
-    ) -> Result<Backend, UnknownBackend> {
-        self.build(name, StmConfig::default().with_cm(cm))
-    }
-
     /// Build every registered backend with the default configuration.
     #[must_use]
     pub fn build_all(&self) -> Vec<Backend> {
@@ -542,24 +527,6 @@ mod tests {
             "error must list the registered names: {err}"
         );
         assert_eq!(reg.build_all().len(), 1);
-    }
-
-    #[test]
-    fn build_with_cm_threads_the_policy_into_the_config() {
-        use crate::cm::CmPolicy;
-        fn make(config: StmConfig) -> Box<dyn DynStm> {
-            Box::new(ToyStm {
-                config,
-                ..ToyStm::default()
-            })
-        }
-        let mut reg = BackendRegistry::new();
-        reg.register(BackendSpec::new("toy", "", make));
-        for cm in CmPolicy::ALL {
-            let b = reg.build_with_cm("toy", cm).expect("registered");
-            assert_eq!(b.config().cm, cm);
-        }
-        assert!(reg.build_with_cm("nope", CmPolicy::Suicide).is_err());
     }
 
     #[test]

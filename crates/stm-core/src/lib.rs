@@ -29,9 +29,9 @@
 //! * the one transaction [`driver`] every backend runs under — the
 //!   per-attempt state, the commit tail (hook → notify → release → trace
 //!   event) and the retry/wait/park loop — with bounded exponential
-//!   [`backoff`] and pluggable [`cm`] contention management (suicide /
-//!   backoff / karma / two-phase policies deciding how conflict losers
-//!   pace their retries),
+//!   [`backoff`] and one [`cm`] contention-management policy (SwissTM's
+//!   two-phase rule: how conflict losers pace their retries and when an
+//!   encounter-time conflict waits),
 //! * the [`wait`] registry — per-TVar waiter lists with token-semantics
 //!   parking, so `retry()` blocks until a commit touches the read set
 //!   instead of burning CPU, and conflict losers in the progress
@@ -79,7 +79,6 @@ pub mod writeset;
 
 pub use api::{Atomic, AtomicBackend, Policy, Tx};
 pub use clock::{CommitStamp, GlobalClock};
-pub use cm::{Arbitrate, CmPolicy, ConflictCtx, ContentionManager};
 pub use config::StmConfig;
 pub use dynstm::{
     Backend, BackendRegistry, BackendSpec, DynStm, DynTransaction, DynTxn, UnknownBackend,

@@ -147,15 +147,15 @@ impl StmStats {
         self.cell().extensions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a contention-manager `Backoff` pacing decision (the loser
-    /// busy-waited before retrying).
+    /// Record a retry-time backoff (the conflict loser busy-waited before
+    /// retrying).
     #[inline]
     pub fn record_cm_backoff(&self) {
         self.cell().cm_backoffs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a contention-manager `Yield` pacing decision (the loser
-    /// ceded the core before retrying).
+    /// Record a retry-time yield (the conflict loser ceded the core before
+    /// retrying).
     #[inline]
     pub fn record_cm_yield(&self) {
         self.cell().cm_yields.fetch_add(1, Ordering::Relaxed);
@@ -285,9 +285,8 @@ impl StatsSnapshot {
         self.aborts_by_cause[AbortReason::ContentionManager.index()]
     }
 
-    /// Contention-manager pacing decisions executed (`Backoff` + `Yield`)
-    /// — how often conflict losers actually waited before retrying. Zero
-    /// under the `suicide` policy by construction.
+    /// Retry-time pacing steps executed (backoffs + yields) — how often
+    /// conflict losers actually waited before retrying: once per loss.
     #[must_use]
     pub fn cm_waits(&self) -> u64 {
         self.cm_backoffs + self.cm_yields

@@ -252,10 +252,6 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
         self.undo.rollback();
     }
 
-    fn footprint(&self) -> (usize, usize) {
-        (self.scratch.reads.len(), self.undo.len())
-    }
-
     fn wait_set(&mut self) -> &ReadSet<'env> {
         &self.scratch.reads
     }
@@ -304,7 +300,7 @@ impl<'env> LsaTxn<'env> {
     /// Bounded wait for a foreign lock, then give up (simple conservative
     /// contention management: the requester yields).
     fn wait_for_unlock(&self, core: &TVarCore) -> bool {
-        for _ in 0..self.stm.config.lock_spin_limit {
+        for _ in 0..stm_core::cm::LOCK_SPIN_LIMIT {
             if core.read_consistent().is_ok() {
                 return true;
             }
@@ -466,37 +462,29 @@ mod tests {
 
     #[test]
     fn every_cm_policy_recovers_from_forced_conflicts() {
-        use stm_core::cm::CmPolicy;
         // A stale read that fails the snapshot extension must retry to
-        // success under each contention manager, with aborts filed as
-        // conflicts and pacing matching the policy (suicide never waits).
-        for cm in CmPolicy::ALL {
-            let stm = Lsa::with_config(StmConfig::default().with_cm(cm));
-            let a = TVar::new(0u64);
-            let b = TVar::new(0u64);
-            let mut sabotage_left = 3;
-            stm.run(TxKind::Regular, |tx| {
-                let ra = tx.read(&a)?;
-                if sabotage_left > 0 {
-                    sabotage_left -= 1;
-                    let nv = stm.clock().tick();
-                    a.store_atomic(ra + 10, nv);
-                }
-                // Reading b forces an extension past the doctored version
-                // of a; revalidation sees the overwrite and aborts.
-                let rb = tx.read(&b)?;
-                tx.write(&b, ra + rb + 1)
-            });
-            let snap = stm.stats();
-            assert_eq!(snap.commits, 1, "{cm}");
-            assert_eq!(snap.aborts(), 3, "{cm}");
-            assert_eq!(snap.explicit_retries(), 0, "{cm}");
-            if cm == CmPolicy::Suicide {
-                assert_eq!(snap.cm_waits(), 0, "{cm}: suicide must not pace");
-            } else {
-                assert_eq!(snap.cm_waits(), 3, "{cm}: every abort is paced");
+        // success, with aborts filed as conflicts and every one paced.
+        let stm = Lsa::new();
+        let a = TVar::new(0u64);
+        let b = TVar::new(0u64);
+        let mut sabotage_left = 3;
+        stm.run(TxKind::Regular, |tx| {
+            let ra = tx.read(&a)?;
+            if sabotage_left > 0 {
+                sabotage_left -= 1;
+                let nv = stm.clock().tick();
+                a.store_atomic(ra + 10, nv);
             }
-        }
+            // Reading b forces an extension past the doctored version
+            // of a; revalidation sees the overwrite and aborts.
+            let rb = tx.read(&b)?;
+            tx.write(&b, ra + rb + 1)
+        });
+        let snap = stm.stats();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.aborts(), 3);
+        assert_eq!(snap.explicit_retries(), 0);
+        assert_eq!(snap.cm_waits(), 3, "every abort is paced");
     }
 
     #[test]

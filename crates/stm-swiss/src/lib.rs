@@ -20,16 +20,14 @@
 //! * **Lazy snapshot extension** (inherited from LSA): a read newer than the
 //!   transaction's validity upper bound triggers revalidation-and-extend
 //!   rather than an abort.
-//! * **Contention management at encounter time**: a write-write conflict
-//!   consults the configured [`stm_core::cm`] policy with the owner's
-//!   ticket, the write-set size and the spins burned so far. The default
-//!   [`CmPolicy::TwoPhase`](stm_core::cm::CmPolicy) reproduces original
-//!   SwissTM's rule — short transactions (fewer writes than
-//!   `cm_write_threshold`) are *timid* and abort themselves on any
-//!   write-write conflict; beyond the threshold they become *greedy* and
-//!   spin-wait if they are older than the lock holder (ticket order), else
-//!   abort — which used to be hardwired here and is now one pluggable
-//!   policy among `suicide`/`backoff`/`karma`/`two-phase`.
+//! * **Two-phase contention management at encounter time**: a
+//!   write-write conflict asks [`stm_core::cm::encounter_waits`] with the
+//!   owner's ticket, the write-set size and the spins burned so far —
+//!   original SwissTM's rule: short transactions (fewer writes than
+//!   [`CM_WRITE_THRESHOLD`](stm_core::cm::CM_WRITE_THRESHOLD)) are *timid*
+//!   and abort themselves on any write-write conflict; beyond the
+//!   threshold they become *greedy* and spin-wait if they are older than
+//!   the lock holder (ticket order), else abort.
 //!
 //! ## Divergence from the original
 //!
@@ -45,7 +43,7 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use stm_core::bloom::hash_id;
-use stm_core::cm::Arbitrate;
+use stm_core::cm::{self, LOCK_SPIN_LIMIT};
 use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::readset::ReadSet;
@@ -154,8 +152,6 @@ pub struct SwissTxn<'env> {
     rv: u64,
     /// Validity interval upper bound (grows by extension).
     ub: u64,
-    /// Also arbitrates the encounter-time write-lock conflicts in
-    /// `acquire_wlock`, with the same contention-manager state.
     at: Attempt<'env>,
     /// Reads, writes, and (in `aux`) the write-lock table slots held.
     scratch: TxScratch<'env>,
@@ -237,10 +233,6 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
         release_wlocks(&self.stm.wlocks, self.at.owner(), &mut self.scratch.aux);
     }
 
-    fn footprint(&self) -> (usize, usize) {
-        (self.scratch.reads.len(), self.scratch.writes.len())
-    }
-
     fn wait_set(&mut self) -> &ReadSet<'env> {
         &self.scratch.reads
     }
@@ -271,26 +263,17 @@ impl<'env> SwissTxn<'env> {
         }
     }
 
-    /// Eagerly acquire the write lock for `core`, arbitrating conflicts
-    /// through the configured contention manager.
-    ///
-    /// This is the stack's one *encounter-time* arbitration site: the
-    /// owner's ticket is known, so the CM sees a full `ConflictCtx` and
-    /// its decision is interpreted in place — `Abort` aborts the attempt
-    /// (filed as [`AbortReason::ContentionManager`]), `Backoff(n)` spins
-    /// and re-polls the lock, `Yield` cedes the core and re-polls. Under
-    /// the default two-phase policy this reproduces the rule that used to
-    /// be hardwired here: timid below the write threshold, greedy
-    /// ticket-order above.
-    ///
-    /// Every shipped policy bounds its own waiting, and a defensive
-    /// backstop (`lock_spin_limit × 16`) guarantees the loop terminates
-    /// even against a wedged owner, so no arbitration choice can livelock
-    /// the write path.
+    /// Eagerly acquire the write lock for `core`: the stack's one
+    /// *encounter-time* arbitration site. The owner's ticket is known, so
+    /// [`cm::encounter_waits`] decides in place whether to spin and
+    /// re-poll the lock or abort the attempt (filed as
+    /// [`AbortReason::ContentionManager`]). The rule bounds its own
+    /// waiting, and a defensive backstop (`LOCK_SPIN_LIMIT × 16`) keeps
+    /// the loop finite even if it did not.
     fn acquire_wlock(&mut self, core: &TVarCore) -> Result<(), Abort> {
+        const BACKSTOP: u32 = LOCK_SPIN_LIMIT * 16;
         let idx = self.stm.wlocks.index_of(core);
         let slot = &self.stm.wlocks.slots[idx];
-        let backstop = self.stm.config.lock_spin_limit.saturating_mul(16).max(1024);
         let ticket = self.at.ticket();
         let mut spins = 0u32;
         loop {
@@ -301,31 +284,12 @@ impl<'env> SwissTxn<'env> {
                 }
                 Err(owner) if owner == ticket => return Ok(()),
                 Err(owner) => {
-                    let decision = self.at.on_conflict(
-                        AbortReason::ContentionManager,
-                        owner,
-                        spins,
-                        self.scratch.reads.len(),
-                        self.scratch.writes.len(),
-                    );
-                    match decision {
-                        Arbitrate::Abort => {
-                            return Err(Abort::new(AbortReason::ContentionManager));
-                        }
-                        _ if spins >= backstop => {
-                            return Err(Abort::new(AbortReason::ContentionManager));
-                        }
-                        Arbitrate::Backoff(n) => {
-                            for _ in 0..n {
-                                core::hint::spin_loop();
-                            }
-                            spins = spins.saturating_add(n.max(1));
-                        }
-                        Arbitrate::Yield => {
-                            std::thread::yield_now();
-                            spins = spins.saturating_add(1);
-                        }
+                    let writes = self.scratch.writes.len();
+                    if spins >= BACKSTOP || !cm::encounter_waits(ticket, owner, writes, spins) {
+                        return Err(Abort::new(AbortReason::ContentionManager));
                     }
+                    core::hint::spin_loop();
+                    spins += 1;
                 }
             }
         }
@@ -363,7 +327,7 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
                 // write-back; wait it out briefly.
                 Err(ReadConflict::Locked(_)) => {
                     spins += 1;
-                    if spins > self.stm.config.lock_spin_limit {
+                    if spins > LOCK_SPIN_LIMIT {
                         return Err(Abort::new(AbortReason::LockConflict));
                     }
                     core::hint::spin_loop();
@@ -507,25 +471,32 @@ mod tests {
 
     #[test]
     fn every_cm_policy_bounds_the_encounter_wait() {
-        use stm_core::cm::CmPolicy;
-        // A wedged foreign owner must never livelock the write path: under
-        // every policy the attempt terminates with a contention-manager
-        // abort (timid/suicide instantly; the waiting policies after their
-        // bounded budget), and the abort is filed in the CM category.
-        for cm in CmPolicy::ALL {
-            let stm = Swiss::with_config(StmConfig::default().with_cm(cm).with_max_retries(0));
+        // A wedged foreign owner must never livelock the write path: a
+        // timid attempt aborts at once, a greedy older one after its
+        // bounded wait, and the abort is filed in the CM category.
+        for writes in [0u64, 8] {
+            let stm = Swiss::with_config(StmConfig::default().with_max_retries(0));
+            let vars: Vec<TVar<u64>> = (0..writes).map(TVar::new).collect();
             let v = TVar::new(0u64);
             let slot = stm.wlocks.slot(v.core());
-            slot.store(777, Ordering::SeqCst); // foreign owner, never releases
-            let r = stm.try_run(TxKind::Regular, |tx| tx.write(&v, 1));
-            assert!(r.is_err(), "{cm}: wedged owner must bound the attempt");
+            slot.store(u64::MAX, Ordering::SeqCst); // younger owner, never releases
+            let r = stm.try_run(TxKind::Regular, |tx| {
+                for (i, w) in vars.iter().enumerate() {
+                    tx.write(w, i as u64)?;
+                }
+                tx.write(&v, 1)
+            });
+            assert!(
+                r.is_err(),
+                "{writes} writes: wedged owner must bound the attempt"
+            );
             let snap = stm.stats();
-            assert_eq!(snap.cm_aborts(), 1, "{cm}: filed as a CM abort");
-            assert_eq!(snap.explicit_retries(), 0, "{cm}");
+            assert_eq!(snap.cm_aborts(), 1, "{writes} writes: filed as a CM abort");
+            assert_eq!(snap.explicit_retries(), 0, "{writes} writes");
             slot.store(0, Ordering::SeqCst);
-            // Once the owner is gone, the same policy makes progress.
+            // Once the owner is gone, the write makes progress.
             stm.run(TxKind::Regular, |tx| tx.write(&v, 2));
-            assert_eq!(v.load_atomic(), 2, "{cm}");
+            assert_eq!(v.load_atomic(), 2, "{writes} writes");
         }
     }
 

@@ -150,10 +150,6 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
         self.scratch.writes.release_locks();
     }
 
-    fn footprint(&self) -> (usize, usize) {
-        (self.scratch.reads.len(), self.scratch.writes.len())
-    }
-
     fn wait_set(&mut self) -> &ReadSet<'env> {
         &self.scratch.reads
     }
@@ -441,34 +437,25 @@ mod tests {
 
     #[test]
     fn every_cm_policy_recovers_from_forced_conflicts() {
-        use stm_core::cm::CmPolicy;
-        // Under each contention manager, a transaction sabotaged by a
-        // racing commit on its first attempts must still make progress,
-        // with the aborts filed as conflicts (never as explicit retries)
-        // and the pacing counters matching the policy: suicide never
-        // waits, the others do.
-        for cm in CmPolicy::ALL {
-            let stm = Tl2::with_config(StmConfig::default().with_cm(cm));
-            let v = TVar::new(0u64);
-            let mut sabotage_left = 3;
-            stm.run(TxKind::Regular, |tx| {
-                let x = tx.read(&v)?;
-                if sabotage_left > 0 {
-                    sabotage_left -= 1;
-                    let nv = stm.clock().tick();
-                    v.store_atomic(x + 10, nv);
-                }
-                tx.write(&v, x + 1)
-            });
-            let snap = stm.stats();
-            assert_eq!(snap.commits, 1, "{cm}");
-            assert_eq!(snap.aborts(), 3, "{cm}");
-            assert_eq!(snap.explicit_retries(), 0, "{cm}");
-            if cm == CmPolicy::Suicide {
-                assert_eq!(snap.cm_waits(), 0, "{cm}: suicide must not pace");
-            } else {
-                assert_eq!(snap.cm_waits(), 3, "{cm}: every abort is paced");
+        // A transaction sabotaged by a racing commit on its first attempts
+        // must still make progress, with the aborts filed as conflicts
+        // (never as explicit retries) and every one paced.
+        let stm = Tl2::new();
+        let v = TVar::new(0u64);
+        let mut sabotage_left = 3;
+        stm.run(TxKind::Regular, |tx| {
+            let x = tx.read(&v)?;
+            if sabotage_left > 0 {
+                sabotage_left -= 1;
+                let nv = stm.clock().tick();
+                v.store_atomic(x + 10, nv);
             }
-        }
+            tx.write(&v, x + 1)
+        });
+        let snap = stm.stats();
+        assert_eq!(snap.commits, 1);
+        assert_eq!(snap.aborts(), 3);
+        assert_eq!(snap.explicit_retries(), 0);
+        assert_eq!(snap.cm_waits(), 3, "every abort is paced");
     }
 }

@@ -67,22 +67,17 @@ pub const PAPER: &str = "Gramoli, Guerraoui, Letia: Composing Relaxed Transactio
 ///     .contains("registered backends: oe, oe-estm-compat, lsa, tl2, swiss, boost"));
 /// ```
 ///
-/// Conflict arbitration is a pluggable policy: build any backend with a
-/// [`CmPolicy`](stm_core::cm::CmPolicy) (or sweep them all with
-/// `repro --cm`) and the statistics show the arbitration activity:
+/// Conflict arbitration is one policy on every backend, SwissTM's
+/// two-phase rule ([`stm_core::cm`]): a conflict loser is paced by
+/// exponential backoff, while a precondition wait parks instead, and the
+/// statistics tell the two apart:
 ///
 /// ```
 /// use composing_relaxed_transactions::backend_registry;
 /// use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
-/// use composing_relaxed_transactions::stm_core::cm::CmPolicy;
-/// use composing_relaxed_transactions::stm_core::{StmConfig, TVar};
+/// use composing_relaxed_transactions::stm_core::TVar;
 ///
-/// let at = Atomic::new(
-///     backend_registry()
-///         .build("tl2", StmConfig::default().with_cm(CmPolicy::Karma))
-///         .unwrap(),
-/// );
-/// assert_eq!(at.cm(), CmPolicy::Karma);
+/// let at = Atomic::new(backend_registry().build_default("tl2").unwrap());
 /// let v = TVar::new(0u64);
 /// let mut retried = false;
 /// at.run(Policy::Regular, |tx| {
@@ -95,7 +90,7 @@ pub const PAPER: &str = "Gramoli, Guerraoui, Letia: Composing Relaxed Transactio
 /// });
 /// assert_eq!(at.stats().explicit_retries(), 1);
 /// assert_eq!(at.stats().retry_parks, 1); // a wait parks; it is not a loss
-/// assert_eq!(at.stats().cm_waits(), 0); // the Karma arbiter paces conflicts only
+/// assert_eq!(at.stats().cm_waits(), 0); // only conflict losses are paced
 /// ```
 ///
 /// The facade's `retry`/`or_else` combinators work over any backend:

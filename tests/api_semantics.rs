@@ -185,6 +185,36 @@ fn waiting_retries_never_exhaust_a_bounded_budget_every_backend() {
     }
 }
 
+#[test]
+fn a_panicking_body_releases_what_it_holds_every_backend() {
+    // LSA, SwissTM and boost take locks at write time. Thread A writes a
+    // word and panics inside the body; the run must roll the attempt back
+    // before the panic leaves it, or thread B — writing the same word on
+    // the same instance — loses to the dead owner until its budget ends.
+    let reg = backend_registry();
+    for name in reg.names() {
+        let at = Atomic::new(
+            reg.build(name, StmConfig::default().with_max_retries(1_000))
+                .unwrap(),
+        );
+        let v = TVar::new(0u64);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    at.run(Policy::Regular, |tx| -> Result<(), _> {
+                        tx.set(&v, 1)?;
+                        panic!("{name}: the body panics holding what it wrote")
+                    })
+                }))
+            });
+            assert!(a.join().unwrap().is_err(), "{name}: A's panic surfaced");
+            let b = s.spawn(|| at.try_run(Policy::Regular, |tx| tx.set(&v, 2)));
+            assert_eq!(b.join().unwrap(), Ok(()), "{name}: B's write must commit");
+        });
+        assert_eq!(v.load_atomic(), 2, "{name}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Read-only commits: a plain one keeps its snapshot, a composition
 // revalidates what its children read.

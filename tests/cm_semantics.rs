@@ -1,34 +1,32 @@
 //! Contention-management semantics under adversarial conflict pressure:
-//! every CM policy × every registry backend, against forced-conflict
-//! adversaries injected into specific attempts (mirroring the hook
-//! injection of `fig1_composition_violation.rs`, lifted to the facade).
+//! every registry backend, against forced-conflict adversaries injected
+//! into specific attempts (mirroring the hook injection of
+//! `fig1_composition_violation.rs`, lifted to the facade).
 //!
-//! What is pinned down, per (policy, backend) cell:
+//! What is pinned down, per backend:
 //!
 //! * **progress** — a transaction whose first K attempts are sabotaged by
-//!   a racing committed write recovers and commits, under every arbiter;
+//!   a racing committed write recovers and commits;
 //! * **bounded termination (no livelock)** — against an adversary that
 //!   *always* wins, a bounded retry budget terminates the run with
-//!   `RetriesExhausted` after exactly budget+1 attempts, for every
-//!   arbiter including the ones that wait;
+//!   `RetriesExhausted` after exactly budget+1 attempts, although every
+//!   loss is paced;
 //! * **statistics filing** — forced conflicts land in the conflict-abort
 //!   counters and explicit retries in their own category; contention-
 //!   manager aborts are never counted as `ExplicitRetry` and vice versa,
-//!   and the pacing counters match the policy (suicide never waits, the
-//!   others pace every loss).
+//!   and every conflict loss is paced exactly once.
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
-use composing_relaxed_transactions::stm_core::cm::CmPolicy;
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::{RunError, StmConfig, TVar};
 
 /// Every backend in the registry, including the deliberately broken
-/// E-STM compatibility mode — CM arbitration must be uniform across all.
+/// E-STM compatibility mode — arbitration must be uniform across all.
 const BACKENDS: [&str; 5] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss"];
 
-fn runner(backend: &str, cm: CmPolicy, max_retries: Option<u64>) -> Atomic<Backend> {
-    let mut cfg = StmConfig::default().with_cm(cm);
+fn runner(backend: &str, max_retries: Option<u64>) -> Atomic<Backend> {
+    let mut cfg = StmConfig::default();
     if let Some(budget) = max_retries {
         cfg = cfg.with_max_retries(budget);
     }
@@ -39,16 +37,10 @@ fn runner(backend: &str, cm: CmPolicy, max_retries: Option<u64>) -> Atomic<Backe
     )
 }
 
-/// For each CM × backend: run `check` with a fresh runner.
-fn for_every_cell(
-    max_retries: Option<u64>,
-    mut check: impl FnMut(&Atomic<Backend>, CmPolicy, &str),
-) {
-    for cm in CmPolicy::ALL {
-        for backend in BACKENDS {
-            let at = runner(backend, cm, max_retries);
-            check(&at, cm, backend);
-        }
+/// For each backend: run `check` with a fresh runner.
+fn for_every_cell(max_retries: Option<u64>, mut check: impl FnMut(&Atomic<Backend>, &str)) {
+    for backend in BACKENDS {
+        check(&runner(backend, max_retries), backend);
     }
 }
 
@@ -59,7 +51,7 @@ fn forced_conflict_adversary_cannot_stop_progress() {
     // trick) on the first K attempts. Every attempt it sabotages must
     // abort as a *conflict*; attempt K+1 runs unmolested and commits.
     const SABOTAGED: u64 = 4;
-    for_every_cell(None, |at, cm, backend| {
+    for_every_cell(None, |at, backend| {
         let a = TVar::new(0u64);
         let b = TVar::new(0u64);
         let mut sabotage_left = SABOTAGED;
@@ -74,33 +66,29 @@ fn forced_conflict_adversary_cannot_stop_progress() {
             tx.set(&b, ra + rb + 1)
         });
         let snap = at.stats();
-        assert_eq!(snap.commits, 1, "{backend}/{cm}");
-        assert_eq!(snap.aborts(), SABOTAGED, "{backend}/{cm}: {snap:?}");
+        assert_eq!(snap.commits, 1, "{backend}");
+        assert_eq!(snap.aborts(), SABOTAGED, "{backend}: {snap:?}");
         assert_eq!(
             snap.explicit_retries(),
             0,
-            "{backend}/{cm}: conflicts must never file as explicit retries"
+            "{backend}: conflicts must never file as explicit retries"
         );
-        if cm == CmPolicy::Suicide {
-            assert_eq!(snap.cm_waits(), 0, "{backend}/{cm}: suicide never paces");
-        } else {
-            assert_eq!(
-                snap.cm_waits(),
-                SABOTAGED,
-                "{backend}/{cm}: every loss is paced exactly once"
-            );
-        }
+        assert_eq!(
+            snap.cm_waits(),
+            SABOTAGED,
+            "{backend}: every loss is paced exactly once"
+        );
     });
 }
 
 #[test]
 fn always_winning_adversary_terminates_within_the_attempt_budget() {
     // No-livelock: the adversary sabotages EVERY attempt. With a retry
-    // budget of 6, the run must terminate in exactly 7 attempts under
-    // every policy — including the waiting ones, whose pacing must stay
-    // bounded — reporting the final conflict, not spinning forever.
+    // budget of 6, the run must terminate in exactly 7 attempts — its
+    // pacing must stay bounded — reporting the final conflict, not
+    // spinning forever.
     const BUDGET: u64 = 6;
-    for_every_cell(Some(BUDGET), |at, cm, backend| {
+    for_every_cell(Some(BUDGET), |at, backend| {
         let a = TVar::new(0u64);
         let r: Result<(), _> = at.try_run(Policy::Regular, |tx| {
             let ra = tx.get(&a)?;
@@ -110,14 +98,14 @@ fn always_winning_adversary_terminates_within_the_attempt_budget() {
         });
         match r {
             Err(RunError::RetriesExhausted { attempts, .. }) => {
-                assert_eq!(attempts, BUDGET + 1, "{backend}/{cm}");
+                assert_eq!(attempts, BUDGET + 1, "{backend}");
             }
-            other => panic!("{backend}/{cm}: expected exhaustion, got {other:?}"),
+            other => panic!("{backend}: expected exhaustion, got {other:?}"),
         }
         let snap = at.stats();
-        assert_eq!(snap.commits, 0, "{backend}/{cm}");
-        assert_eq!(snap.aborts(), BUDGET + 1, "{backend}/{cm}");
-        assert_eq!(snap.explicit_retries(), 0, "{backend}/{cm}");
+        assert_eq!(snap.commits, 0, "{backend}");
+        assert_eq!(snap.aborts(), BUDGET + 1, "{backend}");
+        assert_eq!(snap.explicit_retries(), 0, "{backend}");
     });
 }
 
@@ -127,9 +115,9 @@ fn explicit_retries_file_separately_from_cm_aborts() {
     // before committing. The retries must land in their own category —
     // never in the conflict counters, and in particular never in the
     // ContentionManager slot — and a genuine precondition wait is parked
-    // on the read set, NOT paced by the CM (under every policy alike).
+    // on the read set, NOT paced like a conflict loss.
     const RETRIES: u64 = 5;
-    for_every_cell(None, |at, cm, backend| {
+    for_every_cell(None, |at, backend| {
         let v = TVar::new(0u64);
         let mut left = RETRIES;
         at.run(Policy::Regular, |tx| {
@@ -141,29 +129,29 @@ fn explicit_retries_file_separately_from_cm_aborts() {
             }
             Ok(())
         });
-        assert_eq!(v.load_atomic(), 7, "{backend}/{cm}: retried writes leaked");
+        assert_eq!(v.load_atomic(), 7, "{backend}: retried writes leaked");
         let snap = at.stats();
-        assert_eq!(snap.commits, 1, "{backend}/{cm}");
-        assert_eq!(snap.explicit_retries(), RETRIES, "{backend}/{cm}");
+        assert_eq!(snap.commits, 1, "{backend}");
+        assert_eq!(snap.explicit_retries(), RETRIES, "{backend}");
         assert_eq!(
             snap.aborts(),
             0,
-            "{backend}/{cm}: explicit retries counted as conflict aborts"
+            "{backend}: explicit retries counted as conflict aborts"
         );
         assert_eq!(
             snap.cm_aborts(),
             0,
-            "{backend}/{cm}: explicit retries counted as CM aborts"
+            "{backend}: explicit retries counted as CM aborts"
         );
-        assert_eq!(snap.abort_rate(), 0.0, "{backend}/{cm}");
+        assert_eq!(snap.abort_rate(), 0.0, "{backend}");
         assert_eq!(
             snap.retry_parks, RETRIES,
-            "{backend}/{cm}: every genuine retry parks on the read set"
+            "{backend}: every genuine retry parks on the read set"
         );
         assert_eq!(
             snap.cm_waits(),
             0,
-            "{backend}/{cm}: a precondition wait is parked, never CM-paced"
+            "{backend}: a precondition wait is parked, never CM-paced"
         );
     });
 }
@@ -173,7 +161,7 @@ fn mixed_conflicts_and_retries_never_cross_categories() {
     // Interleave both abort kinds in one run: attempts 1 and 3 are
     // sabotaged (conflicts), attempts 2 and 4 explicit-retry, attempt 5
     // commits. Each category must count exactly its own events.
-    for_every_cell(None, |at, cm, backend| {
+    for_every_cell(None, |at, backend| {
         let a = TVar::new(0u64);
         let mut attempt = 0u32;
         at.run(Policy::Regular, |tx| {
@@ -190,12 +178,12 @@ fn mixed_conflicts_and_retries_never_cross_categories() {
             }
         });
         let snap = at.stats();
-        assert_eq!(snap.commits, 1, "{backend}/{cm}");
-        assert_eq!(snap.aborts(), 2, "{backend}/{cm}: {snap:?}");
-        assert_eq!(snap.explicit_retries(), 2, "{backend}/{cm}");
+        assert_eq!(snap.commits, 1, "{backend}");
+        assert_eq!(snap.aborts(), 2, "{backend}: {snap:?}");
+        assert_eq!(snap.explicit_retries(), 2, "{backend}");
         assert!(
             snap.cm_aborts() <= snap.aborts(),
-            "{backend}/{cm}: cm aborts must be a subset of conflict aborts"
+            "{backend}: cm aborts must be a subset of conflict aborts"
         );
     });
 }
@@ -208,8 +196,8 @@ fn composed_sections_recover_from_an_injected_adversary() {
     // read. Regular sections protect the read on every backend (including
     // the E-STM compatibility mode — the paper's "use regular mode when
     // composing" workaround), so the composition must abort, retry, and
-    // produce the consistent result under every arbiter.
-    for_every_cell(None, |at, cm, backend| {
+    // produce the consistent result.
+    for_every_cell(None, |at, backend| {
         let y = TVar::new(0u64);
         let x = TVar::new(0u64);
         let mut sabotage = true;
@@ -224,13 +212,13 @@ fn composed_sections_recover_from_an_injected_adversary() {
             tx.section(Policy::Regular, |t| t.set(&x, 10 + ry))?;
             Ok(ry)
         });
-        assert_eq!(observed, 1, "{backend}/{cm}: the stale read must not win");
-        assert_eq!(x.load_atomic(), 11, "{backend}/{cm}");
+        assert_eq!(observed, 1, "{backend}: the stale read must not win");
+        assert_eq!(x.load_atomic(), 11, "{backend}");
         let snap = at.stats();
         assert!(
             snap.aborts() >= 1,
-            "{backend}/{cm}: the adversary must force at least one abort"
+            "{backend}: the adversary must force at least one abort"
         );
-        assert_eq!(snap.explicit_retries(), 0, "{backend}/{cm}");
+        assert_eq!(snap.explicit_retries(), 0, "{backend}");
     });
 }

@@ -1,15 +1,14 @@
-//! Progress guarantees under hot conflict: every registry backend × every
-//! contention-management policy completes a two-thread conflict storm
-//! within a wall-clock bound.
+//! Progress guarantees under hot conflict: every registry backend
+//! completes a two-thread conflict storm within a wall-clock bound.
 //!
 //! This is the regression fence for the historical 2-thread livelock
 //! (PR 3 recorded >25-minute hangs on exactly this shape of workload
 //! before contention management existed). Progress is now *guaranteed*,
-//! not incidental: past `StmConfig::progress_park_after` consecutive
-//! losses the retry loop parks the loser on escalating bounded sleeps
-//! (see `stm_core::stm` "The progress backstop" and DESIGN.md "Scalable
-//! clocks and progress"), which hands some competitor an uncontended
-//! window under every arbitration policy. The battery here drives the
+//! not incidental: past `cm::PROGRESS_PARK_AFTER` consecutive losses the
+//! retry loop parks the loser on escalating bounded sleeps (see
+//! `stm_core::driver::run` "The progress backstop" and DESIGN.md
+//! "Scalable clocks and progress"), which hands some competitor an
+//! uncontended window whatever the pacing does. The battery here drives the
 //! real two-thread storm under a `recv_timeout` watchdog — a livelock
 //! fails the test loudly instead of hanging CI — and pins the backstop's
 //! accounting invariant deterministically via the out-of-band sabotage
@@ -17,7 +16,7 @@
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
-use composing_relaxed_transactions::stm_core::cm::CmPolicy;
+use composing_relaxed_transactions::stm_core::cm::PROGRESS_PARK_AFTER;
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::{StmConfig, TVar};
 use std::sync::mpsc;
@@ -31,15 +30,15 @@ const BACKENDS: [&str; 6] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boo
 /// Read-modify-writes per worker in the storm.
 const INCREMENTS_PER_THREAD: u64 = 200;
 
-/// Wall-clock bound per (backend, cm) cell. Generous — a healthy cell
+/// Wall-clock bound per backend cell. Generous — a healthy cell
 /// finishes in milliseconds; the bound only exists so a reintroduced
 /// livelock fails fast instead of hanging the suite for 25 minutes.
 const CELL_BOUND: Duration = Duration::from_secs(60);
 
-fn runner(backend: &str, cfg: StmConfig) -> Atomic<Backend> {
+fn runner(backend: &str) -> Atomic<Backend> {
     Atomic::new(
         backend_registry()
-            .build(backend, cfg)
+            .build(backend, StmConfig::default())
             .expect("registry backend"),
     )
 }
@@ -49,7 +48,7 @@ fn runner(backend: &str, cfg: StmConfig) -> Atomic<Backend> {
 /// thread referees with a timeout. Exiting the process on timeout is
 /// deliberate: livelocked worker threads cannot be joined, so a plain
 /// `panic!` would leave the test binary hanging anyway.
-fn two_thread_storm(at: &Atomic<Backend>, backend: &str, cm_label: &str) {
+fn two_thread_storm(at: &Atomic<Backend>, backend: &str) {
     let counter = TVar::new(0u64);
     let (done_tx, done_rx) = mpsc::channel::<()>();
     std::thread::scope(|scope| {
@@ -70,7 +69,7 @@ fn two_thread_storm(at: &Atomic<Backend>, backend: &str, cm_label: &str) {
         for _ in 0..2 {
             if done_rx.recv_timeout(CELL_BOUND).is_err() {
                 eprintln!(
-                    "LIVELOCK: {backend}+{cm_label} did not finish \
+                    "LIVELOCK: {backend} did not finish \
                      {INCREMENTS_PER_THREAD} increments x 2 threads within {CELL_BOUND:?}"
                 );
                 std::process::exit(101);
@@ -81,38 +80,25 @@ fn two_thread_storm(at: &Atomic<Backend>, backend: &str, cm_label: &str) {
     assert_eq!(
         total,
         2 * INCREMENTS_PER_THREAD,
-        "{backend}+{cm_label}: increments lost under contention"
+        "{backend}: increments lost under contention"
     );
 }
 
 #[test]
 fn every_backend_and_cm_completes_a_two_thread_hot_conflict_storm() {
-    for cm in CmPolicy::ALL {
-        for backend in BACKENDS {
-            let at = runner(backend, StmConfig::default().with_cm(cm));
-            two_thread_storm(&at, backend, cm.name());
-        }
-    }
-}
-
-#[test]
-fn storm_completes_even_with_a_hair_trigger_backstop() {
-    // Threshold 0 parks on every single loss: the pathological "sleep all
-    // the time" configuration must still be correct (and, on this
-    // workload, still fast enough for the bound).
     for backend in BACKENDS {
-        let at = runner(backend, StmConfig::default().with_progress_park_after(0));
-        two_thread_storm(&at, backend, "park-after-0");
+        two_thread_storm(&runner(backend), backend);
     }
 }
 
 #[test]
-fn backstop_parks_every_loss_past_a_zero_threshold() {
-    // Deterministic accounting: sabotage K attempts via the out-of-band
-    // versioned store (the fig1 hook trick), with the park threshold at
-    // zero. Every conflict loss must park exactly once, so
-    // `progress_parks == aborts` — and the run still commits.
-    const SABOTAGED: u64 = 4;
+fn backstop_parks_every_loss_past_the_threshold() {
+    // Deterministic accounting: sabotage the threshold's worth of attempts
+    // plus four via the out-of-band versioned store (the fig1 hook trick).
+    // Every conflict loss past the threshold must park exactly once — and
+    // the run still commits.
+    const PAST: u64 = 4;
+    const SABOTAGED: u64 = PROGRESS_PARK_AFTER as u64 + PAST;
     for backend in BACKENDS {
         if backend == "boost" {
             // Boost serializes through per-word 2PL locks and never
@@ -120,7 +106,7 @@ fn backstop_parks_every_loss_past_a_zero_threshold() {
             // sabotage cannot force a conflict there.
             continue;
         }
-        let at = runner(backend, StmConfig::default().with_progress_park_after(0));
+        let at = runner(backend);
         let a = TVar::new(0u64);
         let mut sabotage_left = SABOTAGED;
         at.run(Policy::Regular, |tx| {
@@ -136,8 +122,8 @@ fn backstop_parks_every_loss_past_a_zero_threshold() {
         assert_eq!(snap.commits, 1, "{backend}");
         assert_eq!(snap.aborts(), SABOTAGED, "{backend}: {snap:?}");
         assert_eq!(
-            snap.progress_parks, SABOTAGED,
-            "{backend}: at threshold 0 every loss must park exactly once"
+            snap.progress_parks, PAST,
+            "{backend}: every loss past the threshold must park exactly once"
         );
     }
 }
@@ -146,13 +132,13 @@ fn backstop_parks_every_loss_past_a_zero_threshold() {
 fn backstop_stays_out_of_runs_below_the_default_threshold() {
     // The default threshold (64 consecutive losses) must keep ordinary
     // conflict recovery park-free: a few sabotaged attempts spin or
-    // yield per the CM policy, but never sleep.
+    // yield, but never sleep.
     const SABOTAGED: u64 = 4;
     for backend in BACKENDS {
         if backend == "boost" {
             continue;
         }
-        let at = runner(backend, StmConfig::default());
+        let at = runner(backend);
         let a = TVar::new(0u64);
         let mut sabotage_left = SABOTAGED;
         at.run(Policy::Regular, |tx| {

@@ -1,5 +1,5 @@
-//! Schedule fuzzer: randomized multi-thread op-trees replayed across
-//! every `backend × contention-policy` cell with a [`Recorder`] attached,
+//! Schedule fuzzer: randomized multi-thread op-trees replayed on every
+//! registry backend (a *cell*) with a [`Recorder`] attached,
 //! holding each recorded execution to the formal checkers of the
 //! `histories` crate.
 //!
@@ -31,9 +31,7 @@ use composing_relaxed_transactions::histories::{
     check_opacity, is_relax_serializable, satisfies_outheritance, Composition, History, Recorder,
     TxId,
 };
-use composing_relaxed_transactions::stm_core::{
-    Abort, CmPolicy, StmConfig, TVar, Transaction, Tx, TxKind,
-};
+use composing_relaxed_transactions::stm_core::{Abort, StmConfig, TVar, Transaction, Tx, TxKind};
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
 
@@ -93,17 +91,12 @@ fn apply<'env>(
 }
 
 /// Run `plans` concurrently (one thread each, released together) against
-/// backend `name` built with `cm` and a fresh recorder; returns the raw
-/// recorded history and its committed projection.
-fn run_cell(name: &str, cm: CmPolicy, kind: TxKind, plans: &[Plan]) -> (History, History) {
+/// backend `name` built with a fresh recorder; returns the raw recorded
+/// history and its committed projection.
+fn run_cell(name: &str, kind: TxKind, plans: &[Plan]) -> (History, History) {
     let rec = Arc::new(Recorder::new());
     let backend = backend_registry()
-        .build(
-            name,
-            StmConfig::default()
-                .with_cm(cm)
-                .with_trace_sink(rec.clone()),
-        )
+        .build(name, StmConfig::default().with_trace_sink(rec.clone()))
         .expect("fuzzer cell names come from the registry");
     let vars: Vec<TVar<u64>> = (0..N_VARS).map(|_| TVar::new(0u64)).collect();
     let barrier = Barrier::new(plans.len());
@@ -202,31 +195,29 @@ fn read_only_composition_overwritten_between_children_is_relax_serializable() {
 /// The elastic family's criterion (see the module docs) on every cell.
 fn elastic_cells_hold(plans: &[Plan]) {
     for name in backend_registry().names() {
-        for cm in CmPolicy::ALL {
-            let (_raw, h) = run_cell(name, cm, TxKind::Elastic, plans);
-            assert_eq!(h.well_formed(), Ok(()), "{name} under {cm:?}");
-            let compat = name == "oe-estm-compat";
-            if compat && merges_a_writing_child(plans) {
+        let (_raw, h) = run_cell(name, TxKind::Elastic, plans);
+        assert_eq!(h.well_formed(), Ok(()), "{name}");
+        let compat = name == "oe-estm-compat";
+        if compat && merges_a_writing_child(plans) {
+            continue;
+        }
+        assert!(
+            is_relax_serializable(&h),
+            "{name}: not relax-serializable\n{h:#}"
+        );
+        if compat {
+            continue;
+        }
+        for p in h.processes() {
+            let members = composition_of(&h, p);
+            if members.len() < 2 {
                 continue;
             }
+            let c = Composition::new(members);
             assert!(
-                is_relax_serializable(&h),
-                "{name} under {cm:?}: not relax-serializable\n{h:#}"
+                satisfies_outheritance(&h, &c),
+                "{name}: proc {p} composition {c:?} lost a protected set\n{h:#}"
             );
-            if compat {
-                continue;
-            }
-            for p in h.processes() {
-                let members = composition_of(&h, p);
-                if members.len() < 2 {
-                    continue;
-                }
-                let c = Composition::new(members);
-                assert!(
-                    satisfies_outheritance(&h, &c),
-                    "{name} under {cm:?}: proc {p} composition {c:?} lost a protected set\n{h:#}"
-                );
-            }
         }
     }
 }
@@ -270,26 +261,23 @@ fn formerly_failing_elastic_schedules_hold_on_every_cell() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    // Regular executions of every backend under every CM policy must be
-    // opaque — including their aborted attempts — and the checkers must
-    // agree that the committed projection is relax-serializable.
+    // Regular executions of every backend must be opaque — including
+    // their aborted attempts — and the checkers must agree that the
+    // committed projection is relax-serializable.
     #[test]
     fn regular_schedules_are_opaque_on_every_cell(plans in schedule()) {
         for name in backend_registry().names() {
-            for cm in CmPolicy::ALL {
-                let (raw, h) = run_cell(name, cm, TxKind::Regular, &plans);
-                prop_assert_eq!(h.well_formed(), Ok(()), "{} under {:?}", name, cm);
-                if let Err(v) = check_opacity(&raw) {
-                    panic!("backend {name} under {cm:?} is not opaque: {v}\nraw history:\n{raw:#}");
-                }
-                prop_assert!(
-                    is_relax_serializable(&h),
-                    "{} under {:?}: opaque but not relax-serializable?\n{:#}",
-                    name,
-                    cm,
-                    h
-                );
+            let (raw, h) = run_cell(name, TxKind::Regular, &plans);
+            prop_assert_eq!(h.well_formed(), Ok(()), "{}", name);
+            if let Err(v) = check_opacity(&raw) {
+                panic!("backend {name} is not opaque: {v}\nraw history:\n{raw:#}");
             }
+            prop_assert!(
+                is_relax_serializable(&h),
+                "{}: opaque but not relax-serializable?\n{:#}",
+                name,
+                h
+            );
         }
     }
 

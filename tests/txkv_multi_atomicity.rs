@@ -10,7 +10,7 @@
 //! same-transaction sibling missed) breaks the count exactly, which is
 //! what makes the reference map a complete atomicity oracle.
 //!
-//! The battery sweeps all six registry backends × every CM policy, a
+//! The battery sweeps all six registry backends, a
 //! transfer-sum invariant under racing cross-shard MULTIs, racing
 //! inserts and deletes that must leave the shards and the presence
 //! mirrors agreeing, and a durable kill-and-recover cycle proving the
@@ -21,7 +21,6 @@ use std::sync::{Arc, Barrier};
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::stm_core::api::Atomic;
-use composing_relaxed_transactions::stm_core::cm::CmPolicy;
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::StmConfig;
 use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
@@ -37,10 +36,10 @@ const BACKENDS: [&str; 6] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boo
 const CAPACITY: usize = 64;
 const SHARDS: usize = 4;
 
-fn runner(backend: &str, cm: CmPolicy) -> Atomic<Backend> {
+fn runner(backend: &str) -> Atomic<Backend> {
     Atomic::new(
         backend_registry()
-            .build(backend, StmConfig::default().with_cm(cm))
+            .build_default(backend)
             .expect("registry backend"),
     )
 }
@@ -68,10 +67,10 @@ fn reference_counts(per_thread: &[Vec<Vec<i64>>]) -> BTreeMap<i64, u64> {
 }
 
 /// Run `per_thread` concurrently and check the final image against the
-/// reference on one backend × CM cell.
-fn check_cell(backend: &str, cm: CmPolicy, per_thread: &[Vec<Vec<i64>>], kind: ShardKind) {
+/// reference on one backend.
+fn check_cell(backend: &str, per_thread: &[Vec<Vec<i64>>], kind: ShardKind) {
     let ks = KeySpace::new(kind, SHARDS, CAPACITY);
-    let at = runner(backend, cm);
+    let at = runner(backend);
     std::thread::scope(|s| {
         for thread_ops in per_thread {
             let (ks, at) = (&ks, &at);
@@ -87,15 +86,13 @@ fn check_cell(backend: &str, cm: CmPolicy, per_thread: &[Vec<Vec<i64>>], kind: S
         assert_eq!(
             ks.get(&at, k),
             Some(count),
-            "{backend}/{}: key {k} lost part of a MULTI",
-            cm.name()
+            "{backend}: key {k} lost part of a MULTI"
         );
     }
     assert_eq!(
         ks.len(&at),
         expect.len(),
-        "{backend}/{}: membership diverged from the reference",
-        cm.name()
+        "{backend}: membership diverged from the reference"
     );
 }
 
@@ -122,13 +119,11 @@ proptest! {
         b in multis(),
     ) {
         let per_thread = [a, b];
-        for cm in CmPolicy::ALL {
-            for backend in BACKENDS {
-                check_cell(backend, cm, &per_thread, ShardKind::Hash);
-            }
+        for backend in BACKENDS {
+            check_cell(backend, &per_thread, ShardKind::Hash);
         }
         // Sharding must not depend on the structure: one skiplist pass.
-        check_cell("oe", CmPolicy::TwoPhase, &per_thread, ShardKind::SkipList);
+        check_cell("oe", &per_thread, ShardKind::SkipList);
     }
 }
 
@@ -141,7 +136,7 @@ fn racing_cross_shard_transfers_conserve_the_total() {
     const PER: u64 = 1_000;
     for backend in BACKENDS {
         let ks = KeySpace::new(ShardKind::Hash, SHARDS, CAPACITY);
-        let at = runner(backend, CmPolicy::TwoPhase);
+        let at = runner(backend);
         for k in 0..ACCOUNTS {
             ks.set(&at, k, PER);
         }
@@ -195,7 +190,7 @@ fn racing_inserts_and_deletes_keep_the_shards_and_the_mirrors_in_agreement() {
     for kind in [ShardKind::Hash, ShardKind::SkipList] {
         for backend in BACKENDS {
             let ks = KeySpace::new(kind, SHARDS, CAPACITY);
-            let at = runner(backend, CmPolicy::TwoPhase);
+            let at = runner(backend);
             let start = Barrier::new(2);
             std::thread::scope(|s| {
                 for t in 0..2u64 {

@@ -25,8 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::oe_stm::OeStm;
 use composing_relaxed_transactions::stm_core::api::{Atomic, AtomicBackend, Policy};
-use composing_relaxed_transactions::stm_core::cm::CmPolicy;
-use composing_relaxed_transactions::stm_core::{Stm, StmConfig, TVar, Transaction, TxKind};
+use composing_relaxed_transactions::stm_core::{Stm, TVar, Transaction, TxKind};
 use composing_relaxed_transactions::stm_lsa::Lsa;
 use composing_relaxed_transactions::stm_swiss::Swiss;
 use composing_relaxed_transactions::stm_tl2::Tl2;
@@ -303,53 +302,13 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         "or_else/Backend(oe)",
     );
 
-    // Contention-management arbitration must be allocation-free too: the
-    // per-run CmState lives inline in the transaction object, and every
-    // policy's bookkeeping (including Karma's accumulating priority,
-    // which every forced retry feeds) is plain integers. Same
-    // 33-attempts-vs-1 exact-equality bar, every policy × every backend.
-    for cm in CmPolicy::ALL {
-        let cfg = StmConfig::default().with_cm(cm);
-        assert_retries_do_not_allocate(
-            &Tl2::with_config(cfg.clone()),
-            TxKind::Regular,
-            &format!("TL2+{cm}"),
-        );
-        assert_retries_do_not_allocate(
-            &Lsa::with_config(cfg.clone()),
-            TxKind::Regular,
-            &format!("LSA+{cm}"),
-        );
-        assert_retries_do_not_allocate(
-            &Swiss::with_config(cfg.clone()),
-            TxKind::Regular,
-            &format!("SwissTM+{cm}"),
-        );
-        assert_retries_do_not_allocate(
-            &OeStm::with_config(cfg.clone()),
-            TxKind::Elastic,
-            &format!("OE-STM+{cm}"),
-        );
-    }
-    // …and through the facade, over an erased registry backend built on
-    // the CM axis (what `repro --cm` measures), including or_else
-    // alternation under the stateful Karma policy.
+    // The retry pacing is a plain `Backoff` local of the run, created at
+    // its first loss: the 32 forced retries above already paced through
+    // it. The erased SwissTM backend adds the encounter-time rule's site.
     assert_facade_retries_do_not_allocate(
-        &Atomic::new(
-            backend_registry()
-                .build_with_cm("swiss", CmPolicy::Karma)
-                .unwrap(),
-        ),
+        &Atomic::new(backend_registry().build_default("swiss").unwrap()),
         Policy::Regular,
-        "facade/Backend(swiss)+karma",
-    );
-    assert_or_else_does_not_allocate(
-        &Atomic::new(
-            backend_registry()
-                .build_with_cm("oe", CmPolicy::Karma)
-                .unwrap(),
-        ),
-        "or_else/Backend(oe)+karma",
+        "facade/Backend(swiss)",
     );
 
     // Tracing is a first-class capability of every registry backend now:
