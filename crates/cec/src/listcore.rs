@@ -409,6 +409,7 @@ mod tests {
     use oe_stm::OeStm;
     use stm_core::api::{Atomic, Policy};
     use stm_core::trace::{TraceOp, TraceSink, TraceStamp};
+    use stm_core::StmConfig;
 
     fn build(keys: &[i64]) -> (Arena<ListNode>, u64, Atomic<OeStm>) {
         let at = Atomic::new(OeStm::new());
@@ -717,7 +718,9 @@ mod tests {
 
         const N: i64 = 20;
         let sink = std::sync::Arc::new(ReadEvents::default());
-        let at = Atomic::new(OeStm::new().with_trace(sink.clone()));
+        let at = Atomic::new(OeStm::with_config(
+            StmConfig::default().with_trace_sink(sink.clone()),
+        ));
         let list = LinkedListSet::new();
         // Four buckets; every key is 1 mod 4, so all N share bucket 1.
         let hash = HashSet::new(4);

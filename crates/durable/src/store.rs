@@ -1,5 +1,5 @@
 //! The facade that ties the layers together: open → recover → hook →
-//! append → checkpoint, plus the optional background snapshotter.
+//! append → checkpoint.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -18,9 +18,7 @@
 // lint:allow — clock-blessed IO-path file (see xtask BLESSED_CLOCK_FILES).
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
 use stm_core::hook::CommitHook;
 
 use crate::heap::{DurableHeap, DurableHook};
@@ -29,20 +27,12 @@ use crate::snapshot::{self, CheckpointError, CheckpointReport};
 use crate::vfs::Vfs;
 use crate::wal::Wal;
 
-/// Shared stop-flag between the store and its snapshotter thread.
-struct SnapCtl {
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
 /// A durable store: recovery at open, a group-committed WAL behind a
-/// [`CommitHook`], and checkpoints on demand or from a background
-/// snapshotter.
+/// [`CommitHook`], and checkpoints on demand.
 pub struct DurableStore {
     heap: Arc<DurableHeap>,
     wal: Arc<Wal>,
     hook: Arc<DurableHook>,
-    snapshotter: Option<(std::thread::JoinHandle<()>, Arc<SnapCtl>)>,
 }
 
 impl DurableStore {
@@ -78,15 +68,7 @@ impl DurableStore {
         let heap = Arc::new(heap);
         let wal = Arc::new(Wal::open_at(vfs, recovery.wal_len));
         let hook = Arc::new(DurableHook::new(Arc::clone(&heap), Arc::clone(&wal)));
-        Ok((
-            Self {
-                heap,
-                wal,
-                hook,
-                snapshotter: None,
-            },
-            recovery,
-        ))
+        Ok((Self { heap, wal, hook }, recovery))
     }
 
     /// The stable-key registry — register every `TVar` that must survive
@@ -121,49 +103,6 @@ impl DurableStore {
     pub fn checkpoint(&self) -> Result<CheckpointReport, CheckpointError> {
         snapshot::checkpoint(&self.wal)
     }
-
-    /// Start the background snapshotter: every `poll` it checks whether
-    /// the live segment has grown past `threshold_bytes` and checkpoints
-    /// if so. Stops (after finishing any in-flight checkpoint) when the
-    /// store is dropped. A checkpoint failure stops the thread — the
-    /// WAL simply keeps growing, and the error surfaces on the next
-    /// explicit [`checkpoint`](Self::checkpoint) or at recovery.
-    pub fn start_snapshotter(&mut self, threshold_bytes: u64, poll: Duration) {
-        if self.snapshotter.is_some() {
-            return;
-        }
-        let ctl = Arc::new(SnapCtl {
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-        });
-        let thread_ctl = Arc::clone(&ctl);
-        let wal = Arc::clone(&self.wal);
-        let handle = std::thread::spawn(move || loop {
-            {
-                let mut stop = thread_ctl.stop.lock();
-                if !*stop {
-                    let _ = thread_ctl.wake.wait_for(&mut stop, poll);
-                }
-                if *stop {
-                    return;
-                }
-            }
-            if wal.stats().bytes >= threshold_bytes && snapshot::checkpoint(&wal).is_err() {
-                return;
-            }
-        });
-        self.snapshotter = Some((handle, ctl));
-    }
-}
-
-impl Drop for DurableStore {
-    fn drop(&mut self) {
-        if let Some((handle, ctl)) = self.snapshotter.take() {
-            *ctl.stop.lock() = true;
-            ctl.wake.notify_all();
-            let _ = handle.join();
-        }
-    }
 }
 
 impl std::fmt::Debug for DurableStore {
@@ -171,7 +110,6 @@ impl std::fmt::Debug for DurableStore {
         f.debug_struct("DurableStore")
             .field("heap", &self.heap.len())
             .field("wal", &self.wal)
-            .field("snapshotter", &self.snapshotter.is_some())
             .finish()
     }
 }
@@ -179,9 +117,7 @@ impl std::fmt::Debug for DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SNAPSHOT_FILE;
     use crate::vfs::MemVfs;
-    use crate::wal::WAL_FILE;
     use stm_core::hook::WriteRecord;
     use stm_core::tvar::TVar;
 
@@ -213,30 +149,5 @@ mod tests {
         assert_eq!(recovered.values, [(9u64, 1234u64)].into());
         assert_eq!(recovered.last_version, 42);
         assert!(store.io_error().is_none());
-    }
-
-    #[test]
-    fn background_snapshotter_checkpoints_past_the_threshold() {
-        let mem = Arc::new(MemVfs::new());
-        let var = TVar::new(0u64);
-        let (mut store, _) = DurableStore::open(mem.clone() as Arc<dyn Vfs>).unwrap();
-        store.heap().register(1, var.core());
-        store.start_snapshotter(1, Duration::from_millis(1));
-        commit_through_hook(&store, &[(var.core().id(), 7)], 1);
-        // The threshold is 1 byte, so the snapshotter must fold the
-        // record promptly; bounded spin rather than a sleep-and-hope.
-        let mut ok = false;
-        for _ in 0..1000 {
-            if mem.exists(SNAPSHOT_FILE) && !mem.exists(WAL_FILE) {
-                ok = true;
-                break;
-            }
-            std::thread::yield_now();
-            std::thread::sleep(Duration::from_millis(2)); // lint:allow — poll interval of a bounded wait on an observed state
-        }
-        assert!(ok, "snapshotter never checkpointed");
-        drop(store); // joins the thread cleanly
-        let rec = recover::recover(mem.as_ref()).unwrap();
-        assert_eq!(rec.values, [(1u64, 7u64)].into());
     }
 }

@@ -70,31 +70,23 @@ pub mod window;
 
 pub use txn::OeTxn;
 
-use std::sync::Arc;
 use stm_core::driver;
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
-use stm_core::trace::TraceSink;
-use stm_core::{Abort, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats, TxKind};
+use stm_core::{Abort, Instance, RunError, Stm, StmConfig, TxKind};
 
 /// Register this crate's backends: `"oe"` (outheritance on — the paper's
 /// OE-STM) and `"oe-estm-compat"` (outheritance off — the E-STM baseline
 /// that demonstrably breaks composition, kept for ablations).
 pub fn register_backends(registry: &mut BackendRegistry) {
-    fn make_oe(config: StmConfig) -> Box<dyn stm_core::dynstm::DynStm> {
-        Box::new(OeStm::with_config(config))
-    }
-    fn make_estm(config: StmConfig) -> Box<dyn stm_core::dynstm::DynStm> {
-        Box::new(OeStm::estm_compat_with_config(config))
-    }
     registry.register(BackendSpec::new(
         "oe",
         "OE-STM: elastic transactions composed via outheritance (the paper)",
-        make_oe,
+        |config| Box::new(OeStm::with_config(config)),
     ));
     registry.register(BackendSpec::new(
         "oe-estm-compat",
         "E-STM compatibility mode: elastic, no outheritance (Fig. 1 bug)",
-        make_estm,
+        |config| Box::new(OeStm::estm_compat_with_config(config)),
     ));
 }
 
@@ -104,9 +96,7 @@ pub fn register_backends(registry: &mut BackendRegistry) {
 /// (outheritance on) or [`OeStm::estm_compat`] (outheritance off, the
 /// non-composable baseline used to demonstrate the paper's Fig. 1 bug).
 pub struct OeStm {
-    clock: GlobalClock,
-    stats: StmStats,
-    config: StmConfig,
+    inst: Instance,
     outheritance: bool,
 }
 
@@ -114,7 +104,7 @@ impl core::fmt::Debug for OeStm {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("OeStm")
             .field("outheritance", &self.outheritance)
-            .field("config", &self.config)
+            .field("config", &self.inst.config)
             .finish()
     }
 }
@@ -136,9 +126,7 @@ impl OeStm {
     #[must_use]
     pub fn with_config(config: StmConfig) -> Self {
         Self {
-            clock: GlobalClock::new(),
-            stats: StmStats::new(),
-            config,
+            inst: Instance::new(config),
             outheritance: true,
         }
     }
@@ -162,27 +150,11 @@ impl OeStm {
         stm
     }
 
-    /// Attach a trace sink; subsequent transactions emit the history-model
-    /// events (begin / op / acquire / release / commit / abort) so the run
-    /// can be checked by the `histories` crate. Sugar for
-    /// [`StmConfig::with_trace_sink`] — every registry backend accepts a
-    /// sink through its config; this static-dispatch builder predates that
-    /// and is kept for the direct-construction API.
-    #[must_use]
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.config.trace = Some(sink);
-        self
-    }
-
     /// Whether children outherit their protected sets (true for OE-STM,
     /// false for E-STM compatibility mode).
     #[must_use]
     pub fn outheritance(&self) -> bool {
         self.outheritance
-    }
-
-    pub(crate) fn counters(&self) -> &StmStats {
-        &self.stats
     }
 }
 
@@ -197,20 +169,8 @@ impl Stm for OeStm {
         }
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn clock(&self) -> &GlobalClock {
-        &self.clock
-    }
-
-    fn config(&self) -> &StmConfig {
-        &self.config
+    fn instance(&self) -> &Instance {
+        &self.inst
     }
 
     fn try_run<'env, R>(

@@ -191,7 +191,7 @@ impl<'env> OeTxn<'env> {
         Self {
             stm,
             rv: 0,
-            at: Attempt::new(stm.config(), stm.counters()),
+            at: Attempt::new(&stm.inst),
             scratch: OeScratch::acquire(),
             window: Window::new(),
             top_kind: kind,
@@ -242,9 +242,9 @@ impl<'env> OeTxn<'env> {
         }
         self.rv = target;
         if self.hardened {
-            self.stm.counters().record_extension();
+            self.stm.inst.stats.record_extension();
         } else {
-            self.stm.counters().record_elastic_cut();
+            self.stm.inst.stats.record_elastic_cut();
         }
         Ok(())
     }
@@ -431,7 +431,7 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             // last-read entries) are folded into the read set so
             // they stay protected until the parent commits.
             self.window.drain_into(&mut self.scratch.base.reads);
-            self.stm.counters().record_outherit();
+            self.stm.inst.stats.record_outherit();
             self.at.child_commit(false);
         } else if self.mode == TxKind::Regular {
             // E-STM with a *regular* child: flat nesting. A classic
@@ -505,7 +505,7 @@ mod tests {
     use core::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use stm_core::trace::{TraceSink, TraceStamp};
-    use stm_core::{StatsSnapshot, TVar};
+    use stm_core::{StatsSnapshot, StmConfig, TVar};
 
     /// A sink that only counts operations — enough to arm the tracer and
     /// to prove it was armed.
@@ -544,7 +544,7 @@ mod tests {
     fn both_paths(script: impl Fn(&OeStm) -> Outcome) -> Outcome {
         let head = script(&OeStm::new());
         let sink = Arc::new(CountingSink::default());
-        let traced = OeStm::new().with_trace(sink.clone());
+        let traced = OeStm::with_config(StmConfig::default().with_trace_sink(sink.clone()));
         let tail = script(&traced);
         assert!(sink.0.load(Ordering::Relaxed) > 0, "the tracer was armed");
         assert_eq!(head, tail, "head and tail must be indistinguishable");

@@ -29,24 +29,18 @@
 
 use crate::base::BaseSet;
 use crate::locks::AbstractLocks;
-use stm_core::clock::GlobalClock;
 use stm_core::driver::{self, Attempt, TxnEngine, WaitSet};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::TVarCore;
-use stm_core::{
-    Abort, AbortReason, RunError, StatsSnapshot, Stm, StmConfig, StmStats, Transaction, TxKind,
-};
+use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"boost"`.
 pub fn register_backends(registry: &mut BackendRegistry) {
-    fn make(config: StmConfig) -> Box<dyn stm_core::dynstm::DynStm> {
-        Box::new(BoostStm::with_config(config))
-    }
     registry.register(BackendSpec::new(
         "boost",
         "Boosting (Herlihy/Koskinen): abstract 2PL, in-place writes, undo",
-        make,
+        |config| Box::new(BoostStm::with_config(config)),
     ));
 }
 
@@ -59,9 +53,7 @@ fn lock_key(core: &TVarCore) -> i64 {
 /// A boosted STM instance (registry name `"boost"`).
 #[derive(Debug, Default)]
 pub struct BoostStm {
-    clock: GlobalClock,
-    stats: StmStats,
-    config: StmConfig,
+    inst: Instance,
     locks: AbstractLocks,
     open_nested: bool,
 }
@@ -77,7 +69,7 @@ impl BoostStm {
     #[must_use]
     pub fn with_config(config: StmConfig) -> Self {
         Self {
-            config,
+            inst: Instance::new(config),
             ..Self::default()
         }
     }
@@ -359,20 +351,8 @@ impl Stm for BoostStm {
         "Boost"
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn clock(&self) -> &GlobalClock {
-        &self.clock
-    }
-
-    fn config(&self) -> &StmConfig {
-        &self.config
+    fn instance(&self) -> &Instance {
+        &self.inst
     }
 
     fn try_run<'env, R>(
@@ -383,7 +363,7 @@ impl Stm for BoostStm {
         let mut txn = BoostTxn {
             stm: self,
             kind,
-            at: Attempt::new(&self.config, &self.stats),
+            at: Attempt::new(&self.inst),
             log: BoostLog::default(),
         };
         driver::run(&mut txn, f)

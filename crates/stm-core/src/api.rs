@@ -61,19 +61,20 @@
 //!
 //! ## What the facade costs
 //!
-//! [`Tx`] borrows the backend's transaction object (one `&mut dyn`
-//! indirection — the same hop the erased benchmark path already paid) and
-//! every [`Atomic::run`] reuses the backend's pooled scratch state, so the
-//! facade adds **no heap allocation** to the steady-state hot path; the
-//! workspace-level `zero_alloc` test pins this down.
+//! [`Tx`] borrows the backend's transaction object as one
+//! `&mut dyn Transaction` — the trait is `dyn`-compatible, so the vtable
+//! points straight at the backend's own impl, for a static backend and a
+//! registry-built one alike — and every [`Atomic::run`] reuses the
+//! backend's pooled scratch state, so the facade adds **no heap
+//! allocation** to the steady-state hot path; the workspace-level
+//! `zero_alloc` test pins this down.
 //!
 //! The hop itself is paid per operation: each [`Tx`] read is an indirect
-//! call through `&mut dyn DynTransaction` that returns its
-//! `Result<u64, Abort>` through memory, so code generic over
-//! [`Transaction`] cannot inline it under the facade and spills its loop
-//! state around every call. A long traversal feels that most (the
-//! sorted list's `find` makes one read per node, ≈ 2 050 over the
-//! benchmark's list walk), an 8-read hash operation hardly (≈ 4 ns).
+//! call that returns its `Result<u64, Abort>` through memory, so code
+//! generic over [`Transaction`] cannot inline it under the facade and
+//! spills its loop state around every call. A long traversal feels that
+//! most (the sorted list's `find` makes one read per node, ≈ 2 050 over
+//! the benchmark's list walk), an 8-read hash operation hardly (≈ 4 ns).
 //! See DESIGN.md, "API layers: facade vs SPI".
 //!
 //! ```text
@@ -95,10 +96,10 @@
 
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
-use crate::dynstm::{Backend, DynTransaction};
+use crate::dynstm::Backend;
 use crate::error::{Abort, AbortReason};
 use crate::stats::StatsSnapshot;
-use crate::stm::{RunError, Stm, Transaction, TxKind};
+use crate::stm::{Instance, RunError, Stm, Transaction, TxKind};
 use crate::tvar::{TVar, TVarCore};
 use crate::word::Word;
 
@@ -147,7 +148,7 @@ impl Policy {
 /// the transaction runs in, exactly as in the SPI: no use-after-free is
 /// possible by construction.
 pub struct Tx<'env, 'a> {
-    inner: &'a mut (dyn DynTransaction<'env> + 'a),
+    inner: &'a mut (dyn Transaction<'env> + 'a),
 }
 
 impl core::fmt::Debug for Tx<'_, '_> {
@@ -163,7 +164,7 @@ impl<'env, 'a> Tx<'env, 'a> {
     /// Wrap an SPI transaction. Public so SPI-level code (backend tests,
     /// custom runners) can hand their transactions to facade-level
     /// building blocks.
-    pub fn new(inner: &'a mut (dyn DynTransaction<'env> + 'a)) -> Self {
+    pub fn new(inner: &'a mut (dyn Transaction<'env> + 'a)) -> Self {
         Self { inner }
     }
 
@@ -289,17 +290,8 @@ pub trait AtomicBackend: Send + Sync {
     /// Human-readable algorithm name ("TL2", "OE-STM", …).
     fn name(&self) -> &'static str;
 
-    /// Snapshot of the commit/abort/retry counters.
-    fn stats(&self) -> StatsSnapshot;
-
-    /// Zero the counters (between benchmark phases).
-    fn reset_stats(&self);
-
-    /// The instance's global version clock.
-    fn clock(&self) -> &GlobalClock;
-
-    /// The instance's configuration.
-    fn config(&self) -> &StmConfig;
+    /// The instance's clock, counters and configuration.
+    fn instance(&self) -> &Instance;
 
     /// Run `body` transactionally under `policy` with the backend's retry
     /// loop, handing it a facade-level [`Tx`].
@@ -315,25 +307,15 @@ impl<S: Stm> AtomicBackend for S {
     fn name(&self) -> &'static str {
         Stm::name(self)
     }
-    fn stats(&self) -> StatsSnapshot {
-        Stm::stats(self)
-    }
-    fn reset_stats(&self) {
-        Stm::reset_stats(self);
-    }
-    fn clock(&self) -> &GlobalClock {
-        Stm::clock(self)
-    }
-    fn config(&self) -> &StmConfig {
-        Stm::config(self)
+    fn instance(&self) -> &Instance {
+        Stm::instance(self)
     }
     fn try_exec<'env, R, F>(&'env self, policy: Policy, mut body: F) -> Result<R, RunError>
     where
         F: for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>,
     {
         self.try_run(policy.kind(), |txn: &mut S::Txn<'env>| {
-            let mut tx = Tx::new(txn);
-            body(&mut tx)
+            body(&mut Tx::new(txn))
         })
     }
 }
@@ -342,31 +324,14 @@ impl AtomicBackend for Backend {
     fn name(&self) -> &'static str {
         Backend::name(self)
     }
-    fn stats(&self) -> StatsSnapshot {
-        Backend::stats(self)
+    fn instance(&self) -> &Instance {
+        Backend::instance(self)
     }
-    fn reset_stats(&self) {
-        Backend::reset_stats(self);
-    }
-    fn clock(&self) -> &GlobalClock {
-        Backend::clock(self)
-    }
-    fn config(&self) -> &StmConfig {
-        Backend::config(self)
-    }
-    fn try_exec<'env, R, F>(&'env self, policy: Policy, mut body: F) -> Result<R, RunError>
+    fn try_exec<'env, R, F>(&'env self, policy: Policy, body: F) -> Result<R, RunError>
     where
         F: for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>,
     {
-        // `DynTxn` IS `Tx`, so the facade hands the erased transaction to
-        // the body directly — the same single vtable hop per operation the
-        // erased benchmark path always paid.
-        let mut out: Option<R> = None;
-        self.dyn_stm().try_run_dyn(policy.kind(), &mut |tx| {
-            out = Some(body(tx)?);
-            Ok(0)
-        })?;
-        Ok(out.expect("committed transaction body must have produced a value"))
+        Backend::try_run(self, policy.kind(), body)
     }
 }
 
@@ -406,27 +371,33 @@ impl<B: AtomicBackend> Atomic<B> {
         self.inner.name()
     }
 
+    /// The backend's clock, counters and configuration.
+    #[must_use]
+    pub fn instance(&self) -> &Instance {
+        self.inner.instance()
+    }
+
     /// Snapshot of the commit/abort/retry counters.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
+        self.instance().stats.snapshot()
     }
 
     /// Zero the counters (between benchmark phases).
     pub fn reset_stats(&self) {
-        self.inner.reset_stats();
+        self.instance().stats.reset();
     }
 
     /// The backend's global version clock.
     #[must_use]
     pub fn clock(&self) -> &GlobalClock {
-        self.inner.clock()
+        &self.instance().clock
     }
 
     /// The backend's configuration.
     #[must_use]
     pub fn config(&self) -> &StmConfig {
-        self.inner.config()
+        &self.instance().config
     }
 
     /// Run `body` transactionally under `policy`, retrying on aborts with
@@ -641,8 +612,7 @@ mod tests {
     #[test]
     fn or_else_exhausts_budget_when_both_branches_retry() {
         let at = Atomic::new(ToyStm {
-            config: StmConfig::default().with_max_retries(4),
-            ..ToyStm::default()
+            inst: Instance::new(StmConfig::default().with_max_retries(4)),
         });
         let r: Result<(), _> = at.try_or_else(
             Policy::Regular,

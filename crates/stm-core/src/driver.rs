@@ -23,12 +23,10 @@
 
 use crate::backoff::Backoff;
 use crate::cm::{self, PROGRESS_PARK_AFTER};
-use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::ReadSet;
-use crate::stats::StmStats;
-use crate::stm::RunError;
+use crate::stm::{Instance, RunError};
 use crate::ticket::next_ticket;
 use crate::trace::AttemptTracer;
 use crate::wait;
@@ -41,8 +39,7 @@ use std::panic::{self, AssertUnwindSafe};
 /// each attempt of one `run` call.
 #[derive(Debug)]
 pub struct Attempt<'env> {
-    config: &'env StmConfig,
-    stats: &'env StmStats,
+    inst: &'env Instance,
     /// The attempt's ticket, 0 until something needs one (a `Cell`
     /// because [`Transaction::ticket`](crate::Transaction::ticket) takes
     /// `&self`).
@@ -59,10 +56,9 @@ impl<'env> Attempt<'env> {
     /// and counters. Draws no ticket.
     #[inline]
     #[must_use]
-    pub fn new(config: &'env StmConfig, stats: &'env StmStats) -> Self {
+    pub fn new(inst: &'env Instance) -> Self {
         Self {
-            config,
-            stats,
+            inst,
             ticket: Cell::new(0),
             depth: 0,
             composed: false,
@@ -79,6 +75,7 @@ impl<'env> Attempt<'env> {
     fn restart(&mut self) {
         self.ticket.set(0);
         self.tracer = self
+            .inst
             .config
             .trace
             .clone()
@@ -142,7 +139,7 @@ impl<'env> Attempt<'env> {
     pub fn child_commit(&mut self, eager: bool) -> Option<u64> {
         self.depth -= 1;
         self.composed = true;
-        self.stats.record_child_commit();
+        self.inst.stats.record_child_commit();
         self.tracer.as_mut().map(|t| {
             if eager {
                 t.commit_child_settled()
@@ -214,7 +211,7 @@ impl<'env> Attempt<'env> {
         observed: impl FnOnce(&S) -> u64,
     ) {
         debug_assert_eq!(self.depth, 0, "commit with an open child");
-        match self.config.commit_hook.as_deref() {
+        match self.inst.config.commit_hook.as_deref() {
             None => self.notify_release(set, len, each, release),
             Some(hook) => self.publish_hooked(hook, version, set, len, each, release, observed),
         }
@@ -385,10 +382,9 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
     txn: &mut T,
     mut body: impl FnMut(&mut T) -> Result<R, Abort>,
 ) -> Result<R, RunError> {
-    let (cfg, stats) = {
-        let at = txn.attempt();
-        (at.config, at.stats)
-    };
+    let Instance {
+        config: cfg, stats, ..
+    } = txn.attempt().inst;
     let mut attempts: u64 = 0;
     // Conflict losses charged against `max_retries`; waits are free.
     let mut charged: u64 = 0;
@@ -520,19 +516,14 @@ fn thread_random() -> u64 {
 #[cfg(test)]
 pub(crate) mod toy {
     use super::{run, Attempt, TxnEngine};
-    use crate::clock::GlobalClock;
-    use crate::config::StmConfig;
     use crate::error::Abort;
     use crate::readset::ReadSet;
-    use crate::stats::{StatsSnapshot, StmStats};
-    use crate::stm::{RunError, Stm, Transaction, TxKind};
+    use crate::stm::{Instance, RunError, Stm, Transaction, TxKind};
     use crate::tvar::TVarCore;
 
     #[derive(Debug, Default)]
     pub(crate) struct ToyStm {
-        pub(crate) clock: GlobalClock,
-        pub(crate) stats: StmStats,
-        pub(crate) config: StmConfig,
+        pub(crate) inst: Instance,
     }
 
     pub(crate) struct ToyTxn<'env> {
@@ -544,7 +535,7 @@ pub(crate) mod toy {
     impl<'env> ToyTxn<'env> {
         pub(crate) fn new(stm: &'env ToyStm) -> Self {
             Self {
-                at: Attempt::new(&stm.config, &stm.stats),
+                at: Attempt::new(&stm.inst),
                 reads: ReadSet::new(),
                 undo: Vec::new(),
             }
@@ -617,17 +608,8 @@ pub(crate) mod toy {
         fn name(&self) -> &'static str {
             "Toy"
         }
-        fn stats(&self) -> StatsSnapshot {
-            self.stats.snapshot()
-        }
-        fn reset_stats(&self) {
-            self.stats.reset();
-        }
-        fn clock(&self) -> &GlobalClock {
-            &self.clock
-        }
-        fn config(&self) -> &StmConfig {
-            &self.config
+        fn instance(&self) -> &Instance {
+            &self.inst
         }
         fn try_run<'env, R>(
             &'env self,
@@ -642,6 +624,7 @@ pub(crate) mod toy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StmConfig;
     use crate::hook::{CommitHook, DurableLog};
     use crate::trace::{TraceOp, TraceSink, TraceStamp};
     use std::sync::{Arc, Mutex};
@@ -676,9 +659,9 @@ mod tests {
 
     impl<'env> Scripted<'env> {
         /// A fake whose attempts read one location (so `retry()` parks).
-        fn new(cfg: &'env StmConfig, stats: &'env StmStats) -> Self {
+        fn new(inst: &'env Instance) -> Self {
             Self {
-                at: Attempt::new(cfg, stats),
+                at: Attempt::new(inst),
                 reads: FakeReads(vec![0xD1CE]),
                 commit_failures: 0,
                 locks_held: 0,
@@ -718,13 +701,12 @@ mod tests {
     /// Run a body that fails with `reason` `failures` times, then commits
     /// `value`.
     fn run_failing<R: Copy>(
-        cfg: &StmConfig,
-        stats: &StmStats,
+        inst: &Instance,
         reason: AbortReason,
         mut failures: u32,
         value: R,
     ) -> Result<R, RunError> {
-        run(&mut Scripted::new(cfg, stats), |_| {
+        run(&mut Scripted::new(inst), |_| {
             if failures > 0 {
                 failures -= 1;
                 Err(Abort::new(reason))
@@ -736,11 +718,10 @@ mod tests {
 
     #[test]
     fn commits_first_try() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let r = run_failing(&cfg, &stats, AbortReason::LockConflict, 0, 42).unwrap();
+        let inst = Instance::default();
+        let r = run_failing(&inst, AbortReason::LockConflict, 0, 42).unwrap();
         assert_eq!(r, 42);
-        let snap = stats.snapshot();
+        let snap = inst.stats.snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.aborts(), 0);
     }
@@ -750,11 +731,10 @@ mod tests {
         // A run creates its backoff at its first conflict loss, from one
         // word of the thread's stream, and a retry-time loss draws no
         // ticket.
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
+        let inst = Instance::default();
         let stream_after = |losses: u32| {
             RANDOM.with(|s| s.set(42));
-            let mut fake = Scripted::new(&cfg, &stats);
+            let mut fake = Scripted::new(&inst);
             let mut left = losses;
             run(&mut fake, |_| {
                 if left > 0 {
@@ -786,18 +766,16 @@ mod tests {
         });
         assert_eq!(got.unwrap(), 3);
         assert_eq!(txn.at.owner(), None, "the toy read and committed");
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let mut fake = Scripted::new(&cfg, &stats);
+        let inst = Instance::default();
+        let mut fake = Scripted::new(&inst);
         run(&mut fake, |_| Ok(())).unwrap();
         assert_eq!(fake.at.owner(), None, "publish draws none either");
     }
 
     #[test]
     fn a_writing_attempt_draws_one_ticket_and_a_retry_starts_without() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let mut fake = Scripted::new(&cfg, &stats);
+        let inst = Instance::default();
+        let mut fake = Scripted::new(&inst);
         let mut seen = Vec::new();
         let mut losses = 1;
         run(&mut fake, |tx| {
@@ -823,9 +801,8 @@ mod tests {
     #[test]
     fn an_armed_tracer_draws_the_ticket_at_restart() {
         let rec = Arc::new(Recorder::default());
-        let cfg = StmConfig::default().with_trace_sink(rec);
-        let stats = StmStats::new();
-        let mut at = Attempt::new(&cfg, &stats);
+        let inst = Instance::new(StmConfig::default().with_trace_sink(rec));
+        let mut at = Attempt::new(&inst);
         assert_eq!(at.owner(), None);
         at.restart();
         let first = at.owner().expect("the tracer's top-level id");
@@ -836,9 +813,8 @@ mod tests {
 
     #[test]
     fn a_read_only_commit_validates_only_after_a_child_commit() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let mut at = Attempt::new(&cfg, &stats);
+        let inst = Instance::default();
+        let mut at = Attempt::new(&inst);
         let stale = Err(Abort::new(AbortReason::ReadValidation));
         let check = |at: &Attempt<'_>| at.read_only_commit(|| false);
         at.restart();
@@ -857,21 +833,19 @@ mod tests {
 
     #[test]
     fn retries_until_success() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let r = run_failing(&cfg, &stats, AbortReason::LockConflict, 3, 7).unwrap();
+        let inst = Instance::default();
+        let r = run_failing(&inst, AbortReason::LockConflict, 3, 7).unwrap();
         assert_eq!(r, 7);
-        let snap = stats.snapshot();
+        let snap = inst.stats.snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.aborts(), 3);
     }
 
     #[test]
     fn files_explicit_retries_separately() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        run_failing(&cfg, &stats, AbortReason::ExplicitRetry, 2, ()).unwrap();
-        let snap = stats.snapshot();
+        let inst = Instance::default();
+        run_failing(&inst, AbortReason::ExplicitRetry, 2, ()).unwrap();
+        let snap = inst.stats.snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.explicit_retries(), 2);
         assert_eq!(snap.aborts(), 0, "retries are not conflict aborts");
@@ -880,10 +854,9 @@ mod tests {
     #[test]
     fn paces_with_the_configured_cm() {
         // Every conflict loss that retries is paced exactly once.
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        run_failing(&cfg, &stats, AbortReason::LockConflict, 3, ()).unwrap();
-        let snap = stats.snapshot();
+        let inst = Instance::default();
+        run_failing(&inst, AbortReason::LockConflict, 3, ()).unwrap();
+        let snap = inst.stats.snapshot();
         assert_eq!(snap.aborts(), 3);
         assert_eq!(
             snap.cm_waits(),
@@ -898,9 +871,8 @@ mod tests {
         // Both pacing steps: losses 1..=9 back off within a growing
         // ceiling, the tenth (saturated) yields.
         for (losses, backoffs, yields) in [(1, 1, 0), (10, 9, 1)] {
-            let cfg = StmConfig::default();
-            let stats = StmStats::new();
-            let mut fake = Scripted::new(&cfg, &stats);
+            let inst = Instance::default();
+            let mut fake = Scripted::new(&inst);
             let mut left = losses;
             let r = run(&mut fake, |_| {
                 if left > 0 {
@@ -912,7 +884,7 @@ mod tests {
             });
             assert_eq!(r.unwrap(), 99);
             assert_eq!(fake.restarts, losses + 1, "one restart per attempt");
-            let snap = stats.snapshot();
+            let snap = inst.stats.snapshot();
             assert_eq!(snap.commits, 1);
             assert_eq!(snap.aborts(), losses);
             assert_eq!(snap.cm_backoffs, backoffs);
@@ -924,9 +896,8 @@ mod tests {
     #[test]
     fn respects_max_retries_regardless_of_decision() {
         for reason in [AbortReason::LockConflict, AbortReason::ReadValidation] {
-            let cfg = StmConfig::default().with_max_retries(2);
-            let stats = StmStats::new();
-            let r = run_failing(&cfg, &stats, reason, u32::MAX, ());
+            let inst = Instance::new(StmConfig::default().with_max_retries(2));
+            let r = run_failing(&inst, reason, u32::MAX, ());
             assert_eq!(
                 r.unwrap_err(),
                 RunError::RetriesExhausted {
@@ -934,18 +905,19 @@ mod tests {
                     last: reason
                 }
             );
-            assert_eq!(stats.snapshot().aborts(), 3);
+            assert_eq!(inst.stats.snapshot().aborts(), 3);
         }
     }
 
     #[test]
     fn progress_backstop_parks_after_consecutive_losses() {
         // Losses past the threshold park (with escalating bounded sleeps).
-        let cfg = StmConfig::default().with_max_retries(u64::from(PROGRESS_PARK_AFTER) + 4);
-        let stats = StmStats::new();
-        let r = run_failing(&cfg, &stats, AbortReason::LockConflict, u32::MAX, ());
+        let inst = Instance::new(
+            StmConfig::default().with_max_retries(u64::from(PROGRESS_PARK_AFTER) + 4),
+        );
+        let r = run_failing(&inst, AbortReason::LockConflict, u32::MAX, ());
         assert!(r.is_err());
-        let snap = stats.snapshot();
+        let snap = inst.stats.snapshot();
         assert_eq!(snap.aborts(), u64::from(PROGRESS_PARK_AFTER) + 5);
         // The four losses past the threshold park; the exhausted final
         // attempt returns without parking (it will not retry, so there is
@@ -958,11 +930,10 @@ mod tests {
 
     #[test]
     fn progress_backstop_stays_out_of_short_conflicts() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        run_failing(&cfg, &stats, AbortReason::LockConflict, 10, ()).unwrap();
+        let inst = Instance::default();
+        run_failing(&inst, AbortReason::LockConflict, 10, ()).unwrap();
         assert_eq!(
-            stats.snapshot().progress_parks,
+            inst.stats.snapshot().progress_parks,
             0,
             "ordinary contention must never sleep"
         );
@@ -972,11 +943,10 @@ mod tests {
     fn waits_are_not_charged_against_the_budget() {
         // A bounded budget of 1 conflict: three genuine waits then a
         // commit must NOT exhaust — a precondition wait is not a loss.
-        let cfg = StmConfig::default().with_max_retries(1);
-        let stats = StmStats::new();
-        let r = run_failing(&cfg, &stats, AbortReason::ExplicitRetry, 3, 11);
+        let inst = Instance::new(StmConfig::default().with_max_retries(1));
+        let r = run_failing(&inst, AbortReason::ExplicitRetry, 3, 11);
         assert_eq!(r.unwrap(), 11);
-        let snap = stats.snapshot();
+        let snap = inst.stats.snapshot();
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.explicit_retries(), 3);
         assert_eq!(snap.retry_parks, 3, "every wait parks on the read set");
@@ -986,13 +956,12 @@ mod tests {
 
     #[test]
     fn empty_read_set_retry_surfaces_would_block_forever() {
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
-        let mut fake = Scripted::new(&cfg, &stats);
+        let inst = Instance::default();
+        let mut fake = Scripted::new(&inst);
         fake.reads.0.clear();
         let r: Result<(), _> = run(&mut fake, |_| Err(Abort::new(AbortReason::ExplicitRetry)));
         assert_eq!(r.unwrap_err(), RunError::WouldBlockForever { attempts: 1 });
-        let snap = stats.snapshot();
+        let snap = inst.stats.snapshot();
         assert_eq!(snap.explicit_retries(), 1, "still filed as a retry");
         assert_eq!(snap.commits, 0);
         let msg = RunError::WouldBlockForever { attempts: 1 }.to_string();
@@ -1004,10 +973,9 @@ mod tests {
         // Under an `or_else` frame a retry must alternate, not park: it
         // is charged and paced like a conflict (yet still filed as a
         // retry), even with nothing read.
-        let cfg = StmConfig::default().with_max_retries(1);
-        let stats = StmStats::new();
+        let inst = Instance::new(StmConfig::default().with_max_retries(1));
         let _alt = wait::AlternativeGuard::new();
-        let r = run_failing(&cfg, &stats, AbortReason::ExplicitRetry, u32::MAX, ());
+        let r = run_failing(&inst, AbortReason::ExplicitRetry, u32::MAX, ());
         assert_eq!(
             r.unwrap_err(),
             RunError::RetriesExhausted {
@@ -1015,17 +983,16 @@ mod tests {
                 last: AbortReason::ExplicitRetry
             }
         );
-        assert_eq!(stats.snapshot().retry_parks, 0);
+        assert_eq!(inst.stats.snapshot().retry_parks, 0);
     }
 
     #[test]
     fn conflicts_between_waits_are_still_charged() {
         // Budget 1: wait, conflict, conflict -> the second conflict
         // exhausts (charged 2 > 1) even though a wait sat in between.
-        let cfg = StmConfig::default().with_max_retries(1);
-        let stats = StmStats::new();
+        let inst = Instance::new(StmConfig::default().with_max_retries(1));
         let mut step = 0;
-        let r: Result<(), _> = run(&mut Scripted::new(&cfg, &stats), |_| {
+        let r: Result<(), _> = run(&mut Scripted::new(&inst), |_| {
             step += 1;
             Err(Abort::new(match step {
                 1 => AbortReason::ExplicitRetry,
@@ -1039,8 +1006,8 @@ mod tests {
                 last: AbortReason::LockConflict
             }
         );
-        assert_eq!(stats.snapshot().aborts(), 2);
-        assert_eq!(stats.snapshot().explicit_retries(), 1);
+        assert_eq!(inst.stats.snapshot().aborts(), 2);
+        assert_eq!(inst.stats.snapshot().explicit_retries(), 1);
     }
 
     #[test]
@@ -1048,11 +1015,10 @@ mod tests {
         // A full streak of conflicts up to the threshold (no park), a wait
         // (the streak resets), the same streak again, commit. Without the
         // reset the second streak would park.
-        let cfg = StmConfig::default();
-        let stats = StmStats::new();
+        let inst = Instance::default();
         let streak = u64::from(PROGRESS_PARK_AFTER);
         let mut step = 0;
-        run(&mut Scripted::new(&cfg, &stats), |_| {
+        run(&mut Scripted::new(&inst), |_| {
             step += 1;
             match step {
                 s if s == streak + 1 => Err(Abort::new(AbortReason::ExplicitRetry)),
@@ -1061,8 +1027,8 @@ mod tests {
             }
         })
         .unwrap();
-        assert_eq!(stats.snapshot().aborts(), 2 * streak);
-        assert_eq!(stats.snapshot().progress_parks, 0);
+        assert_eq!(inst.stats.snapshot().aborts(), 2 * streak);
+        assert_eq!(inst.stats.snapshot().progress_parks, 0);
     }
 
     /// A trace sink and commit hook logging into one shared order.
@@ -1128,9 +1094,8 @@ mod tests {
     #[test]
     fn commit_validation_failure_releases_every_lock_and_aborts_once() {
         let rec = Arc::new(Recorder::default());
-        let cfg = recorded_config(&rec);
-        let stats = StmStats::new();
-        let mut fake = Scripted::new(&cfg, &stats);
+        let inst = Instance::new(recorded_config(&rec));
+        let mut fake = Scripted::new(&inst);
         fake.commit_failures = 1;
         run(&mut fake, |tx| {
             let t = tx.at.tracer().expect("sink configured");
@@ -1141,18 +1106,17 @@ mod tests {
         assert_eq!(fake.rollbacks, 1, "one rollback per failed attempt");
         assert_eq!(fake.locks_held, 0);
         assert_eq!(rec.take(), ["abort event", "commit event"]);
-        let snap = stats.snapshot();
+        let snap = inst.stats.snapshot();
         assert_eq!((snap.commits, snap.aborts()), (1, 1));
     }
 
     #[test]
     fn publish_orders_hook_notify_release_commit_event() {
         let rec = Arc::new(Recorder::default());
-        let cfg = recorded_config(&rec);
-        let stats = StmStats::new();
+        let inst = Instance::new(recorded_config(&rec));
         let writes = [(0xFEED_usize, 5_u64), (0xF00D, 6)];
         let publish = |len: usize| {
-            let mut at = Attempt::new(&cfg, &stats);
+            let mut at = Attempt::new(&inst);
             at.restart();
             at.tracer()
                 .expect("sink configured")
@@ -1179,7 +1143,7 @@ mod tests {
                 true
             },
             1,
-            &stats,
+            &inst.stats,
         );
         assert_eq!(woken, wait::WaitOutcome::Woken, "notify reached the waiter");
         assert_eq!(
@@ -1195,12 +1159,13 @@ mod tests {
     #[test]
     fn publish_awaits_durability_after_the_commit_event() {
         let rec = Arc::new(Recorder::default());
-        let cfg = StmConfig::default()
-            .with_trace_sink(rec.clone())
-            .with_commit_hook(Arc::new(Staging(rec.clone())));
-        let stats = StmStats::new();
+        let inst = Instance::new(
+            StmConfig::default()
+                .with_trace_sink(rec.clone())
+                .with_commit_hook(Arc::new(Staging(rec.clone()))),
+        );
         let publish = |len: usize| {
-            let mut at = Attempt::new(&cfg, &stats);
+            let mut at = Attempt::new(&inst);
             at.restart();
             at.tracer()
                 .expect("sink configured")

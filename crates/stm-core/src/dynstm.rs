@@ -1,106 +1,49 @@
-//! Runtime-erased STM backends: `dyn`-compatible twins of the
-//! [`Stm`]/[`Transaction`] traits, plus the name-based backend factory the
-//! benchmark pipeline selects implementations from at runtime.
+//! Runtime-erased STM backends: the `dyn`-compatible twin of the [`Stm`]
+//! trait, plus the name-based backend factory the benchmark pipeline
+//! selects implementations from at runtime.
 //!
 //! ## Why erasure
 //!
-//! The static traits are generic (typed reads via [`Word`](crate::Word), a
-//! GAT transaction type), so every workload written against them is
-//! monomorphized once *per STM*. That is the right call on the hot path,
-//! but it forces harness code to enumerate backends at compile time — the
-//! five-fold duplication this module removes. Here the contract is
-//! flattened to words and object-safe methods:
+//! [`Stm`] is generic (a GAT transaction type, a generic `try_run`), so
+//! every workload written against it is monomorphized once *per STM*.
+//! That is the right call on the hot path, but it forces harness code to
+//! enumerate backends at compile time — the five-fold duplication this
+//! module removes. The transaction side needs no twin:
+//! [`Transaction`](crate::Transaction) is already `dyn`-compatible (its
+//! typed and generic methods are `where Self: Sized`), so an erased body
+//! receives the facade's [`Tx`], a sized wrapper around
+//! `&mut dyn Transaction` that implements the full typed trait again.
+//! Collections and workloads written against the static API run
+//! unchanged over an erased backend, and each word operation is one
+//! indirect call straight into the backend's own `Transaction` impl.
 //!
-//! * [`DynTransaction`] — the object-safe transaction surface (word reads
-//!   and writes against [`TVarCore`], `child_enter`/`child_commit`/
-//!   `child_abort` composition bookkeeping). Every `T: Transaction`
-//!   implements it via a blanket impl.
-//! * [`DynTxn`] — an alias for the facade's [`Tx`](crate::api::Tx): a
-//!   sized wrapper around `&mut dyn DynTransaction` implementing the full
-//!   typed [`Transaction`] trait, so collections and workloads written
-//!   against the static API run unchanged over an erased backend (one
-//!   extra vtable hop per operation).
 //! * [`DynStm`] / [`Backend`] — the erased STM instance and its owning
-//!   handle. Any `S: Stm` erases with [`Backend::from_stm`].
+//!   handle. Any `S: Stm` erases with [`Backend::from_stm`]; its name
+//!   and its [`Instance`] (clock, counters, configuration) are all the
+//!   erased surface needs besides the run itself.
 //! * [`BackendSpec`] / [`BackendRegistry`] — the name → constructor
-//!   factory ("tl2", "lsa", "swiss", "oe", "oe-estm-compat"); each backend
-//!   crate registers its constructors, and callers build instances from
-//!   runtime strings (CLI flags, config files, scenario lists).
+//!   factory ("tl2", "lsa", "swiss", "oe", "oe-estm-compat", "boost");
+//!   each backend crate registers its constructors, and callers build
+//!   instances from runtime strings (CLI flags, config files, scenario
+//!   lists).
 //!
 //! The `'env` lifetime discipline of the static traits carries over
 //! verbatim: every accessed location must outlive the `run` call, enforced
 //! by the borrow checker — erasure does not open a use-after-free hole and
 //! the crate stays `#![forbid(unsafe_code)]`.
 
+use crate::api::Tx;
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::error::Abort;
 use crate::stats::StatsSnapshot;
-use crate::stm::{RunError, Stm, Transaction, TxKind};
-use crate::tvar::TVarCore;
-
-/// Object-safe twin of [`Transaction`]: word-granular access plus the
-/// composition bookkeeping, no type parameters.
-///
-/// Implemented for every `T: Transaction` by a blanket impl; user code
-/// normally sees it only through [`DynTxn`].
-pub trait DynTransaction<'env> {
-    /// Transactionally read the word at `core`.
-    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort>;
-    /// Transactionally write `word` to `core`.
-    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort>;
-    /// Begin a child transaction of `kind` (see [`Transaction::child_enter`]).
-    fn child_enter(&mut self, kind: TxKind) -> Result<(), Abort>;
-    /// Commit the innermost open child (see [`Transaction::child_commit`]).
-    fn child_commit(&mut self) -> Result<(), Abort>;
-    /// Unwind the innermost open child (see [`Transaction::child_abort`]).
-    fn child_abort(&mut self);
-    /// The kind this (sub)transaction currently runs under.
-    fn kind(&self) -> TxKind;
-    /// This attempt's globally unique ticket.
-    fn ticket(&self) -> u64;
-}
-
-impl<'env, T: Transaction<'env>> DynTransaction<'env> for T {
-    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        Transaction::read_word(self, core)
-    }
-    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        Transaction::write_word(self, core, word)
-    }
-    fn child_enter(&mut self, kind: TxKind) -> Result<(), Abort> {
-        Transaction::child_enter(self, kind)
-    }
-    fn child_commit(&mut self) -> Result<(), Abort> {
-        Transaction::child_commit(self)
-    }
-    fn child_abort(&mut self) {
-        Transaction::child_abort(self);
-    }
-    fn kind(&self) -> TxKind {
-        Transaction::kind(self)
-    }
-    fn ticket(&self) -> u64 {
-        Transaction::ticket(self)
-    }
-}
-
-/// A sized view over an erased in-flight transaction.
-///
-/// This *is* the facade's [`Tx`](crate::api::Tx) handle: `Tx` wraps a
-/// `&mut dyn DynTransaction` and implements the full [`Transaction`]
-/// trait (so the typed API, including `child`, is available again on top
-/// of the erased backend), which is exactly what this layer needs —
-/// collections written once against `Transaction` run over every
-/// registered backend, and there is a single wrapper type to keep in
-/// sync with the trait surface.
-pub type DynTxn<'env, 'a> = crate::api::Tx<'env, 'a>;
+use crate::stm::{Instance, RunError, Stm, TxKind};
 
 /// The erased transaction body passed across the `dyn DynStm` boundary.
 ///
 /// Bodies communicate a single `u64` result word; richer results are
 /// smuggled through the caller's environment (see [`Backend::try_run`]).
-pub type DynBody<'env, 'b> = dyn for<'a> FnMut(&mut DynTxn<'env, 'a>) -> Result<u64, Abort> + 'b;
+pub type DynBody<'env, 'b> = dyn for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<u64, Abort> + 'b;
 
 /// Object-safe twin of [`Stm`]: what a [`Backend`] owns.
 ///
@@ -110,14 +53,8 @@ pub trait DynStm: Send + Sync {
     /// Human-readable algorithm name ("TL2", "LSA", "SwissTM", "OE-STM",
     /// "E-STM").
     fn name(&self) -> &'static str;
-    /// Snapshot of the commit/abort counters.
-    fn stats(&self) -> StatsSnapshot;
-    /// Zero the counters (between benchmark phases).
-    fn reset_stats(&self);
-    /// The instance's global version clock.
-    fn clock(&self) -> &GlobalClock;
-    /// The instance's configuration.
-    fn config(&self) -> &StmConfig;
+    /// The instance's clock, counters and configuration.
+    fn instance(&self) -> &Instance;
     /// Run `body` transactionally with the shared retry loop, erased to
     /// the word level. Prefer [`Backend::try_run`].
     fn try_run_dyn<'env>(
@@ -131,27 +68,15 @@ impl<S: Stm> DynStm for S {
     fn name(&self) -> &'static str {
         Stm::name(self)
     }
-    fn stats(&self) -> StatsSnapshot {
-        Stm::stats(self)
-    }
-    fn reset_stats(&self) {
-        Stm::reset_stats(self);
-    }
-    fn clock(&self) -> &GlobalClock {
-        Stm::clock(self)
-    }
-    fn config(&self) -> &StmConfig {
-        Stm::config(self)
+    fn instance(&self) -> &Instance {
+        Stm::instance(self)
     }
     fn try_run_dyn<'env>(
         &'env self,
         kind: TxKind,
         body: &mut DynBody<'env, '_>,
     ) -> Result<u64, RunError> {
-        self.try_run(kind, |tx: &mut S::Txn<'env>| {
-            let mut erased = DynTxn::new(tx);
-            body(&mut erased)
-        })
+        self.try_run(kind, |tx: &mut S::Txn<'env>| body(&mut Tx::new(tx)))
     }
 }
 
@@ -159,7 +84,8 @@ impl<S: Stm> DynStm for S {
 ///
 /// A `Backend` pairs an erased STM instance with the registry key it was
 /// built from, and offers a typed `run`/`try_run` mirroring [`Stm`] — the
-/// closure receives a [`DynTxn`], which implements [`Transaction`], so all
+/// closure receives a [`Tx`], which implements
+/// [`Transaction`](crate::Transaction), so all
 /// collection code runs unchanged.
 pub struct Backend {
     key: String,
@@ -199,38 +125,39 @@ impl Backend {
         &self.key
     }
 
-    /// The erased STM instance (for the `api` facade's runner impl).
-    pub(crate) fn dyn_stm(&self) -> &dyn DynStm {
-        &*self.inner
-    }
-
     /// The algorithm's display name ("TL2", "OE-STM", …).
     #[must_use]
     pub fn name(&self) -> &'static str {
         self.inner.name()
     }
 
+    /// The instance's clock, counters and configuration.
+    #[must_use]
+    pub fn instance(&self) -> &Instance {
+        self.inner.instance()
+    }
+
     /// Snapshot of the commit/abort counters.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
+        self.instance().stats.snapshot()
     }
 
     /// Zero the counters (between benchmark phases).
     pub fn reset_stats(&self) {
-        self.inner.reset_stats();
+        self.instance().stats.reset();
     }
 
     /// The instance's global version clock.
     #[must_use]
     pub fn clock(&self) -> &GlobalClock {
-        self.inner.clock()
+        &self.instance().clock
     }
 
     /// The instance's configuration.
     #[must_use]
     pub fn config(&self) -> &StmConfig {
-        self.inner.config()
+        &self.instance().config
     }
 
     /// Run `f` transactionally, retrying on aborts, until commit or until
@@ -238,7 +165,7 @@ impl Backend {
     pub fn try_run<'env, R>(
         &'env self,
         kind: TxKind,
-        mut f: impl for<'a> FnMut(&mut DynTxn<'env, 'a>) -> Result<R, Abort>,
+        mut f: impl for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
         let mut out: Option<R> = None;
         self.inner.try_run_dyn(kind, &mut |tx| {
@@ -253,7 +180,7 @@ impl Backend {
     pub fn run<'env, R>(
         &'env self,
         kind: TxKind,
-        f: impl for<'a> FnMut(&mut DynTxn<'env, 'a>) -> Result<R, Abort>,
+        f: impl for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>,
     ) -> R {
         match self.try_run(kind, f) {
             Ok(r) => r,
@@ -441,6 +368,7 @@ mod tests {
     use super::*;
     use crate::driver::toy::ToyStm;
     use crate::error::AbortReason;
+    use crate::stm::Transaction;
     use crate::tvar::TVar;
 
     fn toy_backend() -> Backend {
@@ -495,8 +423,7 @@ mod tests {
     #[test]
     fn try_run_surfaces_retry_exhaustion() {
         let stm = ToyStm {
-            config: StmConfig::default().with_max_retries(1),
-            ..ToyStm::default()
+            inst: Instance::new(StmConfig::default().with_max_retries(1)),
         };
         let b = Backend::from_stm(stm);
         let r: Result<(), _> = b.try_run(TxKind::Regular, |_tx| {
@@ -507,14 +434,16 @@ mod tests {
 
     #[test]
     fn registry_builds_by_name() {
-        fn make(config: StmConfig) -> Box<dyn DynStm> {
-            Box::new(ToyStm {
-                config,
-                ..ToyStm::default()
-            })
-        }
         let mut reg = BackendRegistry::new();
-        reg.register(BackendSpec::new("toy", "naive single-threaded STM", make));
+        reg.register(BackendSpec::new(
+            "toy",
+            "naive single-threaded STM",
+            |config| {
+                Box::new(ToyStm {
+                    inst: Instance::new(config),
+                })
+            },
+        ));
         assert_eq!(reg.names(), vec!["toy"]);
         let b = reg.build_default("toy").expect("registered");
         assert_eq!(b.key(), "toy");

@@ -25,7 +25,8 @@
 //! * the [`Stm`] / [`Transaction`] traits that
 //!   all four STMs implement — the **backend SPI** underneath the facade —
 //!   including the `child` entry point used for *composition* (the subject
-//!   of the paper),
+//!   of the paper), and the [`Instance`] (clock, counters, configuration)
+//!   every backend embeds and every surface reads its accessors through,
 //! * the one transaction [`driver`] every backend runs under — the
 //!   per-attempt state, the commit tail (hook → notify → release → trace
 //!   event) and the retry/wait/park loop — with bounded exponential
@@ -36,9 +37,9 @@
 //!   parking, so `retry()` blocks until a commit touches the read set
 //!   instead of burning CPU, and conflict losers in the progress
 //!   backstop wake as soon as a rival commits,
-//! * a [`dynstm`] erasure layer (object-safe `DynStm`/`DynTransaction`
-//!   twins of the static traits) and the name-based
-//!   [`BackendRegistry`] runtime callers select
+//! * a [`dynstm`] erasure layer (the object-safe [`DynStm`] twin of
+//!   [`Stm`]; erased bodies get a [`Tx`] over `&mut dyn Transaction`)
+//!   and the name-based [`BackendRegistry`] runtime callers select
 //!   backends from,
 //! * per-STM [`stats`] (commits, aborts by cause, elastic cuts, outherits),
 //! * an optional [`trace`] sink so executions can be recorded into the formal
@@ -80,14 +81,12 @@ pub mod writeset;
 pub use api::{Atomic, AtomicBackend, Policy, Tx};
 pub use clock::{CommitStamp, GlobalClock};
 pub use config::StmConfig;
-pub use dynstm::{
-    Backend, BackendRegistry, BackendSpec, DynStm, DynTransaction, DynTxn, UnknownBackend,
-};
+pub use dynstm::{Backend, BackendRegistry, BackendSpec, DynStm, UnknownBackend};
 pub use error::{Abort, AbortReason};
 pub use hook::{CommitHook, DurableLog, WriteRecord};
 pub use scratch::TxScratch;
 pub use stats::{StatsSnapshot, StmStats};
-pub use stm::{RunError, Stm, Transaction, TxKind};
+pub use stm::{Instance, RunError, Stm, Transaction, TxKind};
 pub use tvar::{TVar, TVarCore};
 pub use vlock::{LockState, VLock};
 pub use word::Word;

@@ -10,7 +10,7 @@
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason};
-use crate::stats::StatsSnapshot;
+use crate::stats::{StatsSnapshot, StmStats};
 use crate::tvar::{TVar, TVarCore};
 use crate::word::Word;
 
@@ -180,6 +180,34 @@ pub trait Transaction<'env> {
     }
 }
 
+/// What every STM instance owns besides its algorithm: the global version
+/// clock, the commit/abort counters and the configuration.
+///
+/// Each backend embeds one and hands it out through
+/// [`Stm::instance`]; the accessors of [`Stm`], the erased
+/// [`Backend`](crate::Backend) and the [`Atomic`](crate::Atomic) runner all
+/// read through it, and the [`driver`](crate::driver) takes it per run.
+#[derive(Debug, Default)]
+pub struct Instance {
+    /// The global version clock that timestamps committed state.
+    pub clock: GlobalClock,
+    /// The commit/abort counters.
+    pub stats: StmStats,
+    /// The instance's configuration.
+    pub config: StmConfig,
+}
+
+impl Instance {
+    /// A fresh clock and zeroed counters under `config`.
+    #[must_use]
+    pub fn new(config: StmConfig) -> Self {
+        Self {
+            config,
+            ..Self::default()
+        }
+    }
+}
+
 /// A software transactional memory instance.
 pub trait Stm: Send + Sync {
     /// The transaction type, parameterized by the environment lifetime.
@@ -190,19 +218,30 @@ pub trait Stm: Send + Sync {
     /// Human-readable algorithm name ("TL2", "LSA", "SwissTM", "OE-STM").
     fn name(&self) -> &'static str;
 
+    /// The instance's clock, counters and configuration.
+    fn instance(&self) -> &Instance;
+
     /// Snapshot of the commit/abort counters.
-    fn stats(&self) -> StatsSnapshot;
+    fn stats(&self) -> StatsSnapshot {
+        self.instance().stats.snapshot()
+    }
 
     /// Zero the counters (between benchmark phases).
-    fn reset_stats(&self);
+    fn reset_stats(&self) {
+        self.instance().stats.reset();
+    }
 
     /// The instance's global version clock (needed by non-transactional
     /// setup code that must still publish version bumps, e.g.
     /// [`TVar::store_atomic`]).
-    fn clock(&self) -> &GlobalClock;
+    fn clock(&self) -> &GlobalClock {
+        &self.instance().clock
+    }
 
     /// The instance's configuration.
-    fn config(&self) -> &StmConfig;
+    fn config(&self) -> &StmConfig {
+        &self.instance().config
+    }
 
     /// Run `f` transactionally, retrying on aborts with exponential backoff,
     /// until commit or until `config().max_retries` is exceeded.

@@ -41,20 +41,14 @@ use stm_core::readset::ReadSet;
 use stm_core::scratch::{give_back, SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
-use stm_core::{
-    Abort, AbortReason, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats,
-    Transaction, TxKind,
-};
+use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"lsa"`.
 pub fn register_backends(registry: &mut BackendRegistry) {
-    fn make(config: StmConfig) -> Box<dyn stm_core::dynstm::DynStm> {
-        Box::new(Lsa::with_config(config)) // lint:allow — registration, cold
-    }
     registry.register(BackendSpec::new(
         "lsa",
         "LSA (Riegel/Felber/Fetzer): lazy snapshots, eager in-place writes",
-        make,
+        |config| Box::new(Lsa::with_config(config)), // lint:allow — registration, cold
     ));
 }
 
@@ -151,9 +145,7 @@ impl<'env> UndoLog<'env> {
 /// An LSA software-transactional-memory instance.
 #[derive(Debug, Default)]
 pub struct Lsa {
-    clock: GlobalClock,
-    stats: StmStats,
-    config: StmConfig,
+    inst: Instance,
 }
 
 impl Lsa {
@@ -167,9 +159,7 @@ impl Lsa {
     #[must_use]
     pub fn with_config(config: StmConfig) -> Self {
         Self {
-            clock: GlobalClock::new(),
-            stats: StmStats::new(),
-            config,
+            inst: Instance::new(config),
         }
     }
 }
@@ -200,7 +190,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
     fn restart(&mut self) {
         self.scratch.reset();
         self.undo.reset();
-        let now = self.stm.clock.now();
+        let now = self.stm.inst.clock.now();
         self.rv = now;
         self.ub = now;
     }
@@ -215,7 +205,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
             self.at
                 .read_only_commit(|| reads.validate(None, |_| None))?;
         } else {
-            let stamp = self.stm.clock.stamp();
+            let stamp = self.stm.inst.clock.stamp();
             wv = stamp.wv;
             // Validation-skip fast path (see TL2): only an exclusively won
             // wv == ub + 1 proves no concurrent commit; adoption must
@@ -281,7 +271,7 @@ impl<'env> LsaTxn<'env> {
             .validate(self.at.owner(), |core| self.undo.old_version_of(core));
         if ok {
             self.ub = target;
-            self.stm.stats.record_extension();
+            self.stm.inst.stats.record_extension();
             Ok(())
         } else {
             Err(Abort::new(AbortReason::ExtensionFailed))
@@ -422,20 +412,8 @@ impl Stm for Lsa {
         "LSA"
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn clock(&self) -> &GlobalClock {
-        &self.clock
-    }
-
-    fn config(&self) -> &StmConfig {
-        &self.config
+    fn instance(&self) -> &Instance {
+        &self.inst
     }
 
     fn try_run<'env, R>(
@@ -447,7 +425,7 @@ impl Stm for Lsa {
             stm: self,
             rv: 0,
             ub: 0,
-            at: Attempt::new(&self.config, &self.stats),
+            at: Attempt::new(&self.inst),
             scratch: TxScratch::acquire(),
             undo: UndoLog::default(),
         };

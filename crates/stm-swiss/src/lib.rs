@@ -50,20 +50,14 @@ use stm_core::readset::ReadSet;
 use stm_core::scratch::TxScratch;
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
-use stm_core::{
-    Abort, AbortReason, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats,
-    Transaction, TxKind,
-};
+use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"swiss"`.
 pub fn register_backends(registry: &mut BackendRegistry) {
-    fn make(config: StmConfig) -> Box<dyn stm_core::dynstm::DynStm> {
-        Box::new(Swiss::with_config(config)) // lint:allow — registration, cold
-    }
     registry.register(BackendSpec::new(
         "swiss",
         "SwissTM (Dragojevic/Guerraoui/Kapalka): eager W-W, lazy versioning",
-        make,
+        |config| Box::new(Swiss::with_config(config)), // lint:allow — registration, cold
     ));
 }
 
@@ -107,9 +101,7 @@ impl WLockTable {
 /// A SwissTM software-transactional-memory instance.
 #[derive(Debug)]
 pub struct Swiss {
-    clock: GlobalClock,
-    stats: StmStats,
-    config: StmConfig,
+    inst: Instance,
     wlocks: WLockTable,
 }
 
@@ -130,9 +122,7 @@ impl Swiss {
     #[must_use]
     pub fn with_config(config: StmConfig) -> Self {
         Self {
-            clock: GlobalClock::new(),
-            stats: StmStats::new(),
-            config,
+            inst: Instance::new(config),
             wlocks: WLockTable::new(DEFAULT_WLOCK_TABLE_BITS),
         }
     }
@@ -180,7 +170,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
 
     fn restart(&mut self) {
         self.scratch.reset();
-        let now = self.stm.clock.now();
+        let now = self.stm.inst.clock.now();
         self.rv = now;
         self.ub = now;
     }
@@ -197,7 +187,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
         } else {
             let ticket = self.at.ticket();
             self.scratch.writes.lock_all(ticket)?;
-            let stamp = self.stm.clock.stamp();
+            let stamp = self.stm.inst.clock.stamp();
             wv = stamp.wv;
             // Validation-skip fast path (see TL2): an exclusively won
             // wv == ub + 1 means no other update committed since the
@@ -256,7 +246,7 @@ impl<'env> SwissTxn<'env> {
         });
         if ok {
             self.ub = target;
-            self.stm.stats.record_extension();
+            self.stm.inst.stats.record_extension();
             Ok(())
         } else {
             Err(Abort::new(AbortReason::ExtensionFailed))
@@ -386,20 +376,8 @@ impl Stm for Swiss {
         "SwissTM"
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn clock(&self) -> &GlobalClock {
-        &self.clock
-    }
-
-    fn config(&self) -> &StmConfig {
-        &self.config
+    fn instance(&self) -> &Instance {
+        &self.inst
     }
 
     fn try_run<'env, R>(
@@ -411,7 +389,7 @@ impl Stm for Swiss {
             stm: self,
             rv: 0,
             ub: 0,
-            at: Attempt::new(&self.config, &self.stats),
+            at: Attempt::new(&self.inst),
             scratch: TxScratch::acquire(),
         };
         driver::run(&mut txn, f)

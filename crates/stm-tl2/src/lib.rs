@@ -33,20 +33,14 @@ use stm_core::scratch::TxScratch;
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::writeset::WriteSet;
-use stm_core::{
-    Abort, AbortReason, GlobalClock, RunError, StatsSnapshot, Stm, StmConfig, StmStats,
-    Transaction, TxKind,
-};
+use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"tl2"`.
 pub fn register_backends(registry: &mut BackendRegistry) {
-    fn make(config: StmConfig) -> Box<dyn stm_core::dynstm::DynStm> {
-        Box::new(Tl2::with_config(config)) // lint:allow — registration, cold
-    }
     registry.register(BackendSpec::new(
         "tl2",
         "TL2 (Dice/Shalev/Shavit): lazy versioning, commit-time locking",
-        make,
+        |config| Box::new(Tl2::with_config(config)), // lint:allow — registration, cold
     ));
 }
 
@@ -57,9 +51,7 @@ pub fn register_backends(registry: &mut BackendRegistry) {
 /// one STM instance at a time (versions are clock-relative).
 #[derive(Debug, Default)]
 pub struct Tl2 {
-    clock: GlobalClock,
-    stats: StmStats,
-    config: StmConfig,
+    inst: Instance,
 }
 
 impl Tl2 {
@@ -73,9 +65,7 @@ impl Tl2 {
     #[must_use]
     pub fn with_config(config: StmConfig) -> Self {
         Self {
-            clock: GlobalClock::new(),
-            stats: StmStats::new(),
-            config,
+            inst: Instance::new(config),
         }
     }
 }
@@ -104,7 +94,7 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
 
     fn restart(&mut self) {
         self.scratch.reset();
-        self.rv = self.stm.clock.now();
+        self.rv = self.stm.inst.clock.now();
     }
 
     fn try_commit(&mut self) -> Result<(), Abort> {
@@ -119,7 +109,7 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
                 .read_only_commit(|| reads.validate(None, |_| None))?;
         } else {
             self.scratch.writes.lock_all(self.at.ticket())?;
-            let stamp = self.stm.clock.stamp();
+            let stamp = self.stm.inst.clock.stamp();
             wv = stamp.wv;
             // Someone committed after we sampled rv: re-validate the reads.
             // Only an *exclusively won* wv == rv + 1 proves nothing can
@@ -226,20 +216,8 @@ impl Stm for Tl2 {
         "TL2"
     }
 
-    fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    fn clock(&self) -> &GlobalClock {
-        &self.clock
-    }
-
-    fn config(&self) -> &StmConfig {
-        &self.config
+    fn instance(&self) -> &Instance {
+        &self.inst
     }
 
     fn try_run<'env, R>(
@@ -250,7 +228,7 @@ impl Stm for Tl2 {
         let mut txn = Tl2Txn {
             stm: self,
             rv: 0,
-            at: Attempt::new(&self.config, &self.stats),
+            at: Attempt::new(&self.inst),
             scratch: TxScratch::acquire(),
         };
         driver::run(&mut txn, f)

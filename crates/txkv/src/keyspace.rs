@@ -573,7 +573,9 @@ mod tests {
     fn a_point_operation_reads_only_its_keys_words() {
         const N: i64 = 24;
         let sink = Arc::new(WordEvents::default());
-        let at = Atomic::new(oe_stm::OeStm::new().with_trace(sink.clone()));
+        let at = Atomic::new(oe_stm::OeStm::with_config(
+            stm_core::StmConfig::default().with_trace_sink(sink.clone()),
+        ));
         // One shard: every key congruent to 5 modulo the bucket count
         // shares a bucket.
         let ks = KeySpace::new(ShardKind::Hash, 1, 4096);

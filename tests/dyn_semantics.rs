@@ -1,21 +1,22 @@
 //! Semantics parity for the dyn-erased backend layer: the commit/abort/
 //! composition guarantees of `tests/stm_semantics.rs`, re-run through
-//! `Backend`/`DynTxn` for every registered backend. Erasure must change
+//! `Backend`/`Tx` for every registered backend. Erasure must change
 //! dispatch, never semantics.
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::cec::{move_entry, total_size, LinkedListSet, SetExt};
-use composing_relaxed_transactions::stm_core::api::Atomic;
+use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::parallel::worker_threads;
 use composing_relaxed_transactions::stm_core::{
-    Abort, AbortReason, StmConfig, TVar, Transaction, TxKind,
+    Abort, AbortReason, StatsSnapshot, Stm, StmConfig, TVar, Transaction, TxKind,
 };
+use composing_relaxed_transactions::stm_tl2::Tl2;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// All five registered backends ("tl2", "lsa", "swiss", "oe",
-/// "oe-estm-compat"), freshly built.
+/// All six registered backends ("tl2", "lsa", "swiss", "oe",
+/// "oe-estm-compat", "boost"), freshly built.
 fn backends() -> Vec<Backend> {
     let reg = backend_registry();
     assert_eq!(reg.names().len(), 6, "expected all six backends wired");
@@ -285,4 +286,49 @@ fn outheritance_counter_only_moves_under_oe() {
             assert_eq!(outherits, 0, "{key}: classic STMs never outherit");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// One instance behind every surface.
+// ---------------------------------------------------------------------
+
+#[test]
+fn one_instance_behind_every_surface_every_backend() {
+    // A commit through the erased `Backend::run` and one through the
+    // facade land in the same counters, whichever accessor reads them,
+    // and the facade's reset zeroes what the erased handle reports.
+    for b in backends() {
+        let key = b.key().to_string();
+        let v = TVar::new(0u64);
+        b.run(TxKind::Regular, |tx| tx.write(&v, 1));
+        let at = Atomic::new(b);
+        at.run(Policy::Regular, |tx| tx.modify(&v, |x| x + 1));
+        assert_eq!(v.load_atomic(), 2, "{key}");
+        let b = at.backend();
+        assert!(std::ptr::eq(at.instance(), b.instance()), "{key}");
+        let facade = at.stats();
+        assert_eq!(facade.commits, 2, "{key}");
+        assert_eq!(facade, b.stats(), "{key}");
+        assert_eq!(facade, b.instance().stats.snapshot(), "{key}");
+        at.reset_stats();
+        assert_eq!(b.stats(), StatsSnapshot::default(), "{key}");
+    }
+}
+
+#[test]
+fn one_instance_behind_every_surface_static() {
+    // The same through a static backend: `Stm::run`, `Atomic<Tl2>`.
+    let stm = Tl2::new();
+    let v = TVar::new(0u64);
+    stm.run(TxKind::Regular, |tx| tx.write(&v, 1));
+    let at = Atomic::new(stm);
+    at.run(Policy::Regular, |tx| tx.modify(&v, |x| x + 1));
+    assert_eq!(v.load_atomic(), 2);
+    let stm = at.backend();
+    let facade = at.stats();
+    assert_eq!(facade.commits, 2);
+    assert_eq!(facade, stm.stats());
+    assert_eq!(facade, stm.instance().stats.snapshot());
+    at.reset_stats();
+    assert_eq!(stm.stats(), StatsSnapshot::default());
 }

@@ -16,7 +16,7 @@ use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::driver::TxnEngine;
 use composing_relaxed_transactions::stm_core::ticket::next_ticket;
 use composing_relaxed_transactions::stm_core::{
-    Abort, AbortReason, Stm, TVar, Transaction, TxKind,
+    Abort, AbortReason, Stm, StmConfig, TVar, Transaction, TxKind,
 };
 use composing_relaxed_transactions::stm_lsa::Lsa;
 use composing_relaxed_transactions::stm_swiss::Swiss;
@@ -118,9 +118,9 @@ fn only_what_needs_a_ticket_draws_one() {
 
     // An armed tracer draws at every attempt's begin: its ticket is the
     // top-level transaction id.
-    let traced = OeStm::new().with_trace(std::sync::Arc::new(
+    let traced = OeStm::with_config(StmConfig::default().with_trace_sink(std::sync::Arc::new(
         composing_relaxed_transactions::histories::Recorder::new(),
-    ));
+    )));
     assert_eq!(
         draws(|| assert_eq!(traced.run(TxKind::Regular, |tx| tx.read(&v)), 3)),
         1

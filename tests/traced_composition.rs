@@ -19,21 +19,19 @@ use composing_relaxed_transactions::histories::{
     Recorder,
 };
 use composing_relaxed_transactions::oe_stm::OeStm;
-use composing_relaxed_transactions::stm_core::{Stm, TVar, Transaction, TxKind};
+use composing_relaxed_transactions::stm_core::{Stm, StmConfig, TVar, Transaction, TxKind};
 use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Run the two-process scenario and return the recorder.
 fn run_scenario(outheritance: bool) -> (Arc<Recorder>, (u64, u64)) {
     let recorder = Arc::new(Recorder::new());
+    let config = StmConfig::default().with_trace_sink(recorder.clone());
     let stm = if outheritance {
-        OeStm::new()
+        OeStm::with_config(config)
     } else {
-        OeStm::estm_compat()
-    }
-    .with_trace(
-        recorder.clone() as Arc<dyn composing_relaxed_transactions::stm_core::trace::TraceSink>
-    );
+        OeStm::estm_compat_with_config(config)
+    };
     let stm = Arc::new(stm);
 
     let x = Arc::new(TVar::new(0u64));
