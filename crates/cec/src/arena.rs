@@ -8,7 +8,7 @@
 //!   `TVar`s inside) stay valid for the arena's lifetime — which is what
 //!   lets the whole stack stay in safe Rust.
 //! * **One-load lookup**: the first segment is a plain boxed slice sized
-//!   by a byte budget (2^13 list nodes), so resolving one of its indices
+//!   by a byte budget (2^13 16-byte list nodes, 128 KiB), so resolving one of its indices
 //!   is a bounds check against a loop-invariant base. A traversal's next
 //!   address waits only for the link it just read, never for a segment
 //!   table entry.
@@ -29,9 +29,9 @@ use crossbeam::queue::SegQueue;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-/// Byte budget of the first segment: 2^13 24-byte list nodes, enough
+/// Byte budget of the first segment: 2^13 16-byte list nodes, enough
 /// for a paper-size list (2^12 of 2^13 keys) without an overflow lookup.
-const FIRST_SEGMENT_BYTES: usize = 192 * 1024;
+const FIRST_SEGMENT_BYTES: usize = 128 * 1024;
 /// log2 of the smallest first segment, in slots.
 const MIN_FIRST_BITS: u32 = 10;
 /// Number of segments, the first included: capacity ≈ F * 2^SEGMENTS
@@ -308,12 +308,12 @@ mod tests {
     fn the_first_segment_is_sized_by_its_byte_budget() {
         use crate::listcore::ListNode;
         use crate::skiplist::SkipNode;
-        // 192 KiB of 24-byte list nodes: a paper-size list, 2^13 slots.
-        assert_eq!(size_of::<ListNode>(), 24);
+        // 128 KiB of 16-byte list nodes: a paper-size list, 2^13 slots.
+        assert_eq!(size_of::<ListNode>(), 16);
         assert_eq!(Arena::<ListNode>::new().first.len(), 1 << 13);
-        // Rounded down to a power of two: 24 576 eight-byte cells fit.
+        // Eight-byte cells: 2^14 of them fill the budget.
         assert_eq!(Arena::<Cell>::new().first.len(), 1 << 14);
-        // 288-byte nodes would get 682 slots: the floor keeps 1 024.
+        // 288-byte nodes would get 455 slots: the floor keeps 1 024.
         assert_eq!(size_of::<SkipNode>(), 288);
         assert_eq!(Arena::<SkipNode>::new().first.len(), 1 << 10);
     }

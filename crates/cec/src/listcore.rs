@@ -44,15 +44,18 @@ use crate::arena::Arena;
 use crate::noderef::NodeRef;
 use crate::set::OpScratch;
 use core::sync::atomic::{AtomicI64, Ordering};
-use stm_core::{Abort, AbortReason, TVar, Transaction};
+use stm_core::{Abort, AbortReason, Link, Transaction, Word};
 
-/// One sorted-list node: a plain key and a transactional link.
+/// One sorted-list node: a plain key and a transactional link, 16 bytes.
 ///
-/// The key is written once per use of the slot, before any link to the
-/// slot is, and cannot change while a pinned traverser can reach the slot.
-/// So it is an ordinary atomic word, stored and loaded without the STM,
-/// and a traversal step costs one transactional read (`next`). Why a plain
-/// load sees the right key:
+/// The link is a [`Link`]: its successor ([`NodeRef`], an arena index and
+/// the dead mark) packed with a lock bit and a truncated commit version in
+/// one word, so a traversal step is one load that is its own `(version,
+/// value)` snapshot (see `stm_core::link`). The key is written once per use
+/// of the slot, before any link to the slot is, and cannot change while a
+/// pinned traverser can reach the slot. So it is an ordinary atomic word,
+/// stored and loaded without the STM, and a traversal step costs one
+/// transactional read (`next`). Why a plain load sees the right key:
 ///
 /// * a slot's key is stored only while no pinned traverser can reach the
 ///   slot: a fresh slot, one freed unpublished after an abort
@@ -60,29 +63,20 @@ use stm_core::{Abort, AbortReason, TVar, Transaction};
 ///   every guard pinned at retirement dropped ([`Arena::retire`]);
 /// * the key store is sequenced before the commit that links the slot,
 ///   whose link store is a `Release`, and a traverser reaches the slot only
-///   through a link it loaded with `Acquire` (`read_consistent`, or the
-///   owner's own buffered write), so the link publishes the key;
+///   through a link it loaded with `Acquire` (a link read, or the owner's
+///   own buffered write), so the link publishes the key;
 /// * every caller of the building blocks pins an epoch guard around the
 ///   whole operation (`SetExt`, `TxQueue`'s wrappers, `compose`, `txkv`).
 ///
-/// Every link stays a `TVar`: reads and writes of `next` are what the STM
-/// validates.
-#[derive(Debug)]
+/// Reads and writes of `next` are what the STM validates.
+#[derive(Debug, Default)]
 pub struct ListNode {
     /// The element stored at this node (head sentinels hold `i64::MIN`).
     key: AtomicI64,
-    /// Link to the successor; a dead marker (still carrying the successor,
-    /// see [`NodeRef::dead`]) once the node is removed.
-    pub next: TVar<NodeRef>,
-}
-
-impl Default for ListNode {
-    fn default() -> Self {
-        Self {
-            key: AtomicI64::new(0),
-            next: TVar::new(NodeRef::NULL),
-        }
-    }
+    /// Link to the successor (a [`NodeRef`] payload); a dead marker (still
+    /// carrying the successor, see [`NodeRef::dead`]) once the node is
+    /// removed.
+    pub next: Link,
 }
 
 impl ListNode {
@@ -100,6 +94,25 @@ impl ListNode {
     pub(crate) fn set_key(&self, key: i64) {
         self.key.store(key, Ordering::Relaxed);
     }
+}
+
+/// Transactionally read the [`NodeRef`] a link holds.
+#[inline]
+pub(crate) fn read_next<'e, T: Transaction<'e>>(
+    tx: &mut T,
+    link: &'e Link,
+) -> Result<NodeRef, Abort> {
+    tx.read_link(link).map(NodeRef::from_word)
+}
+
+/// Transactionally point a link at `to`.
+#[inline]
+pub(crate) fn write_next<'e, T: Transaction<'e>>(
+    tx: &mut T,
+    link: &'e Link,
+    to: NodeRef,
+) -> Result<(), Abort> {
+    tx.write_link(link, to.into_word())
 }
 
 /// Result of a traversal: the insertion point for `key`.
@@ -159,7 +172,7 @@ pub fn find<'e, T: Transaction<'e>>(
     // redirects — the shape that can close a cycle and turn the step
     // bound into a permanent livelock. Such nodes are unlinked on sight.
     let mut last_key = i64::MIN;
-    let mut curr = tx.read(&arena.get(pred).next)?;
+    let mut curr = read_next(tx, &arena.get(pred).next)?;
     loop {
         if curr.is_dead() {
             (pred, curr) = repair_dead(arena, tx, prev, pred, curr)?;
@@ -185,7 +198,7 @@ pub fn find<'e, T: Transaction<'e>>(
             if ck <= last_key {
                 curr = cut_inversion(arena, tx, pred, c)?;
             } else {
-                curr = tx.read(&node.next)?;
+                curr = read_next(tx, &node.next)?;
                 prev = pred;
                 pred = c;
                 last_key = ck;
@@ -215,10 +228,10 @@ fn repair_dead<'e, T: Transaction<'e>>(
         return Err(Abort::new(AbortReason::Explicit));
     }
     let link = &arena.get(prev).next;
-    if tx.read(link)? != NodeRef::node(pred) {
+    if read_next(tx, link)? != NodeRef::node(pred) {
         return Err(Abort::new(AbortReason::Explicit));
     }
-    tx.write(link, dead.successor())?;
+    write_next(tx, link, dead.successor())?;
     Ok((prev, dead.successor()))
 }
 
@@ -238,14 +251,14 @@ fn cut_inversion<'e, T: Transaction<'e>>(
     let next = if c == pred {
         NodeRef::NULL
     } else {
-        let n = tx.read(&arena.get(c).next)?;
+        let n = read_next(tx, &arena.get(c).next)?;
         if n.is_dead() {
             n.successor()
         } else {
             n
         }
     };
-    tx.write(&arena.get(pred).next, next)?;
+    write_next(tx, &arena.get(pred).next, next)?;
     Ok(next)
 }
 
@@ -286,8 +299,8 @@ pub fn add_in<'e, T: Transaction<'e>>(
     // First write: the transaction hardens here; the elastic window is
     // exactly {pred's predecessor link, pred.next}, so the insertion point
     // is protected from now until commit.
-    tx.write(&node.next, f.curr)?;
-    tx.write(&arena.get(f.pred).next, NodeRef::node(n))?;
+    write_next(tx, &node.next, f.curr)?;
+    write_next(tx, &arena.get(f.pred).next, NodeRef::node(n))?;
     Ok(true)
 }
 
@@ -308,7 +321,7 @@ pub fn remove_in<'e, T: Transaction<'e>>(
         return Ok(false);
     }
     let c = f.curr.index();
-    let cnext = tx.read(&arena.get(c).next)?;
+    let cnext = read_next(tx, &arena.get(c).next)?;
     if cnext.is_dead() {
         // Concurrently removed; linearize after that removal.
         return Ok(false);
@@ -316,17 +329,17 @@ pub fn remove_in<'e, T: Transaction<'e>>(
     // Logical delete; hardens the transaction with {pred.next, curr.next}
     // protected. The marker keeps `cnext` recoverable so a traverser stuck
     // behind a redirect-less commit (relaxed backends) can repair past it.
-    tx.write(&arena.get(c).next, NodeRef::dead(cnext))?;
+    write_next(tx, &arena.get(c).next, NodeRef::dead(cnext))?;
     // Re-read the predecessor link, now under full protection. It was
     // still windowed at the hardening write, so an attempt that can commit
     // reads `f.curr` back; anything else ends a doomed attempt here rather
     // than at commit.
-    let pn = tx.read(&arena.get(f.pred).next)?;
+    let pn = read_next(tx, &arena.get(f.pred).next)?;
     if pn != f.curr {
         // Somebody inserted before curr or removed pred: retry.
         return Err(Abort::new(AbortReason::Explicit));
     }
-    tx.write(&arena.get(f.pred).next, cnext)?;
+    write_next(tx, &arena.get(f.pred).next, cnext)?;
     scratch.unlinked.push(c);
     Ok(true)
 }
@@ -341,7 +354,7 @@ pub fn len_in<'e, T: Transaction<'e>>(
     let bound = 2 * arena.high_water() + 64;
     let mut steps: u64 = 0;
     let mut count = 0usize;
-    let mut curr = tx.read(&arena.get(head).next)?;
+    let mut curr = read_next(tx, &arena.get(head).next)?;
     while !curr.is_null() {
         if curr.is_dead() {
             // Reachable corpse (relaxed backends only): read-only walks
@@ -349,7 +362,7 @@ pub fn len_in<'e, T: Transaction<'e>>(
             curr = curr.successor();
         } else {
             count += 1;
-            curr = tx.read(&arena.get(curr.index()).next)?;
+            curr = read_next(tx, &arena.get(curr.index()).next)?;
         }
         steps += 1;
         if steps > bound {
@@ -374,7 +387,7 @@ pub fn snapshot_in<'e, T: Transaction<'e>>(
     let bound = 2 * arena.high_water() + 64;
     let mut steps: u64 = 0;
     let mut out = Vec::new();
-    let mut curr = tx.read(&arena.get(head).next)?;
+    let mut curr = read_next(tx, &arena.get(head).next)?;
     while !curr.is_null() {
         if curr.is_dead() {
             // Skip reachable corpses (see `len_in`).
@@ -382,7 +395,7 @@ pub fn snapshot_in<'e, T: Transaction<'e>>(
         } else {
             let node = arena.get(curr.index());
             out.push(node.key());
-            curr = tx.read(&node.next)?;
+            curr = read_next(tx, &node.next)?;
         }
         steps += 1;
         if steps > bound {
@@ -532,7 +545,7 @@ mod tests {
             assert_eq!(reason.unwrap_err(), AbortReason::Explicit);
         }
         // Nothing was written: the marker is still there.
-        assert!(arena.get(head).next.load_atomic().is_dead());
+        assert!(arena.get(head).next.load_atomic::<NodeRef>().is_dead());
     }
 
     /// A list spread over three arena segments: `find` agrees with the
@@ -736,6 +749,6 @@ mod tests {
         let n = N as u64;
         assert_eq!(reads(&|| list.contains(&at, N + 1)), n + 1, "list");
         assert_eq!(reads(&|| hash.contains(&at, 4 * N + 5)), n + 1, "bucket");
-        assert_eq!(core::mem::size_of::<ListNode>(), 24, "a key and a link");
+        assert_eq!(core::mem::size_of::<ListNode>(), 16, "a key and a link");
     }
 }

@@ -1,8 +1,9 @@
 //! Node references: the word type linking arena nodes together.
 //!
-//! A [`NodeRef`] is what a node's `next` [`TVar`](stm_core::TVar) holds:
-//! either a (non-zero) arena index, the null terminator, or the special
-//! **dead** marker that a removal writes into the unlinked node's own `next`
+//! A [`NodeRef`] is what a node's `next` holds (a list node's
+//! [`Link`](stm_core::Link), a skip-list tower's `TVar`s): either a
+//! (non-zero) arena index, the null terminator, or the special **dead**
+//! marker that a removal writes into the unlinked node's own `next`
 //! pointer.
 //!
 //! The dead marker is the linchpin of linearizability for *elastic*
@@ -17,19 +18,31 @@
 //!
 //! A dead marker additionally **preserves the successor** the node had
 //! when it was unlinked ([`NodeRef::dead`] / [`NodeRef::successor`]): the
-//! mark lives in bit 63, the successor in the low bits — the lazy-list
-//! tombstone layout. Correct backends never need the successor (their
+//! mark lives in the top payload bit, the successor in the bits below — the
+//! lazy-list tombstone layout. Correct backends never need the successor (their
 //! removals atomically unlink, so a dead node is unreachable and any
 //! stale sighting is transient), but it is what lets traversals *repair*
 //! a reachable dead node instead of retrying forever when a relaxed
 //! backend (the E-STM compatibility mode's Fig. 1 composition bug) has
 //! committed a redirect-less removal and permanently corrupted the
 //! structure. See `listcore::find` for the repair protocol.
+//!
+//! # Layout
+//!
+//! A reference is a link payload ([`PAYLOAD_BITS`] = 27 bits): the dead
+//! mark in bit 26 and the index in bits 0..26. So an arena a list links
+//! through holds at most `INDEX_LIMIT` − 1 = 2^26 − 1 nodes (64 Mi, 1 GiB
+//! of 16-byte list nodes), and [`NodeRef::node`] asserts it: an index past
+//! the bound would alias the dead mark.
 
+use stm_core::link::PAYLOAD_BITS;
 use stm_core::Word;
 
-/// Bit 63 marks the reference as the dead marker.
-const DEAD_BIT: u64 = 1 << 63;
+/// The top payload bit marks the reference as the dead marker.
+const DEAD_BIT: u64 = 1 << (PAYLOAD_BITS - 1);
+
+/// Every node index is below this bound (the dead mark's bit).
+pub(crate) const INDEX_LIMIT: u64 = DEAD_BIT;
 
 /// A reference to an arena node: an index, null, or the dead marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,11 +57,17 @@ impl NodeRef {
     /// successor is genuinely the end of the list.
     pub const DEAD: NodeRef = NodeRef(DEAD_BIT);
 
-    /// Reference to the node at `index` (must be a valid non-zero arena
-    /// index below 2^63).
+    /// Reference to the node at `index`.
+    ///
+    /// # Panics
+    /// If `index` is 0 or not below 2^26 (the arena outgrew what a link
+    /// can name).
     #[must_use]
     pub fn node(index: u64) -> Self {
-        debug_assert!(index != 0 && index & DEAD_BIT == 0);
+        assert!(
+            index != 0 && index < INDEX_LIMIT,
+            "node index {index} outside 1..2^26"
+        );
         NodeRef(index)
     }
 
@@ -145,5 +164,20 @@ mod tests {
         assert!(!d.is_node());
         assert!(!d.is_null());
         assert_eq!(d.successor(), NodeRef::node(42));
+    }
+
+    #[test]
+    fn references_fit_a_link_payload() {
+        let last = NodeRef::node(INDEX_LIMIT - 1);
+        assert!(last.is_node());
+        let dead = NodeRef::dead(last);
+        assert!(dead.into_word() <= stm_core::link::PAYLOAD_MAX);
+        assert_eq!(dead.successor(), last);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..2^26")]
+    fn an_index_past_the_bound_is_refused() {
+        let _ = NodeRef::node(INDEX_LIMIT);
     }
 }

@@ -19,7 +19,7 @@
 //! exploit.
 
 use crate::arena::{pin, Arena};
-use crate::listcore::ListNode;
+use crate::listcore::{read_next, write_next, ListNode};
 use crate::noderef::NodeRef;
 use std::cell::RefCell;
 use stm_core::api::{Atomic, AtomicBackend, Policy};
@@ -77,9 +77,9 @@ impl TxQueue {
         // A plain store before the tail link to the slot is written (see
         // `ListNode`).
         node.set_key(value);
-        tx.write(&node.next, NodeRef::NULL)?;
+        write_next(tx, &node.next, NodeRef::NULL)?;
         let t = tx.read(&self.tail)?;
-        tx.write(&self.node(t).next, NodeRef::node(n))?;
+        write_next(tx, &self.node(t).next, NodeRef::node(n))?;
         tx.write(&self.tail, n)?;
         Ok(())
     }
@@ -94,7 +94,7 @@ impl TxQueue {
         tx: &mut T,
         unlinked: &mut Vec<u64>,
     ) -> Result<Option<i64>, Abort> {
-        let first = tx.read(&self.node(self.head).next)?;
+        let first = read_next(tx, &self.node(self.head).next)?;
         if first.is_dead() {
             return Err(Abort::new(AbortReason::Explicit));
         }
@@ -103,15 +103,15 @@ impl TxQueue {
         }
         let f = first.index();
         let value = self.node(f).key();
-        let rest = tx.read(&self.node(f).next)?;
+        let rest = read_next(tx, &self.node(f).next)?;
         if rest.is_dead() {
             return Err(Abort::new(AbortReason::Explicit));
         }
-        tx.write(&self.node(self.head).next, rest)?;
+        write_next(tx, &self.node(self.head).next, rest)?;
         // Successor-preserving marker for protocol uniformity; queue ops
         // are always regular (fully validated), so unlike the elastic set
         // traversals nothing ever needs to repair through it.
-        tx.write(&self.node(f).next, NodeRef::dead(rest))?;
+        write_next(tx, &self.node(f).next, NodeRef::dead(rest))?;
         if rest.is_null() {
             // Removed the last element: the tail falls back to the sentinel.
             tx.write(&self.tail, self.head)?;
@@ -125,7 +125,7 @@ impl TxQueue {
     /// # Errors
     /// Propagates the [`Abort`] that ends this attempt.
     pub fn peek_in<'e, T: Transaction<'e>>(&'e self, tx: &mut T) -> Result<Option<i64>, Abort> {
-        let first = tx.read(&self.node(self.head).next)?;
+        let first = read_next(tx, &self.node(self.head).next)?;
         if first.is_dead() {
             return Err(Abort::new(AbortReason::Explicit));
         }
@@ -144,10 +144,10 @@ impl TxQueue {
         let bound = 2 * self.arena.high_water() + 64;
         let mut steps = 0u64;
         let mut n = 0usize;
-        let mut curr = tx.read(&self.node(self.head).next)?;
+        let mut curr = read_next(tx, &self.node(self.head).next)?;
         while curr.is_node() {
             n += 1;
-            curr = tx.read(&self.node(curr.index()).next)?;
+            curr = read_next(tx, &self.node(curr.index()).next)?;
             steps += 1;
             if steps > bound {
                 return Err(Abort::new(AbortReason::StepBound));

@@ -4,21 +4,23 @@
 
 use crate::OeStm;
 use stm_core::driver::{Attempt, TxnEngine};
+use stm_core::link::{self, Link, Loc};
 use stm_core::readset::{ReadEntry, ReadSet};
 use stm_core::scratch::{give_back, SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
+use stm_core::vlock::VLock;
 use stm_core::writeset::WriteSet;
-use stm_core::{Abort, AbortReason, Stm, Transaction, TxKind};
+use stm_core::{Abort, AbortReason, Transaction, TxKind};
 
 use crate::window::Window;
 
 /// Saved parent state across a child transaction (one nesting frame).
 ///
-/// The parent's window is parked here *by value*: [`Window`] is a
-/// two-slot inline ring, so saving and restoring it moves a few words on
-/// the stack instead of allocating a `Vec` per child — composition stays
-/// on the allocation-free hot path.
+/// The parent's window is parked here *by value*: [`Window`] is two
+/// inline slots, so saving and restoring it moves a few words on the stack
+/// instead of allocating a `Vec` per child — composition stays on the
+/// allocation-free hot path.
 #[derive(Debug)]
 struct Frame<'env> {
     saved_mode: TxKind,
@@ -76,6 +78,15 @@ impl Drop for OeScratch<'_> {
 /// livelock against a pathological stream of conflicting commits).
 const MAX_ADVANCE_ATTEMPTS: u32 = 16;
 
+/// The abort of a read whose previous read no longer holds. Out of line,
+/// so a read head branches to it instead of selecting its result: the word
+/// a head returns must not wait for the check of the previous read.
+#[cold]
+#[inline(never)]
+fn elastic_cut() -> Abort {
+    Abort::new(AbortReason::ElasticCut)
+}
+
 /// One OE-STM transaction: a single object per `run` call, restarted in
 /// place for every attempt.
 ///
@@ -93,6 +104,12 @@ pub struct OeTxn<'env> {
     stm: &'env OeStm,
     /// Snapshot time: all protected reads are consistent at `rv`.
     rv: u64,
+    /// The clock at the attempt's begin: what its clock age is measured
+    /// from once it has read a link (see `stm_core::link`).
+    start: u64,
+    /// Whether this attempt read a link, and so owes the age check at its
+    /// extensions and its commit.
+    linked: bool,
     at: Attempt<'env>,
     scratch: OeScratch<'env>,
     window: Window<'env>,
@@ -123,7 +140,9 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
         self.mode = self.top_kind;
         self.hardened = self.top_kind == TxKind::Regular;
         self.elastic = !self.hardened;
-        self.rv = self.stm.clock().now();
+        self.rv = self.stm.inst.clock.now();
+        self.start = self.rv;
+        self.linked = false;
     }
 
     /// Top-level commit. Both the elastic and the estm-compat registry
@@ -136,6 +155,9 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
         // read-only composition still validates what its children
         // outherited (see `Attempt::read_only_commit`).
         if self.scratch.base.writes.is_empty() {
+            if self.linked {
+                link::check_age(self.start, self.stm.inst.clock.now())?;
+            }
             let (reads, window) = (&self.scratch.base.reads, &self.window);
             self.at
                 .read_only_commit(|| reads.validate(None, |_| None) && window.validate())?;
@@ -145,14 +167,17 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
             // validate everything together.
             self.window.drain_into(&mut self.scratch.base.reads);
             self.scratch.base.writes.lock_all(self.at.ticket())?;
-            let stamp = self.stm.clock().stamp();
+            let stamp = self.stm.inst.clock.stamp();
             wv = stamp.wv;
+            if self.linked {
+                link::check_age(self.start, wv)?;
+            }
             // Validation-skip fast path (see TL2): an exclusively won
             // wv == rv + 1 means no other update committed since the
             // snapshot time; an adopted stamp means one did.
             let valid = (stamp.exclusive && wv == self.rv + 1)
-                || self.scratch.base.reads.validate(self.at.owner(), |core| {
-                    self.scratch.base.writes.locked_version_of(core)
+                || self.scratch.base.reads.validate(self.at.owner(), |lock| {
+                    self.scratch.base.writes.locked_version_of(lock)
                 });
             if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
@@ -166,7 +191,13 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
             writes.len(),
             WriteSet::for_each_write,
             |w| w.write_back_and_release(wv),
-            |_| if elastic { rv } else { reads.max_version() },
+            |_| {
+                if elastic {
+                    rv
+                } else {
+                    reads.observed_bound(rv)
+                }
+            },
         );
         Ok(())
     }
@@ -176,10 +207,10 @@ impl<'env> TxnEngine<'env> for OeTxn<'env> {
     }
 
     /// Fold the current elastic window into the base read set: the wait
-    /// path parks on the full footprint of the aborted attempt. (Windows
-    /// parked in already-popped nesting frames are not recovered; the
-    /// bounded park timeout covers the resulting — rare — missed-wake
-    /// corner.)
+    /// path parks on the full footprint of the aborted attempt. The
+    /// windows of enclosing (sub)transactions, parked in nesting frames an
+    /// aborting child popped, were already folded in by
+    /// [`child_abort`](Transaction::child_abort).
     fn wait_set(&mut self) -> &ReadSet<'env> {
         self.window.drain_into(&mut self.scratch.base.reads);
         &self.scratch.base.reads
@@ -191,6 +222,8 @@ impl<'env> OeTxn<'env> {
         Self {
             stm,
             rv: 0,
+            start: 0,
+            linked: false,
             at: Attempt::new(&stm.inst),
             scratch: OeScratch::acquire(),
             window: Window::new(),
@@ -215,8 +248,8 @@ impl<'env> OeTxn<'env> {
     }
 
     fn validate_all_reads(&self) -> bool {
-        self.scratch.base.reads.validate(self.at.owner(), |core| {
-            self.scratch.base.writes.locked_version_of(core)
+        self.scratch.base.reads.validate(self.at.owner(), |lock| {
+            self.scratch.base.writes.locked_version_of(lock)
         }) && self.window.validate()
     }
 
@@ -232,6 +265,9 @@ impl<'env> OeTxn<'env> {
     /// version is already published), so the advance never re-reads the
     /// contended global clock line.
     fn advance_snapshot(&mut self, target: u64) -> Result<(), Abort> {
+        if self.linked {
+            link::check_age(self.start, target)?;
+        }
         if !self.validate_all_reads() {
             let reason = if self.hardened {
                 AbortReason::ExtensionFailed
@@ -258,62 +294,63 @@ impl<'env> OeTxn<'env> {
     #[inline]
     fn protect_elastic(
         &mut self,
-        core: &'env TVarCore,
-        version: u64,
+        lock: &'env VLock,
+        seen: u64,
     ) -> Result<Option<ReadEntry<'env>>, Abort> {
-        let evicted = self.window.push(core, version);
+        let evicted = self.window.push(lock, seen);
         if self.window.validate_previous() {
             Ok(evicted)
         } else {
-            Err(Abort::new(AbortReason::ElasticCut))
+            Err(elastic_cut())
         }
     }
 
-    /// One transactional read, with two inlined heads for the reads that
-    /// need nothing but the location: nothing buffered, no tracer armed,
-    /// and a consistent read at or below the snapshot. The elastic head is
-    /// the whole cost of a step of an elastic traversal: its window slot
-    /// and the check of the previous read. The regular head (hardened:
-    /// a regular transaction, or an elastic one past its first write) is
-    /// one read-set entry, when the read set has room for it: growing is
-    /// a call, and a call in the head would make every read save the
-    /// registers it clobbers. Every other read — and a head read that met
-    /// a lock, a moving version, a version past the snapshot or a full
-    /// read set, of which nothing was recorded — is done from the start
-    /// by [`read_tail`](Self::read_tail).
+    /// One transactional read, with an inlined one-pass head for the
+    /// reads that need nothing but the location: nothing buffered, no
+    /// tracer armed, and the location unlocked at or below the snapshot.
+    /// The head loads the protection word once and tests it with one
+    /// compare (`raw <= rv` for a `TVar`, which rejects a locked word and a
+    /// newer version at once); a `TVar` then loads its value and checks the
+    /// word did not move, while a link's word already is its value. The
+    /// elastic head is the whole cost of a step of an elastic traversal:
+    /// that pass, its window slot and the check of the previous read. The
+    /// regular head (hardened: a regular transaction, or an elastic one
+    /// past its first write) is one read-set entry, when the read set has
+    /// room for it: growing is a call, and a call in the head would make
+    /// every read save the registers it clobbers. Every other read — and a
+    /// head read that met a lock, a moving word, a version past the
+    /// snapshot or a full read set, of which nothing was recorded — is
+    /// done from the start by [`read_tail`](Self::read_tail).
     #[inline]
-    fn read_core(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        if !self.hardened && self.scratch.base.writes.is_empty() && self.at.tracer().is_none() {
-            if let Ok((word, version)) = core.read_consistent() {
-                if version <= self.rv {
-                    return self.protect_elastic(core, version).map(|_| word);
+    fn read_core(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
+        if self.scratch.base.writes.is_empty() && self.at.tracer().is_none() {
+            if let Some((word, seen)) = loc.read_within(self.rv) {
+                if !self.hardened {
+                    return self.protect_elastic(loc.lock(), seen).map(|_| word);
                 }
-            }
-        }
-        if self.hardened && self.scratch.base.writes.is_empty() && self.at.tracer().is_none() {
-            if let Ok((word, version)) = core.read_consistent() {
-                if version <= self.rv && self.scratch.base.reads.try_push(core, version) {
+                if self.scratch.base.reads.try_push(loc, seen) {
                     return Ok(word);
                 }
             }
         }
-        self.read_tail(core)
+        self.read_tail(loc)
     }
 
     #[inline(never)]
-    fn read_tail(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        if let Some(word) = self.scratch.base.writes.lookup(core) {
+    fn read_tail(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
+        if let Some(word) = self.scratch.base.writes.lookup(loc) {
             if let Some(t) = self.at.tracer() {
-                t.op_held(core.id(), TraceOp::Read(word));
+                t.op_held(loc.id(), TraceOp::Read(word));
             }
             return Ok(word);
         }
         let mut advances = 0u32;
         let mut spins = 0u32;
         loop {
-            match core.read_consistent() {
-                Ok((word, version)) => {
-                    if version > self.rv {
+            match loc.read_consistent() {
+                Ok((word, seen)) => {
+                    let clock = &self.stm.inst.clock;
+                    if let Some(version) = loc.newer(seen, self.rv, || clock.now()) {
                         advances += 1;
                         if advances > MAX_ADVANCE_ATTEMPTS {
                             return Err(Abort::new(AbortReason::ReadValidation));
@@ -324,19 +361,19 @@ impl<'env> OeTxn<'env> {
                         continue;
                     }
                     if self.hardened {
-                        self.scratch.base.reads.push(core, version);
+                        self.scratch.base.reads.push(loc, seen);
                     } else {
                         // Elastic read-only prefix: the evicted read is
                         // released. (A failed check aborts the attempt and
                         // the tracer discards an aborted attempt's pending
                         // releases, so it need not hear of that eviction.)
-                        let evicted = self.protect_elastic(core, version)?;
+                        let evicted = self.protect_elastic(loc.lock(), seen)?;
                         if let (Some(t), Some(e)) = (self.at.tracer(), evicted) {
-                            t.drop_hold(e.core.id());
+                            t.drop_hold(e.id());
                         }
                     }
                     if let Some(t) = self.at.tracer() {
-                        t.op(core.id(), TraceOp::Read(word));
+                        t.op(loc.id(), TraceOp::Read(word));
                     }
                     return Ok(word);
                 }
@@ -359,7 +396,7 @@ impl<'env> OeTxn<'env> {
         }
     }
 
-    fn write_core(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
+    fn write_core(&mut self, loc: Loc<'env>, word: u64) -> Result<(), Abort> {
         if self.mode == TxKind::Elastic && !self.hardened {
             // First write: the transaction hardens. The immediate past
             // reads (the window) become permanently tracked — they are the
@@ -367,13 +404,13 @@ impl<'env> OeTxn<'env> {
             self.hardened = true;
             self.window.drain_into(&mut self.scratch.base.reads);
         }
-        let first_touch = self.scratch.base.writes.lookup(core).is_none();
-        self.scratch.base.writes.insert(core, word);
+        let first_touch = self.scratch.base.writes.lookup(loc).is_none();
+        self.scratch.base.writes.insert(loc, word);
         if let Some(t) = self.at.tracer() {
             if first_touch {
-                t.op(core.id(), TraceOp::Write(word));
+                t.op(loc.id(), TraceOp::Write(word));
             } else {
-                t.op_held(core.id(), TraceOp::Write(word));
+                t.op_held(loc.id(), TraceOp::Write(word));
             }
         }
         Ok(())
@@ -383,11 +420,21 @@ impl<'env> OeTxn<'env> {
 impl<'env> Transaction<'env> for OeTxn<'env> {
     #[inline]
     fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        self.read_core(core)
+        self.read_core(Loc::Var(core))
     }
 
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        self.write_core(core, word)
+        self.write_core(Loc::Var(core), word)
+    }
+
+    #[inline]
+    fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort> {
+        self.linked = true;
+        self.read_core(Loc::Link(link))
+    }
+
+    fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort> {
+        self.write_core(Loc::Link(link), payload)
     }
 
     /// Composition, begin half. The child runs as its own (sub)transaction
@@ -449,8 +496,8 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
                 self.scratch
                     .base
                     .reads
-                    .validate_suffix(frame.read_mark, self.at.owner(), |core| {
-                        self.scratch.base.writes.locked_version_of(core)
+                    .validate_suffix(frame.read_mark, self.at.owner(), |lock| {
+                        self.scratch.base.writes.locked_version_of(lock)
                     })
                     && self.window.validate();
             if !ok {
@@ -459,10 +506,10 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             let child_id = self.at.child_commit(false);
             if let (Some(t), Some(child_id)) = (self.at.tracer(), child_id) {
                 for e in self.scratch.base.reads.iter().skip(frame.read_mark) {
-                    t.drop_hold_as(child_id, e.core.id());
+                    t.drop_hold_as(child_id, e.id());
                 }
                 for e in self.window.iter() {
-                    t.drop_hold_as(child_id, e.core.id());
+                    t.drop_hold_as(child_id, e.id());
                 }
             }
             self.scratch.base.reads.truncate(frame.read_mark);
@@ -476,13 +523,18 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
 
     /// Composition, abort half: a child abort aborts the whole attempt
     /// (the retry loop re-runs the top-level transaction from scratch), so
-    /// only the nesting bookkeeping is unwound here.
+    /// only the nesting bookkeeping is unwound here. The enclosing
+    /// transaction's window, parked in the popped frame, joins the read
+    /// set: it is part of what the aborted attempt read, so a `retry()` in
+    /// the child must also wake on a commit to it (the child's own window
+    /// is folded in by [`wait_set`](TxnEngine::wait_set)).
     fn child_abort(&mut self) {
-        let _ = self
+        let mut frame = self
             .scratch
             .frames
             .pop()
             .expect("child_abort without child_enter");
+        frame.saved_window.drain_into(&mut self.scratch.base.reads);
         self.at.child_abort();
     }
 
@@ -505,7 +557,7 @@ mod tests {
     use core::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use stm_core::trace::{TraceSink, TraceStamp};
-    use stm_core::{StatsSnapshot, StmConfig, TVar};
+    use stm_core::{StatsSnapshot, Stm, StmConfig, TVar};
 
     /// A sink that only counts operations — enough to arm the tracer and
     /// to prove it was armed.
@@ -557,6 +609,17 @@ mod tests {
         out: &mut Outcome,
     ) -> Result<u64, Abort> {
         let word = tx.read_word(var.core())?;
+        out.words.push(word);
+        out.protected.push(tx.protected_reads());
+        Ok(word)
+    }
+
+    fn read_link_logged<'env>(
+        tx: &mut OeTxn<'env>,
+        link: &'env Link,
+        out: &mut Outcome,
+    ) -> Result<u64, Abort> {
+        let word = tx.read_link(link)?;
         out.words.push(word);
         out.protected.push(tx.protected_reads());
         Ok(word)
@@ -804,6 +867,140 @@ mod tests {
         });
         assert_eq!(out.words, vec![2, 42], "the buffered value, not memory's");
         assert_eq!(out.protected, vec![1, 1], "a buffered hit protects nothing");
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+    }
+
+    #[test]
+    fn plain_elastic_link_walk() {
+        let out = both_paths(|stm| {
+            let links: Vec<Link> = (10..16).map(Link::new).collect();
+            let mut out = Outcome::default();
+            stm.run(TxKind::Elastic, |tx| {
+                for l in &links {
+                    read_link_logged(tx, l, &mut out)?;
+                }
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.words, vec![10, 11, 12, 13, 14, 15]);
+        assert_eq!(out.protected, vec![1, 2, 2, 2, 2, 2], "a two-slot window");
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+        assert_eq!(out.stats.elastic_cuts, 0);
+    }
+
+    #[test]
+    fn overwritten_previous_link_cuts() {
+        let out = both_paths(|stm| {
+            let (a, b) = (Link::new(1), Link::new(2));
+            let mut out = Outcome::default();
+            let mut sabotage = true;
+            stm.run(TxKind::Elastic, |tx| {
+                out.words.clear();
+                out.protected.clear();
+                read_link_logged(tx, &a, &mut out)?;
+                if sabotage {
+                    sabotage = false;
+                    a.store_atomic(7u64, stm.clock().tick());
+                    let cut = read_link_logged(tx, &b, &mut out).expect_err("a is still windowed");
+                    out.abort = Some(cut.reason);
+                    return Err(cut);
+                }
+                read_link_logged(tx, &b, &mut out)?;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.abort, Some(AbortReason::ElasticCut));
+        assert_eq!(out.words, vec![7, 2]);
+        assert_eq!(out.protected, vec![1, 2]);
+        assert_eq!(out.stats.commits, 1);
+        assert_eq!(
+            out.stats.aborts_by_cause[AbortReason::ElasticCut.index()],
+            1
+        );
+    }
+
+    #[test]
+    fn newer_link_advances_the_snapshot_once() {
+        let out = both_paths(|stm| {
+            let (a, c) = (Link::new(1), Link::new(2));
+            let mut out = Outcome::default();
+            stm.run(TxKind::Elastic, |tx| {
+                read_link_logged(tx, &a, &mut out)?;
+                let before = tx.snapshot_time();
+                c.store_atomic(9u64, stm.clock().tick());
+                read_link_logged(tx, &c, &mut out)?;
+                out.advanced_by = tx.snapshot_time() - before;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.words, vec![1, 9]);
+        assert_eq!(out.protected, vec![1, 2]);
+        assert_eq!(out.advanced_by, 1, "rv moved to c's version");
+        assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+        assert_eq!(out.stats.elastic_cuts, 1);
+    }
+
+    #[test]
+    fn foreign_lock_on_a_link_is_a_lock_conflict() {
+        let out = both_paths(|stm| {
+            let (a, l) = (Link::new(1), Link::new(2));
+            let raw = l.lock().raw();
+            assert!(l.lock().try_lock_at(raw, FOREIGN_TICKET));
+            let mut out = Outcome::default();
+            let mut locked = true;
+            stm.run(TxKind::Elastic, |tx| {
+                out.words.clear();
+                out.protected.clear();
+                read_link_logged(tx, &a, &mut out)?;
+                if locked {
+                    locked = false;
+                    let conflict = read_link_logged(tx, &l, &mut out).expect_err("l is locked");
+                    out.abort = Some(conflict.reason);
+                    l.lock().unlock_to(raw);
+                    return Err(conflict);
+                }
+                read_link_logged(tx, &l, &mut out)?;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            out
+        });
+        assert_eq!(out.abort, Some(AbortReason::LockConflict));
+        assert_eq!(out.words, vec![1, 2]);
+        assert_eq!(out.stats.commits, 1);
+        assert_eq!(
+            out.stats.aborts_by_cause[AbortReason::LockConflict.index()],
+            1
+        );
+    }
+
+    /// A regular walk and a write over links: every read is logged, and
+    /// the written link publishes its payload with the commit version.
+    #[test]
+    fn regular_link_walk_then_write() {
+        let out = both_paths(|stm| {
+            let links: Vec<Link> = (10..13).map(Link::new).collect();
+            let mut out = Outcome::default();
+            stm.run(TxKind::Regular, |tx| {
+                for l in &links {
+                    read_link_logged(tx, l, &mut out)?;
+                }
+                tx.write_link(&links[0], 40)?;
+                read_link_logged(tx, &links[0], &mut out)?;
+                Ok(())
+            });
+            out.stats = stm.stats();
+            assert_eq!(links[0].load_atomic::<u64>(), 40);
+            out
+        });
+        assert_eq!(out.words, vec![10, 11, 12, 40], "the buffered payload");
+        assert_eq!(out.protected, vec![1, 2, 3, 3]);
         assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
     }
 }

@@ -10,33 +10,31 @@
 //! window (the paper's pair: previous and current read) is what remains of
 //! the prefix in the minimal protected set.
 //!
-//! The window sits on the hot path of every elastic read, so it is a
-//! two-slot inline ring — no heap allocation per transaction — and the
-//! per-read check is O(1): the slot the next push overwrites *is* the
-//! previous read.
+//! The window sits on the hot path of every elastic read, so it is two
+//! named inline slots — no heap allocation per transaction, no ring index —
+//! and the per-read check is O(1): the `older` slot *is* the previous read.
+//! Each slot records the protection word its read was validated against and
+//! the raw word seen there, so a `TVar` read and a link read are checked
+//! the same way: by one load compared with what was seen.
 
 use stm_core::readset::{ReadEntry, ReadSet};
-use stm_core::tvar::TVarCore;
-use stm_core::vlock::LockState;
-
-/// The window's capacity: the previous read and the current one.
-const CAP: usize = 2;
+use stm_core::vlock::VLock;
 
 /// The sliding window of an elastic transaction's two most recent reads.
+/// `older` is only occupied while `newer` is.
 #[derive(Debug, Default)]
 pub struct Window<'env> {
-    slots: [Option<ReadEntry<'env>>; CAP],
-    /// Ring position receiving the next push.
-    next: usize,
-    len: usize,
+    /// The previous read: the one the next push releases.
+    older: Option<ReadEntry<'env>>,
+    /// The most recent read.
+    newer: Option<ReadEntry<'env>>,
 }
 
+/// Whether a windowed read's protection word still holds what was seen
+/// (unlocked and unchanged).
 #[inline]
 fn entry_valid(e: &ReadEntry<'_>) -> bool {
-    matches!(
-        e.core.lock().load(),
-        LockState::Unlocked { version } if version == e.version
-    )
+    e.lock.raw() == e.seen
 }
 
 impl<'env> Window<'env> {
@@ -46,81 +44,68 @@ impl<'env> Window<'env> {
         Self::default()
     }
 
-    /// Record a read, releasing (returning) the oldest entry if the window
-    /// is full. A returned entry is a *relaxation event*: that read's
-    /// protection element has left the protected set.
+    /// Record a read made under the raw protection word `seen`, releasing
+    /// (returning) the oldest entry if the window is full. A returned entry
+    /// is a *relaxation event*: that read's protection element has left the
+    /// protected set.
     #[inline]
-    pub fn push(&mut self, core: &'env TVarCore, version: u64) -> Option<ReadEntry<'env>> {
-        // `next < CAP` always; the mask tells the compiler.
-        let evicted = self.slots[self.next % CAP].replace(ReadEntry { core, version });
-        self.next = (self.next + 1) % CAP;
-        if self.len < CAP {
-            self.len += 1;
-        }
+    pub fn push(&mut self, lock: &'env VLock, seen: u64) -> Option<ReadEntry<'env>> {
+        let evicted = self.older;
+        self.older = self.newer;
+        self.newer = Some(ReadEntry { lock, seen });
         evicted
     }
 
-    /// Check that every windowed read is still at its recorded version
-    /// (the "cut" check: the last reads form a consistent anchor even if
+    /// Check that every windowed read is still at its recorded word (the
+    /// "cut" check: the last reads form a consistent anchor even if
     /// earlier prefix reads changed).
     #[must_use]
     pub fn validate(&self) -> bool {
-        self.slots.iter().flatten().all(entry_valid)
+        self.iter().all(entry_valid)
     }
 
     /// Validate every windowed read *except* the most recently pushed one
     /// (which a consistent read just produced). This is E-STM's per-read
-    /// check of the immediate past reads, one atomic load per entry.
+    /// check of the immediate past reads, one atomic load.
     #[inline]
     #[must_use]
     pub fn validate_previous(&self) -> bool {
-        // The slot the next push overwrites is the previous read (vacant
-        // until the second push).
-        self.slots[self.next % CAP].as_ref().is_none_or(entry_valid)
+        self.older.as_ref().is_none_or(entry_valid)
     }
 
     /// Move every windowed entry into `reads` (oldest first) and empty the
     /// window. Used when the transaction *hardens* (first write: the
-    /// immediate past reads become permanently tracked, Section V) and by
-    /// `outherit()` (the child's last-read entries pass to the parent).
+    /// immediate past reads become permanently tracked, Section V), by
+    /// `outherit()` (the child's last-read entries pass to the parent) and
+    /// to fold an aborted attempt's windows into its wait footprint.
     pub fn drain_into(&mut self, reads: &mut ReadSet<'env>) {
-        let start = (self.next + CAP - self.len) % CAP;
-        for k in 0..self.len {
-            if let Some(e) = self.slots[(start + k) % CAP].take() {
-                reads.push(e.core, e.version);
-            }
+        for e in [self.older.take(), self.newer.take()].into_iter().flatten() {
+            reads.push_entry(e);
         }
-        self.len = 0;
-        self.next = 0;
     }
 
     /// Drop everything (E-STM child commit: the child's window is released
-    /// instead of outherited; attempt restart). An empty window has every
-    /// slot vacant and `next` at 0 already, so clearing one costs a test.
+    /// instead of outherited; attempt restart).
     pub fn clear(&mut self) {
-        if self.len != 0 {
-            self.slots = Default::default();
-            self.len = 0;
-            self.next = 0;
-        }
+        self.older = None;
+        self.newer = None;
     }
 
     /// Number of protected reads currently windowed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        usize::from(self.older.is_some()) + usize::from(self.newer.is_some())
     }
 
     /// True if the window holds no reads.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.newer.is_none()
     }
 
     /// Iterate over the windowed entries (oldest first).
     pub fn iter(&self) -> impl Iterator<Item = &ReadEntry<'env>> {
-        let start = (self.next + CAP - self.len) % CAP;
-        (0..self.len).filter_map(move |k| self.slots[(start + k) % CAP].as_ref())
+        self.older.iter().chain(self.newer.iter())
     }
 }
 
@@ -129,18 +114,21 @@ mod tests {
     use super::*;
     use stm_core::TVar;
 
+    /// The window holds two reads: the previous one and the current one.
+    const CAP: usize = 2;
+
     #[test]
     fn push_drops_oldest_beyond_cap() {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let c = TVar::new(3u64);
         let mut w = Window::new();
-        assert!(w.push(a.core(), 0).is_none());
-        assert!(w.push(b.core(), 0).is_none());
-        let dropped = w.push(c.core(), 0).expect("third push must evict");
-        assert_eq!(dropped.core.id(), a.core().id());
+        assert!(w.push(a.core().lock(), 0).is_none());
+        assert!(w.push(b.core().lock(), 0).is_none());
+        let dropped = w.push(c.core().lock(), 0).expect("third push must evict");
+        assert_eq!(dropped.id(), a.core().id());
         assert_eq!(w.len(), 2);
-        let ids: Vec<usize> = w.iter().map(|e| e.core.id()).collect();
+        let ids: Vec<usize> = w.iter().map(|e| e.id()).collect();
         assert_eq!(
             ids,
             vec![b.core().id(), c.core().id()],
@@ -153,8 +141,8 @@ mod tests {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let mut w = Window::new();
-        w.push(a.core(), 0);
-        w.push(b.core(), 0);
+        w.push(a.core().lock(), 0);
+        w.push(b.core().lock(), 0);
         assert!(w.validate());
         a.store_atomic(9, 5);
         assert!(!w.validate());
@@ -167,8 +155,8 @@ mod tests {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let mut w = Window::new();
-        w.push(a.core(), 0);
-        w.push(b.core(), 0);
+        w.push(a.core().lock(), 0);
+        w.push(b.core().lock(), 0);
         // Invalidate only the NEWEST entry: validate_previous ignores it.
         b.store_atomic(9, 5);
         assert!(w.validate_previous());
@@ -183,9 +171,9 @@ mod tests {
         let b = TVar::new(2u64);
         let c = TVar::new(3u64);
         let mut w = Window::new();
-        w.push(a.core(), 0);
-        w.push(b.core(), 0);
-        w.push(c.core(), 0); // evicts a
+        w.push(a.core().lock(), 0);
+        w.push(b.core().lock(), 0);
+        w.push(c.core().lock(), 0); // evicts a
         a.store_atomic(9, 5);
         assert!(w.validate(), "evicted reads must be relaxed");
     }
@@ -195,8 +183,8 @@ mod tests {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let mut w = Window::new();
-        w.push(a.core(), 0);
-        w.push(b.core(), 0);
+        w.push(a.core().lock(), 0);
+        w.push(b.core().lock(), 0);
         let mut rs = ReadSet::new();
         w.drain_into(&mut rs);
         assert!(w.is_empty());
@@ -211,15 +199,15 @@ mod tests {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let mut w = Window::new();
-        w.push(a.core(), 0);
-        w.push(b.core(), 3);
+        w.push(a.core().lock(), 0);
+        w.push(b.core().lock(), 3);
         let saved = w; // move, as Frame::saved_window does
         let mut w = Window::new();
-        w.push(b.core(), 9);
+        w.push(b.core().lock(), 9);
         w.clear();
         let w = saved;
         assert_eq!(w.len(), 2);
-        let versions: Vec<u64> = w.iter().map(|e| e.version).collect();
+        let versions: Vec<u64> = w.iter().map(|e| e.seen).collect();
         assert_eq!(versions, vec![0, 3]);
     }
 
@@ -227,7 +215,7 @@ mod tests {
     fn locked_entry_fails_validation() {
         let a = TVar::new(1u64);
         let mut w = Window::new();
-        w.push(a.core(), 0);
+        w.push(a.core().lock(), 0);
         assert!(a.core().lock().try_lock_at(0, 3));
         assert!(!w.validate());
         a.core().lock().unlock_to(0);
@@ -267,9 +255,9 @@ mod tests {
                     0..=8 if !locked[i] => {
                         let expect = (model.len() == CAP).then(|| model.pop_front().unwrap());
                         model.push_back((i, version[i]));
-                        let evicted = w.push(vars[i].core(), version[i]);
+                        let evicted = w.push(vars[i].core().lock(), version[i]);
                         assert_eq!(
-                            evicted.map(|e| (e.core.id(), e.version)),
+                            evicted.map(|e| (e.id(), e.seen)),
                             expect.map(|(v, ver)| (vars[v].core().id(), ver)),
                             "seed {seed} step {step}: oldest-first eviction"
                         );
@@ -290,7 +278,7 @@ mod tests {
                         let mut rs = ReadSet::new();
                         w.drain_into(&mut rs);
                         let drained: Vec<(usize, u64)> =
-                            rs.iter().map(|e| (e.core.id(), e.version)).collect();
+                            rs.iter().map(|e| (e.id(), e.seen)).collect();
                         let expect: Vec<(usize, u64)> = model
                             .drain(..)
                             .map(|(v, ver)| (vars[v].core().id(), ver))
@@ -304,9 +292,7 @@ mod tests {
                 assert_eq!(w.len(), model.len(), "{ctx}");
                 assert_eq!(w.is_empty(), model.is_empty(), "{ctx}");
                 assert_eq!(
-                    w.iter()
-                        .map(|e| (e.core.id(), e.version))
-                        .collect::<Vec<_>>(),
+                    w.iter().map(|e| (e.id(), e.seen)).collect::<Vec<_>>(),
                     model
                         .iter()
                         .map(|&(v, ver)| (vars[v].core().id(), ver))

@@ -4,8 +4,8 @@
 //! Boosting treats every object as a black box whose protection element
 //! is an [`AbstractLocks`] entry:
 //!
-//! * a transactional word ([`TVarCore`]) locks its identity in the
-//!   [`BoostStm`]'s own table; a [`BoostedSet`](crate::BoostedSet) locks
+//! * a transactional word ([`TVarCore`] or [`Link`]) locks its identity in
+//!   the [`BoostStm`]'s own table; a [`BoostedSet`](crate::BoostedSet) locks
 //!   its keys in the set's table. Each held lock is logged with its table;
 //! * locks are acquired *eagerly* at first touch, for reads and writes
 //!   alike (strict two-phase locking — for words, the degenerate
@@ -31,6 +31,7 @@ use crate::base::BaseSet;
 use crate::locks::AbstractLocks;
 use stm_core::driver::{self, Attempt, TxnEngine, WaitSet};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
+use stm_core::link::{Link, Loc};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::TVarCore;
 use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
@@ -46,8 +47,18 @@ pub fn register_backends(registry: &mut BackendRegistry) {
 
 /// The abstract-lock key of a location: its stable identity, reinterpreted
 /// into the signed key space [`AbstractLocks`] uses for set elements.
-fn lock_key(core: &TVarCore) -> i64 {
-    i64::from_ne_bytes((core.id() as u64).to_ne_bytes())
+fn lock_key(id: usize) -> i64 {
+    i64::from_ne_bytes((id as u64).to_ne_bytes())
+}
+
+/// Store `word` into `loc` in place. The caller holds its abstract lock; a
+/// link is written through its own lock at the advisory version 0, since
+/// boosting keeps no clock.
+fn store(loc: Loc<'_>, word: u64) {
+    match loc {
+        Loc::Var(core) => core.store_value(word),
+        Loc::Link(link) => link.store_atomic(word, 0),
+    }
 }
 
 /// A boosted STM instance (registry name `"boost"`).
@@ -99,7 +110,7 @@ impl BoostStm {
 /// How to undo one update applied in place.
 pub(crate) enum Undo<'env> {
     /// Restore the word a write overwrote.
-    Word(&'env TVarCore, u64),
+    Word(Loc<'env>, u64),
     /// Remove the key a set `add` inserted.
     Remove(&'env BaseSet, i64),
     /// Re-insert the key a set `remove` deleted.
@@ -109,7 +120,7 @@ pub(crate) enum Undo<'env> {
 impl Undo<'_> {
     fn apply(self) {
         match self {
-            Undo::Word(core, old) => core.store_value(old),
+            Undo::Word(loc, old) => store(loc, old),
             Undo::Remove(base, key) => {
                 base.remove(key);
             }
@@ -154,19 +165,17 @@ impl BoostLog<'_> {
 /// version clock, so a parked `retry()` re-validates by *value* comparison
 /// against these observations. Set keys are not wait locations.
 #[derive(Default)]
-pub struct ReadLog<'env>(Vec<(&'env TVarCore, u64)>);
+pub struct ReadLog<'env>(Vec<(Loc<'env>, u64)>);
 
 impl WaitSet for ReadLog<'_> {
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
     fn locations(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().map(|(core, _)| core.id())
+        self.0.iter().map(|(loc, _)| loc.id())
     }
     fn still_valid(&self) -> bool {
-        self.0
-            .iter()
-            .all(|(core, word)| core.value_unsync() == *word)
+        self.0.iter().all(|(loc, word)| loc.value_unsync() == *word)
     }
 }
 
@@ -242,8 +251,8 @@ impl<'env> TxnEngine<'env> for BoostTxn<'env> {
             words,
             |log, f| {
                 for undo in &log.undo {
-                    if let Undo::Word(core, _) = undo {
-                        f(core.id(), core.value_unsync());
+                    if let Undo::Word(loc, _) = undo {
+                        f(loc.id(), loc.value_unsync());
                     }
                 }
             },
@@ -271,35 +280,53 @@ impl<'env> TxnEngine<'env> for BoostTxn<'env> {
     }
 }
 
-impl<'env> Transaction<'env> for BoostTxn<'env> {
-    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        let first = self.lock(&self.stm.locks, lock_key(core))?;
-        let word = core.value_unsync();
+impl<'env> BoostTxn<'env> {
+    fn read_loc(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
+        let first = self.lock(&self.stm.locks, lock_key(loc.id()))?;
+        let word = loc.value_unsync();
         if first {
-            self.log.reads.0.push((core, word));
+            self.log.reads.0.push((loc, word));
         }
         if let Some(t) = self.at.tracer() {
             if first {
-                t.op(core.id(), TraceOp::Read(word));
+                t.op(loc.id(), TraceOp::Read(word));
             } else {
-                t.op_held(core.id(), TraceOp::Read(word));
+                t.op_held(loc.id(), TraceOp::Read(word));
             }
         }
         Ok(word)
     }
 
-    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        let first = self.lock(&self.stm.locks, lock_key(core))?;
-        self.log_undo(Undo::Word(core, core.value_unsync()));
-        core.store_value(word);
+    fn write_loc(&mut self, loc: Loc<'env>, word: u64) -> Result<(), Abort> {
+        let first = self.lock(&self.stm.locks, lock_key(loc.id()))?;
+        self.log_undo(Undo::Word(loc, loc.value_unsync()));
+        store(loc, word);
         if let Some(t) = self.at.tracer() {
             if first {
-                t.op(core.id(), TraceOp::Write(word));
+                t.op(loc.id(), TraceOp::Write(word));
             } else {
-                t.op_held(core.id(), TraceOp::Write(word));
+                t.op_held(loc.id(), TraceOp::Write(word));
             }
         }
         Ok(())
+    }
+}
+
+impl<'env> Transaction<'env> for BoostTxn<'env> {
+    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
+        self.read_loc(Loc::Var(core))
+    }
+
+    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Var(core), word)
+    }
+
+    fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort> {
+        self.read_loc(Loc::Link(link))
+    }
+
+    fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Link(link), payload)
     }
 
     fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {
@@ -418,10 +445,10 @@ mod tests {
         let stm = BoostStm::with_config(StmConfig::default().with_max_retries(1));
         let v = TVar::new(0u64);
         // A foreign owner squats on the abstract lock out-of-band.
-        assert!(stm.locks().try_acquire(lock_key(v.core()), u64::MAX));
+        assert!(stm.locks().try_acquire(lock_key(v.core().id()), u64::MAX));
         let r = stm.try_run(TxKind::Regular, |tx| tx.read(&v));
         assert!(matches!(r, Err(RunError::RetriesExhausted { .. })));
-        stm.locks().release(lock_key(v.core()), u64::MAX);
+        stm.locks().release(lock_key(v.core().id()), u64::MAX);
         assert_eq!(stm.run(TxKind::Regular, |tx| tx.read(&v)), 0);
     }
 

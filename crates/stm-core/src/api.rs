@@ -98,6 +98,7 @@ use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::dynstm::Backend;
 use crate::error::{Abort, AbortReason};
+use crate::link::Link;
 use crate::stats::StatsSnapshot;
 use crate::stm::{Instance, RunError, Stm, Transaction, TxKind};
 use crate::tvar::{TVar, TVarCore};
@@ -261,6 +262,12 @@ impl<'env> Transaction<'env> for Tx<'env, '_> {
     }
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
         self.inner.write_word(core, word)
+    }
+    fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort> {
+        self.inner.read_link(link)
+    }
+    fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort> {
+        self.inner.write_link(link, payload)
     }
     fn child_enter(&mut self, kind: TxKind) -> Result<(), Abort> {
         self.inner.child_enter(kind)

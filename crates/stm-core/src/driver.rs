@@ -25,7 +25,7 @@ use crate::backoff::Backoff;
 use crate::cm::{self, PROGRESS_PARK_AFTER};
 use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
-use crate::readset::ReadSet;
+use crate::readset::{ReadEntry, ReadSet};
 use crate::stm::{Instance, RunError};
 use crate::ticket::next_ticket;
 use crate::trace::AttemptTracer;
@@ -280,7 +280,7 @@ impl WaitSet for ReadSet<'_> {
         ReadSet::is_empty(self)
     }
     fn locations(&self) -> impl Iterator<Item = usize> + '_ {
-        self.iter().map(|e| e.core.id())
+        self.iter().map(ReadEntry::id)
     }
     fn still_valid(&self) -> bool {
         self.validate(None, |_| None)
@@ -517,6 +517,7 @@ fn thread_random() -> u64 {
 pub(crate) mod toy {
     use super::{run, Attempt, TxnEngine};
     use crate::error::Abort;
+    use crate::link::{Link, Loc};
     use crate::readset::ReadSet;
     use crate::stm::{Instance, RunError, Stm, Transaction, TxKind};
     use crate::tvar::TVarCore;
@@ -529,7 +530,7 @@ pub(crate) mod toy {
     pub(crate) struct ToyTxn<'env> {
         pub(crate) at: Attempt<'env>,
         reads: ReadSet<'env>,
-        undo: Vec<(&'env TVarCore, u64)>,
+        undo: Vec<(Loc<'env>, u64)>,
     }
 
     impl<'env> ToyTxn<'env> {
@@ -557,15 +558,18 @@ pub(crate) mod toy {
                 0,
                 &mut self.undo,
                 len,
-                |undo, f| undo.iter().for_each(|(c, _)| f(c.id(), c.value_unsync())),
+                |undo, f| undo.iter().for_each(|(l, _)| f(l.id(), l.value_unsync())),
                 Vec::clear,
                 |_| u64::MAX,
             );
             Ok(())
         }
         fn rollback(&mut self) {
-            for (core, old) in self.undo.drain(..).rev() {
-                core.store_value(old);
+            for (loc, old) in self.undo.drain(..).rev() {
+                match loc {
+                    Loc::Var(core) => core.store_value(old),
+                    Loc::Link(link) => link.store_atomic(old, 0),
+                }
             }
         }
         fn wait_set(&mut self) -> &ReadSet<'env> {
@@ -576,12 +580,23 @@ pub(crate) mod toy {
     impl<'env> Transaction<'env> for ToyTxn<'env> {
         fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
             let (word, version) = core.read_consistent().expect("the toy never locks");
-            self.reads.push(core, version);
+            self.reads.push(Loc::Var(core), version);
             Ok(word)
         }
         fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-            self.undo.push((core, core.value_unsync()));
+            self.undo.push((Loc::Var(core), core.value_unsync()));
             core.store_value(word);
+            Ok(())
+        }
+        fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort> {
+            let (payload, seen) = link.read().expect("the toy never locks");
+            self.reads.push(Loc::Link(link), seen);
+            Ok(payload)
+        }
+        // In place, as every toy write: no concurrent reader exists.
+        fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort> {
+            self.undo.push((Loc::Link(link), link.load_atomic()));
+            link.store_atomic(payload, 0);
             Ok(())
         }
         fn child_enter(&mut self, _kind: TxKind) -> Result<(), Abort> {

@@ -2,7 +2,13 @@
 
 /// Why a transaction attempt aborted. Used both to drive the retry loop and
 /// for the per-cause abort statistics the paper's evaluation reports.
+///
+/// Word-sized, so a read's `Result<u64, Abort>` is a pair of words that a
+/// call returns in two registers; with a one-byte reason the two variants'
+/// payloads sit at different offsets and every read result made a round
+/// trip through memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u64)]
 pub enum AbortReason {
     /// A location we needed was write-locked by another transaction.
     LockConflict,

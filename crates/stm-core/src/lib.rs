@@ -10,6 +10,10 @@
 //! * [`TVar<T>`](tvar::TVar) — a word-sized transactional variable guarded by
 //!   a `VLock`, readable with the load-version / load-value / re-check
 //!   protocol so that no torn reads are possible,
+//! * [`Link`] — a one-word location that is its own versioned lock (a
+//!   lock bit, a truncated version and a small payload such as a list
+//!   node's successor), read in one load; [`Loc`] names either kind,
+//!   which is what read and write sets record,
 //! * read/write sets ([`readset`], [`writeset`]) with a small-set fast path
 //!   and a bloom-filter-accelerated lookup,
 //! * reusable transaction [`scratch`] state (read/write sets, spill index,
@@ -65,6 +69,7 @@ pub mod driver;
 pub mod dynstm;
 pub mod error;
 pub mod hook;
+pub mod link;
 pub mod parallel;
 pub mod readset;
 pub mod scratch;
@@ -84,6 +89,7 @@ pub use config::StmConfig;
 pub use dynstm::{Backend, BackendRegistry, BackendSpec, DynStm, UnknownBackend};
 pub use error::{Abort, AbortReason};
 pub use hook::{CommitHook, DurableLog, WriteRecord};
+pub use link::{Link, Loc};
 pub use scratch::TxScratch;
 pub use stats::{StatsSnapshot, StmStats};
 pub use stm::{Instance, RunError, Stm, Transaction, TxKind};

@@ -1,11 +1,13 @@
 // lint:hot-path
 //! Read sets: the invisible-read half of a transaction's protected set.
 //!
-//! Each entry records a location and the version at which it was read.
-//! Validation re-checks that every recorded location is still at its
-//! recorded version (or is write-locked by the validating transaction
-//! itself, in which case the pre-lock version — supplied by the write set —
-//! is compared instead).
+//! Each entry records the protection word a read was validated against (a
+//! `TVar`'s [`VLock`] or a [`Link`](crate::Link) itself) and the raw word
+//! seen there. Validation re-checks that every recorded word is unchanged
+//! (or is write-locked by the validating transaction itself, in which case
+//! the pre-lock word — supplied by the write set — is compared instead).
+//! One comparison serves both kinds: an unlocked `VLock` word *is* its
+//! version, and a link word is its version and value together.
 //!
 //! In the paper's vocabulary, a read entry *is* an acquired protection
 //! element: it stays in the transaction's protected set until it is either
@@ -15,23 +17,53 @@
 //! outheritance is the *absence* of the truncation that the non-composable
 //! E-STM mode performs.
 
+use crate::link::Loc;
 use crate::scratch::{SpareVec, READ_SPARE};
-use crate::tvar::TVarCore;
-use crate::vlock::LockState;
+use crate::vlock::{LockState, VLock};
 
-/// One read: a location and the version observed.
+/// One read: the protection word validated and the raw word seen there.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadEntry<'env> {
-    /// The location read.
-    pub core: &'env TVarCore,
-    /// Version of the location at read time.
-    pub version: u64,
+    /// The location's protection element.
+    pub lock: &'env VLock,
+    /// The raw (unlocked) word the read was made under: a `TVar`'s
+    /// version, or a link's packed version and payload.
+    pub seen: u64,
+}
+
+impl ReadEntry<'_> {
+    /// The location's identity.
+    #[inline]
+    #[must_use]
+    pub fn id(&self) -> usize {
+        self.lock.id()
+    }
+
+    /// Whether the protection word still holds exactly what was seen, or
+    /// is locked by `self_owner` with `locked_at_of` the pre-lock word.
+    #[inline]
+    fn holds(
+        &self,
+        self_owner: Option<u64>,
+        locked_at_of: impl FnOnce(&VLock) -> Option<u64>,
+    ) -> bool {
+        match self.lock.load() {
+            LockState::Unlocked { version } => version == self.seen,
+            LockState::Locked { owner } => {
+                Some(owner) == self_owner && locked_at_of(self.lock) == Some(self.seen)
+            }
+        }
+    }
 }
 
 /// An append-only (except for elastic truncation) log of reads.
 #[derive(Debug, Default)]
 pub struct ReadSet<'env> {
     entries: Vec<ReadEntry<'env>>,
+    /// Whether a link read was logged since the last clear: its entry's
+    /// `seen` is not a version, and the attempt owes the link age check
+    /// (see [`link`](crate::link)).
+    linked: bool,
 }
 
 impl<'env> ReadSet<'env> {
@@ -40,11 +72,13 @@ impl<'env> ReadSet<'env> {
     pub fn new() -> Self {
         Self {
             entries: Vec::new(),
+            linked: false,
         }
     }
 
     /// Extract the entry vector for pooling; `self` is left empty.
     pub(crate) fn take_entries(&mut self) -> Vec<ReadEntry<'env>> {
+        self.linked = false;
         core::mem::take(&mut self.entries)
     }
 
@@ -54,25 +88,44 @@ impl<'env> ReadSet<'env> {
         self.entries.capacity()
     }
 
-    /// Record a read of `core` at `version`.
+    /// Record a read of `loc` made under the raw protection word `seen`.
     #[inline]
-    pub fn push(&mut self, core: &'env TVarCore, version: u64) {
+    pub fn push(&mut self, loc: Loc<'env>, seen: u64) {
         if self.entries.len() == self.entries.capacity() {
             self.grow();
         }
-        self.entries.push(ReadEntry { core, version });
+        self.linked |= matches!(loc, Loc::Link(_));
+        self.entries.push(ReadEntry {
+            lock: loc.lock(),
+            seen,
+        });
     }
 
-    /// Record a read of `core` at `version` if the set has room for it
+    /// Record a read of `loc` under `seen` if the set has room for it
     /// without growing; `false` (nothing recorded) otherwise. For inlined
     /// read heads, which leave growth to their out-of-line tail.
     #[inline]
-    pub fn try_push(&mut self, core: &'env TVarCore, version: u64) -> bool {
+    pub fn try_push(&mut self, loc: Loc<'env>, seen: u64) -> bool {
         if self.entries.len() == self.entries.capacity() {
             return false;
         }
-        self.entries.push(ReadEntry { core, version });
+        self.linked |= matches!(loc, Loc::Link(_));
+        self.entries.push(ReadEntry {
+            lock: loc.lock(),
+            seen,
+        });
         true
+    }
+
+    /// Re-log an entry taken from another log of the same attempt (an
+    /// elastic window). It does not mark the set linked: the caller
+    /// bounds what such entries observed by its snapshot.
+    #[inline]
+    pub fn push_entry(&mut self, entry: ReadEntry<'env>) {
+        if self.entries.len() == self.entries.capacity() {
+            self.grow();
+        }
+        self.entries.push(entry);
     }
 
     /// `push`'s cold path: make room for one more entry. A set that never
@@ -99,6 +152,13 @@ impl<'env> ReadSet<'env> {
         self.entries.is_empty()
     }
 
+    /// Whether a link read was logged since the last clear.
+    #[inline]
+    #[must_use]
+    pub fn linked(&self) -> bool {
+        self.linked
+    }
+
     /// Drop all entries past `len` (used by the *non*-outheriting E-STM
     /// child commit, and to roll a child's reads back on child abort).
     pub fn truncate(&mut self, len: usize) {
@@ -108,6 +168,7 @@ impl<'env> ReadSet<'env> {
     /// Remove all entries.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.linked = false;
     }
 
     /// Iterate over the entries in read order.
@@ -115,30 +176,31 @@ impl<'env> ReadSet<'env> {
         self.entries.iter()
     }
 
-    /// The highest version recorded (0 when empty): a bound on the commit
-    /// versions of everything this set observed.
+    /// A bound on the commit versions of everything this set observed: the
+    /// highest version recorded (0 when empty), or `snapshot` once a link
+    /// was read, whose recorded word is no version.
     #[must_use]
-    pub fn max_version(&self) -> u64 {
-        self.entries.iter().map(|e| e.version).max().unwrap_or(0)
+    pub fn observed_bound(&self, snapshot: u64) -> u64 {
+        if self.linked {
+            return snapshot;
+        }
+        self.entries.iter().map(|e| e.seen).max().unwrap_or(0)
     }
 
-    /// Validate every entry: each location must be unlocked at its recorded
-    /// version, or locked by `self_owner` with a pre-lock version (looked up
-    /// via `locked_version_of`, typically the write set) equal to the
+    /// Validate every entry: each protection word must be unlocked at the
+    /// recorded word, or locked by `self_owner` with a pre-lock word
+    /// (looked up via `locked_at_of`, typically the write set) equal to the
     /// recorded one.
     ///
     /// Returns `true` if the whole read set is still consistent.
     pub fn validate(
         &self,
         self_owner: Option<u64>,
-        mut locked_version_of: impl FnMut(&TVarCore) -> Option<u64>,
+        mut locked_at_of: impl FnMut(&VLock) -> Option<u64>,
     ) -> bool {
-        self.entries.iter().all(|e| match e.core.lock().load() {
-            LockState::Unlocked { version } => version == e.version,
-            LockState::Locked { owner } => {
-                Some(owner) == self_owner && locked_version_of(e.core) == Some(e.version)
-            }
-        })
+        self.entries
+            .iter()
+            .all(|e| e.holds(self_owner, &mut locked_at_of))
     }
 
     /// Validate only the entries starting at index `from` (child-commit
@@ -148,22 +210,18 @@ impl<'env> ReadSet<'env> {
         &self,
         from: usize,
         self_owner: Option<u64>,
-        mut locked_version_of: impl FnMut(&TVarCore) -> Option<u64>,
+        mut locked_at_of: impl FnMut(&VLock) -> Option<u64>,
     ) -> bool {
         self.entries[from.min(self.entries.len())..]
             .iter()
-            .all(|e| match e.core.lock().load() {
-                LockState::Unlocked { version } => version == e.version,
-                LockState::Locked { owner } => {
-                    Some(owner) == self_owner && locked_version_of(e.core) == Some(e.version)
-                }
-            })
+            .all(|e| e.holds(self_owner, &mut locked_at_of))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Link;
     use crate::tvar::TVar;
 
     #[test]
@@ -178,8 +236,8 @@ mod tests {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let mut rs = ReadSet::new();
-        rs.push(a.core(), 0);
-        rs.push(b.core(), 0);
+        rs.push(Loc::Var(a.core()), 0);
+        rs.push(Loc::Var(b.core()), 0);
         assert!(rs.validate(None, |_| None));
         assert_eq!(rs.len(), 2);
     }
@@ -188,7 +246,7 @@ mod tests {
     fn version_bump_fails_validation() {
         let a = TVar::new(1u64);
         let mut rs = ReadSet::new();
-        rs.push(a.core(), 0);
+        rs.push(Loc::Var(a.core()), 0);
         a.store_atomic(9, 3); // committed write at version 3
         assert!(!rs.validate(None, |_| None));
     }
@@ -197,7 +255,7 @@ mod tests {
     fn foreign_lock_fails_validation() {
         let a = TVar::new(1u64);
         let mut rs = ReadSet::new();
-        rs.push(a.core(), 0);
+        rs.push(Loc::Var(a.core()), 0);
         assert!(a.core().lock().try_lock_at(0, 77));
         assert!(!rs.validate(Some(5), |_| None));
         a.core().lock().unlock_to(0);
@@ -207,7 +265,7 @@ mod tests {
     fn self_lock_with_matching_preversion_validates() {
         let a = TVar::new(1u64);
         let mut rs = ReadSet::new();
-        rs.push(a.core(), 0);
+        rs.push(Loc::Var(a.core()), 0);
         assert!(a.core().lock().try_lock_at(0, 5));
         // We own the lock and locked it when the version was 0 == recorded.
         assert!(rs.validate(Some(5), |_| Some(0)));
@@ -221,8 +279,8 @@ mod tests {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let mut rs = ReadSet::new();
-        rs.push(a.core(), 0);
-        rs.push(b.core(), 0);
+        rs.push(Loc::Var(a.core()), 0);
+        rs.push(Loc::Var(b.core()), 0);
         rs.truncate(1);
         assert_eq!(rs.len(), 1);
         b.store_atomic(7, 9); // change the dropped entry
@@ -237,8 +295,8 @@ mod tests {
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
         let mut rs = ReadSet::new();
-        rs.push(a.core(), 0);
-        rs.push(b.core(), 0);
+        rs.push(Loc::Var(a.core()), 0);
+        rs.push(Loc::Var(b.core()), 0);
         a.store_atomic(3, 4); // invalidate the prefix entry only
         assert!(!rs.validate(None, |_| None));
         assert!(rs.validate_suffix(1, None, |_| None));
@@ -246,5 +304,26 @@ mod tests {
             rs.validate_suffix(99, None, |_| None),
             "out-of-range from is empty"
         );
+    }
+
+    #[test]
+    fn link_entries_validate_by_their_whole_word() {
+        let l = Link::new(3);
+        let v = TVar::new(1u64);
+        let mut rs = ReadSet::new();
+        rs.push(Loc::Var(v.core()), 0);
+        assert!(!rs.linked());
+        assert_eq!(rs.observed_bound(9), 0, "the versions recorded");
+        let (_, seen) = l.read().unwrap();
+        rs.push(Loc::Link(&l), seen);
+        assert!(rs.linked());
+        assert_eq!(rs.observed_bound(9), 9, "a link's word is no version");
+        assert!(rs.validate(None, |_| None));
+        // Same version, new payload: still a change.
+        assert!(l.lock().try_lock_at(seen, 5));
+        l.publish(0, 4);
+        assert!(!rs.validate(None, |_| None));
+        rs.clear();
+        assert!(!rs.linked(), "clear forgets the link");
     }
 }

@@ -320,6 +320,7 @@ fn give_back_index(index: IndexTable) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Loc;
     use crate::tvar::TVar;
 
     #[test]
@@ -378,14 +379,14 @@ mod tests {
     fn scratch_reset_clears_state() {
         let a = TVar::new(1u64);
         let mut s = TxScratch::acquire();
-        s.reads.push(a.core(), 0);
-        s.writes.insert(a.core(), 5);
+        s.reads.push(Loc::Var(a.core()), 0);
+        s.writes.insert(Loc::Var(a.core()), 5);
         s.push_aux(3);
         s.reset();
         assert!(s.reads.is_empty());
         assert!(s.writes.is_empty());
         assert!(s.aux.is_empty());
-        assert_eq!(s.writes.lookup(a.core()), None);
+        assert_eq!(s.writes.lookup(Loc::Var(a.core())), None);
     }
 
     #[test]
@@ -395,8 +396,8 @@ mod tests {
         let var = TVar::new(0u64);
         let mut v: Vec<ReadEntry<'_>> = Vec::with_capacity(100);
         v.push(ReadEntry {
-            core: var.core(),
-            version: 0,
+            lock: var.core().lock(),
+            seen: 0,
         });
         let (ptr, cap) = (v.as_ptr() as usize, v.capacity());
         let w: Vec<ReadEntry<'static>> = recycle(v);
@@ -452,8 +453,8 @@ mod tests {
         let vars: Vec<TVar<u64>> = (0..40).map(TVar::new).collect();
         let mut s = TxScratch::acquire();
         for v in &vars {
-            s.reads.push(v.core(), 0);
-            s.writes.insert(v.core(), 1);
+            s.reads.push(Loc::Var(v.core()), 0);
+            s.writes.insert(Loc::Var(v.core()), 1);
         }
         s.push_aux(1);
         drop(s);
@@ -469,7 +470,7 @@ mod tests {
             let var = TVar::new(0u64);
             let mut s = TxScratch::acquire();
             assert_eq!(parked(), warm, "acquire touches no spare");
-            s.reads.push(var.core(), 0);
+            s.reads.push(Loc::Var(var.core()), 0);
             assert_eq!(parked(), [0, warm[1], warm[2], warm[3], warm[4]]);
             drop(s);
             assert_eq!(parked(), warm, "the same allocation came back");
@@ -484,9 +485,9 @@ mod tests {
             let warm = warm_every_spare();
             let var = TVar::new(0u64);
             let mut s = TxScratch::acquire();
-            s.writes.insert(var.core(), 1);
+            s.writes.insert(Loc::Var(var.core()), 1);
             assert_eq!(parked(), [warm[0], 0, 0, warm[3], warm[4]]);
-            assert_eq!(s.writes.lookup(var.core()), Some(1));
+            assert_eq!(s.writes.lookup(Loc::Var(var.core())), Some(1));
             drop(s);
             assert_eq!(parked(), warm);
         });
@@ -498,23 +499,23 @@ mod tests {
             let vars: Vec<TVar<u64>> = (0..17).map(TVar::new).collect();
             let mut s = TxScratch::acquire();
             for v in &vars[..16] {
-                s.writes.insert(v.core(), 0);
+                s.writes.insert(Loc::Var(v.core()), 0);
             }
             drop(s);
             assert_eq!(parked()[4], 0, "16 writes are scanned, never indexed");
             let mut s = TxScratch::acquire();
             for v in &vars {
-                s.writes.insert(v.core(), 0);
+                s.writes.insert(Loc::Var(v.core()), 0);
             }
             drop(s);
             let index = parked()[4];
             assert_ne!(index, 0, "the 17th write built the index");
             let mut s = TxScratch::acquire();
             for (i, v) in vars.iter().enumerate() {
-                s.writes.insert(v.core(), i as u64);
+                s.writes.insert(Loc::Var(v.core()), i as u64);
             }
             assert_eq!(parked()[4], 0, "the index adopted its spare");
-            assert_eq!(s.writes.lookup(vars[16].core()), Some(16));
+            assert_eq!(s.writes.lookup(Loc::Var(vars[16].core())), Some(16));
             drop(s);
             assert_eq!(parked()[4], index, "the same slots came back");
         });
@@ -527,7 +528,7 @@ mod tests {
             let var = TVar::new(0u64);
             let mut s = TxScratch::acquire();
             for _ in 0..=POOLED_CAP_MAX {
-                s.reads.push(var.core(), 0);
+                s.reads.push(Loc::Var(var.core()), 0);
             }
             drop(s);
             assert_eq!(parked(), [0, warm[1], warm[2], warm[3], warm[4]]);
@@ -547,10 +548,10 @@ mod tests {
             let warm = warm_every_spare();
             let var = TVar::new(0u64);
             let mut outer = TxScratch::acquire();
-            outer.reads.push(var.core(), 0);
+            outer.reads.push(Loc::Var(var.core()), 0);
             {
                 let mut inner = TxScratch::acquire();
-                inner.reads.push(var.core(), 1);
+                inner.reads.push(Loc::Var(var.core()), 1);
                 let cold = inner.reads.iter().next().expect("pushed") as *const _ as usize;
                 assert_ne!(cold, warm[0], "the outer run holds the spare");
             }
@@ -570,8 +571,8 @@ mod tests {
         let mut v: Vec<ReadEntry<'_>> = SPARE.with(SpareVec::take);
         assert_eq!(v.capacity(), 0, "nothing parked yet");
         v.push(ReadEntry {
-            core: var.core(),
-            version: 0,
+            lock: var.core().lock(),
+            seen: 0,
         });
         let ptr = v.as_ptr() as usize;
         let nested: Vec<ReadEntry<'_>> = SPARE.with(SpareVec::take);
@@ -595,13 +596,13 @@ mod tests {
     fn nested_acquires_are_independent() {
         let a = TVar::new(1u64);
         let mut outer = TxScratch::acquire();
-        outer.writes.insert(a.core(), 1);
+        outer.writes.insert(Loc::Var(a.core()), 1);
         {
             let mut inner = TxScratch::acquire();
             assert!(inner.writes.is_empty());
-            inner.writes.insert(a.core(), 2);
-            assert_eq!(inner.writes.lookup(a.core()), Some(2));
+            inner.writes.insert(Loc::Var(a.core()), 2);
+            assert_eq!(inner.writes.lookup(Loc::Var(a.core())), Some(2));
         }
-        assert_eq!(outer.writes.lookup(a.core()), Some(1));
+        assert_eq!(outer.writes.lookup(Loc::Var(a.core())), Some(1));
     }
 }

@@ -10,6 +10,7 @@
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::error::{Abort, AbortReason};
+use crate::link::Link;
 use crate::stats::{StatsSnapshot, StmStats};
 use crate::tvar::{TVar, TVarCore};
 use crate::word::Word;
@@ -86,6 +87,17 @@ pub trait Transaction<'env> {
 
     /// Transactionally write `word` to `core` (deferred or eager, per STM).
     fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort>;
+
+    /// Transactionally read the payload of `link`: one load, validated
+    /// like any read. Its version is resolved by the serial-number rule of
+    /// [`link`](crate::link).
+    fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort>;
+
+    /// Transactionally write `payload` (at most
+    /// [`PAYLOAD_MAX`](crate::link::PAYLOAD_MAX)) to `link`. Always
+    /// buffered until commit: the payload and its commit version are
+    /// published in one store.
+    fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort>;
 
     /// Begin a child transaction of `kind` — bookkeeping only; the child's
     /// body then runs against the same transaction object. Callers use the

@@ -52,11 +52,12 @@ impl TVarCore {
     }
 
     /// A stable identity for this location, used as the read/write-set key
-    /// and as the object identifier when recording histories.
+    /// and as the object identifier when recording histories: its lock's
+    /// address, the space [`Link`](crate::Link) ids share.
     #[inline]
     #[must_use]
     pub fn id(&self) -> usize {
-        core::ptr::from_ref(self) as usize
+        self.lock.id()
     }
 
     /// The location's versioned lock (its protection element).

@@ -75,6 +75,15 @@ impl VLock {
         }
     }
 
+    /// A stable identity for the location this word protects (its
+    /// address): read and write sets, waiters and commit hooks name a
+    /// location by it.
+    #[inline]
+    #[must_use]
+    pub fn id(&self) -> usize {
+        core::ptr::from_ref(self) as usize
+    }
+
     /// Load the raw word (used for the version re-check in consistent reads).
     #[inline]
     #[must_use]

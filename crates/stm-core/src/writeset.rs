@@ -22,9 +22,9 @@
 
 use crate::bloom::Bloom;
 use crate::error::{Abort, AbortReason};
+use crate::link::Loc;
 use crate::scratch::{IndexTable, SpareVec, ORDER_SPARE, WRITE_SPARE};
-use crate::tvar::TVarCore;
-use crate::vlock::LockState;
+use crate::vlock::{LockState, VLock};
 
 /// Above this size, lookups go through the hash index instead of scanning.
 const LINEAR_SCAN_MAX: usize = 16;
@@ -32,13 +32,13 @@ const LINEAR_SCAN_MAX: usize = 16;
 /// One buffered write.
 #[derive(Debug, Clone, Copy)]
 pub struct WriteEntry<'env> {
-    /// The location to be written.
-    pub core: &'env TVarCore,
-    /// The value to install at commit.
+    /// The location to be written: a `TVar` or a link.
+    pub loc: Loc<'env>,
+    /// The value to install at commit (a link's payload).
     pub value: u64,
-    /// If this transaction currently holds the location's lock, the version
-    /// the lock carried when acquired (needed to validate reads of
-    /// self-locked locations and to restore the version on abort).
+    /// If this transaction currently holds the location's lock, the raw
+    /// word the lock carried when acquired (needed to validate reads of
+    /// self-locked locations and to restore the word on abort).
     pub locked_at: Option<u64>,
 }
 
@@ -95,14 +95,14 @@ impl<'env> WriteSet<'env> {
         if self.entries.len() > LINEAR_SCAN_MAX {
             self.index.get(id).map(|p| p as usize)
         } else {
-            self.entries.iter().rposition(|e| e.core.id() == id)
+            self.entries.iter().rposition(|e| e.loc.id() == id)
         }
     }
 
-    /// Buffer a write of `value` to `core`, overwriting any earlier buffered
+    /// Buffer a write of `value` to `loc`, overwriting any earlier buffered
     /// write to the same location. Returns the entry index.
-    pub fn insert(&mut self, core: &'env TVarCore, value: u64) -> usize {
-        let id = core.id();
+    pub fn insert(&mut self, loc: Loc<'env>, value: u64) -> usize {
+        let id = loc.id();
         if self.bloom.may_contain(id) {
             if let Some(i) = self.position(id) {
                 self.entries[i].value = value;
@@ -115,7 +115,7 @@ impl<'env> WriteSet<'env> {
             self.grow();
         }
         self.entries.push(WriteEntry {
-            core,
+            loc,
             value,
             locked_at: None,
         });
@@ -125,13 +125,13 @@ impl<'env> WriteSet<'env> {
         // `lock_all` a straight iteration with no commit-time setup.
         let at = self
             .lock_order
-            .partition_point(|&o| self.entries[o as usize].core.id() < id);
+            .partition_point(|&o| self.entries[o as usize].loc.id() < id);
         self.lock_order.insert(at, i as u32);
         if self.entries.len() > LINEAR_SCAN_MAX {
             if self.entries.len() == LINEAR_SCAN_MAX + 1 {
                 // Just crossed the threshold: index everything so far.
                 for (k, e) in self.entries.iter().enumerate() {
-                    self.index.insert(e.core.id(), k as u32);
+                    self.index.insert(e.loc.id(), k as u32);
                 }
             } else {
                 self.index.insert(id, i as u32);
@@ -155,35 +155,36 @@ impl<'env> WriteSet<'env> {
         self.entries.reserve(1);
     }
 
-    /// Index of `core`'s entry, if it has one. An empty set — every
-    /// read of a read-only transaction, every validation of a read-only
-    /// commit — answers before hashing; otherwise the bloom signature
-    /// screens out most misses.
+    /// Index of the entry of the location `id`, if it has one. An empty
+    /// set — every read of a read-only transaction, every validation of a
+    /// read-only commit — answers before hashing; otherwise the bloom
+    /// signature screens out most misses.
     #[inline]
-    fn entry_of(&self, core: &TVarCore) -> Option<usize> {
+    fn entry_of(&self, id: usize) -> Option<usize> {
         if self.entries.is_empty() {
             return None;
         }
-        let id = core.id();
         if !self.bloom.may_contain(id) {
             return None;
         }
         self.position(id)
     }
 
-    /// Read-after-write lookup: the buffered value for `core`, if any.
+    /// Read-after-write lookup: the buffered value for `loc`, if any.
     #[inline]
     #[must_use]
-    pub fn lookup(&self, core: &TVarCore) -> Option<u64> {
-        self.entry_of(core).map(|i| self.entries[i].value)
+    pub fn lookup(&self, loc: Loc<'_>) -> Option<u64> {
+        self.entry_of(loc.id()).map(|i| self.entries[i].value)
     }
 
-    /// The pre-lock version of `core` if this write set holds its lock.
-    /// Used by read-set validation for self-locked locations.
+    /// The pre-lock word of the location `lock` protects if this write set
+    /// holds its lock. Used by read-set validation for self-locked
+    /// locations.
     #[inline]
     #[must_use]
-    pub fn locked_version_of(&self, core: &TVarCore) -> Option<u64> {
-        self.entry_of(core).and_then(|i| self.entries[i].locked_at)
+    pub fn locked_version_of(&self, lock: &VLock) -> Option<u64> {
+        self.entry_of(lock.id())
+            .and_then(|i| self.entries[i].locked_at)
     }
 
     /// Iterate over entries in insertion order.
@@ -196,7 +197,7 @@ impl<'env> WriteSet<'env> {
     /// ([`Attempt::publish`](crate::driver::Attempt::publish)) iterates.
     pub fn for_each_write(&self, f: &mut dyn FnMut(usize, u64)) {
         for e in &self.entries {
-            f(e.core.id(), e.value);
+            f(e.loc.id(), e.value);
         }
     }
 
@@ -216,9 +217,10 @@ impl<'env> WriteSet<'env> {
             if e.locked_at.is_some() {
                 continue;
             }
-            match e.core.lock().load() {
+            let lock = e.loc.lock();
+            match lock.load() {
                 LockState::Unlocked { version } => {
-                    if e.core.lock().try_lock_at(version, owner) {
+                    if lock.try_lock_at(version, owner) {
                         e.locked_at = Some(version);
                         continue;
                     }
@@ -234,7 +236,7 @@ impl<'env> WriteSet<'env> {
                 let j = self.lock_order[k2] as usize;
                 let e = &mut self.entries[j];
                 if let Some(v) = e.locked_at.take() {
-                    e.core.lock().unlock_to(v);
+                    e.loc.lock().unlock_to(v);
                 }
             }
             return Err(Abort::new(AbortReason::LockConflict));
@@ -243,33 +245,35 @@ impl<'env> WriteSet<'env> {
     }
 
     /// Write every buffered value back and release each lock at
-    /// `commit_version`. Caller must have successfully called
-    /// [`lock_all`](Self::lock_all) (or acquired the locks eagerly).
+    /// `commit_version` (a link publishes both in one store). Caller must
+    /// have successfully called [`lock_all`](Self::lock_all) (or acquired
+    /// the locks eagerly).
     pub fn write_back_and_release(&mut self, commit_version: u64) {
         for e in &mut self.entries {
             debug_assert!(e.locked_at.is_some(), "write-back without lock");
-            e.core.store_value(e.value);
-            e.core.lock().unlock_to(commit_version);
+            e.loc.write_back(e.value, commit_version);
             e.locked_at = None;
         }
     }
 
     /// Release all locks *without* writing back, restoring pre-lock
-    /// versions. Used on abort after a partial or full lock acquisition.
+    /// words. Used on abort after a partial or full lock acquisition.
     pub fn release_locks(&mut self) {
         for e in &mut self.entries {
             if let Some(v) = e.locked_at.take() {
-                e.core.lock().unlock_to(v);
+                e.loc.lock().unlock_to(v);
             }
         }
     }
 
-    /// Record that `core`'s lock is held by this transaction, acquired when
-    /// the lock carried `version` (eager/encounter-time locking STMs).
-    pub fn mark_locked(&mut self, core: &'env TVarCore, version: u64) {
-        let i = match self.position(core.id()) {
+    /// Record that `loc`'s lock is held by this transaction, acquired when
+    /// the lock carried the raw word `version` (eager/encounter-time
+    /// locking STMs). A location with no buffered write gets its current
+    /// value buffered.
+    pub fn mark_locked(&mut self, loc: Loc<'env>, version: u64) {
+        let i = match self.position(loc.id()) {
             Some(i) => i,
-            None => self.insert(core, core.value_unsync()),
+            None => self.insert(loc, loc.value_unsync()),
         };
         self.entries[i].locked_at = Some(version);
     }
@@ -288,16 +292,17 @@ impl<'env> WriteSet<'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Link;
     use crate::tvar::TVar;
 
     #[test]
     fn insert_dedups_by_location() {
         let a = TVar::new(0u64);
         let mut ws = WriteSet::new();
-        ws.insert(a.core(), 1);
-        ws.insert(a.core(), 2);
+        ws.insert(Loc::Var(a.core()), 1);
+        ws.insert(Loc::Var(a.core()), 2);
         assert_eq!(ws.len(), 1);
-        assert_eq!(ws.lookup(a.core()), Some(2));
+        assert_eq!(ws.lookup(Loc::Var(a.core())), Some(2));
     }
 
     #[test]
@@ -305,24 +310,24 @@ mod tests {
         let a = TVar::new(0u64);
         let b = TVar::new(0u64);
         let mut ws = WriteSet::new();
-        ws.insert(a.core(), 1);
-        assert_eq!(ws.lookup(b.core()), None);
+        ws.insert(Loc::Var(a.core()), 1);
+        assert_eq!(ws.lookup(Loc::Var(b.core())), None);
     }
 
     #[test]
     fn empty_set_answers_none() {
         let a = TVar::new(0u64);
         let mut ws = WriteSet::new();
-        assert_eq!(ws.lookup(a.core()), None);
-        assert_eq!(ws.locked_version_of(a.core()), None);
+        assert_eq!(ws.lookup(Loc::Var(a.core())), None);
+        assert_eq!(ws.locked_version_of(a.core().lock()), None);
         // Emptied, not just fresh: the shortcut keys on the entries.
-        ws.insert(a.core(), 1);
+        ws.insert(Loc::Var(a.core()), 1);
         ws.lock_all(5).unwrap();
-        assert_eq!(ws.locked_version_of(a.core()), Some(0));
+        assert_eq!(ws.locked_version_of(a.core().lock()), Some(0));
         ws.release_locks();
         ws.clear();
-        assert_eq!(ws.lookup(a.core()), None);
-        assert_eq!(ws.locked_version_of(a.core()), None);
+        assert_eq!(ws.lookup(Loc::Var(a.core())), None);
+        assert_eq!(ws.locked_version_of(a.core().lock()), None);
     }
 
     #[test]
@@ -330,16 +335,16 @@ mod tests {
         let vars: Vec<TVar<u64>> = (0..100).map(TVar::new).collect();
         let mut ws = WriteSet::new();
         for (i, v) in vars.iter().enumerate() {
-            ws.insert(v.core(), i as u64);
+            ws.insert(Loc::Var(v.core()), i as u64);
         }
         assert_eq!(ws.len(), 100);
         for (i, v) in vars.iter().enumerate() {
-            assert_eq!(ws.lookup(v.core()), Some(i as u64));
+            assert_eq!(ws.lookup(Loc::Var(v.core())), Some(i as u64));
         }
         // Overwrites after the index is built still dedup.
-        ws.insert(vars[7].core(), 999);
+        ws.insert(Loc::Var(vars[7].core()), 999);
         assert_eq!(ws.len(), 100);
-        assert_eq!(ws.lookup(vars[7].core()), Some(999));
+        assert_eq!(ws.lookup(Loc::Var(vars[7].core())), Some(999));
     }
 
     #[test]
@@ -349,12 +354,12 @@ mod tests {
         let vars: Vec<TVar<u64>> = (0..40).map(TVar::new).collect();
         let mut ws = WriteSet::new();
         for v in vars.iter().rev() {
-            ws.insert(v.core(), 0);
+            ws.insert(Loc::Var(v.core()), 0);
         }
         let ids: Vec<usize> = ws
             .lock_order
             .iter()
-            .map(|&o| ws.entries[o as usize].core.id())
+            .map(|&o| ws.entries[o as usize].loc.id())
             .collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -367,8 +372,8 @@ mod tests {
         let a = TVar::new(0u64);
         let b = TVar::new(0u64);
         let mut ws = WriteSet::new();
-        ws.insert(a.core(), 10);
-        ws.insert(b.core(), 20);
+        ws.insert(Loc::Var(a.core()), 10);
+        ws.insert(Loc::Var(b.core()), 20);
         ws.lock_all(5).unwrap();
         assert!(a.core().lock().is_locked_by(5));
         ws.write_back_and_release(3);
@@ -384,8 +389,8 @@ mod tests {
         // Foreign lock on b.
         assert!(b.core().lock().try_lock_at(0, 99));
         let mut ws = WriteSet::new();
-        ws.insert(a.core(), 1);
-        ws.insert(b.core(), 2);
+        ws.insert(Loc::Var(a.core()), 1);
+        ws.insert(Loc::Var(b.core()), 2);
         let err = ws.lock_all(5).unwrap_err();
         assert_eq!(err.reason, AbortReason::LockConflict);
         // a must have been released back to version 0.
@@ -398,7 +403,7 @@ mod tests {
         let a = TVar::new(0u64);
         a.store_atomic(5, 7);
         let mut ws = WriteSet::new();
-        ws.insert(a.core(), 1);
+        ws.insert(Loc::Var(a.core()), 1);
         ws.lock_all(5).unwrap();
         ws.release_locks();
         let (v, ver) = a.core().read_consistent().unwrap();
@@ -410,8 +415,8 @@ mod tests {
         let a = TVar::new(3u64);
         assert!(a.core().lock().try_lock_at(0, 8));
         let mut ws = WriteSet::new();
-        ws.mark_locked(a.core(), 0);
-        assert_eq!(ws.locked_version_of(a.core()), Some(0));
+        ws.mark_locked(Loc::Var(a.core()), 0);
+        assert_eq!(ws.locked_version_of(a.core().lock()), Some(0));
         ws.release_locks();
         assert_eq!(a.core().read_consistent().unwrap().1, 0);
     }
@@ -420,10 +425,10 @@ mod tests {
     fn clear_resets_everything() {
         let a = TVar::new(0u64);
         let mut ws = WriteSet::new();
-        ws.insert(a.core(), 1);
+        ws.insert(Loc::Var(a.core()), 1);
         ws.clear();
         assert!(ws.is_empty());
-        assert_eq!(ws.lookup(a.core()), None);
+        assert_eq!(ws.lookup(Loc::Var(a.core())), None);
         assert!(ws.bloom().is_empty());
         assert!(ws.lock_order.is_empty());
     }
@@ -436,13 +441,13 @@ mod tests {
         let mut ws = WriteSet::new();
         for round in 0..3u64 {
             for (i, v) in vars.iter().enumerate() {
-                ws.insert(v.core(), round * 100 + i as u64);
+                ws.insert(Loc::Var(v.core()), round * 100 + i as u64);
             }
             for (i, v) in vars.iter().enumerate() {
-                assert_eq!(ws.lookup(v.core()), Some(round * 100 + i as u64));
+                assert_eq!(ws.lookup(Loc::Var(v.core())), Some(round * 100 + i as u64));
             }
             ws.clear();
-            assert_eq!(ws.lookup(vars[0].core()), None);
+            assert_eq!(ws.lookup(Loc::Var(vars[0].core())), None);
         }
     }
 
@@ -451,15 +456,40 @@ mod tests {
         let vars: Vec<TVar<u64>> = (0..50).map(TVar::new).collect();
         let mut ws = WriteSet::new();
         for (i, v) in vars.iter().enumerate() {
-            ws.insert(v.core(), i as u64);
+            ws.insert(Loc::Var(v.core()), i as u64);
         }
         let (index, order, entries) = ws.take_parts();
-        assert!(ws.is_empty() && ws.lookup(vars[3].core()).is_none());
+        assert!(ws.is_empty() && ws.lookup(Loc::Var(vars[3].core())).is_none());
         assert_eq!(entries.len(), 50, "the entry vector leaves as it is");
         assert_eq!((order.len(), index.len()), (50, 50));
         // The emptied set still works, from fresh buffers.
-        ws.insert(vars[3].core(), 7);
-        assert_eq!(ws.lookup(vars[3].core()), Some(7));
-        assert_eq!(ws.lookup(vars[4].core()), None);
+        ws.insert(Loc::Var(vars[3].core()), 7);
+        assert_eq!(ws.lookup(Loc::Var(vars[3].core())), Some(7));
+        assert_eq!(ws.lookup(Loc::Var(vars[4].core())), None);
+    }
+
+    #[test]
+    fn links_lock_publish_and_restore_like_vars() {
+        let (a, l) = (TVar::new(0u64), Link::new(3));
+        let before = l.lock().raw();
+        let mut ws = WriteSet::new();
+        ws.insert(Loc::Var(a.core()), 1);
+        ws.insert(Loc::Link(&l), 4);
+        assert_eq!(ws.lookup(Loc::Link(&l)), Some(4));
+        ws.lock_all(5).unwrap();
+        assert!(l.lock().is_locked_by(5));
+        assert_eq!(ws.locked_version_of(l.lock()), Some(before));
+        // Abort: the link's whole word comes back.
+        ws.release_locks();
+        assert_eq!(l.lock().raw(), before);
+        // Commit: payload and version land in one word.
+        ws.lock_all(5).unwrap();
+        let mut seen = Vec::new();
+        ws.for_each_write(&mut |id, word| seen.push((id, word)));
+        assert_eq!(seen, vec![(a.core().id(), 1), (l.id(), 4)]);
+        ws.write_back_and_release(7);
+        let (payload, raw) = l.read().unwrap();
+        assert_eq!((payload, crate::link::version_bits(raw)), (4, 7));
+        assert_eq!(a.core().read_consistent(), Ok((1, 7)));
     }
 }

@@ -8,7 +8,7 @@ use stm_core::bloom::Bloom;
 use stm_core::readset::ReadSet;
 use stm_core::vlock::{LockState, VLock};
 use stm_core::writeset::WriteSet;
-use stm_core::{TVar, Word};
+use stm_core::{Loc, TVar, Word};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -20,12 +20,12 @@ proptest! {
         let mut ws = WriteSet::new();
         let mut model: HashMap<usize, u64> = HashMap::new();
         for (i, v) in ops {
-            ws.insert(vars[i].core(), v);
+            ws.insert(Loc::Var(vars[i].core()), v);
             model.insert(i, v);
         }
         prop_assert_eq!(ws.len(), model.len());
         for (i, var) in vars.iter().enumerate() {
-            prop_assert_eq!(ws.lookup(var.core()), model.get(&i).copied());
+            prop_assert_eq!(ws.lookup(Loc::Var(var.core())), model.get(&i).copied());
         }
     }
 
@@ -36,7 +36,7 @@ proptest! {
         let vars: Vec<TVar<u64>> = values.iter().map(|_| TVar::new(0)).collect();
         let mut ws = WriteSet::new();
         for (var, &v) in vars.iter().zip(&values) {
-            ws.insert(var.core(), v);
+            ws.insert(Loc::Var(var.core()), v);
         }
         ws.lock_all(7).unwrap();
         ws.write_back_and_release(42);
@@ -58,7 +58,7 @@ proptest! {
         let mut rs = ReadSet::new();
         for &i in &reads {
             let (_, ver) = vars[i].core().read_consistent().unwrap();
-            rs.push(vars[i].core(), ver);
+            rs.push(Loc::Var(vars[i].core()), ver);
         }
         // Bump some versions (simulating foreign commits).
         for (n, &i) in bumps.iter().enumerate() {

@@ -20,7 +20,9 @@
 //! * **Write**: acquire the location's versioned lock at encounter time
 //!   (eager), save the old `(value, version)` in an undo log, and write the
 //!   new value **in place**. Readers that hit the locked word conflict
-//!   immediately (visible writes).
+//!   immediately (visible writes). A [`Link`] is locked the same way but
+//!   its payload is *buffered* in the write set: its lock word is its
+//!   value, so it is published with its commit version in one store.
 //! * **Commit**: tick the clock to get `wv`; if the snapshot does not
 //!   already extend to `wv - 1`, revalidate the read set; then release each
 //!   written lock at `wv`. **Abort**: restore old values in reverse order
@@ -37,10 +39,12 @@
 use stm_core::bloom::Bloom;
 use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
+use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
 use stm_core::scratch::{give_back, SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
+use stm_core::vlock::VLock;
 use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"lsa"`.
@@ -107,14 +111,15 @@ impl<'env> UndoLog<'env> {
         self.entries.len()
     }
 
-    /// The pre-lock version of `core` if this transaction wrote it.
-    fn old_version_of(&self, core: &TVarCore) -> Option<u64> {
-        if !self.bloom.may_contain(core.id()) {
+    /// The pre-lock version of the `TVar` `lock` protects if this
+    /// transaction wrote it.
+    fn old_version_of(&self, lock: &VLock) -> Option<u64> {
+        if !self.bloom.may_contain(lock.id()) {
             return None;
         }
         self.entries
             .iter()
-            .find(|e| e.core.id() == core.id())
+            .find(|e| e.core.id() == lock.id())
             .map(|e| e.old_version)
     }
 
@@ -174,8 +179,8 @@ pub struct LsaTxn<'env> {
     /// Upper bound: the snapshot is consistent for all times in `[rv, ub]`.
     ub: u64,
     at: Attempt<'env>,
-    /// Only the pooled read set is used: writes go in place, through
-    /// the undo log.
+    /// The pooled read set, and the write set for link writes (every
+    /// `TVar` write goes in place, through the undo log).
     scratch: TxScratch<'env>,
     undo: UndoLog<'env>,
 }
@@ -197,49 +202,58 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
 
     fn try_commit(&mut self) -> Result<(), Abort> {
         let mut wv = 0;
-        if self.undo.is_empty() {
+        if self.undo.is_empty() && self.scratch.writes.is_empty() {
             // Read-only: consistent at the (possibly extended) snapshot;
             // a composition still validates (see
             // `Attempt::read_only_commit`).
+            if self.scratch.reads.linked() {
+                link::check_age(self.rv, self.stm.inst.clock.now())?;
+            }
             let reads = &self.scratch.reads;
             self.at
                 .read_only_commit(|| reads.validate(None, |_| None))?;
         } else {
             let stamp = self.stm.inst.clock.stamp();
             wv = stamp.wv;
+            if self.scratch.reads.linked() {
+                link::check_age(self.rv, wv)?;
+            }
             // Validation-skip fast path (see TL2): only an exclusively won
             // wv == ub + 1 proves no concurrent commit; adoption must
             // revalidate.
-            let valid = (stamp.exclusive && wv == self.ub + 1)
-                || self
-                    .scratch
-                    .reads
-                    .validate(self.at.owner(), |core| self.undo.old_version_of(core));
+            let valid = (stamp.exclusive && wv == self.ub + 1) || self.reads_hold();
             if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
         }
-        // The undo log is first-write-wins, so each written location
+        // The undo log is first-write-wins, so each written `TVar`
         // appears exactly once; its committed word is the in-place value
-        // (`value_unsync` is safe under the held lock).
-        let (reads, undo) = (&self.scratch.reads, &mut self.undo);
+        // (`value_unsync` is safe under the held lock). Buffered link
+        // writes follow.
+        let (reads, ub) = (&self.scratch.reads, self.ub);
+        let len = self.undo.len() + self.scratch.writes.len();
         self.at.publish(
             wv,
-            undo,
-            undo.len(),
-            |u, f| {
+            &mut (&mut self.undo, &mut self.scratch.writes),
+            len,
+            |(u, w), f| {
                 u.entries
                     .iter()
                     .for_each(|e| f(e.core.id(), e.core.value_unsync()));
+                w.for_each_write(f);
             },
-            |u| u.release_at(wv),
-            |_| reads.max_version(),
+            |(u, w)| {
+                u.release_at(wv);
+                w.write_back_and_release(wv);
+            },
+            |_| reads.observed_bound(ub),
         );
         Ok(())
     }
 
     fn rollback(&mut self) {
         self.undo.rollback();
+        self.scratch.writes.release_locks();
     }
 
     fn wait_set(&mut self) -> &ReadSet<'env> {
@@ -265,11 +279,10 @@ impl<'env> LsaTxn<'env> {
     /// instead of a fresh clock sample keeps the extension path — and with
     /// it the whole read path — off the contended global clock line.
     fn extend(&mut self, target: u64) -> Result<(), Abort> {
-        let ok = self
-            .scratch
-            .reads
-            .validate(self.at.owner(), |core| self.undo.old_version_of(core));
-        if ok {
+        if self.scratch.reads.linked() {
+            link::check_age(self.rv, target)?;
+        }
+        if self.reads_hold() {
             self.ub = target;
             self.stm.inst.stats.record_extension();
             Ok(())
@@ -278,20 +291,31 @@ impl<'env> LsaTxn<'env> {
         }
     }
 
-    /// Whether this attempt holds `core`'s lock. An attempt that has not
-    /// drawn its ticket holds none, so reads never draw one.
+    /// Whether every read still holds; a location this attempt locked
+    /// is compared at its pre-lock word (undo log or write set).
+    fn reads_hold(&self) -> bool {
+        self.scratch.reads.validate(self.at.owner(), |lock| {
+            self.undo
+                .old_version_of(lock)
+                .or_else(|| self.scratch.writes.locked_version_of(lock))
+        })
+    }
+
+    /// Whether this attempt holds the lock of the location `lock`
+    /// protects. An attempt that has not drawn its ticket holds none, so
+    /// reads never draw one.
     #[inline]
-    fn holds(&self, core: &TVarCore) -> bool {
+    fn holds(&self, lock: &VLock) -> bool {
         self.at
             .owner()
-            .is_some_and(|ticket| core.lock().is_locked_by(ticket))
+            .is_some_and(|ticket| lock.is_locked_by(ticket))
     }
 
     /// Bounded wait for a foreign lock, then give up (simple conservative
     /// contention management: the requester yields).
-    fn wait_for_unlock(&self, core: &TVarCore) -> bool {
+    fn wait_for_unlock(&self, loc: Loc<'_>) -> bool {
         for _ in 0..stm_core::cm::LOCK_SPIN_LIMIT {
-            if core.read_consistent().is_ok() {
+            if loc.read_consistent().is_ok() {
                 return true;
             }
             core::hint::spin_loop();
@@ -300,13 +324,21 @@ impl<'env> LsaTxn<'env> {
     }
 }
 
-impl<'env> Transaction<'env> for LsaTxn<'env> {
-    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        // In-place writes: if we hold the lock, the current word is ours.
-        if self.holds(core) {
-            let word = core.value_unsync();
+impl<'env> LsaTxn<'env> {
+    fn read_loc(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
+        // Eager locking: if we hold the lock, the current word is ours —
+        // in place for a `TVar`, buffered for a link.
+        if self.holds(loc.lock()) {
+            let word = match loc {
+                Loc::Var(core) => core.value_unsync(),
+                Loc::Link(_) => self
+                    .scratch
+                    .writes
+                    .lookup(loc)
+                    .expect("a held link is buffered"),
+            };
             if let Some(t) = self.at.tracer() {
-                t.op_held(core.id(), TraceOp::Read(word));
+                t.op_held(loc.id(), TraceOp::Read(word));
             }
             return Ok(word);
         }
@@ -318,26 +350,27 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
                 // let the retry loop re-run the transaction.
                 return Err(Abort::new(AbortReason::LockConflict));
             }
-            match core.read_consistent() {
-                Ok((word, version)) => {
+            match loc.read_consistent() {
+                Ok((word, seen)) => {
                     // Record the read BEFORE any extension so the
                     // revalidation covers this location too: if it changes
                     // between the consistent read and the extension check,
                     // the extension fails instead of the snapshot silently
                     // going stale (matters for read-only transactions,
                     // which are never validated again).
-                    self.scratch.reads.push(core, version);
-                    if version > self.ub {
+                    self.scratch.reads.push(loc, seen);
+                    let clock = &self.stm.inst.clock;
+                    if let Some(version) = loc.newer(seen, self.ub, || clock.now()) {
                         // Location is newer than our snapshot: lazily extend.
                         self.extend(version)?;
                     }
                     if let Some(t) = self.at.tracer() {
-                        t.op(core.id(), TraceOp::Read(word));
+                        t.op(loc.id(), TraceOp::Read(word));
                     }
                     return Ok(word);
                 }
                 Err(ReadConflict::Locked(_)) => {
-                    if !self.wait_for_unlock(core) {
+                    if !self.wait_for_unlock(loc) {
                         return Err(Abort::new(AbortReason::LockConflict));
                     }
                 }
@@ -348,11 +381,16 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
         }
     }
 
-    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        if self.holds(core) {
-            core.store_value(word);
+    fn write_loc(&mut self, loc: Loc<'env>, word: u64) -> Result<(), Abort> {
+        if self.holds(loc.lock()) {
+            match loc {
+                Loc::Var(core) => core.store_value(word),
+                Loc::Link(_) => {
+                    self.scratch.writes.insert(loc, word);
+                }
+            }
             if let Some(t) = self.at.tracer() {
-                t.op_held(core.id(), TraceOp::Write(word));
+                t.op_held(loc.id(), TraceOp::Write(word));
             }
             return Ok(());
         }
@@ -362,23 +400,48 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
             if attempts > 64 {
                 return Err(Abort::new(AbortReason::LockConflict));
             }
-            match core.lock().try_lock_any(self.at.ticket()) {
-                Ok(old_version) => {
-                    let old_value = core.value_unsync();
-                    self.undo.record_first_write(core, old_value, old_version);
-                    core.store_value(word);
+            match loc.lock().try_lock_any(self.at.ticket()) {
+                Ok(old) => {
+                    match loc {
+                        Loc::Var(core) => {
+                            self.undo.record_first_write(core, core.value_unsync(), old);
+                            core.store_value(word);
+                        }
+                        Loc::Link(_) => {
+                            self.scratch.writes.insert(loc, word);
+                            self.scratch.writes.mark_locked(loc, old);
+                        }
+                    }
                     if let Some(t) = self.at.tracer() {
-                        t.op(core.id(), TraceOp::Write(word));
+                        t.op(loc.id(), TraceOp::Write(word));
                     }
                     return Ok(());
                 }
                 Err(_) => {
-                    if !self.wait_for_unlock(core) {
+                    if !self.wait_for_unlock(loc) {
                         return Err(Abort::new(AbortReason::LockConflict));
                     }
                 }
             }
         }
+    }
+}
+
+impl<'env> Transaction<'env> for LsaTxn<'env> {
+    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
+        self.read_loc(Loc::Var(core))
+    }
+
+    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Var(core), word)
+    }
+
+    fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort> {
+        self.read_loc(Loc::Link(link))
+    }
+
+    fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Link(link), payload)
     }
 
     // Flat nesting (see TL2): classic transactions outherit trivially.

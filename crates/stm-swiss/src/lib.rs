@@ -46,6 +46,7 @@ use stm_core::bloom::hash_id;
 use stm_core::cm::{self, LOCK_SPIN_LIMIT};
 use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
+use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
 use stm_core::scratch::TxScratch;
 use stm_core::trace::TraceOp;
@@ -85,8 +86,8 @@ impl WLockTable {
     }
 
     #[inline]
-    fn index_of(&self, core: &TVarCore) -> usize {
-        (hash_id(core.id()) as usize) & self.mask
+    fn index_of(&self, id: usize) -> usize {
+        (hash_id(id) as usize) & self.mask
     }
 
     /// The write-lock slot a location maps to (used by tests and
@@ -94,7 +95,7 @@ impl WLockTable {
     #[cfg_attr(not(test), allow(dead_code))]
     #[inline]
     fn slot(&self, core: &TVarCore) -> &AtomicU64 {
-        &self.slots[self.index_of(core)]
+        &self.slots[self.index_of(core.id())]
     }
 }
 
@@ -181,6 +182,9 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
             // Read-only: consistent at the (possibly extended) snapshot;
             // a composition still validates (see
             // `Attempt::read_only_commit`).
+            if self.scratch.reads.linked() {
+                link::check_age(self.rv, self.stm.inst.clock.now())?;
+            }
             let reads = &self.scratch.reads;
             self.at
                 .read_only_commit(|| reads.validate(None, |_| None))?;
@@ -189,12 +193,15 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
             self.scratch.writes.lock_all(ticket)?;
             let stamp = self.stm.inst.clock.stamp();
             wv = stamp.wv;
+            if self.scratch.reads.linked() {
+                link::check_age(self.rv, wv)?;
+            }
             // Validation-skip fast path (see TL2): an exclusively won
             // wv == ub + 1 means no other update committed since the
             // snapshot was last validated; an adopted stamp means one did.
             let valid = (stamp.exclusive && wv == self.ub + 1)
-                || self.scratch.reads.validate(Some(ticket), |core| {
-                    self.scratch.writes.locked_version_of(core)
+                || self.scratch.reads.validate(Some(ticket), |lock| {
+                    self.scratch.writes.locked_version_of(lock)
                 });
             if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
@@ -202,7 +209,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
         }
         // Both lock layers (commit-time versioned locks and encounter-
         // time write locks) stay held until the release step.
-        let (wlocks, owner) = (&self.stm.wlocks, self.at.owner());
+        let (wlocks, owner, ub) = (&self.stm.wlocks, self.at.owner(), self.ub);
         let len = self.scratch.writes.len();
         self.at.publish(
             wv,
@@ -213,7 +220,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
                 s.writes.write_back_and_release(wv);
                 release_wlocks(wlocks, owner, &mut s.aux);
             },
-            |s| s.reads.max_version(),
+            |s| s.reads.observed_bound(ub),
         );
         Ok(())
     }
@@ -241,8 +248,11 @@ impl<'env> SwissTxn<'env> {
     /// `target`, so the extension path never re-reads the contended global
     /// clock line.
     fn extend(&mut self, target: u64) -> Result<(), Abort> {
-        let ok = self.scratch.reads.validate(self.at.owner(), |core| {
-            self.scratch.writes.locked_version_of(core)
+        if self.scratch.reads.linked() {
+            link::check_age(self.rv, target)?;
+        }
+        let ok = self.scratch.reads.validate(self.at.owner(), |lock| {
+            self.scratch.writes.locked_version_of(lock)
         });
         if ok {
             self.ub = target;
@@ -260,9 +270,9 @@ impl<'env> SwissTxn<'env> {
     /// [`AbortReason::ContentionManager`]). The rule bounds its own
     /// waiting, and a defensive backstop (`LOCK_SPIN_LIMIT × 16`) keeps
     /// the loop finite even if it did not.
-    fn acquire_wlock(&mut self, core: &TVarCore) -> Result<(), Abort> {
+    fn acquire_wlock(&mut self, id: usize) -> Result<(), Abort> {
         const BACKSTOP: u32 = LOCK_SPIN_LIMIT * 16;
-        let idx = self.stm.wlocks.index_of(core);
+        let idx = self.stm.wlocks.index_of(id);
         let slot = &self.stm.wlocks.slots[idx];
         let ticket = self.at.ticket();
         let mut spins = 0u32;
@@ -286,30 +296,31 @@ impl<'env> SwissTxn<'env> {
     }
 }
 
-impl<'env> Transaction<'env> for SwissTxn<'env> {
-    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        if let Some(word) = self.scratch.writes.lookup(core) {
+impl<'env> SwissTxn<'env> {
+    fn read_loc(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
+        if let Some(word) = self.scratch.writes.lookup(loc) {
             if let Some(t) = self.at.tracer() {
-                t.op_held(core.id(), TraceOp::Read(word));
+                t.op_held(loc.id(), TraceOp::Read(word));
             }
             return Ok(word);
         }
         let mut spins = 0u32;
         loop {
-            match core.read_consistent() {
-                Ok((word, version)) => {
+            match loc.read_consistent() {
+                Ok((word, seen)) => {
                     // Record the read BEFORE any extension so the
                     // revalidation covers this location too: if it changes
                     // again between the consistent read and the extension
                     // sample, the extension fails instead of the snapshot
                     // silently going stale (matters for read-only
                     // transactions, which are never validated again).
-                    self.scratch.reads.push(core, version);
-                    if version > self.ub {
+                    self.scratch.reads.push(loc, seen);
+                    let clock = &self.stm.inst.clock;
+                    if let Some(version) = loc.newer(seen, self.ub, || clock.now()) {
                         self.extend(version)?;
                     }
                     if let Some(t) = self.at.tracer() {
-                        t.op(core.id(), TraceOp::Read(word));
+                        t.op(loc.id(), TraceOp::Read(word));
                     }
                     return Ok(word);
                 }
@@ -329,20 +340,38 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
         }
     }
 
-    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
+    fn write_loc(&mut self, loc: Loc<'env>, word: u64) -> Result<(), Abort> {
         // Eager W-W detection, lazy versioning: take the write lock now,
         // buffer the value until commit.
-        self.acquire_wlock(core)?;
-        let first_touch = self.scratch.writes.lookup(core).is_none();
-        self.scratch.writes.insert(core, word);
+        self.acquire_wlock(loc.id())?;
+        let first_touch = self.scratch.writes.lookup(loc).is_none();
+        self.scratch.writes.insert(loc, word);
         if let Some(t) = self.at.tracer() {
             if first_touch {
-                t.op(core.id(), TraceOp::Write(word));
+                t.op(loc.id(), TraceOp::Write(word));
             } else {
-                t.op_held(core.id(), TraceOp::Write(word));
+                t.op_held(loc.id(), TraceOp::Write(word));
             }
         }
         Ok(())
+    }
+}
+
+impl<'env> Transaction<'env> for SwissTxn<'env> {
+    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
+        self.read_loc(Loc::Var(core))
+    }
+
+    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Var(core), word)
+    }
+
+    fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort> {
+        self.read_loc(Loc::Link(link))
+    }
+
+    fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Link(link), payload)
     }
 
     // Flat nesting (see TL2): classic transactions outherit trivially.

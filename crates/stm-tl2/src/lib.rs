@@ -9,7 +9,10 @@
 //! * **Begin**: sample the global version clock into the read version `rv`.
 //! * **Read**: consistent-read the location; abort if it is locked or its
 //!   version exceeds `rv` (the location was written after we started — TL2
-//!   has no snapshot extension). Record the read invisibly.
+//!   has no snapshot extension). Record the read invisibly. A
+//!   [`Link`]'s truncated version is compared by the serial-number rule, and
+//!   an attempt that read one checks its clock age at commit (see
+//!   `stm_core::link`).
 //! * **Write**: buffer in the write set (lazy versioning / deferred update).
 //! * **Commit**: acquire the versioned locks of the write set (sorted by
 //!   location to avoid deadlock), increment the clock to obtain the write
@@ -28,6 +31,7 @@
 
 use stm_core::driver::{self, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
+use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
 use stm_core::scratch::TxScratch;
 use stm_core::trace::TraceOp;
@@ -104,6 +108,9 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
         // read-only composition still validates (see
         // `Attempt::read_only_commit`).
         if self.scratch.writes.is_empty() {
+            if self.scratch.reads.linked() {
+                link::check_age(self.rv, self.stm.inst.clock.now())?;
+            }
             let reads = &self.scratch.reads;
             self.at
                 .read_only_commit(|| reads.validate(None, |_| None))?;
@@ -111,27 +118,30 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
             self.scratch.writes.lock_all(self.at.ticket())?;
             let stamp = self.stm.inst.clock.stamp();
             wv = stamp.wv;
+            if self.scratch.reads.linked() {
+                link::check_age(self.rv, wv)?;
+            }
             // Someone committed after we sampled rv: re-validate the reads.
             // Only an *exclusively won* wv == rv + 1 proves nothing can
             // have invalidated them (TL2's validation-skip fast path); an
             // adopted stamp proves a concurrent commit just happened, even
             // when the shared timestamp happens to equal rv + 1.
             let valid = (stamp.exclusive && wv == self.rv + 1)
-                || self.scratch.reads.validate(self.at.owner(), |core| {
-                    self.scratch.writes.locked_version_of(core)
+                || self.scratch.reads.validate(self.at.owner(), |lock| {
+                    self.scratch.writes.locked_version_of(lock)
                 });
             if !valid {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
         }
-        let (reads, writes) = (&self.scratch.reads, &mut self.scratch.writes);
+        let (reads, writes, rv) = (&self.scratch.reads, &mut self.scratch.writes, self.rv);
         self.at.publish(
             wv,
             writes,
             writes.len(),
             WriteSet::for_each_write,
             |w| w.write_back_and_release(wv),
-            |_| reads.max_version(),
+            |_| reads.observed_bound(rv),
         );
         Ok(())
     }
@@ -145,23 +155,25 @@ impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
     }
 }
 
-impl<'env> Transaction<'env> for Tl2Txn<'env> {
-    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
-        if let Some(word) = self.scratch.writes.lookup(core) {
+impl<'env> Tl2Txn<'env> {
+    #[inline]
+    fn read_loc(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
+        if let Some(word) = self.scratch.writes.lookup(loc) {
             if let Some(t) = self.at.tracer() {
-                t.op_held(core.id(), TraceOp::Read(word));
+                t.op_held(loc.id(), TraceOp::Read(word));
             }
             return Ok(word);
         }
-        match core.read_consistent() {
-            Ok((word, version)) => {
-                if version > self.rv {
+        match loc.read_consistent() {
+            Ok((word, seen)) => {
+                let clock = &self.stm.inst.clock;
+                if loc.newer(seen, self.rv, || clock.now()).is_some() {
                     // Written after we started; TL2 aborts (no extension).
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
-                self.scratch.reads.push(core, version);
+                self.scratch.reads.push(loc, seen);
                 if let Some(t) = self.at.tracer() {
-                    t.op(core.id(), TraceOp::Read(word));
+                    t.op(loc.id(), TraceOp::Read(word));
                 }
                 Ok(word)
             }
@@ -170,17 +182,35 @@ impl<'env> Transaction<'env> for Tl2Txn<'env> {
         }
     }
 
-    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
-        let first_touch = self.scratch.writes.lookup(core).is_none();
-        self.scratch.writes.insert(core, word);
+    fn write_loc(&mut self, loc: Loc<'env>, word: u64) -> Result<(), Abort> {
+        let first_touch = self.scratch.writes.lookup(loc).is_none();
+        self.scratch.writes.insert(loc, word);
         if let Some(t) = self.at.tracer() {
             if first_touch {
-                t.op(core.id(), TraceOp::Write(word));
+                t.op(loc.id(), TraceOp::Write(word));
             } else {
-                t.op_held(core.id(), TraceOp::Write(word));
+                t.op_held(loc.id(), TraceOp::Write(word));
             }
         }
         Ok(())
+    }
+}
+
+impl<'env> Transaction<'env> for Tl2Txn<'env> {
+    fn read_word(&mut self, core: &'env TVarCore) -> Result<u64, Abort> {
+        self.read_loc(Loc::Var(core))
+    }
+
+    fn write_word(&mut self, core: &'env TVarCore, word: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Var(core), word)
+    }
+
+    fn read_link(&mut self, link: &'env Link) -> Result<u64, Abort> {
+        self.read_loc(Loc::Link(link))
+    }
+
+    fn write_link(&mut self, link: &'env Link, payload: u64) -> Result<(), Abort> {
+        self.write_loc(Loc::Link(link), payload)
     }
 
     // Flat nesting: the child's accesses accumulate in the parent's

@@ -11,7 +11,10 @@
 //! * **wake-on-commit, every backend** — a consumer parked in `retry()`
 //!   is woken by a committing writer to its read set, the result is the
 //!   post-commit value, and the park accounting balances
-//!   (`wakeups + spurious_wakeups == retry_parks`);
+//!   (`wakeups + spurious_wakeups == retry_parks`). The `retry()` is also
+//!   raised inside an elastic or a regular section of an elastic parent
+//!   whose read decided it: the parent's elastic read is part of what the
+//!   aborted attempt waits on;
 //! * **crowd wake** — one commit wakes every waiter parked on the same
 //!   location;
 //! * **`or_else` suppression** — an alternation frame means "switch
@@ -111,38 +114,69 @@ fn a_commit_that_beats_the_registration_invalidates_instead_of_parking() {
     assert_eq!(snap.wakeups + snap.spurious_wakeups, 0);
 }
 
+/// Where a consumer's `retry()` sits: in the body of a regular run, or
+/// in a section (of the given policy) of an elastic run whose own read of
+/// the gate decided the retry.
+const RETRY_SHAPES: [(&str, Option<Policy>); 3] = [
+    ("regular body", None),
+    (
+        "elastic section of an elastic parent",
+        Some(Policy::Elastic),
+    ),
+    (
+        "regular section of an elastic parent",
+        Some(Policy::Regular),
+    ),
+];
+
+/// Wait for the gate to open, then bump it; returns the value seen.
+fn consume(at: &Atomic<Backend>, gate: &TVar<u64>, section: Option<Policy>) -> u64 {
+    match section {
+        None => at.run(Policy::Regular, |tx| {
+            let g = tx.get(gate)?;
+            if g == 0 {
+                return tx.retry();
+            }
+            tx.set(gate, g + 1)?;
+            Ok(g)
+        }),
+        Some(policy) => at.run(Policy::Elastic, |tx| {
+            let g = tx.get(gate)?;
+            let g = tx.section(policy, |t| if g == 0 { t.retry() } else { Ok(g) })?;
+            tx.set(gate, g + 1)?;
+            Ok(g)
+        }),
+    }
+}
+
 #[test]
 fn blocked_retry_wakes_on_a_committing_writer_every_backend() {
     for backend in BACKENDS {
-        let at = runner(backend);
-        let gate = TVar::new(0u64);
-        let observed = std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
-                at.run(Policy::Regular, |tx| {
-                    let g = tx.get(&gate)?;
-                    if g == 0 {
-                        return tx.retry();
-                    }
-                    tx.set(&gate, g + 1)?;
-                    Ok(g)
-                })
+        for (shape, section) in RETRY_SHAPES {
+            let at = runner(backend);
+            let gate = TVar::new(0u64);
+            let observed = std::thread::scope(|scope| {
+                let consumer = scope.spawn(|| consume(&at, &gate, section));
+                // Open the gate once the consumer has parked: a park is
+                // filed after registration and re-validation, so a commit
+                // from here on deposits the token or is seen by the next
+                // attempt. A consumer that ends instead of parking (its
+                // run failed) is reported by the join.
+                wait_until(|| at.stats().retry_parks >= 1 || consumer.is_finished());
+                at.run(Policy::Regular, |tx| tx.set(&gate, 7));
+                consumer.join().expect("consumer thread")
             });
-            // Open the gate once the consumer has parked: a park is filed
-            // after registration and re-validation, so a commit from here
-            // on deposits the token or is seen by the next attempt.
-            wait_until(|| at.stats().retry_parks >= 1);
-            at.run(Policy::Regular, |tx| tx.set(&gate, 7));
-            consumer.join().expect("consumer thread")
-        });
-        assert_eq!(observed, 7, "{backend}: woken consumer reads the commit");
-        assert_eq!(gate.load_atomic(), 8, "{backend}");
-        let snap = at.stats();
-        assert!(snap.retry_parks >= 1, "{backend}: the consumer must park");
-        assert_eq!(
-            snap.wakeups + snap.spurious_wakeups,
-            snap.retry_parks,
-            "{backend}: every park ends in exactly one filed outcome: {snap:?}"
-        );
+            let ctx = format!("{backend}, {shape}");
+            assert_eq!(observed, 7, "{ctx}: woken consumer reads the commit");
+            assert_eq!(gate.load_atomic(), 8, "{ctx}");
+            let snap = at.stats();
+            assert!(snap.retry_parks >= 1, "{ctx}: the consumer must park");
+            assert_eq!(
+                snap.wakeups + snap.spurious_wakeups,
+                snap.retry_parks,
+                "{ctx}: every park ends in exactly one filed outcome: {snap:?}"
+            );
+        }
     }
 }
 
