@@ -25,13 +25,13 @@
 //! | `fsync-batch` | 64 `TVar` slots | write-heavy: nearly every op commits an update (the `--durable` axis's group-commit showcase) |
 //! | `wake-storm` | 4 mailbox `TVar`s | producers wake parked `retry()` consumers; rows carry wakeup-latency percentiles |
 //! | `waiter-army` | 1 × `TxQueue` | 85% blocking dequeues park on the head links; 15% enqueue bursts wake the crowd |
-//! | `txkv-uniform` | 8 hash-shard `KeySpace` | txkv service mix, uniform keys (the skew sweep's baseline) |
-//! | `txkv-zipf` | 8 hash-shard `KeySpace` | txkv service mix, zipfian(0.99) keys |
-//! | `txkv-hotspot` | 8 hash-shard `KeySpace` | txkv service mix, 90% of ops on 10% of keys |
-//! | `txkv-multi4` | 8 hash-shard `KeySpace` | MULTI-heavy, 4 keys per transaction (the MULTI-size sweep) |
-//! | `txkv-multi16` | 8 hash-shard `KeySpace` | MULTI-heavy, 16 keys per transaction |
-//! | `txkv-read-heavy` | 8 hash-shard `KeySpace` | 95% GET (the read/write-mix sweep's read end) |
-//! | `txkv-write-heavy` | 8 skip-list-shard `KeySpace` | 70% updates (the mix sweep's write end) |
+//! | `txkv-uniform` | `KeySpace` | txkv service mix, uniform keys (the skew sweep's baseline) |
+//! | `txkv-zipf` | `KeySpace` | txkv service mix, zipfian(0.99) keys |
+//! | `txkv-hotspot` | `KeySpace` | txkv service mix, 90% of ops on 10% of keys |
+//! | `txkv-multi4` | `KeySpace` | MULTI-heavy, 4 keys per transaction (the MULTI-size sweep) |
+//! | `txkv-multi16` | `KeySpace` | MULTI-heavy, 16 keys per transaction |
+//! | `txkv-read-heavy` | `KeySpace` | 95% GET (the read/write-mix sweep's read end) |
+//! | `txkv-write-heavy` | `KeySpace` | 70% updates (the mix sweep's write end) |
 //!
 //! The `txkv-*` family drives the service layer (`crates/txkv`) and is the
 //! reason rows carry latency percentiles: each step is timed and recorded
@@ -731,14 +731,12 @@ fn build_waiter_army(mix: Mix) -> Box<dyn Workload + Send + Sync> {
 /// Key universe of the txkv scenarios (matches the paper mixes'
 /// `DEFAULT_KEY_RANGE`; prefilled to 50%).
 const TXKV_CAPACITY: usize = 1 << 13;
-/// Shards per keyspace.
-const TXKV_SHARDS: usize = 8;
 
 /// The service-layer workload: each step samples a key from the baked
-/// distribution, runs one GET/SET/CAS/DEL/MULTI against the sharded
-/// keyspace, and records the op's service time into the lock-free
-/// histogram. Latency is closed-loop here (service time, not queueing
-/// delay) so rows stay comparable across backends of very different
+/// distribution, runs one GET/SET/CAS/DEL/MULTI against the keyspace,
+/// and records the op's service time into the lock-free histogram.
+/// Latency is closed-loop here (service time, not queueing delay) so
+/// rows stay comparable across backends of very different
 /// capacity; the open-loop driver with arrival pacing lives in
 /// `txkv::loadgen` and the `examples/txkv_demo.rs` walkthrough.
 struct TxKvWorkload {
@@ -750,14 +748,9 @@ struct TxKvWorkload {
 }
 
 impl TxKvWorkload {
-    fn new(
-        kind: txkv::ShardKind,
-        dist: txkv::KeyDist,
-        mix: txkv::OpMix,
-        multi_size: usize,
-    ) -> Self {
+    fn new(dist: txkv::KeyDist, mix: txkv::OpMix, multi_size: usize) -> Self {
         Self {
-            ks: txkv::KeySpace::new(kind, TXKV_SHARDS, TXKV_CAPACITY),
+            ks: txkv::KeySpace::new(txkv::ShardKind::Hash, 1, TXKV_CAPACITY),
             sampler: txkv::KeySampler::new(dist, TXKV_CAPACITY),
             mix,
             multi_size,
@@ -796,7 +789,6 @@ fn txkv_multi_mix() -> txkv::OpMix {
 
 fn build_txkv_uniform(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
     Box::new(TxKvWorkload::new(
-        txkv::ShardKind::Hash,
         txkv::KeyDist::Uniform,
         txkv::OpMix::service(),
         4,
@@ -805,7 +797,6 @@ fn build_txkv_uniform(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
 
 fn build_txkv_zipf(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
     Box::new(TxKvWorkload::new(
-        txkv::ShardKind::Hash,
         txkv::KeyDist::Zipfian { theta: 0.99 },
         txkv::OpMix::service(),
         4,
@@ -814,7 +805,6 @@ fn build_txkv_zipf(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
 
 fn build_txkv_hotspot(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
     Box::new(TxKvWorkload::new(
-        txkv::ShardKind::Hash,
         txkv::KeyDist::Hotspot {
             hot_keys: 0.1,
             hot_ops: 0.9,
@@ -826,7 +816,6 @@ fn build_txkv_hotspot(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
 
 fn build_txkv_multi4(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
     Box::new(TxKvWorkload::new(
-        txkv::ShardKind::Hash,
         txkv::KeyDist::Zipfian { theta: 0.99 },
         txkv_multi_mix(),
         4,
@@ -835,7 +824,6 @@ fn build_txkv_multi4(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
 
 fn build_txkv_multi16(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
     Box::new(TxKvWorkload::new(
-        txkv::ShardKind::Hash,
         txkv::KeyDist::Zipfian { theta: 0.99 },
         txkv_multi_mix(),
         16,
@@ -844,7 +832,6 @@ fn build_txkv_multi16(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
 
 fn build_txkv_read_heavy(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
     Box::new(TxKvWorkload::new(
-        txkv::ShardKind::Hash,
         txkv::KeyDist::Zipfian { theta: 0.99 },
         txkv::OpMix {
             get_pct: 95,
@@ -858,10 +845,9 @@ fn build_txkv_read_heavy(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
 }
 
 fn build_txkv_write_heavy(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    // Skip-list shards: the write end of the mix sweep doubles as the
-    // ordered-structure coverage of the family.
+    // The write end of the mix sweep: most ops change a slot, and the
+    // DELs and the inserts behind SETs change presence words.
     Box::new(TxKvWorkload::new(
-        txkv::ShardKind::SkipList,
         txkv::KeyDist::Zipfian { theta: 0.99 },
         txkv::OpMix {
             get_pct: 30,
@@ -982,7 +968,7 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
         ScenarioSpec {
             name: "txkv-uniform",
             summary: "txkv service mix over uniform keys (skew sweep baseline)",
-            structure: "8xHashShardKV",
+            structure: "KeySpace",
             uses_composed_pct: false,
             build: build_txkv_uniform,
             sequential: None,
@@ -990,7 +976,7 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
         ScenarioSpec {
             name: "txkv-zipf",
             summary: "txkv service mix over zipfian(0.99) keys (skew sweep)",
-            structure: "8xHashShardKV",
+            structure: "KeySpace",
             uses_composed_pct: false,
             build: build_txkv_zipf,
             sequential: None,
@@ -998,23 +984,23 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
         ScenarioSpec {
             name: "txkv-hotspot",
             summary: "txkv service mix, 90% of ops on 10% of keys (skew sweep)",
-            structure: "8xHashShardKV",
+            structure: "KeySpace",
             uses_composed_pct: false,
             build: build_txkv_hotspot,
             sequential: None,
         },
         ScenarioSpec {
             name: "txkv-multi4",
-            summary: "txkv MULTI-heavy, 4 keys per cross-shard txn (MULTI-size sweep)",
-            structure: "8xHashShardKV",
+            summary: "txkv MULTI-heavy, 4 keys per txn (MULTI-size sweep)",
+            structure: "KeySpace",
             uses_composed_pct: false,
             build: build_txkv_multi4,
             sequential: None,
         },
         ScenarioSpec {
             name: "txkv-multi16",
-            summary: "txkv MULTI-heavy, 16 keys per cross-shard txn (MULTI-size sweep)",
-            structure: "8xHashShardKV",
+            summary: "txkv MULTI-heavy, 16 keys per txn (MULTI-size sweep)",
+            structure: "KeySpace",
             uses_composed_pct: false,
             build: build_txkv_multi16,
             sequential: None,
@@ -1022,15 +1008,15 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
         ScenarioSpec {
             name: "txkv-read-heavy",
             summary: "txkv 95% GET (read end of the read/write-mix sweep)",
-            structure: "8xHashShardKV",
+            structure: "KeySpace",
             uses_composed_pct: false,
             build: build_txkv_read_heavy,
             sequential: None,
         },
         ScenarioSpec {
             name: "txkv-write-heavy",
-            summary: "txkv 70% updates over skip-list shards (write end of the mix sweep)",
-            structure: "8xSkipShardKV",
+            summary: "txkv 70% updates (write end of the mix sweep)",
+            structure: "KeySpace",
             uses_composed_pct: false,
             build: build_txkv_write_heavy,
             sequential: None,
@@ -1398,7 +1384,7 @@ mod tests {
         for s in scenarios() {
             assert_eq!(
                 s.name().starts_with("txkv-"),
-                s.structure().ends_with("ShardKV"),
+                s.structure() == "KeySpace",
                 "{} structure {}",
                 s.name(),
                 s.structure()

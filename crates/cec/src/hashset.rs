@@ -2,8 +2,7 @@
 //! (evaluated in Fig. 8 with a load factor of 512, i.e. deliberately long
 //! bucket chains to stress contention).
 //!
-//! Buckets are sorted linked lists sharing one node arena, which several
-//! sets may share too ([`HashSet::in_arena`]). `size()` is a
+//! Buckets are sorted linked lists sharing one node arena. `size()` is a
 //! genuinely *composed* operation: one child transaction per bucket, made
 //! atomic by outheritance — the operation the paper contrasts with the
 //! JDK's non-atomic `ConcurrentSkipListSet.size()`.
@@ -12,13 +11,12 @@ use crate::arena::Arena;
 use crate::listcore::{self, ListNode};
 use crate::set::{OpScratch, SetOps};
 use crossbeam::epoch::Guard;
-use std::sync::Arc;
 use stm_core::{Abort, Transaction, TxKind};
 
 /// A transactional hash set of `i64` keys with a fixed bucket count.
 #[derive(Debug)]
 pub struct HashSet {
-    arena: Arc<Arena<ListNode>>,
+    arena: Arena<ListNode>,
     buckets: Vec<u64>,
 }
 
@@ -27,22 +25,13 @@ impl HashSet {
     ///
     /// The paper's Fig. 8 uses `2^12` elements at load factor 512, i.e.
     /// 8 buckets.
-    #[must_use]
-    pub fn new(n_buckets: usize) -> Self {
-        Self::in_arena(Arc::new(Arena::new()), n_buckets)
-    }
-
-    /// An empty set with `n_buckets` fixed buckets whose nodes live in
-    /// `arena`, which other sets may share: each set frees and retires
-    /// only slots it allocated itself, so sets on one arena keep
-    /// independent contents and recycle each other's slots. One arena
-    /// for many small sets costs one first segment, not one per set.
     ///
     /// # Panics
     /// Panics if `n_buckets` is zero.
     #[must_use]
-    pub fn in_arena(arena: Arc<Arena<ListNode>>, n_buckets: usize) -> Self {
+    pub fn new(n_buckets: usize) -> Self {
         assert!(n_buckets > 0, "need at least one bucket");
+        let arena = Arena::new();
         let buckets = (0..n_buckets)
             .map(|_| listcore::new_sentinel(&arena))
             .collect();
@@ -243,47 +232,6 @@ mod tests {
                 assert_eq!(set.bucket_of(key), expected, "key {key}, {n} buckets");
             }
         }
-    }
-
-    /// Two sets on one arena: independent contents, and a slot retired
-    /// by one set is recycled by the other.
-    #[test]
-    fn sets_on_one_arena_keep_their_contents_and_share_slots() {
-        let stm = Atomic::new(OeStm::new());
-        let arena = Arc::new(Arena::new());
-        let a = HashSet::in_arena(Arc::clone(&arena), 4);
-        let b = HashSet::in_arena(Arc::clone(&arena), 4);
-        // A fresh arena's free list is empty: `a`'s insert takes the next
-        // never-used slot.
-        let slot = arena.high_water();
-        assert!(a.add(&stm, 1));
-        assert_eq!(arena.get(slot).key(), 1);
-        for k in 16..48 {
-            assert!(b.add(&stm, k));
-        }
-        assert!(!b.contains(&stm, 1) && !a.contains(&stm, 16));
-        assert!(a.remove(&stm, 1));
-        // Churn through the other set so the epoch advances and the slot
-        // `a` retired returns to the shared free list, then to `b`. Other
-        // tests of this binary pin concurrently and can hold the
-        // retirement back for a while, hence the generous bounded polling.
-        let mut recycled = false;
-        for _ in 0..1000 {
-            crate::arena::quiesce();
-            assert!(b.add(&stm, 2));
-            if arena.get(slot).key() == 2 {
-                recycled = true;
-                break;
-            }
-            assert!(b.remove(&stm, 2));
-            std::thread::yield_now();
-        }
-        assert!(
-            recycled,
-            "a slot retired by one set never reached the other"
-        );
-        assert!(b.contains(&stm, 2) && !a.contains(&stm, 2));
-        assert_eq!((a.size(&stm), b.size(&stm)), (0, 33));
     }
 
     #[test]

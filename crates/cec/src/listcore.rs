@@ -66,7 +66,7 @@ use stm_core::{Abort, AbortReason, Link, Transaction, Word};
 ///   through a link it loaded with `Acquire` (a link read, or the owner's
 ///   own buffered write), so the link publishes the key;
 /// * every caller of the building blocks pins an epoch guard around the
-///   whole operation (`SetExt`, `TxQueue`'s wrappers, `compose`, `txkv`).
+///   whole operation (`SetExt`, `TxQueue`'s wrappers, `compose`).
 ///
 /// Reads and writes of `next` are what the STM validates.
 #[derive(Debug, Default)]

@@ -1,76 +1,40 @@
-//! The sharded transactional keyspace: `GET`/`SET`/`CAS`/`DEL` as single
-//! facade transactions, `MULTI` as per-key sections under one parent.
+//! The transactional keyspace: `GET`/`SET`/`CAS`/`DEL` as single facade
+//! transactions, `MULTI` as per-key sections under one parent.
 //!
-//! Layout: the key universe is the fixed range `0..capacity`. Membership
-//! lives in `N` shards of a `cec` set (hash or skip list, picked per
-//! [`ShardKind`]); a key's shard is chosen by a SplitMix64 hash of the
-//! key, so a multi-key transaction routinely crosses shards. Hash shards
-//! put their nodes in one shared arena ([`HashSet::in_arena`]): its
-//! first segment holds a paper-size keyspace's nodes (2^13 keys at 50 %
-//! fill plus the bucket heads), so eight shards cost one arena's memory,
-//! not eight. Skip-list shards keep an arena each. Every key
-//! additionally owns two `TVar<u64>`s: its **value slot** and a 0/1
-//! **presence mirror**.
+//! Layout: the key universe is the fixed range `0..capacity`, and every
+//! key owns two `TVar<u64>`s: its **value slot** and a 0/1 **presence
+//! word**. The presence word is the key's membership. Every point
+//! operation learns whether its key is present by reading it, a `GET` is
+//! that read plus the slot's, and an insert or a delete writes it (1 or
+//! 0) in the same transaction that reads or writes the slot. An operation
+//! therefore touches only its own keys' words, and two operations
+//! conflict only if they share a key. [`KeySpace::len`] is the one query
+//! over every key: it sums the presence words in one regular transaction.
+//! The pair of words per key is also what the durability seam needs:
+//! [`KeySpace::register_durable`] logs both under restart-stable keys and
+//! [`KeySpace::restore`] re-installs them.
 //!
-//! The mirror is the query path. Every point operation learns whether
-//! its key is present by reading the mirror, one word, and a `GET` is
-//! that read plus the slot's. The mirror is sound as the membership
-//! answer because every transaction that changes membership writes the
-//! shard and the mirror together under [`Policy::Regular`]: any snapshot
-//! a regular attempt sees has them equal. The shards serve what a word
-//! per key cannot: `len()`, the inserts and removes of a membership
-//! change, and `MULTI`'s composition of those across shards. A lookup
-//! therefore never conflicts with an update to another key of its
-//! bucket. The mirror is also what the durability seam needs: sets hide
-//! their nodes behind arena indices, so only the `(slot, present)` pair
-//! can be registered under restart-stable keys with
-//! [`KeySpace::register_durable`] and re-installed by
-//! [`KeySpace::restore`].
-//!
-//! Every operation that can change membership follows the `cec::SetExt`
-//! memory-management choreography: pin an epoch guard, recycle slots a
-//! previous aborted attempt allocated at the start of each attempt, and
-//! retire unlinked slots after commit. `GET` touches no arena node and
-//! takes no pin. `MULTI` keeps one [`OpScratch`] per shard because
-//! arena slots must be returned to the arena that issued them. Hash
-//! shards share theirs, so for them one scratch would do and the
-//! per-shard split is merely still correct; skip-list shards each own an
-//! arena and need it. The per-shard scratch is a thread-local kept
-//! between calls, so a warm `MULTI` allocates nothing.
+//! No operation pins an epoch or allocates a node: a key's words live as
+//! long as the keyspace, so there is nothing to recycle or retire.
 //!
 //! All transactions run under [`Policy::Regular`]. The keyspace is
 //! generic over every registry backend — including the deliberately
 //! broken E-STM compatibility mode, whose early-released elastic reads
-//! would violate multi-word atomicity (set node vs. value slot); regular
-//! sections keep `MULTI` atomic on all six backends, which the
+//! would violate multi-word atomicity (presence word vs. value slot);
+//! regular sections keep `MULTI` atomic on all six backends, which the
 //! `txkv_multi_atomicity` oracle battery asserts.
 
-use cec::arena::{pin, Arena};
-use cec::{HashSet, OpScratch, SkipListSet, TxSet};
 use durable::{DurableHeap, Recovery};
-use std::cell::Cell;
-use std::sync::Arc;
 use stm_core::api::{Atomic, AtomicBackend, Policy, Tx};
 use stm_core::Abort;
 
-thread_local! {
-    /// This thread's per-shard `MULTI` scratch, kept between calls with
-    /// every vector emptied.
-    static MULTI_SCRATCH: Cell<Vec<OpScratch>> = const { Cell::new(Vec::new()) };
-}
-
-/// Which `cec` structure each shard uses for membership.
+/// Accepted by [`KeySpace::new`] and ignored: membership is the per-key
+/// presence word, so there is no set structure to pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardKind {
-    /// `cec::HashSet` shards (O(bucket) lookups; the default).
+    /// The only variant.
     Hash,
-    /// `cec::SkipListSet` shards (ordered, O(log n) lookups).
-    SkipList,
 }
-
-/// Buckets per hash shard: with the default 8 shards over a 2^13 key
-/// range, 2^13 · 0.5 / (8 · 64) = 8 keys per bucket at 50 % fill.
-const SHARD_HASH_BUCKETS: usize = 64;
 
 /// One key's update decision inside a [`KeySpace::multi`] transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,15 +48,14 @@ pub enum MultiOp {
     Delete,
 }
 
-/// The sharded transactional keyspace. See the module docs for layout.
+/// The transactional keyspace. See the module docs for layout.
 pub struct KeySpace {
-    shards: Vec<Box<dyn TxSet + Send + Sync>>,
     slots: Vec<stm_core::TVar<u64>>,
     present: Vec<stm_core::TVar<u64>>,
     capacity: usize,
 }
 
-/// SplitMix64 finalizer — the shard-picking hash.
+/// SplitMix64 finalizer — the rank scatter's hash.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -101,30 +64,18 @@ fn mix64(mut x: u64) -> u64 {
 }
 
 impl KeySpace {
-    /// A keyspace over keys `0..capacity` in `shards` shards of `kind`.
+    /// A keyspace over keys `0..capacity`, every key absent.
+    ///
+    /// `kind` and `shards` are ignored: membership is the per-key
+    /// presence word, so there is no structure to pick and nothing to
+    /// shard.
     ///
     /// # Panics
-    /// Panics if `shards` or `capacity` is zero.
+    /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(kind: ShardKind, shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
+    pub fn new(_kind: ShardKind, _shards: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "need a non-empty key range");
-        let shards: Vec<Box<dyn TxSet + Send + Sync>> = match kind {
-            ShardKind::Hash => {
-                let arena = Arc::new(Arena::new());
-                (0..shards)
-                    .map(|_| {
-                        let shard = HashSet::in_arena(Arc::clone(&arena), SHARD_HASH_BUCKETS);
-                        Box::new(shard) as Box<dyn TxSet + Send + Sync>
-                    })
-                    .collect()
-            }
-            ShardKind::SkipList => (0..shards)
-                .map(|_| Box::new(SkipListSet::new()) as Box<dyn TxSet + Send + Sync>)
-                .collect(),
-        };
         Self {
-            shards,
             slots: (0..capacity).map(|_| stm_core::TVar::new(0)).collect(),
             present: (0..capacity).map(|_| stm_core::TVar::new(0)).collect(),
             capacity,
@@ -137,30 +88,12 @@ impl KeySpace {
         self.capacity
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a key hashes to (stable across runs). A power-of-two
-    /// shard count takes the mask instead of a division, equal to `%`.
-    #[must_use]
-    pub fn shard_of(&self, key: i64) -> usize {
-        let h = mix64(key as u64);
-        let n = self.shards.len() as u64;
-        let s = if n.is_power_of_two() {
-            h & (n - 1)
-        } else {
-            h % n
-        };
-        s as usize
-    }
-
     /// Scatter a popularity rank over `0..n` (YCSB-style hashed-key
     /// scrambling): rank 0 is the hottest key, but hot keys should not be
-    /// neighbours — or all land on one shard — so ranks are hashed into
-    /// key ids with the same mix the shard picker uses.
+    /// neighbours. Neighbouring keys' words share cache lines, so
+    /// clustered hot ranks would turn updates of different hot keys into
+    /// false sharing between clients; hashing makes popularity
+    /// independent of key order.
     #[must_use]
     pub fn scatter(rank: u64, n: u64) -> u64 {
         mix64(rank) % n
@@ -175,9 +108,8 @@ impl KeySpace {
         key as usize
     }
 
-    /// The key at `idx`'s value, or `None` if absent: its presence
-    /// mirror, then its value slot if present. No shard is walked (the
-    /// module docs say why the mirror answers membership).
+    /// The key at `idx`'s value, or `None` if absent: its presence word,
+    /// then its value slot if present.
     fn read_key<'env>(&'env self, tx: &mut Tx<'env, '_>, idx: usize) -> Result<Option<u64>, Abort> {
         if tx.get(&self.present[idx])? == 1 {
             Ok(Some(tx.get(&self.slots[idx])?))
@@ -186,61 +118,41 @@ impl KeySpace {
         }
     }
 
-    /// Insert the absent `key` into its shard and set its mirror: one of
-    /// the two writers of membership, which keep shard and mirror equal.
-    fn insert_key<'env>(
+    /// Move the key at `idx` from `cur`, its state as this transaction
+    /// read it, to `new`. The presence word is written only when
+    /// membership changes, and the slot only when `new` holds a value.
+    fn store<'env>(
         &'env self,
         tx: &mut Tx<'env, '_>,
-        key: i64,
-        scratch: &mut OpScratch,
+        idx: usize,
+        cur: Option<u64>,
+        new: Option<u64>,
     ) -> Result<(), Abort> {
-        let added = self.shards[self.shard_of(key)].add_in(tx, key, scratch)?;
-        debug_assert!(added, "key {key}: mirror absent, shard present");
-        tx.set(&self.present[key as usize], 1)
-    }
-
-    /// Unlink the present `key` from its shard and clear its mirror: the
-    /// other writer of membership.
-    fn remove_key<'env>(
-        &'env self,
-        tx: &mut Tx<'env, '_>,
-        key: i64,
-        scratch: &mut OpScratch,
-    ) -> Result<(), Abort> {
-        let removed = self.shards[self.shard_of(key)].remove_in(tx, key, scratch)?;
-        debug_assert!(removed, "key {key}: mirror present, shard absent");
-        tx.set(&self.present[key as usize], 0)
+        if cur.is_some() != new.is_some() {
+            tx.set(&self.present[idx], u64::from(new.is_some()))?;
+        }
+        match new {
+            Some(value) => tx.set(&self.slots[idx], value),
+            None => Ok(()),
+        }
     }
 
     /// `GET key` — the committed value, or `None` if absent. One regular
-    /// read-only transaction of two word reads: the presence mirror and,
-    /// if present, the value slot. It touches no shard and no arena node,
-    /// so it takes no epoch pin.
+    /// read-only transaction of one or two word reads: the presence word
+    /// and, if present, the value slot.
     pub fn get<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64) -> Option<u64> {
         let idx = self.index(key);
         at.run(Policy::Regular, |tx| self.read_key(tx, idx))
     }
 
-    /// `SET key value` — upsert; returns the previous value, if any. The
-    /// shard is walked only to insert an absent key: updating a present
-    /// one reads two words and writes one.
+    /// `SET key value` — upsert; returns the previous value, if any.
     pub fn set<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64, value: u64) -> Option<u64> {
         let idx = self.index(key);
-        let shard = &self.shards[self.shard_of(key)];
-        let guard = pin();
-        let mut scratch = OpScratch::default();
-        let out = at.run(Policy::Regular, |tx| {
-            shard.release_unpublished(&mut scratch.allocated);
-            scratch.unlinked.clear();
+        at.run(Policy::Regular, |tx| {
             let prev = self.read_key(tx, idx)?;
-            if prev.is_none() {
-                self.insert_key(tx, key, &mut scratch)?;
-            }
-            tx.set(&self.slots[idx], value)?;
+            self.store(tx, idx, prev, Some(value))?;
             Ok(prev)
-        });
-        shard.retire_unlinked(&mut scratch.unlinked, &guard);
-        out
+        })
     }
 
     /// `CAS key expected new` — write `new` iff the current state equals
@@ -253,54 +165,32 @@ impl KeySpace {
         new: u64,
     ) -> bool {
         let idx = self.index(key);
-        let shard = &self.shards[self.shard_of(key)];
-        let guard = pin();
-        let mut scratch = OpScratch::default();
-        let out = at.run(Policy::Regular, |tx| {
-            shard.release_unpublished(&mut scratch.allocated);
-            scratch.unlinked.clear();
+        at.run(Policy::Regular, |tx| {
             let cur = self.read_key(tx, idx)?;
             if cur != expected {
                 return Ok(false);
             }
-            if cur.is_none() {
-                self.insert_key(tx, key, &mut scratch)?;
-            }
-            tx.set(&self.slots[idx], new)?;
+            self.store(tx, idx, cur, Some(new))?;
             Ok(true)
-        });
-        shard.retire_unlinked(&mut scratch.unlinked, &guard);
-        out
+        })
     }
 
-    /// `DEL key` — remove; returns the deleted value, if any. An absent
-    /// key costs one read of its mirror; only a present one walks the
-    /// shard to unlink it.
+    /// `DEL key` — remove; returns the deleted value, if any.
     pub fn del<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64) -> Option<u64> {
         let idx = self.index(key);
-        let shard = &self.shards[self.shard_of(key)];
-        let guard = pin();
-        let mut scratch = OpScratch::default();
-        let out = at.run(Policy::Regular, |tx| {
-            shard.release_unpublished(&mut scratch.allocated);
-            scratch.unlinked.clear();
-            if tx.get(&self.present[idx])? == 0 {
-                return Ok(None);
-            }
-            self.remove_key(tx, key, &mut scratch)?;
-            Ok(Some(tx.get(&self.slots[idx])?))
-        });
-        shard.retire_unlinked(&mut scratch.unlinked, &guard);
-        out
+        at.run(Policy::Regular, |tx| {
+            let cur = self.read_key(tx, idx)?;
+            self.store(tx, idx, cur, None)?;
+            Ok(cur)
+        })
     }
 
     /// `MULTI` — one atomic read-modify-write over `keys`, composed from
     /// one [`section`](stm_core::api::Tx::section) per key under a single
-    /// parent transaction, crossing shards atomically. `f` sees each
-    /// key's position in `keys` and its current value and decides the
-    /// update; it may run several times (the parent retries on conflict),
-    /// so it must be a pure function of its inputs. Returns how many keys
-    /// changed.
+    /// parent transaction. `f` sees each key's position in `keys` and its
+    /// current value and decides the update; it may run several times
+    /// (the parent retries on conflict), so it must be a pure function of
+    /// its inputs. Returns how many keys changed.
     pub fn multi<B, F>(&self, at: &Atomic<B>, keys: &[i64], mut f: F) -> u64
     where
         B: AtomicBackend,
@@ -309,52 +199,22 @@ impl KeySpace {
         for &key in keys {
             self.index(key);
         }
-        let guard = pin();
-        // One scratch per shard: arena slots must go back to the arena
-        // that issued them.
-        let mut scratches = MULTI_SCRATCH.take();
-        scratches.resize_with(self.shards.len(), OpScratch::default);
-        let out = at.run(Policy::Regular, |tx| {
-            for (shard, scratch) in self.shards.iter().zip(scratches.iter_mut()) {
-                shard.release_unpublished(&mut scratch.allocated);
-                scratch.unlinked.clear();
-            }
+        at.run(Policy::Regular, |tx| {
             let mut changed = 0u64;
             for (i, &key) in keys.iter().enumerate() {
                 let idx = key as usize;
-                let scratch = &mut scratches[self.shard_of(key)];
                 let applied = tx.section(Policy::Regular, |t| {
                     let cur = self.read_key(t, idx)?;
                     match f(i, cur) {
                         MultiOp::Keep => Ok(false),
-                        MultiOp::Put(v) => {
-                            if cur.is_none() {
-                                self.insert_key(t, key, scratch)?;
-                            }
-                            t.set(&self.slots[idx], v)?;
-                            Ok(true)
-                        }
-                        MultiOp::Delete => {
-                            if cur.is_some() {
-                                self.remove_key(t, key, scratch)?;
-                            }
-                            Ok(cur.is_some())
-                        }
+                        MultiOp::Put(v) => self.store(t, idx, cur, Some(v)).map(|()| true),
+                        MultiOp::Delete => self.store(t, idx, cur, None).map(|()| cur.is_some()),
                     }
                 })?;
-                if applied {
-                    changed += 1;
-                }
+                changed += u64::from(applied);
             }
             Ok(changed)
-        });
-        for (shard, scratch) in self.shards.iter().zip(scratches.iter_mut()) {
-            shard.retire_unlinked(&mut scratch.unlinked, &guard);
-            // The committed attempt's slots are linked now: forget them.
-            scratch.allocated.clear();
-        }
-        MULTI_SCRATCH.set(scratches);
-        out
+        })
     }
 
     /// `GET key` with an insert-on-miss fallback, composed with
@@ -366,38 +226,28 @@ impl KeySpace {
     /// outcome.
     pub fn get_or_insert<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64, default: u64) -> u64 {
         let idx = self.index(key);
-        let shard = &self.shards[self.shard_of(key)];
-        let guard = pin();
-        let mut scratch = OpScratch::default();
-        let out = at.or_else(
+        at.or_else(
             Policy::Regular,
             |tx| match self.read_key(tx, idx)? {
                 Some(value) => Ok(value),
                 None => tx.retry(),
             },
-            |tx| {
-                shard.release_unpublished(&mut scratch.allocated);
-                scratch.unlinked.clear();
-                if let Some(value) = self.read_key(tx, idx)? {
-                    return Ok(value);
-                }
-                self.insert_key(tx, key, &mut scratch)?;
-                tx.set(&self.slots[idx], default)?;
-                Ok(default)
+            |tx| match self.read_key(tx, idx)? {
+                Some(value) => Ok(value),
+                None => self.store(tx, idx, None, Some(default)).map(|()| default),
             },
-        );
-        shard.retire_unlinked(&mut scratch.unlinked, &guard);
-        out
+        )
     }
 
-    /// Number of present keys — one consistent regular transaction over
-    /// every shard.
+    /// Number of present keys: the sum of every presence word, in one
+    /// regular transaction. It reads all `capacity` words, so it costs
+    /// O(capacity) and conflicts with any concurrent membership change;
+    /// it is for final checks, not for the service path.
     pub fn len<B: AtomicBackend>(&self, at: &Atomic<B>) -> usize {
-        let _guard = pin();
         at.run(Policy::Regular, |tx| {
             let mut total = 0usize;
-            for shard in &self.shards {
-                total += shard.len_in(tx)?;
+            for p in &self.present {
+                total += tx.get(p)? as usize;
             }
             Ok(total)
         })
@@ -442,7 +292,6 @@ impl KeySpace {
 impl std::fmt::Debug for KeySpace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KeySpace")
-            .field("shards", &self.shards.len())
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -452,6 +301,7 @@ impl std::fmt::Debug for KeySpace {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use stm_core::trace::{TraceOp, TraceSink, TraceStamp};
 
     fn oe() -> Atomic<oe_stm::OeStm> {
@@ -460,37 +310,30 @@ mod tests {
 
     #[test]
     fn get_set_cas_del_round_trip() {
-        for kind in [ShardKind::Hash, ShardKind::SkipList] {
-            let ks = KeySpace::new(kind, 4, 128);
-            let at = oe();
-            assert_eq!(ks.get(&at, 7), None);
-            assert_eq!(ks.set(&at, 7, 700), None);
-            assert_eq!(ks.get(&at, 7), Some(700));
-            assert_eq!(ks.set(&at, 7, 701), Some(700));
-            assert!(!ks.cas(&at, 7, Some(700), 999), "stale expected fails");
-            assert!(ks.cas(&at, 7, Some(701), 702));
-            assert_eq!(ks.get(&at, 7), Some(702));
-            assert!(!ks.cas(&at, 8, Some(0), 1), "absent key vs Some fails");
-            assert!(ks.cas(&at, 8, None, 800), "absent key vs None inserts");
-            assert_eq!(ks.del(&at, 8), Some(800));
-            assert_eq!(ks.del(&at, 8), None);
-            assert_eq!(ks.len(&at), 1);
-        }
+        let ks = KeySpace::new(ShardKind::Hash, 1, 128);
+        let at = oe();
+        assert_eq!(ks.get(&at, 7), None);
+        assert_eq!(ks.set(&at, 7, 700), None);
+        assert_eq!(ks.get(&at, 7), Some(700));
+        assert_eq!(ks.set(&at, 7, 701), Some(700));
+        assert!(!ks.cas(&at, 7, Some(700), 999), "stale expected fails");
+        assert!(ks.cas(&at, 7, Some(701), 702));
+        assert_eq!(ks.get(&at, 7), Some(702));
+        assert!(!ks.cas(&at, 8, Some(0), 1), "absent key vs Some fails");
+        assert!(ks.cas(&at, 8, None, 800), "absent key vs None inserts");
+        assert_eq!(ks.del(&at, 8), Some(800));
+        assert_eq!(ks.del(&at, 8), None);
+        assert_eq!(ks.len(&at), 1);
     }
 
     #[test]
     fn multi_crosses_shards_atomically() {
-        let ks = KeySpace::new(ShardKind::Hash, 8, 256);
+        let ks = KeySpace::new(ShardKind::Hash, 1, 256);
         let at = oe();
-        // Pick two keys on different shards (the hash spreads well enough
-        // that some pair among the first few differs).
-        let a = 1i64;
-        let b = (2..64)
-            .find(|&k| ks.shard_of(k) != ks.shard_of(a))
-            .expect("some key lands on another shard");
+        let (a, b) = (1i64, 200i64);
         ks.set(&at, a, 100);
         ks.set(&at, b, 0);
-        // Cross-shard transfer of 40 from a to b.
+        // Transfer of 40 from a to b.
         let changed = ks.multi(&at, &[a, b], |i, cur| {
             let cur = cur.unwrap_or(0);
             if i == 0 {
@@ -514,20 +357,14 @@ mod tests {
         assert_eq!(ks.get(&at, b), None);
     }
 
-    /// Two absent keys on one shard and one bucket, inserted by one MULTI:
-    /// the second section's insert walks past the node the first just
-    /// linked and must read its key, a third section finds the first key
-    /// again through the mirror the first section wrote, and `len()`
-    /// counts both nodes in the shard.
+    /// Two absent keys inserted by one MULTI: a third section finds the
+    /// first key again through the presence word the first section
+    /// wrote, and `len()` counts both.
     #[test]
     fn multi_finds_the_nodes_its_earlier_sections_inserted() {
-        let ks = KeySpace::new(ShardKind::Hash, 8, 4096);
+        let ks = KeySpace::new(ShardKind::Hash, 1, 4096);
         let at = oe();
-        let lo = 3i64;
-        let hi = (1..64)
-            .map(|j| lo + j * SHARD_HASH_BUCKETS as i64)
-            .find(|&k| ks.shard_of(k) == ks.shard_of(lo))
-            .expect("some key of lo's bucket lands on lo's shard");
+        let (lo, hi) = (3i64, 3 + 64);
         let mut seen = None;
         let changed = ks.multi(&at, &[hi, lo, hi], |i, cur| match i {
             0 => MultiOp::Put(10),
@@ -566,9 +403,10 @@ mod tests {
         fn abort(&self, _: u64, _: u64) {}
     }
 
-    /// A point operation that changes no membership reads the key's words
-    /// only, however long its bucket's chain: the probed bucket holds
-    /// `N` keys, none of which is read.
+    /// A point operation reads and writes its own keys' words only,
+    /// however many other keys are present: exact (reads, writes) counts
+    /// beside `N` present keys, for lookups, updates and membership
+    /// changes alike.
     #[test]
     fn a_point_operation_reads_only_its_keys_words() {
         const N: i64 = 24;
@@ -576,14 +414,12 @@ mod tests {
         let at = Atomic::new(oe_stm::OeStm::with_config(
             stm_core::StmConfig::default().with_trace_sink(sink.clone()),
         ));
-        // One shard: every key congruent to 5 modulo the bucket count
-        // shares a bucket.
         let ks = KeySpace::new(ShardKind::Hash, 1, 4096);
-        let in_bucket = |j: i64| 5 + j * SHARD_HASH_BUCKETS as i64;
+        let key = |j: i64| 5 + j * 64;
         for j in 0..N {
-            ks.set(&at, in_bucket(j), j as u64);
+            ks.set(&at, key(j), j as u64);
         }
-        let (present, absent) = (in_bucket(N - 1), in_bucket(N));
+        let (present, absent) = (key(N - 1), key(N));
         let footprint = |op: &dyn Fn()| {
             sink.reads.store(0, Ordering::Relaxed);
             sink.writes.store(0, Ordering::Relaxed);
@@ -602,12 +438,20 @@ mod tests {
         assert_eq!(update, (2, 1), "SET of a present key");
         let del = footprint(&|| assert_eq!(ks.del(&at, absent), None));
         assert_eq!(del, (1, 0), "DEL of an absent key");
+        let insert = footprint(&|| assert_eq!(ks.set(&at, absent, 9), None));
+        assert_eq!(insert, (1, 2), "SET of an absent key");
+        let unlink = footprint(&|| assert_eq!(ks.del(&at, absent), Some(9)));
+        assert_eq!(unlink, (2, 1), "DEL of a present key");
+        let keys = [key(0), key(1), key(2), key(3)];
+        let bump = |_: usize, cur: Option<u64>| MultiOp::Put(cur.expect("present") + 1);
+        let multi = footprint(&|| assert_eq!(ks.multi(&at, &keys, bump), 4));
+        assert_eq!(multi, (8, 4), "a 4-key MULTI over present keys");
         assert_eq!(ks.len(&at), N as usize);
     }
 
     #[test]
     fn get_or_insert_takes_the_or_else_path_once() {
-        let ks = KeySpace::new(ShardKind::Hash, 2, 32);
+        let ks = KeySpace::new(ShardKind::Hash, 1, 32);
         let at = oe();
         assert_eq!(ks.get_or_insert(&at, 3, 33), 33, "fallback inserts");
         assert_eq!(ks.get_or_insert(&at, 3, 99), 33, "primary now serves");
@@ -617,35 +461,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the keyspace")]
     fn out_of_range_keys_are_rejected() {
-        let ks = KeySpace::new(ShardKind::Hash, 2, 32);
+        let ks = KeySpace::new(ShardKind::Hash, 1, 32);
         let at = oe();
         let _ = ks.get(&at, 32);
-    }
-
-    #[test]
-    fn shard_of_agrees_with_the_modulo() {
-        let keys = [i64::MIN, -65, -64, -1, 0, 1, 63, 64, 8191, 8192, i64::MAX];
-        for n in [1usize, 2, 3, 7, 8, 9, 16] {
-            let ks = KeySpace::new(ShardKind::Hash, n, 32);
-            for key in keys.into_iter().chain(0..1024) {
-                let expected = (mix64(key as u64) % n as u64) as usize;
-                assert_eq!(ks.shard_of(key), expected, "key {key}, {n} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_hash_spreads_keys() {
-        let ks = KeySpace::new(ShardKind::Hash, 8, 8192);
-        let mut per_shard = [0usize; 8];
-        for k in 0..8192 {
-            per_shard[ks.shard_of(k)] += 1;
-        }
-        for (s, &n) in per_shard.iter().enumerate() {
-            assert!(
-                (700..=1350).contains(&n),
-                "shard {s} got {n} of 8192 keys — hash is not spreading"
-            );
-        }
     }
 }

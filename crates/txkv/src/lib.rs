@@ -1,23 +1,22 @@
-//! `txkv` — the service layer over the STM reproduction: a sharded
-//! transactional keyspace with multi-key transactions, an open-loop load
-//! generator, and latency-percentile measurement.
+//! `txkv` — the service layer over the STM reproduction: a transactional
+//! keyspace with multi-key transactions, an open-loop load generator, and
+//! latency-percentile measurement.
 //!
 //! The rest of the workspace reproduces the paper bottom-up (backends,
 //! the `atomic` facade, composable collections, durability). This crate
 //! composes those layers into what they exist *for*: a keyed service that
 //! looks like real traffic — skewed key popularity, a read/write/MULTI
-//! mix, cross-shard transactions — and that reports service-level numbers
+//! mix, multi-key transactions — and that reports service-level numbers
 //! (throughput **and** p50/p99/p999 latency), because every future
 //! optimization has to justify itself against exactly those numbers.
 //!
 //! Three modules:
 //!
-//! * [`keyspace`] — N shards of a `cec` set (hash or skip list) picked by
-//!   key hash, each key backed by a `TVar` value slot; `GET`/`SET`/`CAS`/
-//!   `DEL` run as single facade transactions and [`KeySpace::multi`]
-//!   composes per-key [`section`](stm_core::api::Tx::section)s under one
-//!   parent, crossing shards atomically. Generic over every registry
-//!   backend and CM policy; optionally durable through the
+//! * [`keyspace`] — a value slot and a presence word per key, both
+//!   `TVar`s; `GET`/`SET`/`CAS`/`DEL` run as single facade transactions
+//!   over the key's two words and [`KeySpace::multi`] composes per-key
+//!   [`section`](stm_core::api::Tx::section)s under one parent. Generic
+//!   over every registry backend; optionally durable through the
 //!   `CommitHook`/`DurableStore` seam.
 //! * [`hist`] — the fixed-bucket lock-free latency histogram. The record
 //!   path is allocation-free (pinned by the workspace `zero_alloc` test)

@@ -119,7 +119,7 @@ impl KeySampler {
                     r.min(self.n - 1)
                 };
                 // Popularity rank ≠ key id: scatter ranks over the range
-                // so hot keys land on different shards.
+                // so hot keys are not neighbours (see `KeySpace::scatter`).
                 (crate::keyspace::KeySpace::scatter(rank, self.n)) as i64
             }
             KeyDist::Hotspot { hot_keys, hot_ops } => {
@@ -254,6 +254,14 @@ pub fn prefill<B: AtomicBackend>(ks: &KeySpace, at: &Atomic<B>, seed: u64) {
     }
 }
 
+/// The `ops`-th arrival's offset from its client's start, `interval ×
+/// ops`, in 128-bit nanoseconds so no op count wraps it.
+fn arrival_offset(interval: Duration, ops: u64) -> Duration {
+    let nanos = interval.as_nanos().saturating_mul(u128::from(ops));
+    let secs = u64::try_from(nanos / 1_000_000_000).unwrap_or(u64::MAX);
+    Duration::new(secs, (nanos % 1_000_000_000) as u32)
+}
+
 /// Run the open-loop driver: `spec.clients` threads issue ops against
 /// `ks` through `at` for `spec.duration`, each paced at
 /// `spec.rate_per_client`, recording per-op latency into `hist` (drained
@@ -292,8 +300,7 @@ pub fn run_open_loop<B: AtomicBackend + Sync>(
                     // now (closed loop).
                     let intended = match interval {
                         Some(iv) => {
-                            let at_offset = iv * ops as u32;
-                            let intended = client_start + at_offset;
+                            let intended = client_start + arrival_offset(iv, ops);
                             let now = Instant::now();
                             if intended > now {
                                 std::thread::sleep(intended - now);
@@ -414,7 +421,7 @@ mod tests {
 
     #[test]
     fn open_loop_records_latency_and_finishes() {
-        let ks = KeySpace::new(ShardKind::Hash, 4, 256);
+        let ks = KeySpace::new(ShardKind::Hash, 1, 256);
         let at = Atomic::new(oe_stm::OeStm::new());
         prefill(&ks, &at, 1);
         assert_eq!(ks.len(&at), 128);
@@ -441,8 +448,17 @@ mod tests {
     }
 
     #[test]
+    fn arrival_offsets_keep_counting_past_u32_ops() {
+        let iv = Duration::from_nanos(333_333);
+        for ops in [(1u64 << 32) - 1, 1 << 32, (1 << 32) + 1] {
+            let want = u128::from(ops) * 333_333;
+            assert_eq!(arrival_offset(iv, ops).as_nanos(), want, "op {ops}");
+        }
+    }
+
+    #[test]
     fn paced_open_loop_respects_the_offered_rate() {
-        let ks = KeySpace::new(ShardKind::Hash, 4, 64);
+        let ks = KeySpace::new(ShardKind::Hash, 1, 64);
         let at = Atomic::new(oe_stm::OeStm::new());
         let hist = LatencyHistogram::new();
         // 200 ops/s for ~100 ms ≈ 20 ops; far below capacity, so the

@@ -1,18 +1,17 @@
-//! The txkv service layer in five minutes: a sharded transactional
-//! keyspace, single-key ops, a cross-shard MULTI transfer, and the
-//! open-loop load generator with latency percentiles.
+//! The txkv service layer in five minutes: a transactional keyspace,
+//! single-key ops, a two-key MULTI transfer, and the open-loop load
+//! generator with latency percentiles.
 //!
 //! ```sh
 //! cargo run --example txkv_demo
 //! ```
 //!
-//! The keyspace is eight `cec::HashSet` shards plus one value slot and
-//! one presence word per key, all reached through the `Atomic` facade,
-//! so every operation — including the MULTI that touches two shards at
-//! once — is one atomic transaction on whichever STM backend you hand
-//! it. A GET reads the key's presence word and its value slot and
-//! nothing else; the shards are walked only when a key is inserted or
-//! deleted.
+//! The keyspace is one value slot and one presence word per key, all
+//! reached through the `Atomic` facade, so every operation — including
+//! the MULTI that touches two keys at once — is one atomic transaction on
+//! whichever STM backend you hand it. A GET reads the key's presence word
+//! and its value slot and nothing else; an insert or a delete writes the
+//! presence word.
 
 use composing_relaxed_transactions::oe_stm::OeStm;
 use composing_relaxed_transactions::stm_core::api::Atomic;
@@ -23,13 +22,8 @@ use std::time::Duration;
 
 fn main() {
     let stm = Atomic::new(OeStm::new());
-    let ks = KeySpace::new(ShardKind::Hash, 8, 1 << 13);
-    println!(
-        "keyspace: {} keys across {} hash shards, backend {}",
-        ks.capacity(),
-        ks.shard_count(),
-        stm.name()
-    );
+    let ks = KeySpace::new(ShardKind::Hash, 1, 1 << 13);
+    println!("keyspace: {} keys, backend {}", ks.capacity(), stm.name());
 
     // --- single-key ops ---------------------------------------------------
     assert_eq!(ks.get(&stm, 7), None, "fresh keyspace is empty");
@@ -45,13 +39,10 @@ fn main() {
     assert_eq!(ks.get(&stm, 7), None);
     println!("GET/SET/CAS/DEL: ok");
 
-    // --- a cross-shard MULTI transfer -------------------------------------
-    // Find two accounts that live on *different* shards, so the MULTI
-    // demonstrably crosses shard boundaries in one atomic step.
-    let src: i64 = 11;
-    let dst: i64 = (12..)
-        .find(|&k| ks.shard_of(k) != ks.shard_of(src))
-        .expect("8 shards: a key on another shard exists");
+    // --- a two-key MULTI transfer ----------------------------------------
+    // Both accounts change in one atomic step: no observer sees the
+    // money in flight.
+    let (src, dst): (i64, i64) = (11, 12);
     ks.set(&stm, src, 1000);
     ks.set(&stm, dst, 0);
     let changed = ks.multi(&stm, &[src, dst], |i, cur| {
@@ -66,11 +57,7 @@ fn main() {
     assert_eq!(changed, 2, "both sides of the transfer were written");
     assert_eq!(ks.get(&stm, src), Some(750));
     assert_eq!(ks.get(&stm, dst), Some(250));
-    println!(
-        "MULTI transfer: moved 250 from key {src} (shard {}) to key {dst} (shard {}) atomically",
-        ks.shard_of(src),
-        ks.shard_of(dst)
-    );
+    println!("MULTI transfer: moved 250 from key {src} to key {dst} atomically");
 
     // --- the open-loop load generator -------------------------------------
     // Four clients offer a fixed 2000 ops/s each (open loop: the recorded

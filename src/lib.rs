@@ -12,7 +12,7 @@
 //!   VIII's "general principle" claim, executable)
 //! * [`histories`] — the executable formal model of Sections II–IV
 //! * [`cec`] — the composable collections package of Section VI
-//! * [`txkv`] — the service layer: a sharded transactional keyspace
+//! * [`txkv`] — the service layer: a transactional keyspace
 //!   (`GET`/`SET`/`CAS`/`DEL`/`MULTI`) with open-loop load generation and
 //!   latency-percentile measurement
 //!

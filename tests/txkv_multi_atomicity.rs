@@ -1,20 +1,20 @@
-//! MULTI atomicity for the txkv service layer: concurrent cross-shard
+//! MULTI atomicity for the txkv service layer: concurrent multi-key
 //! read-modify-write transactions against a single-threaded reference.
 //!
 //! The oracle trick: every MULTI in the battery is a *commutative
 //! increment* (`Put(cur + 1)` over its key set), so any serialization of
 //! the concurrent schedule produces the same final image — each key's
 //! value must equal the number of MULTIs that touched it, its presence
-//! bit must match `count > 0`, and the sharded `len()` must equal the
-//! number of distinct keys. A torn MULTI (one key incremented, a
+//! bit must match `count > 0`, and `len()` must equal the number of
+//! distinct keys. A torn MULTI (one key incremented, a
 //! same-transaction sibling missed) breaks the count exactly, which is
 //! what makes the reference map a complete atomicity oracle.
 //!
 //! The battery sweeps all six registry backends, a
-//! transfer-sum invariant under racing cross-shard MULTIs, racing
-//! inserts and deletes that must leave the shards and the presence
-//! mirrors agreeing, and a durable kill-and-recover cycle proving the
-//! recovered image equals a committed prefix of the MULTI sequence.
+//! transfer-sum invariant under racing MULTIs, racing inserts and
+//! deletes after which `len()` must count exactly the keys `get` finds,
+//! and a durable kill-and-recover cycle proving the recovered image
+//! equals a committed prefix of the MULTI sequence.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
@@ -34,7 +34,6 @@ const BACKENDS: [&str; 6] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boo
 
 /// Small key universe so concurrent MULTIs actually collide.
 const CAPACITY: usize = 64;
-const SHARDS: usize = 4;
 
 fn runner(backend: &str) -> Atomic<Backend> {
     Atomic::new(
@@ -68,8 +67,8 @@ fn reference_counts(per_thread: &[Vec<Vec<i64>>]) -> BTreeMap<i64, u64> {
 
 /// Run `per_thread` concurrently and check the final image against the
 /// reference on one backend.
-fn check_cell(backend: &str, per_thread: &[Vec<Vec<i64>>], kind: ShardKind) {
-    let ks = KeySpace::new(kind, SHARDS, CAPACITY);
+fn check_cell(backend: &str, per_thread: &[Vec<Vec<i64>>]) {
+    let ks = KeySpace::new(ShardKind::Hash, 1, CAPACITY);
     let at = runner(backend);
     std::thread::scope(|s| {
         for thread_ops in per_thread {
@@ -120,22 +119,20 @@ proptest! {
     ) {
         let per_thread = [a, b];
         for backend in BACKENDS {
-            check_cell(backend, &per_thread, ShardKind::Hash);
+            check_cell(backend, &per_thread);
         }
-        // Sharding must not depend on the structure: one skiplist pass.
-        check_cell("oe", &per_thread, ShardKind::SkipList);
     }
 }
 
 #[test]
 fn racing_cross_shard_transfers_conserve_the_total() {
-    // Classic bank invariant, sharded: two threads move value between
-    // accounts that live on different shards; any observer MULTI (and
-    // the final image) must see the total conserved.
+    // Classic bank invariant: two threads move value between accounts;
+    // any observer MULTI (and the final image) must see the total
+    // conserved.
     const ACCOUNTS: i64 = 16;
     const PER: u64 = 1_000;
     for backend in BACKENDS {
-        let ks = KeySpace::new(ShardKind::Hash, SHARDS, CAPACITY);
+        let ks = KeySpace::new(ShardKind::Hash, 1, CAPACITY);
         let at = runner(backend);
         for k in 0..ACCOUNTS {
             ks.set(&at, k, PER);
@@ -181,66 +178,61 @@ fn racing_cross_shard_transfers_conserve_the_total() {
 fn racing_inserts_and_deletes_keep_the_shards_and_the_mirrors_in_agreement() {
     // Membership changes in both directions under contention: SET, DEL,
     // CAS and two-key MULTIs that delete a present key and insert an
-    // absent one. A point operation answers membership from the key's
-    // presence mirror and walks the shard only to change it, so the
-    // shards (counted by `len`) and the mirrors (read by `get`) must
-    // agree at the end. Each operation also `debug_assert!`s that its
-    // own insert or remove found what the mirror predicted.
+    // absent one. At the end `len()`, one transaction over every
+    // presence word, must count exactly the keys `get` finds present.
     const KEYS: u64 = 16;
-    for kind in [ShardKind::Hash, ShardKind::SkipList] {
-        for backend in BACKENDS {
-            let ks = KeySpace::new(kind, SHARDS, CAPACITY);
-            let at = runner(backend);
-            let start = Barrier::new(2);
-            std::thread::scope(|s| {
-                for t in 0..2u64 {
-                    let (ks, at, start) = (&ks, &at, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        let mut x = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
-                        for i in 0..2000u64 {
-                            // xorshift64: a fixed op stream per thread.
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            let key = (x % KEYS) as i64;
-                            match (x >> 32) % 4 {
-                                0 => {
-                                    ks.set(at, key, i);
+    for backend in BACKENDS {
+        let ks = KeySpace::new(ShardKind::Hash, 1, CAPACITY);
+        let at = runner(backend);
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (ks, at, start) = (&ks, &at, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut x = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
+                    for i in 0..2000u64 {
+                        // xorshift64: a fixed op stream per thread.
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let key = (x % KEYS) as i64;
+                        match (x >> 32) % 4 {
+                            0 => {
+                                ks.set(at, key, i);
+                            }
+                            1 => {
+                                ks.del(at, key);
+                            }
+                            2 => {
+                                let seen = ks.get(at, key);
+                                ks.cas(at, key, seen, i);
+                            }
+                            _ => {
+                                let other = ((x >> 40) % KEYS) as i64;
+                                if other == key {
+                                    continue;
                                 }
-                                1 => {
-                                    ks.del(at, key);
-                                }
-                                2 => {
-                                    let seen = ks.get(at, key);
-                                    ks.cas(at, key, seen, i);
-                                }
-                                _ => {
-                                    let other = ((x >> 40) % KEYS) as i64;
-                                    if other == key {
-                                        continue;
-                                    }
-                                    // Sorted footprint (see `multis`).
-                                    let keys = [key.min(other), key.max(other)];
-                                    ks.multi(at, &keys, |_, cur| match cur {
-                                        Some(_) => MultiOp::Delete,
-                                        None => MultiOp::Put(i),
-                                    });
-                                }
+                                // Sorted footprint (see `multis`).
+                                let keys = [key.min(other), key.max(other)];
+                                ks.multi(at, &keys, |_, cur| match cur {
+                                    Some(_) => MultiOp::Delete,
+                                    None => MultiOp::Put(i),
+                                });
                             }
                         }
-                    });
-                }
-            });
-            let found = (0..CAPACITY as i64)
-                .filter(|&k| ks.get(&at, k).is_some())
-                .count();
-            assert_eq!(
-                ks.len(&at),
-                found,
-                "{backend}/{kind:?}: the shards and the presence mirrors disagree"
-            );
-        }
+                    }
+                });
+            }
+        });
+        let found = (0..CAPACITY as i64)
+            .filter(|&k| ks.get(&at, k).is_some())
+            .count();
+        assert_eq!(
+            ks.len(&at),
+            found,
+            "{backend}: len() disagrees with the present-key count get reports"
+        );
     }
 }
 
@@ -256,7 +248,7 @@ fn durable_multis_survive_a_crash_as_a_committed_prefix() {
     let reference_after: Vec<BTreeMap<i64, u64>> = {
         let (store, recovered) = DurableStore::open(mem.clone() as Arc<dyn Vfs>).unwrap();
         assert!(recovered.values.is_empty(), "fresh store must be empty");
-        let ks = KeySpace::new(ShardKind::Hash, SHARDS, CAPACITY);
+        let ks = KeySpace::new(ShardKind::Hash, 1, CAPACITY);
         ks.register_durable(store.heap());
         let at = Atomic::new(
             backend_registry()
@@ -280,7 +272,7 @@ fn durable_multis_survive_a_crash_as_a_committed_prefix() {
 
     // Reopen the crashed VFS: recovery replays snapshot + WAL.
     let (store, recovery) = DurableStore::open(mem as Arc<dyn Vfs>).unwrap();
-    let ks = KeySpace::new(ShardKind::Hash, SHARDS, CAPACITY);
+    let ks = KeySpace::new(ShardKind::Hash, 1, CAPACITY);
     ks.register_durable(store.heap());
     let at = Atomic::new(
         backend_registry()

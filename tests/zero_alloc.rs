@@ -3,8 +3,8 @@
 //! committing run itself and every retry attempt, both at the SPI level
 //! and through the `atomic` facade (`Atomic`/`Tx`/`or_else`), which must
 //! add nothing of its own — and so must the operation wrappers around it
-//! (`cec::SetExt` and `txkv::KeySpace` updates: epoch pin + run + unpin;
-//! a `KeySpace` GET: the run alone).
+//! (`cec::SetExt` updates: epoch pin + run + unpin; every `KeySpace`
+//! operation: the run alone).
 //!
 //! Method: a `#[global_allocator]` wrapper around the system allocator
 //! counts every `alloc`/`realloc`/`alloc_zeroed` call. For each backend we
@@ -352,9 +352,9 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
     assert_eq!(hist.count(), 10_001, "every record must land in a bucket");
 
     // Operation level: what a service request pays around its
-    // transaction. A set operation and a keyspace update pin an epoch,
-    // run and unpin; with nothing retired the pin takes no lock. A
-    // keyspace GET is the run alone, two word reads with no pin. Nothing
+    // transaction. A set operation pins an epoch, runs and unpins; with
+    // nothing retired the pin takes no lock. A keyspace operation is the
+    // run alone: a GET is two word reads, with no pin. Nothing
     // here may allocate, on the static `SetExt` path or the
     // registry-erased `KeySpace` one.
     use composing_relaxed_transactions::cec::{LinkedListSet, SetExt};
@@ -398,8 +398,7 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         events, 0,
         "KeySpace::set of a present key allocated {events} times"
     );
-    // A 4-key MULTI over present keys: four sections under one parent,
-    // crossing shards, with the per-shard scratch reused.
+    // A 4-key MULTI over present keys: four sections under one parent.
     use composing_relaxed_transactions::txkv::MultiOp;
     let keys = [0, 2, 4, 6];
     let bump = |_: usize, cur: Option<u64>| MultiOp::Put(cur.expect("present") + 1);
