@@ -183,11 +183,10 @@ fn txkv(opts: &Options, all_rows: &mut Vec<BenchRow>) {
 /// thread increments `vars[i + 1]` — the variable the *next* child will
 /// read — exactly once after each child, sequenced with channels so the
 /// recorded interleaving reproduces run to run. Touching only a variable
-/// the composer has not reached yet keeps the handoff deadlock-free even
-/// under eager two-phase locking (boost); snapshot backends instead
-/// observe the adversary's commit as an elastic cut (oe), a snapshot
-/// extension (lsa), or a recorded abort-and-retry (tl2, swiss) — which is
-/// exactly the per-backend contrast the dump is for.
+/// the composer has not reached yet keeps the handoff deadlock-free; the
+/// backends observe the adversary's commit as an elastic cut (oe), a
+/// snapshot extension (lsa), or a recorded abort-and-retry (tl2, swiss) —
+/// which is exactly the per-backend contrast the dump is for.
 fn record_composition(backend: &Backend, steps: usize) {
     let vars: Vec<TVar<u64>> = (0..=steps).map(|_| TVar::new(0u64)).collect();
     let (to_adversary, adversary_go) = mpsc::channel::<()>();

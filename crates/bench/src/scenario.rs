@@ -873,7 +873,6 @@ pub fn backend_registry() -> BackendRegistry {
     stm_lsa::register_backends(&mut reg);
     stm_tl2::register_backends(&mut reg);
     stm_swiss::register_backends(&mut reg);
-    stm_boost::register_backends(&mut reg);
     reg
 }
 
@@ -1346,10 +1345,10 @@ mod tests {
     #[test]
     fn registry_contains_all_shipped_backends() {
         let names = backend_registry().names();
-        for expect in ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boost"] {
+        for expect in ["oe", "oe-estm-compat", "lsa", "tl2", "swiss"] {
             assert!(names.contains(&expect), "missing backend {expect}");
         }
-        assert_eq!(names.len(), 6);
+        assert_eq!(names.len(), 5);
     }
 
     #[test]
@@ -1612,7 +1611,7 @@ mod tests {
     fn durable_axis_logs_commits_and_cleans_its_temp_dirs_up() {
         let plan = MatrixPlan {
             scenarios: vec!["fsync-batch".into()],
-            backends: vec!["tl2".into(), "boost".into()],
+            backends: vec!["tl2".into(), "lsa".into()],
             threads: vec![1, 2],
             duration: Duration::from_millis(30),
             composed: vec![5],

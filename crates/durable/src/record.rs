@@ -40,8 +40,8 @@ pub const MAX_PAYLOAD_LEN: u32 = 1 << 20;
 /// key, word)` pairs the transaction wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// Advisory commit version (global-clock write version; 0 for the
-    /// boost backend, which never ticks the clock).
+    /// Advisory commit version (the global-clock write version; adopted
+    /// stamps may repeat across non-conflicting commits).
     pub version: u64,
     /// `(stable key, value)` pairs, in write-set order.
     pub writes: Vec<(u64, u64)>,

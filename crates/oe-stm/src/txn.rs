@@ -3,7 +3,7 @@
 //! composition (Sections V and VI of the paper).
 
 use crate::OeStm;
-use stm_core::driver::{Attempt, TxnEngine};
+use stm_core::driver::{AbstractLog, Attempt, TxnEngine};
 use stm_core::link::{self, Link, Loc};
 use stm_core::readset::{ReadEntry, ReadSet};
 use stm_core::scratch::{give_back, SpareVec, TxScratch};
@@ -127,12 +127,6 @@ pub struct OeTxn<'env> {
 }
 
 impl<'env> TxnEngine<'env> for OeTxn<'env> {
-    type Reads = ReadSet<'env>;
-
-    fn attempt(&mut self) -> &mut Attempt<'env> {
-        &mut self.at
-    }
-
     fn restart(&mut self) {
         self.scratch.reset();
         // `begin` built the window empty; only a retry finds it used.
@@ -479,14 +473,14 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             // they stay protected until the parent commits.
             self.window.drain_into(&mut self.scratch.base.reads);
             self.stm.inst.stats.record_outherit();
-            self.at.child_commit(false);
+            self.at.child_commit();
         } else if self.mode == TxKind::Regular {
             // E-STM with a *regular* child: flat nesting. A classic
             // child's accesses stay in the parent's sets until the
             // top-level commit — this is the workaround the elastic
             // transactions paper recommends ("use regular mode when
             // composing"), safe but paying classic-conflict aborts.
-            self.at.child_commit(false);
+            self.at.child_commit();
         } else {
             // E-STM child commit: check the child's access sequence
             // is atomic as of now, then release its protection
@@ -503,7 +497,7 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
             if !ok {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
-            let child_id = self.at.child_commit(false);
+            let child_id = self.at.child_commit();
             if let (Some(t), Some(child_id)) = (self.at.tracer(), child_id) {
                 for e in self.scratch.base.reads.iter().skip(frame.read_mark) {
                     t.drop_hold_as(child_id, e.id());
@@ -542,8 +536,8 @@ impl<'env> Transaction<'env> for OeTxn<'env> {
         self.mode
     }
 
-    fn ticket(&self) -> u64 {
-        self.at.ticket()
+    fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+        self.at.abstract_log()
     }
 }
 

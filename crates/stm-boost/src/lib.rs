@@ -14,23 +14,23 @@
 //! > the child to the parent transaction would make transactional
 //! > boosting satisfy outheritance and therefore provide composition."
 //!
-//! This crate implements exactly that sentence, with one transaction:
+//! This crate implements exactly that sentence as a client of any host
+//! transaction:
 //!
 //! * [`BaseSet`] — a linearizable concurrent integer set (lock-striped),
 //!   standing in for the "separate thread-safe library";
 //! * [`AbstractLocks`] — per-key two-phase abstract locks;
-//! * [`BoostStm`] / [`BoostTxn`] — the boosted transaction, run by the
-//!   shared `stm_core::driver` like every other backend: eager abstract
-//!   locks, in-place updates, one undo log, flat children whose locks and
-//!   undo entries stay with the attempt (outheritance). It implements the
-//!   [`Stm`](stm_core::Stm) SPI over plain words, so boosting joins the
-//!   [`BackendRegistry`](stm_core::BackendRegistry) (name `"boost"`);
 //! * [`BoostedSet`] — a boosted set whose `add`/`remove`/`contains` run
-//!   inside a [`BoostTxn`], logging compensations (`add(k)` ↦ `remove(k)`
-//!   and vice versa) in the same undo log as word writes;
-//! * [`BoostStm::open_nested`] — the contrast: a child commit releases
-//!   the child's locks and drops its undo entries, reproducing the
-//!   open-nesting composition hazard the paper describes for Moss's model.
+//!   inside a transaction of any backend: each takes the key's abstract
+//!   lock, applies to the base in place, and logs the lock and the
+//!   compensation (`add(k)` ↦ `remove(k)` and vice versa) in the host
+//!   attempt's log ([`stm_core::driver::Boosted`]). The host's driver
+//!   replays compensations at rollback and releases the locks when the
+//!   attempt ends; a committing child leaves both to its parent
+//!   (outheritance);
+//! * [`BoostedSet::open_nested`] — the contrast: each operation commits
+//!   as an open child when it returns, reproducing the open-nesting
+//!   composition hazard the paper describes for Moss's model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,4 +43,19 @@ pub mod stm;
 pub use base::BaseSet;
 pub use locks::AbstractLocks;
 pub use set::BoostedSet;
-pub use stm::{register_backends, BoostStm, BoostTxn};
+pub use stm::register_backends;
+
+/// Every backend a boosted object is tested over, built with `config`.
+#[cfg(test)]
+fn hosts(config: &stm_core::StmConfig) -> Vec<stm_core::Backend> {
+    let mut registry = stm_core::BackendRegistry::new();
+    oe_stm::register_backends(&mut registry);
+    stm_lsa::register_backends(&mut registry);
+    stm_tl2::register_backends(&mut registry);
+    stm_swiss::register_backends(&mut registry);
+    registry
+        .names()
+        .into_iter()
+        .map(|name| registry.build(name, config.clone()).expect("registered"))
+        .collect()
+}

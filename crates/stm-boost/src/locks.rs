@@ -25,15 +25,16 @@ impl AbstractLocks {
         Self::default()
     }
 
-    /// Try to acquire the lock of `key` for `owner`. Returns `true` on
-    /// success or if `owner` already holds it (reentrant).
-    pub fn try_acquire(&self, key: i64, owner: u64) -> bool {
+    /// Try to acquire the lock of `key` for `owner`: `Some(true)` if this
+    /// call acquired it, `Some(false)` if `owner` already held it
+    /// (reentrant), `None` if another owner holds it.
+    pub fn try_acquire(&self, key: i64, owner: u64) -> Option<bool> {
         let mut m = self.owners.lock();
         match m.get(&key) {
-            Some(&o) => o == owner,
+            Some(&o) => (o == owner).then_some(false),
             None => {
                 m.insert(key, owner);
-                true
+                Some(true)
             }
         }
     }
@@ -66,20 +67,20 @@ mod tests {
     #[test]
     fn acquire_is_exclusive_and_reentrant() {
         let l = AbstractLocks::new();
-        assert!(l.try_acquire(7, 1));
-        assert!(l.try_acquire(7, 1), "reentrant for the owner");
-        assert!(!l.try_acquire(7, 2), "exclusive across owners");
-        assert!(l.try_acquire(8, 2), "different keys are independent");
+        assert_eq!(l.try_acquire(7, 1), Some(true));
+        assert_eq!(l.try_acquire(7, 1), Some(false), "reentrant for the owner");
+        assert_eq!(l.try_acquire(7, 2), None, "exclusive across owners");
+        assert_eq!(l.try_acquire(8, 2), Some(true), "keys are independent");
     }
 
     #[test]
     fn release_is_owner_checked() {
         let l = AbstractLocks::new();
-        assert!(l.try_acquire(7, 1));
+        assert_eq!(l.try_acquire(7, 1), Some(true));
         l.release(7, 2); // not the owner: no-op
         assert_eq!(l.owner_of(7), Some(1));
         l.release(7, 1);
         assert_eq!(l.owner_of(7), None);
-        assert!(l.try_acquire(7, 2));
+        assert_eq!(l.try_acquire(7, 2), Some(true));
     }
 }

@@ -96,6 +96,7 @@
 
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
+use crate::driver::AbstractLog;
 use crate::dynstm::Backend;
 use crate::error::{Abort, AbortReason};
 use crate::link::Link;
@@ -156,8 +157,7 @@ impl core::fmt::Debug for Tx<'_, '_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Tx")
             .field("policy", &self.policy())
-            .field("ticket", &self.inner.ticket())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -245,12 +245,6 @@ impl<'env, 'a> Tx<'env, 'a> {
     pub fn policy(&self) -> Policy {
         Policy::from_kind(self.inner.kind())
     }
-
-    /// This attempt's globally unique ticket (lock-owner identity).
-    #[must_use]
-    pub fn ticket(&self) -> u64 {
-        self.inner.ticket()
-    }
 }
 
 // `Tx` is also a full SPI transaction, so SPI-generic building blocks
@@ -281,8 +275,8 @@ impl<'env> Transaction<'env> for Tx<'env, '_> {
     fn kind(&self) -> TxKind {
         self.inner.kind()
     }
-    fn ticket(&self) -> u64 {
-        self.inner.ticket()
+    fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+        self.inner.abstract_log()
     }
 }
 

@@ -8,11 +8,13 @@
 //! This module owns the rest, once:
 //!
 //! * [`Attempt`] — the per-attempt state every backend carries (ticket,
-//!   drawn on first need; child depth, tracer) with the common begin
-//!   prelude and child bookkeeping;
+//!   drawn on first need; child depth, tracer, the abstract-lock log of
+//!   [`Boosted`] objects) with the common begin prelude and child
+//!   bookkeeping;
 //! * [`Attempt::publish`] — the commit tail, i.e. the *order* of commit
-//!   hook (stage) → waiter notification → write-back/release → trace
-//!   commit event → durability await;
+//!   hook (stage) → waiter notification → write-back/release (word
+//!   locks, then abstract locks) → trace commit event → durability
+//!   await;
 //! * [`run`] — the retry/wait/park policy: which failures park on the
 //!   read set, which are charged and paced, when the run gives up, and
 //!   what a body that panics leaves behind (nothing: it is rolled back).
@@ -26,7 +28,8 @@ use crate::cm::{self, PROGRESS_PARK_AFTER};
 use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::{ReadEntry, ReadSet};
-use crate::stm::{Instance, RunError};
+use crate::scratch::{give_back, SpareVec};
+use crate::stm::{Instance, RunError, Transaction};
 use crate::ticket::next_ticket;
 use crate::trace::AttemptTracer;
 use crate::wait;
@@ -40,15 +43,108 @@ use std::panic::{self, AssertUnwindSafe};
 #[derive(Debug)]
 pub struct Attempt<'env> {
     inst: &'env Instance,
-    /// The attempt's ticket, 0 until something needs one (a `Cell`
-    /// because [`Transaction::ticket`](crate::Transaction::ticket) takes
-    /// `&self`).
+    /// The attempt's ticket, 0 until something needs one (a `Cell`, so
+    /// a draw needs only a shared borrow of the attempt).
     ticket: Cell<u64>,
     depth: u32,
     /// Whether a child committed during this attempt (see
     /// [`read_only_commit`](Self::read_only_commit)).
     composed: bool,
     tracer: Option<Box<AttemptTracer>>,
+    /// The abstract locks this attempt holds and the compensations of the
+    /// updates it applied under them, oldest first (see [`Boosted`]).
+    boosted: Vec<AbstractEntry<'env>>,
+}
+
+/// An object guarded by abstract locks: transactional boosting's
+/// linearizable black box (Herlihy & Koskinen, PPoPP 2008), a client of
+/// whatever host transaction runs it. Each operation takes a per-key
+/// abstract lock of the object's own, applies in place, and logs the lock
+/// and the update's compensation through the host's
+/// [`Transaction::abstract_log`]. The driver owns the rest of the log's
+/// life:
+///
+/// * at rollback — a conflict, a panic, a `retry()` about to park — it
+///   replays the compensations newest first and releases the locks;
+/// * at top-level commit it releases the locks in the host's
+///   [`publish`](Attempt::publish), right after the word locks (step 3),
+///   so a boosted key is never held across a durability await;
+/// * a committing child leaves the log alone, so the child's locks and
+///   compensations pass to its parent. That is outheritance, which the
+///   paper's §VIII says makes boosting compose.
+pub trait Boosted: core::fmt::Debug + Sync {
+    /// Release the lock on `key` that `owner` holds.
+    fn release(&self, key: i64, owner: u64);
+    /// Undo an update of `key` applied in place; `undo` is the word its
+    /// operation logged.
+    fn compensate(&self, key: i64, undo: u64);
+}
+
+/// One entry of an attempt's abstract-lock log.
+#[derive(Debug)]
+struct AbstractEntry<'env> {
+    object: &'env dyn Boosted,
+    key: i64,
+    /// Whether this entry took the key's lock, and so releases it.
+    locked: bool,
+    /// The compensation replayed at rollback, when the entry updated.
+    undo: Option<u64>,
+}
+
+thread_local! {
+    /// The abstract-lock log's allocation between runs.
+    static BOOSTED_SPARE: SpareVec<AbstractEntry<'static>> = const { SpareVec::new() };
+}
+
+/// What a [`Boosted`] object may do with its host attempt: take the
+/// attempt's ticket as its lock-owner identity and append to the
+/// abstract-lock log. Nothing else of the [`Attempt`] is reachable from a
+/// transaction body.
+#[derive(Debug)]
+pub struct AbstractLog<'a, 'env> {
+    at: &'a mut Attempt<'env>,
+}
+
+impl<'env> AbstractLog<'_, 'env> {
+    /// The attempt's ticket, drawn on first need (see [`Attempt::ticket`]).
+    #[inline]
+    #[must_use]
+    pub fn ticket(&self) -> u64 {
+        self.at.ticket()
+    }
+
+    /// Whether the body runs inside a child transaction.
+    #[inline]
+    #[must_use]
+    pub fn in_child(&self) -> bool {
+        self.at.depth > 0
+    }
+
+    /// Log that this attempt took `key`'s abstract lock in `object`
+    /// (`locked`) and/or applied an update in place that
+    /// `object.compensate(key, undo)` reverts. An attempt's first entry
+    /// fetches the thread's spare allocation, and ending the attempt hands
+    /// it back, so an attempt that logs nothing touches neither.
+    #[inline]
+    pub fn log(&mut self, object: &'env dyn Boosted, key: i64, locked: bool, undo: Option<u64>) {
+        let log = &mut self.at.boosted;
+        if log.capacity() == 0 {
+            *log = BOOSTED_SPARE.with(SpareVec::take);
+        }
+        log.push(AbstractEntry {
+            object,
+            key,
+            locked,
+            undo,
+        });
+    }
+
+    /// The number of entries in the log.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn entries(&self) -> usize {
+        self.at.boosted.len()
+    }
 }
 
 impl<'env> Attempt<'env> {
@@ -63,6 +159,7 @@ impl<'env> Attempt<'env> {
             depth: 0,
             composed: false,
             tracer: None,
+            boosted: Vec::new(),
         }
     }
 
@@ -82,6 +179,10 @@ impl<'env> Attempt<'env> {
             .map(|sink| Box::new(AttemptTracer::begin_top(sink, self.ticket()))); // lint:allow — tracing arm, off by default
         self.depth = 0;
         self.composed = false;
+        debug_assert!(
+            self.boosted.is_empty(),
+            "abstract locks outlived an attempt"
+        );
     }
 
     /// This attempt's globally unique ticket (lock-owner identity), drawn
@@ -131,22 +232,51 @@ impl<'env> Attempt<'env> {
         }
     }
 
-    /// Commit the innermost child. `eager` backends (in-place writes under
-    /// strict 2PL) let a writing child settle as a model transaction;
-    /// lazy ones merge it (see `trace`). Returns the transaction id
-    /// follow-up releases belong to, when tracing.
+    /// Commit the innermost child. Its abstract locks and compensations
+    /// stay in the attempt's log (outheritance). Returns the transaction
+    /// id follow-up releases belong to, when tracing.
     #[inline]
-    pub fn child_commit(&mut self, eager: bool) -> Option<u64> {
+    pub fn child_commit(&mut self) -> Option<u64> {
         self.depth -= 1;
         self.composed = true;
         self.inst.stats.record_child_commit();
-        self.tracer.as_mut().map(|t| {
-            if eager {
-                t.commit_child_settled()
-            } else {
-                t.commit_child()
+        self.tracer.as_mut().map(|t| t.commit_child())
+    }
+
+    /// The handle a client of this attempt — a [`Boosted`] object — logs
+    /// through. Backends return it from [`Transaction::abstract_log`].
+    #[inline]
+    pub fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+        AbstractLog { at: self }
+    }
+
+    /// Release every abstract lock the attempt holds: its top-level commit.
+    #[inline]
+    fn release_abstract(&mut self) {
+        if !self.boosted.is_empty() {
+            self.release_abstract_locks();
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn release_abstract_locks(&mut self) {
+        let owner = self.ticket.get();
+        for entry in self.boosted.drain(..).filter(|e| e.locked) {
+            entry.object.release(entry.key, owner);
+        }
+        give_back(&BOOSTED_SPARE, core::mem::take(&mut self.boosted));
+    }
+
+    /// Roll the abstract-lock log back: compensations newest first, then
+    /// every lock released.
+    fn undo_abstract(&mut self) {
+        for entry in self.boosted.iter().rev() {
+            if let Some(undo) = entry.undo {
+                entry.object.compensate(entry.key, undo);
             }
-        })
+        }
+        self.release_abstract();
     }
 
     /// The check a lazy backend's read-only commit makes; `reads_hold`
@@ -157,14 +287,16 @@ impl<'env> Attempt<'env> {
     /// every child's protected set protected until the *parent* commits:
     /// a later child can begin after a commit that overwrote what an
     /// earlier child read, and only a validation at the parent's commit
-    /// shows no such commit happened.
+    /// shows no such commit happened. An attempt holding abstract locks
+    /// validates too: its boosted operations serialize while their locks
+    /// are held, which is at its commit, not at its snapshot.
     ///
     /// # Errors
     /// [`AbortReason::ReadValidation`] when a child committed during this
-    /// attempt and `reads_hold` fails.
+    /// attempt, or it holds an abstract lock, and `reads_hold` fails.
     #[inline]
     pub fn read_only_commit(&self, reads_hold: impl FnOnce() -> bool) -> Result<(), Abort> {
-        if self.composed && !reads_hold() {
+        if (self.composed || !self.boosted.is_empty()) && !reads_hold() {
             return Err(Abort::new(AbortReason::ReadValidation));
         }
         Ok(())
@@ -191,7 +323,8 @@ impl<'env> Attempt<'env> {
     ///    per-location hook order equals commit order (see `hook`);
     /// 2. waiters parked on a written location are woken, still under the
     ///    locks, so notify order is commit order too (see `wait`);
-    /// 3. `release` publishes the writes and drops every lock;
+    /// 3. `release` publishes the writes and drops every lock, and then
+    ///    the attempt's abstract locks are released;
     /// 4. only then is the trace commit event stamped, so any transaction
     ///    beginning after it observes the writes (see `trace`);
     /// 5. last, with nothing held, the commit awaits durability: the
@@ -243,8 +376,8 @@ impl<'env> Attempt<'env> {
         hook.await_durable(staged.get(), || observed(set));
     }
 
-    /// Steps 2–4 of [`publish`](Self::publish): notify, release, commit
-    /// event.
+    /// Steps 2–4 of [`publish`](Self::publish): notify, release (the
+    /// abstract locks right after the backend's), commit event.
     #[inline]
     fn notify_release<S: ?Sized>(
         &mut self,
@@ -258,44 +391,22 @@ impl<'env> Attempt<'env> {
             wait::notify_commit(&|f| each(set, &mut |location, _| f(location)));
         }
         release(set);
+        self.release_abstract();
         if let Some(t) = self.tracer.as_mut() {
             t.commit_top();
         }
     }
 }
 
-/// The read footprint a parked `retry()` waits on.
-pub trait WaitSet {
-    /// True when nothing was read: no commit could ever wake the waiter.
-    fn is_empty(&self) -> bool;
-    /// The location ids to register on.
-    fn locations(&self) -> impl Iterator<Item = usize> + '_;
-    /// Whether every read still holds (no lock held by anyone) — the
-    /// park-or-rerun check after registration.
-    fn still_valid(&self) -> bool;
-}
-
-impl WaitSet for ReadSet<'_> {
-    fn is_empty(&self) -> bool {
-        ReadSet::is_empty(self)
-    }
-    fn locations(&self) -> impl Iterator<Item = usize> + '_ {
-        self.iter().map(ReadEntry::id)
-    }
-    fn still_valid(&self) -> bool {
-        self.validate(None, |_| None)
-    }
-}
-
 /// What a backend's transaction object implements for [`run`]: its
 /// algorithm, one attempt at a time. The object lives for the whole run
 /// and is restarted in place, so its buffers keep their capacity.
-pub trait TxnEngine<'env> {
-    /// The backend's read log, as a wait footprint.
-    type Reads: WaitSet;
-
-    /// The shared per-attempt state.
-    fn attempt(&mut self) -> &mut Attempt<'env>;
+pub trait TxnEngine<'env>: Transaction<'env> {
+    /// The attempt behind [`Transaction::abstract_log`].
+    #[inline]
+    fn attempt(&mut self) -> &mut Attempt<'env> {
+        self.abstract_log().at
+    }
 
     /// Begin a fresh attempt: clear the per-attempt buffers (keeping
     /// capacity) and sample the snapshot. The shared state was already
@@ -315,7 +426,7 @@ pub trait TxnEngine<'env> {
 
     /// Everything the rolled-back attempt read, folded into one wait
     /// footprint (OE-STM folds its elastic window in).
-    fn wait_set(&mut self) -> &Self::Reads;
+    fn wait_set(&mut self) -> &ReadSet<'env>;
 }
 
 /// First park of the progress backstop, in microseconds.
@@ -406,10 +517,7 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
             }
             Err(abort) => abort,
         };
-        txn.rollback();
-        if let Some(t) = txn.attempt().tracer() {
-            t.abort_all();
-        }
+        roll_back(txn);
         if abort.reason.is_explicit_retry() && !wait::alternative_pending() {
             let reads = txn.wait_set();
             if reads.is_empty() {
@@ -418,8 +526,8 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
             }
             wait_streak += 1;
             let _ = wait::wait_for_locations(
-                &mut reads.locations(),
-                &|| reads.still_valid(),
+                &mut reads.iter().map(ReadEntry::id),
+                &|| reads.validate(None, |_| None),
                 wait_streak,
                 stats,
             );
@@ -461,15 +569,23 @@ pub fn run<'env, T: TxnEngine<'env>, R>(
     }
 }
 
+/// Roll a failed attempt back: the backend's undo, then the abstract-lock
+/// log's, then the tracer's abort events.
+fn roll_back<'env, T: TxnEngine<'env>>(txn: &mut T) {
+    txn.rollback();
+    let at = txn.attempt();
+    at.undo_abstract();
+    if let Some(t) = at.tracer() {
+        t.abort_all();
+    }
+}
+
 /// A body panicked: roll the attempt back — releasing every lock it took
-/// at write time — and abort its tracer, then resume the panic.
+/// at write time — then resume the panic.
 #[cold]
 #[inline(never)]
 fn unwind<'env, T: TxnEngine<'env>>(txn: &mut T, payload: Box<dyn Any + Send>) -> ! {
-    txn.rollback();
-    if let Some(t) = txn.attempt().tracer() {
-        t.abort_all();
-    }
+    roll_back(txn);
     panic::resume_unwind(payload)
 }
 
@@ -515,7 +631,7 @@ fn thread_random() -> u64 {
 /// sibling crates).
 #[cfg(test)]
 pub(crate) mod toy {
-    use super::{run, Attempt, TxnEngine};
+    use super::{run, AbstractLog, Attempt, TxnEngine};
     use crate::error::Abort;
     use crate::link::{Link, Loc};
     use crate::readset::ReadSet;
@@ -544,10 +660,6 @@ pub(crate) mod toy {
     }
 
     impl<'env> TxnEngine<'env> for ToyTxn<'env> {
-        type Reads = ReadSet<'env>;
-        fn attempt(&mut self) -> &mut Attempt<'env> {
-            &mut self.at
-        }
         fn restart(&mut self) {
             self.reads.clear();
             self.undo.clear();
@@ -604,7 +716,7 @@ pub(crate) mod toy {
             Ok(())
         }
         fn child_commit(&mut self) -> Result<(), Abort> {
-            self.at.child_commit(true);
+            self.at.child_commit();
             Ok(())
         }
         fn child_abort(&mut self) {
@@ -613,8 +725,8 @@ pub(crate) mod toy {
         fn kind(&self) -> TxKind {
             TxKind::Regular
         }
-        fn ticket(&self) -> u64 {
-            self.at.ticket()
+        fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+            self.at.abstract_log()
         }
     }
 
@@ -641,23 +753,14 @@ mod tests {
     use super::*;
     use crate::config::StmConfig;
     use crate::hook::{CommitHook, DurableLog};
+    use crate::link::{Link, Loc};
+    use crate::stm::TxKind;
     use crate::trace::{TraceOp, TraceSink, TraceStamp};
+    use crate::tvar::TVarCore;
     use std::sync::{Arc, Mutex};
 
-    /// A fixed wait footprint that never goes stale.
-    struct FakeReads(Vec<usize>);
-
-    impl WaitSet for FakeReads {
-        fn is_empty(&self) -> bool {
-            self.0.is_empty()
-        }
-        fn locations(&self) -> impl Iterator<Item = usize> + '_ {
-            self.0.iter().copied()
-        }
-        fn still_valid(&self) -> bool {
-            true
-        }
-    }
+    /// The one location every scripted attempt has read.
+    static WAITED: TVarCore = TVarCore::new(0);
 
     /// The scripted fake backend the driver's policy is tested through:
     /// the test's body closure decides how each attempt's user code ends,
@@ -665,7 +768,7 @@ mod tests {
     /// locks*; everything the driver asks of it is recorded.
     struct Scripted<'env> {
         at: Attempt<'env>,
-        reads: FakeReads,
+        reads: ReadSet<'env>,
         commit_failures: u32,
         locks_held: u32,
         rollbacks: u32,
@@ -675,9 +778,12 @@ mod tests {
     impl<'env> Scripted<'env> {
         /// A fake whose attempts read one location (so `retry()` parks).
         fn new(inst: &'env Instance) -> Self {
+            let mut reads = ReadSet::new();
+            let (_, version) = WAITED.read_consistent().expect("never locked");
+            reads.push(Loc::Var(&WAITED), version);
             Self {
                 at: Attempt::new(inst),
-                reads: FakeReads(vec![0xD1CE]),
+                reads,
                 commit_failures: 0,
                 locks_held: 0,
                 rollbacks: 0,
@@ -687,10 +793,6 @@ mod tests {
     }
 
     impl<'env> TxnEngine<'env> for Scripted<'env> {
-        type Reads = FakeReads;
-        fn attempt(&mut self) -> &mut Attempt<'env> {
-            &mut self.at
-        }
         fn restart(&mut self) {
             assert_eq!(self.locks_held, 0, "restarted with locks held");
             self.restarts += 1;
@@ -708,8 +810,37 @@ mod tests {
             self.locks_held = 0;
             self.rollbacks += 1;
         }
-        fn wait_set(&mut self) -> &FakeReads {
+        fn wait_set(&mut self) -> &ReadSet<'env> {
             &self.reads
+        }
+    }
+
+    /// Scripted bodies touch no word; they only end attempts.
+    impl<'env> Transaction<'env> for Scripted<'env> {
+        fn read_word(&mut self, _: &'env TVarCore) -> Result<u64, Abort> {
+            unreachable!("scripted bodies read nothing")
+        }
+        fn write_word(&mut self, _: &'env TVarCore, _: u64) -> Result<(), Abort> {
+            unreachable!("scripted bodies write nothing")
+        }
+        fn read_link(&mut self, _: &'env Link) -> Result<u64, Abort> {
+            unreachable!("scripted bodies read nothing")
+        }
+        fn write_link(&mut self, _: &'env Link, _: u64) -> Result<(), Abort> {
+            unreachable!("scripted bodies write nothing")
+        }
+        fn child_enter(&mut self, _: TxKind) -> Result<(), Abort> {
+            unreachable!("scripted bodies compose nothing")
+        }
+        fn child_commit(&mut self) -> Result<(), Abort> {
+            unreachable!("scripted bodies compose nothing")
+        }
+        fn child_abort(&mut self) {}
+        fn kind(&self) -> TxKind {
+            TxKind::Regular
+        }
+        fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+            self.at.abstract_log()
         }
     }
 
@@ -839,7 +970,7 @@ mod tests {
         at.child_abort();
         assert_eq!(check(&at), Ok(()), "nor is an aborted one");
         at.child_enter();
-        at.child_commit(false);
+        at.child_commit();
         assert_eq!(check(&at), stale);
         assert_eq!(at.read_only_commit(|| true), Ok(()));
         at.restart();
@@ -973,7 +1104,7 @@ mod tests {
     fn empty_read_set_retry_surfaces_would_block_forever() {
         let inst = Instance::default();
         let mut fake = Scripted::new(&inst);
-        fake.reads.0.clear();
+        fake.reads.clear();
         let r: Result<(), _> = run(&mut fake, |_| Err(Abort::new(AbortReason::ExplicitRetry)));
         assert_eq!(r.unwrap_err(), RunError::WouldBlockForever { attempts: 1 });
         let snap = inst.stats.snapshot();

@@ -22,7 +22,7 @@
 //!   and its [`Instance`] (clock, counters, configuration) are all the
 //!   erased surface needs besides the run itself.
 //! * [`BackendSpec`] / [`BackendRegistry`] — the name → constructor
-//!   factory ("tl2", "lsa", "swiss", "oe", "oe-estm-compat", "boost");
+//!   factory ("tl2", "lsa", "swiss", "oe", "oe-estm-compat");
 //!   each backend crate registers its constructors, and callers build
 //!   instances from runtime strings (CLI flags, config files, scenario
 //!   lists).

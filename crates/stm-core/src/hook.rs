@@ -54,10 +54,8 @@
 //! * The [`WriteRecord`] borrows the backend's own write bookkeeping;
 //!   it is only valid for the duration of the call. Iterate it, don't
 //!   store it.
-//! * Backends with write-per-location logs may report the same location
-//!   more than once (boost's compensation log appends per write); every
-//!   occurrence carries the location's final committed word, so
-//!   replay-in-order is unaffected.
+//! * Every backend reports each written location once, with its
+//!   committed word, at a real clock stamp.
 //! * `on_commit` is infallible by signature. A hook that hits an I/O
 //!   error must degrade on its own terms (the durable WAL poisons
 //!   itself and stops logging, keeping the durable state a *prefix* of
@@ -109,9 +107,9 @@ pub type WriteIter<'a> = dyn Fn(&mut dyn FnMut(usize, u64)) + 'a;
 impl<'a> WriteRecord<'a> {
     /// Build a record over a borrowed write iteration.
     ///
-    /// `version` is the backend's commit version for this transaction —
-    /// **advisory**: clock-free backends (boost) pass 0, and adopted lazy
-    /// -clock stamps may repeat across non-conflicting commits. Consumers
+    /// `version` is the backend's commit version for this transaction, a
+    /// real clock stamp — but **advisory**: adopted lazy-clock stamps may
+    /// repeat across non-conflicting commits. Consumers
     /// needing a total order must assign their own sequence numbers (the
     /// durable WAL does). `len` is the number of pairs `writes` yields;
     /// `writes` must be repeatable (callable any number of times,
@@ -148,8 +146,7 @@ impl<'a> WriteRecord<'a> {
     }
 
     /// Number of `(location, word)` pairs [`for_each`](Self::for_each)
-    /// yields. May exceed the number of *distinct* locations for backends
-    /// with per-write logs (boost).
+    /// yields: the number of distinct locations written.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len

@@ -32,8 +32,9 @@
 //!   of the paper), and the [`Instance`] (clock, counters, configuration)
 //!   every backend embeds and every surface reads its accessors through,
 //! * the one transaction [`driver`] every backend runs under — the
-//!   per-attempt state, the commit tail (hook → notify → release → trace
-//!   event) and the retry/wait/park loop — with bounded exponential
+//!   per-attempt state (with the abstract-lock log that makes boosting a
+//!   layer over any backend), the commit tail (hook → notify → release →
+//!   trace event) and the retry/wait/park loop — with bounded exponential
 //!   [`backoff`] and one [`cm`] contention-management policy (SwissTM's
 //!   two-phase rule: how conflict losers pace their retries and when an
 //!   encounter-time conflict waits),

@@ -9,6 +9,7 @@
 
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
+use crate::driver::AbstractLog;
 use crate::error::{Abort, AbortReason};
 use crate::link::Link;
 use crate::stats::{StatsSnapshot, StmStats};
@@ -120,9 +121,16 @@ pub trait Transaction<'env> {
     /// The kind this (sub)transaction currently runs under.
     fn kind(&self) -> TxKind;
 
+    /// The attempt's abstract-lock log, which a client of the host
+    /// transaction writes (see [`Boosted`](crate::driver::Boosted)), with
+    /// the attempt's ticket.
+    fn abstract_log(&mut self) -> AbstractLog<'_, 'env>;
+
     /// This attempt's globally unique ticket (lock-owner identity), drawn
     /// on the first call if the attempt has not needed one yet.
-    fn ticket(&self) -> u64;
+    fn ticket(&mut self) -> u64 {
+        self.abstract_log().ticket()
+    }
 
     /// Transactionally read `var`.
     fn read<T: Word>(&mut self, var: &'env TVar<T>) -> Result<T, Abort>

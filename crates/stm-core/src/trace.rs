@@ -42,10 +42,10 @@
 //! the child's commit: a read-only child **settles** (it becomes a model
 //! transaction — its snapshot-validated reads are final), while a child
 //! that wrote **merges** into the enclosing transaction, whose commit
-//! event does wait for write-back. Backends with *eager* writes under
-//! strict two-phase locking (boost) use
-//! [`AttemptTracer::commit_child_settled`], because their child effects
-//! are already applied and stay protected until the attempt ends.
+//! event does wait for write-back. Every backend publishes a child's
+//! words only at the top-level commit, so a writing child always merges;
+//! boosted objects apply in place, but they are not traced (their
+//! abstract locks are not word locations).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -353,22 +353,6 @@ impl AttemptTracer {
         let lvl = self.stack.pop().expect("child commit without child");
         let enclosing_begun = self.stack.last().is_some_and(|l| l.begun);
         if lvl.wrote || (lvl.begun && enclosing_begun) {
-            self.merge_child(lvl)
-        } else {
-            self.settle_child(lvl)
-        }
-    }
-
-    /// Child commit for backends with *eager* writes under strict
-    /// two-phase locking (boost): the child's effects are already applied
-    /// and stay protected until the attempt ends, so the child settles as
-    /// a model transaction even when it wrote. Falls back to merging when
-    /// the enclosing transaction is already visible (the flat model
-    /// cannot nest begins).
-    pub fn commit_child_settled(&mut self) -> u64 {
-        self.flush_pending_releases();
-        let lvl = self.stack.pop().expect("child commit without child");
-        if self.stack.last().is_some_and(|l| l.begun) {
             self.merge_child(lvl)
         } else {
             self.settle_child(lvl)
@@ -767,27 +751,6 @@ mod tests {
                 "op t1 l9 Write(4)",
                 "commit t1",
                 "rel t1 l9"
-            ]
-        );
-    }
-
-    #[test]
-    fn eager_backend_child_settles_even_with_writes() {
-        let sink = Arc::new(LogSink::default());
-        let mut tr = AttemptTracer::begin_top(Arc::clone(&sink) as Arc<dyn TraceSink>, 1);
-        tr.begin_child(2);
-        tr.op(9, TraceOp::Write(4));
-        // Eager in-place writes under strict 2PL (boost): applied already.
-        assert_eq!(tr.commit_child_settled(), 2);
-        tr.commit_top();
-        assert_eq!(
-            sink.lines(),
-            vec![
-                "begin@1 t2",
-                "acq t2 l9",
-                "op t2 l9 Write(4)",
-                "commit t2",
-                "rel t2 l9"
             ]
         );
     }

@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 
 use stm_core::bloom::Bloom;
-use stm_core::driver::{self, Attempt, TxnEngine};
+use stm_core::driver::{self, AbstractLog, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
@@ -186,12 +186,6 @@ pub struct LsaTxn<'env> {
 }
 
 impl<'env> TxnEngine<'env> for LsaTxn<'env> {
-    type Reads = ReadSet<'env>;
-
-    fn attempt(&mut self) -> &mut Attempt<'env> {
-        &mut self.at
-    }
-
     fn restart(&mut self) {
         self.scratch.reset();
         self.undo.reset();
@@ -451,7 +445,7 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
-        self.at.child_commit(false);
+        self.at.child_commit();
         Ok(())
     }
 
@@ -463,8 +457,8 @@ impl<'env> Transaction<'env> for LsaTxn<'env> {
         TxKind::Regular
     }
 
-    fn ticket(&self) -> u64 {
-        self.at.ticket()
+    fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+        self.at.abstract_log()
     }
 }
 

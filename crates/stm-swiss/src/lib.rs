@@ -44,7 +44,7 @@
 use core::sync::atomic::{AtomicU64, Ordering};
 use stm_core::bloom::hash_id;
 use stm_core::cm::{self, LOCK_SPIN_LIMIT};
-use stm_core::driver::{self, Attempt, TxnEngine};
+use stm_core::driver::{self, AbstractLog, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
@@ -163,12 +163,6 @@ fn release_wlocks(wlocks: &WLockTable, owner: Option<u64>, held: &mut Vec<usize>
 }
 
 impl<'env> TxnEngine<'env> for SwissTxn<'env> {
-    type Reads = ReadSet<'env>;
-
-    fn attempt(&mut self) -> &mut Attempt<'env> {
-        &mut self.at
-    }
-
     fn restart(&mut self) {
         self.scratch.reset();
         let now = self.stm.inst.clock.now();
@@ -381,7 +375,7 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
-        self.at.child_commit(false);
+        self.at.child_commit();
         Ok(())
     }
 
@@ -393,8 +387,8 @@ impl<'env> Transaction<'env> for SwissTxn<'env> {
         TxKind::Regular
     }
 
-    fn ticket(&self) -> u64 {
-        self.at.ticket()
+    fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+        self.at.abstract_log()
     }
 }
 

@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use stm_core::driver::{self, Attempt, TxnEngine};
+use stm_core::driver::{self, AbstractLog, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
@@ -90,12 +90,6 @@ pub struct Tl2Txn<'env> {
 }
 
 impl<'env> TxnEngine<'env> for Tl2Txn<'env> {
-    type Reads = ReadSet<'env>;
-
-    fn attempt(&mut self) -> &mut Attempt<'env> {
-        &mut self.at
-    }
-
     fn restart(&mut self) {
         self.scratch.reset();
         self.rv = self.stm.inst.clock.now();
@@ -222,7 +216,7 @@ impl<'env> Transaction<'env> for Tl2Txn<'env> {
     }
 
     fn child_commit(&mut self) -> Result<(), Abort> {
-        self.at.child_commit(false);
+        self.at.child_commit();
         Ok(())
     }
 
@@ -234,8 +228,8 @@ impl<'env> Transaction<'env> for Tl2Txn<'env> {
         TxKind::Regular
     }
 
-    fn ticket(&self) -> u64 {
-        self.at.ticket()
+    fn abstract_log(&mut self) -> AbstractLog<'_, 'env> {
+        self.at.abstract_log()
     }
 }
 

@@ -21,7 +21,7 @@
 //! generic over every registry backend — including the deliberately
 //! broken E-STM compatibility mode, whose early-released elastic reads
 //! would violate multi-word atomicity (presence word vs. value slot);
-//! regular sections keep `MULTI` atomic on all six backends, which the
+//! regular sections keep `MULTI` atomic on all five backends, which the
 //! `txkv_multi_atomicity` oracle battery asserts.
 
 use durable::{DurableHeap, Recovery};

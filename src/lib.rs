@@ -8,8 +8,8 @@
 //! * [`stm_tl2`], [`stm_lsa`], [`stm_swiss`] — the baseline STMs
 //! * [`oe_stm`] — the paper's contribution: elastic transactions with
 //!   outheritance
-//! * [`stm_boost`] — transactional boosting with outheritance (Section
-//!   VIII's "general principle" claim, executable)
+//! * [`stm_boost`] — transactional boosting with outheritance over any of
+//!   those backends (Section VIII's "general principle" claim, executable)
 //! * [`histories`] — the executable formal model of Sections II–IV
 //! * [`cec`] — the composable collections package of Section VI
 //! * [`txkv`] — the service layer: a transactional keyspace
@@ -37,7 +37,9 @@ pub const PAPER: &str = "Gramoli, Guerraoui, Letia: Composing Relaxed Transactio
 
 /// Every STM backend this workspace ships, assembled into the runtime
 /// name → constructor registry ("tl2", "lsa", "swiss", "oe",
-/// "oe-estm-compat", "boost"). Library users select backends from strings —
+/// "oe-estm-compat"). Boosting is not a backend: a
+/// [`BoostedSet`](stm_boost::BoostedSet) runs inside a transaction of any
+/// of them. Library users select backends from strings —
 /// config files, CLI flags — without naming a concrete STM type, and
 /// drive them through the `atomic` facade:
 ///
@@ -64,7 +66,7 @@ pub const PAPER: &str = "Gramoli, Guerraoui, Letia: Composing Relaxed Transactio
 /// let err = backend_registry().build_default("tl3").unwrap_err();
 /// assert!(err
 ///     .to_string()
-///     .contains("registered backends: oe, oe-estm-compat, lsa, tl2, swiss, boost"));
+///     .contains("registered backends: oe, oe-estm-compat, lsa, tl2, swiss"));
 /// ```
 ///
 /// Conflict arbitration is one policy on every backend, SwissTM's
@@ -123,6 +125,5 @@ pub fn backend_registry() -> BackendRegistry {
     stm_lsa::register_backends(&mut registry);
     stm_tl2::register_backends(&mut registry);
     stm_swiss::register_backends(&mut registry);
-    stm_boost::register_backends(&mut registry);
     registry
 }

@@ -7,6 +7,7 @@
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::cec::{dequeue_or_else, LinkedListSet, SetExt, TxQueue, TxSet};
 use composing_relaxed_transactions::oe_stm::OeStm;
+use composing_relaxed_transactions::stm_boost::BoostedSet;
 use composing_relaxed_transactions::stm_core::api::{Atomic, AtomicBackend, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::{RunError, StmConfig, TVar};
@@ -17,7 +18,7 @@ use std::sync::Arc;
 /// All five registered backends, wrapped in the facade runner.
 fn runners() -> Vec<Atomic<Backend>> {
     let reg = backend_registry();
-    assert_eq!(reg.names().len(), 6, "expected all six backends wired");
+    assert_eq!(reg.names().len(), 5, "expected all five backends wired");
     reg.build_all().into_iter().map(Atomic::new).collect()
 }
 
@@ -187,10 +188,12 @@ fn waiting_retries_never_exhaust_a_bounded_budget_every_backend() {
 
 #[test]
 fn a_panicking_body_releases_what_it_holds_every_backend() {
-    // LSA, SwissTM and boost take locks at write time. Thread A writes a
-    // word and panics inside the body; the run must roll the attempt back
-    // before the panic leaves it, or thread B — writing the same word on
-    // the same instance — loses to the dead owner until its budget ends.
+    // LSA and SwissTM take locks at write time, and a boosted add takes
+    // its key's abstract lock. Thread A writes a word, adds a key and
+    // panics inside the body; the run must roll the attempt back before
+    // the panic leaves it, or thread B — writing the same word and adding
+    // the same key on the same instance — loses to the dead owner until
+    // its budget ends.
     let reg = backend_registry();
     for name in reg.names() {
         let at = Atomic::new(
@@ -198,18 +201,25 @@ fn a_panicking_body_releases_what_it_holds_every_backend() {
                 .unwrap(),
         );
         let v = TVar::new(0u64);
+        let set = BoostedSet::new();
         std::thread::scope(|s| {
             let a = s.spawn(|| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     at.run(Policy::Regular, |tx| -> Result<(), _> {
                         tx.set(&v, 1)?;
+                        set.add(tx, 1)?;
                         panic!("{name}: the body panics holding what it wrote")
                     })
                 }))
             });
             assert!(a.join().unwrap().is_err(), "{name}: A's panic surfaced");
-            let b = s.spawn(|| at.try_run(Policy::Regular, |tx| tx.set(&v, 2)));
-            assert_eq!(b.join().unwrap(), Ok(()), "{name}: B's write must commit");
+            let b = s.spawn(|| {
+                at.try_run(Policy::Regular, |tx| {
+                    tx.set(&v, 2)?;
+                    set.add(tx, 1)
+                })
+            });
+            assert_eq!(b.join().unwrap(), Ok(true), "{name}: B must commit");
         });
         assert_eq!(v.load_atomic(), 2, "{name}");
     }
@@ -219,16 +229,6 @@ fn a_panicking_body_releases_what_it_holds_every_backend() {
 // Read-only commits: a plain one keeps its snapshot, a composition
 // revalidates what its children read.
 // ---------------------------------------------------------------------
-
-/// The invisible-read backends. Boost's readers hold abstract locks, so
-/// an overwrite issued from inside a reader's body would wait on them
-/// forever.
-fn invisible_read_runners() -> Vec<Atomic<Backend>> {
-    runners()
-        .into_iter()
-        .filter(|at| at.backend().key() != "boost")
-        .collect()
-}
 
 /// Commit `x = 1` from another thread while the caller's attempt is live.
 fn overwrite(at: &Atomic<Backend>, x: &TVar<u64>) {
@@ -243,7 +243,7 @@ fn read_only_composition_revalidates_at_parent_commit_every_backend() {
     // commits. An overwrite committed between two read-only children
     // must abort the parent, although each read matched the snapshot and
     // the parent wrote nothing.
-    for at in invisible_read_runners() {
+    for at in runners() {
         let (x, y) = (TVar::new(0u64), TVar::new(0u64));
         let mut attempts = 0;
         let seen = at.run(Policy::Regular, |tx| {
@@ -276,7 +276,7 @@ fn read_only_composition_revalidates_at_parent_commit_every_backend() {
 fn read_only_transaction_keeps_its_snapshot_every_backend() {
     // Without children a read-only attempt serializes at its snapshot:
     // an overwrite committed after its read does not abort it.
-    for at in invisible_read_runners() {
+    for at in runners() {
         let (x, y) = (TVar::new(0u64), TVar::new(0u64));
         let mut attempts = 0;
         let seen = at.run(Policy::Regular, |tx| {

@@ -1,6 +1,5 @@
 //! Contention-management semantics under adversarial conflict pressure:
-//! every word-versioned registry backend (all but `boost`, see
-//! `BACKENDS`), against forced-conflict adversaries injected into
+//! every registry backend, against forced-conflict adversaries injected into
 //! specific attempts (mirroring the hook injection of
 //! `fig1_composition_violation.rs`, lifted to the facade).
 //!
@@ -22,18 +21,8 @@ use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::{RunError, StmConfig, TVar};
 
-/// Every registry backend except `boost`, including the deliberately
-/// broken E-STM compatibility mode — arbitration must be uniform across
-/// all of them. `boost` is left out on purpose; with it in the list:
-///
-/// * three tests fail (`forced_conflict_…`, `always_winning_…`,
-///   `mixed_conflicts_…`): their adversary is an out-of-band
-///   `store_atomic`, which takes no abstract lock, so boost never
-///   conflicts with it;
-/// * `composed_sections_recover_from_an_injected_adversary` never
-///   returns: its adversary is a nested transaction on the same thread,
-///   which loses the abstract lock the enclosing attempt holds on `y`
-///   and retries without bound.
+/// Every registry backend, including the deliberately broken E-STM
+/// compatibility mode — arbitration must be uniform across all of them.
 const BACKENDS: [&str; 5] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss"];
 
 fn runner(backend: &str, max_retries: Option<u64>) -> Atomic<Backend> {

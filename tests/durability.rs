@@ -26,13 +26,14 @@
 //! observed is durable; a read of durable words never waits — all of it
 //! also through a hook wrapper that forwards nothing but `on_commit`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use composing_relaxed_transactions::backend_registry;
+use composing_relaxed_transactions::stm_boost::BoostedSet;
 use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::hook::{CommitHook, WriteRecord};
@@ -41,7 +42,7 @@ use durable::record::{self, Record};
 use durable::wal::{RESERVE_CHUNK, WAL_FILE};
 use durable::{recover, BitFlip, DurableStore, FaultPlan, FaultVfs, GatedVfs, MemVfs, StdVfs, Vfs};
 
-const BACKENDS: [&str; 6] = ["tl2", "lsa", "swiss", "oe", "oe-estm-compat", "boost"];
+const BACKENDS: [&str; 5] = ["tl2", "lsa", "swiss", "oe", "oe-estm-compat"];
 const VARS: usize = 8;
 const PER_VAR: u64 = 100;
 const TOTAL: u64 = VARS as u64 * PER_VAR;
@@ -114,28 +115,15 @@ fn hook_fires_once_per_toplevel_update_commit_on_every_backend() {
 
         let records = hook.records.lock().unwrap();
         let (version, writes) = &records[0];
-        let ids: BTreeSet<usize> = writes.iter().map(|&(id, _)| id).collect();
-        let expect: BTreeSet<usize> = [x.core().id(), y.core().id()].into();
-        assert_eq!(ids, expect, "{name}: write set mismatch");
-        // Duplicates are allowed (boost logs per acquisition); the last
-        // word per location must be the committed one.
-        let mut last = BTreeMap::new();
-        for &(id, word) in writes {
-            last.insert(id, word);
-        }
-        assert_eq!(last[&x.core().id()], 10, "{name}");
-        assert_eq!(last[&y.core().id()], 20, "{name}");
-        if name == "boost" {
-            assert_eq!(
-                *version, 0,
-                "boost never ticks the clock; version is advisory"
-            );
-        } else {
-            assert!(
-                *version > 0,
-                "{name}: commit version must be a real clock stamp"
-            );
-        }
+        // Each location once, with its committed word, at a real stamp.
+        let words: BTreeMap<usize, u64> = writes.iter().copied().collect();
+        assert_eq!(words.len(), writes.len(), "{name}: a location repeats");
+        let expect: BTreeMap<usize, u64> = [(x.core().id(), 10), (y.core().id(), 20)].into();
+        assert_eq!(words, expect, "{name}: write set mismatch");
+        assert!(
+            *version > 0,
+            "{name}: commit version must be a real clock stamp"
+        );
     }
 }
 
@@ -647,10 +635,8 @@ fn commits_that_stage_nothing_wait_for_what_they_observed_every_backend() {
 
 #[test]
 fn a_read_of_durable_words_does_not_wait_for_a_held_fsync() {
-    // Boost has no word versions, so its commits that stage nothing wait
-    // for everything staged before them; every other backend bounds what
-    // a read observed by the versions it read.
-    for (name, wrapped) in cells().filter(|&(name, _)| name != "boost") {
+    // Every backend bounds what a read observed by the versions it read.
+    for (name, wrapped) in cells() {
         let g = Gated::new(name, wrapped);
         let (k, x) = (TVar::new(0u64), TVar::new(0u64));
         g.store.heap().register(1, k.core());
@@ -669,6 +655,37 @@ fn a_read_of_durable_words_does_not_wait_for_a_held_fsync() {
             assert!(
                 within_deadline(|| got.load(Ordering::SeqCst) == 5),
                 "{name}/{wrapped}: a read of a durable key waited for an unrelated fsync"
+            );
+        });
+    }
+}
+
+#[test]
+fn a_boosted_key_is_released_before_the_fsync() {
+    // `publish` releases abstract locks with the word locks, so a commit
+    // awaiting its fsync holds no boosted key.
+    for (name, wrapped) in cells() {
+        let g = Gated::new(name, wrapped);
+        let (k, x) = (TVar::new(0u64), TVar::new(0u64));
+        g.store.heap().register(1, k.core());
+        g.store.heap().register(2, x.core());
+        g.gate.pass(1);
+        g.backend.run(TxKind::Regular, |tx| tx.set(&k, 5));
+        let boosted = BoostedSet::new();
+        std::thread::scope(|s| {
+            let _open = g.gate.opener();
+            s.spawn(|| {
+                g.backend.run(TxKind::Regular, |tx| {
+                    tx.set(&x, 1)?;
+                    boosted.add(tx, 7)
+                })
+            });
+            g.gate.await_arrivals(2);
+            assert!(boosted.base().contains(7));
+            assert_eq!(
+                boosted.locks().held(),
+                0,
+                "{name}/{wrapped}: a boosted key was held across the fsync"
             );
         });
     }

@@ -15,11 +15,11 @@ use composing_relaxed_transactions::stm_tl2::Tl2;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// All six registered backends ("tl2", "lsa", "swiss", "oe",
-/// "oe-estm-compat", "boost"), freshly built.
+/// All five registered backends ("tl2", "lsa", "swiss", "oe",
+/// "oe-estm-compat"), freshly built.
 fn backends() -> Vec<Backend> {
     let reg = backend_registry();
-    assert_eq!(reg.names().len(), 6, "expected all six backends wired");
+    assert_eq!(reg.names().len(), 5, "expected all five backends wired");
     reg.build_all()
 }
 

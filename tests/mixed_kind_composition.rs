@@ -10,10 +10,14 @@
 //!   own read-only prefix;
 //! * regular child inside an elastic parent: the child's reads are fully
 //!   protected even though the parent relaxes its own;
-//! * both children outherit, so the *composition* is atomic either way.
+//! * both children outherit, so the *composition* is atomic either way;
+//! * the same holds across synchronization schemes: a boosted child's
+//!   abstract locks and compensations outherit like an elastic child's
+//!   protected set.
 
 use composing_relaxed_transactions::cec::{LinkedListSet, OpScratch, SetOps};
 use composing_relaxed_transactions::oe_stm::OeStm;
+use composing_relaxed_transactions::stm_boost::BoostedSet;
 use composing_relaxed_transactions::stm_core::{AbortReason, Stm, TVar, Transaction, TxKind};
 
 /// An elastic child's prefix relaxation still applies inside a regular
@@ -206,4 +210,71 @@ fn abort_causes_classified_in_mixed_nesting() {
         snap.aborts_by_cause[AbortReason::ElasticCut.index()] >= 1,
         "windowed conflict must be classified as an elastic-cut abort, got {snap:?}"
     );
+}
+
+/// Two threads move keys between a boosted set and an elastic list, each
+/// move one OE-STM transaction composed of an elastic list child and a
+/// boosted child. Every key stays in exactly one of the two, which regular
+/// observers check mid-run and at the end.
+#[test]
+fn moves_between_a_boosted_set_and_an_elastic_list_conserve_keys() {
+    const KEYS: i64 = 16;
+    const MOVES: i64 = 300;
+    let stm = OeStm::new();
+    let list = LinkedListSet::new();
+    let boosted = BoostedSet::new();
+    for k in 0..KEYS {
+        if k % 2 == 0 {
+            let mut scratch = OpScratch::default();
+            stm.run(TxKind::Elastic, |tx| {
+                list.release_unpublished(&mut scratch.allocated);
+                list.add_in(tx, k, &mut scratch)
+            });
+        } else {
+            boosted.base().add(k);
+        }
+    }
+    let in_exactly_one = |k: i64| {
+        stm.run(TxKind::Regular, |tx| {
+            Ok(list.contains_in(tx, k)? != boosted.contains(tx, k)?)
+        })
+    };
+    std::thread::scope(|s| {
+        for t in 0..2i64 {
+            let (stm, list, boosted, in_exactly_one) = (&stm, &list, &boosted, &in_exactly_one);
+            s.spawn(move || {
+                for i in 0..MOVES {
+                    let k = (i * 7 + t * 5) % KEYS;
+                    // Fresh scratch per move: the slots a committed add
+                    // allocated are published and must not be recycled.
+                    let mut scratch = OpScratch::default();
+                    let moved = stm.run(TxKind::Elastic, |tx| {
+                        list.release_unpublished(&mut scratch.allocated);
+                        scratch.unlinked.clear();
+                        if tx.child(TxKind::Elastic, |t| list.remove_in(t, k, &mut scratch))? {
+                            tx.child(TxKind::Regular, |t| boosted.add(t, k))
+                        } else if tx.child(TxKind::Regular, |t| boosted.remove(t, k))? {
+                            tx.child(TxKind::Elastic, |t| list.add_in(t, k, &mut scratch))
+                        } else {
+                            Ok(false)
+                        }
+                    });
+                    assert!(moved, "key {k} was in neither set");
+                    let probe = (i * 3 + t) % KEYS;
+                    assert!(in_exactly_one(probe), "key {probe} seen in both or neither");
+                }
+            });
+        }
+    });
+    assert!(
+        (0..KEYS).all(in_exactly_one),
+        "the two sets overlap or lost a key"
+    );
+    let listed = stm.run(TxKind::Regular, |tx| list.len_in(tx));
+    assert_eq!(
+        listed + boosted.base().len(),
+        KEYS as usize,
+        "union conserved"
+    );
+    assert_eq!(boosted.locks().held(), 0);
 }

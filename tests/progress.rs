@@ -22,10 +22,10 @@ use composing_relaxed_transactions::stm_core::{StmConfig, TVar};
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Every backend in the registry, including the 2PL boost backend and the
-/// deliberately broken E-STM compatibility mode: the progress guarantee
-/// is a property of the shared retry loop, so no backend is exempt.
-const BACKENDS: [&str; 6] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boost"];
+/// Every backend in the registry, including the deliberately broken E-STM
+/// compatibility mode: the progress guarantee is a property of the shared
+/// retry loop, so no backend is exempt.
+const BACKENDS: [&str; 5] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss"];
 
 /// Read-modify-writes per worker in the storm.
 const INCREMENTS_PER_THREAD: u64 = 200;
@@ -100,12 +100,6 @@ fn backstop_parks_every_loss_past_the_threshold() {
     const PAST: u64 = 4;
     const SABOTAGED: u64 = PROGRESS_PARK_AFTER as u64 + PAST;
     for backend in BACKENDS {
-        if backend == "boost" {
-            // Boost serializes through per-word 2PL locks and never
-            // validates against the clock, so the versioned-store
-            // sabotage cannot force a conflict there.
-            continue;
-        }
         let at = runner(backend);
         let a = TVar::new(0u64);
         let mut sabotage_left = SABOTAGED;
@@ -135,9 +129,6 @@ fn backstop_stays_out_of_runs_below_the_default_threshold() {
     // yield, but never sleep.
     const SABOTAGED: u64 = 4;
     for backend in BACKENDS {
-        if backend == "boost" {
-            continue;
-        }
         let at = runner(backend);
         let a = TVar::new(0u64);
         let mut sabotage_left = SABOTAGED;

@@ -163,11 +163,6 @@ fn composition_of(h: &History, p: u32) -> Vec<TxId> {
 #[test]
 fn read_only_composition_overwritten_between_children_is_relax_serializable() {
     for name in backend_registry().names() {
-        if name == "boost" {
-            // Boost's readers hold abstract locks: the overwrite would
-            // wait on the composition forever.
-            continue;
-        }
         let rec = Arc::new(Recorder::new());
         let backend = backend_registry()
             .build(name, StmConfig::default().with_trace_sink(rec.clone()))

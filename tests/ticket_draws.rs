@@ -3,7 +3,8 @@
 //! touching the process-wide ticket counter on every word backend whose
 //! reads take no lock, at the SPI and through the facade, an update draws
 //! exactly one ticket per attempt that locks, and losing an attempt draws
-//! none.
+//! none. A boosted operation locks, so it draws one even in an otherwise
+//! read-only run.
 //!
 //! Method: the counter is observed directly. [`draws`] takes a ticket
 //! before and after the measured region, so their difference, less one,
@@ -11,7 +12,7 @@
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::oe_stm::OeStm;
-use composing_relaxed_transactions::stm_boost::BoostStm;
+use composing_relaxed_transactions::stm_boost::BoostedSet;
 use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::driver::TxnEngine;
 use composing_relaxed_transactions::stm_core::ticket::next_ticket;
@@ -30,12 +31,12 @@ fn draws(f: impl FnOnce()) -> u64 {
     next_ticket().get() - before - 1
 }
 
-/// Read-only, update and retried-update runs of one backend: `reads`
-/// tickets for the read-only run (0 unless reads lock), one for a
-/// committed update, and `write_locks` for an aborted attempt that wrote
-/// (1 where a write locks at encounter time, 0 where only the commit
-/// does).
-fn assert_draws<S>(stm: &S, kind: TxKind, reads: u64, write_locks: u64, name: &str)
+/// Read-only, boosted, update and retried-update runs of one backend: no
+/// ticket for the read-only run, one for a read-only run with a boosted
+/// `contains`, one for a committed update, and `write_locks` for an
+/// aborted attempt that wrote (1 where a write locks at encounter time, 0
+/// where only the commit does).
+fn assert_draws<S>(stm: &S, kind: TxKind, write_locks: u64, name: &str)
 where
     S: Stm,
     for<'env> S::Txn<'env>: TxnEngine<'env>,
@@ -47,14 +48,25 @@ where
             for v in &vars {
                 sum += tx.read(v)?;
             }
-            if reads == 0 {
-                assert_eq!(tx.attempt().owner(), None, "{name}: a read drew");
-            }
+            assert_eq!(tx.attempt().owner(), None, "{name}: a read drew");
             Ok(sum)
         });
         assert_eq!(sum, 28);
     });
-    assert_eq!(read_only, reads, "{name}: tickets drawn by a read-only run");
+    assert_eq!(read_only, 0, "{name}: tickets drawn by a read-only run");
+    let set = BoostedSet::new();
+    set.base().add(3);
+    let boosted = draws(|| {
+        let present = stm.run(kind, |tx| {
+            tx.read(&vars[3])?;
+            set.contains(tx, 3)
+        });
+        assert!(present);
+    });
+    assert_eq!(
+        boosted, 1,
+        "{name}: a boosted contains draws its lock owner"
+    );
     let update = draws(|| stm.run(kind, |tx| tx.write(&vars[0], 1)));
     assert_eq!(update, 1, "{name}: one ticket for an update");
     let mut lose = true;
@@ -79,20 +91,17 @@ where
 /// running beside the measured regions would draw inside them.
 #[test]
 fn only_what_needs_a_ticket_draws_one() {
-    assert_draws(&Tl2::new(), TxKind::Regular, 0, 0, "TL2");
-    assert_draws(&Lsa::new(), TxKind::Regular, 0, 1, "LSA");
-    assert_draws(&Swiss::new(), TxKind::Regular, 0, 1, "SwissTM");
-    assert_draws(&OeStm::new(), TxKind::Regular, 0, 0, "OE-STM/regular");
-    assert_draws(&OeStm::new(), TxKind::Elastic, 0, 0, "OE-STM/elastic");
+    assert_draws(&Tl2::new(), TxKind::Regular, 0, "TL2");
+    assert_draws(&Lsa::new(), TxKind::Regular, 1, "LSA");
+    assert_draws(&Swiss::new(), TxKind::Regular, 1, "SwissTM");
+    assert_draws(&OeStm::new(), TxKind::Regular, 0, "OE-STM/regular");
+    assert_draws(&OeStm::new(), TxKind::Elastic, 0, "OE-STM/elastic");
     assert_draws(
         &OeStm::estm_compat(),
         TxKind::Elastic,
         0,
-        0,
         "OE-STM/estm-compat",
     );
-    // Boosting locks what it reads (strict 2PL): its first read draws.
-    assert_draws(&BoostStm::new(), TxKind::Regular, 1, 1, "Boost");
 
     // The service path: txkv over the registry-erased facade.
     let at = Atomic::new(backend_registry().build_default("oe").unwrap());

@@ -10,7 +10,7 @@
 //! same-transaction sibling missed) breaks the count exactly, which is
 //! what makes the reference map a complete atomicity oracle.
 //!
-//! The battery sweeps all six registry backends, a
+//! The battery sweeps all five registry backends, a
 //! transfer-sum invariant under racing MULTIs, racing inserts and
 //! deletes after which `len()` must count exactly the keys `get` finds,
 //! and a durable kill-and-recover cycle proving the recovered image
@@ -27,10 +27,10 @@ use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
 use durable::{DurableStore, MemVfs, Vfs};
 use proptest::prelude::*;
 
-/// Every registered backend, including the 2PL boosting one and the
-/// deliberately broken E-STM compatibility mode (whose unprotected
-/// *elastic* reads txkv sidesteps by running MULTI sections `Regular`).
-const BACKENDS: [&str; 6] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boost"];
+/// Every registered backend, including the deliberately broken E-STM
+/// compatibility mode (whose unprotected *elastic* reads txkv sidesteps
+/// by running MULTI sections `Regular`).
+const BACKENDS: [&str; 5] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss"];
 
 /// Small key universe so concurrent MULTIs actually collide.
 const CAPACITY: usize = 64;
@@ -96,17 +96,8 @@ fn check_cell(backend: &str, per_thread: &[Vec<Vec<i64>>]) {
 }
 
 /// One thread's MULTI list: up to 6 transactions of 2..=4 keys each.
-/// Keys inside a MULTI are sorted — a single transaction presents its
-/// footprint in a consistent order, so the eager-locking boost backend
-/// cannot deadlock on intra-transaction lock inversions.
 fn multis() -> impl Strategy<Value = Vec<Vec<i64>>> {
-    prop::collection::vec(
-        prop::collection::vec(0..CAPACITY as i64, 2..5).prop_map(|mut keys| {
-            keys.sort_unstable();
-            keys
-        }),
-        1..7,
-    )
+    prop::collection::vec(prop::collection::vec(0..CAPACITY as i64, 2..5), 1..7)
 }
 
 proptest! {
@@ -147,13 +138,9 @@ fn racing_cross_shard_transfers_conserve_the_total() {
                         if from == to {
                             continue;
                         }
-                        // Sorted footprint (see `multis`): boost locks in
-                        // a consistent order.
-                        let (lo, hi) = (from.min(to), from.max(to));
-                        ks.multi(at, &[lo, hi], |pos, cur| {
+                        ks.multi(at, &[from, to], |pos, cur| {
                             let v = cur.unwrap_or(0);
-                            let key = if pos == 0 { lo } else { hi };
-                            if key == from {
+                            if pos == 0 {
                                 MultiOp::Put(v.wrapping_sub(1))
                             } else {
                                 MultiOp::Put(v.wrapping_add(1))

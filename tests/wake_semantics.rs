@@ -27,7 +27,7 @@ use composing_relaxed_transactions::stm_core::{wait, StmStats, TVar};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Every backend in the registry — wake-on-commit must be uniform.
-const BACKENDS: [&str; 6] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss", "boost"];
+const BACKENDS: [&str; 5] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss"];
 
 /// Spin (yielding) until `ready` holds: the rendezvous with a thread
 /// that must have reached a state the test observes.

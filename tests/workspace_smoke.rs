@@ -1,7 +1,7 @@
 //! Workspace smoke test: one commit round-trip and one abort round-trip
 //! through every STM backend, driven exclusively through the
 //! `stm_core::Stm` trait (plus `stm-boost`'s boosted set, which runs
-//! inside the same boosted transaction).
+//! inside a transaction of each backend).
 //!
 //! This is the canary for backend refactors: if a backend's trait
 //! surface drifts — begin/commit protocol, rollback-on-abort, stats
@@ -9,7 +9,7 @@
 //! run.
 
 use composing_relaxed_transactions::oe_stm::OeStm;
-use composing_relaxed_transactions::stm_boost::{BoostStm, BoostedSet};
+use composing_relaxed_transactions::stm_boost::BoostedSet;
 use composing_relaxed_transactions::stm_core::{
     Abort, AbortReason, RunError, Stm, StmConfig, TVar, Transaction, TxKind,
 };
@@ -114,21 +114,14 @@ fn estm_compat_commit_and_abort() {
     smoke(&OeStm::estm_compat_with_config(no_retry()), TxKind::Elastic);
 }
 
-#[test]
-fn boost_commit_and_abort() {
-    smoke(&BoostStm::with_config(no_retry()), TxKind::Regular);
-}
-
-/// The boosted set runs inside the boosted transaction: its compensations
-/// share the undo log and its children nest flat.
-#[test]
-fn boosted_commit_and_abort() {
-    let stm = BoostStm::new();
+/// The boosted set runs inside a transaction of each backend: its
+/// compensations sit in the attempt's log and its children nest flat.
+fn boosted_smoke<S: Stm>(stm: &S) {
     let set = BoostedSet::new();
     assert!(stm.run(TxKind::Regular, |tx| set.add(tx, 5)));
     assert!(stm.run(TxKind::Regular, |tx| set.contains(tx, 5)));
     // Abort path: a child inserts, then the parent aborts once; the
-    // undo log must remove the child's insert on the way out.
+    // rollback must remove the child's insert on the way out.
     let mut attempts = 0;
     let committed = stm.run(TxKind::Regular, |tx| {
         attempts += 1;
@@ -138,11 +131,20 @@ fn boosted_commit_and_abort() {
         }
         Ok(true)
     });
-    assert!(committed);
+    assert!(committed, "{}", stm.name());
     assert_eq!(attempts, 2, "an explicit abort must re-run the body");
     assert!(
         stm.run(TxKind::Regular, |tx| set.contains(tx, 6)),
         "second attempt's add persists"
     );
     assert_eq!(set.locks().held(), 0, "no abstract locks leak");
+}
+
+#[test]
+fn boosted_commit_and_abort() {
+    boosted_smoke(&Tl2::new());
+    boosted_smoke(&Lsa::new());
+    boosted_smoke(&Swiss::new());
+    boosted_smoke(&OeStm::new());
+    boosted_smoke(&OeStm::estm_compat());
 }

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::oe_stm::OeStm;
+use composing_relaxed_transactions::stm_boost::BoostedSet;
 use composing_relaxed_transactions::stm_core::api::{Atomic, AtomicBackend, Policy};
 use composing_relaxed_transactions::stm_core::{Stm, TVar, Transaction, TxKind};
 use composing_relaxed_transactions::stm_lsa::Lsa;
@@ -271,6 +272,21 @@ fn assert_or_else_does_not_allocate<B: AtomicBackend>(at: &Atomic<B>, name: &str
     );
 }
 
+/// A boosted `contains` of a present key: once warm, the abstract-lock
+/// table and the attempt's log reuse their capacity, so a run allocates
+/// nothing.
+fn assert_boosted_contains_does_not_allocate<B: AtomicBackend>(at: &Atomic<B>, name: &str) {
+    let set = BoostedSet::new();
+    set.base().add(7);
+    let contains = || assert!(at.run(Policy::Regular, |tx| set.contains(tx, 7)));
+    contains(); // warm the lock table and the log's spare
+    let events = min_events_of(contains);
+    assert_eq!(
+        events, 0,
+        "boosted/Backend({name}): a warmed contains allocated {events} times"
+    );
+}
+
 /// One sequential test (not five): the allocation counter is
 /// process-global, and libtest's worker threads and result printing would
 /// otherwise allocate concurrently with a measured region and flake the
@@ -316,19 +332,16 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
     // no sink installed (the default — `StmConfig::default()` is exactly
     // the trace-capable configuration with tracing off) that consultation
     // must stay allocation-free: same 33-attempts-vs-1 exact-equality
-    // bar for every registered word-based backend. `boost` is exempt: it
-    // rebuilds its abstract-lock and compensation logs per attempt by
-    // design (boosting replays inverses; it makes no hot-path claim and
-    // none of its files carry the `lint:hot-path` tag).
+    // bar for every registered backend. A boosted operation on any of
+    // them is held to the same bar.
     for name in backend_registry().names() {
-        if name == "boost" {
-            continue;
-        }
+        let at = Atomic::new(backend_registry().build_default(name).unwrap());
         assert_facade_retries_do_not_allocate(
-            &Atomic::new(backend_registry().build_default(name).unwrap()),
+            &at,
             Policy::Regular,
             &format!("tracing-off/Backend({name})"),
         );
+        assert_boosted_contains_does_not_allocate(&at, name);
     }
 
     // The txkv latency-recording path: `LatencyHistogram::record_us` is
