@@ -550,6 +550,7 @@ mod tests {
     use super::*;
     use core::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use stm_core::scratch::HEAD;
     use stm_core::trace::{TraceSink, TraceStamp};
     use stm_core::{StatsSnapshot, Stm, StmConfig, TVar};
 
@@ -996,5 +997,99 @@ mod tests {
         assert_eq!(out.words, vec![10, 11, 12, 40], "the buffered payload");
         assert_eq!(out.protected, vec![1, 2, 3, 3]);
         assert_eq!((out.stats.commits, out.stats.aborts()), (1, 0));
+    }
+
+    /// The ids of the read set's entries, in order.
+    fn logged_ids(tx: &OeTxn<'_>) -> Vec<usize> {
+        tx.scratch.base.reads.iter().map(ReadEntry::id).collect()
+    }
+
+    /// An elastic child of an E-STM-compat transaction validates its part
+    /// of the read set from the parent's mark at its commit, then drops
+    /// it — wherever the mark falls against the read set's in-place head.
+    #[test]
+    fn estm_child_commit_validates_and_truncates_across_the_head() {
+        for parent in [HEAD - 1, HEAD, HEAD + 1] {
+            for sabotage in [false, true] {
+                let stm = OeStm::estm_compat();
+                let vars: Vec<TVar<u64>> = (0..parent as u64 + 4).map(TVar::new).collect();
+                let (mine, child) = vars.split_at(parent);
+                let mut pending = sabotage;
+                stm.run(TxKind::Regular, |tx| {
+                    for v in mine {
+                        tx.read(v)?;
+                    }
+                    let before = logged_ids(tx);
+                    tx.child(TxKind::Elastic, |tx| {
+                        tx.read(&child[0])?;
+                        tx.read(&child[1])?;
+                        // Hardening logs the window: child[0] lands at
+                        // index `parent`, in the head or past it.
+                        tx.write(&child[2], 1)?;
+                        tx.read(&child[3])?;
+                        assert_eq!(tx.protected_reads(), parent + 3);
+                        if pending {
+                            pending = false;
+                            let nv = stm.clock().tick();
+                            child[0].store_atomic(5, nv);
+                        }
+                        Ok(())
+                    })?;
+                    assert_eq!(logged_ids(tx), before, "the child's reads were released");
+                    Ok(())
+                });
+                let snap = stm.stats();
+                let caught = snap.aborts_by_cause[AbortReason::ReadValidation.index()];
+                assert_eq!(
+                    (snap.commits, snap.aborts(), caught),
+                    (1, u64::from(sabotage), u64::from(sabotage)),
+                    "{parent} parent reads, sabotage {sabotage}"
+                );
+            }
+        }
+    }
+
+    /// A child abort folds the enclosing elastic transaction's parked
+    /// window into the read set behind what it already logged, across the
+    /// read set's in-place head.
+    #[test]
+    fn a_child_abort_folds_the_parked_window_across_the_head() {
+        for logged in [HEAD - 1, HEAD, HEAD + 1] {
+            let stm = OeStm::new();
+            let vars: Vec<TVar<u64>> = (0..logged as u64 + 3).map(TVar::new).collect();
+            let (regular, rest) = vars.split_at(logged);
+            let mut first = true;
+            stm.run(TxKind::Elastic, |tx| {
+                // A regular child's reads stay logged (outheritance), and
+                // the parent's next two reads live in its window.
+                tx.child(TxKind::Regular, |tx| {
+                    for v in regular {
+                        tx.read(v)?;
+                    }
+                    Ok(())
+                })?;
+                tx.read(&rest[0])?;
+                tx.read(&rest[1])?;
+                assert_eq!(tx.protected_reads(), logged + 2);
+                if !first {
+                    return Ok(());
+                }
+                first = false;
+                let aborted = tx.child(TxKind::Elastic, |tx| {
+                    tx.read(&rest[2])?;
+                    Err::<(), _>(Abort::new(AbortReason::Explicit))
+                });
+                let folded: Vec<usize> = regular
+                    .iter()
+                    .chain(&rest[..2])
+                    .map(|v| v.core().id())
+                    .collect();
+                assert_eq!(logged_ids(tx), folded, "{logged} logged reads");
+                assert_eq!(tx.protected_reads(), logged + 3, "and the child's window");
+                aborted
+            });
+            let snap = stm.stats();
+            assert_eq!((snap.commits, snap.aborts()), (1, 1));
+        }
     }
 }

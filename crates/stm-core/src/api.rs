@@ -70,11 +70,14 @@
 //! `zero_alloc` test pins this down.
 //!
 //! The hop itself is paid per operation: each [`Tx`] read is an indirect
-//! call that returns its `Result<u64, Abort>` through memory, so code
-//! generic over [`Transaction`] cannot inline it under the facade and
-//! spills its loop state around every call. A long traversal feels that
-//! most (the sorted list's `find` makes one read per node, ≈ 2 050 over
-//! the benchmark's list walk), an 8-read hash operation hardly (≈ 4 ns).
+//! call. Its `Result<u64, Abort>` comes back in registers (`rax`/`rdx` on
+//! x86-64), not through memory, but code generic over [`Transaction`]
+//! cannot inline the call under the facade: the disassembly of
+//! `cec::listcore::find::<Tx>` keeps its loop state in callee-saved
+//! registers and reloads the transaction object, the function pointer and
+//! the key from the stack at every step. A long traversal feels that most
+//! (the sorted list's `find` makes one read per node, ≈ 2 050 over the
+//! benchmark's list walk), an 8-read hash operation hardly (≈ 4 ns).
 //! See DESIGN.md, "API layers: facade vs SPI".
 //!
 //! ```text

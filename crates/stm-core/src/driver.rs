@@ -167,16 +167,16 @@ impl<'env> Attempt<'env> {
     /// reserves the attempt's begin stamp, so this runs *before* the
     /// backend samples its snapshot (see `trace` on event stamping). An
     /// armed tracer draws the ticket here: it doubles as the tracer's
-    /// top-level transaction id.
+    /// top-level transaction id. Without a sink the tracer stays the
+    /// `None` that [`new`](Self::new) stored: reassigning it would first
+    /// load the old value to drop it, right behind `new`'s stores.
     #[inline]
     fn restart(&mut self) {
         self.ticket.set(0);
-        self.tracer = self
-            .inst
-            .config
-            .trace
-            .clone()
-            .map(|sink| Box::new(AttemptTracer::begin_top(sink, self.ticket()))); // lint:allow — tracing arm, off by default
+        if let Some(sink) = &self.inst.config.trace {
+            let tracer = AttemptTracer::begin_top(sink.clone(), self.ticket());
+            self.tracer = Some(Box::new(tracer)); // lint:allow — tracing arm, off by default
+        }
         self.depth = 0;
         self.composed = false;
         debug_assert!(

@@ -18,7 +18,7 @@
 //! E-STM mode performs.
 
 use crate::link::Loc;
-use crate::scratch::{SpareVec, READ_SPARE};
+use crate::scratch::InlineLog;
 use crate::vlock::{LockState, VLock};
 
 /// One read: the protection word validated and the raw word seen there.
@@ -56,10 +56,12 @@ impl ReadEntry<'_> {
     }
 }
 
-/// An append-only (except for elastic truncation) log of reads.
+/// An append-only (except for elastic truncation) log of reads, its
+/// first [`HEAD`](crate::scratch::HEAD) entries in place (see
+/// [`scratch`](crate::scratch)).
 #[derive(Debug, Default)]
 pub struct ReadSet<'env> {
-    entries: Vec<ReadEntry<'env>>,
+    entries: InlineLog<ReadEntry<'env>>,
     /// Whether a link read was logged since the last clear: its entry's
     /// `seen` is not a version, and the attempt owes the link age check
     /// (see [`link`](crate::link)).
@@ -70,30 +72,12 @@ impl<'env> ReadSet<'env> {
     /// An empty read set.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-            linked: false,
-        }
-    }
-
-    /// Extract the entry vector for pooling; `self` is left empty.
-    pub(crate) fn take_entries(&mut self) -> Vec<ReadEntry<'env>> {
-        self.linked = false;
-        core::mem::take(&mut self.entries)
-    }
-
-    /// Entries the set holds without growing.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+        Self::default()
     }
 
     /// Record a read of `loc` made under the raw protection word `seen`.
     #[inline]
     pub fn push(&mut self, loc: Loc<'env>, seen: u64) {
-        if self.entries.len() == self.entries.capacity() {
-            self.grow();
-        }
         self.linked |= matches!(loc, Loc::Link(_));
         self.entries.push(ReadEntry {
             lock: loc.lock(),
@@ -106,15 +90,12 @@ impl<'env> ReadSet<'env> {
     /// read heads, which leave growth to their out-of-line tail.
     #[inline]
     pub fn try_push(&mut self, loc: Loc<'env>, seen: u64) -> bool {
-        if self.entries.len() == self.entries.capacity() {
-            return false;
-        }
-        self.linked |= matches!(loc, Loc::Link(_));
-        self.entries.push(ReadEntry {
+        let pushed = self.entries.try_push(ReadEntry {
             lock: loc.lock(),
             seen,
         });
-        true
+        self.linked |= pushed && matches!(loc, Loc::Link(_));
+        pushed
     }
 
     /// Re-log an entry taken from another log of the same attempt (an
@@ -122,22 +103,7 @@ impl<'env> ReadSet<'env> {
     /// bounds what such entries observed by its snapshot.
     #[inline]
     pub fn push_entry(&mut self, entry: ReadEntry<'env>) {
-        if self.entries.len() == self.entries.capacity() {
-            self.grow();
-        }
         self.entries.push(entry);
-    }
-
-    /// `push`'s cold path: make room for one more entry. A set that never
-    /// grew first adopts the thread's spare allocation (see
-    /// [`scratch`](crate::scratch)).
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self) {
-        if self.entries.capacity() == 0 {
-            self.entries = READ_SPARE.with(SpareVec::take);
-        }
-        self.entries.reserve(1);
     }
 
     /// Number of recorded reads (duplicates included).
@@ -212,8 +178,9 @@ impl<'env> ReadSet<'env> {
         self_owner: Option<u64>,
         mut locked_at_of: impl FnMut(&VLock) -> Option<u64>,
     ) -> bool {
-        self.entries[from.min(self.entries.len())..]
+        self.entries
             .iter()
+            .skip(from)
             .all(|e| e.holds(self_owner, &mut locked_at_of))
     }
 }
@@ -222,6 +189,7 @@ impl<'env> ReadSet<'env> {
 mod tests {
     use super::*;
     use crate::link::Link;
+    use crate::scratch::HEAD;
     use crate::tvar::TVar;
 
     #[test]
@@ -304,6 +272,47 @@ mod tests {
             rs.validate_suffix(99, None, |_| None),
             "out-of-range from is empty"
         );
+    }
+
+    #[test]
+    fn truncate_and_validate_suffix_across_the_head() {
+        for len in [HEAD - 1, HEAD, HEAD + 1] {
+            for mark in 0..=len {
+                let vars: Vec<TVar<u64>> = (0..len as u64).map(TVar::new).collect();
+                let mut rs = ReadSet::new();
+                for v in &vars {
+                    rs.push(Loc::Var(v.core()), 0);
+                }
+                if mark > 0 {
+                    vars[mark - 1].store_atomic(9, 1); // the prefix only
+                }
+                assert!(rs.validate_suffix(mark, None, |_| None), "{len}/{mark}");
+                if mark < len {
+                    vars[mark].store_atomic(9, 1); // the suffix's first entry
+                    assert!(!rs.validate_suffix(mark, None, |_| None), "{len}/{mark}");
+                }
+                rs.truncate(mark);
+                let ids: Vec<usize> = rs.iter().map(ReadEntry::id).collect();
+                let kept: Vec<usize> = vars[..mark].iter().map(|v| v.core().id()).collect();
+                assert_eq!(ids, kept, "truncating {len} entries to {mark}");
+                rs.push(Loc::Var(vars[0].core()), 1);
+                assert_eq!(rs.len(), mark + 1, "the set grows on from the mark");
+            }
+        }
+    }
+
+    #[test]
+    fn observed_bound_spans_head_and_spill() {
+        for len in [HEAD - 1, HEAD, HEAD + 1] {
+            let vars: Vec<TVar<u64>> = (0..len as u64).map(TVar::new).collect();
+            for high in 0..len {
+                let mut rs = ReadSet::new();
+                for (i, v) in vars.iter().enumerate() {
+                    rs.push(Loc::Var(v.core()), if i == high { 7 } else { 1 });
+                }
+                assert_eq!(rs.observed_bound(99), 7, "the highest at {high} of {len}");
+            }
+        }
     }
 
     #[test]

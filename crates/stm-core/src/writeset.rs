@@ -18,12 +18,13 @@
 //!   its capacity for the next attempt (and, via its
 //!   [`scratch`](crate::scratch) spare, the next transaction);
 //! * `clear` never frees: a warmed-up write set performs zero heap
-//!   allocations per transaction attempt.
+//!   allocations per transaction attempt, and dropping it parks its
+//!   spills and index for the thread's next one.
 
 use crate::bloom::Bloom;
 use crate::error::{Abort, AbortReason};
 use crate::link::Loc;
-use crate::scratch::{IndexTable, SpareVec, ORDER_SPARE, WRITE_SPARE};
+use crate::scratch::{give_back_index, IndexTable, InlineLog};
 use crate::vlock::{LockState, VLock};
 
 /// Above this size, lookups go through the hash index instead of scanning.
@@ -43,9 +44,15 @@ pub struct WriteEntry<'env> {
 }
 
 /// The deferred-update write set.
+///
+/// Its entries and lock order are head-less `InlineLog`s, pooled
+/// vectors (see [`scratch`](crate::scratch)): unlike the read set's, a
+/// head of in-place writes measured slower end to end than spilling from
+/// the first write, because every run, read-only ones included, pays for
+/// filling it.
 #[derive(Debug, Default)]
 pub struct WriteSet<'env> {
-    entries: Vec<WriteEntry<'env>>,
+    entries: InlineLog<WriteEntry<'env>, 0>,
     bloom: Bloom,
     /// Spill index, populated once the set outgrows the linear-scan
     /// threshold. Maps location id -> index in `entries`. Cleared in O(1)
@@ -53,7 +60,13 @@ pub struct WriteSet<'env> {
     index: IndexTable,
     /// Entry indices sorted ascending by location id, maintained
     /// incrementally at insert time. Commit iterates this directly.
-    lock_order: Vec<u32>,
+    lock_order: InlineLog<u32, 0>,
+}
+
+impl Drop for WriteSet<'_> {
+    fn drop(&mut self) {
+        give_back_index(&mut self.index);
+    }
 }
 
 impl<'env> WriteSet<'env> {
@@ -61,16 +74,6 @@ impl<'env> WriteSet<'env> {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Extract the buffers for pooling; `self` is left empty.
-    pub(crate) fn take_parts(&mut self) -> (IndexTable, Vec<u32>, Vec<WriteEntry<'env>>) {
-        self.bloom.clear();
-        (
-            core::mem::take(&mut self.index),
-            core::mem::take(&mut self.lock_order),
-            core::mem::take(&mut self.entries),
-        )
     }
 
     /// Number of distinct locations to be written.
@@ -95,7 +98,7 @@ impl<'env> WriteSet<'env> {
         if self.entries.len() > LINEAR_SCAN_MAX {
             self.index.get(id).map(|p| p as usize)
         } else {
-            self.entries.iter().rposition(|e| e.loc.id() == id)
+            self.entries.rposition(|e| e.loc.id() == id)
         }
     }
 
@@ -111,9 +114,6 @@ impl<'env> WriteSet<'env> {
         }
         self.bloom.insert(id);
         let i = self.entries.len();
-        if i == self.entries.capacity() {
-            self.grow();
-        }
         self.entries.push(WriteEntry {
             loc,
             value,
@@ -138,21 +138,6 @@ impl<'env> WriteSet<'env> {
             }
         }
         i
-    }
-
-    /// `insert`'s cold path: make room for one more entry. A set that
-    /// never grew first adopts the thread's spare entry and lock-order
-    /// allocations (see [`scratch`](crate::scratch)).
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self) {
-        if self.entries.capacity() == 0 {
-            self.entries = WRITE_SPARE.with(SpareVec::take);
-            if self.lock_order.capacity() == 0 {
-                self.lock_order = ORDER_SPARE.with(SpareVec::take);
-            }
-        }
-        self.entries.reserve(1);
     }
 
     /// Index of the entry of the location `id`, if it has one. An empty
@@ -196,7 +181,7 @@ impl<'env> WriteSet<'env> {
     /// insertion order — the shape the commit tail
     /// ([`Attempt::publish`](crate::driver::Attempt::publish)) iterates.
     pub fn for_each_write(&self, f: &mut dyn FnMut(usize, u64)) {
-        for e in &self.entries {
+        for e in self.entries.iter() {
             f(e.loc.id(), e.value);
         }
     }
@@ -249,7 +234,7 @@ impl<'env> WriteSet<'env> {
     /// have successfully called [`lock_all`](Self::lock_all) (or acquired
     /// the locks eagerly).
     pub fn write_back_and_release(&mut self, commit_version: u64) {
-        for e in &mut self.entries {
+        for e in self.entries.iter_mut() {
             debug_assert!(e.locked_at.is_some(), "write-back without lock");
             e.loc.write_back(e.value, commit_version);
             e.locked_at = None;
@@ -259,7 +244,7 @@ impl<'env> WriteSet<'env> {
     /// Release all locks *without* writing back, restoring pre-lock
     /// words. Used on abort after a partial or full lock acquisition.
     pub fn release_locks(&mut self) {
-        for e in &mut self.entries {
+        for e in self.entries.iter_mut() {
             if let Some(v) = e.locked_at.take() {
                 e.loc.lock().unlock_to(v);
             }
@@ -349,22 +334,29 @@ mod tests {
 
     #[test]
     fn lock_order_is_sorted_by_id() {
-        // Insert in (likely) unsorted address order and check the invariant
-        // the deadlock-freedom argument rests on.
+        // Insert in (likely) unsorted address order — descending, and
+        // alternately from either end so every insert lands mid-order —
+        // and check the invariant the deadlock-freedom argument rests on.
         let vars: Vec<TVar<u64>> = (0..40).map(TVar::new).collect();
-        let mut ws = WriteSet::new();
-        for v in vars.iter().rev() {
-            ws.insert(Loc::Var(v.core()), 0);
-        }
-        let ids: Vec<usize> = ws
-            .lock_order
-            .iter()
-            .map(|&o| ws.entries[o as usize].loc.id())
+        let descending: Vec<usize> = (0..40).rev().collect();
+        let zigzag: Vec<usize> = (0..40)
+            .map(|k| if k % 2 == 0 { k / 2 } else { 39 - k / 2 })
             .collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted, "lock order must be ascending by id");
-        assert_eq!(ids.len(), 40);
+        for order in [descending, zigzag] {
+            let mut ws = WriteSet::new();
+            for &k in &order {
+                ws.insert(Loc::Var(vars[k].core()), 0);
+            }
+            let ids: Vec<usize> = ws
+                .lock_order
+                .iter()
+                .map(|&o| ws.entries[o as usize].loc.id())
+                .collect();
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            assert_eq!(ids, sorted, "lock order must be ascending by id");
+            assert_eq!(ids.len(), 40);
+        }
     }
 
     #[test]
@@ -452,20 +444,36 @@ mod tests {
     }
 
     #[test]
-    fn take_parts_hands_over_every_buffer() {
-        let vars: Vec<TVar<u64>> = (0..50).map(TVar::new).collect();
-        let mut ws = WriteSet::new();
-        for (i, v) in vars.iter().enumerate() {
-            ws.insert(Loc::Var(v.core()), i as u64);
-        }
-        let (index, order, entries) = ws.take_parts();
-        assert!(ws.is_empty() && ws.lookup(Loc::Var(vars[3].core())).is_none());
-        assert_eq!(entries.len(), 50, "the entry vector leaves as it is");
-        assert_eq!((order.len(), index.len()), (50, 50));
-        // The emptied set still works, from fresh buffers.
-        ws.insert(Loc::Var(vars[3].core()), 7);
-        assert_eq!(ws.lookup(Loc::Var(vars[3].core())), Some(7));
-        assert_eq!(ws.lookup(Loc::Var(vars[4].core())), None);
+    fn dropping_a_spilled_set_hands_its_buffers_to_the_next() {
+        // On a thread of its own, so its spares start empty; the index's
+        // hand-back is pinned in `scratch::tests`.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let vars: Vec<TVar<u64>> = (0..50).map(TVar::new).collect();
+                let fill = || {
+                    let mut ws = WriteSet::new();
+                    for (i, v) in vars.iter().enumerate() {
+                        ws.insert(Loc::Var(v.core()), i as u64);
+                    }
+                    ws
+                };
+                let last = |ws: &WriteSet<'_>| {
+                    let order = &ws.lock_order[49] as *const u32 as usize;
+                    let entry = &ws.entries[49] as *const WriteEntry<'_> as usize;
+                    (entry, order)
+                };
+                let ws = fill();
+                let spills = last(&ws);
+                drop(ws);
+                let ws = fill();
+                assert_eq!(last(&ws), spills, "the spills came back");
+                for (i, v) in vars.iter().enumerate() {
+                    assert_eq!(ws.lookup(Loc::Var(v.core())), Some(i as u64));
+                }
+            })
+            .join()
+            .expect("test thread");
+        });
     }
 
     #[test]

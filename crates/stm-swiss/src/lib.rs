@@ -48,7 +48,7 @@ use stm_core::driver::{self, AbstractLog, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
-use stm_core::scratch::TxScratch;
+use stm_core::scratch::{give_back, SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
@@ -132,10 +132,9 @@ impl Swiss {
 /// One SwissTM transaction: a single object per `run` call, restarted
 /// in place for every attempt.
 ///
-/// The read/write sets and the held write-lock list live in a
-/// [`TxScratch`] that survives from attempt to attempt (the write-lock
-/// indices use the scratch's pooled `aux` buffer), so a warmed-up attempt
-/// performs no heap allocation.
+/// The read/write sets live in a [`TxScratch`] and the held write-lock
+/// slots in a vector pooled in a thread-local spare; both survive from
+/// attempt to attempt, so a warmed-up attempt performs no heap allocation.
 #[derive(Debug)]
 pub struct SwissTxn<'env> {
     stm: &'env Swiss,
@@ -144,8 +143,21 @@ pub struct SwissTxn<'env> {
     /// Validity interval upper bound (grows by extension).
     ub: u64,
     at: Attempt<'env>,
-    /// Reads, writes, and (in `aux`) the write-lock table slots held.
     scratch: TxScratch<'env>,
+    /// The write-lock table slots this attempt holds; grow it through
+    /// [`hold`](Self::hold).
+    held: Vec<usize>,
+}
+
+thread_local! {
+    /// [`SwissTxn::held`]'s allocation between runs.
+    static HELD_SPARE: SpareVec<usize> = const { SpareVec::new() };
+}
+
+impl Drop for SwissTxn<'_> {
+    fn drop(&mut self) {
+        give_back(&HELD_SPARE, core::mem::take(&mut self.held));
+    }
 }
 
 /// Release the encounter-time write locks `held` by `owner`. An attempt
@@ -165,6 +177,7 @@ fn release_wlocks(wlocks: &WLockTable, owner: Option<u64>, held: &mut Vec<usize>
 impl<'env> TxnEngine<'env> for SwissTxn<'env> {
     fn restart(&mut self) {
         self.scratch.reset();
+        debug_assert!(self.held.is_empty(), "write locks outlived an attempt");
         let now = self.stm.inst.clock.now();
         self.rv = now;
         self.ub = now;
@@ -204,7 +217,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
         // Both lock layers (commit-time versioned locks and encounter-
         // time write locks) stay held until the release step.
         let (wlocks, owner, ub) = (&self.stm.wlocks, self.at.owner(), self.ub);
-        let len = self.scratch.writes.len();
+        let (len, held) = (self.scratch.writes.len(), &mut self.held);
         self.at.publish(
             wv,
             &mut self.scratch,
@@ -212,7 +225,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
             |s, f| s.writes.for_each_write(f),
             |s| {
                 s.writes.write_back_and_release(wv);
-                release_wlocks(wlocks, owner, &mut s.aux);
+                release_wlocks(wlocks, owner, held);
             },
             |s| s.reads.observed_bound(ub),
         );
@@ -221,7 +234,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
 
     fn rollback(&mut self) {
         self.scratch.writes.release_locks();
-        release_wlocks(&self.stm.wlocks, self.at.owner(), &mut self.scratch.aux);
+        release_wlocks(&self.stm.wlocks, self.at.owner(), &mut self.held);
     }
 
     fn wait_set(&mut self) -> &ReadSet<'env> {
@@ -273,7 +286,7 @@ impl<'env> SwissTxn<'env> {
         loop {
             match slot.compare_exchange(0, ticket, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    self.scratch.push_aux(idx);
+                    self.hold(idx);
                     return Ok(());
                 }
                 Err(owner) if owner == ticket => return Ok(()),
@@ -291,6 +304,15 @@ impl<'env> SwissTxn<'env> {
 }
 
 impl<'env> SwissTxn<'env> {
+    /// Record that this attempt holds write-lock slot `idx`, fetching the
+    /// thread's spare allocation at the run's first hold.
+    fn hold(&mut self, idx: usize) {
+        if self.held.capacity() == 0 {
+            self.held = HELD_SPARE.with(SpareVec::take);
+        }
+        self.held.push(idx);
+    }
+
     fn read_loc(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
         if let Some(word) = self.scratch.writes.lookup(loc) {
             if let Some(t) = self.at.tracer() {
@@ -414,6 +436,7 @@ impl Stm for Swiss {
             ub: 0,
             at: Attempt::new(&self.inst),
             scratch: TxScratch::acquire(),
+            held: Vec::new(),
         };
         driver::run(&mut txn, f)
     }
@@ -608,7 +631,7 @@ mod tests {
         stm.run(TxKind::Regular, |tx| {
             tx.write(&v, 1)?;
             tx.write(&v, 2)?; // same slot; must not double-push
-            assert_eq!(tx.scratch.aux.len(), 1);
+            assert_eq!(tx.held.len(), 1);
             Ok(())
         });
         assert_eq!(v.load_atomic(), 2);
