@@ -104,7 +104,7 @@ use crate::dynstm::Backend;
 use crate::error::{Abort, AbortReason};
 use crate::link::Link;
 use crate::stats::StatsSnapshot;
-use crate::stm::{Instance, RunError, Stm, Transaction, TxKind};
+use crate::stm::{Decide, Instance, OptionWord, RunError, Stm, Transaction, TxKind};
 use crate::tvar::{TVar, TVarCore};
 use crate::word::Word;
 
@@ -305,6 +305,22 @@ pub trait AtomicBackend: Send + Sync {
     fn try_exec<'env, R, F>(&'env self, policy: Policy, body: F) -> Result<R, RunError>
     where
         F: for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>;
+
+    /// The backend's [`Stm::short_read`].
+    ///
+    /// # Errors
+    /// Returns [`RunError`] when the retry budget is exhausted.
+    fn try_short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError>;
+
+    /// The backend's [`Stm::short_update`].
+    ///
+    /// # Errors
+    /// Returns [`RunError`] when the retry budget is exhausted.
+    fn try_short_update<'env>(
+        &'env self,
+        word: OptionWord<'env>,
+        decide: &Decide<'_>,
+    ) -> Result<Option<u64>, RunError>;
 }
 
 impl<S: Stm> AtomicBackend for S {
@@ -322,6 +338,16 @@ impl<S: Stm> AtomicBackend for S {
             body(&mut Tx::new(txn))
         })
     }
+    fn try_short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
+        self.short_read(word)
+    }
+    fn try_short_update<'env>(
+        &'env self,
+        word: OptionWord<'env>,
+        decide: &Decide<'_>,
+    ) -> Result<Option<u64>, RunError> {
+        self.short_update(word, decide)
+    }
 }
 
 impl AtomicBackend for Backend {
@@ -336,6 +362,16 @@ impl AtomicBackend for Backend {
         F: for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>,
     {
         Backend::try_run(self, policy.kind(), body)
+    }
+    fn try_short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
+        self.short_read(word)
+    }
+    fn try_short_update<'env>(
+        &'env self,
+        word: OptionWord<'env>,
+        decide: &Decide<'_>,
+    ) -> Result<Option<u64>, RunError> {
+        self.short_update(word, decide)
     }
 }
 
@@ -428,6 +464,36 @@ impl<B: AtomicBackend> Atomic<B> {
     ) -> R {
         match self.try_run(policy, body) {
             Ok(r) => r,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Read `word` as a short top-level transaction (see
+    /// [`Stm::short_read`]). It composes nothing, so call it outside any
+    /// run; inside a body use [`OptionWord::read`].
+    ///
+    /// # Panics
+    /// Panics if the retry budget is exhausted, as [`run`](Self::run).
+    pub fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Option<u64> {
+        match self.inner.try_short_read(word) {
+            Ok(state) => state,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Update `word` as `decide` says, as a short top-level transaction
+    /// (see [`Stm::short_update`]); returns the state it replaced. Inside
+    /// a body use [`OptionWord::update`].
+    ///
+    /// # Panics
+    /// Panics if the retry budget is exhausted, as [`run`](Self::run).
+    pub fn short_update<'env>(
+        &'env self,
+        word: OptionWord<'env>,
+        decide: &Decide<'_>,
+    ) -> Option<u64> {
+        match self.inner.try_short_update(word, decide) {
+            Ok(prev) => prev,
             Err(e) => panic!("{e}"),
         }
     }
@@ -675,6 +741,30 @@ mod tests {
         assert_eq!(snap.explicit_retries(), 1);
         assert_eq!(snap.aborts(), 0, "retry filed as conflict");
         assert_eq!(snap.cm_waits(), 1, "the alternation was paced once");
+    }
+
+    #[test]
+    fn short_operations_default_to_a_regular_run() {
+        // The toy does not opt in: its short operations are regular runs
+        // of the optional word's accessors, static and erased alike.
+        fn check<B: AtomicBackend>(at: &Atomic<B>) {
+            let (present, value) = (TVar::new(0u64), TVar::new(0u64));
+            let word = OptionWord::new(&present, &value);
+            assert_eq!(at.short_read(word), None);
+            assert_eq!(at.short_update(word, &|_| Some(Some(4))), None);
+            assert_eq!(
+                at.short_update(word, &|cur| cur.map(|v| Some(v + 1))),
+                Some(4)
+            );
+            assert_eq!(at.short_read(word), Some(5));
+            assert_eq!(at.short_update(word, &|_| None), Some(5), "a no-op");
+            assert_eq!(at.short_update(word, &|_| Some(None)), Some(5));
+            assert_eq!((present.load_atomic(), value.load_atomic()), (0, 5));
+            assert_eq!(at.short_read(word), None);
+            assert_eq!(at.stats().commits, 7, "one run each");
+        }
+        check(&static_runner());
+        check(&erased_runner());
     }
 
     #[test]

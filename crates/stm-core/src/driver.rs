@@ -17,7 +17,12 @@
 //!   await;
 //! * [`run`] — the retry/wait/park policy: which failures park on the
 //!   read set, which are charged and paced, when the run gives up, and
-//!   what a body that panics leaves behind (nothing: it is rolled back).
+//!   what a body that panics leaves behind (nothing: it is rolled back);
+//! * [`short_read`] and [`short_update`] — the short operations on an
+//!   [`OptionWord`] that the word backends opt in to: a double collect of
+//!   its two words, and for an update both words locked at the versions
+//!   collected, one commit stamp and the same [`Attempt::publish`] tail.
+//!   Whatever they cannot serve falls back to [`run`].
 //!
 //! The xtask `commit-tail` lint keeps it that way: firing the commit
 //! hook, `wait::notify_commit` and `wait::wait_for_locations` are allowed
@@ -29,9 +34,11 @@ use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::{ReadEntry, ReadSet};
 use crate::scratch::{give_back, SpareVec};
-use crate::stm::{Instance, RunError, Transaction};
+use crate::stm::{Decide, Instance, OptionWord, RunError, Stm, Transaction, TxKind};
 use crate::ticket::next_ticket;
-use crate::trace::AttemptTracer;
+use crate::trace::{AttemptTracer, TraceOp};
+use crate::tvar::TVarCore;
+use crate::vlock::{LockState, VLock};
 use crate::wait;
 use core::any::Any;
 use core::cell::Cell;
@@ -300,6 +307,15 @@ impl<'env> Attempt<'env> {
             return Err(Abort::new(AbortReason::ReadValidation));
         }
         Ok(())
+    }
+
+    /// Give up a short operation before its commit: the tracer withdraws
+    /// its events, as an aborted attempt's are.
+    #[cold]
+    fn abandon(&mut self) {
+        if let Some(t) = self.tracer() {
+            t.abort_all();
+        }
     }
 
     /// Unwind the innermost child after its body aborted.
@@ -587,6 +603,257 @@ fn roll_back<'env, T: TxnEngine<'env>>(txn: &mut T) {
 fn unwind<'env, T: TxnEngine<'env>>(txn: &mut T, payload: Box<dyn Any + Send>) -> ! {
     roll_back(txn);
     panic::resume_unwind(payload)
+}
+
+/// One short operation on an [`OptionWord`]: its two words (presence,
+/// then value), what the double collect saw of them, and what the
+/// operation stores.
+#[derive(Debug)]
+struct Short<'env> {
+    words: [&'env TVarCore; 2],
+    /// The lock words the collect saw, both unlocked: the versions.
+    versions: [u64; 2],
+    values: [u64; 2],
+    /// The word each stores at commit; `None` where it writes nothing.
+    stores: [Option<u64>; 2],
+}
+
+impl<'env> Short<'env> {
+    /// The double collect: both lock words, then both values, then both
+    /// lock words again. Both unlocked and both unchanged means each value
+    /// was its word's committed value for the whole stretch between the
+    /// first pass's last lock load and the second pass's first, so the
+    /// pair is a consistent snapshot. That needs a version to change
+    /// whenever a value does, which every word backend keeps (see
+    /// [`VLock::unlock_to`]). `between` runs between the two passes (a
+    /// test seam; a no-op otherwise). `None`: a word was locked or moved.
+    #[inline]
+    fn collect(word: OptionWord<'env>, between: impl FnOnce()) -> Option<Self> {
+        let words = [word.present, word.value];
+        let versions = words.map(|w| w.lock().raw());
+        if versions
+            .iter()
+            .any(|&raw| matches!(VLock::decode(raw), LockState::Locked { .. }))
+        {
+            return None;
+        }
+        let values = words.map(TVarCore::value_unsync);
+        between();
+        if words.iter().zip(versions).any(|(w, v)| w.lock().raw() != v) {
+            return None;
+        }
+        Some(Self {
+            words,
+            versions,
+            values,
+            stores: [None; 2],
+        })
+    }
+
+    /// The state the collect saw.
+    #[inline]
+    fn state(&self) -> Option<u64> {
+        (self.values[0] == 1).then_some(self.values[1])
+    }
+
+    /// The highest version among the words collected: what a commit that
+    /// stages nothing awaits (see `hook`).
+    fn observed(&self) -> u64 {
+        self.versions[0].max(self.versions[1])
+    }
+
+    /// Plan the stores that move the state to `new`; returns how many
+    /// words they write.
+    #[inline]
+    fn plan(&mut self, new: Option<u64>) -> usize {
+        self.stores = OptionWord::stores(self.state(), new);
+        self.stores.iter().flatten().count()
+    }
+
+    /// The events a regular transaction would record: the presence word's
+    /// read, the value word's if present, then the planned writes.
+    fn trace(&self, t: &mut AttemptTracer) {
+        t.op(self.words[0].id(), TraceOp::Read(self.values[0]));
+        if self.state().is_some() {
+            t.op(self.words[1].id(), TraceOp::Read(self.values[1]));
+        }
+        self.for_each_store(&mut |id, word| t.op(id, TraceOp::Write(word)));
+    }
+
+    /// Lock both words, in address order, at the versions collected: the
+    /// re-check under the locks. On failure nothing stays locked.
+    fn lock(&self, owner: u64) -> bool {
+        let [first, second] = if self.words[0].id() < self.words[1].id() {
+            [0, 1]
+        } else {
+            [1, 0]
+        };
+        let lock = |i: usize| self.words[i].lock().try_lock_at(self.versions[i], owner);
+        if !lock(first) {
+            return false;
+        }
+        if lock(second) {
+            return true;
+        }
+        self.words[first].lock().unlock_to(self.versions[first]);
+        false
+    }
+
+    /// Feed each planned `(location, word)` store to `f`.
+    fn for_each_store(&self, f: &mut dyn FnMut(usize, u64)) {
+        for (w, store) in self.words.iter().zip(self.stores) {
+            if let Some(word) = store {
+                f(w.id(), word);
+            }
+        }
+    }
+
+    /// Write back and unlock: a stored word at `wv`, the other at the
+    /// version it had, since its value never changed.
+    fn release(&self, wv: u64) {
+        for (i, w) in self.words.iter().enumerate() {
+            match self.stores[i] {
+                Some(word) => {
+                    w.store_value(word);
+                    w.lock().unlock_to(wv);
+                }
+                None => w.lock().unlock_to(self.versions[i]),
+            }
+        }
+    }
+}
+
+/// [`Stm::short_read`] for a backend whose every committed write changes
+/// its word's version under the word's [`VLock`] (TL2, LSA, SwissTM and
+/// OE-STM): a double collect of the two words, with no clock read, no log
+/// and no ticket. It serializes where the collect saw both words, like a
+/// read-only transaction whose snapshot is that moment. With a trace sink
+/// it records begin, reads and commit, and with a commit hook it awaits
+/// durability of what it observed, both through [`Attempt::publish`]. A
+/// word seen locked or moved falls back to a regular [`run`].
+///
+/// # Errors
+/// The fallback's [`RunError`].
+#[inline]
+pub fn short_read<'env, S: Stm>(
+    stm: &'env S,
+    word: OptionWord<'env>,
+) -> Result<Option<u64>, RunError> {
+    short_read_with(stm, word, || {})
+}
+
+/// [`short_read`] with `between` run between the collect's two passes.
+#[inline]
+fn short_read_with<'env, S: Stm>(
+    stm: &'env S,
+    word: OptionWord<'env>,
+    between: impl FnOnce(),
+) -> Result<Option<u64>, RunError> {
+    let inst = stm.instance();
+    let served = if inst.config.trace.is_none() && inst.config.commit_hook.is_none() {
+        Short::collect(word, between).map(|seen| seen.state())
+    } else {
+        short_read_published(inst, word, between)
+    };
+    match served {
+        Some(state) => {
+            inst.stats.record_commit();
+            Ok(state)
+        }
+        None => stm.try_run(TxKind::Regular, |tx| word.read(tx)),
+    }
+}
+
+/// A short read with a trace sink or a commit hook: the collect inside an
+/// attempt whose tracer reserved the begin stamp first, then the
+/// read-only commit tail.
+#[inline(never)]
+fn short_read_published(
+    inst: &Instance,
+    word: OptionWord<'_>,
+    between: impl FnOnce(),
+) -> Option<Option<u64>> {
+    let mut at = Attempt::new(inst);
+    at.restart();
+    let Some(seen) = Short::collect(word, between) else {
+        at.abandon();
+        return None;
+    };
+    if let Some(t) = at.tracer() {
+        seen.trace(t);
+    }
+    at.publish(0, &mut (), 0, |(), _| {}, |()| {}, |()| seen.observed());
+    Some(seen.state())
+}
+
+/// [`Stm::short_update`] for the backends [`short_read`] serves. It
+/// decides on a double collect. A no-op (`decide` returns `None`) commits
+/// read-only, with no ticket and no lock. Otherwise it locks both words in
+/// address order at the versions collected, takes a commit stamp and ends
+/// in [`Attempt::publish`], like any update: the hook stages under the
+/// locks, parked `retry()`s are woken, the stores are written back and
+/// the locks released, then come the trace commit and the durability
+/// await. A word seen locked or moved, or a lock lost before the update
+/// holds both, falls back to a regular [`run`] of
+/// [`OptionWord::update`].
+///
+/// # Errors
+/// The fallback's [`RunError`].
+#[inline]
+pub fn short_update<'env, S: Stm>(
+    stm: &'env S,
+    word: OptionWord<'env>,
+    decide: &Decide<'_>,
+) -> Result<Option<u64>, RunError> {
+    let inst = stm.instance();
+    match short_update_native(inst, word, decide) {
+        Some(prev) => {
+            inst.stats.record_commit();
+            Ok(prev)
+        }
+        None => stm.try_run(TxKind::Regular, |tx| word.update(tx, decide)),
+    }
+}
+
+/// The short update itself; `None` asks for the fallback.
+#[inline]
+fn short_update_native(
+    inst: &Instance,
+    word: OptionWord<'_>,
+    decide: &Decide<'_>,
+) -> Option<Option<u64>> {
+    let mut at = Attempt::new(inst);
+    at.restart();
+    let Some(mut short) = Short::collect(word, || {}) else {
+        at.abandon();
+        return None;
+    };
+    let cur = short.state();
+    let len = decide(cur).map_or(0, |new| short.plan(new));
+    if let Some(t) = at.tracer() {
+        short.trace(t);
+    }
+    let mut wv = 0;
+    if len != 0 {
+        if !short.lock(at.ticket()) {
+            at.abandon();
+            return None;
+        }
+        wv = inst.clock.stamp().wv;
+    }
+    at.publish(
+        wv,
+        &mut short,
+        len,
+        Short::for_each_store,
+        |s| {
+            if len != 0 {
+                s.release(wv);
+            }
+        },
+        Short::observed,
+    );
+    Some(cur)
 }
 
 /// A per-thread pseudo-random jitter in `[0, range)` for park timeouts.
@@ -1346,5 +1613,189 @@ mod tests {
                 "await observed 6"
             ]
         );
+    }
+
+    /// A toy backend opted in to the short operations that counts its
+    /// full runs. `before_run` stands for the holder of a scripted lock
+    /// finishing its commit before the fallback's run reads.
+    #[derive(Default)]
+    struct ShortToy {
+        toy: toy::ToyStm,
+        runs: core::sync::atomic::AtomicU32,
+        before_run: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl ShortToy {
+        fn with_config(config: StmConfig) -> Self {
+            Self {
+                toy: toy::ToyStm {
+                    inst: Instance::new(config),
+                },
+                ..Self::default()
+            }
+        }
+
+        fn runs(&self) -> u32 {
+            self.runs.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Stm for ShortToy {
+        type Txn<'env> = toy::ToyTxn<'env>;
+        fn name(&self) -> &'static str {
+            "ShortToy"
+        }
+        fn instance(&self) -> &Instance {
+            &self.toy.inst
+        }
+        fn try_run<'env, R>(
+            &'env self,
+            _kind: TxKind,
+            f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        ) -> Result<R, RunError> {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            if let Some(finish) = self.before_run.lock().unwrap().take() {
+                finish();
+            }
+            run(&mut toy::ToyTxn::new(&self.toy), f)
+        }
+        fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
+            short_read(self, word)
+        }
+        fn short_update<'env>(
+            &'env self,
+            word: OptionWord<'env>,
+            decide: &Decide<'_>,
+        ) -> Result<Option<u64>, RunError> {
+            short_update(self, word, decide)
+        }
+    }
+
+    /// A present optional word holding `value`, at version 0, whose
+    /// presence word locks first in address order.
+    fn present_word(value: u64) -> OptionWord<'static> {
+        let a: &'static TVarCore = Box::leak(Box::new(TVarCore::new(1)));
+        let b: &'static TVarCore = Box::leak(Box::new(TVarCore::new(value)));
+        let (present, slot) = if a.id() < b.id() { (a, b) } else { (b, a) };
+        present.store_value(1);
+        slot.store_value(value);
+        OptionWord {
+            present,
+            value: slot,
+        }
+    }
+
+    /// What a committing writer does to `core`: lock, store, release at
+    /// `version`.
+    fn commit_word(core: &TVarCore, word: u64, version: u64) {
+        let LockState::Unlocked { version: at } = core.lock().load() else {
+            panic!("scripted commit onto a locked word");
+        };
+        assert!(core.lock().try_lock_at(at, 77));
+        core.store_value(word);
+        core.lock().unlock_to(version);
+    }
+
+    #[test]
+    fn a_short_read_is_served_by_the_double_collect_alone() {
+        let stm = ShortToy::default();
+        let word = present_word(5);
+        assert_eq!(stm.short_read(word), Ok(Some(5)));
+        word.present.store_value(0);
+        assert_eq!(stm.short_read(word), Ok(None), "absent");
+        assert_eq!(stm.runs(), 0, "no transaction ran");
+        assert_eq!(stm.stats().commits, 2, "each read counts a commit");
+    }
+
+    #[test]
+    fn a_short_read_of_a_locked_word_falls_back_and_returns_the_committed_value() {
+        let stm = ShortToy::default();
+        let word = present_word(5);
+        // A writer holds the value word and has written in place.
+        assert!(word.value.lock().try_lock_at(0, 77));
+        word.value.store_value(9);
+        *stm.before_run.lock().unwrap() = Some(Box::new(move || word.value.lock().unlock_to(3)));
+        assert_eq!(stm.short_read(word), Ok(Some(9)));
+        assert_eq!(stm.runs(), 1, "the locked word sent it to a full run");
+        assert_eq!(stm.stats().commits, 1);
+    }
+
+    #[test]
+    fn a_version_that_moves_between_the_collects_falls_back() {
+        let stm = ShortToy::default();
+        let word = present_word(5);
+        let got = short_read_with(&stm, word, || commit_word(word.value, 6, 4));
+        assert_eq!(
+            got,
+            Ok(Some(6)),
+            "the committed value, not the collected one"
+        );
+        assert_eq!(stm.runs(), 1);
+        // With nothing moving, the same read needs no run.
+        assert_eq!(short_read_with(&stm, word, || {}), Ok(Some(6)));
+        assert_eq!(stm.runs(), 1);
+    }
+
+    #[test]
+    fn a_lock_lost_during_a_short_update_falls_back_and_applies_to_the_committed_value() {
+        let stm = ShortToy::default();
+        let word = present_word(5);
+        let racer_took = Cell::new(false);
+        let decisions = Cell::new(0);
+        // The decision runs between the collect and the locks: there a
+        // racing writer takes the word that locks second and writes 8.
+        let increment = |cur: Option<u64>| {
+            decisions.set(decisions.get() + 1);
+            if !racer_took.replace(true) {
+                assert!(word.value.lock().try_lock_at(0, 77));
+                word.value.store_value(8);
+            }
+            Some(Some(cur.map_or(0, |v| v + 1)))
+        };
+        *stm.before_run.lock().unwrap() = Some(Box::new(move || word.value.lock().unlock_to(5)));
+        assert_eq!(stm.short_update(word, &increment), Ok(Some(8)));
+        assert_eq!(stm.runs(), 1, "the lost lock sent it to a full run");
+        assert_eq!(decisions.get(), 2, "decided again on the committed value");
+        assert_eq!(word.value.value_unsync(), 9);
+        assert_eq!(
+            word.present.lock().raw(),
+            0,
+            "the lock the update did take was given back unchanged"
+        );
+        assert_eq!(stm.stats().commits, 1);
+    }
+
+    #[test]
+    fn a_short_update_commits_at_a_stamp_and_a_no_op_commits_read_only() {
+        let stm = ShortToy::default();
+        let word = present_word(5);
+        let before = stm.instance().clock.now();
+        assert_eq!(stm.short_update(word, &|_| Some(None)), Ok(Some(5)));
+        let wv = stm.instance().clock.now();
+        assert_eq!(wv, before + 1, "one commit stamp");
+        assert_eq!(word.present.read_consistent(), Ok((0, wv)), "deleted");
+        assert_eq!(
+            word.value.read_consistent(),
+            Ok((5, 0)),
+            "the unwritten word is released at its own version"
+        );
+        assert_eq!(stm.short_update(word, &|_| None), Ok(None));
+        assert_eq!(stm.instance().clock.now(), wv, "a no-op takes no stamp");
+        assert_eq!(stm.runs(), 0);
+        assert_eq!(stm.stats().commits, 2);
+    }
+
+    #[test]
+    fn short_operations_end_in_the_publish_tail() {
+        let rec = Arc::new(Recorder::default());
+        let stm = ShortToy::with_config(recorded_config(&rec));
+        let word = present_word(5);
+        assert_eq!(stm.short_update(word, &|_| Some(Some(6))), Ok(Some(5)));
+        assert_eq!(rec.take(), ["hook", "commit event"]);
+        assert_eq!(stm.short_read(word), Ok(Some(6)));
+        assert_eq!(rec.take(), ["commit event"], "a read fires no hook");
+        assert_eq!(stm.short_update(word, &|_| None), Ok(Some(6)));
+        assert_eq!(rec.take(), ["commit event"], "nor does a no-op");
+        assert_eq!(stm.runs(), 0);
     }
 }

@@ -137,6 +137,19 @@ impl<'env> ReadSet<'env> {
         self.linked = false;
     }
 
+    /// Re-stamp the entries that saw `lock` at `from` as having seen `to`.
+    /// For an aborted attempt that wrote the location in place and released
+    /// it at the fresh version `to` (see [`VLock::unlock_to`]): the word is
+    /// back at the value the attempt read, so what the attempt waits on
+    /// still holds.
+    pub fn restamp(&mut self, lock: &VLock, from: u64, to: u64) {
+        for e in self.entries.iter_mut() {
+            if core::ptr::eq(e.lock, lock) && e.seen == from {
+                e.seen = to;
+            }
+        }
+    }
+
     /// Iterate over the entries in read order.
     pub fn iter(&self) -> impl Iterator<Item = &ReadEntry<'env>> {
         self.entries.iter()

@@ -6,6 +6,14 @@
 //! (here: word reads and writes), and attempt to commit; `child` is the
 //! *composition* entry point of Section III — a new operation invoking
 //! existing operations in sequence inside a parent transaction.
+//!
+//! Beside the run, [`Stm`] has two *short* operations on an
+//! [`OptionWord`]: [`short_read`](Stm::short_read) and
+//! [`short_update`](Stm::short_update). Their footprint is two known
+//! words and they compose nothing, so a backend whose words follow the
+//! versioned-lock protocol runs them without a transaction object (see
+//! [`driver::short_read`](crate::driver::short_read)); the default runs
+//! a regular transaction.
 
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
@@ -200,6 +208,96 @@ pub trait Transaction<'env> {
     }
 }
 
+/// An optional word kept in two transactional words: a **presence** word
+/// (1 present, anything else absent) and a **value** word that holds the
+/// value while the word is present. A txkv key is one.
+///
+/// [`read`](Self::read) and [`store`](Self::store) are its transactional
+/// accessors, for bodies that compose it with other words;
+/// [`Stm::short_read`] and [`Stm::short_update`] operate on it alone.
+#[derive(Debug, Clone, Copy)]
+pub struct OptionWord<'env> {
+    /// The presence word.
+    pub present: &'env TVarCore,
+    /// The value word, significant only while present.
+    pub value: &'env TVarCore,
+}
+
+/// What a short update does with the state it read (`None`: absent):
+/// `None` leaves the word as it is, and the update commits read-only;
+/// `Some(new)` stores `new`. It may be called more than once, so it must
+/// be a pure function of its argument.
+pub type Decide<'d> = dyn Fn(Option<u64>) -> Option<Option<u64>> + 'd;
+
+impl<'env> OptionWord<'env> {
+    /// The optional word kept in `present` and `value`.
+    #[must_use]
+    pub fn new(present: &'env TVar<u64>, value: &'env TVar<u64>) -> Self {
+        Self {
+            present: present.core(),
+            value: value.core(),
+        }
+    }
+
+    /// Read the state in `tx`: the presence word, then the value word if
+    /// present.
+    ///
+    /// # Errors
+    /// Propagates the [`Abort`] that ends this attempt.
+    pub fn read<T: Transaction<'env> + ?Sized>(self, tx: &mut T) -> Result<Option<u64>, Abort> {
+        if tx.read_word(self.present)? == 1 {
+            Ok(Some(tx.read_word(self.value)?))
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Move the state from `cur`, as `tx` read it, to `new`. The presence
+    /// word is written only when presence changes, and the value word only
+    /// when `new` holds a value.
+    ///
+    /// # Errors
+    /// Propagates the [`Abort`] that ends this attempt.
+    pub fn store<T: Transaction<'env> + ?Sized>(
+        self,
+        tx: &mut T,
+        cur: Option<u64>,
+        new: Option<u64>,
+    ) -> Result<(), Abort> {
+        let stores = Self::stores(cur, new);
+        for (core, store) in [self.present, self.value].into_iter().zip(stores) {
+            if let Some(word) = store {
+                tx.write_word(core, word)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// What [`store`](Self::store) writes to the presence and the value
+    /// word to move the state from `cur` to `new`.
+    pub(crate) fn stores(cur: Option<u64>, new: Option<u64>) -> [Option<u64>; 2] {
+        let presence = (cur.is_some() != new.is_some()).then_some(u64::from(new.is_some()));
+        [presence, new]
+    }
+
+    /// A short update as a transaction body: read, decide, store. Returns
+    /// the state read.
+    ///
+    /// # Errors
+    /// Propagates the [`Abort`] that ends this attempt.
+    pub fn update<T: Transaction<'env> + ?Sized>(
+        self,
+        tx: &mut T,
+        decide: &Decide<'_>,
+    ) -> Result<Option<u64>, Abort> {
+        let cur = self.read(tx)?;
+        if let Some(new) = decide(cur) {
+            self.store(tx, cur, new)?;
+        }
+        Ok(cur)
+    }
+}
+
 /// What every STM instance owns besides its algorithm: the global version
 /// clock, the commit/abort counters and the configuration.
 ///
@@ -270,6 +368,31 @@ pub trait Stm: Send + Sync {
         kind: TxKind,
         f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError>;
+
+    /// Read `word` as one top-level transaction that composes nothing.
+    /// The default runs [`OptionWord::read`] as a regular transaction;
+    /// the word backends run [`driver::short_read`](crate::driver::short_read).
+    ///
+    /// # Errors
+    /// Returns [`RunError`] when the retry budget is exhausted.
+    fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
+        self.try_run(TxKind::Regular, |tx| word.read(tx))
+    }
+
+    /// Update `word` as `decide` says, as one top-level transaction that
+    /// composes nothing; returns the state it replaced. The default runs
+    /// [`OptionWord::update`] as a regular transaction; the word backends
+    /// run [`driver::short_update`](crate::driver::short_update).
+    ///
+    /// # Errors
+    /// Returns [`RunError`] when the retry budget is exhausted.
+    fn short_update<'env>(
+        &'env self,
+        word: OptionWord<'env>,
+        decide: &Decide<'_>,
+    ) -> Result<Option<u64>, RunError> {
+        self.try_run(TxKind::Regular, |tx| word.update(tx, decide))
+    }
 
     /// Like [`try_run`](Self::try_run) but panics if the retry budget is
     /// exhausted (the default, unbounded configuration never panics).

@@ -91,7 +91,10 @@ impl TVarCore {
     /// Read the raw value word without any consistency protocol.
     ///
     /// Only meaningful while the caller holds the lock (reading its own
-    /// eagerly written value) or during single-threaded setup.
+    /// eagerly written value), between the two lock loads of a
+    /// lock–value–lock re-check (as [`read_consistent`](Self::read_consistent)
+    /// and the driver's double collect do), or during single-threaded
+    /// setup.
     #[inline]
     #[must_use]
     pub fn value_unsync(&self) -> u64 {

@@ -144,9 +144,16 @@ impl VLock {
 
     /// Release the lock, installing `new_version` as the committed version.
     ///
-    /// Must only be called by the current owner. `new_version` must be the
-    /// old version (abort path — nothing changed) or a fresh global-clock
-    /// timestamp (commit path).
+    /// Must only be called by the current owner. `new_version` must be a
+    /// fresh global-clock timestamp (commit path, or an abort that wrote
+    /// the value word in place), or the old version — and the old version
+    /// only if the value word was never written while locked. Every
+    /// lock–value–lock read ([`TVarCore::read_consistent`], the driver's
+    /// double collect) takes an unchanged lock word for an unchanged value,
+    /// so a value written and restored under the old version could be
+    /// returned although no transaction committed it.
+    ///
+    /// [`TVarCore::read_consistent`]: crate::TVarCore::read_consistent
     #[inline]
     pub fn unlock_to(&self, new_version: u64) {
         debug_assert!(new_version & LOCKED_BIT == 0);

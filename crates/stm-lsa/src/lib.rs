@@ -26,7 +26,10 @@
 //! * **Commit**: tick the clock to get `wv`; if the snapshot does not
 //!   already extend to `wv - 1`, revalidate the read set; then release each
 //!   written lock at `wv`. **Abort**: restore old values in reverse order
-//!   and release each lock at its old version.
+//!   and release each in-place-written lock at one fresh clock time, never
+//!   at its old version: a word whose value changed, even only to be
+//!   restored, must not show its old version, or a concurrent lock–value–
+//!   lock read could return the aborted value (see `VLock::unlock_to`).
 //!
 //! Like TL2, LSA is a *classic* transaction model: the protection element of
 //! every access is held until commit, so flat nesting composes (trivially
@@ -45,7 +48,10 @@ use stm_core::scratch::{give_back, SpareVec, TxScratch};
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::vlock::VLock;
-use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
+use stm_core::GlobalClock;
+use stm_core::{
+    Abort, AbortReason, Decide, Instance, OptionWord, RunError, Stm, StmConfig, Transaction, TxKind,
+};
 
 /// Register this crate's backend under the name `"lsa"`.
 pub fn register_backends(registry: &mut BackendRegistry) {
@@ -137,11 +143,22 @@ impl<'env> UndoLog<'env> {
     }
 
     /// Abort path: restore saved values in reverse write order and release
-    /// each lock at its pre-write version.
-    fn rollback(&mut self) {
+    /// each lock at a fresh version from `clock`, as TinySTM's write-through
+    /// mode does. Its pre-write version would be wrong: a reader that
+    /// loaded the lock word before the write and the value while it stood
+    /// would find the lock word unchanged by its re-check, and return a
+    /// value no transaction committed. The attempt's own `reads` of those
+    /// words are re-stamped at the fresh version, so a `retry()` still
+    /// waits on what it read rather than on its own undo.
+    fn rollback(&mut self, clock: &GlobalClock, reads: &mut ReadSet<'env>) {
+        if self.entries.is_empty() {
+            return;
+        }
+        let fresh = clock.tick();
         for e in self.entries.drain(..).rev() {
             e.core.store_value(e.old_value);
-            e.core.lock().unlock_to(e.old_version);
+            e.core.lock().unlock_to(fresh);
+            reads.restamp(e.core.lock(), e.old_version, fresh);
         }
         self.bloom.clear();
     }
@@ -246,7 +263,8 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
     }
 
     fn rollback(&mut self) {
-        self.undo.rollback();
+        self.undo
+            .rollback(&self.stm.inst.clock, &mut self.scratch.reads);
         self.scratch.writes.release_locks();
     }
 
@@ -488,6 +506,20 @@ impl Stm for Lsa {
         };
         driver::run(&mut txn, f)
     }
+
+    // The word protocol the driver's short operations assume: every
+    // committed write changes its word's version under the word's lock.
+    fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
+        driver::short_read(self, word)
+    }
+
+    fn short_update<'env>(
+        &'env self,
+        word: OptionWord<'env>,
+        decide: &Decide<'_>,
+    ) -> Result<Option<u64>, RunError> {
+        driver::short_update(self, word, decide)
+    }
 }
 
 #[cfg(test)]
@@ -547,8 +579,32 @@ mod tests {
         assert!(r.is_err());
         assert_eq!(a.load_atomic(), 1, "undo must restore the first write");
         assert_eq!(b.load_atomic(), 2, "undo must restore the second write");
-        // Versions restored too: a fresh read sees version 0.
-        assert_eq!(a.core().read_consistent().unwrap().1, 0);
+        // Released at a fresh version, not the pre-write one.
+        assert!(a.core().read_consistent().unwrap().1 > 0);
+    }
+
+    #[test]
+    fn an_aborted_in_place_write_never_restores_the_pre_write_lock_word() {
+        // A reader's lock-value-lock re-check compares lock words: had the
+        // aborted write restored its pre-write word, a reader that saw the
+        // written value between its two lock loads would accept it.
+        let stm = Lsa::with_config(StmConfig::default().with_max_retries(0));
+        let v = TVar::new(1u64);
+        stm.run(TxKind::Regular, |tx| tx.write(&v, 2));
+        let before = v.core().lock().raw();
+        let mut seen_locked = 0;
+        let r = stm.try_run(TxKind::Regular, |tx| {
+            tx.write(&v, 99)?;
+            seen_locked = v.core().lock().raw();
+            Err::<(), _>(Abort::new(AbortReason::Explicit))
+        });
+        assert!(r.is_err());
+        assert_ne!(seen_locked, before, "the in-place write held the lock");
+        assert_eq!(v.load_atomic(), 2, "the old value is back");
+        let after = v.core().lock().raw();
+        assert_ne!(after, before, "the pre-write lock word came back");
+        assert!(after > before, "released at a fresh, later version");
+        assert!(after <= stm.clock().now());
     }
 
     #[test]

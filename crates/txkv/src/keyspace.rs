@@ -1,9 +1,11 @@
-//! The transactional keyspace: `GET`/`SET`/`CAS`/`DEL` as single facade
-//! transactions, `MULTI` as per-key sections under one parent.
+//! The transactional keyspace: `GET`/`SET`/`CAS`/`DEL` as short
+//! transactions on one key's two words, `MULTI` as per-key sections under
+//! one parent.
 //!
 //! Layout: the key universe is the fixed range `0..capacity`, and every
 //! key owns two `TVar<u64>`s: its **value slot** and a 0/1 **presence
-//! word**. The presence word is the key's membership. Every point
+//! word**, together an [`OptionWord`]. The presence word is the key's
+//! membership. Every point
 //! operation learns whether its key is present by reading it, a `GET` is
 //! that read plus the slot's, and an insert or a delete writes it (1 or
 //! 0) in the same transaction that reads or writes the slot. An operation
@@ -17,7 +19,15 @@
 //! No operation pins an epoch or allocates a node: a key's words live as
 //! long as the keyspace, so there is nothing to recycle or retire.
 //!
-//! All transactions run under [`Policy::Regular`]. The keyspace is
+//! A point operation composes nothing, so it runs as a *short*
+//! transaction ([`Atomic::short_read`], [`Atomic::short_update`]): on the
+//! word backends a `GET` is a double collect of the key's two words, and
+//! a `SET`/`CAS`/`DEL` locks both words and commits through the driver's
+//! commit tail, with no transaction object and no log. Whatever a short
+//! operation cannot serve — a word locked or moved under it — it hands to
+//! a regular transaction. `MULTI`, [`KeySpace::get_or_insert`] and
+//! [`KeySpace::len`] are full transactions under [`Policy::Regular`]:
+//! only composed operations need the paper's outheritance. The keyspace is
 //! generic over every registry backend — including the deliberately
 //! broken E-STM compatibility mode, whose early-released elastic reads
 //! would violate multi-word atomicity (presence word vs. value slot);
@@ -25,8 +35,8 @@
 //! `txkv_multi_atomicity` oracle battery asserts.
 
 use durable::{DurableHeap, Recovery};
-use stm_core::api::{Atomic, AtomicBackend, Policy, Tx};
-use stm_core::Abort;
+use stm_core::api::{Atomic, AtomicBackend, Policy};
+use stm_core::OptionWord;
 
 /// Accepted by [`KeySpace::new`] and ignored: membership is the per-key
 /// presence word, so there is no set structure to pick.
@@ -108,55 +118,26 @@ impl KeySpace {
         key as usize
     }
 
-    /// The key at `idx`'s value, or `None` if absent: its presence word,
-    /// then its value slot if present.
-    fn read_key<'env>(&'env self, tx: &mut Tx<'env, '_>, idx: usize) -> Result<Option<u64>, Abort> {
-        if tx.get(&self.present[idx])? == 1 {
-            Ok(Some(tx.get(&self.slots[idx])?))
-        } else {
-            Ok(None)
-        }
+    /// The key at `idx` as an optional word: its presence word and its
+    /// value slot.
+    fn word(&self, idx: usize) -> OptionWord<'_> {
+        OptionWord::new(&self.present[idx], &self.slots[idx])
     }
 
-    /// Move the key at `idx` from `cur`, its state as this transaction
-    /// read it, to `new`. The presence word is written only when
-    /// membership changes, and the slot only when `new` holds a value.
-    fn store<'env>(
-        &'env self,
-        tx: &mut Tx<'env, '_>,
-        idx: usize,
-        cur: Option<u64>,
-        new: Option<u64>,
-    ) -> Result<(), Abort> {
-        if cur.is_some() != new.is_some() {
-            tx.set(&self.present[idx], u64::from(new.is_some()))?;
-        }
-        match new {
-            Some(value) => tx.set(&self.slots[idx], value),
-            None => Ok(()),
-        }
-    }
-
-    /// `GET key` — the committed value, or `None` if absent. One regular
-    /// read-only transaction of one or two word reads: the presence word
-    /// and, if present, the value slot.
+    /// `GET key` — the committed value, or `None` if absent. A short read
+    /// of the key's two words (see [`Atomic::short_read`]).
     pub fn get<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64) -> Option<u64> {
-        let idx = self.index(key);
-        at.run(Policy::Regular, |tx| self.read_key(tx, idx))
+        at.short_read(self.word(self.index(key)))
     }
 
     /// `SET key value` — upsert; returns the previous value, if any.
     pub fn set<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64, value: u64) -> Option<u64> {
-        let idx = self.index(key);
-        at.run(Policy::Regular, |tx| {
-            let prev = self.read_key(tx, idx)?;
-            self.store(tx, idx, prev, Some(value))?;
-            Ok(prev)
-        })
+        at.short_update(self.word(self.index(key)), &|_| Some(Some(value)))
     }
 
     /// `CAS key expected new` — write `new` iff the current state equals
-    /// `expected` (`None` = absent); returns whether the swap applied.
+    /// `expected` (`None` = absent); returns whether the swap applied. A
+    /// mismatch commits read-only.
     pub fn cas<B: AtomicBackend>(
         &self,
         at: &Atomic<B>,
@@ -164,25 +145,14 @@ impl KeySpace {
         expected: Option<u64>,
         new: u64,
     ) -> bool {
-        let idx = self.index(key);
-        at.run(Policy::Regular, |tx| {
-            let cur = self.read_key(tx, idx)?;
-            if cur != expected {
-                return Ok(false);
-            }
-            self.store(tx, idx, cur, Some(new))?;
-            Ok(true)
-        })
+        let word = self.word(self.index(key));
+        at.short_update(word, &|cur| (cur == expected).then_some(Some(new))) == expected
     }
 
-    /// `DEL key` — remove; returns the deleted value, if any.
+    /// `DEL key` — remove; returns the deleted value, if any. A DEL of an
+    /// absent key commits read-only.
     pub fn del<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64) -> Option<u64> {
-        let idx = self.index(key);
-        at.run(Policy::Regular, |tx| {
-            let cur = self.read_key(tx, idx)?;
-            self.store(tx, idx, cur, None)?;
-            Ok(cur)
-        })
+        at.short_update(self.word(self.index(key)), &|cur| cur.map(|_| None))
     }
 
     /// `MULTI` — one atomic read-modify-write over `keys`, composed from
@@ -202,13 +172,13 @@ impl KeySpace {
         at.run(Policy::Regular, |tx| {
             let mut changed = 0u64;
             for (i, &key) in keys.iter().enumerate() {
-                let idx = key as usize;
+                let word = self.word(key as usize);
                 let applied = tx.section(Policy::Regular, |t| {
-                    let cur = self.read_key(t, idx)?;
+                    let cur = word.read(t)?;
                     match f(i, cur) {
                         MultiOp::Keep => Ok(false),
-                        MultiOp::Put(v) => self.store(t, idx, cur, Some(v)).map(|()| true),
-                        MultiOp::Delete => self.store(t, idx, cur, None).map(|()| cur.is_some()),
+                        MultiOp::Put(v) => word.store(t, cur, Some(v)).map(|()| true),
+                        MultiOp::Delete => word.store(t, cur, None).map(|()| cur.is_some()),
                     }
                 })?;
                 changed += u64::from(applied);
@@ -225,16 +195,16 @@ impl KeySpace {
     /// returns that value. Either way the caller observes one atomic
     /// outcome.
     pub fn get_or_insert<B: AtomicBackend>(&self, at: &Atomic<B>, key: i64, default: u64) -> u64 {
-        let idx = self.index(key);
+        let word = self.word(self.index(key));
         at.or_else(
             Policy::Regular,
-            |tx| match self.read_key(tx, idx)? {
+            |tx| match word.read(tx)? {
                 Some(value) => Ok(value),
                 None => tx.retry(),
             },
-            |tx| match self.read_key(tx, idx)? {
+            |tx| match word.read(tx)? {
                 Some(value) => Ok(value),
-                None => self.store(tx, idx, None, Some(default)).map(|()| default),
+                None => word.store(tx, None, Some(default)).map(|()| default),
             },
         )
     }

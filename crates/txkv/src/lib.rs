@@ -13,8 +13,8 @@
 //! Three modules:
 //!
 //! * [`keyspace`] — a value slot and a presence word per key, both
-//!   `TVar`s; `GET`/`SET`/`CAS`/`DEL` run as single facade transactions
-//!   over the key's two words and [`KeySpace::multi`] composes per-key
+//!   `TVar`s; `GET`/`SET`/`CAS`/`DEL` run as short transactions over the
+//!   key's two words and [`KeySpace::multi`] composes per-key
 //!   [`section`](stm_core::api::Tx::section)s under one parent. Generic
 //!   over every registry backend; optionally durable through the
 //!   `CommitHook`/`DurableStore` seam.

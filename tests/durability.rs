@@ -24,7 +24,10 @@
 //! a second writer stages behind a held fsync without a lock conflict, in
 //! commit order; a commit that stages nothing returns only once what it
 //! observed is durable; a read of durable words never waits — all of it
-//! also through a hook wrapper that forwards nothing but `on_commit`.
+//! also through a hook wrapper that forwards nothing but `on_commit`. The
+//! short operations txkv's point operations use keep the same rules: a
+//! short SET stages under both of its locks, in commit order, and a short
+//! GET awaits what it observed and nothing else.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -37,7 +40,10 @@ use composing_relaxed_transactions::stm_boost::BoostedSet;
 use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::hook::{CommitHook, WriteRecord};
-use composing_relaxed_transactions::stm_core::{AbortReason, StmConfig, TVar, Transaction, TxKind};
+use composing_relaxed_transactions::stm_core::{
+    AbortReason, LockState, OptionWord, StmConfig, TVar, Transaction, TxKind,
+};
+use composing_relaxed_transactions::txkv::{KeySpace, ShardKind};
 use durable::record::{self, Record};
 use durable::wal::{RESERVE_CHUNK, WAL_FILE};
 use durable::{recover, BitFlip, DurableStore, FaultPlan, FaultVfs, GatedVfs, MemVfs, StdVfs, Vfs};
@@ -687,6 +693,125 @@ fn a_boosted_key_is_released_before_the_fsync() {
                 0,
                 "{name}/{wrapped}: a boosted key was held across the fsync"
             );
+        });
+    }
+}
+
+/// A hook wrapper that forwards `on_commit` after checking that both
+/// words of `key` are locked while the commit stages.
+struct StagedUnderLocks {
+    inner: Arc<dyn CommitHook>,
+    key: Arc<[TVar<u64>; 2]>,
+    unlocked: AtomicU64,
+}
+
+impl CommitHook for StagedUnderLocks {
+    fn on_commit(&self, record: &WriteRecord<'_>) {
+        let locked = |w: &TVar<u64>| matches!(w.core().lock().load(), LockState::Locked { .. });
+        if !self.key.iter().all(locked) {
+            self.unlocked.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.on_commit(record);
+    }
+}
+
+#[test]
+fn a_short_set_stages_under_its_locks_in_commit_order_every_backend() {
+    for name in BACKENDS {
+        let gate = Arc::new(GatedVfs::new(Arc::new(MemVfs::new())));
+        let (store, _) = DurableStore::open(gate.clone() as Arc<dyn Vfs>).unwrap();
+        let words = Arc::new([TVar::new(0u64), TVar::new(0u64)]);
+        store.heap().register(1, words[0].core());
+        store.heap().register(2, words[1].core());
+        let hook = Arc::new(StagedUnderLocks {
+            inner: store.hook(),
+            key: words.clone(),
+            unlocked: AtomicU64::new(0),
+        });
+        let at = Atomic::new(
+            backend_registry()
+                .build(name, StmConfig::default().with_commit_hook(hook.clone()))
+                .unwrap(),
+        );
+        let key = OptionWord::new(&words[0], &words[1]);
+        let (first, second) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            let _open = gate.opener();
+            s.spawn(|| {
+                assert_eq!(at.short_update(key, &|_| Some(Some(1))), None);
+                first.store(true, Ordering::SeqCst);
+            });
+            gate.await_arrivals(1);
+            s.spawn(|| {
+                let bump = |cur: Option<u64>| Some(cur.map(|v| v + 1));
+                assert_eq!(at.short_update(key, &bump), Some(1));
+                second.store(true, Ordering::SeqCst);
+            });
+            assert!(
+                within_deadline(|| store.wal().stats().records == 2),
+                "{name}: the second SET never staged"
+            );
+            gate.await_arrivals(2);
+            assert!(
+                !first.load(Ordering::SeqCst) && !second.load(Ordering::SeqCst),
+                "{name}: a SET returned before its record was durable"
+            );
+        });
+        assert_eq!(
+            hook.unlocked.load(Ordering::SeqCst),
+            0,
+            "{name}: staged unlocked"
+        );
+        gate.inner().crash();
+        let (records, _, err) = record::decode_stream(&gate.inner().durable_bytes(WAL_FILE));
+        assert!(err.is_some_and(|e| e.is_unwritten()), "{name}");
+        let logged: Vec<_> = records.iter().map(|r| r.writes.clone()).collect();
+        assert_eq!(
+            logged,
+            [vec![(1, 1), (2, 1)], vec![(2, 2)]],
+            "{name}: log order is commit order"
+        );
+    }
+}
+
+#[test]
+fn a_short_get_awaits_what_it_observed_and_nothing_else_every_backend() {
+    for (name, wrapped) in cells() {
+        let Gated {
+            gate,
+            store,
+            backend,
+        } = Gated::new(name, wrapped);
+        let at = Atomic::new(backend);
+        let ks = KeySpace::new(ShardKind::Hash, 1, 4);
+        ks.register_durable(store.heap());
+        gate.pass(1);
+        ks.set(&at, 1, 5);
+        let durable_read = AtomicU64::new(0);
+        let staged_read = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let _open = gate.opener();
+            s.spawn(|| ks.set(&at, 0, 1));
+            gate.await_arrivals(2);
+            s.spawn(|| {
+                let v = ks.get(&at, 1).expect("present");
+                durable_read.store(v, Ordering::SeqCst);
+            });
+            let reader = s.spawn(|| {
+                let v = ks.get(&at, 0);
+                staged_read.store(true, Ordering::SeqCst);
+                v
+            });
+            assert!(
+                within_deadline(|| durable_read.load(Ordering::SeqCst) == 5),
+                "{name}/{wrapped}: a GET of a durable key waited for an unrelated fsync"
+            );
+            assert!(
+                stays_unset(&staged_read),
+                "{name}/{wrapped}: GET of the staged key"
+            );
+            gate.open();
+            assert_eq!(reader.join().unwrap(), Some(1), "{name}/{wrapped}");
         });
     }
 }

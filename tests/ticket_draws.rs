@@ -3,7 +3,8 @@
 //! touching the process-wide ticket counter on every word backend whose
 //! reads take no lock, at the SPI and through the facade, an update draws
 //! exactly one ticket per attempt that locks, and losing an attempt draws
-//! none. A boosted operation locks, so it draws one even in an otherwise
+//! none. txkv's short operations keep the same rule: a GET, a CAS that
+//! does not match and a DEL of an absent key draw none, a SET one. A boosted operation locks, so it draws one even in an otherwise
 //! read-only run.
 //!
 //! Method: the counter is observed directly. [`draws`] takes a ticket
@@ -119,6 +120,25 @@ fn only_what_needs_a_ticket_draws_one() {
         "KeySpace::get"
     );
     assert_eq!(draws(|| assert_eq!(kv.set(&at, 10, 9), Some(5))), 1);
+    // The short update decides before it locks: a CAS that does not match
+    // and a DEL of an absent key commit read-only, drawing nothing.
+    assert_eq!(
+        draws(|| assert!(!kv.cas(&at, 10, Some(5), 1))),
+        0,
+        "failed CAS"
+    );
+    assert_eq!(
+        draws(|| assert_eq!(kv.del(&at, 11), None)),
+        0,
+        "DEL of an absent key"
+    );
+    assert_eq!(draws(|| assert!(kv.cas(&at, 10, Some(9), 5))), 1, "CAS");
+    assert_eq!(draws(|| assert_eq!(kv.del(&at, 10), Some(5))), 1, "DEL");
+    assert_eq!(
+        draws(|| assert_eq!(kv.set(&at, 10, 5), None)),
+        1,
+        "SET of an absent key"
+    );
     let v = TVar::new(3u64);
     assert_eq!(
         draws(|| assert_eq!(at.run(Policy::Regular, |tx| tx.get(&v)), 3)),

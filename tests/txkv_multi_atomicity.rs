@@ -15,14 +15,24 @@
 //! deletes after which `len()` must count exactly the keys `get` finds,
 //! and a durable kill-and-recover cycle proving the recovered image
 //! equals a committed prefix of the MULTI sequence.
+//!
+//! Point operations run as short transactions and MULTI as a full one, so
+//! two racing cells check the two against each other in the history
+//! model: short GET/SET/DEL beside two-key MULTIs, recorded on every
+//! backend and held to the opacity checker; and, on LSA, GETs racing a
+//! writer whose in-place writes abort, which must never return the
+//! aborted value.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use composing_relaxed_transactions::backend_registry;
+use composing_relaxed_transactions::histories::{check_opacity, Recorder};
 use composing_relaxed_transactions::stm_core::api::Atomic;
+use composing_relaxed_transactions::stm_core::api::Policy;
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
-use composing_relaxed_transactions::stm_core::StmConfig;
+use composing_relaxed_transactions::stm_core::{Abort, AbortReason, OptionWord, StmConfig, TVar};
 use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
 use durable::{DurableStore, MemVfs, Vfs};
 use proptest::prelude::*;
@@ -279,4 +289,93 @@ fn durable_multis_survive_a_crash_as_a_committed_prefix() {
         *reference_after.last().unwrap(),
         "group commit fsyncs before returning: nothing may be lost"
     );
+}
+
+#[test]
+fn traced_short_operations_racing_multis_are_opaque_on_every_backend() {
+    // Two keys, three clients: one runs short SET/GET/DEL, one short
+    // GETs, one two-key MULTIs (a full transaction of two sections). Every
+    // recorded history, aborted attempts included, must be opaque.
+    const ROUNDS: u64 = 8;
+    for backend in BACKENDS {
+        for round in 0..ROUNDS {
+            let rec = Arc::new(Recorder::new());
+            let at = Atomic::new(
+                backend_registry()
+                    .build(backend, StmConfig::default().with_trace_sink(rec.clone()))
+                    .expect("registry backend"),
+            );
+            let ks = KeySpace::new(ShardKind::Hash, 1, 2);
+            let start = Barrier::new(3);
+            std::thread::scope(|s| {
+                let (ks, at, start) = (&ks, &at, &start);
+                s.spawn(move || {
+                    start.wait();
+                    ks.set(at, 0, 1 + round);
+                    ks.get(at, 1);
+                    ks.del(at, 0);
+                    ks.set(at, 1, 2 + round);
+                    ks.get(at, 0);
+                });
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..3 {
+                        ks.get(at, 0);
+                        ks.get(at, 1);
+                    }
+                });
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..2 {
+                        ks.multi(at, &[0, 1], |_, cur| {
+                            MultiOp::Put(cur.map_or(10, |v| v + 10))
+                        });
+                    }
+                });
+            });
+            let (raw, h) = (rec.raw_history(), rec.history());
+            assert_eq!(h.well_formed(), Ok(()), "{backend}, round {round}");
+            if let Err(v) = check_opacity(&raw) {
+                panic!("{backend}, round {round}: not opaque: {v}\nraw history:\n{raw:#}");
+            }
+        }
+    }
+}
+
+#[test]
+fn lsa_gets_never_return_a_value_whose_in_place_write_aborted() {
+    // LSA writes a word in place under its lock and restores it when the
+    // attempt aborts. A reader whose lock-value-lock check straddles the
+    // write and the restore must see the lock word change, or it returns
+    // a value no transaction committed: the marker.
+    const MARKER: u64 = 0xDEAD;
+    const READS: usize = 20_000;
+    let at = runner("lsa");
+    let (present, value) = (TVar::new(0u64), TVar::new(0u64));
+    let key = OptionWord::new(&present, &value);
+    at.short_update(key, &|_| Some(Some(7)));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let mut write = true;
+                at.run(Policy::Regular, |tx| {
+                    if std::mem::take(&mut write) {
+                        key.store(tx, Some(7), Some(MARKER))?;
+                        return Err(Abort::new(AbortReason::Explicit));
+                    }
+                    Ok(())
+                });
+            }
+        });
+        for i in 0..READS {
+            let got = if i % 2 == 0 {
+                at.short_read(key)
+            } else {
+                at.run(Policy::Regular, |tx| key.read(tx))
+            };
+            assert_eq!(got, Some(7), "read {i} returned an aborted write");
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
 }

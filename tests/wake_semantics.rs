@@ -15,6 +15,9 @@
 //!   raised inside an elastic or a regular section of an elastic parent
 //!   whose read decided it: the parent's elastic read is part of what the
 //!   aborted attempt waits on;
+//! * **short updates wake too** — a consumer parked on a key's presence
+//!   word is woken by a short SET (`Atomic::short_update`), on every
+//!   backend;
 //! * **crowd wake** — one commit wakes every waiter parked on the same
 //!   location;
 //! * **`or_else` suppression** — an alternation frame means "switch
@@ -23,7 +26,7 @@
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::stm_core::api::{Atomic, Policy};
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
-use composing_relaxed_transactions::stm_core::{wait, StmStats, TVar};
+use composing_relaxed_transactions::stm_core::{wait, OptionWord, StmStats, TVar};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Every backend in the registry — wake-on-commit must be uniform.
@@ -177,6 +180,52 @@ fn blocked_retry_wakes_on_a_committing_writer_every_backend() {
                 "{ctx}: every park ends in exactly one filed outcome: {snap:?}"
             );
         }
+    }
+}
+
+#[test]
+fn a_retry_parked_on_a_presence_word_wakes_on_a_short_set_every_backend() {
+    // A short update publishes through the same commit tail as a run, so
+    // it notifies the waiters of the words it writes: here a consumer
+    // waiting for a key to appear.
+    for backend in BACKENDS {
+        let at = runner(backend);
+        let (present, value) = (TVar::new(0u64), TVar::new(0u64));
+        let key = OptionWord::new(&present, &value);
+        let observed = std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                at.run(Policy::Regular, |tx| match key.read(tx)? {
+                    Some(v) => Ok(v),
+                    None => tx.retry(),
+                })
+            });
+            wait_until(|| at.stats().retry_parks >= 1 || consumer.is_finished());
+            assert_eq!(at.short_update(key, &|_| Some(Some(7))), None);
+            consumer.join().expect("consumer thread")
+        });
+        assert_eq!(observed, 7, "{backend}: woken consumer reads the SET");
+        let snap = at.stats();
+        assert!(snap.retry_parks >= 1, "{backend}: the consumer must park");
+        assert_eq!(
+            snap.wakeups + snap.spurious_wakeups,
+            snap.retry_parks,
+            "{backend}: {snap:?}"
+        );
+        // The notify itself, forced exactly: a SET from inside a waiter's
+        // re-validation (registered, not yet parked) must leave the token
+        // that ends the park at once.
+        let (present, value) = (TVar::new(0u64), TVar::new(0u64));
+        let key = OptionWord::new(&present, &value);
+        let woken = wait::wait_for_locations(
+            &mut [present.core().id()].into_iter(),
+            &|| {
+                assert_eq!(at.short_update(key, &|_| Some(Some(7))), None);
+                true
+            },
+            1,
+            &StmStats::new(),
+        );
+        assert_eq!(woken, wait::WaitOutcome::Woken, "{backend}: SET notified");
     }
 }
 

@@ -129,7 +129,7 @@ const RO_READS: usize = 12;
 fn assert_retries_do_not_allocate<S: Stm>(stm: &S, kind: TxKind, name: &str) {
     let vars: Vec<TVar<u64>> = (0..WRITES as u64).map(TVar::new).collect();
     // Warm up: fills the thread-local scratch pool (entry vectors, index
-    // table, lock order, aux buffers) and any lazy statics.
+    // table, lock order, the backends' own logs) and any lazy statics.
     alloc_events_for_run(stm, kind, &vars, 2);
     let clean = min_events(stm, kind, &vars, 0);
     assert_eq!(
@@ -411,6 +411,24 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         events, 0,
         "KeySpace::set of a present key allocated {events} times"
     );
+    // A CAS that swaps and one that does not; a DEL of a present key and
+    // of the then absent key, re-inserted by a SET.
+    let events = min_events_of(|| {
+        for k in 0..64 {
+            assert!(kv.cas(&at, k * 2, Some(k as u64), k as u64 + 1));
+            assert!(!kv.cas(&at, k * 2, Some(k as u64), 0));
+            kv.cas(&at, k * 2, Some(k as u64 + 1), k as u64);
+        }
+    });
+    assert_eq!(events, 0, "KeySpace::cas allocated {events} times");
+    let events = min_events_of(|| {
+        for k in 0..64 {
+            assert_eq!(kv.del(&at, k * 2), Some(k as u64));
+            assert_eq!(kv.del(&at, k * 2), None);
+            kv.set(&at, k * 2, k as u64);
+        }
+    });
+    assert_eq!(events, 0, "KeySpace::del allocated {events} times");
     // A 4-key MULTI over present keys: four sections under one parent.
     use composing_relaxed_transactions::txkv::MultiOp;
     let keys = [0, 2, 4, 6];
