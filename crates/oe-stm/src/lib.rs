@@ -72,7 +72,7 @@ pub use txn::OeTxn;
 
 use stm_core::driver;
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
-use stm_core::{Abort, Decide, Instance, OptionWord, RunError, Stm, StmConfig, TxKind};
+use stm_core::{Abort, Instance, RunError, Stm, StmConfig, TxKind};
 
 /// Register this crate's backends: `"oe"` (outheritance on — the paper's
 /// OE-STM) and `"oe-estm-compat"` (outheritance off — the E-STM baseline
@@ -179,20 +179,6 @@ impl Stm for OeStm {
         f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError> {
         driver::run(&mut OeTxn::begin(self, kind), f)
-    }
-
-    // The word protocol the driver's short operations assume: every
-    // committed write changes its word's version under the word's lock.
-    fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-        driver::short_read(self, word)
-    }
-
-    fn short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError> {
-        driver::short_update(self, word, decide)
     }
 }
 

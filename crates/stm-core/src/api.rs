@@ -99,7 +99,7 @@
 
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
-use crate::driver::AbstractLog;
+use crate::driver::{self, AbstractLog};
 use crate::dynstm::Backend;
 use crate::error::{Abort, AbortReason};
 use crate::link::Link;
@@ -305,22 +305,6 @@ pub trait AtomicBackend: Send + Sync {
     fn try_exec<'env, R, F>(&'env self, policy: Policy, body: F) -> Result<R, RunError>
     where
         F: for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>;
-
-    /// The backend's [`Stm::short_read`].
-    ///
-    /// # Errors
-    /// Returns [`RunError`] when the retry budget is exhausted.
-    fn try_short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError>;
-
-    /// The backend's [`Stm::short_update`].
-    ///
-    /// # Errors
-    /// Returns [`RunError`] when the retry budget is exhausted.
-    fn try_short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError>;
 }
 
 impl<S: Stm> AtomicBackend for S {
@@ -338,16 +322,6 @@ impl<S: Stm> AtomicBackend for S {
             body(&mut Tx::new(txn))
         })
     }
-    fn try_short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-        self.short_read(word)
-    }
-    fn try_short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError> {
-        self.short_update(word, decide)
-    }
 }
 
 impl AtomicBackend for Backend {
@@ -362,16 +336,6 @@ impl AtomicBackend for Backend {
         F: for<'a> FnMut(&mut Tx<'env, 'a>) -> Result<R, Abort>,
     {
         Backend::try_run(self, policy.kind(), body)
-    }
-    fn try_short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-        self.short_read(word)
-    }
-    fn try_short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError> {
-        self.short_update(word, decide)
     }
 }
 
@@ -468,22 +432,25 @@ impl<B: AtomicBackend> Atomic<B> {
         }
     }
 
-    /// Read `word` as a short top-level transaction (see
-    /// [`Stm::short_read`]). It composes nothing, so call it outside any
-    /// run; inside a body use [`OptionWord::read`].
+    /// Read `word` as a short top-level transaction: a double collect of
+    /// its two words (the [`driver`]'s `short_read`), or a regular run of
+    /// [`OptionWord::read`] when a word was seen locked or moved. It
+    /// composes nothing, so call it outside any run; inside a body use
+    /// [`OptionWord::read`].
     ///
     /// # Panics
     /// Panics if the retry budget is exhausted, as [`run`](Self::run).
     pub fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Option<u64> {
-        match self.inner.try_short_read(word) {
-            Ok(state) => state,
-            Err(e) => panic!("{e}"),
+        match driver::short_read(self.instance(), word) {
+            Some(state) => state,
+            None => self.run(Policy::Regular, |tx| word.read(tx)),
         }
     }
 
     /// Update `word` as `decide` says, as a short top-level transaction
-    /// (see [`Stm::short_update`]); returns the state it replaced. Inside
-    /// a body use [`OptionWord::update`].
+    /// (the [`driver`]'s `short_update`), or as a regular run of
+    /// [`OptionWord::update`] when the short one cannot serve; returns the
+    /// state it replaced. Inside a body use [`OptionWord::update`].
     ///
     /// # Panics
     /// Panics if the retry budget is exhausted, as [`run`](Self::run).
@@ -492,9 +459,9 @@ impl<B: AtomicBackend> Atomic<B> {
         word: OptionWord<'env>,
         decide: &Decide<'_>,
     ) -> Option<u64> {
-        match self.inner.try_short_update(word, decide) {
-            Ok(prev) => prev,
-            Err(e) => panic!("{e}"),
+        match driver::short_update(self.instance(), word, decide) {
+            Some(prev) => prev,
+            None => self.run(Policy::Regular, |tx| word.update(tx, decide)),
         }
     }
 
@@ -551,7 +518,9 @@ impl<B: AtomicBackend> Atomic<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::toy::ToyStm;
+    use crate::driver::toy::{ShortToy, ToyStm};
+    use core::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     fn static_runner() -> Atomic<ToyStm> {
         Atomic::new(ToyStm::default())
@@ -744,10 +713,11 @@ mod tests {
     }
 
     #[test]
-    fn short_operations_default_to_a_regular_run() {
-        // The toy does not opt in: its short operations are regular runs
-        // of the optional word's accessors, static and erased alike.
-        fn check<B: AtomicBackend>(at: &Atomic<B>) {
+    fn a_backend_needs_nothing_for_short_operations() {
+        // The toy implements nothing for them, yet every short operation
+        // is served by the runner's double collect, static and erased
+        // alike: seven commits, no transaction run.
+        fn check<B: AtomicBackend>(at: &Atomic<B>, runs: &AtomicU32) {
             let (present, value) = (TVar::new(0u64), TVar::new(0u64));
             let word = OptionWord::new(&present, &value);
             assert_eq!(at.short_read(word), None);
@@ -761,10 +731,15 @@ mod tests {
             assert_eq!(at.short_update(word, &|_| Some(None)), Some(5));
             assert_eq!((present.load_atomic(), value.load_atomic()), (0, 5));
             assert_eq!(at.short_read(word), None);
-            assert_eq!(at.stats().commits, 7, "one run each");
+            assert_eq!(at.stats().commits, 7, "one commit each");
+            assert_eq!(runs.load(Ordering::Relaxed), 0, "no transaction ran");
         }
-        check(&static_runner());
-        check(&erased_runner());
+        let toy = ShortToy::default();
+        let runs = Arc::clone(&toy.runs);
+        check(&Atomic::new(toy), &runs);
+        let toy = ShortToy::default();
+        let runs = Arc::clone(&toy.runs);
+        check(&Atomic::new(Backend::from_stm(toy)), &runs);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! * [`run`] — the retry/wait/park policy: which failures park on the
 //!   read set, which are charged and paced, when the run gives up, and
 //!   what a body that panics leaves behind (nothing: it is rolled back);
-//! * [`short_read`] and [`short_update`] — the short operations on an
-//!   [`OptionWord`] that the word backends opt in to: a double collect of
-//!   its two words, and for an update both words locked at the versions
-//!   collected, one commit stamp and the same [`Attempt::publish`] tail.
-//!   Whatever they cannot serve falls back to [`run`].
+//! * `short_read` and `short_update` — the short operations on an
+//!   [`OptionWord`], which [`Atomic`](crate::Atomic) runs for every
+//!   backend: a double collect of its two words, and for an update both
+//!   words locked at the versions collected, one commit stamp and the same
+//!   [`Attempt::publish`] tail. What they cannot serve they hand back,
+//!   and the runner runs it as a regular transaction. They need only the
+//!   word protocol every [`TxnEngine`] keeps.
 //!
 //! The xtask `commit-tail` lint keeps it that way: firing the commit
 //! hook, `wait::notify_commit` and `wait::wait_for_locations` are allowed
@@ -34,7 +36,7 @@ use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::{ReadEntry, ReadSet};
 use crate::scratch::{give_back, SpareVec};
-use crate::stm::{Decide, Instance, OptionWord, RunError, Stm, Transaction, TxKind};
+use crate::stm::{Decide, Instance, OptionWord, RunError, Transaction};
 use crate::ticket::next_ticket;
 use crate::trace::{AttemptTracer, TraceOp};
 use crate::tvar::TVarCore;
@@ -417,6 +419,14 @@ impl<'env> Attempt<'env> {
 /// What a backend's transaction object implements for [`run`]: its
 /// algorithm, one attempt at a time. The object lives for the whole run
 /// and is restarted in place, so its buffers keep their capacity.
+///
+/// An engine keeps the **word protocol**: every committed write changes
+/// its word's version under the word's [`VLock`], and an aborted in-place
+/// write is released at a fresh version, never at the one it locked (see
+/// [`VLock::unlock_to`]). So an unchanged, unlocked lock word means an
+/// unchanged value: what [`TVarCore::read_consistent`] relies on, and
+/// what lets the short operations (`short_read`, `short_update`) serve
+/// any backend without a transaction object.
 pub trait TxnEngine<'env>: Transaction<'env> {
     /// The attempt behind [`Transaction::abstract_log`].
     #[inline]
@@ -723,45 +733,35 @@ impl<'env> Short<'env> {
     }
 }
 
-/// [`Stm::short_read`] for a backend whose every committed write changes
-/// its word's version under the word's [`VLock`] (TL2, LSA, SwissTM and
-/// OE-STM): a double collect of the two words, with no clock read, no log
-/// and no ticket. It serializes where the collect saw both words, like a
-/// read-only transaction whose snapshot is that moment. With a trace sink
-/// it records begin, reads and commit, and with a commit hook it awaits
-/// durability of what it observed, both through [`Attempt::publish`]. A
-/// word seen locked or moved falls back to a regular [`run`].
-///
-/// # Errors
-/// The fallback's [`RunError`].
+/// The short read of `word`: a double collect of its two words, with no
+/// clock read, no log and no ticket. It serializes where the collect saw
+/// both words, like a read-only transaction whose snapshot is that
+/// moment. With a trace sink it records begin, reads and commit, and with
+/// a commit hook it awaits durability of what it observed, both through
+/// [`Attempt::publish`]. Returns the state, or `None` when a word was
+/// seen locked or moved: the caller falls back to a regular run of
+/// [`OptionWord::read`].
 #[inline]
-pub fn short_read<'env, S: Stm>(
-    stm: &'env S,
-    word: OptionWord<'env>,
-) -> Result<Option<u64>, RunError> {
-    short_read_with(stm, word, || {})
+pub(crate) fn short_read(inst: &Instance, word: OptionWord<'_>) -> Option<Option<u64>> {
+    short_read_with(inst, word, || {})
 }
 
 /// [`short_read`] with `between` run between the collect's two passes.
 #[inline]
-fn short_read_with<'env, S: Stm>(
-    stm: &'env S,
-    word: OptionWord<'env>,
+fn short_read_with(
+    inst: &Instance,
+    word: OptionWord<'_>,
     between: impl FnOnce(),
-) -> Result<Option<u64>, RunError> {
-    let inst = stm.instance();
+) -> Option<Option<u64>> {
     let served = if inst.config.trace.is_none() && inst.config.commit_hook.is_none() {
         Short::collect(word, between).map(|seen| seen.state())
     } else {
         short_read_published(inst, word, between)
     };
-    match served {
-        Some(state) => {
-            inst.stats.record_commit();
-            Ok(state)
-        }
-        None => stm.try_run(TxKind::Regular, |tx| word.read(tx)),
+    if served.is_some() {
+        inst.stats.record_commit();
     }
+    served
 }
 
 /// A short read with a trace sink or a commit hook: the collect inside an
@@ -786,33 +786,27 @@ fn short_read_published(
     Some(seen.state())
 }
 
-/// [`Stm::short_update`] for the backends [`short_read`] serves. It
-/// decides on a double collect. A no-op (`decide` returns `None`) commits
-/// read-only, with no ticket and no lock. Otherwise it locks both words in
-/// address order at the versions collected, takes a commit stamp and ends
-/// in [`Attempt::publish`], like any update: the hook stages under the
-/// locks, parked `retry()`s are woken, the stores are written back and
-/// the locks released, then come the trace commit and the durability
-/// await. A word seen locked or moved, or a lock lost before the update
-/// holds both, falls back to a regular [`run`] of
-/// [`OptionWord::update`].
-///
-/// # Errors
-/// The fallback's [`RunError`].
+/// The short update of `word`, deciding on a double collect. A no-op
+/// (`decide` returns `None`) commits read-only, with no ticket and no
+/// lock. Otherwise it locks both words in address order at the versions
+/// collected, takes a commit stamp and ends in [`Attempt::publish`], like
+/// any update: the hook stages under the locks, parked `retry()`s are
+/// woken, the stores are written back and the locks released, then come
+/// the trace commit and the durability await. Returns the state it
+/// replaced, or `None` when a word was seen locked or moved, or a lock
+/// was lost before the update held both: the caller falls back to a
+/// regular run of [`OptionWord::update`].
 #[inline]
-pub fn short_update<'env, S: Stm>(
-    stm: &'env S,
-    word: OptionWord<'env>,
+pub(crate) fn short_update(
+    inst: &Instance,
+    word: OptionWord<'_>,
     decide: &Decide<'_>,
-) -> Result<Option<u64>, RunError> {
-    let inst = stm.instance();
-    match short_update_native(inst, word, decide) {
-        Some(prev) => {
-            inst.stats.record_commit();
-            Ok(prev)
-        }
-        None => stm.try_run(TxKind::Regular, |tx| word.update(tx, decide)),
+) -> Option<Option<u64>> {
+    let served = short_update_native(inst, word, decide);
+    if served.is_some() {
+        inst.stats.record_commit();
     }
+    served
 }
 
 /// The short update itself; `None` asks for the fallback.
@@ -895,15 +889,19 @@ fn thread_random() -> u64 {
 /// [`TxnEngine`]: eager writes with an undo log, no locking. It is the
 /// trait's reference implementor and the backend the `api` and `dynstm`
 /// unit tests exercise their plumbing through (the real backends live in
-/// sibling crates).
+/// sibling crates). Single-threaded, it keeps the word protocol
+/// trivially: no short operation ever runs beside one of its attempts.
 #[cfg(test)]
 pub(crate) mod toy {
     use super::{run, AbstractLog, Attempt, TxnEngine};
+    use crate::config::StmConfig;
     use crate::error::Abort;
     use crate::link::{Link, Loc};
     use crate::readset::ReadSet;
     use crate::stm::{Instance, RunError, Stm, Transaction, TxKind};
     use crate::tvar::TVarCore;
+    use core::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::{Arc, Mutex};
 
     #[derive(Debug, Default)]
     pub(crate) struct ToyStm {
@@ -1013,11 +1011,60 @@ pub(crate) mod toy {
             run(&mut ToyTxn::new(self), f)
         }
     }
+
+    /// The toy, counting its full runs; it implements nothing for the
+    /// short operations. `before_run` stands for the holder of a scripted
+    /// lock finishing its commit before the next run reads.
+    #[derive(Default)]
+    pub(crate) struct ShortToy {
+        toy: ToyStm,
+        /// Shared, so it stays readable after the toy is erased.
+        pub(crate) runs: Arc<AtomicU32>,
+        pub(crate) before_run: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl ShortToy {
+        pub(crate) fn with_config(config: StmConfig) -> Self {
+            Self {
+                toy: ToyStm {
+                    inst: Instance::new(config),
+                },
+                ..Self::default()
+            }
+        }
+
+        pub(crate) fn runs(&self) -> u32 {
+            self.runs.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Stm for ShortToy {
+        type Txn<'env> = ToyTxn<'env>;
+        fn name(&self) -> &'static str {
+            "ShortToy"
+        }
+        fn instance(&self) -> &Instance {
+            &self.toy.inst
+        }
+        fn try_run<'env, R>(
+            &'env self,
+            _kind: TxKind,
+            f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
+        ) -> Result<R, RunError> {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            if let Some(finish) = self.before_run.lock().unwrap().take() {
+                finish();
+            }
+            run(&mut ToyTxn::new(&self.toy), f)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::toy::ShortToy;
     use super::*;
+    use crate::api::{Atomic, Policy};
     use crate::config::StmConfig;
     use crate::hook::{CommitHook, DurableLog};
     use crate::link::{Link, Loc};
@@ -1615,60 +1662,20 @@ mod tests {
         );
     }
 
-    /// A toy backend opted in to the short operations that counts its
-    /// full runs. `before_run` stands for the holder of a scripted lock
-    /// finishing its commit before the fallback's run reads.
-    #[derive(Default)]
-    struct ShortToy {
-        toy: toy::ToyStm,
-        runs: core::sync::atomic::AtomicU32,
-        before_run: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    /// A runner over a fresh [`ShortToy`](toy::ShortToy).
+    fn short_toy() -> Atomic<ShortToy> {
+        Atomic::new(ShortToy::default())
     }
 
-    impl ShortToy {
-        fn with_config(config: StmConfig) -> Self {
-            Self {
-                toy: toy::ToyStm {
-                    inst: Instance::new(config),
-                },
-                ..Self::default()
-            }
-        }
-
-        fn runs(&self) -> u32 {
-            self.runs.load(Ordering::Relaxed)
-        }
-    }
-
-    impl Stm for ShortToy {
-        type Txn<'env> = toy::ToyTxn<'env>;
-        fn name(&self) -> &'static str {
-            "ShortToy"
-        }
-        fn instance(&self) -> &Instance {
-            &self.toy.inst
-        }
-        fn try_run<'env, R>(
-            &'env self,
-            _kind: TxKind,
-            f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
-        ) -> Result<R, RunError> {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            if let Some(finish) = self.before_run.lock().unwrap().take() {
-                finish();
-            }
-            run(&mut toy::ToyTxn::new(&self.toy), f)
-        }
-        fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-            short_read(self, word)
-        }
-        fn short_update<'env>(
-            &'env self,
-            word: OptionWord<'env>,
-            decide: &Decide<'_>,
-        ) -> Result<Option<u64>, RunError> {
-            short_update(self, word, decide)
-        }
+    /// [`Atomic::short_read`] with `between` run between the collect's two
+    /// passes.
+    fn short_read_between(
+        at: &Atomic<ShortToy>,
+        word: OptionWord<'static>,
+        between: impl FnOnce(),
+    ) -> Option<u64> {
+        short_read_with(at.instance(), word, between)
+            .unwrap_or_else(|| at.run(Policy::Regular, |tx| word.read(tx)))
     }
 
     /// A present optional word holding `value`, at version 0, whose
@@ -1698,47 +1705,48 @@ mod tests {
 
     #[test]
     fn a_short_read_is_served_by_the_double_collect_alone() {
-        let stm = ShortToy::default();
+        let at = short_toy();
         let word = present_word(5);
-        assert_eq!(stm.short_read(word), Ok(Some(5)));
+        assert_eq!(at.short_read(word), Some(5));
         word.present.store_value(0);
-        assert_eq!(stm.short_read(word), Ok(None), "absent");
-        assert_eq!(stm.runs(), 0, "no transaction ran");
-        assert_eq!(stm.stats().commits, 2, "each read counts a commit");
+        assert_eq!(at.short_read(word), None, "absent");
+        assert_eq!(at.backend().runs(), 0, "no transaction ran");
+        assert_eq!(at.stats().commits, 2, "each read counts a commit");
     }
 
     #[test]
     fn a_short_read_of_a_locked_word_falls_back_and_returns_the_committed_value() {
-        let stm = ShortToy::default();
+        let at = short_toy();
         let word = present_word(5);
         // A writer holds the value word and has written in place.
         assert!(word.value.lock().try_lock_at(0, 77));
         word.value.store_value(9);
-        *stm.before_run.lock().unwrap() = Some(Box::new(move || word.value.lock().unlock_to(3)));
-        assert_eq!(stm.short_read(word), Ok(Some(9)));
-        assert_eq!(stm.runs(), 1, "the locked word sent it to a full run");
-        assert_eq!(stm.stats().commits, 1);
+        *at.backend().before_run.lock().unwrap() =
+            Some(Box::new(move || word.value.lock().unlock_to(3)));
+        assert_eq!(at.short_read(word), Some(9));
+        assert_eq!(
+            at.backend().runs(),
+            1,
+            "the locked word sent it to a full run"
+        );
+        assert_eq!(at.stats().commits, 1);
     }
 
     #[test]
     fn a_version_that_moves_between_the_collects_falls_back() {
-        let stm = ShortToy::default();
+        let at = short_toy();
         let word = present_word(5);
-        let got = short_read_with(&stm, word, || commit_word(word.value, 6, 4));
-        assert_eq!(
-            got,
-            Ok(Some(6)),
-            "the committed value, not the collected one"
-        );
-        assert_eq!(stm.runs(), 1);
+        let got = short_read_between(&at, word, || commit_word(word.value, 6, 4));
+        assert_eq!(got, Some(6), "the committed value, not the collected one");
+        assert_eq!(at.backend().runs(), 1);
         // With nothing moving, the same read needs no run.
-        assert_eq!(short_read_with(&stm, word, || {}), Ok(Some(6)));
-        assert_eq!(stm.runs(), 1);
+        assert_eq!(short_read_between(&at, word, || {}), Some(6));
+        assert_eq!(at.backend().runs(), 1);
     }
 
     #[test]
     fn a_lock_lost_during_a_short_update_falls_back_and_applies_to_the_committed_value() {
-        let stm = ShortToy::default();
+        let at = short_toy();
         let word = present_word(5);
         let racer_took = Cell::new(false);
         let decisions = Cell::new(0);
@@ -1752,9 +1760,14 @@ mod tests {
             }
             Some(Some(cur.map_or(0, |v| v + 1)))
         };
-        *stm.before_run.lock().unwrap() = Some(Box::new(move || word.value.lock().unlock_to(5)));
-        assert_eq!(stm.short_update(word, &increment), Ok(Some(8)));
-        assert_eq!(stm.runs(), 1, "the lost lock sent it to a full run");
+        *at.backend().before_run.lock().unwrap() =
+            Some(Box::new(move || word.value.lock().unlock_to(5)));
+        assert_eq!(at.short_update(word, &increment), Some(8));
+        assert_eq!(
+            at.backend().runs(),
+            1,
+            "the lost lock sent it to a full run"
+        );
         assert_eq!(decisions.get(), 2, "decided again on the committed value");
         assert_eq!(word.value.value_unsync(), 9);
         assert_eq!(
@@ -1762,16 +1775,16 @@ mod tests {
             0,
             "the lock the update did take was given back unchanged"
         );
-        assert_eq!(stm.stats().commits, 1);
+        assert_eq!(at.stats().commits, 1);
     }
 
     #[test]
     fn a_short_update_commits_at_a_stamp_and_a_no_op_commits_read_only() {
-        let stm = ShortToy::default();
+        let at = short_toy();
         let word = present_word(5);
-        let before = stm.instance().clock.now();
-        assert_eq!(stm.short_update(word, &|_| Some(None)), Ok(Some(5)));
-        let wv = stm.instance().clock.now();
+        let before = at.clock().now();
+        assert_eq!(at.short_update(word, &|_| Some(None)), Some(5));
+        let wv = at.clock().now();
         assert_eq!(wv, before + 1, "one commit stamp");
         assert_eq!(word.present.read_consistent(), Ok((0, wv)), "deleted");
         assert_eq!(
@@ -1779,23 +1792,23 @@ mod tests {
             Ok((5, 0)),
             "the unwritten word is released at its own version"
         );
-        assert_eq!(stm.short_update(word, &|_| None), Ok(None));
-        assert_eq!(stm.instance().clock.now(), wv, "a no-op takes no stamp");
-        assert_eq!(stm.runs(), 0);
-        assert_eq!(stm.stats().commits, 2);
+        assert_eq!(at.short_update(word, &|_| None), None);
+        assert_eq!(at.clock().now(), wv, "a no-op takes no stamp");
+        assert_eq!(at.backend().runs(), 0);
+        assert_eq!(at.stats().commits, 2);
     }
 
     #[test]
     fn short_operations_end_in_the_publish_tail() {
         let rec = Arc::new(Recorder::default());
-        let stm = ShortToy::with_config(recorded_config(&rec));
+        let at = Atomic::new(ShortToy::with_config(recorded_config(&rec)));
         let word = present_word(5);
-        assert_eq!(stm.short_update(word, &|_| Some(Some(6))), Ok(Some(5)));
+        assert_eq!(at.short_update(word, &|_| Some(Some(6))), Some(5));
         assert_eq!(rec.take(), ["hook", "commit event"]);
-        assert_eq!(stm.short_read(word), Ok(Some(6)));
+        assert_eq!(at.short_read(word), Some(6));
         assert_eq!(rec.take(), ["commit event"], "a read fires no hook");
-        assert_eq!(stm.short_update(word, &|_| None), Ok(Some(6)));
+        assert_eq!(at.short_update(word, &|_| None), Some(6));
         assert_eq!(rec.take(), ["commit event"], "nor does a no-op");
-        assert_eq!(stm.runs(), 0);
+        assert_eq!(at.backend().runs(), 0);
     }
 }

@@ -37,7 +37,7 @@ use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::error::Abort;
 use crate::stats::StatsSnapshot;
-use crate::stm::{Decide, Instance, OptionWord, RunError, Stm, TxKind};
+use crate::stm::{Instance, RunError, Stm, TxKind};
 
 /// The erased transaction body passed across the `dyn DynStm` boundary.
 ///
@@ -62,14 +62,6 @@ pub trait DynStm: Send + Sync {
         kind: TxKind,
         body: &mut DynBody<'env, '_>,
     ) -> Result<u64, RunError>;
-    /// The erased [`Stm::short_read`]. Prefer [`Backend::short_read`].
-    fn short_read_dyn<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError>;
-    /// The erased [`Stm::short_update`]. Prefer [`Backend::short_update`].
-    fn short_update_dyn<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError>;
 }
 
 impl<S: Stm> DynStm for S {
@@ -85,16 +77,6 @@ impl<S: Stm> DynStm for S {
         body: &mut DynBody<'env, '_>,
     ) -> Result<u64, RunError> {
         self.try_run(kind, |tx: &mut S::Txn<'env>| body(&mut Tx::new(tx)))
-    }
-    fn short_read_dyn<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-        self.short_read(word)
-    }
-    fn short_update_dyn<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError> {
-        self.short_update(word, decide)
     }
 }
 
@@ -191,26 +173,6 @@ impl Backend {
             Ok(0)
         })?;
         Ok(out.expect("committed transaction body must have produced a value"))
-    }
-
-    /// The erased [`Stm::short_read`].
-    ///
-    /// # Errors
-    /// Returns [`RunError`] when the retry budget is exhausted.
-    pub fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-        self.inner.short_read_dyn(word)
-    }
-
-    /// The erased [`Stm::short_update`].
-    ///
-    /// # Errors
-    /// Returns [`RunError`] when the retry budget is exhausted.
-    pub fn short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError> {
-        self.inner.short_update_dyn(word, decide)
     }
 
     /// Like [`try_run`](Backend::try_run) but panics if the retry budget

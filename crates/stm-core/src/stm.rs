@@ -6,14 +6,6 @@
 //! (here: word reads and writes), and attempt to commit; `child` is the
 //! *composition* entry point of Section III — a new operation invoking
 //! existing operations in sequence inside a parent transaction.
-//!
-//! Beside the run, [`Stm`] has two *short* operations on an
-//! [`OptionWord`]: [`short_read`](Stm::short_read) and
-//! [`short_update`](Stm::short_update). Their footprint is two known
-//! words and they compose nothing, so a backend whose words follow the
-//! versioned-lock protocol runs them without a transaction object (see
-//! [`driver::short_read`](crate::driver::short_read)); the default runs
-//! a regular transaction.
 
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
@@ -214,7 +206,9 @@ pub trait Transaction<'env> {
 ///
 /// [`read`](Self::read) and [`store`](Self::store) are its transactional
 /// accessors, for bodies that compose it with other words;
-/// [`Stm::short_read`] and [`Stm::short_update`] operate on it alone.
+/// [`Atomic::short_read`](crate::Atomic::short_read) and
+/// [`Atomic::short_update`](crate::Atomic::short_update) operate on it
+/// alone, for every backend.
 #[derive(Debug, Clone, Copy)]
 pub struct OptionWord<'env> {
     /// The presence word.
@@ -368,31 +362,6 @@ pub trait Stm: Send + Sync {
         kind: TxKind,
         f: impl FnMut(&mut Self::Txn<'env>) -> Result<R, Abort>,
     ) -> Result<R, RunError>;
-
-    /// Read `word` as one top-level transaction that composes nothing.
-    /// The default runs [`OptionWord::read`] as a regular transaction;
-    /// the word backends run [`driver::short_read`](crate::driver::short_read).
-    ///
-    /// # Errors
-    /// Returns [`RunError`] when the retry budget is exhausted.
-    fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-        self.try_run(TxKind::Regular, |tx| word.read(tx))
-    }
-
-    /// Update `word` as `decide` says, as one top-level transaction that
-    /// composes nothing; returns the state it replaced. The default runs
-    /// [`OptionWord::update`] as a regular transaction; the word backends
-    /// run [`driver::short_update`](crate::driver::short_update).
-    ///
-    /// # Errors
-    /// Returns [`RunError`] when the retry budget is exhausted.
-    fn short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError> {
-        self.try_run(TxKind::Regular, |tx| word.update(tx, decide))
-    }
 
     /// Like [`try_run`](Self::try_run) but panics if the retry budget is
     /// exhausted (the default, unbounded configuration never panics).

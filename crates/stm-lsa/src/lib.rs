@@ -49,9 +49,7 @@ use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::vlock::VLock;
 use stm_core::GlobalClock;
-use stm_core::{
-    Abort, AbortReason, Decide, Instance, OptionWord, RunError, Stm, StmConfig, Transaction, TxKind,
-};
+use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"lsa"`.
 pub fn register_backends(registry: &mut BackendRegistry) {
@@ -505,20 +503,6 @@ impl Stm for Lsa {
             undo: UndoLog::default(),
         };
         driver::run(&mut txn, f)
-    }
-
-    // The word protocol the driver's short operations assume: every
-    // committed write changes its word's version under the word's lock.
-    fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Result<Option<u64>, RunError> {
-        driver::short_read(self, word)
-    }
-
-    fn short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Result<Option<u64>, RunError> {
-        driver::short_update(self, word, decide)
     }
 }
 

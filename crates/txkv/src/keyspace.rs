@@ -20,8 +20,8 @@
 //! long as the keyspace, so there is nothing to recycle or retire.
 //!
 //! A point operation composes nothing, so it runs as a *short*
-//! transaction ([`Atomic::short_read`], [`Atomic::short_update`]): on the
-//! word backends a `GET` is a double collect of the key's two words, and
+//! transaction ([`Atomic::short_read`], [`Atomic::short_update`]): on
+//! every backend a `GET` is a double collect of the key's two words, and
 //! a `SET`/`CAS`/`DEL` locks both words and commits through the driver's
 //! commit tail, with no transaction object and no log. Whatever a short
 //! operation cannot serve — a word locked or moved under it — it hands to

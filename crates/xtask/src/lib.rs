@@ -94,9 +94,9 @@ pub const BLESSED_CLOCK_FILES: &[&str] = &[
     "crates/stm-swiss/src/lib.rs",
     "crates/oe-stm/src/lib.rs",
     "crates/oe-stm/src/txn.rs",
-    // The short update (`driver::short_update`) is the one algorithm the
-    // four word backends share rather than each writing its own: it takes
-    // its commit stamp there.
+    // The short update (`driver::short_update`) is one algorithm for
+    // every backend, which the runner calls rather than each backend
+    // writing its own: it takes its commit stamp there.
     "crates/stm-core/src/driver.rs",
     // The durable layer's IO-path modules: they handle commit *versions*
     // (WAL records carry them, recovery re-installs them) and so sit next
