@@ -8,20 +8,15 @@
 //!       [--seed N] [--json BENCH.json]
 //! repro trace [--stm oe] [--scenario bank-transfer] [--steps 3]
 //! repro validate-json BENCH.json [--require-full-coverage]
-//! repro compare-json BENCH_base.json BENCH_new.json [--threshold-pct 10] [--report-only]
-//! repro merge-json BENCH_merged.json run1.json run2.json run3.json
 //! repro recover /path/to/durable/store
 //! ```
 //!
 //! Tables print throughput (ops/ms), abort rate, and the relaxation /
 //! composition counters (elastic cuts, outherits). `--json` additionally
-//! writes every measured row as schema-stable JSON (`bench::json`), the
-//! machine-comparable perf artifact CI archives; `validate-json` checks
-//! such a file and, with `--require-full-coverage`, that every registered
-//! backend and scenario is represented. `compare-json` diffs two artifacts
-//! per (scenario, backend, structure, threads, composed) row and exits
-//! nonzero when any matched row's throughput regresses past the threshold
-//! (unless `--report-only`, which only fails on schema errors).
+//! writes every measured row as schema-checked JSON (`bench::json`), the
+//! artifact CI archives; `validate-json` checks such a file and, with
+//! `--require-full-coverage`, that every registered backend and scenario
+//! is represented.
 
 use bench::cli::{parse_args, Options, USAGE};
 use bench::report::{print_bench_rows, print_summary, Row, Structure};
@@ -349,43 +344,6 @@ fn validate_json(opts: &Options) -> ! {
     std::process::exit(0);
 }
 
-/// `repro compare-json <baseline> <candidate>`: diff two perf artifacts.
-fn compare_json(opts: &Options) -> ! {
-    let (Some(base_path), Some(cand_path)) = (opts.targets.get(1), opts.targets.get(2)) else {
-        die("compare-json needs a baseline and a candidate path; try --help");
-    };
-    let read = |path: &String| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
-    };
-    let comparison = bench::compare::compare(&read(base_path), &read(cand_path))
-        .unwrap_or_else(|e| die(&format!("compare-json: INVALID: {e}")));
-    print!(
-        "{}",
-        bench::compare::render_table(&comparison, opts.threshold_pct)
-    );
-    let regressions = comparison.regressions(opts.threshold_pct).len();
-    if regressions > 0 && !opts.report_only {
-        eprintln!(
-            "compare-json: {regressions} row(s) regressed more than {}% vs {base_path}",
-            opts.threshold_pct
-        );
-        std::process::exit(1);
-    }
-    // Livelocked (watchdog-killed) rows on either side are skipped, never
-    // diffed; exit code 3 distinguishes "passed, but some cells carried no
-    // data" from a fully clean pass (exit 0), without masking a real
-    // regression (exit 1 above wins).
-    if !comparison.skipped_livelocked.is_empty() && !opts.report_only {
-        eprintln!(
-            "compare-json: {} livelocked row(s) skipped (no regression found in the \
-             measured rows)",
-            comparison.skipped_livelocked.len()
-        );
-        std::process::exit(3);
-    }
-    std::process::exit(0);
-}
-
 /// `repro __cell`: the progress watchdog's hidden re-entry point — run
 /// exactly the matrix cell the flags select (no sequential references, no
 /// tables) and hand the measured rows back through the `--json` artifact.
@@ -446,29 +404,6 @@ fn recover(opts: &Options) -> ! {
     std::process::exit(0);
 }
 
-/// `repro merge-json <out> <in>...`: per-row medians of repeated runs.
-fn merge_json(opts: &Options) -> ! {
-    let Some(out_path) = opts.targets.get(1) else {
-        die("merge-json needs an output path and at least two inputs; try --help");
-    };
-    let inputs: Vec<String> = opts.targets[2..]
-        .iter()
-        .map(|path| {
-            std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
-        })
-        .collect();
-    let texts: Vec<&str> = inputs.iter().map(String::as_str).collect();
-    let merged = bench::compare::merge(&texts).unwrap_or_else(|e| die(&format!("merge-json: {e}")));
-    std::fs::write(out_path, &merged)
-        .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
-    println!(
-        "merged {} run(s) into {out_path} (per-row medians)",
-        texts.len()
-    );
-    std::process::exit(0);
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&argv).unwrap_or_else(|e| die(&e));
@@ -485,12 +420,6 @@ fn main() {
     }
     if opts.targets.first().map(String::as_str) == Some("validate-json") {
         validate_json(&opts);
-    }
-    if opts.targets.first().map(String::as_str) == Some("compare-json") {
-        compare_json(&opts);
-    }
-    if opts.targets.first().map(String::as_str) == Some("merge-json") {
-        merge_json(&opts);
     }
     if opts.targets.first().map(String::as_str) == Some("recover") {
         recover(&opts);

@@ -12,8 +12,6 @@ use std::time::Duration;
 pub const USAGE: &str = "\
 usage: repro [TARGET]... [FLAGS]
        repro validate-json <path> [--require-full-coverage]
-       repro compare-json <baseline> <candidate> [--threshold-pct N] [--report-only]
-       repro merge-json <out> <in>... (per-row medians of same-config runs)
        repro recover <dir> (replay a durable store's snapshot + WAL, print
                             the recovered image and any repair diagnostics)
 
@@ -50,14 +48,6 @@ flags:
                        and kill it after N seconds; killed rows are
                        reported as LIVELOCK (tables) / livelocked (JSON)
                        instead of hanging the whole run
-  --threshold-pct N    compare-json: flag rows whose throughput drops more
-                       than N percent below the baseline (default: 10)
-  --report-only        compare-json: print the delta table but exit 0 even
-                       on regressions (schema errors still fail)
-
-compare-json exit codes: 0 clean pass; 1 regression beyond the threshold;
-2 usage or schema error; 3 pass, but livelocked (watchdog-killed) rows on
-either side were skipped with a warning — they carry no measurement.
   --list               alias for the `list` target
   -h, --help           this text
 ";
@@ -96,11 +86,6 @@ pub struct Options {
     pub list: bool,
     /// `--require-full-coverage` (for `validate-json`).
     pub require_full_coverage: bool,
-    /// `--threshold-pct` (for `compare-json`): regression threshold in
-    /// percent of baseline throughput.
-    pub threshold_pct: f64,
-    /// `--report-only` (for `compare-json`): never fail on regressions.
-    pub report_only: bool,
     /// `-h` / `--help`.
     pub help: bool,
 }
@@ -121,8 +106,6 @@ impl Default for Options {
             durable: false,
             list: false,
             require_full_coverage: false,
-            threshold_pct: crate::compare::DEFAULT_THRESHOLD_PCT,
-            report_only: false,
             help: false,
         }
     }
@@ -220,18 +203,7 @@ pub fn parse_args(argv: &[String]) -> Result<Options, String> {
                 opts.max_run_secs = Some(secs);
                 i += 1;
             }
-            "--threshold-pct" => {
-                let raw = flag_value(argv, i, "--threshold-pct")?;
-                opts.threshold_pct = raw
-                    .parse()
-                    .map_err(|_| format!("bad threshold {raw:?}; try --help"))?;
-                if !opts.threshold_pct.is_finite() || opts.threshold_pct < 0.0 {
-                    return Err(format!("bad threshold {raw:?}; try --help"));
-                }
-                i += 1;
-            }
             "--durable" => opts.durable = true,
-            "--report-only" => opts.report_only = true,
             "--list" => opts.list = true,
             "--require-full-coverage" => opts.require_full_coverage = true,
             "--help" | "-h" => opts.help = true,
@@ -346,36 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_json_subcommand_shape() {
-        let o = parse_args(&args(
-            "compare-json base.json cand.json --threshold-pct 5.5 --report-only",
-        ))
-        .unwrap();
-        assert_eq!(o.targets, vec!["compare-json", "base.json", "cand.json"]);
-        assert!((o.threshold_pct - 5.5).abs() < 1e-9);
-        assert!(o.report_only);
-    }
-
-    #[test]
-    fn compare_json_defaults() {
-        let o = parse_args(&args("compare-json a b")).unwrap();
-        assert_eq!(o.threshold_pct, crate::compare::DEFAULT_THRESHOLD_PCT);
-        assert!(!o.report_only);
-    }
-
-    #[test]
-    fn bad_threshold_is_a_usage_error() {
-        for bad in ["banana", "-3", "inf", "NaN"] {
-            let err =
-                parse_args(&args(&format!("compare-json a b --threshold-pct {bad}"))).unwrap_err();
-            assert!(err.contains("threshold"), "{bad}: {err}");
-        }
-        assert!(parse_args(&args("--threshold-pct"))
-            .unwrap_err()
-            .contains("--threshold-pct"));
-    }
-
-    #[test]
     fn bad_values_are_usage_errors() {
         assert!(parse_args(&args("--threads"))
             .unwrap_err()
@@ -420,11 +362,7 @@ mod tests {
             "--durable",
             "--list",
             "--require-full-coverage",
-            "--threshold-pct",
-            "--report-only",
             "validate-json",
-            "compare-json",
-            "merge-json",
             "recover",
             "summary",
             "trace",

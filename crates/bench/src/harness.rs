@@ -1,13 +1,11 @@
-//! The measurement harness: timed multi-threaded runs producing the
-//! throughput (ops/ms) and abort-rate (%) series of Figs. 6–8, driven
-//! through the `atomic` facade.
+//! The measurement record: one data point of the throughput (ops/ms) and
+//! abort-rate (%) series of Figs. 6–8, plus the uninstrumented sequential
+//! baseline's runner. The transactional runs that fill a [`Measurement`]
+//! live in [`crate::scenario`].
 
-use crate::workload::{thread_seed, Mix, OpGen, WorkOp, DEFAULT_INITIAL_SIZE};
+use crate::workload::{thread_seed, Mix, OpGen, WorkOp};
 use cec::seq::SeqSet;
-use cec::{SetExt, TxSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use stm_core::api::{Atomic, AtomicBackend};
 
 /// One measured data point.
 #[derive(Debug, Clone, Copy)]
@@ -89,114 +87,6 @@ impl Measurement {
     }
 }
 
-/// Execute one sampled operation against a transactional set.
-pub fn apply_op<B: AtomicBackend, C: TxSet + ?Sized>(set: &C, at: &Atomic<B>, op: &WorkOp) {
-    match *op {
-        WorkOp::Contains(k) => {
-            set.contains(at, k);
-        }
-        WorkOp::Add(k) => {
-            set.add(at, k);
-        }
-        WorkOp::Remove(k) => {
-            set.remove(at, k);
-        }
-        WorkOp::AddAll(ref ks) => {
-            set.add_all(at, ks);
-        }
-        WorkOp::RemoveAll(ref ks) => {
-            set.remove_all(at, ks);
-        }
-    }
-}
-
-/// Pre-fill `set` to `target` elements with keys from the mix's range,
-/// deterministically per `seed`.
-pub fn prefill<B: AtomicBackend, C: TxSet + ?Sized>(
-    set: &C,
-    at: &Atomic<B>,
-    mix: Mix,
-    target: usize,
-    seed: u64,
-) {
-    let mut gen = OpGen::new(mix, seed);
-    let mut inserted = 0usize;
-    while inserted < target {
-        if set.add(at, gen.next_key()) {
-            inserted += 1;
-        }
-    }
-}
-
-/// Timed run: `threads` workers apply the mix to `set` through `at` for
-/// `duration`; returns aggregate throughput and the backend's abort rate
-/// over the run.
-pub fn run_timed<B: AtomicBackend, C: TxSet>(
-    at: &Atomic<B>,
-    set: &C,
-    threads: usize,
-    duration: Duration,
-    mix: Mix,
-    seed: u64,
-) -> Measurement {
-    at.reset_stats();
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let stop = &stop;
-            let total_ops = &total_ops;
-            let at = &*at;
-            let set = &*set;
-            scope.spawn(move || {
-                let mut gen = OpGen::new(mix, thread_seed(seed, t));
-                let mut ops = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let op = gen.next_op();
-                    apply_op(set, at, &op);
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-            });
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    let elapsed = started.elapsed();
-    let snap = at.stats();
-    let ops = total_ops.load(Ordering::Relaxed);
-    Measurement::from_run(ops, elapsed, &snap)
-}
-
-/// Fixed-work run for Criterion benches: every worker performs exactly
-/// `ops_per_thread` operations; returns the wall-clock duration of the
-/// parallel phase.
-pub fn run_fixed<B: AtomicBackend, C: TxSet>(
-    at: &Atomic<B>,
-    set: &C,
-    threads: usize,
-    ops_per_thread: u64,
-    mix: Mix,
-    seed: u64,
-) -> Duration {
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let at = &*at;
-            let set = &*set;
-            scope.spawn(move || {
-                let mut gen = OpGen::new(mix, thread_seed(seed, t));
-                for _ in 0..ops_per_thread {
-                    let op = gen.next_op();
-                    apply_op(set, at, &op);
-                }
-            });
-        }
-    });
-    started.elapsed()
-}
-
 /// Timed single-threaded run of the uninstrumented sequential baseline.
 pub fn run_sequential(
     set: &mut dyn SeqSet,
@@ -259,10 +149,4 @@ pub fn prefill_sequential(set: &mut dyn SeqSet, mix: Mix, target: usize, seed: u
             inserted += 1;
         }
     }
-}
-
-/// The paper's default pre-fill size.
-#[must_use]
-pub fn default_initial_size() -> usize {
-    DEFAULT_INITIAL_SIZE
 }

@@ -1,11 +1,11 @@
-//! Schema-stable JSON for the benchmark pipeline — hand-rolled writer,
+//! Schema-checked JSON for the benchmark pipeline — hand-rolled writer,
 //! minimal parser, and the `BENCH.json` validator CI gates on.
 //!
 //! The build environment is offline (no serde), so this module implements
-//! exactly the JSON subset the pipeline needs. The schema is a contract:
-//! every future PR's perf run must stay machine-comparable against older
-//! artifacts, so **fields may be added but never renamed, retyped or
-//! removed**, and `schema_version` bumps on any incompatible change.
+//! exactly the JSON subset the pipeline needs. [`render`] writes one
+//! schema version and [`validate`] accepts exactly that version and
+//! requires every field `render` always writes ([`ROW_FIELDS`]); a change
+//! to the field list bumps [`SCHEMA_VERSION`].
 //!
 //! ```json
 //! {
@@ -14,21 +14,22 @@
 //!   "host_parallelism": 8,
 //!   "rows": [
 //!     {
-//!       "scenario": "fig6", "backend": "oe", "structure": "LinkedListSet",
-//!       "threads": 2, "composed_pct": 5, "ops": 12345,
-//!       "throughput": 123.4, "abort_rate": 0.01,
+//!       "scenario": "fig6", "backend": "oe", "system": "OE-STM",
+//!       "structure": "LinkedListSet", "threads": 2, "composed_pct": 5,
+//!       "ops": 12345, "throughput": 123.4, "abort_rate": 0.01,
+//!       "commits": 12400, "aborts": 125,
 //!       "elastic_cuts": 17, "outherits": 42, "explicit_retries": 3,
-//!       "latency_p50_us": 12.0, "latency_p99_us": 40.0,
-//!       "latency_p999_us": 96.0, "elapsed_ms": 500.2
+//!       "cm_waits": 9, "retry_parks": 0, "wakeups": 0,
+//!       "spurious_wakeups": 0, "latency_p50_us": 12.0,
+//!       "latency_p99_us": 40.0, "latency_p999_us": 96.0,
+//!       "elapsed_ms": 500.2
 //!     }
 //!   ]
 //! }
 //! ```
 //!
-//! **v2** added the three `latency_*` percentile fields for the txkv
-//! service scenarios. The change is purely additive — every v1 artifact
-//! still validates (see [`MIN_SCHEMA_VERSION`]) and the comparison tools
-//! treat a missing latency field as 0, so v1-vs-v2 pairs compare cleanly.
+//! A row the progress watchdog killed also carries `"livelocked": 1`;
+//! measured rows never carry the field.
 
 use crate::scenario::BenchRow;
 use std::collections::BTreeMap;
@@ -36,60 +37,39 @@ use std::collections::BTreeMap;
 /// Current schema version of the emitted document.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Oldest schema version [`validate`] accepts. Committed baselines from
-/// earlier PRs are v1; the schema has only grown additively since, so the
-/// same validator covers the whole range.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
-
-/// Fields every row must carry, with `true` when the value is a number.
-/// (`scenario`/`backend`/`structure` are strings; the rest are numbers.)
-pub const ROW_FIELDS: [(&str, bool); 11] = [
+/// Fields every row carries, with `true` when the value is a number —
+/// exactly what [`render`] always writes. `system`, `commits` and
+/// `aborts` exist so a row round-trips losslessly through JSON: the
+/// watchdog measures each row in a subprocess and reassembles the
+/// [`BenchRow`] from the child's artifact ([`parse_rows`]). The
+/// `latency_*` trio carries per-op latency percentiles in microseconds;
+/// only the txkv service scenarios and `wake-storm` record them (0
+/// elsewhere). The one field outside this list is `livelocked`, written
+/// (as `1`) only on rows the progress watchdog killed and type-checked
+/// when present.
+pub const ROW_FIELDS: [(&str, bool); 22] = [
     ("scenario", false),
     ("backend", false),
+    ("system", false),
     ("structure", false),
     ("threads", true),
     ("composed_pct", true),
     ("ops", true),
     ("throughput", true),
     ("abort_rate", true),
+    ("commits", true),
+    ("aborts", true),
     ("elastic_cuts", true),
     ("outherits", true),
-    ("elapsed_ms", true),
-];
-
-/// Fields added after the first committed baselines: type-checked when
-/// present, but **not** required — older artifacts (e.g.
-/// `BENCH_seed.json`) must keep validating so perf stays
-/// machine-comparable across PRs. Readers default a missing numeric
-/// field to 0 and a missing string field to "".
-///
-/// `explicit_retries`, `cm_waits`, `system`, `commits` and `aborts` are
-/// always emitted by [`render`]; `livelocked` (0/1) only for rows the
-/// progress watchdog killed — so measured runs stay row-key-identical to
-/// the committed baselines.
-/// `system`/`commits`/`aborts` exist so a row round-trips losslessly
-/// through JSON: the watchdog measures each row in a subprocess and
-/// reassembles the [`BenchRow`] from the child's artifact
-/// ([`parse_rows`]).
-/// The `latency_*` trio (schema v2) carries per-op latency percentiles in
-/// microseconds; only the txkv service scenarios record them (0 for
-/// throughput-only workloads), and v1 artifacts simply lack them.
-/// The wait trio (`retry_parks`/`wakeups`/`spurious_wakeups`) arrived
-/// with the wake-on-commit subsystem; artifacts from before it simply
-/// lack the fields and default to 0.
-pub const OPTIONAL_ROW_FIELDS: [(&str, bool); 12] = [
     ("explicit_retries", true),
     ("cm_waits", true),
     ("retry_parks", true),
     ("wakeups", true),
     ("spurious_wakeups", true),
-    ("system", false),
-    ("commits", true),
-    ("aborts", true),
-    ("livelocked", true),
     ("latency_p50_us", true),
     ("latency_p99_us", true),
     ("latency_p999_us", true),
+    ("elapsed_ms", true),
 ];
 
 pub(crate) fn escape(s: &str) -> String {
@@ -461,9 +441,9 @@ pub fn validate(text: &str) -> Result<Vec<RowId>, String> {
         .get("schema_version")
         .and_then(Value::as_num)
         .ok_or("missing numeric \"schema_version\"")?;
-    if !(MIN_SCHEMA_VERSION as f64..=SCHEMA_VERSION as f64).contains(&version) {
+    if version != SCHEMA_VERSION as f64 {
         return Err(format!(
-            "schema_version {version} outside supported {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
+            "schema_version {version} is not the supported {SCHEMA_VERSION}"
         ));
     }
     obj.get("seed")
@@ -500,22 +480,10 @@ pub fn validate(text: &str) -> Result<Vec<RowId>, String> {
                 ));
             }
         }
-        for (field, numeric) in OPTIONAL_ROW_FIELDS {
-            // Absence is fine (pre-existing artifacts); a present field
-            // must still be well-typed.
-            if let Some(v) = row.get(field) {
-                let type_ok = if numeric {
-                    v.as_num().is_some()
-                } else {
-                    v.as_str().is_some()
-                };
-                if !type_ok {
-                    return Err(format!(
-                        "row {i} optional field \"{field}\" has the wrong type (expected {})",
-                        if numeric { "number" } else { "string" }
-                    ));
-                }
-            }
+        if row.get("livelocked").is_some_and(|v| v.as_num().is_none()) {
+            return Err(format!(
+                "row {i} field \"livelocked\" has the wrong type (expected number)"
+            ));
         }
         let rate = row["abort_rate"].as_num().unwrap_or(-1.0);
         if !(0.0..=1.0).contains(&rate) {
@@ -530,10 +498,7 @@ pub fn validate(text: &str) -> Result<Vec<RowId>, String> {
 }
 
 /// Reconstruct the measured [`BenchRow`]s from a validated artifact — the
-/// inverse of [`render`], as far as the schema allows. Optional fields
-/// absent from older artifacts default to zero / empty; a missing
-/// `system` falls back to the backend key (pre-watchdog artifacts never
-/// carried display names).
+/// inverse of [`render`].
 ///
 /// # Errors
 /// Returns the [`validate`] error on any schema violation.
@@ -543,32 +508,24 @@ pub fn parse_rows(text: &str) -> Result<Vec<BenchRow>, String> {
     let rows = doc.as_obj().expect("validated")["rows"]
         .as_arr()
         .expect("validated");
-    let get_num = |row: &BTreeMap<String, Value>, field: &str| {
-        row.get(field).and_then(Value::as_num).unwrap_or(0.0)
-    };
+    let get_num =
+        |row: &BTreeMap<String, Value>, field: &str| row[field].as_num().expect("validated");
     Ok(rows
         .iter()
         .map(|row| {
             let row = row.as_obj().expect("validated");
-            let str_field = |field: &str| {
-                row.get(field)
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string()
-            };
-            let backend = str_field("backend");
-            let system = match row.get("system").and_then(Value::as_str) {
-                Some(s) => s.to_string(),
-                None => backend.clone(),
-            };
+            let str_field = |field: &str| row[field].as_str().expect("validated").to_string();
             BenchRow {
                 scenario: str_field("scenario"),
-                backend,
-                system,
+                backend: str_field("backend"),
+                system: str_field("system"),
                 structure: str_field("structure"),
                 threads: get_num(row, "threads") as usize,
                 composed_pct: get_num(row, "composed_pct") as u32,
-                livelocked: get_num(row, "livelocked") != 0.0,
+                livelocked: row
+                    .get("livelocked")
+                    .and_then(Value::as_num)
+                    .is_some_and(|v| v != 0.0),
                 m: crate::harness::Measurement {
                     throughput: get_num(row, "throughput"),
                     abort_rate: get_num(row, "abort_rate"),
@@ -705,82 +662,46 @@ mod tests {
                 orig.m.elapsed
             );
         }
-        // The watchdog marker is emitted only when set: measured rows stay
-        // key-compatible with the committed baselines.
+        // The watchdog marker is emitted only when set.
         let text = render(&rows, 42);
         assert_eq!(text.matches("\"livelocked\"").count(), 1);
     }
 
     #[test]
-    fn parse_rows_defaults_fields_older_artifacts_lack() {
-        // Strip the post-baseline fields as a pre-watchdog artifact.
-        let text = render(&[sample_row()], 1)
-            .replace("\"system\": \"OE-STM\", ", "")
-            .replace("\"commits\": 990, ", "")
-            .replace("\"aborts\": 330, ", "");
-        let rows = parse_rows(&text).expect("older artifacts still parse");
-        assert_eq!(rows[0].system, "oe", "missing system falls back to the key");
-        assert_eq!(rows[0].m.commits, 0);
-        assert_eq!(rows[0].m.aborts, 0);
-        assert!(!rows[0].livelocked);
-    }
-
-    #[test]
     fn optional_fields_may_be_absent_but_must_be_well_typed() {
-        // Pre-existing artifacts (the committed baselines) predate
-        // `explicit_retries`; they must keep validating.
-        let without = render(&[sample_row()], 1).replace("\"explicit_retries\": 3, ", "");
-        validate(&without).expect("artifacts without optional fields stay valid");
-        // A present-but-mistyped optional field is still an error.
-        let mistyped = render(&[sample_row()], 1)
-            .replace("\"explicit_retries\": 3", "\"explicit_retries\": \"x\"");
+        // `livelocked` is the one optional field: measured rows omit it.
+        let text = render(&[sample_row()], 1);
+        assert!(!text.contains("livelocked"));
+        validate(&text).expect("rows without `livelocked` are valid");
+        // A present-but-mistyped `livelocked` is an error.
+        let mistyped = text.replace("\"ops\"", "\"livelocked\": \"x\", \"ops\"");
         let err = validate(&mistyped).unwrap_err();
-        assert!(err.contains("explicit_retries"), "{err}");
-    }
-
-    #[test]
-    fn v1_artifacts_without_latency_fields_still_validate() {
-        // A committed v1 baseline: version 1, no latency_* fields.
-        let text = render(&[sample_row()], 1)
-            .replace("\"schema_version\": 2", "\"schema_version\": 1")
-            .replace("\"latency_p50_us\": 12.000000, ", "")
-            .replace("\"latency_p99_us\": 40.000000, ", "")
-            .replace("\"latency_p999_us\": 96.000000, ", "");
-        assert!(!text.contains("latency_"), "test setup stripped the trio");
-        validate(&text).expect("v1 baselines must keep validating under v2");
-        let rows = parse_rows(&text).expect("v1 baselines must keep parsing");
-        assert_eq!(rows[0].m.p50_us, 0.0, "missing latency defaults to 0");
-        assert_eq!(rows[0].m.p999_us, 0.0);
-        // A present-but-mistyped latency field is still an error.
-        let mistyped = render(&[sample_row()], 1).replace(
-            "\"latency_p99_us\": 40.000000",
-            "\"latency_p99_us\": \"fast\"",
-        );
-        let err = validate(&mistyped).unwrap_err();
-        assert!(err.contains("latency_p99_us"), "{err}");
-    }
-
-    #[test]
-    fn artifacts_without_the_wake_trio_still_validate_and_parse() {
-        // Baselines from before wake-on-commit lack the wait counters.
-        let text = render(&[sample_row()], 1)
-            .replace("\"retry_parks\": 2, ", "")
-            .replace("\"wakeups\": 2, ", "")
-            .replace("\"spurious_wakeups\": 1, ", "");
+        assert!(err.contains("livelocked"), "{err}");
+        // Every other field `render` writes is required, and a mistyped
+        // one is named in the error.
+        for (from, to, field) in [
+            (
+                "\"explicit_retries\": 3, ",
+                "\"explicit_retries\": \"x\", ",
+                "explicit_retries",
+            ),
+            (
+                "\"latency_p99_us\": 40.000000, ",
+                "\"latency_p99_us\": \"fast\", ",
+                "latency_p99_us",
+            ),
+            ("\"wakeups\": 2, ", "\"wakeups\": \"lots\", ", "wakeups"),
+        ] {
+            assert!(text.contains(from), "sample row lacks {from}");
+            let err = validate(&text.replace(from, to)).unwrap_err();
+            assert!(err.contains(field) && err.contains("wrong type"), "{err}");
+        }
+        let err =
+            validate(&text.replace("\"scenario\": \"", "\"scenario\": 7, \"x\": \"")).unwrap_err();
         assert!(
-            !text.contains("retry_parks"),
-            "test setup stripped the trio"
+            err.contains("scenario") && err.contains("wrong type"),
+            "{err}"
         );
-        validate(&text).expect("pre-wake baselines must keep validating");
-        let rows = parse_rows(&text).expect("pre-wake baselines must keep parsing");
-        assert_eq!(rows[0].m.retry_parks, 0, "missing counters default to 0");
-        assert_eq!(rows[0].m.wakeups, 0);
-        assert_eq!(rows[0].m.spurious_wakeups, 0);
-        // A present-but-mistyped wake field is still an error.
-        let mistyped =
-            render(&[sample_row()], 1).replace("\"wakeups\": 2", "\"wakeups\": \"lots\"");
-        let err = validate(&mistyped).unwrap_err();
-        assert!(err.contains("wakeups"), "{err}");
     }
 
     #[test]

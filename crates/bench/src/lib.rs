@@ -4,11 +4,11 @@
 //!
 //! | Paper artifact | Here |
 //! |---|---|
-//! | Fig. 6 (LinkedListSet, 5%/15% composed) | `repro fig6` / `benches/fig6_linkedlist.rs` |
-//! | Fig. 7 (SkipListSet, 5%/15% composed) | `repro fig7` / `benches/fig7_skiplist.rs` |
-//! | Fig. 8 (HashSet @ load factor 512) | `repro fig8` / `benches/fig8_hashset.rs` |
+//! | Fig. 6 (LinkedListSet, 5%/15% composed) | `repro fig6` |
+//! | Fig. 7 (SkipListSet, 5%/15% composed) | `repro fig7` |
+//! | Fig. 8 (HashSet @ load factor 512) | `repro fig8` |
 //! | headline speedups (abstract, §VII-B) | `repro summary` |
-//! | outheritance bookkeeping cost (ablation) | `benches/ablation_outherit.rs` |
+//! | outheritance bookkeeping cost (ablation) | `repro fig6 --stm oe,oe-estm-compat --composed 0,15` |
 //!
 //! Systems: the uninstrumented sequential baseline plus OE-STM, LSA, TL2
 //! and SwissTM — all running the *same* `cec` collections. Workload:
@@ -21,16 +21,13 @@
 //! Beyond the paper's figures, the [`scenario`] registry drives arbitrary
 //! workloads (bank transfers, queue snapshots, …) over every backend in
 //! the runtime [`BackendRegistry`](stm_core::dynstm::BackendRegistry) and
-//! emits the schema-stable `BENCH.json` (see [`json`]) that makes perf
-//! machine-comparable across PRs; [`compare`] diffs two such artifacts and
-//! gates on throughput regressions (`repro compare-json`).
+//! emits the schema-checked `BENCH.json` (see [`json`]) that records every
+//! measured row of a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod compare;
-pub mod figures;
 pub mod harness;
 pub mod json;
 pub mod report;
@@ -38,7 +35,7 @@ pub mod scenario;
 pub mod watchdog;
 pub mod workload;
 
-pub use harness::{apply_op, prefill, run_timed, Measurement};
+pub use harness::Measurement;
 pub use report::{print_figure, print_summary, run_figure, Row, Structure};
 pub use scenario::{backend_registry, run_matrix, scenarios, BenchRow, MatrixPlan, Workload};
 pub use workload::{Mix, OpGen, WorkOp};

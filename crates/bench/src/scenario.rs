@@ -2,14 +2,14 @@
 //! facade, driven over every registered backend at runtime.
 //!
 //! Before this module existed, every figure sweep enumerated the four
-//! STMs through generics — five near-identical monomorphized copies of the
-//! same harness in `report.rs` and `figures.rs`, and adding a workload or
-//! a backend meant touching each copy. Now a workload is one
-//! [`Workload`] implementation over the facade-level collection layer
-//! (`Box<dyn TxSet>` + [`Atomic`]), a backend is one [`BackendRegistry`]
-//! entry, and the matrix runner sweeps `scenarios × backends × threads`
-//! from runtime lists — exactly how the elastic-transaction lineage this
-//! paper builds on was itself evaluated: one harness, N pluggable TMs.
+//! STMs through generics — near-identical monomorphized copies of the
+//! same harness, and adding a workload or a backend meant touching each
+//! copy. Now a workload is one [`Workload`] implementation over the
+//! facade-level collection layer (`Box<dyn TxSet>` + [`Atomic`]), a
+//! backend is one [`BackendRegistry`] entry, and the matrix runner sweeps
+//! `scenarios × backends × threads` from runtime lists — exactly how the
+//! elastic-transaction lineage this paper builds on was itself evaluated:
+//! one harness, N pluggable TMs.
 //!
 //! Registered scenarios:
 //!
@@ -182,7 +182,7 @@ impl Workload for SetMixWorkload {
 }
 
 /// The facade-erased paper workload for one figure structure (shared by
-/// the scenario registry, `report::run_figure` and the Criterion benches).
+/// the scenario registry and `report::run_figure`).
 #[must_use]
 pub fn build_set_workload(structure: Structure, mix: Mix) -> Box<dyn Workload + Send + Sync> {
     let set: Box<dyn TxSet + Send + Sync> = match structure {
@@ -1114,29 +1114,6 @@ pub fn run_timed_dyn(
     }
 }
 
-/// Fixed-work facade run for the Criterion benches: every worker performs
-/// exactly `ops_per_thread` operations.
-pub fn run_fixed_dyn(
-    at: &Atomic<Backend>,
-    workload: &dyn Workload,
-    threads: usize,
-    ops_per_thread: u64,
-    seed: u64,
-) -> Duration {
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(thread_seed(seed, t));
-                for _ in 0..ops_per_thread {
-                    workload.step(at, &mut rng);
-                }
-            });
-        }
-    });
-    started.elapsed()
-}
-
 /// What to sweep. Construct with [`MatrixPlan::new`] and adjust fields.
 #[derive(Debug, Clone)]
 pub struct MatrixPlan {
@@ -1534,6 +1511,50 @@ mod tests {
         let tl2 = rows.iter().find(|r| r.backend == "tl2").unwrap();
         assert!(oe.m.outherits > 0, "OE-STM must outherit on composed ops");
         assert_eq!(tl2.m.outherits, 0, "TL2 never outherits");
+    }
+
+    #[test]
+    fn outheritance_ablation_separates_oe_from_estm() {
+        // The ablation (`repro fig6 --stm oe,oe-estm-compat --composed
+        // 0,15`): OE-STM outherits on composed operations, the E-STM mode
+        // never does, and with no composed operations neither has
+        // anything to outherit.
+        let plan = MatrixPlan {
+            scenarios: vec!["fig6".into()],
+            backends: vec!["oe".into(), "oe-estm-compat".into()],
+            threads: vec![1],
+            duration: Duration::from_millis(20),
+            composed: vec![0, 15],
+            seed: 5,
+            include_sequential: false,
+            durable: false,
+        };
+        let rows = run_matrix(&plan).expect("valid plan");
+        assert_eq!(rows.len(), 4, "2 backends x 2 composed ratios");
+        let row = |backend: &str, pct: u32| {
+            rows.iter()
+                .find(|r| r.backend == backend && r.composed_pct == pct)
+                .unwrap_or_else(|| panic!("no {backend} row at {pct}%"))
+        };
+        for r in &rows {
+            assert!(
+                r.m.ops > 0,
+                "{} at {}% produced no ops",
+                r.backend,
+                r.composed_pct
+            );
+        }
+        assert!(
+            row("oe", 15).m.outherits > 0,
+            "OE-STM must outherit on composed ops"
+        );
+        assert_eq!(
+            row("oe-estm-compat", 15).m.outherits,
+            0,
+            "E-STM never outherits"
+        );
+        assert_eq!(row("oe", 0).m.outherits, 0, "nothing to outherit at 0%");
+        assert_eq!(row("oe-estm-compat", 0).m.outherits, 0);
     }
 
     #[test]

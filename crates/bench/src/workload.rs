@@ -77,16 +77,6 @@ impl Mix {
         }
     }
 
-    /// A read-only variant (for ablations).
-    #[must_use]
-    pub fn read_only() -> Self {
-        Self {
-            contains_pct: 100,
-            composed_pct: 0,
-            key_range: DEFAULT_KEY_RANGE,
-        }
-    }
-
     /// Sample one operation from this mix using `rng` (the sampling core
     /// of [`OpGen`], exposed so scenario workloads that own their RNG can
     /// draw from a mix directly).

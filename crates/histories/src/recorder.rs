@@ -205,22 +205,6 @@ impl Recorder {
             s.events.lock().expect("recorder shard poisoned").clear();
         }
     }
-
-    /// Transaction ids (model-side) in begin order for process `p`
-    /// (model-side id). Useful to build [`Composition`]s from a run.
-    ///
-    /// [`Composition`]: crate::composition::Composition
-    #[must_use]
-    pub fn txs_of_proc(&self, p: u32) -> Vec<TxId> {
-        let h = self.history();
-        h.events
-            .iter()
-            .filter_map(|e| match *e {
-                Event::Begin { t, p: q } if q == p => Some(t),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// Dense-id assignment state, applied in merged order.
