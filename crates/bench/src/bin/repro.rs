@@ -454,7 +454,7 @@ fn main() {
                 figure(Structure::SkipList, 7, &opts, &mut all_rows);
                 figure(Structure::HashSet, 8, &opts, &mut all_rows);
             }
-            other => die(&format!("unknown target {other}; try --help")),
+            other => unreachable!("parse_args admits no target {other}"),
         }
     }
 

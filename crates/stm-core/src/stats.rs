@@ -3,48 +3,81 @@
 //! The paper's evaluation reports throughput *and abort rate* for every STM
 //! (Figs. 6–8); these counters are what the benchmark harness reads.
 //!
-//! # Striped layout
+//! # Thread-owned slots
 //!
-//! The counters are **striped**: an [`StmStats`] owns a small array of
-//! cache-line-aligned cells, and every recording thread picks one stripe
-//! (round-robin at first use, sticky for the thread's lifetime) so
-//! commit-path bookkeeping from different threads lands on different cache
-//! lines instead of bouncing one shared line between cores. Updates stay
-//! relaxed RMWs; [`snapshot`](StmStats::snapshot) aggregates the stripes
-//! lock-free. The counters are monotone, so a sum of relaxed per-stripe
-//! loads is exactly as "consistent" as the old single-cell snapshot was.
+//! An [`StmStats`] owns 8 cache-line-aligned *owned* cells and one *shared*
+//! cell. Slot `i` is a process-wide ownership flag: at its first record a
+//! thread claims the first free flag with an `Acquire` CAS, then writes cell
+//! `i` of every instance for as long as it lives. A slot has one writer at
+//! a time, so an owned record is a relaxed load and store — no locked
+//! instruction on the commit path. At thread exit a thread-local guard
+//! hands the slot back with a `Release` store, which the next owner's
+//! claim reads, so that owner counts on from the last one's totals. The
+//! guard also points the exiting thread at the shared cell, so a record
+//! from a later thread-local destructor still counts. Threads beyond 8
+//! live owners record into the shared cell with a relaxed `fetch_add`.
+//! [`snapshot`](StmStats::snapshot) sums every cell with relaxed loads:
+//! the counters are monotone, so it is exact once the recorders are joined.
 
 use crate::error::AbortReason;
 use core::cell::Cell;
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Number of counter stripes (power of two; indexed round-robin by
-/// recording thread). Eight stripes cover the bench sweep's thread counts
-/// without making snapshots scan a large array.
+/// Number of thread-owned slots. Eight cover the bench sweep's thread
+/// counts without making snapshots scan a large array.
 const STRIPES: usize = 8;
 
-/// The sticky stripe a thread records into: assigned round-robin from a
-/// process-wide counter the first time the thread touches any `StmStats`.
-fn stripe_index() -> usize {
-    static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|s| {
-        let mut i = s.get();
-        if i == usize::MAX {
-            i = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) & (STRIPES - 1);
-            s.set(i);
-        }
-        i
-    })
+/// A thread's slot before its first record.
+const UNCLAIMED: usize = usize::MAX;
+
+/// A thread's slot once it records into the shared cell.
+const SHARED: usize = STRIPES;
+
+/// Slot `i` is owned by a live thread exactly when `OWNERS[i]` is set.
+static OWNERS: [AtomicBool; STRIPES] = [const { AtomicBool::new(false) }; STRIPES];
+
+thread_local! {
+    /// The calling thread's slot: `UNCLAIMED`, an owned index, or `SHARED`.
+    static SLOT: Cell<usize> = const { Cell::new(UNCLAIMED) };
+    /// Releases the thread's slot at exit (touched once, at the claim).
+    static GUARD: SlotGuard = const { SlotGuard };
 }
 
-/// One stripe of counters, padded to a cache-line boundary so neighbouring
-/// stripes (and the STM instance's other fields) never false-share with it.
+struct SlotGuard;
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        if let Some(owner) = OWNERS.get(SLOT.replace(SHARED)) {
+            owner.store(false, Ordering::Release);
+        }
+    }
+}
+
+/// Claim the first free slot for the calling thread (registering its
+/// release), or settle on the shared cell when none is free.
+fn claim() {
+    let free = |o: &AtomicBool| {
+        o.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    };
+    let i = OWNERS.iter().position(free).unwrap_or(SHARED);
+    if i < STRIPES {
+        GUARD.with(|_| ());
+    }
+    SLOT.set(i);
+}
+
+/// The slot the calling thread owns, if any.
+#[cfg(test)]
+fn owned_slot() -> Option<usize> {
+    Some(SLOT.get()).filter(|&i| i < STRIPES)
+}
+
+/// One cell of counters, padded to a cache-line boundary so neighbouring
+/// cells (and the STM instance's other fields) never false-share with it.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct StripeCell {
+struct CounterCell {
     commits: AtomicU64,
     aborts_by_cause: [AtomicU64; AbortReason::COUNT],
     child_commits: AtomicU64,
@@ -59,7 +92,7 @@ struct StripeCell {
     spurious_wakeups: AtomicU64,
 }
 
-impl StripeCell {
+impl CounterCell {
     fn reset(&self) {
         self.commits.store(0, Ordering::Relaxed);
         for c in &self.aborts_by_cause {
@@ -78,10 +111,12 @@ impl StripeCell {
     }
 }
 
-/// Live counters owned by an STM instance (striped; see the module docs).
+/// Live counters owned by an STM instance (thread-owned cells plus one
+/// shared cell; see the module docs).
 #[derive(Debug)]
 pub struct StmStats {
-    stripes: [StripeCell; STRIPES],
+    owned: [CounterCell; STRIPES],
+    shared: CounterCell,
 }
 
 impl Default for StmStats {
@@ -95,20 +130,39 @@ impl StmStats {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            stripes: core::array::from_fn(|_| StripeCell::default()),
+            owned: core::array::from_fn(|_| CounterCell::default()),
+            shared: CounterCell::default(),
         }
     }
 
-    /// The calling thread's stripe.
+    /// Add one to the calling thread's copy of `counter`: a plain load and
+    /// store on an owned cell, a `fetch_add` on the shared one.
     #[inline]
-    fn cell(&self) -> &StripeCell {
-        &self.stripes[stripe_index()]
+    fn bump(&self, counter: impl Fn(&CounterCell) -> &AtomicU64) {
+        match self.owned.get(SLOT.get()) {
+            Some(cell) => {
+                let c = counter(cell);
+                c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            }
+            None => self.bump_unowned(counter),
+        }
+    }
+
+    /// [`bump`](Self::bump) for a thread that owns no slot: claim one at
+    /// the thread's first record, else count in the shared cell.
+    #[cold]
+    fn bump_unowned(&self, counter: impl Fn(&CounterCell) -> &AtomicU64) {
+        if SLOT.get() == UNCLAIMED {
+            claim();
+            return self.bump(counter);
+        }
+        counter(&self.shared).fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a top-level commit.
     #[inline]
     pub fn record_commit(&self) {
-        self.cell().commits.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.commits);
     }
 
     /// Record an abort with its cause.
@@ -119,46 +173,46 @@ impl StmStats {
     /// retry is a control-flow decision, not a conflict.
     #[inline]
     pub fn record_abort(&self, reason: AbortReason) {
-        self.cell().aborts_by_cause[reason.index()].fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.aborts_by_cause[reason.index()]);
     }
 
     /// Record a committed child (composed) transaction.
     #[inline]
     pub fn record_child_commit(&self) {
-        self.cell().child_commits.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.child_commits);
     }
 
     /// Record an `outherit()` — a child passing its protected set up.
     #[inline]
     pub fn record_outherit(&self) {
-        self.cell().outherits.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.outherits);
     }
 
     /// Record an elastic cut (a read-only prefix entry dropped from the
     /// window, i.e. a conflict the relaxed model ignored).
     #[inline]
     pub fn record_elastic_cut(&self) {
-        self.cell().elastic_cuts.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.elastic_cuts);
     }
 
     /// Record a successful snapshot extension (LSA/SwissTM/elastic).
     #[inline]
     pub fn record_extension(&self) {
-        self.cell().extensions.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.extensions);
     }
 
     /// Record a retry-time backoff (the conflict loser busy-waited before
     /// retrying).
     #[inline]
     pub fn record_cm_backoff(&self) {
-        self.cell().cm_backoffs.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.cm_backoffs);
     }
 
     /// Record a retry-time yield (the conflict loser ceded the core before
     /// retrying).
     #[inline]
     pub fn record_cm_yield(&self) {
-        self.cell().cm_yields.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.cm_yields);
     }
 
     /// Record a progress-backstop park: a transaction lost so many
@@ -167,37 +221,37 @@ impl StmStats {
     /// an uncontended window.
     #[inline]
     pub fn record_progress_park(&self) {
-        self.cell().progress_parks.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.progress_parks);
     }
 
     /// Record a `retry()` waiter actually parking on its read set (the
     /// wait registry's episode reached the park; see `wait::wait_on`).
     #[inline]
     pub fn record_retry_park(&self) {
-        self.cell().retry_parks.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.retry_parks);
     }
 
     /// Record a parked waiter woken by a committing writer's token (the
     /// wake-on-commit path doing its job).
     #[inline]
     pub fn record_wakeup(&self) {
-        self.cell().wakeups.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.wakeups);
     }
 
     /// Record a park that expired on its bounded timeout with no
     /// relevant commit — the liveness backstop firing, not a wake.
     #[inline]
     pub fn record_spurious_wakeup(&self) {
-        self.cell().spurious_wakeups.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.spurious_wakeups);
     }
 
     /// Take a consistent-enough snapshot for reporting (counters are
     /// monotone; exact simultaneity is not required). Aggregates every
-    /// stripe lock-free.
+    /// cell lock-free.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut snap = StatsSnapshot::default();
-        for cell in &self.stripes {
+        for cell in self.cells() {
             snap.commits += cell.commits.load(Ordering::Relaxed);
             for (slot, counter) in snap.aborts_by_cause.iter_mut().zip(&cell.aborts_by_cause) {
                 *slot += counter.load(Ordering::Relaxed);
@@ -217,10 +271,19 @@ impl StmStats {
     }
 
     /// Reset all counters to zero (between benchmark phases).
+    ///
+    /// Exact only while no thread records into this instance, and only if
+    /// the next records are ordered after the reset (a join, spawn or
+    /// barrier between phases): an owned record is a plain load and
+    /// store, so one racing the reset can write back its old count.
     pub fn reset(&self) {
-        for cell in &self.stripes {
+        for cell in self.cells() {
             cell.reset();
         }
+    }
+
+    fn cells(&self) -> impl Iterator<Item = &CounterCell> {
+        self.owned.iter().chain([&self.shared])
     }
 }
 
@@ -334,6 +397,176 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
+    use std::time::{Duration, Instant};
+
+    /// Repeat `attempt` until it reports an owned slot, for up to 10 s,
+    /// and return that slot. Other tests of this binary hold slots for as
+    /// long as their threads live, so one attempt may find none free.
+    fn until_owned(mut attempt: impl FnMut() -> Option<usize>) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(slot) = attempt() {
+                return slot;
+            }
+            assert!(Instant::now() < deadline, "no slot came free in 10 s");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Run `2 × STRIPES` threads that are all live at once, each calling
+    /// `record` once past a barrier and staying live until every thread
+    /// is done, so at most `STRIPES` own a slot and the rest share. Returns
+    /// the slots the owners held.
+    fn crowd(record: impl Fn() + Sync) -> Vec<usize> {
+        let threads = 2 * STRIPES;
+        let barrier = Barrier::new(threads);
+        std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    sc.spawn(|| {
+                        barrier.wait();
+                        record();
+                        let slot = owned_slot();
+                        barrier.wait();
+                        slot
+                    })
+                })
+                .collect();
+            // An explicit join also waits for the thread's slot release.
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().unwrap())
+                .collect()
+        })
+    }
+
+    #[test]
+    fn owners_and_sharers_count_exactly_together() {
+        // Owners make plain stores, sharers `fetch_add`s on one cell: a
+        // lost update on either path leaves the totals short.
+        const N: u64 = 200_000;
+        let threads = 2 * STRIPES as u64;
+        until_owned(|| {
+            let s = StmStats::new();
+            let owners = crowd(|| {
+                for _ in 0..N {
+                    // Opaque, so each record reloads its cell as a real
+                    // caller's would.
+                    let s = std::hint::black_box(&s);
+                    s.record_commit();
+                    s.record_abort(AbortReason::LockConflict);
+                }
+            });
+            let snap = s.snapshot();
+            assert_eq!(snap.commits, threads * N);
+            assert_eq!(snap.aborts(), threads * N);
+            assert!(owners.len() <= STRIPES, "{owners:?}");
+            let shared = s.shared.commits.load(Ordering::Relaxed);
+            assert!(shared >= STRIPES as u64 * N, "{shared}");
+            owners.first().copied()
+        });
+    }
+
+    #[test]
+    fn slots_are_handed_over_at_thread_exit() {
+        // 3 × STRIPES threads, one after another: each must release its
+        // slot at exit, and the next owner must pick up its count.
+        const N: u64 = 1_000;
+        let s = StmStats::new();
+        for _ in 0..3 * STRIPES {
+            std::thread::scope(|sc| {
+                sc.spawn(|| (0..N).for_each(|_| s.record_commit()))
+                    .join()
+                    .unwrap();
+            });
+        }
+        assert_eq!(s.snapshot().commits, 3 * STRIPES as u64 * N);
+        // Had the exited threads kept their slots, none would be free.
+        let mut fresh = 0;
+        until_owned(|| {
+            fresh += 1;
+            std::thread::scope(|sc| {
+                sc.spawn(|| {
+                    s.record_commit();
+                    owned_slot()
+                })
+                .join()
+                .unwrap()
+            })
+        });
+        assert_eq!(s.snapshot().commits, 3 * STRIPES as u64 * N + fresh);
+    }
+
+    #[test]
+    fn a_record_from_a_thread_local_destructor_is_counted() {
+        struct RecordOnExit(Arc<StmStats>);
+        impl Drop for RecordOnExit {
+            fn drop(&mut self) {
+                self.0.record_commit();
+            }
+        }
+        thread_local! {
+            static ON_EXIT: core::cell::RefCell<Option<RecordOnExit>> =
+                const { core::cell::RefCell::new(None) };
+        }
+        let mut stats = None;
+        until_owned(|| {
+            let s = Arc::new(StmStats::new());
+            stats = Some(Arc::clone(&s));
+            std::thread::spawn(move || {
+                // Registered before the slot's guard, so its destructor
+                // runs after the release (destructors run last-in first).
+                ON_EXIT.with(|r| *r.borrow_mut() = Some(RecordOnExit(Arc::clone(&s))));
+                s.record_commit();
+                owned_slot()
+            })
+            .join()
+            .unwrap()
+        });
+        let s = stats.unwrap();
+        assert_eq!(s.snapshot().commits, 2, "the teardown record was lost");
+        assert_eq!(
+            s.shared.commits.load(Ordering::Relaxed),
+            1,
+            "a released slot's thread must record into the shared cell"
+        );
+        // A thread whose only record comes from its teardown claims its
+        // slot there, and that record counts too.
+        let s = Arc::new(StmStats::new());
+        let on_exit = RecordOnExit(Arc::clone(&s));
+        std::thread::spawn(move || ON_EXIT.with(|r| *r.borrow_mut() = Some(on_exit)))
+            .join()
+            .unwrap();
+        assert_eq!(s.snapshot().commits, 1);
+    }
+
+    #[test]
+    fn reset_after_the_owners_exit_zeroes_every_cell() {
+        let s = StmStats::new();
+        crowd(|| {
+            s.record_commit();
+            s.record_outherit();
+        });
+        assert_eq!(s.snapshot().commits, 2 * STRIPES as u64);
+        s.reset();
+        assert_eq!(s.snapshot(), StatsSnapshot::default());
+        // A new owner counts up from 0 in the cell it takes over.
+        let mut fresh = 0;
+        let slot = until_owned(|| {
+            fresh += 1;
+            std::thread::scope(|sc| {
+                sc.spawn(|| {
+                    (0..3).for_each(|_| s.record_commit());
+                    owned_slot()
+                })
+                .join()
+                .unwrap()
+            })
+        });
+        assert_eq!(s.owned[slot].commits.load(Ordering::Relaxed), 3);
+        assert_eq!(s.snapshot().commits, 3 * fresh);
+    }
 
     #[test]
     fn abort_rate_empty_is_zero() {
@@ -509,8 +742,8 @@ mod tests {
 
     #[test]
     fn striped_recording_aggregates_across_threads() {
-        // Several threads record into (likely different) stripes; the
-        // snapshot must sum them all — no count may be lost to striping.
+        // Several threads record into their own slots; the snapshot must
+        // sum them all — no count may be lost between cells.
         let s = std::sync::Arc::new(StmStats::new());
         let threads = crate::parallel::worker_threads(4);
         let mut handles = Vec::new();
