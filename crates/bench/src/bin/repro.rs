@@ -404,6 +404,26 @@ fn recover(opts: &Options) -> ! {
     std::process::exit(0);
 }
 
+/// A measuring target's run: it prints its tables and appends its rows.
+type Run = fn(&Options, &mut Vec<BenchRow>);
+
+/// The run of the measuring target `name`, if there is one.
+fn measure(name: &str) -> Option<Run> {
+    Some(match name {
+        "fig6" => |o, rows| figure(Structure::LinkedList, 6, o, rows),
+        "fig7" => |o, rows| figure(Structure::SkipList, 7, o, rows),
+        "fig8" => |o, rows| figure(Structure::HashSet, 8, o, rows),
+        "summary" => summary,
+        "txkv" => txkv,
+        "all" => |o, rows| {
+            figure(Structure::LinkedList, 6, o, rows);
+            figure(Structure::SkipList, 7, o, rows);
+            figure(Structure::HashSet, 8, o, rows);
+        },
+        _ => return None,
+    })
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&argv).unwrap_or_else(|e| die(&e));
@@ -432,6 +452,12 @@ fn main() {
     if targets.is_empty() {
         targets.push("all".to_string());
     }
+    // Resolve every target before any runs: a typo late in the list
+    // fails at once, not after the sweep ahead of it.
+    let runs: Vec<Run> = targets
+        .iter()
+        .map(|w| measure(w).unwrap_or_else(|| die(&format!("unknown target {w}; try --help"))))
+        .collect();
     println!(
         "Composing Relaxed Transactions (IPDPS 2013) — evaluation reproduction\n\
          workload: 2^12 elements, 2^13 key range, 80% contains (Section VII-A)\n\
@@ -442,20 +468,8 @@ fn main() {
     );
 
     let mut all_rows: Vec<BenchRow> = Vec::new();
-    for w in &targets {
-        match w.as_str() {
-            "fig6" => figure(Structure::LinkedList, 6, &opts, &mut all_rows),
-            "fig7" => figure(Structure::SkipList, 7, &opts, &mut all_rows),
-            "fig8" => figure(Structure::HashSet, 8, &opts, &mut all_rows),
-            "summary" => summary(&opts, &mut all_rows),
-            "txkv" => txkv(&opts, &mut all_rows),
-            "all" => {
-                figure(Structure::LinkedList, 6, &opts, &mut all_rows);
-                figure(Structure::SkipList, 7, &opts, &mut all_rows);
-                figure(Structure::HashSet, 8, &opts, &mut all_rows);
-            }
-            other => unreachable!("parse_args admits no target {other}"),
-        }
+    for run in runs {
+        run(&opts, &mut all_rows);
     }
 
     if let Some(path) = &opts.json {

@@ -223,16 +223,6 @@ pub fn parse_args(argv: &[String]) -> Result<Options, String> {
             "--composed percentages must be <= 20 (updates are 20% of all operations)".to_string(),
         );
     }
-    // Unless a tool target takes the rest of the line, every target must
-    // measure: a typo late in the list fails before the sweep, not after.
-    let tools = ["list", "trace", "validate-json", "recover", "__cell"];
-    let measuring = ["fig6", "fig7", "fig8", "summary", "txkv", "all"];
-    let named = |t: &String, set: &[&str]| set.contains(&t.as_str());
-    if !opts.targets.first().is_some_and(|t| named(t, &tools)) {
-        if let Some(bad) = opts.targets.iter().find(|t| !named(t, &measuring)) {
-            return Err(format!("unknown target {bad}; try --help"));
-        }
-    }
     Ok(opts)
 }
 
@@ -325,15 +315,6 @@ mod tests {
         let o = parse_args(&args("validate-json bench.json --require-full-coverage")).unwrap();
         assert_eq!(o.targets, vec!["validate-json", "bench.json"]);
         assert!(o.require_full_coverage);
-    }
-
-    #[test]
-    fn every_measuring_target_is_checked_before_any_runs() {
-        let err = parse_args(&args("fig6 fig7x --json out.json")).unwrap_err();
-        assert!(err.contains("unknown target fig7x"), "{err}");
-        assert!(parse_args(&args("compare-json a.json b.json")).is_err());
-        let o = parse_args(&args("fig6 fig7 fig8 summary txkv all")).unwrap();
-        assert_eq!(o.targets.len(), 6);
     }
 
     #[test]

@@ -5,39 +5,42 @@
 //!
 //! # Thread-owned slots
 //!
-//! An [`StmStats`] owns 8 cache-line-aligned *owned* cells and one *shared*
-//! cell. Slot `i` is a process-wide ownership flag: at its first record a
-//! thread claims the first free flag with an `Acquire` CAS, then writes cell
-//! `i` of every instance for as long as it lives. A slot has one writer at
-//! a time, so an owned record is a relaxed load and store — no locked
-//! instruction on the commit path. At thread exit a thread-local guard
-//! hands the slot back with a `Release` store, which the next owner's
-//! claim reads, so that owner counts on from the last one's totals. The
-//! guard also points the exiting thread at the shared cell, so a record
-//! from a later thread-local destructor still counts. Threads beyond 8
-//! live owners record into the shared cell with a relaxed `fetch_add`.
+//! An [`StmStats`] owns 8 cache-line-aligned *owned* cells and 8 *shared*
+//! stripes. Slot `i` is a process-wide ownership flag: at its first record
+//! a thread claims the first free flag with an `Acquire` CAS, then writes
+//! cell `i` of every instance for as long as it lives. A slot has one
+//! writer at a time, so an owned record is a relaxed load and store — no
+//! locked instruction on the commit path. At thread exit a thread-local
+//! guard hands the slot back with a `Release` store, which the next
+//! owner's claim reads, so that owner counts on from the last one's
+//! totals. The guard also moves the exiting thread to a shared stripe, so
+//! a record from a later thread-local destructor still counts.
+//!
+//! A thread that finds all 8 slots owned takes a shared stripe instead,
+//! round-robin and for its lifetime (it never claims a slot freed later),
+//! and records there with a relaxed `fetch_add`. `repro`'s sweep runs up
+//! to 64 workers beside a main thread that keeps the slot its prefill
+//! claimed, so 57 of them share the 8 stripes, 7 or 8 to a cache line.
 //! [`snapshot`](StmStats::snapshot) sums every cell with relaxed loads:
 //! the counters are monotone, so it is exact once the recorders are joined.
 
 use crate::error::AbortReason;
 use core::cell::Cell;
-use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// Number of thread-owned slots. Eight cover the bench sweep's thread
-/// counts without making snapshots scan a large array.
+/// Number of thread-owned slots, and of shared stripes for the threads
+/// beyond them (see the module docs).
 const STRIPES: usize = 8;
 
 /// A thread's slot before its first record.
 const UNCLAIMED: usize = usize::MAX;
 
-/// A thread's slot once it records into the shared cell.
-const SHARED: usize = STRIPES;
-
 /// Slot `i` is owned by a live thread exactly when `OWNERS[i]` is set.
 static OWNERS: [AtomicBool; STRIPES] = [const { AtomicBool::new(false) }; STRIPES];
 
 thread_local! {
-    /// The calling thread's slot: `UNCLAIMED`, an owned index, or `SHARED`.
+    /// The calling thread's slot: `UNCLAIMED`, an owned index, or
+    /// `STRIPES` plus its shared stripe.
     static SLOT: Cell<usize> = const { Cell::new(UNCLAIMED) };
     /// Releases the thread's slot at exit (touched once, at the claim).
     static GUARD: SlotGuard = const { SlotGuard };
@@ -47,30 +50,30 @@ struct SlotGuard;
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
-        if let Some(owner) = OWNERS.get(SLOT.replace(SHARED)) {
+        if let Some(owner) = OWNERS.get(SLOT.replace(shared_stripe())) {
             owner.store(false, Ordering::Release);
         }
     }
 }
 
+/// The next shared stripe, round-robin, as a `SLOT` value.
+fn shared_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    STRIPES + NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES
+}
+
 /// Claim the first free slot for the calling thread (registering its
-/// release), or settle on the shared cell when none is free.
+/// release), or settle on a shared stripe when none is free.
 fn claim() {
     let free = |o: &AtomicBool| {
         o.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
     };
-    let i = OWNERS.iter().position(free).unwrap_or(SHARED);
-    if i < STRIPES {
+    let i = OWNERS.iter().position(free);
+    if i.is_some() {
         GUARD.with(|_| ());
     }
-    SLOT.set(i);
-}
-
-/// The slot the calling thread owns, if any.
-#[cfg(test)]
-fn owned_slot() -> Option<usize> {
-    Some(SLOT.get()).filter(|&i| i < STRIPES)
+    SLOT.set(i.unwrap_or_else(shared_stripe));
 }
 
 /// One cell of counters, padded to a cache-line boundary so neighbouring
@@ -111,12 +114,12 @@ impl CounterCell {
     }
 }
 
-/// Live counters owned by an STM instance (thread-owned cells plus one
-/// shared cell; see the module docs).
+/// Live counters owned by an STM instance (thread-owned cells plus shared
+/// stripes; see the module docs).
 #[derive(Debug)]
 pub struct StmStats {
     owned: [CounterCell; STRIPES],
-    shared: CounterCell,
+    shared: [CounterCell; STRIPES],
 }
 
 impl Default for StmStats {
@@ -131,12 +134,12 @@ impl StmStats {
     pub fn new() -> Self {
         Self {
             owned: core::array::from_fn(|_| CounterCell::default()),
-            shared: CounterCell::default(),
+            shared: core::array::from_fn(|_| CounterCell::default()),
         }
     }
 
     /// Add one to the calling thread's copy of `counter`: a plain load and
-    /// store on an owned cell, a `fetch_add` on the shared one.
+    /// store on an owned cell, a `fetch_add` on a shared stripe.
     #[inline]
     fn bump(&self, counter: impl Fn(&CounterCell) -> &AtomicU64) {
         match self.owned.get(SLOT.get()) {
@@ -149,14 +152,14 @@ impl StmStats {
     }
 
     /// [`bump`](Self::bump) for a thread that owns no slot: claim one at
-    /// the thread's first record, else count in the shared cell.
+    /// the thread's first record, else count in its shared stripe.
     #[cold]
     fn bump_unowned(&self, counter: impl Fn(&CounterCell) -> &AtomicU64) {
         if SLOT.get() == UNCLAIMED {
             claim();
             return self.bump(counter);
         }
-        counter(&self.shared).fetch_add(1, Ordering::Relaxed);
+        counter(&self.shared[SLOT.get() - STRIPES]).fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a top-level commit.
@@ -283,7 +286,7 @@ impl StmStats {
     }
 
     fn cells(&self) -> impl Iterator<Item = &CounterCell> {
-        self.owned.iter().chain([&self.shared])
+        self.owned.iter().chain(&self.shared)
     }
 }
 
@@ -400,6 +403,22 @@ mod tests {
     use std::sync::{Arc, Barrier};
     use std::time::{Duration, Instant};
 
+    /// Threads [`crowd`] runs at once.
+    const CROWD: usize = 3 * STRIPES;
+
+    /// The slot the calling thread owns, if any.
+    fn owned_slot() -> Option<usize> {
+        Some(SLOT.get()).filter(|&i| i < STRIPES)
+    }
+
+    /// The sum of `s`'s shared stripes' commit counts.
+    fn shared_commits(s: &StmStats) -> u64 {
+        s.shared
+            .iter()
+            .map(|c| c.commits.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Repeat `attempt` until it reports an owned slot, for up to 10 s,
     /// and return that slot. Other tests of this binary hold slots for as
     /// long as their threads live, so one attempt may find none free.
@@ -414,12 +433,13 @@ mod tests {
         }
     }
 
-    /// Run `2 × STRIPES` threads that are all live at once, each calling
+    /// Run `CROWD` threads that are all live at once, each calling
     /// `record` once past a barrier and staying live until every thread
-    /// is done, so at most `STRIPES` own a slot and the rest share. Returns
-    /// the slots the owners held.
+    /// is done, so at most `STRIPES` own a slot and the rest share the
+    /// `STRIPES` shared stripes, two or more to a stripe. Returns the
+    /// slots the owners held.
     fn crowd(record: impl Fn() + Sync) -> Vec<usize> {
-        let threads = 2 * STRIPES;
+        let threads = CROWD;
         let barrier = Barrier::new(threads);
         std::thread::scope(|sc| {
             let handles: Vec<_> = (0..threads)
@@ -443,27 +463,39 @@ mod tests {
 
     #[test]
     fn owners_and_sharers_count_exactly_together() {
-        // Owners make plain stores, sharers `fetch_add`s on one cell: a
-        // lost update on either path leaves the totals short.
-        const N: u64 = 200_000;
-        let threads = 2 * STRIPES as u64;
+        // Owners make plain stores, sharers `fetch_add`s on stripes they
+        // share: a lost update on either path leaves the totals short.
+        // Every thread records for the same 100 ms, so threads that share
+        // a stripe run at the same time, even on two cores.
         until_owned(|| {
             let s = StmStats::new();
+            let made = AtomicU64::new(0);
+            let until = Instant::now() + Duration::from_millis(100);
             let owners = crowd(|| {
-                for _ in 0..N {
-                    // Opaque, so each record reloads its cell as a real
-                    // caller's would.
-                    let s = std::hint::black_box(&s);
-                    s.record_commit();
-                    s.record_abort(AbortReason::LockConflict);
+                let mut n = 0;
+                while Instant::now() < until {
+                    for _ in 0..1_000 {
+                        // Opaque, so each record reloads its cell as a
+                        // real caller's would.
+                        let s = std::hint::black_box(&s);
+                        s.record_commit();
+                        s.record_abort(AbortReason::LockConflict);
+                    }
+                    n += 1_000;
                 }
+                made.fetch_add(n, Ordering::Relaxed);
             });
+            let made = made.into_inner();
             let snap = s.snapshot();
-            assert_eq!(snap.commits, threads * N);
-            assert_eq!(snap.aborts(), threads * N);
+            assert_eq!(snap.commits, made);
+            assert_eq!(snap.aborts(), made);
             assert!(owners.len() <= STRIPES, "{owners:?}");
-            let shared = s.shared.commits.load(Ordering::Relaxed);
-            assert!(shared >= STRIPES as u64 * N, "{shared}");
+            // Round-robin: the sharers are spread over several stripes.
+            let stripes = s
+                .shared
+                .iter()
+                .filter(|c| c.commits.load(Ordering::Relaxed) > 0);
+            assert!(stripes.count() > 1, "every sharer landed on one stripe");
             owners.first().copied()
         });
     }
@@ -527,9 +559,9 @@ mod tests {
         let s = stats.unwrap();
         assert_eq!(s.snapshot().commits, 2, "the teardown record was lost");
         assert_eq!(
-            s.shared.commits.load(Ordering::Relaxed),
+            shared_commits(&s),
             1,
-            "a released slot's thread must record into the shared cell"
+            "a released slot's thread must record into a shared stripe"
         );
         // A thread whose only record comes from its teardown claims its
         // slot there, and that record counts too.
@@ -548,7 +580,7 @@ mod tests {
             s.record_commit();
             s.record_outherit();
         });
-        assert_eq!(s.snapshot().commits, 2 * STRIPES as u64);
+        assert_eq!(s.snapshot().commits, CROWD as u64);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
         // A new owner counts up from 0 in the cell it takes over.
