@@ -2,7 +2,7 @@
 //! scenario × backend benchmark matrix.
 //!
 //! ```text
-//! repro [fig6|fig7|fig8|summary|txkv|all|list]
+//! repro [fig6|fig7|fig8|summary|all|list]
 //!       [--stm tl2,lsa,swiss,oe,oe-estm-compat] [--scenario fig6,bank-transfer,...]
 //!       [--threads 1,2,4] [--duration-ms 500] [--composed 5,15]
 //!       [--seed N] [--json BENCH.json]
@@ -25,6 +25,7 @@ use bench::scenario::{
     backend_registry, run_matrix, scenarios, BenchRow, MatrixPlan, FIGURE_BACKENDS,
 };
 use bench::workload::{thread_seed, Mix};
+use bench::{out, outln};
 use histories::Recorder;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -39,13 +40,13 @@ fn die(msg: &str) -> ! {
 
 fn print_list() {
     let registry = backend_registry();
-    println!("backends:");
+    outln!("backends:");
     for spec in registry.specs() {
-        println!("  {:<16} {}", spec.name(), spec.summary());
+        outln!("  {:<16} {}", spec.name(), spec.summary());
     }
-    println!("\nscenarios:");
+    outln!("\nscenarios:");
     for s in scenarios() {
-        println!("  {:<16} {}", s.name(), s.summary());
+        outln!("  {:<16} {}", s.name(), s.summary());
     }
 }
 
@@ -96,7 +97,6 @@ fn figure(structure: Structure, fig_no: u32, opts: &Options, all_rows: &mut Vec<
         composed: opts.composed.clone(),
         seed: opts.seed,
         include_sequential: true,
-        durable: opts.durable,
     };
     let rows = run_plan(&plan, opts);
     for &pct in &opts.composed {
@@ -133,7 +133,6 @@ fn summary(opts: &Options, all_rows: &mut Vec<BenchRow>) {
         composed: vec![opts.composed.last().copied().unwrap_or(15)],
         seed: opts.seed,
         include_sequential: true,
-        durable: opts.durable,
     };
     let rows = run_plan(&plan, opts);
     print_bench_rows(&rows);
@@ -152,24 +151,6 @@ fn summary(opts: &Options, all_rows: &mut Vec<BenchRow>) {
         }
     }
     all_rows.extend(rows);
-}
-
-/// `repro txkv`: the service-layer sweep — `summary` restricted to the
-/// `txkv-*` scenario family (all of it unless `--scenario` narrows the
-/// selection further). Rows carry the latency percentiles the service
-/// histogram records, so the tables grow p50/p99/p999 columns.
-fn txkv(opts: &Options, all_rows: &mut Vec<BenchRow>) {
-    let mut opts = opts.clone();
-    if opts.scenario.is_none() {
-        opts.scenario = Some(
-            scenarios()
-                .iter()
-                .filter(|s| s.name().starts_with("txkv-"))
-                .map(|s| s.name().to_string())
-                .collect(),
-        );
-    }
-    summary(&opts, all_rows);
 }
 
 /// Record one deterministic two-process composition on `backend`: the
@@ -298,15 +279,15 @@ fn trace(opts: &Options) -> ! {
             };
             let raw = recorder.raw_history();
             let committed = recorder.history();
-            println!("== {name} · {what}: {} step(s)/proc ==", opts.steps);
-            println!("-- raw attempt history ({} events) --", raw.events.len());
-            println!("{raw:#}");
-            println!(
+            outln!("== {name} · {what}: {} step(s)/proc ==", opts.steps);
+            outln!("-- raw attempt history ({} events) --", raw.events.len());
+            outln!("{raw:#}");
+            outln!(
                 "-- committed projection ({} events) --",
                 committed.events.len()
             );
-            println!("{committed:#}");
-            println!();
+            outln!("{committed:#}");
+            outln!();
         }
     }
     std::process::exit(0);
@@ -340,7 +321,7 @@ fn validate_json(opts: &Options) -> ! {
             ));
         }
     }
-    println!("{path}: OK ({} rows)", ids.len());
+    outln!("{path}: OK ({} rows)", ids.len());
     std::process::exit(0);
 }
 
@@ -363,7 +344,6 @@ fn cell(opts: &Options) -> ! {
         composed: opts.composed.clone(),
         seed: opts.seed,
         include_sequential: false,
-        durable: opts.durable,
     };
     let rows = run_matrix(&plan).unwrap_or_else(|e| die(&e));
     let text = bench::json::render(&rows, opts.seed);
@@ -375,8 +355,8 @@ fn cell(opts: &Options) -> ! {
 /// `repro recover <dir>`: replay a durable store directory (snapshot +
 /// WAL segments), repairing torn tails in place, and print the recovered
 /// image plus every diagnostic note. This is the operator-facing face of
-/// `durable::recover` — what you run after a crash (or to inspect a
-/// `--durable` bench cell's leftovers) to see exactly what survived.
+/// `durable::recover` — what you run after a crash to see exactly what
+/// survived.
 fn recover(opts: &Options) -> ! {
     let Some(dir) = opts.targets.get(1) else {
         die("recover needs a store directory; try --help");
@@ -387,7 +367,7 @@ fn recover(opts: &Options) -> ! {
     let vfs = durable::StdVfs::new(dir)
         .unwrap_or_else(|e| die(&format!("recover: cannot open {dir}: {e}")));
     let recovery = durable::recover(&vfs).unwrap_or_else(|e| die(&format!("recover: {dir}: {e}")));
-    println!(
+    outln!(
         "{dir}: recovered {} location(s) ({} from snapshot, {} WAL record(s) replayed, \
          last commit version {})",
         recovery.values.len(),
@@ -396,10 +376,10 @@ fn recover(opts: &Options) -> ! {
         recovery.last_version,
     );
     for note in &recovery.notes {
-        println!("  note: {note}");
+        outln!("  note: {note}");
     }
     for (key, word) in &recovery.values {
-        println!("  {key:>20} = {word}");
+        outln!("  {key:>20} = {word}");
     }
     std::process::exit(0);
 }
@@ -414,7 +394,6 @@ fn measure(name: &str) -> Option<Run> {
         "fig7" => |o, rows| figure(Structure::SkipList, 7, o, rows),
         "fig8" => |o, rows| figure(Structure::HashSet, 8, o, rows),
         "summary" => summary,
-        "txkv" => txkv,
         "all" => |o, rows| {
             figure(Structure::LinkedList, 6, o, rows);
             figure(Structure::SkipList, 7, o, rows);
@@ -428,7 +407,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&argv).unwrap_or_else(|e| die(&e));
     if opts.help {
-        print!("{USAGE}");
+        out!("{USAGE}");
         return;
     }
     if opts.list || opts.targets.first().map(String::as_str) == Some("list") {
@@ -458,7 +437,7 @@ fn main() {
         .iter()
         .map(|w| measure(w).unwrap_or_else(|| die(&format!("unknown target {w}; try --help"))))
         .collect();
-    println!(
+    outln!(
         "Composing Relaxed Transactions (IPDPS 2013) — evaluation reproduction\n\
          workload: 2^12 elements, 2^13 key range, 80% contains (Section VII-A)\n\
          seed: {}\n\
@@ -475,6 +454,6 @@ fn main() {
     if let Some(path) = &opts.json {
         let text = bench::json::render(&all_rows, opts.seed);
         std::fs::write(path, &text).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("\nwrote {} rows to {path}", all_rows.len());
+        outln!("\nwrote {} rows to {path}", all_rows.len());
     }
 }

@@ -19,10 +19,6 @@ targets:
   fig6 | fig7 | fig8   regenerate one figure's tables
   all                  fig6 + fig7 + fig8 (default)
   summary              full scenario x backend matrix + headline speedups
-  txkv                 the transactional KV service sweep: `summary`
-                       restricted to the txkv-* scenario family (skew,
-                       MULTI-size and read/write-mix sweeps with latency
-                       percentiles; narrow with --scenario)
   trace                record a deterministic two-process composition per
                        backend (--stm; default oe) — or --steps racing ops
                        of each --scenario — and dump the history in the
@@ -40,10 +36,6 @@ flags:
   --steps N            trace: composed children per recorded process
                        (default: 3)
   --json PATH          write every measured row as schema-stable JSON
-  --durable            measure with durability on: each cell logs every
-                       committed write through a group-committed WAL
-                       (fsync per batch) in a per-cell temp store
-                       (fsync-batch is the showcase scenario)
   --max-run-secs N     watchdog: measure each matrix row in a subprocess
                        and kill it after N seconds; killed rows are
                        reported as LIVELOCK (tables) / livelocked (JSON)
@@ -78,10 +70,6 @@ pub struct Options {
     /// is killed (and reported as livelocked) if it exceeds the bound.
     /// `None` (the default) measures in-process with no bound.
     pub max_run_secs: Option<u64>,
-    /// `--durable`: measure with the durability hook installed
-    /// ([`crate::scenario::MatrixPlan::durable`] semantics — per-cell
-    /// WAL + fsync through a temp-directory store).
-    pub durable: bool,
     /// `--list` / `list`: print registries and exit.
     pub list: bool,
     /// `--require-full-coverage` (for `validate-json`).
@@ -103,7 +91,6 @@ impl Default for Options {
             steps: 3,
             json: None,
             max_run_secs: None,
-            durable: false,
             list: false,
             require_full_coverage: false,
             help: false,
@@ -203,7 +190,6 @@ pub fn parse_args(argv: &[String]) -> Result<Options, String> {
                 opts.max_run_secs = Some(secs);
                 i += 1;
             }
-            "--durable" => opts.durable = true,
             "--list" => opts.list = true,
             "--require-full-coverage" => opts.require_full_coverage = true,
             "--help" | "-h" => opts.help = true,
@@ -283,13 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn durable_flag_parses_and_defaults_off() {
-        let o = parse_args(&args("summary --durable --stm tl2")).unwrap();
-        assert!(o.durable);
-        assert!(!parse_args(&[]).unwrap().durable);
-    }
-
-    #[test]
     fn recover_subcommand_shape() {
         let o = parse_args(&args("recover /var/lib/app/store")).unwrap();
         assert_eq!(o.targets, vec!["recover", "/var/lib/app/store"]);
@@ -359,14 +338,12 @@ mod tests {
             "--steps",
             "--json",
             "--max-run-secs",
-            "--durable",
             "--list",
             "--require-full-coverage",
             "validate-json",
             "recover",
             "summary",
             "trace",
-            "txkv",
         ] {
             assert!(USAGE.contains(flag), "usage text is missing {flag}");
         }

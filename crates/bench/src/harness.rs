@@ -41,12 +41,12 @@ pub struct Measurement {
     /// `outherit()` invocations — child protected sets passed to parents
     /// (OE-STM only; 0 elsewhere).
     pub outherits: u64,
-    /// Median per-op latency in µs (0 for workloads that don't record
-    /// latency — only the txkv service scenarios do).
+    /// Median latency in µs (0 for workloads that don't record latency —
+    /// only `wake-storm` does, as wake-up latency).
     pub p50_us: f64,
-    /// 99th-percentile per-op latency in µs (0 when not recorded).
+    /// 99th-percentile latency in µs (0 when not recorded).
     pub p99_us: f64,
-    /// 99.9th-percentile per-op latency in µs (0 when not recorded).
+    /// 99.9th-percentile latency in µs (0 when not recorded).
     pub p999_us: f64,
     /// Wall-clock duration measured.
     pub elapsed: Duration,
@@ -76,7 +76,7 @@ impl Measurement {
         }
     }
 
-    /// Attach a drained latency summary (txkv scenarios record per-op
+    /// Attach a drained latency summary (`wake-storm` records wake-up
     /// latency; everything else leaves the percentiles at 0).
     #[must_use]
     pub fn with_latency(mut self, latency: txkv::LatencySummary) -> Self {

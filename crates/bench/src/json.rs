@@ -42,11 +42,10 @@ pub const SCHEMA_VERSION: u64 = 2;
 /// `aborts` exist so a row round-trips losslessly through JSON: the
 /// watchdog measures each row in a subprocess and reassembles the
 /// [`BenchRow`] from the child's artifact ([`parse_rows`]). The
-/// `latency_*` trio carries per-op latency percentiles in microseconds;
-/// only the txkv service scenarios and `wake-storm` record them (0
-/// elsewhere). The one field outside this list is `livelocked`, written
-/// (as `1`) only on rows the progress watchdog killed and type-checked
-/// when present.
+/// `latency_*` trio carries latency percentiles in microseconds; only
+/// `wake-storm` records them, as wake-up latency (0 elsewhere). The one
+/// field outside this list is `livelocked`, written (as `1`) only on
+/// rows the progress watchdog killed and type-checked when present.
 pub const ROW_FIELDS: [(&str, bool); 22] = [
     ("scenario", false),
     ("backend", false),

@@ -27,6 +27,42 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `print!` for `repro`'s tables and listings: once stdout's reader has
+/// gone (`repro list | head`), the process ends quietly with exit 0
+/// instead of panicking on the broken pipe.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::out!("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// The body of [`out!`]: write `args` to stdout, and exit 0 if the
+/// reader has closed the pipe.
+///
+/// # Panics
+/// Panics on any other write failure, as `print!` does.
+#[doc(hidden)]
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 pub mod cli;
 pub mod harness;
 pub mod json;

@@ -101,20 +101,19 @@ pub fn run_figure_rows(
         composed: vec![composed_pct],
         seed,
         include_sequential: true,
-        durable: false,
     };
     run_matrix(&plan).expect("figure scenarios and backends are registered")
 }
 
 /// Print a figure's rows in the paper's two-panel format (throughput and
 /// abort rate per thread count), plus the relaxation/composition counters.
-/// Blocks where any row recorded per-op latency (the txkv service
-/// scenarios) gain three percentile columns; the paper-figure tables keep
+/// Blocks where any row recorded latency (`wake-storm`'s wake-up
+/// latency) gain three percentile columns; the paper-figure tables keep
 /// their original shape.
 pub fn print_figure(title: &str, rows: &[Row]) {
     let with_latency = rows.iter().any(|r| r.m.p999_us > 0.0);
-    println!("\n=== {title} ===");
-    print!(
+    outln!("\n=== {title} ===");
+    out!(
         "{:<20} {:>8} {:>16} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "system",
         "threads",
@@ -128,11 +127,11 @@ pub fn print_figure(title: &str, rows: &[Row]) {
         "cm-waits"
     );
     if with_latency {
-        print!(" {:>9} {:>9} {:>9}", "p50(us)", "p99(us)", "p999(us)");
+        out!(" {:>9} {:>9} {:>9}", "p50(us)", "p99(us)", "p999(us)");
     }
-    println!();
+    outln!();
     for r in rows {
-        print!(
+        out!(
             "{:<20} {:>8} {:>16.1} {:>11.1}% {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
             r.system,
             r.threads,
@@ -146,12 +145,14 @@ pub fn print_figure(title: &str, rows: &[Row]) {
             r.m.cm_waits
         );
         if with_latency {
-            print!(
+            out!(
                 " {:>9.0} {:>9.0} {:>9.0}",
-                r.m.p50_us, r.m.p99_us, r.m.p999_us
+                r.m.p50_us,
+                r.m.p99_us,
+                r.m.p999_us
             );
         }
-        println!();
+        outln!();
     }
 }
 
@@ -198,18 +199,18 @@ pub fn print_summary(structure: Structure, rows: &[Row]) {
     let Some(oe) = tp("OE-STM") else {
         return;
     };
-    println!(
+    outln!(
         "\n--- {} @ {} threads: OE-STM speedups ---",
         structure.name(),
         max_t
     );
     for sys in ["LSA", "TL2", "SwissTM"] {
         if let Some(other) = tp(sys) {
-            println!("  vs {sys:<8}: {:.2}x", oe / other);
+            outln!("  vs {sys:<8}: {:.2}x", oe / other);
         }
     }
     if let Some(seq) = tp("Sequential") {
-        println!("  vs Sequential(1-thread reference): {:.2}x", oe / seq);
+        outln!("  vs Sequential(1-thread reference): {:.2}x", oe / seq);
     }
 }
 

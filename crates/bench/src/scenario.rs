@@ -22,24 +22,14 @@
 //! | `queue-snapshot` | 2 × `TxQueue` | read-mostly: 80% peek/len snapshots |
 //! | `or-else-fallback` | 2 × `TxQueue` | `or_else` drain: primary retries on empty, fallback serves |
 //! | `contention-sweep` | 8 hot `TVar`s + gate | retry-storm pressure: hot RMWs + gated `or_else` retries |
-//! | `fsync-batch` | 64 `TVar` slots | write-heavy: nearly every op commits an update (the `--durable` axis's group-commit showcase) |
 //! | `wake-storm` | 4 mailbox `TVar`s | producers wake parked `retry()` consumers; rows carry wakeup-latency percentiles |
 //! | `waiter-army` | 1 × `TxQueue` | 85% blocking dequeues park on the head links; 15% enqueue bursts wake the crowd |
-//! | `txkv-uniform` | `KeySpace` | txkv service mix, uniform keys (the skew sweep's baseline) |
-//! | `txkv-zipf` | `KeySpace` | txkv service mix, zipfian(0.99) keys |
-//! | `txkv-hotspot` | `KeySpace` | txkv service mix, 90% of ops on 10% of keys |
-//! | `txkv-multi4` | `KeySpace` | MULTI-heavy, 4 keys per transaction (the MULTI-size sweep) |
-//! | `txkv-multi16` | `KeySpace` | MULTI-heavy, 16 keys per transaction |
-//! | `txkv-read-heavy` | `KeySpace` | 95% GET (the read/write-mix sweep's read end) |
-//! | `txkv-write-heavy` | `KeySpace` | 70% updates (the mix sweep's write end) |
 //!
-//! The `txkv-*` family drives the service layer (`crates/txkv`) and is the
-//! reason rows carry latency percentiles: each step is timed and recorded
-//! into the keyspace's lock-free histogram, and [`run_timed_dyn`] drains
-//! the histogram into the measurement's `p50/p99/p999` fields per window.
-//! The knobs (key distribution, op mix, MULTI size) are baked into the
-//! scenario names because [`ScenarioSpec`] construction is a plain fn
-//! pointer — each sweep point is its own named, reproducible row.
+//! Only `wake-storm` times anything inside its steps: its consumers
+//! record wake-up latency into a lock-free histogram, and
+//! [`run_timed_dyn`] drains it into the measurement's `p50/p99/p999`
+//! fields per window. The txkv keyspace and the durable commit path are
+//! measured by the repo benchmark's `kv-mem` and `kv-durable` workloads.
 
 use crate::harness::Measurement;
 use crate::report::{paper_hash_buckets, Structure};
@@ -50,7 +40,6 @@ use cec::{move_entry, total_size, HashSet, LinkedListSet, SetExt, SkipListSet, T
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stm_core::api::{Atomic, Policy};
 use stm_core::dynstm::{Backend, BackendRegistry};
@@ -71,9 +60,9 @@ pub trait Workload: Sync {
     /// Execute one sampled high-level operation.
     fn step(&self, at: &Atomic<Backend>, rng: &mut SmallRng);
 
-    /// Drain and return per-op latency percentiles recorded since the
-    /// last call, for workloads that time their steps (the txkv family).
-    /// The default — throughput-only workloads — records nothing.
+    /// Drain and return latency percentiles recorded since the last
+    /// call, for workloads that time their steps (`wake-storm`). The
+    /// default — throughput-only workloads — records nothing.
     fn take_latency(&self) -> Option<txkv::LatencySummary> {
         None
     }
@@ -509,81 +498,6 @@ fn build_contention_sweep(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
 }
 
 // ---------------------------------------------------------------------
-// Fsync-batch scenario: write-heavy commits for the durability axis.
-// ---------------------------------------------------------------------
-
-/// Independent write targets: enough that conflict aborts stay rare, so
-/// nearly every op is a *successful update commit* — the event that costs
-/// an fsync under `--durable`.
-const FSYNC_BATCH_VARS: usize = 64;
-
-/// The `--durable` axis's showcase: almost every operation commits a
-/// small update, so with a commit hook installed every op pays the WAL
-/// append and the group-commit protocol has a steady committer stream to
-/// batch. Single-threaded, each commit tends to buy its own fsync; with
-/// more committers one leader fsync covers a whole batch, which is the
-/// amortization the thread sweep makes visible. Without `--durable` it is
-/// simply a write-heavy low-conflict workload.
-///
-/// * 70% single-slot increments (one-word WAL records);
-/// * 20% two-slot transfers (two-word records, varying the batch shape);
-/// * 10% read-only sums over 8 slots — commits with an empty write set,
-///   which the hook seam must skip for free.
-struct FsyncBatchWorkload {
-    slots: Vec<TVar<u64>>,
-}
-
-impl FsyncBatchWorkload {
-    fn new() -> Self {
-        Self {
-            slots: (0..FSYNC_BATCH_VARS as u64).map(TVar::new).collect(),
-        }
-    }
-}
-
-impl Workload for FsyncBatchWorkload {
-    fn prefill(&self, at: &Atomic<Backend>, seed: u64) {
-        at.run(Policy::Regular, |tx| {
-            for (i, v) in self.slots.iter().enumerate() {
-                tx.set(v, seed.wrapping_add(i as u64))?;
-            }
-            Ok(())
-        });
-    }
-
-    fn step(&self, at: &Atomic<Backend>, rng: &mut SmallRng) {
-        let roll = rng.gen_range(0..100u32);
-        let i = rng.gen_range(0..FSYNC_BATCH_VARS as i64) as usize;
-        if roll < 70 {
-            at.run(Policy::Regular, |tx| {
-                tx.modify(&self.slots[i], |v| v.wrapping_add(1)).map(|_| ())
-            });
-        } else if roll < 90 {
-            let j = (i + 1 + rng.gen_range(0..(FSYNC_BATCH_VARS - 1) as i64) as usize)
-                % FSYNC_BATCH_VARS;
-            at.run(Policy::Regular, |tx| {
-                let take = tx.get(&self.slots[i])? & 0xF;
-                tx.modify(&self.slots[i], |v| v.wrapping_sub(take))?;
-                tx.modify(&self.slots[j], |v| v.wrapping_add(take))
-                    .map(|_| ())
-            });
-        } else {
-            at.run(Policy::Regular, |tx| {
-                let mut acc = 0u64;
-                for v in &self.slots[i.min(FSYNC_BATCH_VARS - 8)..][..8] {
-                    acc = acc.wrapping_add(tx.get(v)?);
-                }
-                Ok(acc)
-            });
-        }
-    }
-}
-
-fn build_fsync_batch(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    Box::new(FsyncBatchWorkload::new())
-}
-
-// ---------------------------------------------------------------------
 // Wake-storm scenario: committing producers wake parked consumers.
 // ---------------------------------------------------------------------
 
@@ -725,142 +639,6 @@ fn build_waiter_army(mix: Mix) -> Box<dyn Workload + Send + Sync> {
 }
 
 // ---------------------------------------------------------------------
-// The txkv service family: keyed traffic with latency percentiles.
-// ---------------------------------------------------------------------
-
-/// Key universe of the txkv scenarios (matches the paper mixes'
-/// `DEFAULT_KEY_RANGE`; prefilled to 50%).
-const TXKV_CAPACITY: usize = 1 << 13;
-
-/// The service-layer workload: each step samples a key from the baked
-/// distribution, runs one GET/SET/CAS/DEL/MULTI against the keyspace,
-/// and records the op's service time into the lock-free histogram.
-/// Latency is closed-loop here (service time, not queueing delay) so
-/// rows stay comparable across backends of very different
-/// capacity; the open-loop driver with arrival pacing lives in
-/// `txkv::loadgen` and the `examples/txkv_demo.rs` walkthrough.
-struct TxKvWorkload {
-    ks: txkv::KeySpace,
-    sampler: txkv::KeySampler,
-    mix: txkv::OpMix,
-    multi_size: usize,
-    hist: txkv::LatencyHistogram,
-}
-
-impl TxKvWorkload {
-    fn new(dist: txkv::KeyDist, mix: txkv::OpMix, multi_size: usize) -> Self {
-        Self {
-            ks: txkv::KeySpace::new(txkv::ShardKind::Hash, 1, TXKV_CAPACITY),
-            sampler: txkv::KeySampler::new(dist, TXKV_CAPACITY),
-            mix,
-            multi_size,
-            hist: txkv::LatencyHistogram::new(),
-        }
-    }
-}
-
-impl Workload for TxKvWorkload {
-    fn prefill(&self, at: &Atomic<Backend>, seed: u64) {
-        txkv::loadgen::prefill(&self.ks, at, seed);
-    }
-
-    fn step(&self, at: &Atomic<Backend>, rng: &mut SmallRng) {
-        let started = Instant::now();
-        txkv::loadgen::run_one_op(&self.ks, at, rng, &self.sampler, &self.mix, self.multi_size);
-        self.hist.record_us(started.elapsed().as_micros() as u64);
-    }
-
-    fn take_latency(&self) -> Option<txkv::LatencySummary> {
-        Some(self.hist.drain())
-    }
-}
-
-/// A MULTI-heavy mix for the MULTI-size sweep: every fifth op is a
-/// multi-key read-modify-write.
-fn txkv_multi_mix() -> txkv::OpMix {
-    txkv::OpMix {
-        get_pct: 60,
-        set_pct: 15,
-        cas_pct: 3,
-        del_pct: 2,
-        multi_pct: 20,
-    }
-}
-
-fn build_txkv_uniform(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    Box::new(TxKvWorkload::new(
-        txkv::KeyDist::Uniform,
-        txkv::OpMix::service(),
-        4,
-    ))
-}
-
-fn build_txkv_zipf(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    Box::new(TxKvWorkload::new(
-        txkv::KeyDist::Zipfian { theta: 0.99 },
-        txkv::OpMix::service(),
-        4,
-    ))
-}
-
-fn build_txkv_hotspot(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    Box::new(TxKvWorkload::new(
-        txkv::KeyDist::Hotspot {
-            hot_keys: 0.1,
-            hot_ops: 0.9,
-        },
-        txkv::OpMix::service(),
-        4,
-    ))
-}
-
-fn build_txkv_multi4(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    Box::new(TxKvWorkload::new(
-        txkv::KeyDist::Zipfian { theta: 0.99 },
-        txkv_multi_mix(),
-        4,
-    ))
-}
-
-fn build_txkv_multi16(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    Box::new(TxKvWorkload::new(
-        txkv::KeyDist::Zipfian { theta: 0.99 },
-        txkv_multi_mix(),
-        16,
-    ))
-}
-
-fn build_txkv_read_heavy(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    Box::new(TxKvWorkload::new(
-        txkv::KeyDist::Zipfian { theta: 0.99 },
-        txkv::OpMix {
-            get_pct: 95,
-            set_pct: 3,
-            cas_pct: 1,
-            del_pct: 0,
-            multi_pct: 1,
-        },
-        4,
-    ))
-}
-
-fn build_txkv_write_heavy(_mix: Mix) -> Box<dyn Workload + Send + Sync> {
-    // The write end of the mix sweep: most ops change a slot, and the
-    // DELs and the inserts behind SETs change presence words.
-    Box::new(TxKvWorkload::new(
-        txkv::KeyDist::Zipfian { theta: 0.99 },
-        txkv::OpMix {
-            get_pct: 30,
-            set_pct: 40,
-            cas_pct: 10,
-            del_pct: 10,
-            multi_pct: 10,
-        },
-        4,
-    ))
-}
-
-// ---------------------------------------------------------------------
 // Registries.
 // ---------------------------------------------------------------------
 
@@ -941,14 +719,6 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
             sequential: None,
         },
         ScenarioSpec {
-            name: "fsync-batch",
-            summary: "write-heavy update commits: group-commit batching (the --durable axis)",
-            structure: "64xTVar",
-            uses_composed_pct: false,
-            build: build_fsync_batch,
-            sequential: None,
-        },
-        ScenarioSpec {
             name: "wake-storm",
             summary: "producers wake parked retry() consumers; wakeup-latency percentiles",
             structure: "4xTVar-mailbox",
@@ -962,62 +732,6 @@ pub fn scenarios() -> Vec<ScenarioSpec> {
             structure: "TxQueue",
             uses_composed_pct: false,
             build: build_waiter_army,
-            sequential: None,
-        },
-        ScenarioSpec {
-            name: "txkv-uniform",
-            summary: "txkv service mix over uniform keys (skew sweep baseline)",
-            structure: "KeySpace",
-            uses_composed_pct: false,
-            build: build_txkv_uniform,
-            sequential: None,
-        },
-        ScenarioSpec {
-            name: "txkv-zipf",
-            summary: "txkv service mix over zipfian(0.99) keys (skew sweep)",
-            structure: "KeySpace",
-            uses_composed_pct: false,
-            build: build_txkv_zipf,
-            sequential: None,
-        },
-        ScenarioSpec {
-            name: "txkv-hotspot",
-            summary: "txkv service mix, 90% of ops on 10% of keys (skew sweep)",
-            structure: "KeySpace",
-            uses_composed_pct: false,
-            build: build_txkv_hotspot,
-            sequential: None,
-        },
-        ScenarioSpec {
-            name: "txkv-multi4",
-            summary: "txkv MULTI-heavy, 4 keys per txn (MULTI-size sweep)",
-            structure: "KeySpace",
-            uses_composed_pct: false,
-            build: build_txkv_multi4,
-            sequential: None,
-        },
-        ScenarioSpec {
-            name: "txkv-multi16",
-            summary: "txkv MULTI-heavy, 16 keys per txn (MULTI-size sweep)",
-            structure: "KeySpace",
-            uses_composed_pct: false,
-            build: build_txkv_multi16,
-            sequential: None,
-        },
-        ScenarioSpec {
-            name: "txkv-read-heavy",
-            summary: "txkv 95% GET (read end of the read/write-mix sweep)",
-            structure: "KeySpace",
-            uses_composed_pct: false,
-            build: build_txkv_read_heavy,
-            sequential: None,
-        },
-        ScenarioSpec {
-            name: "txkv-write-heavy",
-            summary: "txkv 70% updates (write end of the mix sweep)",
-            structure: "KeySpace",
-            uses_composed_pct: false,
-            build: build_txkv_write_heavy,
             sequential: None,
         },
     ]
@@ -1132,12 +846,6 @@ pub struct MatrixPlan {
     /// Include the uninstrumented sequential reference rows where a
     /// scenario has one.
     pub include_sequential: bool,
-    /// Measure with durability on: every cell gets a fresh
-    /// [`durable::DurableStore`] over a real temp directory (identity-mode
-    /// heap — every committed write is WAL-logged at full fsync cost) and
-    /// its hook installed via `StmConfig::with_commit_hook`. Sequential
-    /// reference rows are unaffected (no STM, no commits to log).
-    pub durable: bool,
 }
 
 impl MatrixPlan {
@@ -1157,48 +865,7 @@ impl MatrixPlan {
             composed,
             seed,
             include_sequential: true,
-            durable: false,
         }
-    }
-}
-
-/// The per-cell durability rig for [`run_matrix`]'s `--durable` axis: a
-/// [`durable::DurableStore`] over a unique real-filesystem temp directory,
-/// removed (store first, then directory) when the cell ends.
-struct DurableCell {
-    store: durable::DurableStore,
-    dir: std::path::PathBuf,
-}
-
-impl DurableCell {
-    fn open(cell_no: usize) -> Result<Self, String> {
-        let dir =
-            std::env::temp_dir().join(format!("repro-durable-{}-{cell_no}", std::process::id()));
-        let vfs = durable::StdVfs::new(&dir)
-            .map_err(|e| format!("cannot create durable dir {}: {e}", dir.display()))?;
-        // Identity-mode heap: scenario workloads hide their TVars inside
-        // data structures, so per-location registration is impossible —
-        // and unnecessary, since the axis measures commit-time durability
-        // cost, not restart-by-name recovery.
-        let (store, _) = durable::DurableStore::open_identity(Arc::new(vfs))
-            .map_err(|e| format!("cannot open durable store in {}: {e}", dir.display()))?;
-        Ok(Self { store, dir })
-    }
-
-    fn hook(&self) -> Arc<dyn stm_core::hook::CommitHook> {
-        self.store.hook()
-    }
-}
-
-impl Drop for DurableCell {
-    fn drop(&mut self) {
-        if let Some(err) = self.store.io_error() {
-            eprintln!(
-                "warning: durable cell {} lost durability mid-measurement: {err}",
-                self.dir.display()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -1243,7 +910,6 @@ pub fn run_matrix(plan: &MatrixPlan) -> Result<Vec<BenchRow>, String> {
         .collect::<Result<_, _>>()?;
 
     let mut rows = Vec::new();
-    let mut cell_no = 0usize;
     for spec in &specs {
         let pcts: &[u32] = if spec.uses_composed_pct() {
             &plan.composed
@@ -1276,22 +942,9 @@ pub fn run_matrix(plan: &MatrixPlan) -> Result<Vec<BenchRow>, String> {
                 }
             }
             for name in &plan.backends {
-                // The durable rig lives exactly as long as the cell: a
-                // fresh store (and temp dir) per (scenario, backend), torn
-                // down before the next cell opens.
-                let durable_cell = if plan.durable {
-                    cell_no += 1;
-                    Some(DurableCell::open(cell_no)?)
-                } else {
-                    None
-                };
-                let cfg = match &durable_cell {
-                    Some(cell) => StmConfig::default().with_commit_hook(cell.hook()),
-                    None => StmConfig::default(),
-                };
                 let at = Atomic::new(
                     registry
-                        .build(name, cfg)
+                        .build(name, StmConfig::default())
                         .expect("validated against the registry above"),
                 );
                 let workload = spec.build(mix);
@@ -1341,68 +994,14 @@ mod tests {
                 "queue-snapshot",
                 "or-else-fallback",
                 "contention-sweep",
-                "fsync-batch",
                 "wake-storm",
-                "waiter-army",
-                "txkv-uniform",
-                "txkv-zipf",
-                "txkv-hotspot",
-                "txkv-multi4",
-                "txkv-multi16",
-                "txkv-read-heavy",
-                "txkv-write-heavy"
+                "waiter-army"
             ]
         );
         assert!(scenario("fig6").unwrap().uses_composed_pct());
         assert!(!scenario("bank-transfer").unwrap().uses_composed_pct());
         assert!(!scenario("contention-sweep").unwrap().uses_composed_pct());
-        assert!(!scenario("fsync-batch").unwrap().uses_composed_pct());
-        for s in scenarios() {
-            assert_eq!(
-                s.name().starts_with("txkv-"),
-                s.structure() == "KeySpace",
-                "{} structure {}",
-                s.name(),
-                s.structure()
-            );
-            if s.name().starts_with("txkv-") {
-                assert!(!s.uses_composed_pct(), "{}", s.name());
-            }
-        }
         assert!(scenario("nope").is_none());
-    }
-
-    #[test]
-    fn txkv_scenarios_report_latency_percentiles() {
-        let plan = MatrixPlan {
-            scenarios: vec!["txkv-zipf".into(), "txkv-multi4".into()],
-            backends: vec!["oe".into(), "tl2".into()],
-            threads: vec![1, 2],
-            duration: Duration::from_millis(30),
-            composed: vec![5],
-            seed: 21,
-            include_sequential: true,
-            durable: false,
-        };
-        let rows = run_matrix(&plan).expect("valid plan");
-        // No sequential reference: 2 scenarios × 2 backends × 2 threads.
-        assert_eq!(rows.len(), 8);
-        for r in &rows {
-            assert!(r.m.ops > 0, "{}/{} produced no ops", r.scenario, r.backend);
-            assert!(
-                r.m.p50_us > 0.0 || r.m.p999_us > 0.0,
-                "{}/{} @ {} threads: txkv rows must carry latency, got {:?}",
-                r.scenario,
-                r.backend,
-                r.threads,
-                r.m
-            );
-            assert!(r.m.p50_us <= r.m.p99_us && r.m.p99_us <= r.m.p999_us);
-        }
-        // The latency fields survive the JSON round trip (schema v2).
-        let text = crate::json::render(&rows, 21);
-        let back = crate::json::parse_rows(&text).expect("v2 rows round-trip");
-        assert!(back.iter().any(|r| r.m.p99_us > 0.0));
     }
 
     #[test]
@@ -1415,7 +1014,6 @@ mod tests {
             composed: vec![5],
             seed: 4,
             include_sequential: false,
-            durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
         assert_eq!(rows[0].m.p50_us, 0.0);
@@ -1436,7 +1034,6 @@ mod tests {
             composed: vec![5],
             seed: 42,
             include_sequential: true,
-            durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
         // fig8: sequential + 2 backends; the other two scenarios: 2
@@ -1474,7 +1071,6 @@ mod tests {
             composed: vec![5],
             seed: 9,
             include_sequential: true,
-            durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
         // No sequential reference for this scenario: one row per backend.
@@ -1504,7 +1100,6 @@ mod tests {
             composed: vec![15],
             seed: 7,
             include_sequential: false,
-            durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
         let oe = rows.iter().find(|r| r.backend == "oe").unwrap();
@@ -1527,7 +1122,6 @@ mod tests {
             composed: vec![0, 15],
             seed: 5,
             include_sequential: false,
-            durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
         assert_eq!(rows.len(), 4, "2 backends x 2 composed ratios");
@@ -1570,7 +1164,6 @@ mod tests {
             composed: vec![5],
             seed: 3,
             include_sequential: true,
-            durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
         assert_eq!(rows.len(), 2, "no sequential reference for this scenario");
@@ -1595,7 +1188,6 @@ mod tests {
             composed: vec![5],
             seed: 17,
             include_sequential: true,
-            durable: false,
         };
         let rows = run_matrix(&plan).expect("valid plan");
         assert_eq!(rows.len(), 4, "no sequential reference for either");
@@ -1626,39 +1218,5 @@ mod tests {
         let text = crate::json::render(&rows, 17);
         let back = crate::json::parse_rows(&text).expect("rows round-trip");
         assert!(back.iter().all(|r| r.m.retry_parks > 0 && r.m.wakeups > 0));
-    }
-
-    #[test]
-    fn durable_axis_logs_commits_and_cleans_its_temp_dirs_up() {
-        let plan = MatrixPlan {
-            scenarios: vec!["fsync-batch".into()],
-            backends: vec!["tl2".into(), "lsa".into()],
-            threads: vec![1, 2],
-            duration: Duration::from_millis(30),
-            composed: vec![5],
-            seed: 11,
-            include_sequential: true,
-            durable: true,
-        };
-        let rows = run_matrix(&plan).expect("valid plan");
-        // No sequential reference for fsync-batch: 2 backends × 2 threads.
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert!(
-                r.m.ops > 0,
-                "{}/{} produced no ops under --durable",
-                r.scenario,
-                r.backend
-            );
-        }
-        // Every per-cell store directory must be gone again.
-        let pid = std::process::id();
-        let leftovers: Vec<_> = std::fs::read_dir(std::env::temp_dir())
-            .expect("temp dir listable")
-            .filter_map(Result::ok)
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with(&format!("repro-durable-{pid}-")))
-            .collect();
-        assert!(leftovers.is_empty(), "leaked durable dirs: {leftovers:?}");
     }
 }

@@ -45,7 +45,7 @@ impl Cell {
     /// The child's argument vector: the hidden `__cell` target restricted
     /// to exactly this row, writing its artifact to `json_path`.
     fn child_args(&self, plan: &MatrixPlan, json_path: &Path) -> Vec<String> {
-        let mut args = vec![
+        vec![
             "__cell".to_string(),
             "--scenario".to_string(),
             self.scenario.clone(),
@@ -61,11 +61,7 @@ impl Cell {
             plan.seed.to_string(),
             "--json".to_string(),
             json_path.display().to_string(),
-        ];
-        if plan.durable {
-            args.push("--durable".to_string());
-        }
-        args
+        ]
     }
 
     /// The zeroed livelock report standing in for the row the watchdog
@@ -254,8 +250,7 @@ mod tests {
             backend: "tl2".into(),
             threads: 4,
         };
-        let mut plan = MatrixPlan::new(vec![4], Duration::from_millis(250), vec![15], 99);
-        plan.durable = true;
+        let plan = MatrixPlan::new(vec![4], Duration::from_millis(250), vec![15], 99);
         let args = cell.child_args(&plan, Path::new("/tmp/x.json"));
         let joined = args.join(" ");
         assert!(joined.starts_with("__cell "), "{joined}");
@@ -267,7 +262,6 @@ mod tests {
             "--duration-ms 250",
             "--seed 99",
             "--json /tmp/x.json",
-            "--durable",
         ] {
             assert!(joined.contains(want), "missing {want} in {joined}");
         }
@@ -275,7 +269,6 @@ mod tests {
         let opts = crate::cli::parse_args(&args).expect("child argv parses");
         assert_eq!(opts.targets, vec!["__cell"]);
         assert_eq!(opts.threads, vec![4]);
-        assert!(opts.durable, "--durable must survive the round trip");
     }
 
     #[test]

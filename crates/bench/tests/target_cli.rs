@@ -1,5 +1,6 @@
 //! End-to-end tests of `repro`'s target names: every measuring target is
-//! resolved before any runs, and `--help`/`--list` win over a bad name.
+//! resolved before any runs, `--help`/`--list` win over a bad name, and
+//! a closed stdout ends a listing quietly.
 
 use std::process::{Command, Output};
 
@@ -49,5 +50,29 @@ fn help_and_list_win_over_an_unknown_target() {
         text(&out.stdout).starts_with("backends:"),
         "{}",
         text(&out.stdout)
+    );
+}
+
+#[test]
+fn a_reader_that_has_gone_ends_the_listing_quietly() {
+    // The read end is closed before `repro` starts, so its first write
+    // meets a broken pipe every time, as `repro list | head` can.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        text(&out.stderr)
+    );
+    assert!(
+        !text(&out.stderr).contains("panicked"),
+        "{}",
+        text(&out.stderr)
     );
 }

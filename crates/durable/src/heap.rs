@@ -40,7 +40,6 @@ use crate::wal::Wal;
 #[derive(Debug, Default)]
 pub struct DurableHeap {
     keys: RwLock<HashMap<usize, u64>>,
-    identity: bool,
 }
 
 impl DurableHeap {
@@ -48,26 +47,6 @@ impl DurableHeap {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A registry in **identity mode**: every core is implicitly
-    /// registered under its own id. Keys are address-based and therefore
-    /// *not* restart-stable — this mode exists for measurement (the
-    /// bench's `--durable` axis logs every committed write at full fsync
-    /// cost without having to name the TVars hidden inside a workload's
-    /// data structures), not for state that must be recovered by name.
-    #[must_use]
-    pub fn identity() -> Self {
-        Self {
-            keys: RwLock::new(HashMap::new()),
-            identity: true,
-        }
-    }
-
-    /// Whether this registry is in identity mode.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.identity
     }
 
     /// Register `core` under `key`. Registering while transactions are
@@ -80,13 +59,9 @@ impl DurableHeap {
             .insert(core.id(), key);
     }
 
-    /// The stable key of `core_id`, if registered. In identity mode
-    /// every core maps to its own id.
+    /// The stable key of `core_id`, if registered.
     #[must_use]
     pub fn key_of(&self, core_id: usize) -> Option<u64> {
-        if self.identity {
-            return Some(core_id as u64);
-        }
         self.keys
             .read()
             .expect("durable heap lock")
@@ -144,20 +119,14 @@ impl DurableHook {
 impl CommitHook for DurableHook {
     fn on_commit(&self, record: &WriteRecord<'_>) {
         let version = record.version();
-        let seq = if self.heap.identity {
-            self.wal.stage(version, |push| {
-                record.for_each(&mut |core_id, word| push(core_id as u64, word));
-            })
-        } else {
-            let keys = self.heap.keys.read().expect("durable heap lock");
-            self.wal.stage(version, |push| {
-                record.for_each(&mut |core_id, word| {
-                    if let Some(&key) = keys.get(&core_id) {
-                        push(key, word);
-                    }
-                });
-            })
-        };
+        let keys = self.heap.keys.read().expect("durable heap lock");
+        let seq = self.wal.stage(version, |push| {
+            record.for_each(&mut |core_id, word| {
+                if let Some(&key) = keys.get(&core_id) {
+                    push(key, word);
+                }
+            });
+        });
         // No record (nothing registered, or the WAL is poisoned): the
         // committer waits for what it observed instead.
         record.defer(&self.wal, seq.unwrap_or(0));
@@ -202,36 +171,6 @@ mod tests {
         assert_eq!(records[0].version, 12);
         assert_eq!(records[0].writes, vec![(77, 41)], "transient core skipped");
         assert!(hook.io_error().is_none());
-    }
-
-    #[test]
-    fn identity_heap_logs_every_core_under_its_own_id() {
-        let mem = Arc::new(MemVfs::new());
-        let heap = Arc::new(DurableHeap::identity());
-        assert!(heap.is_identity());
-        let wal = Arc::new(Wal::open(mem.clone() as Arc<dyn Vfs>));
-        let hook = DurableHook::new(Arc::clone(&heap), wal);
-
-        let a = TVar::new(0u64);
-        let b = TVar::new(0u64);
-        assert_eq!(heap.key_of(a.core().id()), Some(a.core().id() as u64));
-
-        let writes: Vec<(usize, u64)> = vec![(a.core().id(), 1), (b.core().id(), 2)];
-        let iter = |f: &mut dyn FnMut(usize, u64)| {
-            for &(id, w) in &writes {
-                f(id, w);
-            }
-        };
-        hook.on_commit(&WriteRecord::new(3, writes.len(), &iter));
-        hook.wal().flush().unwrap();
-
-        let (records, _, err) = record::decode_stream(&mem.read(WAL_FILE).unwrap());
-        assert!(err.is_none());
-        assert_eq!(
-            records[0].writes,
-            vec![(a.core().id() as u64, 1), (b.core().id() as u64, 2)],
-            "no registration needed in identity mode"
-        );
     }
 
     #[test]

@@ -45,27 +45,8 @@ impl DurableStore {
     /// Propagates [`recover::RecoverError`] (corrupt committed snapshot,
     /// filesystem failure).
     pub fn open(vfs: Arc<dyn Vfs>) -> Result<(Self, Recovery), recover::RecoverError> {
-        Self::open_with_heap(vfs, DurableHeap::new())
-    }
-
-    /// Like [`open`](Self::open), but with the heap in **identity mode**:
-    /// every committed write is logged under its core id without
-    /// registration. Measurement-grade durability for the bench's
-    /// `--durable` axis (see [`DurableHeap::identity`]) — the logged keys
-    /// are not restart-stable names.
-    ///
-    /// # Errors
-    /// Propagates [`recover::RecoverError`], exactly like `open`.
-    pub fn open_identity(vfs: Arc<dyn Vfs>) -> Result<(Self, Recovery), recover::RecoverError> {
-        Self::open_with_heap(vfs, DurableHeap::identity())
-    }
-
-    fn open_with_heap(
-        vfs: Arc<dyn Vfs>,
-        heap: DurableHeap,
-    ) -> Result<(Self, Recovery), recover::RecoverError> {
         let recovery = recover::recover(vfs.as_ref())?;
-        let heap = Arc::new(heap);
+        let heap = Arc::new(DurableHeap::new());
         let wal = Arc::new(Wal::open_at(vfs, recovery.wal_len));
         let hook = Arc::new(DurableHook::new(Arc::clone(&heap), Arc::clone(&wal)));
         Ok((Self { heap, wal, hook }, recovery))

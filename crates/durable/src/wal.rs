@@ -93,8 +93,9 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// Group-commit accounting, for tests and the bench `fsync-batch`
-/// scenario.
+/// Group-commit accounting, for tests and the repo benchmark's
+/// `kv-durable` workload (its `durable.flushes` and
+/// `durable.records_per_flush` metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalStats {
     /// Records appended (== committed update transactions logged).

@@ -1,14 +1,14 @@
 //! `txkv` — the service layer over the STM reproduction: a transactional
-//! keyspace with multi-key transactions, an open-loop load generator, and
-//! latency-percentile measurement.
+//! keyspace with multi-key transactions, the load shapes that drive it,
+//! and a latency histogram.
 //!
 //! The rest of the workspace reproduces the paper bottom-up (backends,
 //! the `atomic` facade, composable collections, durability). This crate
 //! composes those layers into what they exist *for*: a keyed service that
 //! looks like real traffic — skewed key popularity, a read/write/MULTI
-//! mix, multi-key transactions — and that reports service-level numbers
-//! (throughput **and** p50/p99/p999 latency), because every future
-//! optimization has to justify itself against exactly those numbers.
+//! mix, multi-key transactions — whose service-level numbers (throughput
+//! **and** p50/p99 latency, measured by the repo benchmark) every future
+//! optimization has to justify itself against.
 //!
 //! Three modules:
 //!
@@ -21,9 +21,9 @@
 //! * [`hist`] — the fixed-bucket lock-free latency histogram. The record
 //!   path is allocation-free (pinned by the workspace `zero_alloc` test)
 //!   and the file carries the `lint:hot-path` tag.
-//! * [`loadgen`] — zipfian/hotspot/uniform key sampling, the op-mix and
-//!   MULTI-size knobs, and the open-loop driver that schedules arrivals
-//!   at a fixed rate and charges queueing delay to latency.
+//! * [`loadgen`] — zipfian/hotspot/uniform key sampling and the op mix.
+//!   The repo benchmark's `kv-mem` and `kv-durable` workloads build their
+//!   op streams from them and measure the keyspace end to end.
 
 #![forbid(unsafe_code)]
 
@@ -33,4 +33,4 @@ pub mod loadgen;
 
 pub use hist::{LatencyHistogram, LatencySummary};
 pub use keyspace::{KeySpace, MultiOp, ShardKind};
-pub use loadgen::{KeyDist, KeySampler, LoadReport, LoadSpec, OpMix};
+pub use loadgen::{KeyDist, KeySampler, OpMix};

@@ -1,6 +1,7 @@
 //! The txkv service layer in five minutes: a transactional keyspace,
-//! single-key ops, a two-key MULTI transfer, and the open-loop load
-//! generator with latency percentiles.
+//! single-key ops and a two-key MULTI transfer. The repo benchmark's
+//! `kv-mem` and `kv-durable` workloads measure the same keyspace under
+//! load.
 //!
 //! ```sh
 //! cargo run --example txkv_demo
@@ -15,10 +16,7 @@
 
 use composing_relaxed_transactions::oe_stm::OeStm;
 use composing_relaxed_transactions::stm_core::api::Atomic;
-use composing_relaxed_transactions::txkv::{
-    loadgen, KeyDist, KeySpace, LatencyHistogram, LoadSpec, MultiOp, OpMix, ShardKind,
-};
-use std::time::Duration;
+use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
 
 fn main() {
     let stm = Atomic::new(OeStm::new());
@@ -58,29 +56,4 @@ fn main() {
     assert_eq!(ks.get(&stm, src), Some(750));
     assert_eq!(ks.get(&stm, dst), Some(250));
     println!("MULTI transfer: moved 250 from key {src} to key {dst} atomically");
-
-    // --- the open-loop load generator -------------------------------------
-    // Four clients offer a fixed 2000 ops/s each (open loop: the recorded
-    // latency includes queueing delay when the service lags the offered
-    // rate), sampling keys zipfian-skewed, with the default service mix.
-    loadgen::prefill(&ks, &stm, 61713);
-    let spec = LoadSpec {
-        clients: 4,
-        duration: Duration::from_millis(500),
-        rate_per_client: 2000.0,
-        dist: KeyDist::Zipfian { theta: 0.99 },
-        mix: OpMix::service(),
-        multi_size: 4,
-        seed: 61713,
-    };
-    let hist = LatencyHistogram::new();
-    let report = loadgen::run_open_loop(&ks, &stm, &spec, &hist);
-    println!(
-        "open loop: {} ops in {:?} ({:.1} ops/ms offered-load-paced)",
-        report.ops, report.elapsed, report.throughput
-    );
-    println!(
-        "latency: p50 {:.0}us  p99 {:.0}us  p999 {:.0}us ({} samples)",
-        report.latency.p50_us, report.latency.p99_us, report.latency.p999_us, report.latency.count
-    );
 }

@@ -13,8 +13,8 @@
 //! * [`histories`] — the executable formal model of Sections II–IV
 //! * [`cec`] — the composable collections package of Section VI
 //! * [`txkv`] — the service layer: a transactional keyspace
-//!   (`GET`/`SET`/`CAS`/`DEL`/`MULTI`) with open-loop load generation and
-//!   latency-percentile measurement
+//!   (`GET`/`SET`/`CAS`/`DEL`/`MULTI`), the key-skew and op-mix load
+//!   shapes that drive it, and a latency histogram
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system map.
 

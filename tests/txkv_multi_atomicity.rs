@@ -33,6 +33,7 @@ use composing_relaxed_transactions::stm_core::api::Atomic;
 use composing_relaxed_transactions::stm_core::api::Policy;
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
 use composing_relaxed_transactions::stm_core::{Abort, AbortReason, OptionWord, StmConfig, TVar};
+use composing_relaxed_transactions::txkv::loadgen::MAX_MULTI_SIZE;
 use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
 use durable::{DurableStore, MemVfs, Vfs};
 use proptest::prelude::*;
@@ -105,9 +106,16 @@ fn check_cell(backend: &str, per_thread: &[Vec<Vec<i64>>]) {
     );
 }
 
-/// One thread's MULTI list: up to 6 transactions of 2..=4 keys each.
+/// One thread's MULTI list: up to 7 transactions of 2 to
+/// [`MAX_MULTI_SIZE`] keys each, the first of them full size, so both
+/// threads open with the largest MULTI a load shape asks for racing.
 fn multis() -> impl Strategy<Value = Vec<Vec<i64>>> {
-    prop::collection::vec(prop::collection::vec(0..CAPACITY as i64, 2..5), 1..7)
+    let keys = || 0..CAPACITY as i64;
+    (
+        prop::collection::vec(keys(), MAX_MULTI_SIZE),
+        prop::collection::vec(prop::collection::vec(keys(), 2..MAX_MULTI_SIZE + 1), 0..7),
+    )
+        .prop_map(|(full, rest)| std::iter::once(full).chain(rest).collect())
 }
 
 proptest! {
