@@ -1,12 +1,12 @@
-//! `repro` — regenerate the paper's evaluation figures and drive the
-//! scenario × backend benchmark matrix.
+//! `repro` — regenerate the paper's evaluation figures (§VII, Figs. 6–8)
+//! over every registered backend.
 //!
 //! ```text
 //! repro [fig6|fig7|fig8|summary|all|list]
-//!       [--stm tl2,lsa,swiss,oe,oe-estm-compat] [--scenario fig6,bank-transfer,...]
+//!       [--stm tl2,lsa,swiss,oe,oe-estm-compat] [--scenario fig6,fig8]
 //!       [--threads 1,2,4] [--duration-ms 500] [--composed 5,15]
-//!       [--seed N] [--json BENCH.json]
-//! repro trace [--stm oe] [--scenario bank-transfer] [--steps 3]
+//!       [--seed N] [--json BENCH.json] [--max-run-secs N]
+//! repro trace [--stm oe] [--scenario fig6] [--steps 3]
 //! repro validate-json BENCH.json [--require-full-coverage]
 //! repro recover /path/to/durable/store
 //! ```
@@ -15,17 +15,18 @@
 //! composition counters (elastic cuts, outherits). `--json` additionally
 //! writes every measured row as schema-checked JSON (`bench::json`), the
 //! artifact CI archives; `validate-json` checks such a file and, with
-//! `--require-full-coverage`, that every registered backend and scenario
+//! `--require-full-coverage`, that every registered backend and figure
 //! is represented.
 
 use bench::cli::{parse_args, Options, USAGE};
-use bench::report::{print_bench_rows, print_summary, Row, Structure};
-use bench::scenario::Workload;
+use bench::report::{print_bench_rows, Structure};
 use bench::scenario::{
-    backend_registry, run_matrix, scenarios, BenchRow, MatrixPlan, FIGURE_BACKENDS,
+    backend_registry, new_set, prefill, run_matrix, step, BenchRow, MatrixPlan, FIGURE_BACKENDS,
+    SEQUENTIAL,
 };
 use bench::workload::{thread_seed, Mix};
 use bench::{out, outln};
+use cec::TxSet;
 use histories::Recorder;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,112 +46,76 @@ fn print_list() {
         outln!("  {:<16} {}", spec.name(), spec.summary());
     }
     outln!("\nscenarios:");
-    for s in scenarios() {
-        outln!("  {:<16} {}", s.name(), s.summary());
+    for s in Structure::ALL {
+        outln!("  {:<16} {}", s.scenario_name(), s.summary());
     }
 }
 
-/// Backends to run: the `--stm` subset, or `default` (the figure targets
-/// default to the paper's four systems; `summary` to everything
-/// registered, including the E-STM ablation mode).
-fn chosen_backends(opts: &Options, default: &[&str]) -> Vec<String> {
-    opts.stm
-        .clone()
-        .unwrap_or_else(|| default.iter().map(ToString::to_string).collect())
-}
-
-fn figure_rows(r: &BenchRow) -> Row {
-    Row {
-        system: r.tagged_system(),
-        threads: r.threads,
-        m: r.m,
-    }
-}
-
-/// Run a plan in-process, or — when `--max-run-secs` arms the progress
-/// watchdog — one bounded subprocess per measured row, with killed rows
-/// reported as livelocked instead of hanging the sweep.
-fn run_plan(plan: &MatrixPlan, opts: &Options) -> Vec<BenchRow> {
-    match opts.max_run_secs {
-        None => run_matrix(plan).unwrap_or_else(|e| die(&e)),
+/// Run `figures` over the `--stm` subset or `default_backends`, at
+/// `composed`, and print one table per figure and composed mix. The run
+/// is in-process, or — when `--max-run-secs` arms the progress watchdog
+/// — one bounded subprocess per measured row, with killed rows reported
+/// as livelocked instead of hanging the sweep.
+fn run_figures(
+    figures: Vec<Structure>,
+    default_backends: &[&str],
+    composed: Vec<u32>,
+    opts: &Options,
+    all_rows: &mut Vec<BenchRow>,
+) {
+    let plan = MatrixPlan {
+        scenarios: figures,
+        backends: opts
+            .stm
+            .clone()
+            .unwrap_or_else(|| default_backends.iter().map(ToString::to_string).collect()),
+        threads: opts.threads.clone(),
+        duration: opts.duration,
+        composed,
+        seed: opts.seed,
+        include_sequential: true,
+    };
+    let rows = match opts.max_run_secs {
+        None => run_matrix(&plan),
         Some(secs) => {
             let exe = std::env::current_exe().unwrap_or_else(|e| {
                 die(&format!("cannot locate own binary for --max-run-secs: {e}"))
             });
             bench::watchdog::run_matrix_watchdogged(
-                plan,
+                &plan,
                 std::time::Duration::from_secs(secs),
                 &exe,
             )
-            .unwrap_or_else(|e| die(&e))
         }
     }
-}
-
-/// Run one figure target and print its per-composed-pct tables.
-fn figure(structure: Structure, fig_no: u32, opts: &Options, all_rows: &mut Vec<BenchRow>) {
-    let plan = MatrixPlan {
-        scenarios: vec![structure.scenario_name().to_string()],
-        backends: chosen_backends(opts, &FIGURE_BACKENDS),
-        threads: opts.threads.clone(),
-        duration: opts.duration,
-        composed: opts.composed.clone(),
-        seed: opts.seed,
-        include_sequential: true,
-    };
-    let rows = run_plan(&plan, opts);
-    for &pct in &opts.composed {
-        let block: Vec<Row> = rows
-            .iter()
-            .filter(|r| r.composed_pct == pct)
-            .map(figure_rows)
-            .collect();
-        bench::report::print_figure(
-            &format!(
-                "Fig. {fig_no}: {} — {pct}% addAll/removeAll (duration {:?}/point)",
-                structure.name(),
-                opts.duration
-            ),
-            &block,
-        );
-        print_summary(structure, &block);
-    }
+    .unwrap_or_else(|e| die(&e));
+    print_bench_rows(&rows, opts.duration);
     all_rows.extend(rows);
 }
 
-/// Run the full scenario × backend matrix and print compact tables plus
-/// the headline speedups.
+/// One figure target: the paper's four systems at every `--composed` mix.
+fn figure(structure: Structure, opts: &Options, all_rows: &mut Vec<BenchRow>) {
+    run_figures(
+        vec![structure],
+        &FIGURE_BACKENDS,
+        opts.composed.clone(),
+        opts,
+        all_rows,
+    );
+}
+
+/// `summary`: the `--scenario` figures over every registered backend at
+/// the last `--composed` mix (the paper's headline numbers use 15%).
 fn summary(opts: &Options, all_rows: &mut Vec<BenchRow>) {
-    let plan = MatrixPlan {
-        scenarios: opts
-            .scenario
+    run_figures(
+        opts.scenario
             .clone()
-            .unwrap_or_else(|| scenarios().iter().map(|s| s.name().to_string()).collect()),
-        backends: chosen_backends(opts, &backend_registry().names()),
-        threads: opts.threads.clone(),
-        duration: opts.duration,
-        // The paper's headline numbers use the 15% composed mix.
-        composed: vec![opts.composed.last().copied().unwrap_or(15)],
-        seed: opts.seed,
-        include_sequential: true,
-    };
-    let rows = run_plan(&plan, opts);
-    print_bench_rows(&rows);
-    for s in [
-        Structure::LinkedList,
-        Structure::SkipList,
-        Structure::HashSet,
-    ] {
-        let block: Vec<Row> = rows
-            .iter()
-            .filter(|r| r.scenario == s.scenario_name())
-            .map(figure_rows)
-            .collect();
-        if !block.is_empty() {
-            print_summary(s, &block);
-        }
-    }
-    all_rows.extend(rows);
+            .unwrap_or_else(|| Structure::ALL.to_vec()),
+        &backend_registry().names(),
+        vec![opts.composed.last().copied().unwrap_or(15)],
+        opts,
+        all_rows,
+    );
 }
 
 /// Record one deterministic two-process composition on `backend`: the
@@ -204,7 +169,7 @@ fn record_composition(backend: &Backend, steps: usize) {
     });
 }
 
-/// Record `steps` sampled operations of a registered scenario on each of
+/// Record `steps` sampled operations of a figure's workload on each of
 /// two racing worker threads. The prefill runs with the recorder already
 /// attached (the backend's clock has advanced past the prefill versions,
 /// so a separately built untraced instance would not see a consistent
@@ -212,12 +177,13 @@ fn record_composition(backend: &Backend, steps: usize) {
 /// so the dump covers only the sampled window.
 fn record_scenario(
     at: &Atomic<Backend>,
-    workload: &dyn Workload,
+    set: &dyn TxSet,
+    mix: Mix,
     steps: usize,
     seed: u64,
     recorder: &Recorder,
 ) {
-    workload.prefill(at, seed);
+    prefill(set, at, mix, seed);
     recorder.clear();
     let barrier = Barrier::new(2);
     std::thread::scope(|s| {
@@ -227,7 +193,7 @@ fn record_scenario(
             s.spawn(move || {
                 barrier.wait();
                 for _ in 0..steps {
-                    workload.step(at, &mut rng);
+                    step(set, at, mix, &mut rng);
                 }
             });
         }
@@ -236,45 +202,34 @@ fn record_scenario(
 
 /// `repro trace`: dump recorded histories in the paper's notation — by
 /// default one deterministic two-process composition per chosen backend;
-/// with `--scenario`, `--steps` racing operations of each named
-/// registered scenario instead.
+/// with `--scenario`, `--steps` racing operations of each named figure
+/// instead.
 fn trace(opts: &Options) -> ! {
     let registry = backend_registry();
-    let specs = scenarios();
-    for name in chosen_backends(opts, &["oe"]) {
-        // `None` = the built-in composition; `Some(spec)` = a registered
-        // scenario cell.
-        let cells: Vec<Option<&bench::scenario::ScenarioSpec>> = match &opts.scenario {
-            None => vec![None],
-            Some(names) => names
-                .iter()
-                .map(|want| {
-                    Some(
-                        specs
-                            .iter()
-                            .find(|s| s.name() == want)
-                            .unwrap_or_else(|| die(&format!("unknown scenario {want}; try list"))),
-                    )
-                })
-                .collect(),
-        };
-        for spec in cells {
+    // `None` = the built-in composition; `Some(figure)` = a figure's
+    // workload.
+    let cells: Vec<Option<Structure>> = match &opts.scenario {
+        None => vec![None],
+        Some(figures) => figures.iter().copied().map(Some).collect(),
+    };
+    for name in opts.stm.clone().unwrap_or_else(|| vec!["oe".to_string()]) {
+        for &cell in &cells {
             let recorder = Arc::new(Recorder::new());
             let config = stm_core::StmConfig::default().with_trace_sink(recorder.clone());
             let backend = registry
                 .build(&name, config)
                 .unwrap_or_else(|e| die(&e.to_string()));
-            let what = match spec {
+            let what = match cell {
                 None => {
                     record_composition(&backend, opts.steps);
                     "composition".to_string()
                 }
-                Some(spec) => {
+                Some(structure) => {
                     let mix = Mix::paper(opts.composed.last().copied().unwrap_or(15));
-                    let workload = spec.build(mix);
+                    let set = new_set(structure);
                     let at = Atomic::new(backend);
-                    record_scenario(&at, &*workload, opts.steps, opts.seed, &recorder);
-                    format!("scenario {}", spec.name())
+                    record_scenario(&at, &*set, mix, opts.steps, opts.seed, &recorder);
+                    format!("scenario {}", structure.scenario_name())
                 }
             };
             let raw = recorder.raw_history();
@@ -309,9 +264,9 @@ fn validate_json(opts: &Options) -> ! {
                 missing.push(format!("backend {backend}"));
             }
         }
-        for s in scenarios() {
-            if !ids.iter().any(|(sc, _)| sc == s.name()) {
-                missing.push(format!("scenario {}", s.name()));
+        for s in Structure::ALL {
+            if !ids.iter().any(|(sc, _)| sc == s.scenario_name()) {
+                missing.push(format!("scenario {}", s.scenario_name()));
             }
         }
         if !missing.is_empty() {
@@ -326,10 +281,10 @@ fn validate_json(opts: &Options) -> ! {
 }
 
 /// `repro __cell`: the progress watchdog's hidden re-entry point — run
-/// exactly the matrix cell the flags select (no sequential references, no
-/// tables) and hand the measured rows back through the `--json` artifact.
-/// The parent process (`run_plan` with `--max-run-secs`) kills this
-/// process if it exceeds the bound.
+/// exactly the matrix cell the flags select (`--stm sequential` selects
+/// the sequential reference) with no tables, and hand the measured rows
+/// back through the `--json` artifact. The parent process
+/// (`bench::watchdog`) kills this process if it exceeds the bound.
 fn cell(opts: &Options) -> ! {
     let (Some(scenarios), Some(backends), Some(json_path)) =
         (&opts.scenario, &opts.stm, &opts.json)
@@ -338,12 +293,16 @@ fn cell(opts: &Options) -> ! {
     };
     let plan = MatrixPlan {
         scenarios: scenarios.clone(),
-        backends: backends.clone(),
+        backends: backends
+            .iter()
+            .filter(|b| *b != SEQUENTIAL)
+            .cloned()
+            .collect(),
         threads: opts.threads.clone(),
         duration: opts.duration,
         composed: opts.composed.clone(),
         seed: opts.seed,
-        include_sequential: false,
+        include_sequential: backends.iter().any(|b| b == SEQUENTIAL),
     };
     let rows = run_matrix(&plan).unwrap_or_else(|e| die(&e));
     let text = bench::json::render(&rows, opts.seed);
@@ -390,14 +349,14 @@ type Run = fn(&Options, &mut Vec<BenchRow>);
 /// The run of the measuring target `name`, if there is one.
 fn measure(name: &str) -> Option<Run> {
     Some(match name {
-        "fig6" => |o, rows| figure(Structure::LinkedList, 6, o, rows),
-        "fig7" => |o, rows| figure(Structure::SkipList, 7, o, rows),
-        "fig8" => |o, rows| figure(Structure::HashSet, 8, o, rows),
+        "fig6" => |o, rows| figure(Structure::LinkedList, o, rows),
+        "fig7" => |o, rows| figure(Structure::SkipList, o, rows),
+        "fig8" => |o, rows| figure(Structure::HashSet, o, rows),
         "summary" => summary,
         "all" => |o, rows| {
-            figure(Structure::LinkedList, 6, o, rows);
-            figure(Structure::SkipList, 7, o, rows);
-            figure(Structure::HashSet, 8, o, rows);
+            for s in Structure::ALL {
+                figure(s, o, rows);
+            }
         },
         _ => return None,
     })

@@ -4,6 +4,7 @@
 //! so every flag is unit-testable without spawning the binary; `repro`'s
 //! `main` maps `Err` to a usage error and exit code 2.
 
+use crate::report::Structure;
 use crate::workload::DEFAULT_SEED;
 use std::time::Duration;
 
@@ -18,7 +19,9 @@ usage: repro [TARGET]... [FLAGS]
 targets:
   fig6 | fig7 | fig8   regenerate one figure's tables
   all                  fig6 + fig7 + fig8 (default)
-  summary              full scenario x backend matrix + headline speedups
+  summary              the figures x every registered backend (the E-STM
+                       ablation mode included), one composed mix, plus
+                       the headline speedups
   trace                record a deterministic two-process composition per
                        backend (--stm; default oe) — or --steps racing ops
                        of each --scenario — and dump the history in the
@@ -27,8 +30,8 @@ targets:
 
 flags:
   --stm a,b,...        backends to run (default: all registered; see list)
-  --scenario a,b,...   scenarios for `summary` / `trace` (default: all
-                       registered / the built-in composition)
+  --scenario a,b,...   figures (fig6, fig7, fig8) for `summary` / `trace`
+                       (default: all three / the built-in composition)
   --threads 1,2,4      worker thread counts (default: 1,2,4,8,16,32,64)
   --duration-ms 500    wall-clock milliseconds per data point
   --composed 5,15      composed-update percentages (paper: 5 and 15)
@@ -57,8 +60,8 @@ pub struct Options {
     pub composed: Vec<u32>,
     /// Backend subset (`None` = all registered).
     pub stm: Option<Vec<String>>,
-    /// Scenario subset (`None` = all registered).
-    pub scenario: Option<Vec<String>>,
+    /// Figure subset (`None` = all three).
+    pub scenario: Option<Vec<Structure>>,
     /// Base seed.
     pub seed: u64,
     /// `--steps` (for `trace`): composed children per recorded process.
@@ -152,10 +155,7 @@ pub fn parse_args(argv: &[String]) -> Result<Options, String> {
                 i += 1;
             }
             "--scenario" => {
-                opts.scenario = Some(parse_list(
-                    flag_value(argv, i, "--scenario")?,
-                    "scenario name",
-                )?);
+                opts.scenario = Some(parse_list(flag_value(argv, i, "--scenario")?, "scenario")?);
                 i += 1;
             }
             "--seed" => {
@@ -229,14 +229,14 @@ mod tests {
     #[test]
     fn new_flags_parse() {
         let o = parse_args(&args(
-            "summary --stm tl2,oe --scenario fig6,bank-transfer --seed 99 --json out.json --list",
+            "summary --stm tl2,oe --scenario fig6,fig8 --seed 99 --json out.json --list",
         ))
         .unwrap();
         assert_eq!(o.targets, vec!["summary"]);
         assert_eq!(o.stm.as_deref(), Some(&["tl2".into(), "oe".into()][..]));
         assert_eq!(
-            o.scenario.as_deref(),
-            Some(&["fig6".into(), "bank-transfer".into()][..])
+            o.scenario,
+            Some(vec![Structure::LinkedList, Structure::HashSet])
         );
         assert_eq!(o.seed, 99);
         assert_eq!(o.json.as_deref(), Some("out.json"));
@@ -313,6 +313,9 @@ mod tests {
         assert!(parse_args(&args("--seed banana"))
             .unwrap_err()
             .contains("seed"));
+        assert!(parse_args(&args("summary --scenario fig6,fig9"))
+            .unwrap_err()
+            .contains("bad scenario \"fig9\""));
         assert!(parse_args(&args("--frobnicate"))
             .unwrap_err()
             .contains("unknown flag"));

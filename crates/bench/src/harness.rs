@@ -19,35 +19,16 @@ pub struct Measurement {
     pub ops: u64,
     /// Transaction commits.
     pub commits: u64,
-    /// Transaction conflict aborts (user-level explicit retries are
-    /// counted separately, in [`explicit_retries`](Self::explicit_retries)).
+    /// Transaction conflict aborts.
     pub aborts: u64,
-    /// User-level explicit retries (`tx.retry()` / `or_else` branch
-    /// switches) — a control-flow category, not conflicts.
-    pub explicit_retries: u64,
     /// Retry-time pacing steps executed (backoffs + yields) — how often
     /// conflict losers actually waited before retrying.
     pub cm_waits: u64,
-    /// Times an `ExplicitRetry` attempt parked on its read set waiting
-    /// for a committing writer (0 for workloads that never `retry()`).
-    pub retry_parks: u64,
-    /// Parked waiters woken by a commit to their read set.
-    pub wakeups: u64,
-    /// Parks that ended without a matching commit notification (bounded
-    /// timeout or invalidated read set) — the liveness safety-net firing.
-    pub spurious_wakeups: u64,
     /// Elastic cuts taken (OE-STM only; 0 elsewhere).
     pub elastic_cuts: u64,
     /// `outherit()` invocations — child protected sets passed to parents
     /// (OE-STM only; 0 elsewhere).
     pub outherits: u64,
-    /// Median latency in µs (0 for workloads that don't record latency —
-    /// only `wake-storm` does, as wake-up latency).
-    pub p50_us: f64,
-    /// 99th-percentile latency in µs (0 when not recorded).
-    pub p99_us: f64,
-    /// 99.9th-percentile latency in µs (0 when not recorded).
-    pub p999_us: f64,
     /// Wall-clock duration measured.
     pub elapsed: Duration,
 }
@@ -62,28 +43,28 @@ impl Measurement {
             ops,
             commits: snap.commits,
             aborts: snap.aborts(),
-            explicit_retries: snap.explicit_retries(),
             cm_waits: snap.cm_waits(),
-            retry_parks: snap.retry_parks,
-            wakeups: snap.wakeups,
-            spurious_wakeups: snap.spurious_wakeups,
             elastic_cuts: snap.elastic_cuts,
             outherits: snap.outherits,
-            p50_us: 0.0,
-            p99_us: 0.0,
-            p999_us: 0.0,
             elapsed,
         }
     }
 
-    /// Attach a drained latency summary (`wake-storm` records wake-up
-    /// latency; everything else leaves the percentiles at 0).
+    /// The all-zero measurement of a run that made no progress in
+    /// `elapsed` (a row the progress watchdog killed).
     #[must_use]
-    pub fn with_latency(mut self, latency: txkv::LatencySummary) -> Self {
-        self.p50_us = latency.p50_us;
-        self.p99_us = latency.p99_us;
-        self.p999_us = latency.p999_us;
-        self
+    pub fn zero(elapsed: Duration) -> Self {
+        Self {
+            throughput: 0.0,
+            abort_rate: 0.0,
+            ops: 0,
+            commits: 0,
+            aborts: 0,
+            cm_waits: 0,
+            elastic_cuts: 0,
+            outherits: 0,
+            elapsed,
+        }
     }
 }
 
@@ -122,21 +103,9 @@ pub fn run_sequential(
     let elapsed = started.elapsed();
     Measurement {
         throughput: ops as f64 / elapsed.as_secs_f64() / 1e3,
-        abort_rate: 0.0,
         ops,
         commits: ops,
-        aborts: 0,
-        explicit_retries: 0,
-        cm_waits: 0,
-        retry_parks: 0,
-        wakeups: 0,
-        spurious_wakeups: 0,
-        elastic_cuts: 0,
-        outherits: 0,
-        p50_us: 0.0,
-        p99_us: 0.0,
-        p999_us: 0.0,
-        elapsed,
+        ..Measurement::zero(elapsed)
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "seed": 61713,
 //!   "host_parallelism": 8,
 //!   "rows": [
@@ -18,10 +18,7 @@
 //!       "structure": "LinkedListSet", "threads": 2, "composed_pct": 5,
 //!       "ops": 12345, "throughput": 123.4, "abort_rate": 0.01,
 //!       "commits": 12400, "aborts": 125,
-//!       "elastic_cuts": 17, "outherits": 42, "explicit_retries": 3,
-//!       "cm_waits": 9, "retry_parks": 0, "wakeups": 0,
-//!       "spurious_wakeups": 0, "latency_p50_us": 12.0,
-//!       "latency_p99_us": 40.0, "latency_p999_us": 96.0,
+//!       "elastic_cuts": 17, "outherits": 42, "cm_waits": 9,
 //!       "elapsed_ms": 500.2
 //!     }
 //!   ]
@@ -31,22 +28,21 @@
 //! A row the progress watchdog killed also carries `"livelocked": 1`;
 //! measured rows never carry the field.
 
+use crate::report::Structure;
 use crate::scenario::BenchRow;
 use std::collections::BTreeMap;
 
 /// Current schema version of the emitted document.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Fields every row carries, with `true` when the value is a number —
 /// exactly what [`render`] always writes. `system`, `commits` and
 /// `aborts` exist so a row round-trips losslessly through JSON: the
 /// watchdog measures each row in a subprocess and reassembles the
-/// [`BenchRow`] from the child's artifact ([`parse_rows`]). The
-/// `latency_*` trio carries latency percentiles in microseconds; only
-/// `wake-storm` records them, as wake-up latency (0 elsewhere). The one
+/// [`BenchRow`] from the child's artifact ([`parse_rows`]). The one
 /// field outside this list is `livelocked`, written (as `1`) only on
 /// rows the progress watchdog killed and type-checked when present.
-pub const ROW_FIELDS: [(&str, bool); 22] = [
+pub const ROW_FIELDS: [(&str, bool); 15] = [
     ("scenario", false),
     ("backend", false),
     ("system", false),
@@ -60,14 +56,7 @@ pub const ROW_FIELDS: [(&str, bool); 22] = [
     ("aborts", true),
     ("elastic_cuts", true),
     ("outherits", true),
-    ("explicit_retries", true),
     ("cm_waits", true),
-    ("retry_parks", true),
-    ("wakeups", true),
-    ("spurious_wakeups", true),
-    ("latency_p50_us", true),
-    ("latency_p99_us", true),
-    ("latency_p999_us", true),
     ("elapsed_ms", true),
 ];
 
@@ -121,15 +110,12 @@ pub fn render(rows: &[BenchRow], seed: u64) -> String {
              \"threads\": {}, \"composed_pct\": {}, {livelocked_field}\"ops\": {}, \
              \"throughput\": {}, \
              \"abort_rate\": {}, \"commits\": {}, \"aborts\": {}, \
-             \"elastic_cuts\": {}, \"outherits\": {}, \
-             \"explicit_retries\": {}, \"cm_waits\": {}, \
-             \"retry_parks\": {}, \"wakeups\": {}, \"spurious_wakeups\": {}, \
-             \"latency_p50_us\": {}, \"latency_p99_us\": {}, \
-             \"latency_p999_us\": {}, \"elapsed_ms\": {}}}{}\n",
-            escape(&r.scenario),
+             \"elastic_cuts\": {}, \"outherits\": {}, \"cm_waits\": {}, \
+             \"elapsed_ms\": {}}}{}\n",
+            r.structure.scenario_name(),
             escape(&r.backend),
             escape(&r.system),
-            escape(&r.structure),
+            r.structure.name(),
             r.threads,
             r.composed_pct,
             r.m.ops,
@@ -139,14 +125,7 @@ pub fn render(rows: &[BenchRow], seed: u64) -> String {
             r.m.aborts,
             r.m.elastic_cuts,
             r.m.outherits,
-            r.m.explicit_retries,
             r.m.cm_waits,
-            r.m.retry_parks,
-            r.m.wakeups,
-            r.m.spurious_wakeups,
-            num(r.m.p50_us),
-            num(r.m.p99_us),
-            num(r.m.p999_us),
             num(r.m.elapsed.as_secs_f64() * 1e3),
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -500,54 +479,48 @@ pub fn validate(text: &str) -> Result<Vec<RowId>, String> {
 /// inverse of [`render`].
 ///
 /// # Errors
-/// Returns the [`validate`] error on any schema violation.
+/// Returns the [`validate`] error on any schema violation, or names a row
+/// whose `scenario` is not one of the figures.
 pub fn parse_rows(text: &str) -> Result<Vec<BenchRow>, String> {
     validate(text)?;
     let doc = parse(text)?;
     let rows = doc.as_obj().expect("validated")["rows"]
         .as_arr()
         .expect("validated");
-    let get_num =
-        |row: &BTreeMap<String, Value>, field: &str| row[field].as_num().expect("validated");
-    Ok(rows
-        .iter()
-        .map(|row| {
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
             let row = row.as_obj().expect("validated");
-            let str_field = |field: &str| row[field].as_str().expect("validated").to_string();
-            BenchRow {
-                scenario: str_field("scenario"),
-                backend: str_field("backend"),
-                system: str_field("system"),
-                structure: str_field("structure"),
-                threads: get_num(row, "threads") as usize,
-                composed_pct: get_num(row, "composed_pct") as u32,
+            let get_num = |field: &str| row[field].as_num().expect("validated");
+            let str_field = |field: &str| row[field].as_str().expect("validated");
+            Ok(BenchRow {
+                structure: str_field("scenario")
+                    .parse::<Structure>()
+                    .map_err(|e| format!("row {i}: {e}"))?,
+                backend: str_field("backend").to_string(),
+                system: str_field("system").to_string(),
+                threads: get_num("threads") as usize,
+                composed_pct: get_num("composed_pct") as u32,
                 livelocked: row
                     .get("livelocked")
                     .and_then(Value::as_num)
                     .is_some_and(|v| v != 0.0),
                 m: crate::harness::Measurement {
-                    throughput: get_num(row, "throughput"),
-                    abort_rate: get_num(row, "abort_rate"),
-                    ops: get_num(row, "ops") as u64,
-                    commits: get_num(row, "commits") as u64,
-                    aborts: get_num(row, "aborts") as u64,
-                    explicit_retries: get_num(row, "explicit_retries") as u64,
-                    cm_waits: get_num(row, "cm_waits") as u64,
-                    retry_parks: get_num(row, "retry_parks") as u64,
-                    wakeups: get_num(row, "wakeups") as u64,
-                    spurious_wakeups: get_num(row, "spurious_wakeups") as u64,
-                    elastic_cuts: get_num(row, "elastic_cuts") as u64,
-                    outherits: get_num(row, "outherits") as u64,
-                    p50_us: get_num(row, "latency_p50_us"),
-                    p99_us: get_num(row, "latency_p99_us"),
-                    p999_us: get_num(row, "latency_p999_us"),
+                    throughput: get_num("throughput"),
+                    abort_rate: get_num("abort_rate"),
+                    ops: get_num("ops") as u64,
+                    commits: get_num("commits") as u64,
+                    aborts: get_num("aborts") as u64,
+                    cm_waits: get_num("cm_waits") as u64,
+                    elastic_cuts: get_num("elastic_cuts") as u64,
+                    outherits: get_num("outherits") as u64,
                     elapsed: std::time::Duration::from_secs_f64(
-                        get_num(row, "elapsed_ms").max(0.0) / 1e3,
+                        get_num("elapsed_ms").max(0.0) / 1e3,
                     ),
                 },
-            }
+            })
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -558,10 +531,9 @@ mod tests {
 
     fn sample_row() -> BenchRow {
         BenchRow {
-            scenario: "fig6".into(),
+            structure: Structure::LinkedList,
             backend: "oe".into(),
             system: "OE-STM".into(),
-            structure: "LinkedListSet".into(),
             threads: 2,
             composed_pct: 5,
             livelocked: false,
@@ -571,16 +543,9 @@ mod tests {
                 ops: 1000,
                 commits: 990,
                 aborts: 330,
-                explicit_retries: 3,
                 cm_waits: 21,
-                retry_parks: 2,
-                wakeups: 2,
-                spurious_wakeups: 1,
                 elastic_cuts: 7,
                 outherits: 13,
-                p50_us: 12.0,
-                p99_us: 40.0,
-                p999_us: 96.0,
                 elapsed: Duration::from_millis(50),
             },
         }
@@ -596,11 +561,7 @@ mod tests {
         let row = row.as_obj().unwrap();
         assert_eq!(row["outherits"].as_num(), Some(13.0));
         assert_eq!(row["elastic_cuts"].as_num(), Some(7.0));
-        assert_eq!(row["explicit_retries"].as_num(), Some(3.0));
         assert_eq!(row["cm_waits"].as_num(), Some(21.0));
-        assert_eq!(row["retry_parks"].as_num(), Some(2.0));
-        assert_eq!(row["wakeups"].as_num(), Some(2.0));
-        assert_eq!(row["spurious_wakeups"].as_num(), Some(1.0));
         assert!((row["elapsed_ms"].as_num().unwrap() - 50.0).abs() < 1e-6);
     }
 
@@ -610,46 +571,22 @@ mod tests {
         killed.backend = "swiss".into();
         killed.system = "SwissTM".into();
         killed.livelocked = true;
-        killed.m = Measurement {
-            throughput: 0.0,
-            abort_rate: 0.0,
-            ops: 0,
-            commits: 0,
-            aborts: 0,
-            explicit_retries: 0,
-            cm_waits: 0,
-            retry_parks: 0,
-            wakeups: 0,
-            spurious_wakeups: 0,
-            elastic_cuts: 0,
-            outherits: 0,
-            p50_us: 0.0,
-            p99_us: 0.0,
-            p999_us: 0.0,
-            elapsed: Duration::from_secs(30),
-        };
+        killed.structure = Structure::HashSet;
+        killed.m = Measurement::zero(Duration::from_secs(30));
         let rows = vec![sample_row(), killed];
         let back = parse_rows(&render(&rows, 42)).expect("own output parses");
         assert_eq!(back.len(), 2);
         for (orig, got) in rows.iter().zip(&back) {
-            assert!((got.m.p50_us - orig.m.p50_us).abs() < 1e-6);
-            assert!((got.m.p99_us - orig.m.p99_us).abs() < 1e-6);
-            assert!((got.m.p999_us - orig.m.p999_us).abs() < 1e-6);
-            assert_eq!(got.scenario, orig.scenario);
+            assert_eq!(got.structure, orig.structure);
             assert_eq!(got.backend, orig.backend);
             assert_eq!(got.system, orig.system, "display names must round-trip");
-            assert_eq!(got.structure, orig.structure);
             assert_eq!(got.threads, orig.threads);
             assert_eq!(got.composed_pct, orig.composed_pct);
             assert_eq!(got.livelocked, orig.livelocked);
             assert_eq!(got.m.ops, orig.m.ops);
             assert_eq!(got.m.commits, orig.m.commits);
             assert_eq!(got.m.aborts, orig.m.aborts);
-            assert_eq!(got.m.explicit_retries, orig.m.explicit_retries);
             assert_eq!(got.m.cm_waits, orig.m.cm_waits);
-            assert_eq!(got.m.retry_parks, orig.m.retry_parks);
-            assert_eq!(got.m.wakeups, orig.m.wakeups);
-            assert_eq!(got.m.spurious_wakeups, orig.m.spurious_wakeups);
             assert_eq!(got.m.elastic_cuts, orig.m.elastic_cuts);
             assert_eq!(got.m.outherits, orig.m.outherits);
             assert!((got.m.throughput - orig.m.throughput).abs() < 1e-6);
@@ -679,17 +616,13 @@ mod tests {
         // Every other field `render` writes is required, and a mistyped
         // one is named in the error.
         for (from, to, field) in [
+            ("\"cm_waits\": 21, ", "\"cm_waits\": \"x\", ", "cm_waits"),
             (
-                "\"explicit_retries\": 3, ",
-                "\"explicit_retries\": \"x\", ",
-                "explicit_retries",
+                "\"throughput\": 123.456000, ",
+                "\"throughput\": \"fast\", ",
+                "throughput",
             ),
-            (
-                "\"latency_p99_us\": 40.000000, ",
-                "\"latency_p99_us\": \"fast\", ",
-                "latency_p99_us",
-            ),
-            ("\"wakeups\": 2, ", "\"wakeups\": \"lots\", ", "wakeups"),
+            ("\"commits\": 990, ", "\"commits\": \"lots\", ", "commits"),
         ] {
             assert!(text.contains(from), "sample row lacks {from}");
             let err = validate(&text.replace(from, to)).unwrap_err();
@@ -704,17 +637,30 @@ mod tests {
     }
 
     #[test]
-    fn v2_documents_always_carry_the_latency_trio() {
+    fn v3_documents_carry_no_latency_or_wait_fields() {
         let text = render(&[sample_row()], 42);
-        assert!(text.contains("\"schema_version\": 2"));
+        assert!(text.contains("\"schema_version\": 3"));
         let doc = parse(&text).unwrap();
         let row = doc.as_obj().unwrap()["rows"].as_arr().unwrap()[0]
             .as_obj()
             .unwrap()
             .clone();
-        assert_eq!(row["latency_p50_us"].as_num(), Some(12.0));
-        assert_eq!(row["latency_p99_us"].as_num(), Some(40.0));
-        assert_eq!(row["latency_p999_us"].as_num(), Some(96.0));
+        let mut keys: Vec<&str> = row.keys().map(String::as_str).collect();
+        let mut want: Vec<&str> = ROW_FIELDS.iter().map(|(f, _)| *f).collect();
+        keys.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(keys, want, "a measured row carries exactly ROW_FIELDS");
+        // A v2 artifact (with the latency trio) is refused, not misread.
+        let v2 = text.replace("\"schema_version\": 3", "\"schema_version\": 2");
+        assert!(validate(&v2).unwrap_err().contains("schema_version"));
+    }
+
+    #[test]
+    fn unknown_scenarios_do_not_parse_into_rows() {
+        let text = render(&[sample_row()], 1).replace("\"fig6\"", "\"fig9\"");
+        validate(&text).expect("the schema does not restrict scenario names");
+        let err = parse_rows(&text).unwrap_err();
+        assert!(err.contains("fig9"), "{err}");
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! Run `cargo run --release -p bench --bin repro -- all` for the full
 //! sweep; see `repro --help` for knobs.
 //!
-//! Beyond the paper's figures, the [`scenario`] registry drives arbitrary
-//! workloads (bank transfers, queue snapshots, …) over every backend in
-//! the runtime [`BackendRegistry`](stm_core::dynstm::BackendRegistry) and
-//! emits the schema-checked `BENCH.json` (see [`json`]) that records every
-//! measured row of a run.
+//! The three figures are the only scenarios: [`scenario`] sweeps them
+//! over every backend in the runtime
+//! [`BackendRegistry`](stm_core::dynstm::BackendRegistry), in-process or
+//! one bounded subprocess per row ([`watchdog`]), and `--json` writes
+//! the schema-checked `BENCH.json` (see [`json`]) that records every
+//! measured row of a run. The txkv keyspace and the durable commit path
+//! are measured by the repo benchmark (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,6 +74,6 @@ pub mod watchdog;
 pub mod workload;
 
 pub use harness::Measurement;
-pub use report::{print_figure, print_summary, run_figure, Row, Structure};
-pub use scenario::{backend_registry, run_matrix, scenarios, BenchRow, MatrixPlan, Workload};
+pub use report::Structure;
+pub use scenario::{backend_registry, run_matrix, BenchRow, MatrixPlan};
 pub use workload::{Mix, OpGen, WorkOp};

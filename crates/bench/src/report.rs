@@ -1,17 +1,13 @@
-//! Figure regeneration: sweeps and table printing for Figs. 6–8 plus the
-//! summary comparisons the paper's abstract quotes.
-//!
-//! The sweeps themselves are one call into the scenario registry
-//! ([`crate::scenario`]); this module owns the figure-shaped views: the
-//! `Structure` axis, the paper's table format, and the headline speedup
-//! summaries.
+//! The figures' names and tables: the `Structure` axis (one value per
+//! scenario), the paper's table format, and the headline speedup
+//! summaries the abstract quotes. The sweeps themselves run in
+//! [`crate::scenario`].
 
-use crate::harness::Measurement;
-use crate::scenario::{run_matrix, BenchRow, MatrixPlan, FIGURE_BACKENDS};
-use crate::workload::{DEFAULT_INITIAL_SIZE, DEFAULT_SEED};
+use crate::scenario::BenchRow;
+use crate::workload::DEFAULT_INITIAL_SIZE;
 use std::time::Duration;
 
-/// Which figure's data structure to run.
+/// Which figure's data structure to run: the one name of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Structure {
     /// Fig. 6: `LinkedListSet`.
@@ -23,6 +19,13 @@ pub enum Structure {
 }
 
 impl Structure {
+    /// The three figures, in display order.
+    pub const ALL: [Structure; 3] = [
+        Structure::LinkedList,
+        Structure::SkipList,
+        Structure::HashSet,
+    ];
+
     /// Display name matching the paper.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -33,7 +36,8 @@ impl Structure {
         }
     }
 
-    /// The scenario registry key regenerating this figure.
+    /// The scenario name regenerating this figure (`--scenario`, and the
+    /// `scenario` field of a JSON row).
     #[must_use]
     pub fn scenario_name(self) -> &'static str {
         match self {
@@ -42,21 +46,32 @@ impl Structure {
             Structure::HashSet => "fig8",
         }
     }
+
+    /// One-line description for `repro list`.
+    #[must_use]
+    pub fn summary(self) -> &'static str {
+        match self {
+            Structure::LinkedList => "paper Fig. 6: LinkedListSet, §VII-A mix",
+            Structure::SkipList => "paper Fig. 7: SkipListSet, §VII-A mix",
+            Structure::HashSet => "paper Fig. 8: HashSet @ load factor 512, §VII-A mix",
+        }
+    }
+}
+
+impl std::str::FromStr for Structure {
+    type Err = String;
+
+    /// Parse a scenario name (`fig6`, `fig7`, `fig8`).
+    fn from_str(name: &str) -> Result<Self, String> {
+        Structure::ALL
+            .into_iter()
+            .find(|s| s.scenario_name() == name)
+            .ok_or_else(|| format!("unknown scenario {name:?}; registered: fig6, fig7, fig8"))
+    }
 }
 
 /// The systems of Figs. 6–8.
 pub const SYSTEMS: [&str; 5] = ["Sequential", "OE-STM", "LSA", "TL2", "SwissTM"];
-
-/// One row of a figure table.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// System name ("OE-STM", "TL2", …).
-    pub system: String,
-    /// Worker threads.
-    pub threads: usize,
-    /// The measurement.
-    pub m: Measurement,
-}
 
 /// Paper's Fig. 8 geometry: 2^12 elements at load factor 512.
 #[must_use]
@@ -64,57 +79,13 @@ pub fn paper_hash_buckets() -> usize {
     DEFAULT_INITIAL_SIZE / 512
 }
 
-/// Run one figure's full sweep: the four STMs plus the sequential
-/// baseline, over `threads`, with the paper's mix at `composed_pct`.
-#[must_use]
-pub fn run_figure(
-    structure: Structure,
-    threads: &[usize],
-    duration: Duration,
-    composed_pct: u32,
-) -> Vec<Row> {
-    run_figure_rows(structure, threads, duration, composed_pct, DEFAULT_SEED)
-        .into_iter()
-        .map(|r| Row {
-            system: r.system,
-            threads: r.threads,
-            m: r.m,
-        })
-        .collect()
-}
-
-/// Like [`run_figure`] but seeded, returning the machine-comparable
-/// [`BenchRow`]s (what `repro --json` serializes).
-#[must_use]
-pub fn run_figure_rows(
-    structure: Structure,
-    threads: &[usize],
-    duration: Duration,
-    composed_pct: u32,
-    seed: u64,
-) -> Vec<BenchRow> {
-    let plan = MatrixPlan {
-        scenarios: vec![structure.scenario_name().to_string()],
-        backends: FIGURE_BACKENDS.iter().map(ToString::to_string).collect(),
-        threads: threads.to_vec(),
-        duration,
-        composed: vec![composed_pct],
-        seed,
-        include_sequential: true,
-    };
-    run_matrix(&plan).expect("figure scenarios and backends are registered")
-}
-
 /// Print a figure's rows in the paper's two-panel format (throughput and
 /// abort rate per thread count), plus the relaxation/composition counters.
-/// Blocks where any row recorded latency (`wake-storm`'s wake-up
-/// latency) gain three percentile columns; the paper-figure tables keep
-/// their original shape.
-pub fn print_figure(title: &str, rows: &[Row]) {
-    let with_latency = rows.iter().any(|r| r.m.p999_us > 0.0);
+/// Watchdog-killed rows carry their `LIVELOCK!` marker.
+fn print_figure(title: &str, rows: &[&BenchRow]) {
     outln!("\n=== {title} ===");
-    out!(
-        "{:<20} {:>8} {:>16} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+    outln!(
+        "{:<20} {:>8} {:>16} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "system",
         "threads",
         "ops/ms",
@@ -123,17 +94,12 @@ pub fn print_figure(title: &str, rows: &[Row]) {
         "aborts",
         "cuts",
         "outherits",
-        "retries",
         "cm-waits"
     );
-    if with_latency {
-        out!(" {:>9} {:>9} {:>9}", "p50(us)", "p99(us)", "p999(us)");
-    }
-    outln!();
     for r in rows {
-        out!(
-            "{:<20} {:>8} {:>16.1} {:>11.1}% {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            r.system,
+        outln!(
+            "{:<20} {:>8} {:>16.1} {:>11.1}% {:>12} {:>12} {:>12} {:>12} {:>12}",
+            r.tagged_system(),
             r.threads,
             r.m.throughput,
             r.m.abort_rate * 100.0,
@@ -141,59 +107,45 @@ pub fn print_figure(title: &str, rows: &[Row]) {
             r.m.aborts,
             r.m.elastic_cuts,
             r.m.outherits,
-            r.m.explicit_retries,
             r.m.cm_waits
         );
-        if with_latency {
-            out!(
-                " {:>9.0} {:>9.0} {:>9.0}",
-                r.m.p50_us,
-                r.m.p99_us,
-                r.m.p999_us
-            );
-        }
-        outln!();
     }
 }
 
-/// Print scenario-registry rows (any scenario, any backend mix) in the
-/// same table format, one block per scenario.
-pub fn print_bench_rows(rows: &[BenchRow]) {
-    let mut seen: Vec<(&str, u32)> = Vec::new();
+/// Print `rows` one block per (figure, composed percentage), in the order
+/// they were measured: the figure's table, then OE-STM's speedups.
+pub fn print_bench_rows(rows: &[BenchRow], duration: Duration) {
+    let mut seen: Vec<(Structure, u32)> = Vec::new();
     for r in rows {
-        if !seen.contains(&(r.scenario.as_str(), r.composed_pct)) {
-            seen.push((r.scenario.as_str(), r.composed_pct));
+        if !seen.contains(&(r.structure, r.composed_pct)) {
+            seen.push((r.structure, r.composed_pct));
         }
     }
-    for (scenario, pct) in seen {
-        let block: Vec<Row> = rows
+    for (structure, pct) in seen {
+        let block: Vec<&BenchRow> = rows
             .iter()
-            .filter(|r| r.scenario == scenario && r.composed_pct == pct)
-            .map(|r| Row {
-                system: r.tagged_system(),
-                threads: r.threads,
-                m: r.m,
-            })
+            .filter(|r| r.structure == structure && r.composed_pct == pct)
             .collect();
-        let structure = rows
-            .iter()
-            .find(|r| r.scenario == scenario)
-            .map_or("", |r| r.structure.as_str());
         print_figure(
-            &format!("{scenario}: {structure} — {pct}% composed"),
+            &format!(
+                "{}: {} — {pct}% addAll/removeAll (duration {duration:?}/point)",
+                structure.scenario_name(),
+                structure.name(),
+            ),
             &block,
         );
+        print_summary(structure, &block);
     }
 }
 
 /// Cross-system summary at the highest thread count: speedup of OE-STM
 /// over each classic STM (the abstract's "up to 2.7×"; "at least 6.6×" on
-/// the linked list).
-pub fn print_summary(structure: Structure, rows: &[Row]) {
+/// the linked list). Watchdog-killed rows take no part.
+fn print_summary(structure: Structure, rows: &[&BenchRow]) {
     let max_t = rows.iter().map(|r| r.threads).max().unwrap_or(1);
     let tp = |name: &str| {
         rows.iter()
-            .find(|r| r.system == name && r.threads == max_t)
+            .find(|r| r.system == name && r.threads == max_t && !r.livelocked)
             .map(|r| r.m.throughput)
     };
     let Some(oe) = tp("OE-STM") else {
@@ -217,6 +169,7 @@ pub fn print_summary(structure: Structure, rows: &[Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{run_matrix, MatrixPlan, FIGURE_BACKENDS};
 
     #[test]
     fn hash_geometry_matches_paper() {
@@ -224,9 +177,27 @@ mod tests {
     }
 
     #[test]
+    fn scenario_names_round_trip() {
+        for s in Structure::ALL {
+            assert_eq!(s.scenario_name().parse::<Structure>(), Ok(s));
+        }
+        let err = "fig9".parse::<Structure>().unwrap_err();
+        assert!(err.contains("fig9") && err.contains("fig8"), "{err}");
+    }
+
+    #[test]
     fn tiny_figure_run_produces_all_rows() {
         // Smoke test: 5 systems' worth of rows exist, measurements sane.
-        let rows = run_figure(Structure::HashSet, &[1, 2], Duration::from_millis(40), 5);
+        let plan = MatrixPlan {
+            scenarios: vec![Structure::HashSet],
+            backends: FIGURE_BACKENDS.iter().map(ToString::to_string).collect(),
+            threads: vec![1, 2],
+            duration: Duration::from_millis(40),
+            composed: vec![5],
+            seed: crate::workload::DEFAULT_SEED,
+            include_sequential: true,
+        };
+        let rows = run_matrix(&plan).expect("figure backends are registered");
         assert_eq!(rows.len(), 5 * 2, "5 systems x 2 thread counts");
         for r in &rows {
             assert!(r.m.throughput > 0.0, "{} produced no ops", r.system);

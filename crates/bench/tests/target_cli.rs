@@ -1,6 +1,7 @@
-//! End-to-end tests of `repro`'s target names: every measuring target is
-//! resolved before any runs, `--help`/`--list` win over a bad name, and
-//! a closed stdout ends a listing quietly.
+//! End-to-end tests of `repro`'s target and scenario names: every
+//! measuring target and scenario is resolved before any runs,
+//! `--help`/`--list` win over a bad name, the scenarios are the paper's
+//! three figures, and a closed stdout ends a listing quietly.
 
 use std::process::{Command, Output};
 
@@ -32,6 +33,42 @@ fn a_typo_late_in_the_target_list_fails_before_anything_runs() {
     let out = repro(&["compare-json", "a.json", "b.json"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "{}", text(&out.stdout));
+}
+
+#[test]
+fn an_unknown_scenario_fails_before_anything_runs() {
+    let json =
+        std::env::temp_dir().join(format!("repro-scenario-test-{}.json", std::process::id()));
+    let out = repro(&[
+        "summary",
+        "--scenario",
+        "bank-transfer",
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", text(&out.stderr));
+    assert!(
+        text(&out.stderr).contains("bank-transfer"),
+        "{}",
+        text(&out.stderr)
+    );
+    assert!(out.stdout.is_empty(), "{}", text(&out.stdout));
+    assert!(!json.exists(), "a rejected command line wrote {json:?}");
+}
+
+#[test]
+fn the_scenarios_are_the_three_figures() {
+    let out = repro(&["list"]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let listing = text(&out.stdout);
+    let (_, scenarios) = listing
+        .split_once("scenarios:\n")
+        .unwrap_or_else(|| panic!("no scenario section:\n{listing}"));
+    let names: Vec<&str> = scenarios
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(names, ["fig6", "fig7", "fig8"], "{listing}");
 }
 
 #[test]

@@ -48,8 +48,8 @@ fn watchdogged_sweep_completes_and_rows_round_trip() {
     let text = std::fs::read_to_string(&json).expect("artifact written");
     let _ = std::fs::remove_file(&json);
     let rows = bench::json::parse_rows(&text).expect("artifact validates");
-    // Sequential reference (in-process) + tl2 (subprocess), 2 thread
-    // counts each — identical shape to an unwatchdogged run.
+    // Sequential reference + tl2, 2 thread counts each, every cell in a
+    // subprocess — identical shape to an unwatchdogged run.
     assert_eq!(rows.len(), 4, "{text}");
     assert!(rows.iter().any(|r| r.backend == "sequential"));
     assert!(rows.iter().any(|r| r.backend == "tl2" && r.threads == 2));
@@ -78,15 +78,15 @@ fn watchdogged_sweep_completes_and_rows_round_trip() {
 fn watchdog_kills_overrunning_cells_and_reports_livelock() {
     let json = temp_json("kill");
     // An 8-second cell under a 1-second bound: the watchdog must kill the
-    // subprocess and synthesize a livelocked row instead of waiting.
-    // contention-sweep has no sequential reference, so nothing long runs
-    // in the parent.
+    // subprocess and synthesize a livelocked row instead of waiting. The
+    // sequential reference runs in a bounded subprocess too, so it is
+    // killed the same way and nothing long runs in the parent.
     let started = Instant::now();
     let out = repro()
         .args([
             "summary",
             "--scenario",
-            "contention-sweep",
+            "fig8",
             "--stm",
             "tl2",
             "--threads",
@@ -111,19 +111,23 @@ fn watchdog_kills_overrunning_cells_and_reports_livelock() {
     );
     assert!(
         elapsed < Duration::from_secs(6),
-        "the bound must cut the 8s cell short, took {elapsed:?}"
+        "the bound must cut both 8s cells short, took {elapsed:?}"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("LIVELOCK!"),
+        stdout.contains("TL2 LIVELOCK!"),
         "table must mark the killed row:\n{stdout}"
     );
     let text = std::fs::read_to_string(&json).expect("artifact written");
     let _ = std::fs::remove_file(&json);
     let rows = bench::json::parse_rows(&text).expect("a livelock report still validates");
-    assert_eq!(rows.len(), 1);
+    // The sequential reference, then tl2: both overran the bound.
+    assert_eq!(rows.len(), 2, "{text}");
+    assert_eq!(rows[0].backend, "sequential");
     assert!(rows[0].livelocked);
-    assert_eq!(rows[0].m.ops, 0);
-    assert_eq!(rows[0].backend, "tl2");
-    assert_eq!(rows[0].system, "TL2");
+    let tl2 = &rows[1];
+    assert!(tl2.livelocked);
+    assert_eq!(tl2.m.ops, 0);
+    assert_eq!(tl2.backend, "tl2");
+    assert_eq!(tl2.system, "TL2");
 }

@@ -190,8 +190,7 @@ impl TxQueue {
     /// Atomic *blocking* dequeue: when the queue is empty the
     /// transaction calls [`retry`](stm_core::api::Tx::retry) and parks
     /// until a producer's committed enqueue touches the links it read,
-    /// so a waiting consumer burns no CPU. The waiter-army benchmark
-    /// scenario drives thousands of parked consumers through this path.
+    /// so a waiting consumer burns no CPU.
     pub fn dequeue_blocking<B: AtomicBackend>(&self, at: &Atomic<B>) -> i64 {
         let guard = pin();
         let mut unlinked: Vec<u64> = Vec::new();
@@ -211,8 +210,8 @@ impl TxQueue {
     /// Bounded-patience blocking dequeue: parks like
     /// [`dequeue_blocking`](Self::dequeue_blocking), but after `patience`
     /// empty attempts gives up and returns `None` instead of waiting for
-    /// a producer that may never come — the form benchmark consumers
-    /// use, so a produceless cell (every thread consuming) stays bounded.
+    /// a producer that may never come, so a consumer with no producer
+    /// stays bounded.
     pub fn dequeue_blocking_bounded<B: AtomicBackend>(
         &self,
         at: &Atomic<B>,

@@ -59,16 +59,6 @@ impl DurableHeap {
             .insert(core.id(), key);
     }
 
-    /// The stable key of `core_id`, if registered.
-    #[must_use]
-    pub fn key_of(&self, core_id: usize) -> Option<u64> {
-        self.keys
-            .read()
-            .expect("durable heap lock")
-            .get(&core_id)
-            .copied()
-    }
-
     /// Number of registered locations.
     #[must_use]
     pub fn len(&self) -> usize {

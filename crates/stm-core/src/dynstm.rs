@@ -281,7 +281,7 @@ impl core::fmt::Display for UnknownBackend {
 impl std::error::Error for UnknownBackend {}
 
 /// The name → constructor factory runtime callers (the `repro` CLI, the
-/// scenario registry, library users) select backends from.
+/// repo benchmark, library users) select backends from.
 ///
 /// `stm-core` only defines the registry; the backend crates each export a
 /// `register_backends` function that fills it in, and the umbrella crate /

@@ -1,6 +1,6 @@
 //! `txkv` — the service layer over the STM reproduction: a transactional
-//! keyspace with multi-key transactions, the load shapes that drive it,
-//! and a latency histogram.
+//! keyspace with multi-key transactions and the load shapes that drive
+//! it.
 //!
 //! The rest of the workspace reproduces the paper bottom-up (backends,
 //! the `atomic` facade, composable collections, durability). This crate
@@ -10,7 +10,7 @@
 //! **and** p50/p99 latency, measured by the repo benchmark) every future
 //! optimization has to justify itself against.
 //!
-//! Three modules:
+//! Two modules:
 //!
 //! * [`keyspace`] — a value slot and a presence word per key, both
 //!   `TVar`s; `GET`/`SET`/`CAS`/`DEL` run as short transactions over the
@@ -18,19 +18,14 @@
 //!   [`section`](stm_core::api::Tx::section)s under one parent. Generic
 //!   over every registry backend; optionally durable through the
 //!   `CommitHook`/`DurableStore` seam.
-//! * [`hist`] — the fixed-bucket lock-free latency histogram. The record
-//!   path is allocation-free (pinned by the workspace `zero_alloc` test)
-//!   and the file carries the `lint:hot-path` tag.
 //! * [`loadgen`] — zipfian/hotspot/uniform key sampling and the op mix.
 //!   The repo benchmark's `kv-mem` and `kv-durable` workloads build their
 //!   op streams from them and measure the keyspace end to end.
 
 #![forbid(unsafe_code)]
 
-pub mod hist;
 pub mod keyspace;
 pub mod loadgen;
 
-pub use hist::{LatencyHistogram, LatencySummary};
 pub use keyspace::{KeySpace, MultiOp, ShardKind};
 pub use loadgen::{KeyDist, KeySampler, OpMix};

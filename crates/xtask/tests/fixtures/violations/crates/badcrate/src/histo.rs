@@ -1,6 +1,6 @@
 //! Seeded violation: a hot-path-tagged latency histogram that allocates
-//! on its record path — the exact failure mode the `txkv::hist` pin
-//! exists to prevent.
+//! on its record path — the failure mode the `lint:hot-path` tag exists
+//! to prevent.
 // lint:hot-path
 
 /// A histogram whose record path touches the allocator.

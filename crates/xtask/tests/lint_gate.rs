@@ -40,8 +40,8 @@ fn seeded_fixtures_trip_every_rule() {
         .any(|v| v.rule == "unsafe-forbid" && v.file == Path::new("crates/badcrate/src/lib.rs")));
     // hot.rs: both the Instant and the format! land; the lint:allow line
     // does not. histo.rs (the allocating histogram): the Box::new and the
-    // vec! on the record path each fire — proof the txkv `LatencyHistogram`
-    // pin would catch an allocator on the record path. waity.rs (the
+    // vec! on the record path each fire — proof a hot-path-tagged
+    // recorder would be caught touching the allocator. waity.rs (the
     // wait-registry shape): an Instant park deadline and a per-episode
     // vec! each fire — the pins that keep `stm-core::wait` allocation-
     // and timing-free under its own hot-path tag.

@@ -13,8 +13,8 @@
 //! * [`histories`] — the executable formal model of Sections II–IV
 //! * [`cec`] — the composable collections package of Section VI
 //! * [`txkv`] — the service layer: a transactional keyspace
-//!   (`GET`/`SET`/`CAS`/`DEL`/`MULTI`), the key-skew and op-mix load
-//!   shapes that drive it, and a latency histogram
+//!   (`GET`/`SET`/`CAS`/`DEL`/`MULTI`) and the key-skew and op-mix load
+//!   shapes that drive it
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system map.
 

@@ -344,26 +344,6 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         assert_boosted_contains_does_not_allocate(&at, name);
     }
 
-    // The txkv latency-recording path: `LatencyHistogram::record_us` is
-    // one relaxed fetch_add into a fixed bucket array (the `lint:hot-path`
-    // pin on `txkv::hist`). A warmed histogram must record any latency —
-    // sub-microsecond through the saturating top bucket — with exactly
-    // zero allocation events, or the service scenarios' measured numbers
-    // would include allocator noise.
-    let hist = composing_relaxed_transactions::txkv::LatencyHistogram::new();
-    hist.record_us(7); // construction done; nothing left to warm
-    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        hist.record_us(i.wrapping_mul(0x9E37_79B9) >> (i % 48));
-    }
-    let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        events, 0,
-        "LatencyHistogram::record_us allocated {events} times over 10k \
-         records — the record path must never touch the allocator"
-    );
-    assert_eq!(hist.count(), 10_001, "every record must land in a bucket");
-
     // Operation level: what a service request pays around its
     // transaction. A set operation pins an epoch, runs and unpins; with
     // nothing retired the pin takes no lock. A keyspace operation is the
