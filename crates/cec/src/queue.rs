@@ -207,36 +207,6 @@ impl TxQueue {
         out
     }
 
-    /// Bounded-patience blocking dequeue: parks like
-    /// [`dequeue_blocking`](Self::dequeue_blocking), but after `patience`
-    /// empty attempts gives up and returns `None` instead of waiting for
-    /// a producer that may never come, so a consumer with no producer
-    /// stays bounded.
-    pub fn dequeue_blocking_bounded<B: AtomicBackend>(
-        &self,
-        at: &Atomic<B>,
-        patience: u32,
-    ) -> Option<i64> {
-        let guard = pin();
-        let mut unlinked: Vec<u64> = Vec::new();
-        let mut left = patience;
-        let out = at.run(Policy::Regular, |tx| {
-            unlinked.clear();
-            match self.dequeue_in(tx, &mut unlinked)? {
-                Some(v) => Ok(Some(v)),
-                None if left > 0 => {
-                    left -= 1;
-                    tx.retry()
-                }
-                None => Ok(None),
-            }
-        });
-        for idx in unlinked {
-            self.arena.retire(idx, &guard);
-        }
-        out
-    }
-
     /// Atomic peek.
     pub fn peek<B: AtomicBackend>(&self, at: &Atomic<B>) -> Option<i64> {
         let _guard = pin();
@@ -383,22 +353,6 @@ mod tests {
         assert!(q.is_empty(&at));
         let snap = at.stats();
         assert_eq!(snap.wakeups + snap.spurious_wakeups, snap.retry_parks);
-    }
-
-    #[test]
-    fn bounded_blocking_dequeue_gives_up_on_a_produceless_queue() {
-        let at = Atomic::new(Tl2::new());
-        let q = TxQueue::new();
-        // Empty queue, nobody producing: the bounded form parks its
-        // patience out and returns None instead of blocking forever.
-        assert_eq!(q.dequeue_blocking_bounded(&at, 3), None);
-        let snap = at.stats();
-        assert_eq!(snap.retry_parks, 3, "{snap:?}");
-        assert_eq!(snap.explicit_retries(), 3);
-        // With an element present it consumes without parking.
-        q.enqueue(&at, 42);
-        assert_eq!(q.dequeue_blocking_bounded(&at, 3), Some(42));
-        assert_eq!(at.stats().retry_parks, 3, "no new park when non-empty");
     }
 
     #[test]

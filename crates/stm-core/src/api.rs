@@ -104,7 +104,7 @@ use crate::dynstm::Backend;
 use crate::error::{Abort, AbortReason};
 use crate::link::Link;
 use crate::stats::StatsSnapshot;
-use crate::stm::{Decide, Instance, OptionWord, RunError, Stm, Transaction, TxKind};
+use crate::stm::{Decide, DecideEach, Instance, OptionWord, RunError, Stm, Transaction, TxKind};
 use crate::tvar::{TVar, TVarCore};
 use crate::word::Word;
 
@@ -462,6 +462,30 @@ impl<B: AtomicBackend> Atomic<B> {
         match driver::short_update(self.instance(), word, decide) {
             Some(prev) => prev,
             None => self.run(Policy::Regular, |tx| word.update(tx, decide)),
+        }
+    }
+
+    /// Update each of `words` as `decide` says, all in one short top-level
+    /// transaction (the [`driver`]'s `short_update_each`, over at most
+    /// [`driver::SHORT_CAPACITY`] words), or as one regular run that
+    /// applies [`OptionWord::update`] to each word in order when the short
+    /// one cannot serve. A word may appear more than once.
+    ///
+    /// # Panics
+    /// Panics if the retry budget is exhausted, as [`run`](Self::run).
+    pub fn short_update_each<'env>(
+        &'env self,
+        words: &[OptionWord<'env>],
+        decide: &mut DecideEach<'_>,
+    ) {
+        if !driver::short_update_each::<{ driver::SHORT_CAPACITY }>(self.instance(), words, decide)
+        {
+            self.run(Policy::Regular, |tx| {
+                for (i, word) in words.iter().enumerate() {
+                    word.update(tx, |cur| decide(i, cur))?;
+                }
+                Ok(())
+            });
         }
     }
 

@@ -18,13 +18,15 @@
 //! * [`run`] — the retry/wait/park policy: which failures park on the
 //!   read set, which are charged and paced, when the run gives up, and
 //!   what a body that panics leaves behind (nothing: it is rolled back);
-//! * `short_read` and `short_update` — the short operations on an
-//!   [`OptionWord`], which [`Atomic`](crate::Atomic) runs for every
-//!   backend: a double collect of its two words, and for an update both
-//!   words locked at the versions collected, one commit stamp and the same
-//!   [`Attempt::publish`] tail. What they cannot serve they hand back,
-//!   and the runner runs it as a regular transaction. They need only the
-//!   word protocol every [`TxnEngine`] keeps.
+//! * `short_read` and `short_update_each` — the short operations on
+//!   [`OptionWord`]s, which [`Atomic`](crate::Atomic) runs for every
+//!   backend: a double collect of their words, and for an update every
+//!   word locked at the version collected, one commit stamp and the same
+//!   [`Attempt::publish`] tail. A one-key update is its case of one word,
+//!   a txkv MULTI its case of up to [`SHORT_CAPACITY`]. What they cannot
+//!   serve they hand back, and the runner runs it as a regular
+//!   transaction. They need only the word protocol every [`TxnEngine`]
+//!   keeps.
 //!
 //! The xtask `commit-tail` lint keeps it that way: firing the commit
 //! hook, `wait::notify_commit` and `wait::wait_for_locations` are allowed
@@ -35,8 +37,8 @@ use crate::cm::{self, PROGRESS_PARK_AFTER};
 use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::{ReadEntry, ReadSet};
-use crate::scratch::{give_back, SpareVec};
-use crate::stm::{Decide, Instance, OptionWord, RunError, Transaction};
+use crate::scratch::{give_back, SpareVec, VACANT};
+use crate::stm::{Decide, DecideEach, Instance, OptionWord, RunError, Transaction};
 use crate::ticket::next_ticket;
 use crate::trace::{AttemptTracer, TraceOp};
 use crate::tvar::TVarCore;
@@ -615,119 +617,196 @@ fn unwind<'env, T: TxnEngine<'env>>(txn: &mut T, payload: Box<dyn Any + Send>) -
     panic::resume_unwind(payload)
 }
 
-/// One short operation on an [`OptionWord`]: its two words (presence,
-/// then value), what the double collect saw of them, and what the
-/// operation stores.
+/// How many optional words one short update holds: a MULTI over more
+/// keys runs as a regular transaction.
+pub const SHORT_CAPACITY: usize = 16;
+
+/// One short operation on up to `N` distinct [`OptionWord`]s, its
+/// *rows*: each one's two words (presence, then value), what the double
+/// collect saw of them, and what the operation stores. A word that
+/// appears more than once in the caller's list is one row. Rows past
+/// `len` hold a vacant filler. What a one-word GET or SET runs is
+/// `#[inline(always)]`: left to the inliner, a GET's collect became a
+/// call and a loop, and `kv-mem`'s read and update latencies rose.
 #[derive(Debug)]
-struct Short<'env> {
-    words: [&'env TVarCore; 2],
-    /// The lock words the collect saw, both unlocked: the versions.
-    versions: [u64; 2],
-    values: [u64; 2],
-    /// The word each stores at commit; `None` where it writes nothing.
-    stores: [Option<u64>; 2],
+struct Short<'env, const N: usize> {
+    len: usize,
+    words: [[&'env TVarCore; 2]; N],
+    /// The lock words the collect saw, all unlocked: the versions.
+    versions: [[u64; 2]; N],
+    values: [[u64; 2]; N],
+    /// The word each row stores at commit; `None` where it writes nothing.
+    stores: [[Option<u64>; 2]; N],
+    /// The row of each occurrence in the caller's list.
+    row: [u8; N],
 }
 
-impl<'env> Short<'env> {
-    /// The double collect: both lock words, then both values, then both
-    /// lock words again. Both unlocked and both unchanged means each value
-    /// was its word's committed value for the whole stretch between the
-    /// first pass's last lock load and the second pass's first, so the
-    /// pair is a consistent snapshot. That needs a version to change
-    /// whenever a value does, which every word backend keeps (see
-    /// [`VLock::unlock_to`]). `between` runs between the two passes (a
-    /// test seam; a no-op otherwise). `None`: a word was locked or moved.
-    #[inline]
-    fn collect(word: OptionWord<'env>, between: impl FnOnce()) -> Option<Self> {
-        let words = [word.present, word.value];
-        let versions = words.map(|w| w.lock().raw());
+impl<'env, const N: usize> Short<'env, N> {
+    /// A short operation on `words` (at most `N`), before its collect.
+    #[inline(always)]
+    fn new(words: &[OptionWord<'env>]) -> Self {
+        const { assert!(2 * N <= 256, "a word's index must fit a `u8`") };
+        let mut s = Self {
+            len: 0,
+            words: [[&VACANT; 2]; N],
+            versions: [[0; 2]; N],
+            values: [[0; 2]; N],
+            stores: [[None; 2]; N],
+            row: [0; N],
+        };
+        for (row, w) in s.row.iter_mut().zip(words) {
+            let seen = s.words[..s.len]
+                .iter()
+                .position(|c| c[0].id() == w.present.id());
+            *row = seen.unwrap_or_else(|| {
+                s.words[s.len] = [w.present, w.value];
+                s.len += 1;
+                s.len - 1
+            }) as u8;
+        }
+        s
+    }
+
+    /// The double collect: every row's lock words, then their values,
+    /// then their lock words again. All unlocked and all unchanged means
+    /// each value was its word's committed value for the whole stretch
+    /// between the first pass's last lock load and the second pass's
+    /// first, so together they are a consistent snapshot. That needs a
+    /// version to change whenever a value does, which every word backend
+    /// keeps (see [`VLock::unlock_to`]). `between` runs between the two
+    /// passes (a test seam; a no-op otherwise). `false`: a word was
+    /// locked or moved.
+    #[inline(always)]
+    fn collect(&mut self, between: impl FnOnce()) -> bool {
+        let words = self.words[..self.len].as_flattened();
+        let versions = self.versions[..self.len].as_flattened_mut();
+        for (v, w) in versions.iter_mut().zip(words) {
+            *v = w.lock().raw();
+        }
         if versions
             .iter()
             .any(|&raw| matches!(VLock::decode(raw), LockState::Locked { .. }))
         {
-            return None;
+            return false;
         }
-        let values = words.map(TVarCore::value_unsync);
+        let values = self.values[..self.len].as_flattened_mut();
+        for (x, w) in values.iter_mut().zip(words) {
+            *x = w.value_unsync();
+        }
         between();
-        if words.iter().zip(versions).any(|(w, v)| w.lock().raw() != v) {
-            return None;
-        }
-        Some(Self {
-            words,
-            versions,
-            values,
-            stores: [None; 2],
-        })
+        words
+            .iter()
+            .zip(&*versions)
+            .all(|(w, &v)| w.lock().raw() == v)
     }
 
-    /// The state the collect saw.
-    #[inline]
-    fn state(&self) -> Option<u64> {
-        (self.values[0] == 1).then_some(self.values[1])
+    /// The state the collect saw of row `i`.
+    #[inline(always)]
+    fn state(&self, i: usize) -> Option<u64> {
+        (self.values[i][0] == 1).then_some(self.values[i][1])
     }
 
     /// The highest version among the words collected: what a commit that
     /// stages nothing awaits (see `hook`).
     fn observed(&self) -> u64 {
-        self.versions[0].max(self.versions[1])
+        let versions = self.versions[..self.len].as_flattened();
+        versions.iter().copied().max().unwrap_or(0)
     }
 
-    /// Plan the stores that move the state to `new`; returns how many
-    /// words they write.
-    #[inline]
-    fn plan(&mut self, new: Option<u64>) -> usize {
-        self.stores = OptionWord::stores(self.state(), new);
-        self.stores.iter().flatten().count()
+    /// Call `decide` on each of the `n` occurrences in order, a repeated
+    /// word seeing the state its earlier occurrences planned, then plan
+    /// the stores that move each decided row from its collected state to
+    /// its last planned one; returns how many words they write.
+    #[inline(always)]
+    fn plan(
+        &mut self,
+        n: usize,
+        mut decide: impl FnMut(usize, Option<u64>) -> Option<Option<u64>>,
+    ) -> usize {
+        let mut planned = [None; N];
+        for (i, &row) in self.row[..n].iter().enumerate() {
+            let row = usize::from(row);
+            let cur = planned[row].unwrap_or_else(|| self.state(row));
+            if let Some(new) = decide(i, cur) {
+                planned[row] = Some(new);
+            }
+        }
+        let mut len = 0;
+        for (i, new) in planned[..self.len].iter().enumerate() {
+            if let Some(new) = *new {
+                self.stores[i] = OptionWord::stores(self.state(i), new);
+                len += self.stores[i].iter().flatten().count();
+            }
+        }
+        len
     }
 
-    /// The events a regular transaction would record: the presence word's
-    /// read, the value word's if present, then the planned writes.
+    /// The events a regular transaction would record: each row's presence
+    /// word read and its value word's if present, then the planned writes.
     fn trace(&self, t: &mut AttemptTracer) {
-        t.op(self.words[0].id(), TraceOp::Read(self.values[0]));
-        if self.state().is_some() {
-            t.op(self.words[1].id(), TraceOp::Read(self.values[1]));
+        for (i, [present, value]) in self.words[..self.len].iter().enumerate() {
+            t.op(present.id(), TraceOp::Read(self.values[i][0]));
+            if self.state(i).is_some() {
+                t.op(value.id(), TraceOp::Read(self.values[i][1]));
+            }
         }
         self.for_each_store(&mut |id, word| t.op(id, TraceOp::Write(word)));
     }
 
-    /// Lock both words, in address order, at the versions collected: the
-    /// re-check under the locks. On failure nothing stays locked.
+    /// Lock every collected word, in address order, at the version
+    /// collected: the re-check under the locks. On failure the locks
+    /// taken are given back at their versions, and nothing stays locked.
+    #[inline(always)]
     fn lock(&self, owner: u64) -> bool {
-        let [first, second] = if self.words[0].id() < self.words[1].id() {
-            [0, 1]
-        } else {
-            [1, 0]
-        };
-        let lock = |i: usize| self.words[i].lock().try_lock_at(self.versions[i], owner);
-        if !lock(first) {
-            return false;
+        let words = self.words[..self.len].as_flattened();
+        let versions = self.versions[..self.len].as_flattened();
+        let mut order = [[0; 2]; N];
+        let order = order[..self.len].as_flattened_mut();
+        for i in 0..order.len() {
+            let mut j = i;
+            while j > 0 && words[usize::from(order[j - 1])].id() > words[i].id() {
+                order[j] = order[j - 1];
+                j -= 1;
+            }
+            order[j] = i as u8;
         }
-        if lock(second) {
-            return true;
+        for (taken, &k) in order.iter().enumerate() {
+            let k = usize::from(k);
+            if !words[k].lock().try_lock_at(versions[k], owner) {
+                for &k in &order[..taken] {
+                    let k = usize::from(k);
+                    words[k].lock().unlock_to(versions[k]);
+                }
+                return false;
+            }
         }
-        self.words[first].lock().unlock_to(self.versions[first]);
-        false
+        true
     }
 
-    /// Feed each planned `(location, word)` store to `f`.
+    /// Feed each planned `(location, word)` store to `f`, row by row.
     fn for_each_store(&self, f: &mut dyn FnMut(usize, u64)) {
-        for (w, store) in self.words.iter().zip(self.stores) {
-            if let Some(word) = store {
+        let words = self.words[..self.len].as_flattened();
+        for (w, store) in words.iter().zip(self.stores[..self.len].as_flattened()) {
+            if let Some(word) = *store {
                 f(w.id(), word);
             }
         }
     }
 
-    /// Write back and unlock: a stored word at `wv`, the other at the
-    /// version it had, since its value never changed.
+    /// Write back and unlock: a stored word at `wv`, the others at the
+    /// version they had, since their values never changed.
+    #[inline(always)]
     fn release(&self, wv: u64) {
-        for (i, w) in self.words.iter().enumerate() {
-            match self.stores[i] {
+        let words = self.words[..self.len].as_flattened();
+        let stores = self.stores[..self.len].as_flattened();
+        let versions = self.versions[..self.len].as_flattened();
+        for ((w, store), &v) in words.iter().zip(stores).zip(versions) {
+            match *store {
                 Some(word) => {
                     w.store_value(word);
                     w.lock().unlock_to(wv);
                 }
-                None => w.lock().unlock_to(self.versions[i]),
+                None => w.lock().unlock_to(v),
             }
         }
     }
@@ -754,7 +833,8 @@ fn short_read_with(
     between: impl FnOnce(),
 ) -> Option<Option<u64>> {
     let served = if inst.config.trace.is_none() && inst.config.commit_hook.is_none() {
-        Short::collect(word, between).map(|seen| seen.state())
+        let mut seen = Short::<1>::new(&[word]);
+        seen.collect(between).then(|| seen.state(0))
     } else {
         short_read_published(inst, word, between)
     };
@@ -775,55 +855,76 @@ fn short_read_published(
 ) -> Option<Option<u64>> {
     let mut at = Attempt::new(inst);
     at.restart();
-    let Some(seen) = Short::collect(word, between) else {
+    let mut seen = Short::<1>::new(&[word]);
+    if !seen.collect(between) {
         at.abandon();
         return None;
-    };
+    }
     if let Some(t) = at.tracer() {
         seen.trace(t);
     }
     at.publish(0, &mut (), 0, |(), _| {}, |()| {}, |()| seen.observed());
-    Some(seen.state())
+    Some(seen.state(0))
 }
 
-/// The short update of `word`, deciding on a double collect. A no-op
-/// (`decide` returns `None`) commits read-only, with no ticket and no
-/// lock. Otherwise it locks both words in address order at the versions
-/// collected, takes a commit stamp and ends in [`Attempt::publish`], like
-/// any update: the hook stages under the locks, parked `retry()`s are
-/// woken, the stores are written back and the locks released, then come
-/// the trace commit and the durability await. Returns the state it
-/// replaced, or `None` when a word was seen locked or moved, or a lock
-/// was lost before the update held both: the caller falls back to a
-/// regular run of [`OptionWord::update`].
+/// The short update of `word`: [`short_update_each`] over the one word.
+/// Returns the state it replaced, or `None` when the caller must fall
+/// back to a regular run of [`OptionWord::update`].
 #[inline]
 pub(crate) fn short_update(
     inst: &Instance,
     word: OptionWord<'_>,
     decide: &Decide<'_>,
 ) -> Option<Option<u64>> {
-    let served = short_update_native(inst, word, decide);
-    if served.is_some() {
-        inst.stats.record_commit();
-    }
-    served
+    let mut prev = None;
+    let decide_one = |_, cur| {
+        prev = cur;
+        decide(cur)
+    };
+    short_update_with::<1>(inst, &[word], decide_one, || {}).then_some(prev)
 }
 
-/// The short update itself; `None` asks for the fallback.
+/// The short update of every word in `words`, deciding on one double
+/// collect of them all; `N` bounds how many it holds. An update that
+/// writes nothing commits read-only, with no ticket, no lock and no
+/// stamp. Otherwise it locks every collected word in address order at
+/// the version collected, takes one commit stamp and ends in one
+/// [`Attempt::publish`], like any update: the hook stages under the
+/// locks, parked `retry()`s are woken, the stores are written back and
+/// the locks released, then come the trace commit and the durability
+/// await. Returns `false` when it cannot serve — more than `N` words, a
+/// word seen locked or moved, or a lock lost before the update held them
+/// all — and the caller falls back to a regular run that applies
+/// [`OptionWord::update`] to each word in order.
 #[inline]
-fn short_update_native(
+pub(crate) fn short_update_each<const N: usize>(
     inst: &Instance,
-    word: OptionWord<'_>,
-    decide: &Decide<'_>,
-) -> Option<Option<u64>> {
+    words: &[OptionWord<'_>],
+    decide: &mut DecideEach<'_>,
+) -> bool {
+    short_update_with::<N>(inst, words, decide, || {})
+}
+
+/// [`short_update_each`] with `between` run between the collect's two
+/// passes.
+#[inline]
+fn short_update_with<const N: usize>(
+    inst: &Instance,
+    words: &[OptionWord<'_>],
+    mut decide: impl FnMut(usize, Option<u64>) -> Option<Option<u64>>,
+    between: impl FnOnce(),
+) -> bool {
+    if words.len() > N {
+        return false;
+    }
     let mut at = Attempt::new(inst);
     at.restart();
-    let Some(mut short) = Short::collect(word, || {}) else {
+    let mut short = Short::<N>::new(words);
+    if !short.collect(between) {
         at.abandon();
-        return None;
-    };
-    let cur = short.state();
-    let len = decide(cur).map_or(0, |new| short.plan(new));
+        return false;
+    }
+    let len = short.plan(words.len(), &mut decide);
     if let Some(t) = at.tracer() {
         short.trace(t);
     }
@@ -831,7 +932,7 @@ fn short_update_native(
     if len != 0 {
         if !short.lock(at.ticket()) {
             at.abandon();
-            return None;
+            return false;
         }
         wv = inst.clock.stamp().wv;
     }
@@ -847,7 +948,8 @@ fn short_update_native(
         },
         Short::observed,
     );
-    Some(cur)
+    inst.stats.record_commit();
+    true
 }
 
 /// A per-thread pseudo-random jitter in `[0, range)` for park timeouts.
@@ -1810,5 +1912,190 @@ mod tests {
         assert_eq!(at.short_update(word, &|_| None), Some(6));
         assert_eq!(rec.take(), ["commit event"], "nor does a no-op");
         assert_eq!(at.backend().runs(), 0);
+    }
+
+    /// `n` present optional words, word `j` holding `j`; its presence word
+    /// at version `2j + 1`, its value word at `2j + 2`.
+    fn present_words(n: usize) -> Vec<OptionWord<'static>> {
+        (0..n)
+            .map(|j| {
+                let word = present_word(j as u64);
+                commit_word(word.present, 1, 2 * j as u64 + 1);
+                commit_word(word.value, j as u64, 2 * j as u64 + 2);
+                word
+            })
+            .collect()
+    }
+
+    /// Add one to every present word.
+    fn bump_each(_: usize, cur: Option<u64>) -> Option<Option<u64>> {
+        Some(cur.map(|v| v + 1))
+    }
+
+    /// What every word holds now.
+    fn values(words: &[OptionWord<'static>]) -> Vec<u64> {
+        words.iter().map(|w| w.value.value_unsync()).collect()
+    }
+
+    /// [`Atomic::short_update_each`] with `between` run between the
+    /// collect's two passes.
+    fn short_update_between(
+        at: &Atomic<ShortToy>,
+        words: &[OptionWord<'static>],
+        decide: &mut DecideEach<'_>,
+        between: impl FnOnce(),
+    ) {
+        let served =
+            short_update_with::<SHORT_CAPACITY>(at.instance(), words, &mut *decide, between);
+        if !served {
+            at.run(Policy::Regular, |tx| {
+                for (i, word) in words.iter().enumerate() {
+                    word.update(tx, |cur| decide(i, cur))?;
+                }
+                Ok(())
+            });
+        }
+    }
+
+    #[test]
+    fn a_full_capacity_update_is_served_short_at_one_stamp() {
+        let at = short_toy();
+        let words = present_words(SHORT_CAPACITY);
+        let before = at.clock().now();
+        at.short_update_each(&words, &mut bump_each);
+        let wv = at.clock().now();
+        assert_eq!(wv, before + 1, "one commit stamp");
+        assert_eq!(
+            values(&words),
+            (1..=SHORT_CAPACITY as u64).collect::<Vec<_>>()
+        );
+        for w in &words {
+            assert_eq!(w.value.lock().load(), LockState::Unlocked { version: wv });
+        }
+        assert_eq!(at.backend().runs(), 0, "no transaction ran");
+        assert_eq!(at.stats().commits, 1, "one commit");
+    }
+
+    #[test]
+    fn an_update_over_capacity_falls_back() {
+        let at = short_toy();
+        let words = present_words(SHORT_CAPACITY + 1);
+        at.short_update_each(&words, &mut bump_each);
+        assert_eq!(
+            values(&words),
+            (1..=SHORT_CAPACITY as u64 + 1).collect::<Vec<_>>()
+        );
+        assert_eq!(at.backend().runs(), 1);
+        assert_eq!(at.stats().commits, 1);
+    }
+
+    #[test]
+    fn an_update_over_a_locked_word_falls_back_and_applies_to_the_committed_value() {
+        let at = short_toy();
+        let words = present_words(4);
+        // A writer holds word 2's value word and has written in place.
+        let held = words[2].value;
+        assert!(held.lock().try_lock_at(6, 77));
+        held.store_value(20);
+        *at.backend().before_run.lock().unwrap() = Some(Box::new(move || held.lock().unlock_to(9)));
+        at.short_update_each(&words, &mut bump_each);
+        assert_eq!(values(&words), [1, 2, 21, 4]);
+        assert_eq!(
+            at.backend().runs(),
+            1,
+            "the locked word sent it to a full run"
+        );
+    }
+
+    #[test]
+    fn an_update_whose_word_moves_between_the_collects_falls_back() {
+        let at = short_toy();
+        let words = present_words(4);
+        let moved = words[1].value;
+        short_update_between(&at, &words, &mut bump_each, || commit_word(moved, 10, 9));
+        assert_eq!(
+            values(&words),
+            [1, 11, 3, 4],
+            "the committed value, not the collected one"
+        );
+        assert_eq!(at.backend().runs(), 1);
+        // With nothing moving, the same update needs no run.
+        short_update_between(&at, &words, &mut bump_each, || {});
+        assert_eq!(values(&words), [2, 12, 4, 5]);
+        assert_eq!(at.backend().runs(), 1);
+    }
+
+    #[test]
+    fn a_lock_lost_mid_lock_pass_falls_back_and_gives_back_every_lock_taken() {
+        let at = short_toy();
+        let words = present_words(4);
+        let cores: Vec<&'static TVarCore> =
+            words.iter().flat_map(|w| [w.present, w.value]).collect();
+        let versions: Vec<u64> = (1..=8).collect();
+        // The decision runs between the collect and the lock pass: there a
+        // racing writer takes the word that locks last.
+        let last = *cores.iter().max_by_key(|c| c.id()).unwrap();
+        let racer_took = Cell::new(false);
+        let mut decide = |i: usize, cur: Option<u64>| {
+            if !racer_took.replace(true) {
+                assert!(last.lock().try_lock_at(last.lock().raw(), 77));
+            }
+            bump_each(i, cur)
+        };
+        *at.backend().before_run.lock().unwrap() = Some(Box::new(move || {
+            for (core, &version) in cores.iter().zip(&versions) {
+                if core.id() != last.id() {
+                    let state = core.lock().load();
+                    assert_eq!(
+                        state,
+                        LockState::Unlocked { version },
+                        "given back at its version"
+                    );
+                }
+            }
+            last.lock().unlock_to(60);
+        }));
+        at.short_update_each(&words, &mut decide);
+        assert_eq!(
+            at.backend().runs(),
+            1,
+            "the lost lock sent it to a full run"
+        );
+        assert_eq!(values(&words), [1, 2, 3, 4]);
+        assert_eq!(at.stats().commits, 1);
+    }
+
+    #[test]
+    fn a_repeated_word_sees_what_its_earlier_occurrences_planned() {
+        let at = short_toy();
+        let (a, b) = (present_word(5), present_word(7));
+        a.present.store_value(0);
+        let mut seen = Vec::new();
+        at.short_update_each(&[a, b, a], &mut |i, cur| {
+            seen.push(cur);
+            match i {
+                0 => Some(Some(10)),
+                1 => Some(Some(20)),
+                _ => None,
+            }
+        });
+        assert_eq!(seen, [None, Some(7), Some(10)]);
+        assert_eq!((a.present.value_unsync(), a.value.value_unsync()), (1, 10));
+        assert_eq!(b.value.value_unsync(), 20);
+        assert_eq!(at.backend().runs(), 0, "a repeated word is served short");
+    }
+
+    #[test]
+    fn an_update_that_writes_nothing_takes_no_stamp_and_no_lock() {
+        let at = short_toy();
+        let words = present_words(4);
+        let before = at.clock().now();
+        at.short_update_each(&words, &mut |_, _| None);
+        assert_eq!(at.clock().now(), before, "no stamp");
+        for (j, w) in words.iter().enumerate() {
+            assert_eq!(w.value.lock().raw(), 2 * j as u64 + 2, "never locked");
+        }
+        assert_eq!(at.backend().runs(), 0);
+        assert_eq!(at.stats().commits, 1, "a read-only commit");
     }
 }

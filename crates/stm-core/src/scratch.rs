@@ -285,8 +285,9 @@ pub(crate) trait Pooled: Copy {
     fn give_back(spill: Vec<Self>);
 }
 
-/// The location a vacant entry names; nothing reads or writes it.
-static VACANT: TVarCore = TVarCore::new(0);
+/// The location a vacant entry, or a short operation's unused row,
+/// names; nothing reads or writes it.
+pub(crate) static VACANT: TVarCore = TVarCore::new(0);
 
 impl Pooled for ReadEntry<'_> {
     #[inline]

@@ -223,6 +223,14 @@ pub struct OptionWord<'env> {
 /// be a pure function of its argument.
 pub type Decide<'d> = dyn Fn(Option<u64>) -> Option<Option<u64>> + 'd;
 
+/// What a short update of several optional words does with each one, as
+/// [`Decide`] does with one: `decide(i, cur)` for the `i`-th word, in
+/// order, where a repeated word's `cur` is what its earlier occurrences
+/// decided. It is called once per word per attempt, from word 0 on, and
+/// may be called for more than one attempt, so the decisions must be a
+/// function of the arguments.
+pub type DecideEach<'d> = dyn FnMut(usize, Option<u64>) -> Option<Option<u64>> + 'd;
+
 impl<'env> OptionWord<'env> {
     /// The optional word kept in `present` and `value`.
     #[must_use]
@@ -282,7 +290,7 @@ impl<'env> OptionWord<'env> {
     pub fn update<T: Transaction<'env> + ?Sized>(
         self,
         tx: &mut T,
-        decide: &Decide<'_>,
+        decide: impl FnOnce(Option<u64>) -> Option<Option<u64>>,
     ) -> Result<Option<u64>, Abort> {
         let cur = self.read(tx)?;
         if let Some(new) = decide(cur) {

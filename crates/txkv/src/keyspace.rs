@@ -1,6 +1,6 @@
 //! The transactional keyspace: `GET`/`SET`/`CAS`/`DEL` as short
-//! transactions on one key's two words, `MULTI` as per-key sections under
-//! one parent.
+//! transactions on one key's two words, `MULTI` as one short transaction
+//! on all of its keys' words.
 //!
 //! Layout: the key universe is the fixed range `0..capacity`, and every
 //! key owns two `TVar<u64>`s: its **value slot** and a 0/1 **presence
@@ -23,17 +23,23 @@
 //! transaction ([`Atomic::short_read`], [`Atomic::short_update`]): on
 //! every backend a `GET` is a double collect of the key's two words, and
 //! a `SET`/`CAS`/`DEL` locks both words and commits through the driver's
-//! commit tail, with no transaction object and no log. Whatever a short
-//! operation cannot serve — a word locked or moved under it — it hands to
-//! a regular transaction. `MULTI`, [`KeySpace::get_or_insert`] and
-//! [`KeySpace::len`] are full transactions under [`Policy::Regular`]:
-//! only composed operations need the paper's outheritance. The keyspace is
-//! generic over every registry backend — including the deliberately
-//! broken E-STM compatibility mode, whose early-released elastic reads
-//! would violate multi-word atomicity (presence word vs. value slot);
-//! regular sections keep `MULTI` atomic on all five backends, which the
+//! commit tail, with no transaction object and no log. `MULTI` composes
+//! nothing either: its footprint is its key list, known before it runs,
+//! so it is the same short update over up to
+//! [`MAX_MULTI_SIZE`] keys ([`Atomic::short_update_each`]) — one double
+//! collect of every key's words, one lock pass, one commit stamp. Whatever
+//! a short operation cannot serve — a word locked or moved under it, or a
+//! MULTI over more keys than that — it hands to a regular transaction.
+//! [`KeySpace::get_or_insert`] and [`KeySpace::len`] are full
+//! transactions under [`Policy::Regular`]: only composed operations need
+//! the paper's outheritance. The keyspace is generic over every registry
+//! backend — including the deliberately broken E-STM compatibility mode,
+//! whose early-released elastic reads would violate multi-word atomicity
+//! (presence word vs. value slot). No txkv operation runs elastic, so
+//! `MULTI` is atomic on all five backends, which the
 //! `txkv_multi_atomicity` oracle battery asserts.
 
+use crate::loadgen::MAX_MULTI_SIZE;
 use durable::{DurableHeap, Recovery};
 use stm_core::api::{Atomic, AtomicBackend, Policy};
 use stm_core::OptionWord;
@@ -155,36 +161,47 @@ impl KeySpace {
         at.short_update(self.word(self.index(key)), &|cur| cur.map(|_| None))
     }
 
-    /// `MULTI` — one atomic read-modify-write over `keys`, composed from
-    /// one [`section`](stm_core::api::Tx::section) per key under a single
-    /// parent transaction. `f` sees each key's position in `keys` and its
-    /// current value and decides the update; it may run several times
-    /// (the parent retries on conflict), so it must be a pure function of
-    /// its inputs. Returns how many keys changed.
+    /// `MULTI` — one atomic read-modify-write over `keys`, as one short
+    /// update of their words ([`Atomic::short_update_each`]). `f` sees
+    /// each key's position in `keys` and its current value, in key order,
+    /// and decides the update; a repeated key sees what its earlier
+    /// occurrences decided. It may run several times (a short update that
+    /// cannot serve falls back to a regular run), so it must be a pure
+    /// function of its inputs. Returns how many keys changed.
     pub fn multi<B, F>(&self, at: &Atomic<B>, keys: &[i64], mut f: F) -> u64
     where
         B: AtomicBackend,
         F: FnMut(usize, Option<u64>) -> MultiOp,
     {
-        for &key in keys {
-            self.index(key);
-        }
-        at.run(Policy::Regular, |tx| {
-            let mut changed = 0u64;
-            for (i, &key) in keys.iter().enumerate() {
-                let word = self.word(key as usize);
-                let applied = tx.section(Policy::Regular, |t| {
-                    let cur = word.read(t)?;
-                    match f(i, cur) {
-                        MultiOp::Keep => Ok(false),
-                        MultiOp::Put(v) => word.store(t, cur, Some(v)).map(|()| true),
-                        MultiOp::Delete => word.store(t, cur, None).map(|()| cur.is_some()),
-                    }
-                })?;
-                changed += u64::from(applied);
+        let mut held = [self.word(0); MAX_MULTI_SIZE];
+        let spilled: Vec<OptionWord<'_>>;
+        let words = if keys.len() <= held.len() {
+            for (w, &key) in held.iter_mut().zip(keys) {
+                *w = self.word(self.index(key));
             }
-            Ok(changed)
-        })
+            &held[..keys.len()]
+        } else {
+            spilled = keys.iter().map(|&key| self.word(self.index(key))).collect();
+            &spilled[..]
+        };
+        let mut changed = 0u64;
+        at.short_update_each(words, &mut |i, cur| {
+            if i == 0 {
+                changed = 0;
+            }
+            match f(i, cur) {
+                MultiOp::Keep => None,
+                MultiOp::Put(v) => {
+                    changed += 1;
+                    Some(Some(v))
+                }
+                MultiOp::Delete => {
+                    changed += u64::from(cur.is_some());
+                    Some(None)
+                }
+            }
+        });
+        changed
     }
 
     /// `GET key` with an insert-on-miss fallback, composed with
@@ -349,6 +366,33 @@ mod tests {
         assert_eq!(ks.get(&at, lo), Some(20));
         assert_eq!(ks.get(&at, hi), Some(10));
         assert_eq!(ks.len(&at), 2);
+    }
+
+    /// A MULTI over more keys than the short capacity runs as one regular
+    /// transaction: values, the repeated key's view of its earlier
+    /// occurrence and the changed count are as on the short path.
+    #[test]
+    fn a_multi_over_more_keys_than_the_short_capacity_falls_back() {
+        let ks = KeySpace::new(ShardKind::Hash, 1, 256);
+        let at = oe();
+        ks.set(&at, 3, 7);
+        let keys: Vec<i64> = (0..MAX_MULTI_SIZE as i64).chain([0]).collect();
+        assert_eq!(keys.len(), MAX_MULTI_SIZE + 1);
+        let mut seen = None;
+        let changed = ks.multi(&at, &keys, |i, cur| match i {
+            3 => MultiOp::Keep,
+            MAX_MULTI_SIZE => {
+                seen = Some(cur);
+                MultiOp::Delete
+            }
+            _ => MultiOp::Put(100 + i as u64),
+        });
+        assert_eq!(seen, Some(Some(100)), "the repeated key saw its first put");
+        assert_eq!(changed, (MAX_MULTI_SIZE - 1) as u64 + 1);
+        assert_eq!(ks.get(&at, 0), None);
+        assert_eq!(ks.get(&at, 3), Some(7));
+        assert_eq!(ks.get(&at, 5), Some(105));
+        assert_eq!(ks.len(&at), MAX_MULTI_SIZE - 1);
     }
 
     /// Counts the read and write events a traced backend reports.

@@ -14,8 +14,8 @@
 //!
 //! * [`keyspace`] — a value slot and a presence word per key, both
 //!   `TVar`s; `GET`/`SET`/`CAS`/`DEL` run as short transactions over the
-//!   key's two words and [`KeySpace::multi`] composes per-key
-//!   [`section`](stm_core::api::Tx::section)s under one parent. Generic
+//!   key's two words and [`KeySpace::multi`] as one short transaction
+//!   over all of its keys' words. Generic
 //!   over every registry backend; optionally durable through the
 //!   `CommitHook`/`DurableStore` seam.
 //! * [`loadgen`] — zipfian/hotspot/uniform key sampling and the op mix.

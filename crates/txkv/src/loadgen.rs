@@ -7,8 +7,11 @@ use rand::{Rng, RngCore};
 
 /// Largest `MULTI` transaction size (keys per op) a load shape asks
 /// for, so a client can keep a MULTI's keys in a stack buffer of this
-/// length and allocate nothing per op.
-pub const MAX_MULTI_SIZE: usize = 16;
+/// length and allocate nothing per op. It is the driver's short-update
+/// capacity, so every MULTI a load shape asks for, and every 16-key
+/// prefill chunk, runs as one short transaction (see
+/// [`KeySpace::multi`](crate::KeySpace::multi)).
+pub const MAX_MULTI_SIZE: usize = stm_core::driver::SHORT_CAPACITY;
 
 /// A uniform f64 in `[0, 1)` (53 random bits; the shim has no `gen`).
 fn unit_f64(rng: &mut SmallRng) -> f64 {

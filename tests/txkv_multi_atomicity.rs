@@ -16,12 +16,14 @@
 //! and a durable kill-and-recover cycle proving the recovered image
 //! equals a committed prefix of the MULTI sequence.
 //!
-//! Point operations run as short transactions and MULTI as a full one, so
-//! two racing cells check the two against each other in the history
-//! model: short GET/SET/DEL beside two-key MULTIs, recorded on every
-//! backend and held to the opacity checker; and, on LSA, GETs racing a
-//! writer whose in-place writes abort, which must never return the
-//! aborted value.
+//! Point operations and MULTIs run as short transactions, falling back to
+//! full ones, so racing cells check them against each other in the
+//! history model: short GET/SET/DEL beside two-key MULTIs, and beside
+//! MULTIs that repeat a key or span [`MAX_MULTI_SIZE`] keys, recorded on
+//! every backend and held to the opacity checker; a MULTI over a word a
+//! writer holds, which must apply to what the writer commits; and, on
+//! LSA, GETs racing a writer whose in-place writes abort, which must
+//! never return the aborted value.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,15 +34,17 @@ use composing_relaxed_transactions::histories::{check_opacity, Recorder};
 use composing_relaxed_transactions::stm_core::api::Atomic;
 use composing_relaxed_transactions::stm_core::api::Policy;
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
-use composing_relaxed_transactions::stm_core::{Abort, AbortReason, OptionWord, StmConfig, TVar};
+use composing_relaxed_transactions::stm_core::{
+    Abort, AbortReason, LockState, OptionWord, StmConfig, TVar,
+};
 use composing_relaxed_transactions::txkv::loadgen::MAX_MULTI_SIZE;
 use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
 use durable::{DurableStore, MemVfs, Vfs};
 use proptest::prelude::*;
 
 /// Every registered backend, including the deliberately broken E-STM
-/// compatibility mode (whose unprotected *elastic* reads txkv sidesteps
-/// by running MULTI sections `Regular`).
+/// compatibility mode (whose unprotected *elastic* reads txkv sidesteps:
+/// no txkv operation runs elastic).
 const BACKENDS: [&str; 5] = ["oe", "oe-estm-compat", "lsa", "tl2", "swiss"];
 
 /// Small key universe so concurrent MULTIs actually collide.
@@ -302,8 +306,8 @@ fn durable_multis_survive_a_crash_as_a_committed_prefix() {
 #[test]
 fn traced_short_operations_racing_multis_are_opaque_on_every_backend() {
     // Two keys, three clients: one runs short SET/GET/DEL, one short
-    // GETs, one two-key MULTIs (a full transaction of two sections). Every
-    // recorded history, aborted attempts included, must be opaque.
+    // GETs, one two-key MULTIs (one short update of both keys' words).
+    // Every recorded history, aborted attempts included, must be opaque.
     const ROUNDS: u64 = 8;
     for backend in BACKENDS {
         for round in 0..ROUNDS {
@@ -347,6 +351,113 @@ fn traced_short_operations_racing_multis_are_opaque_on_every_backend() {
                 panic!("{backend}, round {round}: not opaque: {v}\nraw history:\n{raw:#}");
             }
         }
+    }
+}
+
+#[test]
+fn traced_short_operations_racing_repeated_key_and_full_size_multis_are_opaque_on_every_backend() {
+    // Three clients over MAX_MULTI_SIZE keys: one runs short SET/GET/DEL,
+    // one short GETs, one 3-key MULTIs that repeat key 0 and then one
+    // MULTI over every key, each a single short update of its keys'
+    // words. Every recorded history, aborted attempts included, must be
+    // opaque.
+    const ROUNDS: u64 = 6;
+    let every: Vec<i64> = (0..MAX_MULTI_SIZE as i64).collect();
+    for backend in BACKENDS {
+        for round in 0..ROUNDS {
+            let rec = Arc::new(Recorder::new());
+            let at = Atomic::new(
+                backend_registry()
+                    .build(backend, StmConfig::default().with_trace_sink(rec.clone()))
+                    .expect("registry backend"),
+            );
+            let ks = KeySpace::new(ShardKind::Hash, 1, MAX_MULTI_SIZE);
+            let start = Barrier::new(3);
+            std::thread::scope(|s| {
+                let (ks, at, start, every) = (&ks, &at, &start, &every);
+                s.spawn(move || {
+                    start.wait();
+                    ks.set(at, 0, 1 + round);
+                    ks.get(at, 1);
+                    ks.del(at, 0);
+                    ks.set(at, 1, 2 + round);
+                    ks.set(at, 15, 3 + round);
+                    ks.get(at, 0);
+                });
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..3 {
+                        ks.get(at, 0);
+                        ks.get(at, 1);
+                    }
+                });
+                s.spawn(move || {
+                    start.wait();
+                    let bump =
+                        |_: usize, cur: Option<u64>| MultiOp::Put(cur.map_or(10, |v| v + 10));
+                    for _ in 0..2 {
+                        ks.multi(at, &[0, 1, 0], bump);
+                    }
+                    ks.multi(at, every, bump);
+                });
+            });
+            let (raw, h) = (rec.raw_history(), rec.history());
+            assert_eq!(h.well_formed(), Ok(()), "{backend}, round {round}");
+            if let Err(v) = check_opacity(&raw) {
+                panic!("{backend}, round {round}: not opaque: {v}\nraw history:\n{raw:#}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_multi_over_a_held_word_applies_to_the_committed_value_on_every_backend() {
+    // A MULTI is one short update of its keys' words. A writer holds key
+    // 1's value word and has written 100 in place; a helper thread
+    // commits it once the MULTI's fallback run has lost to the held lock
+    // (an abort shows in the stats). The short update finds the word
+    // locked and falls back, and the MULTI must apply to the value the
+    // writer commits.
+    const WRITER: u64 = 1 << 40;
+    for backend in BACKENDS {
+        let at = runner(backend);
+        let vars: Vec<[TVar<u64>; 2]> = (0..3).map(|_| [TVar::new(0), TVar::new(0)]).collect();
+        let keys: Vec<OptionWord<'_>> = vars.iter().map(|[p, v]| OptionWord::new(p, v)).collect();
+        for (k, &key) in keys.iter().enumerate() {
+            at.short_update(key, &|_| Some(Some(10 * k as u64)));
+        }
+        let held = vars[1][1].core();
+        let LockState::Unlocked { version } = held.lock().load() else {
+            panic!("{backend}: the word is locked before the test holds it");
+        };
+        assert!(held.lock().try_lock_at(version, WRITER));
+        held.store_value(100);
+        let committed = AtomicBool::new(false);
+        let timed_out = std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while at.stats().aborts() == 0 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                let timed_out = at.stats().aborts() == 0;
+                committed.store(true, Ordering::SeqCst);
+                held.lock().unlock_to(at.clock().stamp().wv);
+                timed_out
+            });
+            let mut bump = |_: usize, cur: Option<u64>| Some(cur.map(|v| v + 1));
+            at.short_update_each(&keys, &mut bump);
+            assert!(
+                committed.load(Ordering::SeqCst),
+                "{backend}: the MULTI committed while the word was held"
+            );
+            helper.join().unwrap()
+        });
+        assert!(
+            !timed_out,
+            "{backend}: the word was released by the deadline, not after the fallback aborted"
+        );
+        let got: Vec<_> = keys.iter().map(|&key| at.short_read(key)).collect();
+        assert_eq!(got, [Some(1), Some(101), Some(21)], "{backend}");
     }
 }
 

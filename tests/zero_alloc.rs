@@ -409,7 +409,7 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         }
     });
     assert_eq!(events, 0, "KeySpace::del allocated {events} times");
-    // A 4-key MULTI over present keys: four sections under one parent.
+    // A 4-key MULTI over present keys: one short update of eight words.
     use composing_relaxed_transactions::txkv::MultiOp;
     let keys = [0, 2, 4, 6];
     let bump = |_: usize, cur: Option<u64>| MultiOp::Put(cur.expect("present") + 1);
