@@ -21,12 +21,12 @@
 //! * `short_read` and `short_update_each` — the short operations on
 //!   [`OptionWord`]s, which [`Atomic`](crate::Atomic) runs for every
 //!   backend: a double collect of their words, and for an update every
-//!   word locked at the version collected, one commit stamp and the same
-//!   [`Attempt::publish`] tail. A one-key update is its case of one word,
-//!   a txkv MULTI its case of up to [`SHORT_CAPACITY`]. What they cannot
-//!   serve they hand back, and the runner runs it as a regular
-//!   transaction. They need only the word protocol every [`TxnEngine`]
-//!   keeps.
+//!   word locked under [`SHORT_OWNER`] at the version collected, one
+//!   commit stamp and the same [`Attempt::publish`] tail. A one-key
+//!   update is its case of one word, a txkv MULTI its case of up to
+//!   [`SHORT_CAPACITY`]. What they cannot serve they hand back, and the
+//!   runner runs it as a regular transaction. They need only the word
+//!   protocol every [`TxnEngine`] keeps.
 //!
 //! The xtask `commit-tail` lint keeps it that way: firing the commit
 //! hook, `wait::notify_commit` and `wait::wait_for_locations` are allowed
@@ -39,7 +39,7 @@ use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::{ReadEntry, ReadSet};
 use crate::scratch::{give_back, SpareVec, VACANT};
 use crate::stm::{Decide, DecideEach, Instance, OptionWord, RunError, Transaction};
-use crate::ticket::next_ticket;
+use crate::ticket::{next_ticket, SHORT_OWNER};
 use crate::trace::{AttemptTracer, TraceOp};
 use crate::tvar::TVarCore;
 use crate::vlock::{LockState, VLock};
@@ -645,7 +645,7 @@ impl<'env, const N: usize> Short<'env, N> {
     /// A short operation on `words` (at most `N`), before its collect.
     #[inline(always)]
     fn new(words: &[OptionWord<'env>]) -> Self {
-        const { assert!(2 * N <= 256, "a word's index must fit a `u8`") };
+        const { assert!(N <= 256, "a row's index must fit a `u8`") };
         let mut s = Self {
             len: 0,
             words: [[&VACANT; 2]; N],
@@ -753,29 +753,18 @@ impl<'env, const N: usize> Short<'env, N> {
         self.for_each_store(&mut |id, word| t.op(id, TraceOp::Write(word)));
     }
 
-    /// Lock every collected word, in address order, at the version
-    /// collected: the re-check under the locks. On failure the locks
-    /// taken are given back at their versions, and nothing stays locked.
+    /// Lock every collected word at the version collected, in collect
+    /// order: the re-check under the locks. The pass never waits, so no
+    /// order can deadlock; on failure it gives back the locks taken at
+    /// their versions, and nothing stays locked.
     #[inline(always)]
     fn lock(&self, owner: u64) -> bool {
         let words = self.words[..self.len].as_flattened();
         let versions = self.versions[..self.len].as_flattened();
-        let mut order = [[0; 2]; N];
-        let order = order[..self.len].as_flattened_mut();
-        for i in 0..order.len() {
-            let mut j = i;
-            while j > 0 && words[usize::from(order[j - 1])].id() > words[i].id() {
-                order[j] = order[j - 1];
-                j -= 1;
-            }
-            order[j] = i as u8;
-        }
-        for (taken, &k) in order.iter().enumerate() {
-            let k = usize::from(k);
-            if !words[k].lock().try_lock_at(versions[k], owner) {
-                for &k in &order[..taken] {
-                    let k = usize::from(k);
-                    words[k].lock().unlock_to(versions[k]);
+        for (taken, (w, &v)) in words.iter().zip(versions).enumerate() {
+            if !w.lock().try_lock_at(v, owner) {
+                for (w, &v) in words.iter().zip(versions).take(taken) {
+                    w.lock().unlock_to(v);
                 }
                 return false;
             }
@@ -886,9 +875,10 @@ pub(crate) fn short_update(
 
 /// The short update of every word in `words`, deciding on one double
 /// collect of them all; `N` bounds how many it holds. An update that
-/// writes nothing commits read-only, with no ticket, no lock and no
-/// stamp. Otherwise it locks every collected word in address order at
-/// the version collected, takes one commit stamp and ends in one
+/// writes nothing commits read-only, with no lock and no stamp.
+/// Otherwise it locks every collected word at the version collected, in
+/// collect order and under [`SHORT_OWNER`] (a traced attempt's ticket
+/// when its tracer drew one), takes one commit stamp and ends in one
 /// [`Attempt::publish`], like any update: the hook stages under the
 /// locks, parked `retry()`s are woken, the stores are written back and
 /// the locks released, then come the trace commit and the durability
@@ -930,7 +920,7 @@ fn short_update_with<const N: usize>(
     }
     let mut wv = 0;
     if len != 0 {
-        if !short.lock(at.ticket()) {
+        if !short.lock(at.owner().unwrap_or(SHORT_OWNER)) {
             at.abandon();
             return false;
         }
@@ -1780,17 +1770,11 @@ mod tests {
             .unwrap_or_else(|| at.run(Policy::Regular, |tx| word.read(tx)))
     }
 
-    /// A present optional word holding `value`, at version 0, whose
-    /// presence word locks first in address order.
+    /// A present optional word holding `value`, at version 0.
     fn present_word(value: u64) -> OptionWord<'static> {
-        let a: &'static TVarCore = Box::leak(Box::new(TVarCore::new(1)));
-        let b: &'static TVarCore = Box::leak(Box::new(TVarCore::new(value)));
-        let (present, slot) = if a.id() < b.id() { (a, b) } else { (b, a) };
-        present.store_value(1);
-        slot.store_value(value);
         OptionWord {
-            present,
-            value: slot,
+            present: Box::leak(Box::new(TVarCore::new(1))),
+            value: Box::leak(Box::new(TVarCore::new(value))),
         }
     }
 
@@ -2033,8 +2017,9 @@ mod tests {
             words.iter().flat_map(|w| [w.present, w.value]).collect();
         let versions: Vec<u64> = (1..=8).collect();
         // The decision runs between the collect and the lock pass: there a
-        // racing writer takes the word that locks last.
-        let last = *cores.iter().max_by_key(|c| c.id()).unwrap();
+        // racing writer takes the word that locks last, the last row's
+        // value word.
+        let last = *cores.last().unwrap();
         let racer_took = Cell::new(false);
         let mut decide = |i: usize, cur: Option<u64>| {
             if !racer_took.replace(true) {

@@ -3,9 +3,12 @@
 //! touching the process-wide ticket counter on every word backend whose
 //! reads take no lock, at the SPI and through the facade, an update draws
 //! exactly one ticket per attempt that locks, and losing an attempt draws
-//! none. txkv's short operations keep the same rule: a GET, a CAS that
-//! does not match and a DEL of an absent key draw none, a SET one. A boosted operation locks, so it draws one even in an otherwise
-//! read-only run.
+//! none. A boosted operation locks, so it draws one even in an otherwise
+//! read-only run. txkv's short operations draw none at all: a GET, a CAS
+//! that does not match and a DEL of an absent key lock nothing, and a
+//! SET, a swapping CAS, a DEL and a MULTI lock under the reserved
+//! short-operation owner. Only an armed tracer makes one draw: its
+//! ticket is the transaction id, and the update locks under it.
 //!
 //! Method: the counter is observed directly. [`draws`] takes a ticket
 //! before and after the measured region, so their difference, less one,
@@ -23,7 +26,7 @@ use composing_relaxed_transactions::stm_core::{
 use composing_relaxed_transactions::stm_lsa::Lsa;
 use composing_relaxed_transactions::stm_swiss::Swiss;
 use composing_relaxed_transactions::stm_tl2::Tl2;
-use composing_relaxed_transactions::txkv::{KeySpace, ShardKind};
+use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
 
 /// Tickets drawn while `f` runs.
 fn draws(f: impl FnOnce()) -> u64 {
@@ -119,9 +122,10 @@ fn only_what_needs_a_ticket_draws_one() {
         0,
         "KeySpace::get"
     );
-    assert_eq!(draws(|| assert_eq!(kv.set(&at, 10, 9), Some(5))), 1);
-    // The short update decides before it locks: a CAS that does not match
-    // and a DEL of an absent key commit read-only, drawing nothing.
+    // A short update locks under the reserved owner, so no update draws.
+    assert_eq!(draws(|| assert_eq!(kv.set(&at, 10, 9), Some(5))), 0);
+    // It decides before it locks: a CAS that does not match and a DEL of
+    // an absent key commit read-only, taking no lock either.
     assert_eq!(
         draws(|| assert!(!kv.cas(&at, 10, Some(5), 1))),
         0,
@@ -132,12 +136,17 @@ fn only_what_needs_a_ticket_draws_one() {
         0,
         "DEL of an absent key"
     );
-    assert_eq!(draws(|| assert!(kv.cas(&at, 10, Some(9), 5))), 1, "CAS");
-    assert_eq!(draws(|| assert_eq!(kv.del(&at, 10), Some(5))), 1, "DEL");
+    assert_eq!(draws(|| assert!(kv.cas(&at, 10, Some(9), 5))), 0, "CAS");
+    assert_eq!(draws(|| assert_eq!(kv.del(&at, 10), Some(5))), 0, "DEL");
     assert_eq!(
         draws(|| assert_eq!(kv.set(&at, 10, 5), None)),
-        1,
+        0,
         "SET of an absent key"
+    );
+    assert_eq!(
+        draws(|| assert_eq!(kv.multi(&at, &[0, 2, 4, 6], |_, _| MultiOp::Put(1)), 4)),
+        0,
+        "4-key MULTI"
     );
     let v = TVar::new(3u64);
     assert_eq!(
@@ -153,5 +162,21 @@ fn only_what_needs_a_ticket_draws_one() {
     assert_eq!(
         draws(|| assert_eq!(traced.run(TxKind::Regular, |tx| tx.read(&v)), 3)),
         1
+    );
+    // So does a traced short SET: the one ticket is its transaction id.
+    let traced = Atomic::new(
+        backend_registry()
+            .build(
+                "oe",
+                StmConfig::default().with_trace_sink(std::sync::Arc::new(
+                    composing_relaxed_transactions::histories::Recorder::new(),
+                )),
+            )
+            .unwrap(),
+    );
+    assert_eq!(
+        draws(|| assert_eq!(kv.set(&traced, 10, 6), Some(5))),
+        1,
+        "traced SET"
     );
 }

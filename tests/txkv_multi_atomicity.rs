@@ -21,21 +21,26 @@
 //! history model: short GET/SET/DEL beside two-key MULTIs, and beside
 //! MULTIs that repeat a key or span [`MAX_MULTI_SIZE`] keys, recorded on
 //! every backend and held to the opacity checker; a MULTI over a word a
-//! writer holds, which must apply to what the writer commits; and, on
-//! LSA, GETs racing a writer whose in-place writes abort, which must
-//! never return the aborted value.
+//! writer holds, which must apply to what the writer commits; MULTIs
+//! over the same keys in opposite orders, which must all apply in
+//! bounded time; the owner a short update's locks carry; and, on LSA,
+//! GETs racing a writer whose in-place writes abort, which must never
+//! return the aborted value.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 use composing_relaxed_transactions::backend_registry;
 use composing_relaxed_transactions::histories::{check_opacity, Recorder};
 use composing_relaxed_transactions::stm_core::api::Atomic;
 use composing_relaxed_transactions::stm_core::api::Policy;
 use composing_relaxed_transactions::stm_core::dynstm::Backend;
+use composing_relaxed_transactions::stm_core::ticket::SHORT_OWNER;
+use composing_relaxed_transactions::stm_core::trace::{TraceOp, TraceSink, TraceStamp};
 use composing_relaxed_transactions::stm_core::{
-    Abort, AbortReason, LockState, OptionWord, StmConfig, TVar,
+    Abort, AbortReason, CommitHook, LockState, OptionWord, StmConfig, TVar, WriteRecord,
 };
 use composing_relaxed_transactions::txkv::loadgen::MAX_MULTI_SIZE;
 use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
@@ -458,6 +463,133 @@ fn a_multi_over_a_held_word_applies_to_the_committed_value_on_every_backend() {
         );
         let got: Vec<_> = keys.iter().map(|&key| at.short_read(key)).collect();
         assert_eq!(got, [Some(1), Some(101), Some(21)], "{backend}");
+    }
+}
+
+#[test]
+fn multis_racing_in_opposite_key_orders_all_apply_on_every_backend() {
+    // A short update locks its words in the order the caller lists them
+    // and never waits for a lock: one it loses sends it to a regular run.
+    // Two clients MULTI over the same keys, one in ascending and one in
+    // descending order, so each can hold the lock the other wants next.
+    // Every MULTI must still apply, and the race must end in bounded time.
+    const PER_CLIENT: u64 = 2_000;
+    const DEADLINE: Duration = Duration::from_secs(60);
+    for keys in [4, MAX_MULTI_SIZE as i64] {
+        for backend in BACKENDS {
+            let ks = Arc::new(KeySpace::new(ShardKind::Hash, 1, CAPACITY));
+            let at = Arc::new(runner(backend));
+            let (done, finished) = mpsc::channel();
+            let start = Arc::new(Barrier::new(2));
+            let clients: Vec<_> = [(0..keys).collect::<Vec<_>>(), (0..keys).rev().collect()]
+                .into_iter()
+                .map(|order| {
+                    let (ks, at, done, start) =
+                        (ks.clone(), at.clone(), done.clone(), start.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for _ in 0..PER_CLIENT {
+                            multi_increment(&ks, &at, &order);
+                        }
+                        done.send(()).unwrap();
+                    })
+                })
+                .collect();
+            // A client that never finishes is left running: the deadline
+            // fails the test instead of hanging it.
+            let deadline = Instant::now() + DEADLINE;
+            for _ in 0..2 {
+                let left = deadline.saturating_duration_since(Instant::now());
+                assert!(
+                    finished.recv_timeout(left).is_ok(),
+                    "{backend}, {keys} keys: the MULTIs did not finish within {DEADLINE:?}"
+                );
+            }
+            for client in clients {
+                client.join().unwrap();
+            }
+            for k in 0..keys {
+                assert_eq!(
+                    ks.get(&*at, k),
+                    Some(2 * PER_CLIENT),
+                    "{backend}, {keys} keys: key {k} missed a MULTI"
+                );
+            }
+        }
+    }
+}
+
+/// A commit hook that, while a commit stages under its locks, reads the
+/// lock state of every word of `keys`.
+struct OwnerProbe {
+    keys: Arc<[[TVar<u64>; 2]; 4]>,
+    seen: Mutex<Vec<Vec<LockState>>>,
+}
+
+impl CommitHook for OwnerProbe {
+    fn on_commit(&self, _: &WriteRecord<'_>) {
+        let words = self.keys.iter().flatten();
+        let states = words.map(|w| w.core().lock().load()).collect();
+        self.seen.lock().unwrap().push(states);
+    }
+}
+
+/// A trace sink that keeps the id of every committed transaction.
+#[derive(Default)]
+struct CommittedIds(Mutex<Vec<u64>>);
+
+impl TraceSink for CommittedIds {
+    fn begin(&self, _: TraceStamp, _: u64, _: u64) {}
+    fn op(&self, _: u64, _: u64, _: usize, _: TraceOp) {}
+    fn acquire(&self, _: u64, _: u64, _: usize) {}
+    fn release(&self, _: u64, _: u64, _: usize) {}
+    fn commit(&self, tx: u64, _: u64) {
+        self.0.lock().unwrap().push(tx);
+    }
+    fn abort(&self, _: u64, _: u64) {}
+}
+
+#[test]
+fn a_short_update_locks_under_the_short_owner_or_its_traced_ticket_on_every_backend() {
+    // A short update draws no ticket: it holds its locks under the
+    // reserved owner, which no ticket ever equals. With a trace sink the
+    // attempt already holds a ticket, its transaction id, and locks under
+    // that. The hook runs under the locks, so it sees the owner: on both
+    // words of a SET's key, and on all eight words of a 4-key MULTI.
+    for backend in BACKENDS {
+        for traced in [false, true] {
+            let keys = Arc::new([(); 4].map(|()| [TVar::new(0), TVar::new(0)]));
+            let probe = Arc::new(OwnerProbe {
+                keys: keys.clone(),
+                seen: Mutex::default(),
+            });
+            let ids = Arc::new(CommittedIds::default());
+            let mut config = StmConfig::default().with_commit_hook(probe.clone());
+            if traced {
+                config = config.with_trace_sink(ids.clone());
+            }
+            let at = Atomic::new(backend_registry().build(backend, config).unwrap());
+            let words = keys.each_ref().map(|[p, v]| OptionWord::new(p, v));
+            assert_eq!(at.short_update(words[0], &|_| Some(Some(1))), None);
+            at.short_update_each(&words, &mut |_, cur| Some(Some(cur.unwrap_or(0) + 1)));
+            let seen = probe.seen.lock().unwrap();
+            let ids = ids.0.lock().unwrap();
+            assert_eq!(seen.len(), 2, "{backend}, traced {traced}: one stage each");
+            assert_eq!(ids.len(), if traced { 2 } else { 0 }, "{backend}");
+            for (i, (states, held)) in seen.iter().zip([2, 8]).enumerate() {
+                let owner = if traced { ids[i] } else { SHORT_OWNER };
+                let (locked, rest) = states.split_at(held);
+                assert!(
+                    locked.iter().all(|&s| s == LockState::Locked { owner }),
+                    "{backend}, traced {traced}, update {i}: {states:?}, not held by {owner}"
+                );
+                assert!(
+                    rest.iter().all(|s| matches!(s, LockState::Unlocked { .. })),
+                    "{backend}, traced {traced}, update {i}: {states:?}"
+                );
+            }
+            assert!(ids.iter().all(|&id| id != SHORT_OWNER), "{ids:?}");
+        }
     }
 }
 

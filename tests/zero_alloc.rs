@@ -379,8 +379,9 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         }
     });
     assert_eq!(events, 0, "KeySpace::get allocated {events} times");
-    // An update of a present key: a write, a lock, a ticket and a commit
-    // stamp, but no node and nothing retired.
+    // An update of a present key: a write, its locks (under the reserved
+    // short-operation owner, no ticket) and a commit stamp, but no node
+    // and nothing retired.
     let events = min_events_of(|| {
         for k in 0..64 {
             assert_eq!(kv.set(&at, k * 2, k as u64 + 1), Some(k as u64));
