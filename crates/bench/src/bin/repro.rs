@@ -19,7 +19,7 @@
 //! is represented.
 
 use bench::cli::{parse_args, Options, USAGE};
-use bench::report::{print_bench_rows, Structure};
+use bench::report::{Structure, Tables};
 use bench::scenario::{
     backend_registry, new_set, prefill, run_matrix, step, BenchRow, MatrixPlan, FIGURE_BACKENDS,
     SEQUENTIAL,
@@ -52,7 +52,8 @@ fn print_list() {
 }
 
 /// Run `figures` over the `--stm` subset or `default_backends`, at
-/// `composed`, and print one table per figure and composed mix. The run
+/// `composed`, and print one table per figure and composed mix, each
+/// cell's rows as soon as the cell is measured. The run
 /// is in-process, or — when `--max-run-secs` arms the progress watchdog
 /// — one bounded subprocess per measured row, with killed rows reported
 /// as livelocked instead of hanging the sweep.
@@ -75,8 +76,10 @@ fn run_figures(
         seed: opts.seed,
         include_sequential: true,
     };
+    let mut tables = Tables::new(opts.duration);
+    let on_cell = |rows: &[BenchRow]| tables.cell(rows);
     let rows = match opts.max_run_secs {
-        None => run_matrix(&plan),
+        None => run_matrix(&plan, on_cell),
         Some(secs) => {
             let exe = std::env::current_exe().unwrap_or_else(|e| {
                 die(&format!("cannot locate own binary for --max-run-secs: {e}"))
@@ -85,11 +88,12 @@ fn run_figures(
                 &plan,
                 std::time::Duration::from_secs(secs),
                 &exe,
+                on_cell,
             )
         }
     }
     .unwrap_or_else(|e| die(&e));
-    print_bench_rows(&rows, opts.duration);
+    tables.finish();
     all_rows.extend(rows);
 }
 
@@ -304,7 +308,7 @@ fn cell(opts: &Options) -> ! {
         seed: opts.seed,
         include_sequential: backends.iter().any(|b| b == SEQUENTIAL),
     };
-    let rows = run_matrix(&plan).unwrap_or_else(|e| die(&e));
+    let rows = run_matrix(&plan, |_| {}).unwrap_or_else(|e| die(&e));
     let text = bench::json::render(&rows, opts.seed);
     std::fs::write(json_path, &text)
         .unwrap_or_else(|e| die(&format!("cannot write {json_path}: {e}")));

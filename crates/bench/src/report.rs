@@ -79,11 +79,67 @@ pub fn paper_hash_buckets() -> usize {
     DEFAULT_INITIAL_SIZE / 512
 }
 
-/// Print a figure's rows in the paper's two-panel format (throughput and
-/// abort rate per thread count), plus the relaxation/composition counters.
-/// Watchdog-killed rows carry their `LIVELOCK!` marker.
-fn print_figure(title: &str, rows: &[&BenchRow]) {
-    outln!("\n=== {title} ===");
+/// `repro`'s tables, printed as the sweep measures them: one block per
+/// (figure, composed percentage) in the paper's two-panel format
+/// (throughput and abort rate per thread count, plus the relaxation and
+/// composition counters), each cell's rows written as soon as the cell
+/// is measured, and OE-STM's speedups once the block's last cell is. So
+/// once stdout's reader has gone, the sweep ends at the next cell's
+/// write (see [`out!`](crate::out)). Watchdog-killed rows carry their
+/// `LIVELOCK!` marker.
+#[derive(Debug)]
+pub struct Tables {
+    duration: Duration,
+    /// The rows of the block being printed, for its speedups.
+    block: Vec<BenchRow>,
+}
+
+impl Tables {
+    /// Tables for a sweep that measures each point for `duration`.
+    #[must_use]
+    pub fn new(duration: Duration) -> Self {
+        Self {
+            duration,
+            block: Vec::new(),
+        }
+    }
+
+    /// Print one measured cell's rows, opening a new block at a new
+    /// figure or composed percentage.
+    pub fn cell(&mut self, rows: &[BenchRow]) {
+        for r in rows {
+            let key = |r: &BenchRow| (r.structure, r.composed_pct);
+            if self.block.first().is_some_and(|b| key(b) != key(r)) {
+                self.end_block();
+            }
+            if self.block.is_empty() {
+                print_header(r.structure, r.composed_pct, self.duration);
+            }
+            print_row(r);
+            self.block.push(r.clone());
+        }
+    }
+
+    /// Print the last block's speedups.
+    pub fn finish(mut self) {
+        self.end_block();
+    }
+
+    fn end_block(&mut self) {
+        if let Some(first) = self.block.first() {
+            print_summary(first.structure, &self.block);
+        }
+        self.block.clear();
+    }
+}
+
+/// A block's title and column heads.
+fn print_header(structure: Structure, pct: u32, duration: Duration) {
+    outln!(
+        "\n=== {}: {} — {pct}% addAll/removeAll (duration {duration:?}/point) ===",
+        structure.scenario_name(),
+        structure.name(),
+    );
     outln!(
         "{:<20} {:>8} {:>16} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "system",
@@ -96,52 +152,28 @@ fn print_figure(title: &str, rows: &[&BenchRow]) {
         "outherits",
         "cm-waits"
     );
-    for r in rows {
-        outln!(
-            "{:<20} {:>8} {:>16.1} {:>11.1}% {:>12} {:>12} {:>12} {:>12} {:>12}",
-            r.tagged_system(),
-            r.threads,
-            r.m.throughput,
-            r.m.abort_rate * 100.0,
-            r.m.commits,
-            r.m.aborts,
-            r.m.elastic_cuts,
-            r.m.outherits,
-            r.m.cm_waits
-        );
-    }
 }
 
-/// Print `rows` one block per (figure, composed percentage), in the order
-/// they were measured: the figure's table, then OE-STM's speedups.
-pub fn print_bench_rows(rows: &[BenchRow], duration: Duration) {
-    let mut seen: Vec<(Structure, u32)> = Vec::new();
-    for r in rows {
-        if !seen.contains(&(r.structure, r.composed_pct)) {
-            seen.push((r.structure, r.composed_pct));
-        }
-    }
-    for (structure, pct) in seen {
-        let block: Vec<&BenchRow> = rows
-            .iter()
-            .filter(|r| r.structure == structure && r.composed_pct == pct)
-            .collect();
-        print_figure(
-            &format!(
-                "{}: {} — {pct}% addAll/removeAll (duration {duration:?}/point)",
-                structure.scenario_name(),
-                structure.name(),
-            ),
-            &block,
-        );
-        print_summary(structure, &block);
-    }
+/// One row of a block.
+fn print_row(r: &BenchRow) {
+    outln!(
+        "{:<20} {:>8} {:>16.1} {:>11.1}% {:>12} {:>12} {:>12} {:>12} {:>12}",
+        r.tagged_system(),
+        r.threads,
+        r.m.throughput,
+        r.m.abort_rate * 100.0,
+        r.m.commits,
+        r.m.aborts,
+        r.m.elastic_cuts,
+        r.m.outherits,
+        r.m.cm_waits
+    );
 }
 
 /// Cross-system summary at the highest thread count: speedup of OE-STM
 /// over each classic STM (the abstract's "up to 2.7×"; "at least 6.6×" on
 /// the linked list). Watchdog-killed rows take no part.
-fn print_summary(structure: Structure, rows: &[&BenchRow]) {
+fn print_summary(structure: Structure, rows: &[BenchRow]) {
     let max_t = rows.iter().map(|r| r.threads).max().unwrap_or(1);
     let tp = |name: &str| {
         rows.iter()
@@ -197,7 +229,7 @@ mod tests {
             seed: crate::workload::DEFAULT_SEED,
             include_sequential: true,
         };
-        let rows = run_matrix(&plan).expect("figure backends are registered");
+        let rows = run_matrix(&plan, |_| {}).expect("figure backends are registered");
         assert_eq!(rows.len(), 5 * 2, "5 systems x 2 thread counts");
         for r in &rows {
             assert!(r.m.throughput > 0.0, "{} produced no ops", r.system);

@@ -272,7 +272,8 @@ impl Cell<'_> {
 
 /// The one loop over a plan: for every figure and composed percentage,
 /// the sequential reference (if included) and then each backend, in that
-/// order, with `measure` returning the cell's rows.
+/// order, with `measure` returning the cell's rows and `on_cell` seeing
+/// them as soon as the cell is measured.
 ///
 /// # Errors
 /// Returns `Err` naming an unknown backend (and the registered names)
@@ -280,6 +281,7 @@ impl Cell<'_> {
 pub(crate) fn sweep(
     plan: &MatrixPlan,
     mut measure: impl FnMut(&Cell<'_>) -> Result<Vec<BenchRow>, String>,
+    mut on_cell: impl FnMut(&[BenchRow]),
 ) -> Result<Vec<BenchRow>, String> {
     let registry = backend_registry();
     let mut systems = Vec::with_capacity(plan.backends.len() + 1);
@@ -294,12 +296,14 @@ pub(crate) fn sweep(
     for &structure in &plan.scenarios {
         for &composed_pct in &plan.composed {
             for &(backend, system) in &systems {
-                rows.extend(measure(&Cell {
+                let cell = measure(&Cell {
                     structure,
                     composed_pct,
                     backend,
                     system,
-                })?);
+                })?;
+                on_cell(&cell);
+                rows.extend(cell);
             }
         }
     }
@@ -339,14 +343,22 @@ fn measure_in_process(
 }
 
 /// Run the full `figures × composed × backends × threads` sweep in this
-/// process.
+/// process, handing each cell's rows to `on_cell` as soon as the cell is
+/// measured.
 ///
 /// # Errors
 /// Returns `Err` with a message naming any unknown backend (and the
 /// registered names).
-pub fn run_matrix(plan: &MatrixPlan) -> Result<Vec<BenchRow>, String> {
+pub fn run_matrix(
+    plan: &MatrixPlan,
+    on_cell: impl FnMut(&[BenchRow]),
+) -> Result<Vec<BenchRow>, String> {
     let registry = backend_registry();
-    sweep(plan, |cell| Ok(measure_in_process(&registry, plan, cell)))
+    sweep(
+        plan,
+        |cell| Ok(measure_in_process(&registry, plan, cell)),
+        on_cell,
+    )
 }
 
 #[cfg(test)]
@@ -386,15 +398,19 @@ mod tests {
             include_sequential: true,
         };
         let mut seen = Vec::new();
-        let rows = sweep(&plan, |cell| {
-            seen.push((
-                cell.structure,
-                cell.composed_pct,
-                cell.backend.to_string(),
-                cell.system,
-            ));
-            Ok(vec![cell.row(1, Measurement::zero(Duration::ZERO))])
-        })
+        let rows = sweep(
+            &plan,
+            |cell| {
+                seen.push((
+                    cell.structure,
+                    cell.composed_pct,
+                    cell.backend.to_string(),
+                    cell.system,
+                ));
+                Ok(vec![cell.row(1, Measurement::zero(Duration::ZERO))])
+            },
+            |_| {},
+        )
         .expect("valid plan");
         assert_eq!(rows.len(), seen.len());
         let mut want = Vec::new();
@@ -421,7 +437,7 @@ mod tests {
             seed: 42,
             include_sequential: true,
         };
-        let rows = run_matrix(&plan).expect("valid plan");
+        let rows = run_matrix(&plan, |_| {}).expect("valid plan");
         // Each figure: sequential + 2 backends, times 2 thread counts.
         assert_eq!(rows.len(), 2 * (1 + 2) * 2);
         for r in &rows {
@@ -455,7 +471,7 @@ mod tests {
             .contains("unknown scenario"));
         let mut plan = MatrixPlan::new(vec![1], Duration::from_millis(5), vec![5], 1);
         plan.backends = vec!["nope".into()];
-        let err = run_matrix(&plan).unwrap_err();
+        let err = run_matrix(&plan, |_| {}).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
         assert!(
             err.contains("tl2") && err.contains("oe-estm-compat"),
@@ -476,7 +492,7 @@ mod tests {
             seed: 7,
             include_sequential: false,
         };
-        let rows = run_matrix(&plan).expect("valid plan");
+        let rows = run_matrix(&plan, |_| {}).expect("valid plan");
         let oe = rows.iter().find(|r| r.backend == "oe").unwrap();
         let tl2 = rows.iter().find(|r| r.backend == "tl2").unwrap();
         assert!(oe.m.outherits > 0, "OE-STM must outherit on composed ops");
@@ -498,7 +514,7 @@ mod tests {
             seed: 5,
             include_sequential: false,
         };
-        let rows = run_matrix(&plan).expect("valid plan");
+        let rows = run_matrix(&plan, |_| {}).expect("valid plan");
         assert_eq!(rows.len(), 4, "2 backends x 2 composed ratios");
         let row = |backend: &str, pct: u32| {
             rows.iter()

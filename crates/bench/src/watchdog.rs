@@ -117,7 +117,8 @@ fn run_bounded(exe: &Path, args: &[String], bound: Duration) -> Result<bool, Str
 /// (`std::env::current_exe()`), re-entered through the hidden `__cell`
 /// target. The cells and their order are `scenario::sweep`'s,
 /// so tables and JSON artifacts are shaped identically with and without
-/// the watchdog.
+/// the watchdog, and `on_cell` sees each cell's rows as soon as its
+/// children have ended.
 ///
 /// # Errors
 /// Returns a message for an unknown backend name (before any subprocess
@@ -127,9 +128,10 @@ pub fn run_matrix_watchdogged(
     plan: &MatrixPlan,
     bound: Duration,
     exe: &Path,
+    on_cell: impl FnMut(&[BenchRow]),
 ) -> Result<Vec<BenchRow>, String> {
     let mut child_no = 0usize;
-    sweep(plan, |cell| {
+    let measure = |cell: &Cell<'_>| {
         // The sequential reference is one measurement, so one child; a
         // backend gets one child per thread count.
         let runs: Vec<&[usize]> = if cell.backend == SEQUENTIAL {
@@ -161,7 +163,8 @@ pub fn run_matrix_watchdogged(
             let _ = std::fs::remove_file(&json_path);
         }
         Ok(rows)
-    })
+    };
+    sweep(plan, measure, on_cell)
 }
 
 #[cfg(test)]
@@ -223,8 +226,13 @@ mod tests {
     fn unknown_names_fail_before_spawning() {
         let mut plan = MatrixPlan::new(vec![1], Duration::from_millis(5), vec![5], 1);
         plan.backends = vec!["nope".into()];
-        let err = run_matrix_watchdogged(&plan, Duration::from_secs(1), Path::new("/nonexistent"))
-            .unwrap_err();
+        let err = run_matrix_watchdogged(
+            &plan,
+            Duration::from_secs(1),
+            Path::new("/nonexistent"),
+            |_| {},
+        )
+        .unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
     }
 }

@@ -1,9 +1,12 @@
 //! End-to-end tests of `repro`'s target and scenario names: every
 //! measuring target and scenario is resolved before any runs,
 //! `--help`/`--list` win over a bad name, the scenarios are the paper's
-//! three figures, and a closed stdout ends a listing quietly.
+//! three figures, and a closed stdout ends a listing quietly and a sweep
+//! at its next cell.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -111,5 +114,50 @@ fn a_reader_that_has_gone_ends_the_listing_quietly() {
         !text(&out.stderr).contains("panicked"),
         "{}",
         text(&out.stderr)
+    );
+}
+
+#[test]
+fn a_reader_that_has_gone_ends_a_sweep_at_its_next_cell() {
+    // The sweep measures the sequential reference once and four backends
+    // at two thread counts, `POINT` each: at least nine points in all.
+    // The reader takes the banner and goes. The first cell's rows meet
+    // the broken pipe, so the process ends about one point later.
+    const POINT: Duration = Duration::from_millis(400);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig8", "--stm", "oe,lsa,tl2,swiss", "--threads", "1,2"])
+        .args([
+            "--duration-ms",
+            &POINT.as_millis().to_string(),
+            "--composed",
+            "5",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped"));
+    let mut banner = String::new();
+    for _ in 0..4 {
+        stdout.read_line(&mut banner).expect("banner line");
+    }
+    assert!(
+        banner.starts_with("Composing Relaxed Transactions"),
+        "{banner}"
+    );
+    drop(stdout);
+    let closed = Instant::now();
+    let out = child.wait_with_output().expect("repro ends");
+    let took = closed.elapsed();
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        text(&out.stderr)
+    );
+    let sweep = 9 * POINT;
+    assert!(
+        took < sweep / 2,
+        "ran on {took:?} after its reader went, of a sweep of at least {sweep:?}"
     );
 }

@@ -104,7 +104,7 @@ use crate::dynstm::Backend;
 use crate::error::{Abort, AbortReason};
 use crate::link::Link;
 use crate::stats::StatsSnapshot;
-use crate::stm::{Decide, DecideEach, Instance, OptionWord, RunError, Stm, Transaction, TxKind};
+use crate::stm::{Instance, OptionWord, RunError, Stm, Transaction, TxKind};
 use crate::tvar::{TVar, TVarCore};
 use crate::word::Word;
 
@@ -443,7 +443,10 @@ impl<B: AtomicBackend> Atomic<B> {
     pub fn short_read<'env>(&'env self, word: OptionWord<'env>) -> Option<u64> {
         match driver::short_read(self.instance(), word) {
             Some(state) => state,
-            None => self.run(Policy::Regular, |tx| word.read(tx)),
+            None => {
+                self.instance().stats.record_short_fallback();
+                self.run(Policy::Regular, |tx| word.read(tx))
+            }
         }
     }
 
@@ -452,16 +455,23 @@ impl<B: AtomicBackend> Atomic<B> {
     /// [`OptionWord::update`] when the short one cannot serve; returns the
     /// state it replaced. Inside a body use [`OptionWord::update`].
     ///
+    /// `decide` maps the state read (`None`: absent) to `None`, which
+    /// leaves the word as it is and commits read-only, or to `Some(new)`,
+    /// which stores `new`. It may be called more than once, so it must be
+    /// a pure function of its argument.
+    ///
     /// # Panics
     /// Panics if the retry budget is exhausted, as [`run`](Self::run).
-    pub fn short_update<'env>(
-        &'env self,
-        word: OptionWord<'env>,
-        decide: &Decide<'_>,
-    ) -> Option<u64> {
+    pub fn short_update<'env, F>(&'env self, word: OptionWord<'env>, decide: &F) -> Option<u64>
+    where
+        F: Fn(Option<u64>) -> Option<Option<u64>> + ?Sized,
+    {
         match driver::short_update(self.instance(), word, decide) {
             Some(prev) => prev,
-            None => self.run(Policy::Regular, |tx| word.update(tx, decide)),
+            None => {
+                self.instance().stats.record_short_fallback();
+                self.run(Policy::Regular, |tx| word.update(tx, decide))
+            }
         }
     }
 
@@ -471,15 +481,27 @@ impl<B: AtomicBackend> Atomic<B> {
     /// applies [`OptionWord::update`] to each word in order when the short
     /// one cannot serve. A word may appear more than once.
     ///
+    /// `decide(i, cur)` decides for the `i`-th word as
+    /// [`short_update`](Self::short_update)'s `decide` does for its one,
+    /// where a repeated word's `cur` is what its earlier occurrences
+    /// decided. It is called once per word per attempt, from word 0 on,
+    /// and may be called for more than one attempt, so the decisions must
+    /// be a function of the arguments. The short transaction locks only
+    /// the words the decisions store and re-checks the ones it only read
+    /// after its commit stamp; see the [`driver`]'s `short_update_each`.
+    ///
     /// # Panics
     /// Panics if the retry budget is exhausted, as [`run`](Self::run).
-    pub fn short_update_each<'env>(
-        &'env self,
-        words: &[OptionWord<'env>],
-        decide: &mut DecideEach<'_>,
-    ) {
-        if !driver::short_update_each::<{ driver::SHORT_CAPACITY }>(self.instance(), words, decide)
-        {
+    pub fn short_update_each<'env, F>(&'env self, words: &[OptionWord<'env>], decide: &mut F)
+    where
+        F: FnMut(usize, Option<u64>) -> Option<Option<u64>> + ?Sized,
+    {
+        if !driver::short_update_each::<{ driver::SHORT_CAPACITY }, F>(
+            self.instance(),
+            words,
+            decide,
+        ) {
+            self.instance().stats.record_short_fallback();
             self.run(Policy::Regular, |tx| {
                 for (i, word) in words.iter().enumerate() {
                     word.update(tx, |cur| decide(i, cur))?;

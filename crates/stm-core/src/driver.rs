@@ -20,9 +20,10 @@
 //!   what a body that panics leaves behind (nothing: it is rolled back);
 //! * `short_read` and `short_update_each` — the short operations on
 //!   [`OptionWord`]s, which [`Atomic`](crate::Atomic) runs for every
-//!   backend: a double collect of their words, and for an update every
-//!   word locked under [`SHORT_OWNER`] at the version collected, one
-//!   commit stamp and the same [`Attempt::publish`] tail. A one-key
+//!   backend: a double collect of their words, and for an update a TL2
+//!   commit on them: the words it stores locked under [`SHORT_OWNER`] at
+//!   the version collected, one commit stamp, a validation of the words
+//!   it only read, and the same [`Attempt::publish`] tail. A one-key
 //!   update is its case of one word, a txkv MULTI its case of up to
 //!   [`SHORT_CAPACITY`]. What they cannot serve they hand back, and the
 //!   runner runs it as a regular transaction. They need only the word
@@ -38,7 +39,7 @@ use crate::error::{Abort, AbortReason};
 use crate::hook::{InstalledHook, WriteRecord};
 use crate::readset::{ReadEntry, ReadSet};
 use crate::scratch::{give_back, SpareVec, VACANT};
-use crate::stm::{Decide, DecideEach, Instance, OptionWord, RunError, Transaction};
+use crate::stm::{Instance, OptionWord, RunError, Transaction};
 use crate::ticket::{next_ticket, SHORT_OWNER};
 use crate::trace::{AttemptTracer, TraceOp};
 use crate::tvar::TVarCore;
@@ -625,9 +626,13 @@ pub const SHORT_CAPACITY: usize = 16;
 /// *rows*: each one's two words (presence, then value), what the double
 /// collect saw of them, and what the operation stores. A word that
 /// appears more than once in the caller's list is one row. Rows past
-/// `len` hold a vacant filler. What a one-word GET or SET runs is
-/// `#[inline(always)]`: left to the inliner, a GET's collect became a
-/// call and a loop, and `kv-mem`'s read and update latencies rose.
+/// `len` hold a vacant filler. An update commits in TL2's order:
+/// [`lock`](Self::lock) the words it stores, take the stamp,
+/// [`validate`](Self::validate) the words it only read, and
+/// [`release`](Self::release) the stored ones. What a one-word GET or
+/// SET runs is `#[inline(always)]`: left to the inliner, a GET's collect
+/// became a call and a loop, and `kv-mem`'s read and update latencies
+/// rose.
 #[derive(Debug)]
 struct Short<'env, const N: usize> {
     len: usize,
@@ -753,23 +758,56 @@ impl<'env, const N: usize> Short<'env, N> {
         self.for_each_store(&mut |id, word| t.op(id, TraceOp::Write(word)));
     }
 
-    /// Lock every collected word at the version collected, in collect
-    /// order: the re-check under the locks. The pass never waits, so no
-    /// order can deadlock; on failure it gives back the locks taken at
-    /// their versions, and nothing stays locked.
+    /// The words collected, what the collect saw of their lock words, and
+    /// what the update stores in each, word by word in collect order.
     #[inline(always)]
-    fn lock(&self, owner: u64) -> bool {
+    fn each_word(&self) -> impl Iterator<Item = (&'env TVarCore, u64, Option<u64>)> + '_ {
         let words = self.words[..self.len].as_flattened();
         let versions = self.versions[..self.len].as_flattened();
-        for (taken, (w, &v)) in words.iter().zip(versions).enumerate() {
-            if !w.lock().try_lock_at(v, owner) {
-                for (w, &v) in words.iter().zip(versions).take(taken) {
-                    w.lock().unlock_to(v);
-                }
+        let stores = self.stores[..self.len].as_flattened();
+        words
+            .iter()
+            .zip(versions)
+            .zip(stores)
+            .map(|((&w, &v), &s)| (w, v, s))
+    }
+
+    /// Lock every word the update stores at the version collected, in
+    /// collect order: the words it only read stay unlocked, and
+    /// [`validate`](Self::validate) re-checks them after the stamp, as a
+    /// TL2 commit does its read set. The pass never waits, so no order can
+    /// deadlock; on failure it gives back the locks taken at their
+    /// versions, and nothing stays locked.
+    #[inline(always)]
+    fn lock(&self, owner: u64) -> bool {
+        for (taken, (w, v, store)) in self.each_word().enumerate() {
+            if store.is_some() && !w.lock().try_lock_at(v, owner) {
+                self.unlock_stored(taken);
                 return false;
             }
         }
         true
+    }
+
+    /// Give back the locks of the stored words among the first `n`
+    /// collected (all of them for `usize::MAX`), at their collected
+    /// versions: nothing was written under them.
+    #[cold]
+    fn unlock_stored(&self, n: usize) {
+        for (w, v, _) in self.each_word().take(n).filter(|(_, _, s)| s.is_some()) {
+            w.lock().unlock_to(v);
+        }
+    }
+
+    /// The re-check of the words the update only read, after its stamp:
+    /// each must still hold the exact lock word the collect saw, so none
+    /// was locked or written since. Raw words, never lock owners: every
+    /// untraced short update locks under [`SHORT_OWNER`], so an owner test
+    /// would take another update's lock for this one's.
+    #[inline(always)]
+    fn validate(&self) -> bool {
+        self.each_word()
+            .all(|(w, v, store)| store.is_some() || w.lock().raw() == v)
     }
 
     /// Feed each planned `(location, word)` store to `f`, row by row.
@@ -782,20 +820,14 @@ impl<'env, const N: usize> Short<'env, N> {
         }
     }
 
-    /// Write back and unlock: a stored word at `wv`, the others at the
-    /// version they had, since their values never changed.
+    /// Write back and unlock the stored words at `wv`; the words only
+    /// read were never locked.
     #[inline(always)]
     fn release(&self, wv: u64) {
-        let words = self.words[..self.len].as_flattened();
-        let stores = self.stores[..self.len].as_flattened();
-        let versions = self.versions[..self.len].as_flattened();
-        for ((w, store), &v) in words.iter().zip(stores).zip(versions) {
-            match *store {
-                Some(word) => {
-                    w.store_value(word);
-                    w.lock().unlock_to(wv);
-                }
-                None => w.lock().unlock_to(v),
+        for (w, _, store) in self.each_word() {
+            if let Some(word) = store {
+                w.store_value(word);
+                w.lock().unlock_to(wv);
             }
         }
     }
@@ -860,11 +892,14 @@ fn short_read_published(
 /// Returns the state it replaced, or `None` when the caller must fall
 /// back to a regular run of [`OptionWord::update`].
 #[inline]
-pub(crate) fn short_update(
+pub(crate) fn short_update<F>(
     inst: &Instance,
     word: OptionWord<'_>,
-    decide: &Decide<'_>,
-) -> Option<Option<u64>> {
+    decide: &F,
+) -> Option<Option<u64>>
+where
+    F: Fn(Option<u64>) -> Option<Option<u64>> + ?Sized,
+{
     let mut prev = None;
     let decide_one = |_, cur| {
         prev = cur;
@@ -876,22 +911,29 @@ pub(crate) fn short_update(
 /// The short update of every word in `words`, deciding on one double
 /// collect of them all; `N` bounds how many it holds. An update that
 /// writes nothing commits read-only, with no lock and no stamp.
-/// Otherwise it locks every collected word at the version collected, in
-/// collect order and under [`SHORT_OWNER`] (a traced attempt's ticket
-/// when its tracer drew one), takes one commit stamp and ends in one
-/// [`Attempt::publish`], like any update: the hook stages under the
-/// locks, parked `retry()`s are woken, the stores are written back and
-/// the locks released, then come the trace commit and the durability
-/// await. Returns `false` when it cannot serve — more than `N` words, a
-/// word seen locked or moved, or a lock lost before the update held them
-/// all — and the caller falls back to a regular run that applies
-/// [`OptionWord::update`] to each word in order.
+/// Otherwise it commits as TL2 does: it locks the words it stores at the
+/// version collected, in collect order and under [`SHORT_OWNER`] (a
+/// traced attempt's ticket when its tracer drew one), takes one commit
+/// stamp, and then checks that every word it only read still holds the
+/// lock word collected. It ends in one [`Attempt::publish`], like any
+/// update: the hook stages under the locks, parked `retry()`s are woken,
+/// the stores are written back and their locks released, then come the
+/// trace commit and the durability await. A SET, CAS or DEL of a present
+/// key makes two atomic read-modify-writes (one lock, one stamp), and a
+/// MULTI over `k` present keys `k + 1`. Returns `false` when it cannot
+/// serve — more than `N` words, a word seen locked or moved, a lock lost
+/// before the update held them all, or a word it only read locked or
+/// moved by the validation — and the caller falls back to a regular run
+/// that applies [`OptionWord::update`] to each word in order.
 #[inline]
-pub(crate) fn short_update_each<const N: usize>(
+pub(crate) fn short_update_each<const N: usize, F>(
     inst: &Instance,
     words: &[OptionWord<'_>],
-    decide: &mut DecideEach<'_>,
-) -> bool {
+    decide: &mut F,
+) -> bool
+where
+    F: FnMut(usize, Option<u64>) -> Option<Option<u64>> + ?Sized,
+{
     short_update_with::<N>(inst, words, decide, || {})
 }
 
@@ -925,6 +967,11 @@ fn short_update_with<const N: usize>(
             return false;
         }
         wv = inst.clock.stamp().wv;
+        if !short.validate() {
+            short.unlock_stored(usize::MAX);
+            at.abandon();
+            return false;
+        }
     }
     at.publish(
         wv,
@@ -1837,7 +1884,8 @@ mod tests {
         let racer_took = Cell::new(false);
         let decisions = Cell::new(0);
         // The decision runs between the collect and the locks: there a
-        // racing writer takes the word that locks second and writes 8.
+        // racing writer takes the value word, the one word a SET of a
+        // present key locks, and writes 8.
         let increment = |cur: Option<u64>| {
             decisions.set(decisions.get() + 1);
             if !racer_took.replace(true) {
@@ -1859,7 +1907,7 @@ mod tests {
         assert_eq!(
             word.present.lock().raw(),
             0,
-            "the lock the update did take was given back unchanged"
+            "the word only read was never locked"
         );
         assert_eq!(at.stats().commits, 1);
     }
@@ -1876,7 +1924,7 @@ mod tests {
         assert_eq!(
             word.value.read_consistent(),
             Ok((5, 0)),
-            "the unwritten word is released at its own version"
+            "the word only read keeps its version"
         );
         assert_eq!(at.short_update(word, &|_| None), None);
         assert_eq!(at.clock().now(), wv, "a no-op takes no stamp");
@@ -1926,7 +1974,7 @@ mod tests {
     fn short_update_between(
         at: &Atomic<ShortToy>,
         words: &[OptionWord<'static>],
-        decide: &mut DecideEach<'_>,
+        decide: &mut impl FnMut(usize, Option<u64>) -> Option<Option<u64>>,
         between: impl FnOnce(),
     ) {
         let served =
@@ -2048,6 +2096,123 @@ mod tests {
         );
         assert_eq!(values(&words), [1, 2, 3, 4]);
         assert_eq!(at.stats().commits, 1);
+    }
+
+    /// A hook that records, at each commit it stages, which of `words`
+    /// are locked.
+    struct LockProbe {
+        words: Vec<&'static TVarCore>,
+        seen: Mutex<Vec<Vec<bool>>>,
+    }
+
+    impl CommitHook for LockProbe {
+        fn on_commit(&self, _: &WriteRecord<'_>) {
+            let locked = |w: &&TVarCore| matches!(w.lock().load(), LockState::Locked { .. });
+            let states = self.words.iter().map(locked).collect();
+            self.seen.lock().unwrap().push(states);
+        }
+    }
+
+    #[test]
+    fn an_update_locks_only_the_words_it_stores() {
+        let words = present_words(3);
+        commit_word(words[2].present, 0, 7);
+        let probe = Arc::new(LockProbe {
+            words: words.iter().flat_map(|w| [w.present, w.value]).collect(),
+            seen: Mutex::default(),
+        });
+        let at = Atomic::new(ShortToy::with_config(
+            StmConfig::default().with_commit_hook(probe.clone()),
+        ));
+        // A SET of a present word stores its value word, a DEL of a
+        // present word its presence word, and an insert both.
+        at.short_update_each(&words, &mut |i, cur| match i {
+            0 => Some(cur.map(|v| v + 1)),
+            1 => Some(None),
+            _ => Some(Some(9)),
+        });
+        assert_eq!(
+            *probe.seen.lock().unwrap(),
+            [[false, true, true, false, true, true]]
+        );
+        assert!(words.iter().all(|w| matches!(
+            w.present.lock().load(),
+            LockState::Unlocked { .. }
+        ) && matches!(
+            w.value.lock().load(),
+            LockState::Unlocked { .. }
+        )));
+        assert_eq!(values(&words), [1, 1, 9]);
+        assert_eq!(at.backend().runs(), 0);
+    }
+
+    /// A 2-word update that bumps word 0 and only reads word 1, where
+    /// `race` runs once, in word 0's first decision: after the collect,
+    /// before the lock pass. Returns how many times word 0 was decided.
+    fn bump_first_reading_second(
+        at: &Atomic<ShortToy>,
+        words: &[OptionWord<'static>],
+        race: impl FnOnce(),
+    ) -> u32 {
+        let mut race = Some(race);
+        let mut decisions = 0;
+        at.short_update_each(words, &mut |i, cur| {
+            if i != 0 {
+                return None;
+            }
+            decisions += 1;
+            if let Some(race) = race.take() {
+                race();
+            }
+            bump_each(i, cur)
+        });
+        decisions
+    }
+
+    #[test]
+    fn a_word_only_read_that_moves_before_the_validation_sends_the_update_to_a_full_run() {
+        let at = short_toy();
+        let words = present_words(2);
+        let (stored, read) = (words[0].value, words[1].present);
+        *at.backend().before_run.lock().unwrap() = Some(Box::new(move || {
+            assert_eq!(
+                stored.lock().load(),
+                LockState::Unlocked { version: 2 },
+                "the stored word was given back at its collected version"
+            );
+            assert_eq!(stored.value_unsync(), 0, "and nothing was written");
+        }));
+        let decisions = bump_first_reading_second(&at, &words, || commit_word(read, 1, 50));
+        assert_eq!(
+            at.backend().runs(),
+            1,
+            "the validation sent it to a full run"
+        );
+        assert_eq!(decisions, 2);
+        assert_eq!(values(&words), [1, 1], "applied once");
+        assert_eq!(at.stats().short_fallbacks, 1);
+        assert_eq!(at.stats().commits, 1);
+    }
+
+    #[test]
+    fn a_word_only_read_that_another_short_update_holds_fails_the_validation() {
+        // Both updates lock under the short owner: the validation must see
+        // the held word as changed, not as its own.
+        let at = short_toy();
+        let words = present_words(2);
+        let read = words[1].present;
+        *at.backend().before_run.lock().unwrap() = Some(Box::new(move || read.lock().unlock_to(3)));
+        let decisions = bump_first_reading_second(&at, &words, || {
+            assert!(read.lock().try_lock_at(3, SHORT_OWNER));
+        });
+        assert_eq!(
+            at.backend().runs(),
+            1,
+            "the validation sent it to a full run"
+        );
+        assert_eq!(decisions, 2);
+        assert_eq!(values(&words), [1, 1]);
+        assert_eq!(at.stats().short_fallbacks, 1);
     }
 
     #[test]

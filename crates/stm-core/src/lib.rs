@@ -93,7 +93,7 @@ pub use hook::{CommitHook, DurableLog, WriteRecord};
 pub use link::{Link, Loc};
 pub use scratch::TxScratch;
 pub use stats::{StatsSnapshot, StmStats};
-pub use stm::{Decide, DecideEach, Instance, OptionWord, RunError, Stm, Transaction, TxKind};
+pub use stm::{Instance, OptionWord, RunError, Stm, Transaction, TxKind};
 pub use tvar::{TVar, TVarCore};
 pub use vlock::{LockState, VLock};
 pub use word::Word;

@@ -93,6 +93,7 @@ struct CounterCell {
     retry_parks: AtomicU64,
     wakeups: AtomicU64,
     spurious_wakeups: AtomicU64,
+    short_fallbacks: AtomicU64,
 }
 
 impl CounterCell {
@@ -111,6 +112,7 @@ impl CounterCell {
         self.retry_parks.store(0, Ordering::Relaxed);
         self.wakeups.store(0, Ordering::Relaxed);
         self.spurious_wakeups.store(0, Ordering::Relaxed);
+        self.short_fallbacks.store(0, Ordering::Relaxed);
     }
 }
 
@@ -248,6 +250,14 @@ impl StmStats {
         self.bump(|c| &c.spurious_wakeups);
     }
 
+    /// Record a short operation handed to a regular run: its collect saw
+    /// a word locked or moved, or it lost a lock or its validation (see
+    /// [`Atomic::short_update_each`](crate::Atomic::short_update_each)).
+    #[cold]
+    pub fn record_short_fallback(&self) {
+        self.bump(|c| &c.short_fallbacks);
+    }
+
     /// Take a consistent-enough snapshot for reporting (counters are
     /// monotone; exact simultaneity is not required). Aggregates every
     /// cell lock-free.
@@ -269,6 +279,7 @@ impl StmStats {
             snap.retry_parks += cell.retry_parks.load(Ordering::Relaxed);
             snap.wakeups += cell.wakeups.load(Ordering::Relaxed);
             snap.spurious_wakeups += cell.spurious_wakeups.load(Ordering::Relaxed);
+            snap.short_fallbacks += cell.short_fallbacks.load(Ordering::Relaxed);
         }
         snap
     }
@@ -319,6 +330,10 @@ pub struct StatsSnapshot {
     /// Parks that expired on their bounded timeout instead (the
     /// liveness backstop, not a commit).
     pub spurious_wakeups: u64,
+    /// Short operations ([`Atomic::short_read`](crate::Atomic::short_read),
+    /// `short_update`, `short_update_each`) that could not serve and ran
+    /// as a regular transaction instead.
+    pub short_fallbacks: u64,
 }
 
 impl StatsSnapshot {
@@ -393,6 +408,7 @@ impl StatsSnapshot {
             retry_parks: self.retry_parks - earlier.retry_parks,
             wakeups: self.wakeups - earlier.wakeups,
             spurious_wakeups: self.spurious_wakeups - earlier.spurious_wakeups,
+            short_fallbacks: self.short_fallbacks - earlier.short_fallbacks,
         }
     }
 }
@@ -751,6 +767,19 @@ mod tests {
         assert_eq!(s.snapshot().delta_since(&before).progress_parks, 1);
         s.reset();
         assert_eq!(s.snapshot().progress_parks, 0);
+    }
+
+    #[test]
+    fn short_fallbacks_accumulate_delta_and_reset() {
+        let s = StmStats::new();
+        s.record_short_fallback();
+        let before = s.snapshot();
+        assert_eq!(before.short_fallbacks, 1);
+        s.record_short_fallback();
+        s.record_short_fallback();
+        assert_eq!(s.snapshot().delta_since(&before).short_fallbacks, 2);
+        s.reset();
+        assert_eq!(s.snapshot().short_fallbacks, 0);
     }
 
     #[test]

@@ -217,20 +217,6 @@ pub struct OptionWord<'env> {
     pub value: &'env TVarCore,
 }
 
-/// What a short update does with the state it read (`None`: absent):
-/// `None` leaves the word as it is, and the update commits read-only;
-/// `Some(new)` stores `new`. It may be called more than once, so it must
-/// be a pure function of its argument.
-pub type Decide<'d> = dyn Fn(Option<u64>) -> Option<Option<u64>> + 'd;
-
-/// What a short update of several optional words does with each one, as
-/// [`Decide`] does with one: `decide(i, cur)` for the `i`-th word, in
-/// order, where a repeated word's `cur` is what its earlier occurrences
-/// decided. It is called once per word per attempt, from word 0 on, and
-/// may be called for more than one attempt, so the decisions must be a
-/// function of the arguments.
-pub type DecideEach<'d> = dyn FnMut(usize, Option<u64>) -> Option<Option<u64>> + 'd;
-
 impl<'env> OptionWord<'env> {
     /// The optional word kept in `present` and `value`.
     #[must_use]

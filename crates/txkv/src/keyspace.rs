@@ -22,8 +22,9 @@
 //! A point operation composes nothing, so it runs as a *short*
 //! transaction ([`Atomic::short_read`], [`Atomic::short_update`]): on
 //! every backend a `GET` is a double collect of the key's two words, and
-//! a `SET`/`CAS`/`DEL` locks both words and commits through the driver's
-//! commit tail, with no transaction object and no log. `MULTI` composes
+//! a `SET`/`CAS`/`DEL` locks the words it stores (one of a present key's
+//! two), re-checks the other after its stamp and commits through the
+//! driver's commit tail, with no transaction object and no log. `MULTI` composes
 //! nothing either: its footprint is its key list, known before it runs,
 //! so it is the same short update over up to
 //! [`MAX_MULTI_SIZE`] keys ([`Atomic::short_update_each`]) — one double

@@ -697,8 +697,8 @@ fn a_boosted_key_is_released_before_the_fsync() {
     }
 }
 
-/// A hook wrapper that forwards `on_commit` after checking that both
-/// words of `key` are locked while the commit stages.
+/// A hook wrapper that forwards `on_commit` after checking that every
+/// word of `key` the record writes is locked while the commit stages.
 struct StagedUnderLocks {
     inner: Arc<dyn CommitHook>,
     key: Arc<[TVar<u64>; 2]>,
@@ -708,9 +708,12 @@ struct StagedUnderLocks {
 impl CommitHook for StagedUnderLocks {
     fn on_commit(&self, record: &WriteRecord<'_>) {
         let locked = |w: &TVar<u64>| matches!(w.core().lock().load(), LockState::Locked { .. });
-        if !self.key.iter().all(locked) {
-            self.unlocked.fetch_add(1, Ordering::SeqCst);
-        }
+        record.for_each(&mut |location, _| {
+            let word = self.key.iter().find(|w| w.core().id() == location);
+            if !word.is_some_and(locked) {
+                self.unlocked.fetch_add(1, Ordering::SeqCst);
+            }
+        });
         self.inner.on_commit(record);
     }
 }

@@ -23,7 +23,11 @@
 //! every backend and held to the opacity checker; a MULTI over a word a
 //! writer holds, which must apply to what the writer commits; MULTIs
 //! over the same keys in opposite orders, which must all apply in
-//! bounded time; the owner a short update's locks carry; and, on LSA,
+//! bounded time; the owner a short update's locks carry, on the words it
+//! stores and no others; a word a MULTI only read that moves before its
+//! validation, which must send it to a regular run; a single-client mix
+//! that never falls back; operations whose lock sets are disjoint, which
+//! must end each round in the outcome of a serial order; and, on LSA,
 //! GETs racing a writer whose in-place writes abort, which must never
 //! return the aborted value.
 
@@ -42,10 +46,12 @@ use composing_relaxed_transactions::stm_core::trace::{TraceOp, TraceSink, TraceS
 use composing_relaxed_transactions::stm_core::{
     Abort, AbortReason, CommitHook, LockState, OptionWord, StmConfig, TVar, WriteRecord,
 };
-use composing_relaxed_transactions::txkv::loadgen::MAX_MULTI_SIZE;
+use composing_relaxed_transactions::txkv::loadgen::{KeyDist, KeySampler, OpMix, MAX_MULTI_SIZE};
 use composing_relaxed_transactions::txkv::{KeySpace, MultiOp, ShardKind};
 use durable::{DurableStore, MemVfs, Vfs};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Every registered backend, including the deliberately broken E-STM
 /// compatibility mode (whose unprotected *elastic* reads txkv sidesteps:
@@ -554,8 +560,11 @@ fn a_short_update_locks_under_the_short_owner_or_its_traced_ticket_on_every_back
     // A short update draws no ticket: it holds its locks under the
     // reserved owner, which no ticket ever equals. With a trace sink the
     // attempt already holds a ticket, its transaction id, and locks under
-    // that. The hook runs under the locks, so it sees the owner: on both
-    // words of a SET's key, and on all eight words of a 4-key MULTI.
+    // that. It locks only the words it stores. The hook runs under the
+    // locks, so it sees the owner: on both words of a SET that inserts
+    // key 0, and on seven words of a 4-key MULTI that bumps the present
+    // key 0 (its value word) and inserts keys 1 to 3 (both words each);
+    // key 0's presence word, only read, stays unlocked.
     for backend in BACKENDS {
         for traced in [false, true] {
             let keys = Arc::new([(); 4].map(|()| [TVar::new(0), TVar::new(0)]));
@@ -576,19 +585,271 @@ fn a_short_update_locks_under_the_short_owner_or_its_traced_ticket_on_every_back
             let ids = ids.0.lock().unwrap();
             assert_eq!(seen.len(), 2, "{backend}, traced {traced}: one stage each");
             assert_eq!(ids.len(), if traced { 2 } else { 0 }, "{backend}");
-            for (i, (states, held)) in seen.iter().zip([2, 8]).enumerate() {
+            // Which of the eight words each update holds.
+            let holds = [
+                [true, true, false, false, false, false, false, false],
+                [false, true, true, true, true, true, true, true],
+            ];
+            for (i, (states, held)) in seen.iter().zip(holds).enumerate() {
                 let owner = if traced { ids[i] } else { SHORT_OWNER };
-                let (locked, rest) = states.split_at(held);
-                assert!(
-                    locked.iter().all(|&s| s == LockState::Locked { owner }),
-                    "{backend}, traced {traced}, update {i}: {states:?}, not held by {owner}"
+                assert_eq!(
+                    held.iter().filter(|&&h| h).count(),
+                    [2, 7][i],
+                    "the words locked"
                 );
-                assert!(
-                    rest.iter().all(|s| matches!(s, LockState::Unlocked { .. })),
-                    "{backend}, traced {traced}, update {i}: {states:?}"
-                );
+                for (&s, h) in states.iter().zip(held) {
+                    if h {
+                        assert_eq!(
+                            s,
+                            LockState::Locked { owner },
+                            "{backend}, traced {traced}, update {i}: {states:?}, not held by {owner}"
+                        );
+                    } else {
+                        assert!(
+                            matches!(s, LockState::Unlocked { .. }),
+                            "{backend}, traced {traced}, update {i}: {states:?}"
+                        );
+                    }
+                }
             }
             assert!(ids.iter().all(|&id| id != SHORT_OWNER), "{ids:?}");
+        }
+    }
+}
+
+#[test]
+fn a_word_only_read_that_moves_after_the_collect_sends_a_multi_to_a_regular_run_on_every_backend() {
+    // A 2-key MULTI bumps key 0 and only reads key 1, so its short update
+    // locks key 0's value word alone. Key 0's first decision, which runs
+    // after the collect and before the lock pass, commits key 1's
+    // presence word anew. The lock pass succeeds; the validation after
+    // the stamp must see the moved word and send the update to a regular
+    // run, which applies it once.
+    for backend in BACKENDS {
+        let at = runner(backend);
+        let vars = [(); 2].map(|()| [TVar::new(0u64), TVar::new(0u64)]);
+        let words = vars.each_ref().map(|[p, v]| OptionWord::new(p, v));
+        for word in words {
+            assert_eq!(at.short_update(word, &|_| Some(Some(1))), None);
+        }
+        let mut moved = false;
+        let mut decisions = 0;
+        at.short_update_each(&words, &mut |i, cur| {
+            if i != 0 {
+                return None;
+            }
+            decisions += 1;
+            if !std::mem::replace(&mut moved, true) {
+                vars[1][0].store_atomic(1, at.clock().stamp().wv);
+            }
+            Some(cur.map(|v| v + 1))
+        });
+        assert_eq!(at.stats().short_fallbacks, 1, "{backend}");
+        assert_eq!(decisions, 2, "{backend}: decided again in the regular run");
+        assert_eq!(at.short_read(words[0]), Some(2), "{backend}: applied once");
+        assert_eq!(at.short_read(words[1]), Some(1), "{backend}");
+        for word in vars.iter().flatten() {
+            assert!(
+                matches!(word.core().lock().load(), LockState::Unlocked { .. }),
+                "{backend}: a word stayed locked"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_seeded_single_client_txkv_mix_never_falls_back_on_every_backend() {
+    // Alone, no short operation ever finds a word locked or moved, so
+    // every GET, SET, CAS, DEL and MULTI is served short.
+    const OPS: usize = 10_000;
+    let mix = OpMix::service();
+    let keys = KeySampler::new(KeyDist::Zipfian { theta: 0.99 }, CAPACITY);
+    for backend in BACKENDS {
+        let at = runner(backend);
+        let ks = KeySpace::new(ShardKind::Hash, 1, CAPACITY);
+        let mut rng = SmallRng::seed_from_u64(7);
+        for i in 0..OPS as u64 {
+            let key = keys.sample(&mut rng);
+            let mut pick = rng.gen_range(0..100u32);
+            for (pct, op) in [
+                (mix.get_pct, 0),
+                (mix.set_pct, 1),
+                (mix.cas_pct, 2),
+                (mix.del_pct, 3),
+                (mix.multi_pct, 4),
+            ] {
+                if pick >= pct {
+                    pick -= pct;
+                    continue;
+                }
+                match op {
+                    0 => drop(ks.get(&at, key)),
+                    1 => drop(ks.set(&at, key, i)),
+                    2 => drop(ks.cas(&at, key, ks.get(&at, key), i)),
+                    3 => drop(ks.del(&at, key)),
+                    _ => {
+                        let n = rng.gen_range(2..MAX_MULTI_SIZE + 1);
+                        let multi: Vec<i64> = (0..n).map(|_| keys.sample(&mut rng)).collect();
+                        ks.multi(&at, &multi, |_, cur| {
+                            MultiOp::Put(cur.map_or(i, |v| v.wrapping_add(1)))
+                        });
+                    }
+                }
+                break;
+            }
+        }
+        let stats = at.stats();
+        assert_eq!(stats.short_fallbacks, 0, "{backend}");
+        assert!(stats.commits >= OPS as u64, "{backend}: {stats:?}");
+    }
+}
+
+/// A racing operation on keys 0 and 1, returning what it observed.
+type RaceOp = fn(&KeySpace, &Atomic<Backend>) -> Option<u64>;
+
+/// Two operations that race each round of [`race_rounds`], from the state
+/// `setup` leaves, on keys 0 and 1.
+struct Race {
+    what: &'static str,
+    setup: fn(&KeySpace, &Atomic<Backend>),
+    /// The two operations.
+    ops: [RaceOp; 2],
+    /// Whether the two observations and the final state are those of a
+    /// serial order of the two operations.
+    serial: fn(&KeySpace, &Atomic<Backend>, [Option<u64>; 2]) -> bool,
+}
+
+/// Race `race`'s two operations from two clients for `ROUNDS` rounds on
+/// `backend`, a coordinator resetting the keys before each round and
+/// checking the outcome after it, all within a deadline.
+fn race_rounds(backend: &'static str, race: &'static Race) {
+    const ROUNDS: usize = 300;
+    const DEADLINE: Duration = Duration::from_secs(60);
+    let ks = Arc::new(KeySpace::new(ShardKind::Hash, 1, CAPACITY));
+    let at = Arc::new(runner(backend));
+    let seen = Arc::new(Mutex::new([None; 2]));
+    let rounds = Arc::new(Barrier::new(3));
+    let mut threads: Vec<_> = (0..2)
+        .map(|side| {
+            let (ks, at, seen, rounds) = (ks.clone(), at.clone(), seen.clone(), rounds.clone());
+            std::thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    rounds.wait();
+                    let got = (race.ops[side])(&ks, &at);
+                    seen.lock().unwrap()[side] = got;
+                    rounds.wait();
+                }
+            })
+        })
+        .collect();
+    let (done, finished) = mpsc::channel();
+    threads.push(std::thread::spawn(move || {
+        for round in 0..ROUNDS {
+            (race.setup)(&ks, &at);
+            rounds.wait();
+            rounds.wait();
+            let got = *seen.lock().unwrap();
+            let state = [ks.get(&*at, 0), ks.get(&*at, 1)];
+            if !(race.serial)(&ks, &at, got) {
+                done.send(Err(format!("round {round}: saw {got:?}, left {state:?}")))
+                    .unwrap();
+                return;
+            }
+        }
+        done.send(Ok(())).unwrap();
+    }));
+    // A client that never finishes is left running: the deadline fails
+    // the test instead of hanging it.
+    match finished.recv_timeout(DEADLINE) {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => panic!("{backend}, {}: not serial: {e}", race.what),
+        Err(_) => panic!(
+            "{backend}, {}: did not finish within {DEADLINE:?}",
+            race.what
+        ),
+    }
+    for t in threads {
+        t.join().unwrap();
+    }
+}
+
+/// Keys 0 and 1 present, each holding 1.
+fn both_present(ks: &KeySpace, at: &Atomic<Backend>) {
+    ks.set(at, 0, 1);
+    ks.set(at, 1, 1);
+}
+
+/// A MULTI over `keys` that keeps the first and sets the second to the
+/// first's value plus 10.
+fn copy_plus_ten(ks: &KeySpace, at: &Atomic<Backend>, keys: [i64; 2]) -> Option<u64> {
+    let mut first = 0;
+    ks.multi(at, &keys, |i, cur| {
+        if i == 0 {
+            first = cur.unwrap_or(0);
+            MultiOp::Keep
+        } else {
+            MultiOp::Put(first + 10)
+        }
+    });
+    None
+}
+
+/// Races whose lock sets are disjoint: each operation stores words the
+/// other only reads, so only the validation after the stamp orders them.
+static DISJOINT_RACES: [Race; 4] = [
+    Race {
+        what: "SET || DEL of a present key",
+        setup: both_present,
+        ops: [|ks, at| ks.set(at, 0, 7), |ks, at| ks.del(at, 0)],
+        serial: |ks, at, seen| match seen {
+            [Some(1), Some(7)] => ks.get(at, 0).is_none(),
+            [None, Some(1)] => ks.get(at, 0) == Some(7),
+            _ => false,
+        },
+    },
+    Race {
+        what: "CAS || DEL of a present key",
+        setup: both_present,
+        ops: [
+            |ks, at| Some(u64::from(ks.cas(at, 0, Some(1), 7))),
+            |ks, at| ks.del(at, 0),
+        ],
+        serial: |ks, at, seen| {
+            matches!(seen, [Some(1), Some(7)] | [Some(0), Some(1)]) && ks.get(at, 0).is_none()
+        },
+    },
+    Race {
+        what: "Keep-row MULTI || SET",
+        setup: both_present,
+        ops: [
+            |ks, at| copy_plus_ten(ks, at, [0, 1]),
+            |ks, at| ks.set(at, 0, 7),
+        ],
+        serial: |ks, at, seen| {
+            seen[1] == Some(1) && ks.get(at, 0) == Some(7) && matches!(ks.get(at, 1), Some(11 | 17))
+        },
+    },
+    Race {
+        what: "Keep-row MULTIs in write skew",
+        setup: both_present,
+        ops: [
+            |ks, at| copy_plus_ten(ks, at, [0, 1]),
+            |ks, at| copy_plus_ten(ks, at, [1, 0]),
+        ],
+        serial: |ks, at, _| {
+            matches!(
+                [ks.get(at, 0), ks.get(at, 1)],
+                [Some(21), Some(11)] | [Some(11), Some(21)]
+            )
+        },
+    },
+];
+
+#[test]
+fn races_over_disjoint_lock_sets_end_in_a_serial_order_on_every_backend() {
+    for backend in BACKENDS {
+        for race in &DISJOINT_RACES {
+            race_rounds(backend, race);
         }
     }
 }

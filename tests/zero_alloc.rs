@@ -379,9 +379,9 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         }
     });
     assert_eq!(events, 0, "KeySpace::get allocated {events} times");
-    // An update of a present key: a write, its locks (under the reserved
-    // short-operation owner, no ticket) and a commit stamp, but no node
-    // and nothing retired.
+    // An update of a present key: a write, its lock (under the reserved
+    // short-operation owner, no ticket), a commit stamp and a validation,
+    // but no node and nothing retired.
     let events = min_events_of(|| {
         for k in 0..64 {
             assert_eq!(kv.set(&at, k * 2, k as u64 + 1), Some(k as u64));
@@ -410,7 +410,8 @@ fn warmed_retry_loops_do_not_allocate_on_any_backend() {
         }
     });
     assert_eq!(events, 0, "KeySpace::del allocated {events} times");
-    // A 4-key MULTI over present keys: one short update of eight words.
+    // A 4-key MULTI over present keys: one short update of eight words,
+    // four of them locked and stored.
     use composing_relaxed_transactions::txkv::MultiOp;
     let keys = [0, 2, 4, 6];
     let bump = |_: usize, cur: Option<u64>| MultiOp::Put(cur.expect("present") + 1);
