@@ -313,8 +313,8 @@ mod tests {
         assert_eq!(Arena::<ListNode>::new().first.len(), 1 << 13);
         // Eight-byte cells: 2^14 of them fill the budget.
         assert_eq!(Arena::<Cell>::new().first.len(), 1 << 14);
-        // 288-byte nodes would get 455 slots: the floor keeps 1 024.
-        assert_eq!(size_of::<SkipNode>(), 288);
+        // 910 slots: the floor keeps 1 024.
+        assert_eq!(size_of::<SkipNode>(), 144);
         assert_eq!(Arena::<SkipNode>::new().first.len(), 1 << 10);
     }
 

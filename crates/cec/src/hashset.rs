@@ -63,7 +63,6 @@ impl HashSet {
 
 impl SetOps for HashSet {
     fn contains_in<'e, T: Transaction<'e>>(&'e self, tx: &mut T, key: i64) -> Result<bool, Abort> {
-        listcore::check_key(key);
         listcore::contains_in(&self.arena, self.bucket_of(key), tx, key)
     }
 
@@ -73,7 +72,6 @@ impl SetOps for HashSet {
         key: i64,
         scratch: &mut OpScratch,
     ) -> Result<bool, Abort> {
-        listcore::check_key(key);
         listcore::add_in(&self.arena, self.bucket_of(key), tx, key, scratch)
     }
 
@@ -83,7 +81,6 @@ impl SetOps for HashSet {
         key: i64,
         scratch: &mut OpScratch,
     ) -> Result<bool, Abort> {
-        listcore::check_key(key);
         listcore::remove_in(&self.arena, self.bucket_of(key), tx, key, scratch)
     }
 

@@ -39,7 +39,7 @@
 //! | Type | Paper figure | Notes |
 //! |---|---|---|
 //! | [`linkedlist::LinkedListSet`] | Fig. 6 | sorted list, linear traversals — elastic's best case |
-//! | [`skiplist::SkipListSet`] | Fig. 7 | log-height towers |
+//! | [`skiplist::SkipListSet`] | Fig. 7 | log-height towers, each level walked as a `listcore` chain |
 //! | [`hashset::HashSet`] | Fig. 8 | fixed buckets (load factor 512 in the paper) |
 //! | [`seq`] | "Sequential" line | uninstrumented baselines |
 

@@ -57,7 +57,6 @@ impl LinkedListSet {
 
 impl SetOps for LinkedListSet {
     fn contains_in<'e, T: Transaction<'e>>(&'e self, tx: &mut T, key: i64) -> Result<bool, Abort> {
-        listcore::check_key(key);
         listcore::contains_in(&self.arena, self.head, tx, key)
     }
 
@@ -67,7 +66,6 @@ impl SetOps for LinkedListSet {
         key: i64,
         scratch: &mut OpScratch,
     ) -> Result<bool, Abort> {
-        listcore::check_key(key);
         listcore::add_in(&self.arena, self.head, tx, key, scratch)
     }
 
@@ -77,7 +75,6 @@ impl SetOps for LinkedListSet {
         key: i64,
         scratch: &mut OpScratch,
     ) -> Result<bool, Abort> {
-        listcore::check_key(key);
         listcore::remove_in(&self.arena, self.head, tx, key, scratch)
     }
 

@@ -1,6 +1,7 @@
 // lint:hot-path
 //! The sorted transactional linked list underlying [`LinkedListSet`] and
-//! every [`HashSet`] bucket.
+//! every [`HashSet`] bucket, and the walk every level of the
+//! [`SkipListSet`] shares with it (see `Chain`).
 //!
 //! The algorithm is the elastic-transaction integer-set list (Fig. 5 of the
 //! paper shows the skip-list sibling): a sorted singly linked list with a
@@ -39,6 +40,7 @@
 //!
 //! [`LinkedListSet`]: crate::linkedlist::LinkedListSet
 //! [`HashSet`]: crate::hashset::HashSet
+//! [`SkipListSet`]: crate::skiplist::SkipListSet
 
 use crate::arena::Arena;
 use crate::noderef::NodeRef;
@@ -115,6 +117,56 @@ pub(crate) fn write_next<'e, T: Transaction<'e>>(
     tx.write_link(link, to.into_word())
 }
 
+/// A sorted chain of nodes the walks below follow: a list's arena (every
+/// list and hash bucket), or one level of the skip list. A node of a chain
+/// has a plain key (see [`ListNode`] for why a plain load reads it right)
+/// and a [`Link`] to its successor in the chain.
+pub(crate) trait Chain<'e>: Copy {
+    /// The node at `idx`: its key, and its link to its successor in this
+    /// chain. One call resolves the node once for both, which keeps a
+    /// walk's step to one address computation.
+    fn node(self, idx: u64) -> (i64, &'e Link);
+}
+
+impl<'e> Chain<'e> for &'e Arena<ListNode> {
+    #[inline]
+    fn node(self, idx: u64) -> (i64, &'e Link) {
+        let node = self.get(idx);
+        (node.key(), &node.next)
+    }
+}
+
+/// Where a walk enters a chain.
+pub(crate) struct Entry {
+    /// The chain's head sentinel, which is never removed.
+    pub head: u64,
+    /// The node the walk starts on: the head, or in a skip-list descent
+    /// the predecessor the level above ended on.
+    pub pred: u64,
+}
+
+/// The steps a walk may still take before it gives up: one budget for a
+/// list walk, one shared by every level of a skip-list descent.
+pub(crate) struct Budget(pub(crate) u64);
+
+impl Budget {
+    /// Room for a walk of one chain of `arena`: longer than any consistent
+    /// chain can be (a defensive termination bound).
+    pub(crate) fn one_chain<T>(arena: &Arena<T>) -> Self {
+        Self(2 * arena.high_water() + 64)
+    }
+
+    /// Take a step, or fail once the budget is spent.
+    #[inline(always)]
+    fn step(&mut self) -> Result<(), Abort> {
+        self.0 = self
+            .0
+            .checked_sub(1)
+            .ok_or(Abort::new(AbortReason::StepBound))?;
+        Ok(())
+    }
+}
+
 /// Result of a traversal: the insertion point for `key`.
 #[derive(Debug, Clone, Copy)]
 pub struct Find {
@@ -137,7 +189,7 @@ pub(crate) fn check_key(key: i64) {
 }
 
 /// Traverse the list rooted at the sentinel `head` until the first node
-/// whose key is `>= key`.
+/// whose key is `>= key`: `walk` from the head.
 ///
 /// A dead `next` pointer means `pred` was removed under us. If the removal
 /// was committed whole (correct backends) the predecessor link has moved on
@@ -158,24 +210,37 @@ pub fn find<'e, T: Transaction<'e>>(
     tx: &mut T,
     key: i64,
 ) -> Result<Find, Abort> {
-    let bound = 2 * arena.high_water() + 64;
-    let mut steps: u64 = 0;
+    check_key(key);
+    let from = Entry { head, pred: head };
+    walk(arena, tx, from, key, &mut Budget::one_chain(arena))
+}
+
+/// Walk `chain` from `from.pred` to the first node whose key is `>= key`,
+/// spending a step of `budget` per hop, repair and cut (see [`find`]).
+/// Inlined, so `find`'s step counter stays in a register.
+#[inline(always)]
+pub(crate) fn walk<'e, C: Chain<'e>, T: Transaction<'e>>(
+    chain: C,
+    tx: &mut T,
+    from: Entry,
+    key: i64,
+    budget: &mut Budget,
+) -> Result<Find, Abort> {
     // `pred`'s own predecessor, or the null index when there is no link to
-    // repair through: at the first hop (the head sentinel is never
-    // removed) and right after a repair.
+    // repair through: at the entry point and right after a repair.
     let mut prev: u64 = 0;
-    let mut pred = head;
-    // `pred`'s key, tracked by value. Keys ascend strictly along `next`
+    let mut pred = from.pred;
+    // `pred`'s key, tracked by value. Keys ascend strictly along a chain's
     // links in every committed state and are immutable while a slot is
     // reachable (epoch pinning blocks reuse mid-walk), so observing
     // `curr.key <= pred.key` proves a relaxed backend committed stale
     // redirects — the shape that can close a cycle and turn the step
     // bound into a permanent livelock. Such nodes are unlinked on sight.
-    let mut last_key = i64::MIN;
-    let mut curr = read_next(tx, &arena.get(pred).next)?;
+    let (mut last_key, link) = chain.node(pred);
+    let mut curr = read_next(tx, link)?;
     loop {
         if curr.is_dead() {
-            (pred, curr) = repair_dead(arena, tx, prev, pred, curr)?;
+            (pred, last_key, curr) = repair_dead(chain, tx, from.head, prev, pred, curr)?;
             prev = 0;
         } else {
             if curr.is_null() {
@@ -186,8 +251,7 @@ pub fn find<'e, T: Transaction<'e>>(
                 });
             }
             let c = curr.index();
-            let node = arena.get(c);
-            let ck = node.key();
+            let (ck, next) = chain.node(c);
             if ck >= key {
                 return Ok(Find {
                     pred,
@@ -196,54 +260,60 @@ pub fn find<'e, T: Transaction<'e>>(
                 });
             }
             if ck <= last_key {
-                curr = cut_inversion(arena, tx, pred, c)?;
+                curr = cut_inversion(chain, tx, pred, c)?;
             } else {
-                curr = read_next(tx, &node.next)?;
+                curr = read_next(tx, next)?;
                 prev = pred;
                 pred = c;
                 last_key = ck;
             }
         }
-        steps += 1;
-        if steps > bound {
-            return Err(Abort::new(AbortReason::StepBound));
-        }
+        budget.step()?;
     }
 }
 
-/// `pred` was removed under the walk: its `next` reads `dead`. Re-read the
+/// `pred` was removed under the walk: its link reads `dead`. Re-read the
 /// previous predecessor's link under full protection and repair only if it
-/// still points at the corpse; otherwise (or with no previous link, at the
-/// first hop) restart. Returns the walk's new `(pred, curr)`.
+/// still points at the corpse; otherwise restart. With no previous link,
+/// restart on the head sentinel (its links are never dead in a committed
+/// state, so the sighting is transient) and re-enter at the head anywhere
+/// else. Returns the walk's new `pred`, its key and `curr`.
 #[cold]
 #[inline(never)]
-fn repair_dead<'e, T: Transaction<'e>>(
-    arena: &'e Arena<ListNode>,
+fn repair_dead<'e, C: Chain<'e>, T: Transaction<'e>>(
+    chain: C,
     tx: &mut T,
+    head: u64,
     prev: u64,
     pred: u64,
     dead: NodeRef,
-) -> Result<(u64, NodeRef), Abort> {
+) -> Result<(u64, i64, NodeRef), Abort> {
     if prev == 0 {
-        return Err(Abort::new(AbortReason::Explicit));
+        if pred == head {
+            return Err(Abort::new(AbortReason::Explicit));
+        }
+        // A skip-list level entered at a mixed tower's corpse (only a
+        // relaxed backend's stale redirects commit one).
+        let (key, link) = chain.node(head);
+        return Ok((head, key, read_next(tx, link)?));
     }
-    let link = &arena.get(prev).next;
+    let (key, link) = chain.node(prev);
     if read_next(tx, link)? != NodeRef::node(pred) {
         return Err(Abort::new(AbortReason::Explicit));
     }
     write_next(tx, link, dead.successor())?;
-    Ok((prev, dead.successor()))
+    Ok((prev, key, dead.successor()))
 }
 
 /// Key-order inversion at node `c` after `pred`: committed corruption (see
-/// `last_key` in [`find`]). Unlink `c` from `pred` — a validated write on a
+/// `last_key` in [`walk`]). Unlink `c` from `pred` — a validated write on a
 /// link the walk already read, so a correct backend racing us simply
 /// aborts us — and hand back pred's new successor to re-examine. A
 /// self-loop has no sane successor: cut to the terminator.
 #[cold]
 #[inline(never)]
-fn cut_inversion<'e, T: Transaction<'e>>(
-    arena: &'e Arena<ListNode>,
+fn cut_inversion<'e, C: Chain<'e>, T: Transaction<'e>>(
+    chain: C,
     tx: &mut T,
     pred: u64,
     c: u64,
@@ -251,15 +321,43 @@ fn cut_inversion<'e, T: Transaction<'e>>(
     let next = if c == pred {
         NodeRef::NULL
     } else {
-        let n = read_next(tx, &arena.get(c).next)?;
+        let n = read_next(tx, chain.node(c).1)?;
         if n.is_dead() {
             n.successor()
         } else {
             n
         }
     };
-    write_next(tx, &arena.get(pred).next, next)?;
+    write_next(tx, chain.node(pred).1, next)?;
     Ok(next)
+}
+
+/// The read-only walk: hand every key after `head` to `each`, in order,
+/// one transactional read per node. A reachable corpse (relaxed backends
+/// only) is crossed through its preserved successor, and may be visited
+/// itself. Only a committed cycle can spend `budget`: the walk then stops
+/// short rather than retry against corruption that never heals.
+pub(crate) fn visit<'e, C: Chain<'e>, T: Transaction<'e>>(
+    chain: C,
+    head: u64,
+    tx: &mut T,
+    mut budget: Budget,
+    mut each: impl FnMut(i64),
+) -> Result<(), Abort> {
+    let mut curr = read_next(tx, chain.node(head).1)?;
+    while !curr.is_null() {
+        if curr.is_dead() {
+            curr = curr.successor();
+        } else {
+            let (key, link) = chain.node(curr.index());
+            each(key);
+            curr = read_next(tx, link)?;
+        }
+        if budget.step().is_err() {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Membership test. Read-only: under an elastic transaction this never
@@ -351,29 +449,8 @@ pub fn len_in<'e, T: Transaction<'e>>(
     head: u64,
     tx: &mut T,
 ) -> Result<usize, Abort> {
-    let bound = 2 * arena.high_water() + 64;
-    let mut steps: u64 = 0;
     let mut count = 0usize;
-    let mut curr = read_next(tx, &arena.get(head).next)?;
-    while !curr.is_null() {
-        if curr.is_dead() {
-            // Reachable corpse (relaxed backends only): read-only walks
-            // skip through the preserved successor instead of wedging.
-            curr = curr.successor();
-        } else {
-            count += 1;
-            curr = read_next(tx, &arena.get(curr.index()).next)?;
-        }
-        steps += 1;
-        if steps > bound {
-            // Only a relaxed backend's committed cycle can run a walk
-            // past any consistent list's length: return the truncated
-            // (relaxed) count rather than retrying against corruption
-            // that will never heal. Keeps the audit path to one
-            // transactional read per node — no key reads.
-            break;
-        }
-    }
+    visit(arena, head, tx, Budget::one_chain(arena), |_| count += 1)?;
     Ok(count)
 }
 
@@ -384,26 +461,8 @@ pub fn snapshot_in<'e, T: Transaction<'e>>(
     head: u64,
     tx: &mut T,
 ) -> Result<Vec<i64>, Abort> {
-    let bound = 2 * arena.high_water() + 64;
-    let mut steps: u64 = 0;
     let mut out = Vec::new();
-    let mut curr = read_next(tx, &arena.get(head).next)?;
-    while !curr.is_null() {
-        if curr.is_dead() {
-            // Skip reachable corpses (see `len_in`).
-            curr = curr.successor();
-        } else {
-            let node = arena.get(curr.index());
-            out.push(node.key());
-            curr = read_next(tx, &node.next)?;
-        }
-        steps += 1;
-        if steps > bound {
-            // Committed cycle (relaxed backends only): truncate rather
-            // than wedge (see `len_in`).
-            break;
-        }
-    }
+    visit(arena, head, tx, Budget::one_chain(arena), |k| out.push(k))?;
     Ok(out)
 }
 
@@ -417,7 +476,7 @@ pub fn new_sentinel(arena: &Arena<ListNode>) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use oe_stm::OeStm;
     use stm_core::api::{Atomic, Policy};
@@ -706,7 +765,7 @@ mod tests {
 
     /// Counts the read events a traced backend reports.
     #[derive(Default)]
-    struct ReadEvents(core::sync::atomic::AtomicU64);
+    pub(crate) struct ReadEvents(pub(crate) core::sync::atomic::AtomicU64);
 
     impl TraceSink for ReadEvents {
         fn begin(&self, _: TraceStamp, _: u64, _: u64) {}

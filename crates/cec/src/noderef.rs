@@ -1,7 +1,7 @@
 //! Node references: the word type linking arena nodes together.
 //!
-//! A [`NodeRef`] is what a node's `next` holds (a list node's
-//! [`Link`](stm_core::Link), a skip-list tower's `TVar`s): either a
+//! A [`NodeRef`] is what a node's [`Link`](stm_core::Link)s hold (a list
+//! node's `next`, each level of a skip-list tower): either a
 //! (non-zero) arena index, the null terminator, or the special **dead**
 //! marker that a removal writes into the unlinked node's own `next`
 //! pointer.

@@ -19,7 +19,7 @@
 //! exploit.
 
 use crate::arena::{pin, Arena};
-use crate::listcore::{read_next, write_next, ListNode};
+use crate::listcore::{self, read_next, write_next, ListNode};
 use crate::noderef::NodeRef;
 use std::cell::RefCell;
 use stm_core::api::{Atomic, AtomicBackend, Policy};
@@ -136,27 +136,13 @@ impl TxQueue {
     }
 
     /// Element count inside an ambient transaction (atomic under a
-    /// regular transaction — the JDK queue cannot offer this).
+    /// regular transaction — the JDK queue cannot offer this): the sorted
+    /// list's count, whose walk needs no order.
     ///
     /// # Errors
     /// Propagates the [`Abort`] that ends this attempt.
     pub fn len_in<'e, T: Transaction<'e>>(&'e self, tx: &mut T) -> Result<usize, Abort> {
-        let bound = 2 * self.arena.high_water() + 64;
-        let mut steps = 0u64;
-        let mut n = 0usize;
-        let mut curr = read_next(tx, &self.node(self.head).next)?;
-        while curr.is_node() {
-            n += 1;
-            curr = read_next(tx, &self.node(curr.index()).next)?;
-            steps += 1;
-            if steps > bound {
-                return Err(Abort::new(AbortReason::StepBound));
-            }
-        }
-        if curr.is_dead() {
-            return Err(Abort::new(AbortReason::Explicit));
-        }
-        Ok(n)
+        listcore::len_in(&self.arena, self.head, tx)
     }
 
     // -- atomic wrappers (any `Atomic` runner) --------------------------

@@ -2,61 +2,73 @@
 //! (Fig. 5 pseudocode; evaluated in Fig. 7).
 //!
 //! A transactional skip list with geometrically distributed tower heights.
-//! Search descends from the head tower; under an elastic transaction only
-//! the last two reads stay protected, so the O(log n) descent does not
-//! conflict with updates elsewhere. Updates harden the transaction at
-//! their first write and then **re-read every predecessor link under full
-//! protection** before redirecting it — upper-level predecessors found
-//! during the relaxed descent are never trusted blindly.
+//! Each level's links form a sorted chain of plain keys and [`Link`]s, the
+//! shape of a `listcore` list, and a search descends them through
+//! `listcore`'s own walk: level by level from the head tower, each level
+//! entered at the predecessor the level above ended on, one step budget
+//! over the whole descent. Under an elastic transaction only the last two
+//! reads stay protected, so the O(log n) descent does not conflict with
+//! updates elsewhere. Updates harden the transaction at their first write
+//! and then **re-read every predecessor link under full protection**
+//! before redirecting it — upper-level predecessors found during the
+//! relaxed descent are never trusted blindly.
 //!
 //! Removal follows the same dead-marker protocol as the linked list
 //! (`listcore`), applied to every level of the tower: unlinking and
 //! writing successor-preserving dead markers ([`NodeRef::dead`]) into all
-//! of the victim's `next` pointers is one atomic transaction, so
+//! of the victim's links is one atomic transaction, so
 //!
 //! * adjacent removals and insert-after-victim races always overlap on a
 //!   written location and are detected, and
 //! * stale elastic traversers standing on a removed tower read the marker
 //!   and either retry (correct backends — the tower is unreachable, the
 //!   sighting transient) or **repair** the still-pointing predecessor link
-//!   in-transaction and continue, exactly as `listcore::find` does. The
-//!   repair path is what keeps traversals terminating when the E-STM
-//!   compatibility backend's Fig. 1 bug commits a dead tower without its
-//!   redirects, leaving it permanently reachable.
+//!   in-transaction and continue: the walk is `listcore`'s, repairs
+//!   included. The repair path is what keeps traversals terminating when
+//!   the E-STM compatibility backend's Fig. 1 bug commits a dead tower
+//!   without its redirects, leaving it permanently reachable.
 
 use crate::arena::Arena;
+use crate::listcore::{self, read_next, write_next, Budget, Chain, Entry};
 use crate::noderef::NodeRef;
 use crate::set::{OpScratch, SetOps};
+use core::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use crossbeam::epoch::Guard;
 use std::cell::Cell;
-use stm_core::{Abort, AbortReason, TVar, Transaction};
+use stm_core::{Abort, AbortReason, Link, Transaction};
 
 /// Maximum tower height. 2^16 expected elements per level-16 node; plenty
 /// for the paper's 2^12-element workloads and beyond.
 pub const MAX_LEVEL: usize = 16;
 
-/// One skip-list node: a key, its tower height, and one link per level.
+/// One skip-list node: a plain key, a plain tower height and one [`Link`]
+/// per level, 144 bytes.
 ///
-/// All fields are transactional, the key included, although the argument
-/// that lets a list node's key be a plain word (see
-/// [`ListNode`](crate::listcore::ListNode)) carries over now that a
-/// removal redirects every in-link of its tower (see `in_link`): a
-/// published slot is never reachable once retired.
-#[derive(Debug)]
+/// The key and the height are stored once per use of the slot, before any
+/// link to it is written, and cannot change while a pinned traverser can
+/// reach the slot: the argument that makes a list node's key a plain word
+/// (see [`ListNode`](crate::listcore::ListNode)) holds at every level,
+/// because a removal redirects every in-link of its tower (see `in_link`),
+/// so a retired slot is linked at no level. A hop of a descent is one
+/// transactional read, of a link.
+#[derive(Debug, Default)]
 pub struct SkipNode {
-    key: TVar<i64>,
+    key: AtomicI64,
     /// Tower height in `1..=MAX_LEVEL`; links `next[level..]` are unused.
-    level: TVar<u64>,
-    next: [TVar<NodeRef>; MAX_LEVEL],
+    level: AtomicU64,
+    next: [Link; MAX_LEVEL],
 }
 
-impl Default for SkipNode {
-    fn default() -> Self {
-        Self {
-            key: TVar::new(0),
-            level: TVar::new(1),
-            next: core::array::from_fn(|_| TVar::new(NodeRef::NULL)),
-        }
+/// One level of the skip list, `Level(arena, l)`: the chain its nodes'
+/// level-`l` links form.
+#[derive(Clone, Copy)]
+struct Level<'e>(&'e Arena<SkipNode>, usize);
+
+impl<'e> Chain<'e> for Level<'e> {
+    #[inline]
+    fn node(self, idx: u64) -> (i64, &'e Link) {
+        let node = self.0.get(idx);
+        (node.key.load(Ordering::Relaxed), &node.next[self.1])
     }
 }
 
@@ -109,8 +121,8 @@ impl SkipListSet {
         let arena: Arena<SkipNode> = Arena::new();
         let head = arena.alloc();
         let h = arena.get(head);
-        h.key.store_atomic(i64::MIN, 0);
-        h.level.store_atomic(MAX_LEVEL as u64, 0);
+        h.key.store(i64::MIN, Ordering::Relaxed);
+        h.level.store(MAX_LEVEL as u64, Ordering::Relaxed);
         Self { arena, head }
     }
 
@@ -119,118 +131,31 @@ impl SkipListSet {
     }
 
     /// Descend towards `key`, recording the insertion point at every
-    /// level. Crossing a removed tower aborts (`Explicit`) when the
-    /// committed removal already redirected the link, or repairs the link
-    /// in place when a relaxed backend left it pointing at the corpse
-    /// (see `listcore::find`). Aborts (`StepBound`) past the defensive
-    /// traversal bound.
+    /// level: `listcore`'s walk on each level, entered at the level
+    /// above's predecessor, with one step budget over the descent. A
+    /// removed tower on the way is repaired or retried as in
+    /// `listcore::find`, and a level entered at a corpse starts over from
+    /// the head.
     fn locate<'e, T: Transaction<'e>>(&'e self, tx: &mut T, key: i64) -> Result<FindResult, Abort> {
-        let bound = 4 * self.arena.high_water() + 4 * MAX_LEVEL as u64 + 64;
-        let mut steps: u64 = 0;
-        let mut preds = [self.head; MAX_LEVEL];
-        let mut succs = [NodeRef::NULL; MAX_LEVEL];
-        let mut succ0_key = None;
+        listcore::check_key(key);
+        let mut budget = Budget(4 * self.arena.high_water() + 4 * MAX_LEVEL as u64 + 64);
+        let mut f = FindResult {
+            preds: [self.head; MAX_LEVEL],
+            succs: [NodeRef::NULL; MAX_LEVEL],
+            succ0_key: None,
+        };
         let mut pred = self.head;
-        // `pred`'s key, tracked by value across levels. Keys ascend
-        // strictly along every level's links in every committed state
-        // (and are immutable while published; epoch pinning blocks slot
-        // reuse mid-walk), so an observed inversion proves a relaxed
-        // backend committed stale redirects — possibly closing a cycle
-        // that would turn the step bound into a permanent livelock.
-        // Inverted nodes are unlinked on sight, like `listcore::find`.
-        let mut last_key = i64::MIN;
         for l in (0..MAX_LEVEL).rev() {
-            // Predecessor of `pred` at this level, once we have advanced
-            // at least one hop (the inherited entry point has none).
-            let mut prev: Option<u64> = None;
-            let mut curr = tx.read(&self.node(pred).next[l])?;
-            loop {
-                if curr.is_dead() {
-                    // `pred` was removed under us. Without a same-level
-                    // previous link in hand to repair through — the dead
-                    // value came straight from the entry point inherited
-                    // from the level above (a corpse with a live upper
-                    // link but a dead link here: a mixed tower, which
-                    // only a relaxed backend's stale redirects can
-                    // commit) — re-enter this level from the head
-                    // sentinel, whose links are never dead.
-                    let Some(p0) = prev else {
-                        pred = self.head;
-                        last_key = i64::MIN;
-                        curr = tx.read(&self.node(pred).next[l])?;
-                        steps += 1;
-                        if steps > bound {
-                            return Err(Abort::new(AbortReason::StepBound));
-                        }
-                        continue;
-                    };
-                    let pn = tx.read(&self.node(p0).next[l])?;
-                    if pn != NodeRef::node(pred) {
-                        return Err(Abort::new(AbortReason::Explicit));
-                    }
-                    tx.write(&self.node(p0).next[l], curr.successor())?;
-                    pred = p0;
-                    curr = curr.successor();
-                    prev = None;
-                    steps += 1;
-                    if steps > bound {
-                        return Err(Abort::new(AbortReason::StepBound));
-                    }
-                    continue;
-                }
-                if !curr.is_node() {
-                    break;
-                }
-                let c = curr.index();
-                let ck = tx.read(&self.node(c).key)?;
-                if ck < key {
-                    if ck <= last_key {
-                        // Key-order inversion: committed corruption (see
-                        // `last_key`). Unlink `curr` at this level with a
-                        // validated write; a self-loop is cut to the
-                        // terminator.
-                        let next = if c == pred {
-                            NodeRef::NULL
-                        } else {
-                            let n = tx.read(&self.node(c).next[l])?;
-                            if n.is_dead() {
-                                n.successor()
-                            } else {
-                                n
-                            }
-                        };
-                        tx.write(&self.node(pred).next[l], next)?;
-                        curr = next;
-                        steps += 1;
-                        if steps > bound {
-                            return Err(Abort::new(AbortReason::StepBound));
-                        }
-                        continue;
-                    }
-                    let next = tx.read(&self.node(c).next[l])?;
-                    prev = Some(pred);
-                    pred = c;
-                    last_key = ck;
-                    curr = next;
-                } else {
-                    if l == 0 {
-                        succ0_key = Some(ck);
-                    }
-                    break;
-                }
-                steps += 1;
-                if steps > bound {
-                    return Err(Abort::new(AbortReason::StepBound));
-                }
-            }
-            preds[l] = pred;
-            succs[l] = curr;
+            let from = Entry {
+                head: self.head,
+                pred,
+            };
+            let at = listcore::walk(Level(&self.arena, l), tx, from, key, &mut budget)?;
+            // Level 0 comes last: its key is the one `succ0_key` keeps.
+            (f.preds[l], f.succs[l], f.succ0_key) = (at.pred, at.curr, at.curr_key);
+            pred = at.pred;
         }
-        Ok(FindResult {
-            preds,
-            succs,
-            succ0_key,
-        })
+        Ok(f)
     }
 
     /// The node whose level-`l` link points at slot `c` (key `key`),
@@ -255,10 +180,11 @@ impl SkipListSet {
         c: u64,
         key: i64,
     ) -> Result<Option<u64>, Abort> {
+        let level = Level(&self.arena, l);
         let mut pred = from;
         let mut last_key = i64::MIN;
         loop {
-            let curr = tx.read(&self.node(pred).next[l])?;
+            let curr = read_next(tx, level.node(pred).1)?;
             if curr == NodeRef::node(c) {
                 return Ok(Some(pred));
             }
@@ -269,7 +195,7 @@ impl SkipListSet {
             if !curr.is_node() {
                 return Ok(None);
             }
-            let k = tx.read(&self.node(curr.index()).key)?;
+            let k = level.node(curr.index()).0;
             if k >= key || k <= last_key {
                 return Ok(None);
             }
@@ -293,55 +219,41 @@ impl SkipListSet {
         }
         let c = f.succs[0].index();
         let victim = self.node(c);
-        let level = tx.read(&victim.level)? as usize;
-        let c0 = tx.read(&victim.next[0])?;
+        let c0 = read_next(tx, &victim.next[0])?;
         if c0.is_dead() {
             // Concurrently removed; linearize after that removal.
             return Ok(false);
         }
-        // Logical delete: hardens the transaction with {victim.level,
+        // Logical delete: hardens the transaction with {pred0.next[0],
         // victim.next[0]} protected. The marker preserves the successor so
         // traversals can repair past a corpse left reachable by a relaxed
         // backend's redirect-less commit.
-        tx.write(&victim.next[0], NodeRef::dead(c0))?;
-        for l in 0..level {
-            // Current successor at this level (for l = 0 we captured it
-            // before overwriting with DEAD).
-            let cl = if l == 0 {
-                c0
-            } else {
-                let v = tx.read(&victim.next[l])?;
-                if v.is_dead() {
-                    // Already marked at this level while level 0 was live:
-                    // a mixed tower, possible only when a relaxed backend's
-                    // stale redirect resurrected a lower link of an earlier
-                    // removal's corpse. Nothing left to unlink here.
-                    continue;
-                }
-                v
-            };
-            let pred = if l == 0 {
-                // Re-read the level-0 predecessor link under full
-                // protection: membership is decided here, so a changed
-                // insertion point means retry.
-                let pn = tx.read(&self.node(f.preds[0]).next[0])?;
-                if pn != NodeRef::node(c) {
-                    return Err(Abort::new(AbortReason::Explicit));
-                }
-                f.preds[0]
-            } else if let Some(p) = self.in_link(tx, f.preds[l], l, c, key)? {
-                p
-            } else {
-                // The victim is not linked at this level (a relaxed
-                // backend corrupted the index levels). Level 0 stays
-                // authoritative for membership: mark the level dead so any
-                // remaining in-link repairs on sight, and skip the
-                // redirect.
-                tx.write(&victim.next[l], NodeRef::dead(cl))?;
+        write_next(tx, &victim.next[0], NodeRef::dead(c0))?;
+        // Re-read the level-0 predecessor link under full protection:
+        // membership is decided here, so a changed insertion point means
+        // retry.
+        let in0 = &self.node(f.preds[0]).next[0];
+        if read_next(tx, in0)? != NodeRef::node(c) {
+            return Err(Abort::new(AbortReason::Explicit));
+        }
+        write_next(tx, in0, c0)?;
+        for l in 1..victim.level.load(Ordering::Relaxed) as usize {
+            let cl = read_next(tx, &victim.next[l])?;
+            if cl.is_dead() {
+                // Already marked at this level while level 0 was live: a
+                // mixed tower, possible only when a relaxed backend's
+                // stale redirect resurrected a lower link of an earlier
+                // removal's corpse. Nothing left to unlink here.
                 continue;
-            };
-            tx.write(&self.node(pred).next[l], cl)?;
-            tx.write(&victim.next[l], NodeRef::dead(cl))?;
+            }
+            // With no in-link at this level (a relaxed backend corrupted
+            // the index levels) level 0 stays authoritative for
+            // membership: the dead mark alone makes any remaining in-link
+            // repair on sight.
+            if let Some(p) = self.in_link(tx, f.preds[l], l, c, key)? {
+                write_next(tx, &self.node(p).next[l], cl)?;
+            }
+            write_next(tx, &victim.next[l], NodeRef::dead(cl))?;
         }
         scratch.unlinked.push(c);
         Ok(true)
@@ -350,7 +262,6 @@ impl SkipListSet {
 
 impl SetOps for SkipListSet {
     fn contains_in<'e, T: Transaction<'e>>(&'e self, tx: &mut T, key: i64) -> Result<bool, Abort> {
-        crate::listcore::check_key(key);
         let f = self.locate(tx, key)?;
         Ok(f.succ0_key == Some(key))
     }
@@ -361,7 +272,6 @@ impl SetOps for SkipListSet {
         key: i64,
         scratch: &mut OpScratch,
     ) -> Result<bool, Abort> {
-        crate::listcore::check_key(key);
         let f = self.locate(tx, key)?;
         if f.succ0_key == Some(key) {
             return Ok(false);
@@ -370,22 +280,23 @@ impl SetOps for SkipListSet {
         let n = self.arena.alloc();
         scratch.allocated.push(n);
         let node = self.node(n);
-        // First write hardens the transaction; the elastic window holds
-        // the level-0 insertion point {pred0.next[0], succ0.key}.
-        tx.write(&node.key, key)?;
-        tx.write(&node.level, level as u64)?;
+        // The slot is unreachable until the links below commit: its key
+        // and height are plain stores, made before any link to it is
+        // written (see `SkipNode`).
+        node.key.store(key, Ordering::Relaxed);
+        node.level.store(level as u64, Ordering::Relaxed);
+        // Link bottom-up. The first write hardens the transaction, whose
+        // elastic window holds the level-0 insertion point's link; each
+        // predecessor link is then re-read under full protection, and a
+        // mismatch means a concurrent update beat us to this insertion
+        // point: retry the operation.
         for l in 0..level {
-            tx.write(&node.next[l], f.succs[l])?;
-        }
-        // Link bottom-up, re-reading each predecessor link under full
-        // (hardened) protection. A mismatch means a concurrent update beat
-        // us to this insertion point: retry the operation.
-        for l in 0..level {
-            let pn = tx.read(&self.node(f.preds[l]).next[l])?;
-            if pn != f.succs[l] {
+            write_next(tx, &node.next[l], f.succs[l])?;
+            let link = &self.node(f.preds[l]).next[l];
+            if read_next(tx, link)? != f.succs[l] {
                 return Err(Abort::new(AbortReason::Explicit));
             }
-            tx.write(&self.node(f.preds[l]).next[l], NodeRef::node(n))?;
+            write_next(tx, link, NodeRef::node(n))?;
         }
         Ok(true)
     }
@@ -396,34 +307,15 @@ impl SetOps for SkipListSet {
         key: i64,
         scratch: &mut OpScratch,
     ) -> Result<bool, Abort> {
-        crate::listcore::check_key(key);
         let f = self.locate(tx, key)?;
         self.unlink(tx, &f, key, scratch)
     }
 
     fn len_in<'e, T: Transaction<'e>>(&'e self, tx: &mut T) -> Result<usize, Abort> {
-        // Walk level 0.
-        let bound = 2 * self.arena.high_water() + 64;
-        let mut steps: u64 = 0;
+        // Level 0 links every element.
         let mut count = 0usize;
-        let mut curr = tx.read(&self.node(self.head).next[0])?;
-        while !curr.is_null() {
-            if curr.is_dead() {
-                // Reachable corpse (relaxed backends only): skip through
-                // the preserved successor instead of wedging.
-                curr = curr.successor();
-            } else {
-                count += 1;
-                curr = tx.read(&self.node(curr.index()).next[0])?;
-            }
-            steps += 1;
-            if steps > bound {
-                // Committed cycle (relaxed backends only): return the
-                // truncated (relaxed) count rather than retrying against
-                // corruption that will never heal.
-                break;
-            }
-        }
+        let budget = Budget::one_chain(&self.arena);
+        listcore::visit(Level(&self.arena, 0), self.head, tx, budget, |_| count += 1)?;
         Ok(count)
     }
 
@@ -576,17 +468,17 @@ mod tests {
     fn assert_levels_sound(set: &SkipListSet) {
         for l in 0..MAX_LEVEL {
             let mut last = i64::MIN;
-            let mut curr = set.node(set.head).next[l].load_atomic();
+            let mut curr = set.node(set.head).next[l].load_atomic::<NodeRef>();
             while curr.is_node() {
                 let n = set.node(curr.index());
-                let k = n.key.load_atomic();
+                let k = n.key.load(Ordering::Relaxed);
                 assert!(k > last, "level {l}: {k} follows {last}");
                 assert!(
-                    !n.next[0].load_atomic().is_dead(),
+                    !n.next[0].load_atomic::<NodeRef>().is_dead(),
                     "level {l}: a link into removed {k}"
                 );
                 assert!(
-                    l < n.level.load_atomic() as usize,
+                    l < n.level.load(Ordering::Relaxed) as usize,
                     "level {l}: {k} linked above its tower"
                 );
                 last = k;
@@ -635,7 +527,9 @@ mod tests {
         }
         for l in 0..MAX_LEVEL {
             assert!(
-                set.node(set.head).next[l].load_atomic().is_null(),
+                set.node(set.head).next[l]
+                    .load_atomic::<NodeRef>()
+                    .is_null(),
                 "level {l}"
             );
         }
@@ -645,8 +539,8 @@ mod tests {
     /// for fabricating states no schedule reaches deterministically.
     fn fabricate(set: &SkipListSet, key: i64, level: u64) -> u64 {
         let n = set.arena.alloc();
-        set.node(n).key.store_atomic(key, 0);
-        set.node(n).level.store_atomic(level, 0);
+        set.node(n).key.store(key, Ordering::Relaxed);
+        set.node(n).level.store(level, Ordering::Relaxed);
         n
     }
 
@@ -680,7 +574,7 @@ mod tests {
         assert!(at.run(Policy::Regular, |tx| set.unlink(tx, &f, 30, &mut scratch)));
         assert_eq!(scratch.unlinked, [c]);
         assert!(
-            set.node(x).next[1].load_atomic().is_null(),
+            set.node(x).next[1].load_atomic::<NodeRef>().is_null(),
             "the in-link the descent missed is redirected past the victim"
         );
         assert_levels_sound(&set);
@@ -757,7 +651,7 @@ mod tests {
         let (n2, n3) = at.run(stm_core::api::Policy::Regular, |tx| {
             let f = set.locate(tx, 2)?;
             let n2 = f.succs[0].index();
-            let s = tx.read(&set.node(n2).next[0])?;
+            let s = read_next(tx, &set.node(n2).next[0])?;
             Ok((n2, s.index()))
         });
         // Fabricate the corruption out-of-band: mark 2 dead at level 0,
@@ -769,6 +663,38 @@ mod tests {
         assert!(set.contains(&at, 3));
         assert!(!set.contains(&at, 2), "corpse is not a member");
         assert_eq!(set.size(&at), 3);
+    }
+
+    /// A `contains` past the last of `N` height-1 towers makes one
+    /// transactional read per hop: the head's `MAX_LEVEL` links and each
+    /// tower's level-0 link, never a key.
+    #[test]
+    fn a_descent_hop_is_one_transactional_read() {
+        use crate::listcore::tests::ReadEvents;
+        use stm_core::StmConfig;
+
+        const N: u64 = 20;
+        let sink = std::sync::Arc::new(ReadEvents::default());
+        let at = Atomic::new(OeStm::with_config(
+            StmConfig::default().with_trace_sink(sink.clone()),
+        ));
+        let set = SkipListSet::new();
+        let mut pred = set.head;
+        for k in 1..=N as i64 {
+            let n = fabricate(&set, k, 1);
+            link(&set, pred, 0, n);
+            pred = n;
+        }
+        assert!(
+            !set.contains(&at, N as i64 + 1),
+            "the probe is past the end"
+        );
+        assert_eq!(sink.0.load(Ordering::Relaxed), N + MAX_LEVEL as u64);
+        assert_eq!(
+            core::mem::size_of::<SkipNode>(),
+            144,
+            "two words and 16 links"
+        );
     }
 
     #[test]

@@ -224,11 +224,24 @@ cell!(
 );
 
 // E-STM compatibility mode is safe for UNCOMPOSED single ops (each op is
-// its own transaction; early release only affects children), so this
-// cell runs single ops only.
+// its own transaction; early release only affects children), so these
+// cells run single ops only. All three structures walk through
+// `listcore`'s repair paths, which that backend relies on.
 cell!(
     linkedlist_under_estm,
     Atomic::new(OeStm::estm_compat()),
     LinkedListSet::new(),
+    Ops::Single
+);
+cell!(
+    skiplist_under_estm,
+    Atomic::new(OeStm::estm_compat()),
+    SkipListSet::new(),
+    Ops::Single
+);
+cell!(
+    hashset_under_estm,
+    Atomic::new(OeStm::estm_compat()),
+    HashSet::new(4),
     Ops::Single
 );
