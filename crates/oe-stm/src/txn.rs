@@ -398,8 +398,7 @@ impl<'env> OeTxn<'env> {
             self.hardened = true;
             self.window.drain_into(&mut self.scratch.base.reads);
         }
-        let first_touch = self.scratch.base.writes.lookup(loc).is_none();
-        self.scratch.base.writes.insert(loc, word);
+        let first_touch = self.scratch.base.writes.insert(loc, word);
         if let Some(t) = self.at.tracer() {
             if first_touch {
                 t.op(loc.id(), TraceOp::Write(word));

@@ -423,10 +423,10 @@ impl<'env> Attempt<'env> {
 /// algorithm, one attempt at a time. The object lives for the whole run
 /// and is restarted in place, so its buffers keep their capacity.
 ///
-/// An engine keeps the **word protocol**: every committed write changes
-/// its word's version under the word's [`VLock`], and an aborted in-place
-/// write is released at a fresh version, never at the one it locked (see
-/// [`VLock::unlock_to`]). So an unchanged, unlocked lock word means an
+/// An engine keeps the **word protocol**: a commit re-versions what it
+/// wrote, and an abort restores the pre-lock word (see
+/// [`VLock::unlock_to`]); no backend changes a value word except in its
+/// commit's write-back. So an unchanged, unlocked lock word means an
 /// unchanged value: what [`TVarCore::read_consistent`] relies on, and
 /// what lets the short operations (`short_read`, `short_update`) serve
 /// any backend without a transaction object.
@@ -448,8 +448,8 @@ pub trait TxnEngine<'env>: Transaction<'env> {
     /// not release anything themselves.
     fn try_commit(&mut self) -> Result<(), Abort>;
 
-    /// Undo a failed attempt: restore in-place writes, release every lock
-    /// held. Idempotent; called exactly once after any failed attempt,
+    /// Undo a failed attempt: release every lock held at its pre-lock
+    /// word. Idempotent; called exactly once after any failed attempt,
     /// whether the body failed, panicked or the commit failed.
     fn rollback(&mut self);
 

@@ -87,7 +87,7 @@ use std::sync::{Arc, OnceLock};
 /// of `(location id, committed word)` pairs.
 ///
 /// The record borrows the committing backend's own write bookkeeping
-/// (write set or undo log), so building one allocates nothing; it is
+/// (its write set), so building one allocates nothing; it is
 /// valid only for the duration of [`CommitHook::on_commit`].
 pub struct WriteRecord<'a> {
     version: u64,

@@ -16,8 +16,8 @@
 //!   which is what read and write sets record,
 //! * read/write sets ([`readset`], [`writeset`]) with a small-set fast path
 //!   and a bloom-filter-accelerated lookup,
-//! * reusable transaction [`scratch`] state (read/write sets, spill index,
-//!   lock order) retained across retry attempts and, each buffer through
+//! * reusable transaction [`scratch`] state (read/write sets, spill index)
+//!   retained across retry attempts and, each buffer through
 //!   its own thread-local spare fetched on first use, across transactions,
 //!   so the steady-state hot path performs no heap allocation,
 //! * the [`api`] module — the **`atomic` facade** user code targets: the

@@ -18,8 +18,8 @@
 //! as a [`VLock`] does. A read is one `Acquire` load, and the word it
 //! returns is its own `(version, value)` snapshot. A writer publishes the
 //! new payload and its commit version in one `Release` store, so a link
-//! write can only be buffered until commit. It cannot be made in place
-//! under an undo log, because the lock word *is* the value.
+//! write is buffered until commit, as every backend buffers a `TVar`
+//! write: the lock word *is* the value.
 //!
 //! # The version window
 //!

@@ -1,10 +1,10 @@
 //! Reusable per-transaction scratch state — the allocation-free hot path.
 //!
 //! Every transaction attempt needs a read set, a write set and the write
-//! set's commit bookkeeping (spill index, lock-acquisition order). Creating
-//! these fresh per attempt puts a handful of heap allocations on the hot
-//! path of every retry; TL2-style STMs instead *retain* the buffers and
-//! clear them between attempts, and keep short logs in place.
+//! set's spill index. Creating these fresh per attempt puts a handful of
+//! heap allocations on the hot path of every retry; TL2-style STMs
+//! instead *retain* the buffers and clear them between attempts, and keep
+//! short logs in place.
 //!
 //! Three layers of reuse:
 //!
@@ -14,10 +14,10 @@
 //!    `txkv` operation — logs them without a growth call and without
 //!    touching a thread-local. The head's unused slots hold
 //!    `Pooled::vacant`, an entry naming a `static` location that no
-//!    transaction reads or writes. The write set's entries and lock order
-//!    are head-less `InlineLog`s (`N = 0`): filling a head costs every
-//!    run, read-only ones included, and a write head measured slower end
-//!    to end than spilling from the first write.
+//!    transaction reads or writes. The write set's entries are a
+//!    head-less `InlineLog` (`N = 0`): filling a head costs every run,
+//!    read-only ones included, and a write head measured slower end to
+//!    end than spilling from the first write.
 //! 2. **Across attempts** (same `Stm::run` call): the backend builds one
 //!    [`TxScratch`] per run and threads it through the retry loop; every
 //!    buffer keeps its capacity, so a warmed-up retry performs zero heap
@@ -29,11 +29,10 @@
 //!    and dropping it hands back a spill that holds an allocation. So a
 //!    run pays only for what outgrows a head: its `HEAD + 1`th read moves
 //!    the read-entry spare and nothing else, its first write the
-//!    write-entry and lock-order spares. The spills hold `&'env TVarCore`
-//!    borrows, so only their *allocations* are parked: an emptied vector
-//!    is re-typed to `'static` by [`recycle`] on the way in (no `unsafe`)
-//!    and narrows to the next run's `'env` by plain covariance on the way
-//!    out.
+//!    write-entry spare. The spills hold `&'env TVarCore` borrows, so
+//!    only their *allocations* are parked: an emptied vector is re-typed
+//!    to `'static` by [`recycle`] on the way in (no `unsafe`) and narrows
+//!    to the next run's `'env` by plain covariance on the way out.
 //!
 //! The index replaces the old `std::collections::HashMap<usize, usize>`
 //! spill index: open addressing with linear probing, a multiplicative hash
@@ -226,8 +225,8 @@ const INDEX_SLOTS_MAX: usize = 1 << 15;
 /// give_back(&SPARE, log);
 /// ```
 ///
-/// Every `InlineLog`'s spill, LSA's undo log, OE-STM's frame stack and
-/// SwissTM's held write-lock slots are pooled this way.
+/// Every `InlineLog`'s spill and OE-STM's frame stack are pooled this
+/// way.
 #[derive(Default)]
 pub struct SpareVec<T>(Cell<Vec<T>>);
 
@@ -262,8 +261,6 @@ thread_local! {
     static READ_SPARE: SpareVec<ReadEntry<'static>> = const { SpareVec::new() };
     /// The write set's entry spill between runs.
     static WRITE_SPARE: SpareVec<WriteEntry<'static>> = const { SpareVec::new() };
-    /// The write set's lock-order spill between runs.
-    static ORDER_SPARE: SpareVec<u32> = const { SpareVec::new() };
     /// The write set's spill index between runs.
     static INDEX_SPARE: Cell<IndexTable> = const { Cell::new(IndexTable::new()) };
 }
@@ -326,22 +323,6 @@ impl Pooled for WriteEntry<'_> {
     }
 }
 
-/// A write set's lock order: entry positions.
-impl Pooled for u32 {
-    #[inline]
-    fn vacant() -> Self {
-        0
-    }
-
-    fn take_spare() -> Vec<Self> {
-        ORDER_SPARE.with(SpareVec::take)
-    }
-
-    fn give_back(spill: Vec<Self>) {
-        give_back(&ORDER_SPARE, spill);
-    }
-}
-
 /// A log whose first `N` entries ([`HEAD`] unless named) sit in place and
 /// the rest in a pooled spill vector: entry `i` is `head[i]` below `N`
 /// and `spill[i - N]` from there on; with `N = 0` it is a pooled vector.
@@ -394,7 +375,9 @@ impl<T: Pooled, const N: usize> InlineLog<T, N> {
         if self.len < N {
             self.head[self.len] = x;
         } else {
-            self.reserve_spill();
+            if self.spill.len() == self.spill.capacity() {
+                self.grow();
+            }
             self.spill.push(x);
         }
         self.len += 1;
@@ -414,36 +397,6 @@ impl<T: Pooled, const N: usize> InlineLog<T, N> {
         }
         self.len += 1;
         true
-    }
-
-    /// Insert `x` at position `at`, shifting the entries from `at` on one
-    /// place up: the last head entry moves to the front of the spill.
-    ///
-    /// # Panics
-    /// If `at > len`.
-    pub fn insert(&mut self, at: usize, x: T) {
-        assert!(at <= self.len, "insert at {at} past the end {}", self.len);
-        if at >= N {
-            self.reserve_spill();
-            self.spill.insert(at - N, x);
-        } else {
-            if self.len >= N {
-                self.reserve_spill();
-                self.spill.insert(0, self.head[N - 1]);
-            }
-            let end = self.len.min(N - 1);
-            self.head.copy_within(at..end, at + 1);
-            self.head[at] = x;
-        }
-        self.len += 1;
-    }
-
-    /// Make room in the spill for one more entry.
-    #[inline]
-    fn reserve_spill(&mut self) {
-        if self.spill.len() == self.spill.capacity() {
-            self.grow();
-        }
     }
 
     /// The spill's cold path: make room for one more entry, adopting the
@@ -510,19 +463,6 @@ impl<T: Pooled, const N: usize> InlineLog<T, N> {
             None => head.iter().rposition(pred),
         }
     }
-
-    /// The number of leading entries matching `pred`, for a log that
-    /// `pred` partitions (every match before every non-match).
-    #[inline]
-    pub fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        let (head, spill) = self.as_slices();
-        let i = head.partition_point(&mut pred);
-        if i < head.len() {
-            i
-        } else {
-            i + spill.partition_point(pred)
-        }
-    }
 }
 
 impl<T: Pooled, const N: usize> Index<usize> for InlineLog<T, N> {
@@ -570,7 +510,7 @@ impl<T: Pooled, const N: usize> Drop for InlineLog<T, N> {
 pub struct TxScratch<'env> {
     /// The attempt's read set.
     pub reads: ReadSet<'env>,
-    /// The attempt's write set (owns the spill index and lock order).
+    /// The attempt's write set (owns the spill index).
     pub writes: WriteSet<'env>,
 }
 
@@ -691,8 +631,8 @@ mod tests {
     }
 
     /// What each spare holds, as the address of its allocation (0: none),
-    /// in the order read entries, write entries, lock order, index.
-    fn parked() -> [usize; 4] {
+    /// in the order read entries, write entries, index.
+    fn parked() -> [usize; 3] {
         fn addr<T: 'static>(spare: &'static LocalKey<SpareVec<T>>) -> usize {
             spare.with(|s| {
                 let v = s.take();
@@ -715,12 +655,7 @@ mod tests {
             s.set(t);
             a
         });
-        [
-            addr(&READ_SPARE),
-            addr(&WRITE_SPARE),
-            addr(&ORDER_SPARE),
-            index,
-        ]
+        [addr(&READ_SPARE), addr(&WRITE_SPARE), index]
     }
 
     /// A scratch holding `reads` reads and `writes` writes, of the first
@@ -738,7 +673,7 @@ mod tests {
 
     /// Fill every spare: one run that spills every log, the write set
     /// past its linear-scan threshold so the index engages.
-    fn warm_every_spare() -> [usize; 4] {
+    fn warm_every_spare() -> [usize; 3] {
         let vars: Vec<TVar<u64>> = (0..40).map(TVar::new).collect();
         drop(filled(&vars, 40, 40));
         let warm = parked();
@@ -761,7 +696,7 @@ mod tests {
             let s = filled(&vars, HEAD + 1, 0);
             assert_eq!(
                 parked(),
-                [0, warm[1], warm[2], warm[3]],
+                [0, warm[1], warm[2]],
                 "one read past the head fetches the read spill's spare"
             );
             drop(s);
@@ -772,13 +707,13 @@ mod tests {
     }
 
     #[test]
-    fn a_write_fetches_the_write_entry_and_lock_order_spares() {
+    fn a_write_fetches_only_the_write_entry_spare() {
         on_fresh_thread(|| {
             let warm = warm_every_spare();
             let var = TVar::new(0u64);
             let mut s = TxScratch::acquire();
             s.writes.insert(Loc::Var(var.core()), 1);
-            assert_eq!(parked(), [warm[0], 0, 0, warm[3]]);
+            assert_eq!(parked(), [warm[0], 0, warm[2]]);
             assert_eq!(s.writes.lookup(Loc::Var(var.core())), Some(1));
             drop(s);
             assert_eq!(parked(), warm);
@@ -790,18 +725,18 @@ mod tests {
         on_fresh_thread(|| {
             let vars: Vec<TVar<u64>> = (0..17).map(TVar::new).collect();
             drop(filled(&vars, 0, 16));
-            assert_eq!(parked()[3], 0, "16 writes are scanned, never indexed");
+            assert_eq!(parked()[2], 0, "16 writes are scanned, never indexed");
             drop(filled(&vars, 0, 17));
-            let index = parked()[3];
+            let index = parked()[2];
             assert_ne!(index, 0, "the 17th write built the index");
             let mut s = TxScratch::acquire();
             for (i, v) in vars.iter().enumerate() {
                 s.writes.insert(Loc::Var(v.core()), i as u64);
             }
-            assert_eq!(parked()[3], 0, "the index adopted its spare");
+            assert_eq!(parked()[2], 0, "the index adopted its spare");
             assert_eq!(s.writes.lookup(Loc::Var(vars[16].core())), Some(16));
             drop(s);
-            assert_eq!(parked()[3], index, "the same slots came back");
+            assert_eq!(parked()[2], index, "the same slots came back");
         });
     }
 
@@ -815,14 +750,14 @@ mod tests {
                 s.reads.push(Loc::Var(var.core()), 0);
             }
             drop(s);
-            assert_eq!(parked(), [0, warm[1], warm[2], warm[3]]);
+            assert_eq!(parked(), [0, warm[1], warm[2]]);
             let mut outlier = INDEX_SPARE.with(Cell::take);
             for i in 0..INDEX_SLOTS_MAX {
                 outlier.insert(i * 16, 0);
             }
             assert!(outlier.slots.len() > INDEX_SLOTS_MAX);
             give_back_index(&mut outlier);
-            assert_eq!(parked()[3], 0, "an outlier index is not parked");
+            assert_eq!(parked()[2], 0, "an outlier index is not parked");
         });
     }
 
@@ -845,55 +780,64 @@ mod tests {
         });
     }
 
+    /// A log entry carrying `x` in its `seen` word.
+    fn entry(x: u64) -> ReadEntry<'static> {
+        ReadEntry {
+            lock: VACANT.lock(),
+            seen: x,
+        }
+    }
+
+    /// The `seen` words of `log`'s entries, in log order.
+    fn seen(log: &InlineLog<ReadEntry<'_>>) -> Vec<u64> {
+        log.iter().map(|e| e.seen).collect()
+    }
+
     #[test]
     fn inline_log_matches_a_vector_across_the_head() {
         for len in 0..=2 * HEAD + 1 {
             for at in 0..=len {
-                let mut log = InlineLog::<u32>::new();
-                let mut model: Vec<u32> = Vec::new();
-                for x in 1..=len as u32 {
-                    log.push(10 * x);
+                let mut log = InlineLog::<ReadEntry<'_>>::new();
+                let mut model: Vec<u64> = Vec::new();
+                for x in 1..=len as u64 {
+                    log.push(entry(10 * x));
                     model.push(10 * x);
                 }
-                // Sorted before and after: the shape of a lock order.
-                let mid = 10 * at as u32 + 5;
-                log.insert(at, mid);
-                model.insert(at, mid);
                 assert_eq!(log.len(), model.len());
-                assert_eq!(log.iter().copied().collect::<Vec<_>>(), model);
+                assert_eq!(seen(&log), model);
                 for (i, &x) in model.iter().enumerate() {
-                    assert_eq!(log[i], x, "entry {i} after insert at {at} of {len}");
+                    assert_eq!(log[i].seen, x, "entry {i} of {len}");
+                    assert_eq!(log.rposition(|e| e.seen == x), Some(i));
                 }
-                assert_eq!(log.rposition(|&x| x == mid), Some(at));
-                assert_eq!(log.partition_point(|&x| x < mid), at);
                 log.truncate(at);
                 model.truncate(at);
-                assert_eq!(log.iter().copied().collect::<Vec<_>>(), model);
-                log.push(7);
+                assert_eq!(seen(&log), model);
+                log.push(entry(7));
                 model.push(7);
-                assert_eq!(log.iter().copied().collect::<Vec<_>>(), model);
+                assert_eq!(seen(&log), model);
+                assert_eq!(log.rposition(|e| e.seen == 7), Some(at));
             }
         }
     }
 
     #[test]
     fn try_push_fails_only_where_push_would_grow() {
-        let mut log = InlineLog::<u32>::new();
-        for x in 0..HEAD as u32 {
-            assert!(log.try_push(x), "the head has room");
+        let mut log = InlineLog::<ReadEntry<'_>>::new();
+        for x in 0..HEAD as u64 {
+            assert!(log.try_push(entry(x)), "the head has room");
         }
-        assert!(!log.try_push(9), "an unallocated spill needs growth");
+        assert!(!log.try_push(entry(9)), "an unallocated spill needs growth");
         assert_eq!(log.len(), HEAD, "and nothing was appended");
-        log.push(4);
+        log.push(entry(4));
         while log.spill.len() < log.spill.capacity() {
-            assert!(log.try_push(5), "an allocated spill with room");
+            assert!(log.try_push(entry(5)), "an allocated spill with room");
         }
         let full = log.len();
-        assert!(!log.try_push(6), "a full spill needs growth");
+        assert!(!log.try_push(entry(6)), "a full spill needs growth");
         assert_eq!(log.len(), full);
         log.clear();
         assert!(log.is_empty());
-        assert!(log.try_push(1), "clear keeps room");
+        assert!(log.try_push(entry(1)), "clear keeps room");
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub enum ReadConflict {
 }
 
 /// The untyped core of a transactional variable: a versioned lock and a
-/// value word. This is the unit that read sets, write sets and undo logs
-/// reference.
+/// value word. This is the unit that read sets and write sets reference.
 #[derive(Debug, Default)]
 pub struct TVarCore {
     lock: VLock,
@@ -103,9 +102,8 @@ impl TVarCore {
 
     /// Store the raw value word.
     ///
-    /// Correctness contract: the caller must hold the lock (commit-time
-    /// write-back or encounter-time in-place write), or be in a
-    /// single-threaded setup phase.
+    /// Correctness contract: the caller must hold the lock (a commit's
+    /// write-back), or be in a single-threaded setup phase.
     #[inline]
     pub fn store_value(&self, word: u64) {
         self.value.store(word, Ordering::Release);

@@ -144,14 +144,12 @@ impl VLock {
 
     /// Release the lock, installing `new_version` as the committed version.
     ///
-    /// Must only be called by the current owner. `new_version` must be a
-    /// fresh global-clock timestamp (commit path, or an abort that wrote
-    /// the value word in place), or the old version — and the old version
-    /// only if the value word was never written while locked. Every
+    /// Must only be called by the current owner: a commit re-versions what
+    /// it wrote (`new_version` is its fresh global-clock timestamp), and an
+    /// abort restores the pre-lock word. That is sound because no engine
+    /// writes a value word outside its commit's write-back, and every
     /// lock–value–lock read ([`TVarCore::read_consistent`], the driver's
-    /// double collect) takes an unchanged lock word for an unchanged value,
-    /// so a value written and restored under the old version could be
-    /// returned although no transaction committed it.
+    /// double collect) takes an unchanged lock word for an unchanged value.
     ///
     /// [`TVarCore::read_consistent`]: crate::TVarCore::read_consistent
     #[inline]

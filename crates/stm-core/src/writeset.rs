@@ -8,18 +8,24 @@
 //! signature with a linear scan (small sets) or an open-addressed hash index
 //! (large sets — see [`IndexTable`]).
 //!
+//! It is the one record of what an attempt wrote and locked, on every
+//! backend: commit-time lockers take their locks with
+//! [`lock_all`](WriteSet::lock_all), encounter-time lockers record each
+//! lock as they take it ([`insert_locked`](WriteSet::insert_locked)), and
+//! every commit publishes through
+//! [`write_back_and_release`](WriteSet::write_back_and_release).
+//!
 //! Hot-path invariants (see DESIGN.md, "The allocation-free hot path"):
 //!
-//! * the **lock order** (`lock_order`) is maintained *incrementally sorted*
-//!   by location id at insert time, so [`lock_all`](WriteSet::lock_all)
-//!   never allocates or sorts at commit;
+//! * [`lock_all`](WriteSet::lock_all) locks in write order and never
+//!   waits, so it does no commit-time setup;
 //! * the spill **index** uses a multiplicative hash and generation-stamped
 //!   slots, so [`clear`](WriteSet::clear) is O(1) and a cleared table keeps
 //!   its capacity for the next attempt (and, via its
 //!   [`scratch`](crate::scratch) spare, the next transaction);
 //! * `clear` never frees: a warmed-up write set performs zero heap
 //!   allocations per transaction attempt, and dropping it parks its
-//!   spills and index for the thread's next one.
+//!   spill and index for the thread's next one.
 
 use crate::bloom::Bloom;
 use crate::error::{Abort, AbortReason};
@@ -45,11 +51,10 @@ pub struct WriteEntry<'env> {
 
 /// The deferred-update write set.
 ///
-/// Its entries and lock order are head-less `InlineLog`s, pooled
-/// vectors (see [`scratch`](crate::scratch)): unlike the read set's, a
-/// head of in-place writes measured slower end to end than spilling from
-/// the first write, because every run, read-only ones included, pays for
-/// filling it.
+/// Its entries are a head-less `InlineLog`, a pooled vector (see
+/// [`scratch`](crate::scratch)): unlike the read set's, an inline head of
+/// writes measured slower end to end than spilling from the first write,
+/// because every run, read-only ones included, pays for filling it.
 #[derive(Debug, Default)]
 pub struct WriteSet<'env> {
     entries: InlineLog<WriteEntry<'env>, 0>,
@@ -58,9 +63,6 @@ pub struct WriteSet<'env> {
     /// threshold. Maps location id -> index in `entries`. Cleared in O(1)
     /// (generation bump), so its capacity survives across attempts.
     index: IndexTable,
-    /// Entry indices sorted ascending by location id, maintained
-    /// incrementally at insert time. Commit iterates this directly.
-    lock_order: InlineLog<u32, 0>,
 }
 
 impl Drop for WriteSet<'_> {
@@ -103,13 +105,26 @@ impl<'env> WriteSet<'env> {
     }
 
     /// Buffer a write of `value` to `loc`, overwriting any earlier buffered
-    /// write to the same location. Returns the entry index.
-    pub fn insert(&mut self, loc: Loc<'env>, value: u64) -> usize {
+    /// write to the same location. Returns whether `loc` is new to the set.
+    #[inline]
+    pub fn insert(&mut self, loc: Loc<'env>, value: u64) -> bool {
+        self.entry(loc, value).1
+    }
+
+    /// Buffer a write of `value` to `loc`, whose lock this transaction has
+    /// just taken at the raw word `locked_at` (encounter-time locking).
+    pub fn insert_locked(&mut self, loc: Loc<'env>, value: u64, locked_at: u64) {
+        let i = self.entry(loc, value).0;
+        self.entries[i].locked_at = Some(locked_at);
+    }
+
+    /// Buffer `value` for `loc`: the entry's index, and whether it is new.
+    fn entry(&mut self, loc: Loc<'env>, value: u64) -> (usize, bool) {
         let id = loc.id();
         if self.bloom.may_contain(id) {
             if let Some(i) = self.position(id) {
                 self.entries[i].value = value;
-                return i;
+                return (i, false);
             }
         }
         self.bloom.insert(id);
@@ -119,14 +134,6 @@ impl<'env> WriteSet<'env> {
             value,
             locked_at: None,
         });
-        // Keep the lock order sorted by id: binary search the insertion
-        // point, then shift. The shift is a memmove of u32s — cheap for the
-        // write-set sizes transactional workloads produce, and it makes
-        // `lock_all` a straight iteration with no commit-time setup.
-        let at = self
-            .lock_order
-            .partition_point(|&o| self.entries[o as usize].loc.id() < id);
-        self.lock_order.insert(at, i as u32);
         if self.entries.len() > LINEAR_SCAN_MAX {
             if self.entries.len() == LINEAR_SCAN_MAX + 1 {
                 // Just crossed the threshold: index everything so far.
@@ -137,7 +144,7 @@ impl<'env> WriteSet<'env> {
                 self.index.insert(id, i as u32);
             }
         }
-        i
+        (i, true)
     }
 
     /// Index of the entry of the location `id`, if it has one. An empty
@@ -186,45 +193,33 @@ impl<'env> WriteSet<'env> {
         }
     }
 
-    /// Acquire the lock of every entry for `owner`, in ascending location-id
-    /// order so that concurrent committers cannot deadlock. On failure,
-    /// releases everything acquired and reports a lock conflict.
-    ///
-    /// The acquisition order is the incrementally maintained `lock_order`,
-    /// so this performs no allocation and no sorting.
+    /// Acquire the lock of every entry for `owner`, in write order. It
+    /// never waits: on a lock it cannot take, it releases every lock the
+    /// set holds, at its pre-lock word, and reports a lock conflict. So no
+    /// committer holds a lock while it waits for another, and no order is
+    /// needed against deadlock (TL2 likewise locks in any order under
+    /// bounded spinning).
     ///
     /// Entries already locked by `owner` (eager STMs, or a retryable commit)
     /// are skipped.
     pub fn lock_all(&mut self, owner: u64) -> Result<(), Abort> {
-        for k in 0..self.lock_order.len() {
-            let i = self.lock_order[k] as usize;
+        for i in 0..self.entries.len() {
             let e = &mut self.entries[i];
             if e.locked_at.is_some() {
                 continue;
             }
             let lock = e.loc.lock();
             match lock.load() {
-                LockState::Unlocked { version } => {
-                    if lock.try_lock_at(version, owner) {
-                        e.locked_at = Some(version);
-                        continue;
-                    }
+                LockState::Unlocked { version } if lock.try_lock_at(version, owner) => {
+                    e.locked_at = Some(version);
                 }
-                LockState::Locked { owner: o } if o == owner => {
-                    // Locked by us through another alias; treat as held.
-                    continue;
-                }
-                LockState::Locked { .. } => {}
-            }
-            // Conflict: roll back the locks acquired in this call.
-            for k2 in 0..k {
-                let j = self.lock_order[k2] as usize;
-                let e = &mut self.entries[j];
-                if let Some(v) = e.locked_at.take() {
-                    e.loc.lock().unlock_to(v);
+                // Locked by us through another alias; treat as held.
+                LockState::Locked { owner: o } if o == owner => {}
+                _ => {
+                    self.release_locks();
+                    return Err(Abort::new(AbortReason::LockConflict));
                 }
             }
-            return Err(Abort::new(AbortReason::LockConflict));
         }
         Ok(())
     }
@@ -251,18 +246,6 @@ impl<'env> WriteSet<'env> {
         }
     }
 
-    /// Record that `loc`'s lock is held by this transaction, acquired when
-    /// the lock carried the raw word `version` (eager/encounter-time
-    /// locking STMs). A location with no buffered write gets its current
-    /// value buffered.
-    pub fn mark_locked(&mut self, loc: Loc<'env>, version: u64) {
-        let i = match self.position(loc.id()) {
-            Some(i) => i,
-            None => self.insert(loc, loc.value_unsync()),
-        };
-        self.entries[i].locked_at = Some(version);
-    }
-
     /// Forget everything (abort path, after `release_locks`). Keeps every
     /// buffer's capacity: clearing is O(len) for the entry vector and O(1)
     /// for the index, so a retry performs no fresh allocations.
@@ -270,7 +253,6 @@ impl<'env> WriteSet<'env> {
         self.entries.clear();
         self.bloom.clear();
         self.index.clear();
-        self.lock_order.clear();
     }
 }
 
@@ -284,8 +266,8 @@ mod tests {
     fn insert_dedups_by_location() {
         let a = TVar::new(0u64);
         let mut ws = WriteSet::new();
-        ws.insert(Loc::Var(a.core()), 1);
-        ws.insert(Loc::Var(a.core()), 2);
+        assert!(ws.insert(Loc::Var(a.core()), 1), "a first write is new");
+        assert!(!ws.insert(Loc::Var(a.core()), 2), "a second is not");
         assert_eq!(ws.len(), 1);
         assert_eq!(ws.lookup(Loc::Var(a.core())), Some(2));
     }
@@ -333,33 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_is_sorted_by_id() {
-        // Insert in (likely) unsorted address order — descending, and
-        // alternately from either end so every insert lands mid-order —
-        // and check the invariant the deadlock-freedom argument rests on.
-        let vars: Vec<TVar<u64>> = (0..40).map(TVar::new).collect();
-        let descending: Vec<usize> = (0..40).rev().collect();
-        let zigzag: Vec<usize> = (0..40)
-            .map(|k| if k % 2 == 0 { k / 2 } else { 39 - k / 2 })
-            .collect();
-        for order in [descending, zigzag] {
-            let mut ws = WriteSet::new();
-            for &k in &order {
-                ws.insert(Loc::Var(vars[k].core()), 0);
-            }
-            let ids: Vec<usize> = ws
-                .lock_order
-                .iter()
-                .map(|&o| ws.entries[o as usize].loc.id())
-                .collect();
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            assert_eq!(ids, sorted, "lock order must be ascending by id");
-            assert_eq!(ids.len(), 40);
-        }
-    }
-
-    #[test]
     fn lock_all_then_write_back() {
         let a = TVar::new(0u64);
         let b = TVar::new(0u64);
@@ -391,6 +346,43 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_lock_all_gives_back_every_lock_it_took() {
+        // A foreign lock at the first, a middle and the last entry: every
+        // other word comes back at its old word, and the set holds none.
+        let vars: Vec<TVar<u64>> = (0..5).map(TVar::new).collect();
+        for (k, v) in vars.iter().enumerate() {
+            v.store_atomic(k as u64, 10 + k as u64);
+        }
+        let before: Vec<u64> = vars.iter().map(|v| v.core().lock().raw()).collect();
+        for foreign in [0, 2, 4] {
+            assert!(vars[foreign].core().lock().try_lock_at(before[foreign], 99));
+            let mut ws = WriteSet::new();
+            for v in &vars {
+                ws.insert(Loc::Var(v.core()), 7);
+            }
+            let err = ws.lock_all(5).unwrap_err();
+            assert_eq!(err.reason, AbortReason::LockConflict);
+            for (k, v) in vars.iter().enumerate() {
+                assert_eq!(ws.locked_version_of(v.core().lock()), None, "entry {k}");
+                if k != foreign {
+                    assert_eq!(
+                        v.core().lock().raw(),
+                        before[k],
+                        "entry {k}, foreign lock at {foreign}"
+                    );
+                }
+            }
+            vars[foreign].core().lock().unlock_to(before[foreign]);
+            ws.lock_all(5).unwrap();
+            ws.release_locks();
+            assert_eq!(
+                vars.iter().map(TVar::load_atomic).collect::<Vec<_>>(),
+                [0, 1, 2, 3, 4]
+            );
+        }
+    }
+
+    #[test]
     fn release_locks_restores_versions() {
         let a = TVar::new(0u64);
         a.store_atomic(5, 7);
@@ -407,8 +399,9 @@ mod tests {
         let a = TVar::new(3u64);
         assert!(a.core().lock().try_lock_at(0, 8));
         let mut ws = WriteSet::new();
-        ws.mark_locked(Loc::Var(a.core()), 0);
+        ws.insert_locked(Loc::Var(a.core()), 4, 0);
         assert_eq!(ws.locked_version_of(a.core().lock()), Some(0));
+        assert_eq!(ws.lookup(Loc::Var(a.core())), Some(4));
         ws.release_locks();
         assert_eq!(a.core().read_consistent().unwrap().1, 0);
     }
@@ -422,7 +415,6 @@ mod tests {
         assert!(ws.is_empty());
         assert_eq!(ws.lookup(Loc::Var(a.core())), None);
         assert!(ws.bloom().is_empty());
-        assert!(ws.lock_order.is_empty());
     }
 
     #[test]
@@ -457,16 +449,12 @@ mod tests {
                     }
                     ws
                 };
-                let last = |ws: &WriteSet<'_>| {
-                    let order = &ws.lock_order[49] as *const u32 as usize;
-                    let entry = &ws.entries[49] as *const WriteEntry<'_> as usize;
-                    (entry, order)
-                };
+                let last = |ws: &WriteSet<'_>| &ws.entries[49] as *const WriteEntry<'_> as usize;
                 let ws = fill();
-                let spills = last(&ws);
+                let spill = last(&ws);
                 drop(ws);
                 let ws = fill();
-                assert_eq!(last(&ws), spills, "the spills came back");
+                assert_eq!(last(&ws), spill, "the spill came back");
                 for (i, v) in vars.iter().enumerate() {
                     assert_eq!(ws.lookup(Loc::Var(v.core())), Some(i as u64));
                 }

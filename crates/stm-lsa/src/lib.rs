@@ -18,18 +18,15 @@
 //!   clock line — the clock is touched once at begin and once per update
 //!   commit, never on reads.)
 //! * **Write**: acquire the location's versioned lock at encounter time
-//!   (eager), save the old `(value, version)` in an undo log, and write the
-//!   new value **in place**. Readers that hit the locked word conflict
-//!   immediately (visible writes). A [`Link`] is locked the same way but
-//!   its payload is *buffered* in the write set: its lock word is its
-//!   value, so it is published with its commit version in one store.
+//!   (eager) and *buffer* the value in the write set, which records the
+//!   pre-lock word. Readers that hit the locked word conflict immediately
+//!   (visible writes); the writer reads a held location back from its
+//!   write set. This is the write-back variant of LSA that TinySTM (Felber,
+//!   Fetzer, Riegel; PPoPP 2008) also runs under encounter-time locks.
 //! * **Commit**: tick the clock to get `wv`; if the snapshot does not
-//!   already extend to `wv - 1`, revalidate the read set; then release each
-//!   written lock at `wv`. **Abort**: restore old values in reverse order
-//!   and release each in-place-written lock at one fresh clock time, never
-//!   at its old version: a word whose value changed, even only to be
-//!   restored, must not show its old version, or a concurrent lock–value–
-//!   lock read could return the aborted value (see `VLock::unlock_to`).
+//!   already extend to `wv - 1`, revalidate the read set; then write back
+//!   and release each lock at `wv`, as TL2 does. **Abort**: release each
+//!   lock at its pre-lock word; no value word changed under it.
 //!
 //! Like TL2, LSA is a *classic* transaction model: the protection element of
 //! every access is held until commit, so flat nesting composes (trivially
@@ -39,127 +36,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use stm_core::bloom::Bloom;
 use stm_core::driver::{self, AbstractLog, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
-use stm_core::scratch::{give_back, SpareVec, TxScratch};
+use stm_core::scratch::TxScratch;
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
 use stm_core::vlock::VLock;
-use stm_core::GlobalClock;
+use stm_core::writeset::WriteSet;
 use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"lsa"`.
 pub fn register_backends(registry: &mut BackendRegistry) {
     registry.register(BackendSpec::new(
         "lsa",
-        "LSA (Riegel/Felber/Fetzer): lazy snapshots, eager in-place writes",
+        "LSA (Riegel/Felber/Fetzer): lazy snapshots, eager locking, buffered writes",
         |config| Box::new(Lsa::with_config(config)), // lint:allow — registration, cold
     ));
-}
-
-/// One saved pre-write state for the in-place undo log.
-#[derive(Debug, Clone, Copy)]
-struct UndoEntry<'env> {
-    core: &'env TVarCore,
-    old_value: u64,
-    old_version: u64,
-}
-
-thread_local! {
-    /// The undo log's allocation between runs.
-    static UNDO_SPARE: SpareVec<UndoEntry<'static>> = const { SpareVec::new() };
-}
-
-/// The undo log: first-write-wins saved states, released on commit, rolled
-/// back in reverse on abort. The entry vector is borrowed from
-/// [`UNDO_SPARE`] at the run's first write and returned on drop, so a
-/// warmed-up thread logs without allocating and a read-only run never
-/// touches the thread-local.
-#[derive(Debug, Default)]
-struct UndoLog<'env> {
-    entries: Vec<UndoEntry<'env>>,
-    bloom: Bloom,
-}
-
-impl Drop for UndoLog<'_> {
-    fn drop(&mut self) {
-        give_back(&UNDO_SPARE, core::mem::take(&mut self.entries));
-    }
-}
-
-impl<'env> UndoLog<'env> {
-    /// Clear without freeing (attempt-to-attempt reuse). The log is empty
-    /// after every commit/rollback already; this is defensive.
-    fn reset(&mut self) {
-        self.entries.clear();
-        self.bloom.clear();
-    }
-
-    fn record_first_write(&mut self, core: &'env TVarCore, old_value: u64, old_version: u64) {
-        if self.entries.capacity() == 0 {
-            self.entries = UNDO_SPARE.with(SpareVec::take);
-        }
-        self.bloom.insert(core.id());
-        self.entries.push(UndoEntry {
-            core,
-            old_value,
-            old_version,
-        });
-    }
-
-    /// Number of locations written (the transaction's write-set size).
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The pre-lock version of the `TVar` `lock` protects if this
-    /// transaction wrote it.
-    fn old_version_of(&self, lock: &VLock) -> Option<u64> {
-        if !self.bloom.may_contain(lock.id()) {
-            return None;
-        }
-        self.entries
-            .iter()
-            .find(|e| e.core.id() == lock.id())
-            .map(|e| e.old_version)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Commit path: release every lock at `wv` (values are already in
-    /// place).
-    fn release_at(&mut self, wv: u64) {
-        for e in self.entries.drain(..) {
-            e.core.lock().unlock_to(wv);
-        }
-        self.bloom.clear();
-    }
-
-    /// Abort path: restore saved values in reverse write order and release
-    /// each lock at a fresh version from `clock`, as TinySTM's write-through
-    /// mode does. Its pre-write version would be wrong: a reader that
-    /// loaded the lock word before the write and the value while it stood
-    /// would find the lock word unchanged by its re-check, and return a
-    /// value no transaction committed. The attempt's own `reads` of those
-    /// words are re-stamped at the fresh version, so a `retry()` still
-    /// waits on what it read rather than on its own undo.
-    fn rollback(&mut self, clock: &GlobalClock, reads: &mut ReadSet<'env>) {
-        if self.entries.is_empty() {
-            return;
-        }
-        let fresh = clock.tick();
-        for e in self.entries.drain(..).rev() {
-            e.core.store_value(e.old_value);
-            e.core.lock().unlock_to(fresh);
-            reads.restamp(e.core.lock(), e.old_version, fresh);
-        }
-        self.bloom.clear();
-    }
 }
 
 /// An LSA software-transactional-memory instance.
@@ -194,16 +88,14 @@ pub struct LsaTxn<'env> {
     /// Upper bound: the snapshot is consistent for all times in `[rv, ub]`.
     ub: u64,
     at: Attempt<'env>,
-    /// The pooled read set, and the write set for link writes (every
-    /// `TVar` write goes in place, through the undo log).
+    /// The pooled read set, and the write set that buffers every write
+    /// and records every lock the attempt holds.
     scratch: TxScratch<'env>,
-    undo: UndoLog<'env>,
 }
 
 impl<'env> TxnEngine<'env> for LsaTxn<'env> {
     fn restart(&mut self) {
         self.scratch.reset();
-        self.undo.reset();
         let now = self.stm.inst.clock.now();
         self.rv = now;
         self.ub = now;
@@ -211,7 +103,7 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
 
     fn try_commit(&mut self) -> Result<(), Abort> {
         let mut wv = 0;
-        if self.undo.is_empty() && self.scratch.writes.is_empty() {
+        if self.scratch.writes.is_empty() {
             // Read-only: consistent at the (possibly extended) snapshot;
             // a composition still validates (see
             // `Attempt::read_only_commit`).
@@ -235,34 +127,19 @@ impl<'env> TxnEngine<'env> for LsaTxn<'env> {
                 return Err(Abort::new(AbortReason::ReadValidation));
             }
         }
-        // The undo log is first-write-wins, so each written `TVar`
-        // appears exactly once; its committed word is the in-place value
-        // (`value_unsync` is safe under the held lock). Buffered link
-        // writes follow.
-        let (reads, ub) = (&self.scratch.reads, self.ub);
-        let len = self.undo.len() + self.scratch.writes.len();
+        let (reads, writes, ub) = (&self.scratch.reads, &mut self.scratch.writes, self.ub);
         self.at.publish(
             wv,
-            &mut (&mut self.undo, &mut self.scratch.writes),
-            len,
-            |(u, w), f| {
-                u.entries
-                    .iter()
-                    .for_each(|e| f(e.core.id(), e.core.value_unsync()));
-                w.for_each_write(f);
-            },
-            |(u, w)| {
-                u.release_at(wv);
-                w.write_back_and_release(wv);
-            },
+            writes,
+            writes.len(),
+            WriteSet::for_each_write,
+            |w| w.write_back_and_release(wv),
             |_| reads.observed_bound(ub),
         );
         Ok(())
     }
 
     fn rollback(&mut self) {
-        self.undo
-            .rollback(&self.stm.inst.clock, &mut self.scratch.reads);
         self.scratch.writes.release_locks();
     }
 
@@ -302,18 +179,16 @@ impl<'env> LsaTxn<'env> {
     }
 
     /// Whether every read still holds; a location this attempt locked
-    /// is compared at its pre-lock word (undo log or write set).
+    /// is compared at its pre-lock word.
     fn reads_hold(&self) -> bool {
         self.scratch.reads.validate(self.at.owner(), |lock| {
-            self.undo
-                .old_version_of(lock)
-                .or_else(|| self.scratch.writes.locked_version_of(lock))
+            self.scratch.writes.locked_version_of(lock)
         })
     }
 
     /// Whether this attempt holds the lock of the location `lock`
-    /// protects. An attempt that has not drawn its ticket holds none, so
-    /// reads never draw one.
+    /// protects: exactly the locations its write set holds. An attempt
+    /// that has not drawn its ticket holds none.
     #[inline]
     fn holds(&self, lock: &VLock) -> bool {
         self.at
@@ -336,17 +211,8 @@ impl<'env> LsaTxn<'env> {
 
 impl<'env> LsaTxn<'env> {
     fn read_loc(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
-        // Eager locking: if we hold the lock, the current word is ours —
-        // in place for a `TVar`, buffered for a link.
-        if self.holds(loc.lock()) {
-            let word = match loc {
-                Loc::Var(core) => core.value_unsync(),
-                Loc::Link(_) => self
-                    .scratch
-                    .writes
-                    .lookup(loc)
-                    .expect("a held link is buffered"),
-            };
+        // Eager locking: every location this attempt holds is buffered.
+        if let Some(word) = self.scratch.writes.lookup(loc) {
             if let Some(t) = self.at.tracer() {
                 t.op_held(loc.id(), TraceOp::Read(word));
             }
@@ -393,12 +259,7 @@ impl<'env> LsaTxn<'env> {
 
     fn write_loc(&mut self, loc: Loc<'env>, word: u64) -> Result<(), Abort> {
         if self.holds(loc.lock()) {
-            match loc {
-                Loc::Var(core) => core.store_value(word),
-                Loc::Link(_) => {
-                    self.scratch.writes.insert(loc, word);
-                }
-            }
+            self.scratch.writes.insert(loc, word);
             if let Some(t) = self.at.tracer() {
                 t.op_held(loc.id(), TraceOp::Write(word));
             }
@@ -412,16 +273,7 @@ impl<'env> LsaTxn<'env> {
             }
             match loc.lock().try_lock_any(self.at.ticket()) {
                 Ok(old) => {
-                    match loc {
-                        Loc::Var(core) => {
-                            self.undo.record_first_write(core, core.value_unsync(), old);
-                            core.store_value(word);
-                        }
-                        Loc::Link(_) => {
-                            self.scratch.writes.insert(loc, word);
-                            self.scratch.writes.mark_locked(loc, old);
-                        }
-                    }
+                    self.scratch.writes.insert_locked(loc, word, old);
                     if let Some(t) = self.at.tracer() {
                         t.op(loc.id(), TraceOp::Write(word));
                     }
@@ -500,7 +352,6 @@ impl Stm for Lsa {
             ub: 0,
             at: Attempt::new(&self.inst),
             scratch: TxScratch::acquire(),
-            undo: UndoLog::default(),
         };
         driver::run(&mut txn, f)
     }
@@ -551,44 +402,48 @@ mod tests {
     }
 
     #[test]
-    fn abort_rolls_back_in_place_writes() {
+    fn an_aborted_write_leaves_value_lock_word_and_clock_as_they_were() {
         let stm = Lsa::with_config(StmConfig::default().with_max_retries(0));
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
+        stm.run(TxKind::Regular, |tx| tx.write(&a, 3));
+        let before = [a.core().lock().raw(), b.core().lock().raw()];
+        let clock = stm.clock().now();
         let r = stm.try_run(TxKind::Regular, |tx| {
             tx.write(&a, 10)?;
             tx.write(&b, 20)?;
             Err::<(), _>(Abort::new(AbortReason::Explicit))
         });
         assert!(r.is_err());
-        assert_eq!(a.load_atomic(), 1, "undo must restore the first write");
-        assert_eq!(b.load_atomic(), 2, "undo must restore the second write");
-        // Released at a fresh version, not the pre-write one.
-        assert!(a.core().read_consistent().unwrap().1 > 0);
+        assert_eq!((a.load_atomic(), b.load_atomic()), (3, 2));
+        let after = [a.core().lock().raw(), b.core().lock().raw()];
+        assert_eq!(after, before, "each lock went back to its pre-lock word");
+        assert_eq!(stm.clock().now(), clock, "an abort ticks no clock");
     }
 
     #[test]
-    fn an_aborted_in_place_write_never_restores_the_pre_write_lock_word() {
-        // A reader's lock-value-lock re-check compares lock words: had the
-        // aborted write restored its pre-write word, a reader that saw the
-        // written value between its two lock loads would accept it.
+    fn a_held_word_reads_back_from_the_buffer() {
+        // The write takes the lock at once but leaves the value word as
+        // committed: a reader's lock-value-lock check can never return
+        // the written value, and the writer reads it from its write set.
         let stm = Lsa::with_config(StmConfig::default().with_max_retries(0));
         let v = TVar::new(1u64);
         stm.run(TxKind::Regular, |tx| tx.write(&v, 2));
         let before = v.core().lock().raw();
-        let mut seen_locked = 0;
+        let (mut held, mut in_place, mut read_back) = (0, 0, 0);
         let r = stm.try_run(TxKind::Regular, |tx| {
             tx.write(&v, 99)?;
-            seen_locked = v.core().lock().raw();
+            held = v.core().lock().raw();
+            in_place = v.core().value_unsync();
+            read_back = tx.read(&v)?;
             Err::<(), _>(Abort::new(AbortReason::Explicit))
         });
         assert!(r.is_err());
-        assert_ne!(seen_locked, before, "the in-place write held the lock");
-        assert_eq!(v.load_atomic(), 2, "the old value is back");
-        let after = v.core().lock().raw();
-        assert_ne!(after, before, "the pre-write lock word came back");
-        assert!(after > before, "released at a fresh, later version");
-        assert!(after <= stm.clock().now());
+        assert_eq!(held >> 63, 1, "the write took the lock");
+        assert_eq!(in_place, 2, "the value word kept the committed value");
+        assert_eq!(read_back, 99, "the held word read back from the buffer");
+        assert_eq!(v.core().lock().raw(), before);
+        assert_eq!(v.load_atomic(), 2);
     }
 
     #[test]
@@ -718,6 +573,7 @@ mod tests {
 
     #[test]
     fn double_write_keeps_single_undo_entry() {
+        // Both writes land in one write-set entry, released once.
         let stm = Lsa::with_config(StmConfig::default().with_max_retries(0));
         let v = TVar::new(7u64);
         let r = stm.try_run(TxKind::Regular, |tx| {
@@ -726,7 +582,8 @@ mod tests {
             Err::<(), _>(Abort::new(AbortReason::Explicit))
         });
         assert!(r.is_err());
-        assert_eq!(v.load_atomic(), 7, "rollback must restore the original");
+        assert_eq!(v.load_atomic(), 7, "the original value stands");
+        assert!(v.core().read_consistent().is_ok(), "the lock was released");
     }
 
     #[test]

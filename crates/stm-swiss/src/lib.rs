@@ -12,7 +12,9 @@
 //! * **Eager write-write conflict detection**: a writer acquires a *write
 //!   lock* for the location at encounter time from a global lock table, so
 //!   two transactions buffering writes to the same location conflict
-//!   immediately instead of at commit.
+//!   immediately instead of at commit. The write set is the record of the
+//!   slots held: each slot is taken just before its location is buffered,
+//!   and commit and abort free the slots of the buffered locations.
 //! * **Lazy read-write conflict detection**: values are buffered
 //!   (write-back), and readers are *invisible* — they validate against the
 //!   location's versioned lock, which writers only take during the short
@@ -48,9 +50,10 @@ use stm_core::driver::{self, AbstractLog, Attempt, TxnEngine};
 use stm_core::dynstm::{BackendRegistry, BackendSpec};
 use stm_core::link::{self, Link, Loc};
 use stm_core::readset::ReadSet;
-use stm_core::scratch::{give_back, SpareVec, TxScratch};
+use stm_core::scratch::TxScratch;
 use stm_core::trace::TraceOp;
 use stm_core::tvar::{ReadConflict, TVarCore};
+use stm_core::writeset::WriteSet;
 use stm_core::{Abort, AbortReason, Instance, RunError, Stm, StmConfig, Transaction, TxKind};
 
 /// Register this crate's backend under the name `"swiss"`.
@@ -85,17 +88,10 @@ impl WLockTable {
         Self { slots, mask: n - 1 }
     }
 
+    /// The write-lock slot the location `id` maps to.
     #[inline]
-    fn index_of(&self, id: usize) -> usize {
-        (hash_id(id) as usize) & self.mask
-    }
-
-    /// The write-lock slot a location maps to (used by tests and
-    /// diagnostics; the hot path uses `index_of` directly).
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[inline]
-    fn slot(&self, core: &TVarCore) -> &AtomicU64 {
-        &self.slots[self.index_of(core.id())]
+    fn slot(&self, id: usize) -> &AtomicU64 {
+        &self.slots[(hash_id(id) as usize) & self.mask]
     }
 }
 
@@ -132,9 +128,10 @@ impl Swiss {
 /// One SwissTM transaction: a single object per `run` call, restarted
 /// in place for every attempt.
 ///
-/// The read/write sets live in a [`TxScratch`] and the held write-lock
-/// slots in a vector pooled in a thread-local spare; both survive from
-/// attempt to attempt, so a warmed-up attempt performs no heap allocation.
+/// The read/write sets live in a [`TxScratch`] that survives from attempt
+/// to attempt, so a warmed-up attempt performs no heap allocation. The
+/// write set also names every write-lock slot the attempt holds: each
+/// slot was taken just before its location was buffered.
 #[derive(Debug)]
 pub struct SwissTxn<'env> {
     stm: &'env Swiss,
@@ -144,40 +141,26 @@ pub struct SwissTxn<'env> {
     ub: u64,
     at: Attempt<'env>,
     scratch: TxScratch<'env>,
-    /// The write-lock table slots this attempt holds; grow it through
-    /// [`hold`](Self::hold).
-    held: Vec<usize>,
 }
 
-thread_local! {
-    /// [`SwissTxn::held`]'s allocation between runs.
-    static HELD_SPARE: SpareVec<usize> = const { SpareVec::new() };
-}
-
-impl Drop for SwissTxn<'_> {
-    fn drop(&mut self) {
-        give_back(&HELD_SPARE, core::mem::take(&mut self.held));
-    }
-}
-
-/// Release the encounter-time write locks `held` by `owner`. An attempt
-/// that has not drawn its ticket holds none.
-fn release_wlocks(wlocks: &WLockTable, owner: Option<u64>, held: &mut Vec<usize>) {
+/// Release the encounter-time write locks `owner` took for the locations
+/// of `writes`. The CAS from `owner`'s ticket frees a slot two locations
+/// share once, and leaves alone a slot another attempt has taken since.
+/// An attempt that has not drawn its ticket holds none.
+fn release_wlocks(wlocks: &WLockTable, owner: Option<u64>, writes: &WriteSet<'_>) {
     let Some(ticket) = owner else {
-        debug_assert!(held.is_empty(), "write locks held without a ticket");
+        debug_assert!(writes.is_empty(), "writes buffered without a ticket");
         return;
     };
-    for i in held.drain(..) {
-        // Only we can hold it; a plain store would also be correct but
-        // the CAS documents the invariant.
-        let _ = wlocks.slots[i].compare_exchange(ticket, 0, Ordering::AcqRel, Ordering::Relaxed);
+    for e in writes.iter() {
+        let slot = wlocks.slot(e.loc.id());
+        let _ = slot.compare_exchange(ticket, 0, Ordering::AcqRel, Ordering::Relaxed);
     }
 }
 
 impl<'env> TxnEngine<'env> for SwissTxn<'env> {
     fn restart(&mut self) {
         self.scratch.reset();
-        debug_assert!(self.held.is_empty(), "write locks outlived an attempt");
         let now = self.stm.inst.clock.now();
         self.rv = now;
         self.ub = now;
@@ -217,7 +200,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
         // Both lock layers (commit-time versioned locks and encounter-
         // time write locks) stay held until the release step.
         let (wlocks, owner, ub) = (&self.stm.wlocks, self.at.owner(), self.ub);
-        let (len, held) = (self.scratch.writes.len(), &mut self.held);
+        let len = self.scratch.writes.len();
         self.at.publish(
             wv,
             &mut self.scratch,
@@ -225,7 +208,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
             |s, f| s.writes.for_each_write(f),
             |s| {
                 s.writes.write_back_and_release(wv);
-                release_wlocks(wlocks, owner, held);
+                release_wlocks(wlocks, owner, &s.writes);
             },
             |s| s.reads.observed_bound(ub),
         );
@@ -234,7 +217,7 @@ impl<'env> TxnEngine<'env> for SwissTxn<'env> {
 
     fn rollback(&mut self) {
         self.scratch.writes.release_locks();
-        release_wlocks(&self.stm.wlocks, self.at.owner(), &mut self.held);
+        release_wlocks(&self.stm.wlocks, self.at.owner(), &self.scratch.writes);
     }
 
     fn wait_set(&mut self) -> &ReadSet<'env> {
@@ -277,18 +260,14 @@ impl<'env> SwissTxn<'env> {
     /// [`AbortReason::ContentionManager`]). The rule bounds its own
     /// waiting, and a defensive backstop (`LOCK_SPIN_LIMIT × 16`) keeps
     /// the loop finite even if it did not.
-    fn acquire_wlock(&mut self, id: usize) -> Result<(), Abort> {
+    fn acquire_wlock(&self, id: usize) -> Result<(), Abort> {
         const BACKSTOP: u32 = LOCK_SPIN_LIMIT * 16;
-        let idx = self.stm.wlocks.index_of(id);
-        let slot = &self.stm.wlocks.slots[idx];
+        let slot = self.stm.wlocks.slot(id);
         let ticket = self.at.ticket();
         let mut spins = 0u32;
         loop {
             match slot.compare_exchange(0, ticket, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.hold(idx);
-                    return Ok(());
-                }
+                Ok(_) => return Ok(()),
                 Err(owner) if owner == ticket => return Ok(()),
                 Err(owner) => {
                     let writes = self.scratch.writes.len();
@@ -304,15 +283,6 @@ impl<'env> SwissTxn<'env> {
 }
 
 impl<'env> SwissTxn<'env> {
-    /// Record that this attempt holds write-lock slot `idx`, fetching the
-    /// thread's spare allocation at the run's first hold.
-    fn hold(&mut self, idx: usize) {
-        if self.held.capacity() == 0 {
-            self.held = HELD_SPARE.with(SpareVec::take);
-        }
-        self.held.push(idx);
-    }
-
     fn read_loc(&mut self, loc: Loc<'env>) -> Result<u64, Abort> {
         if let Some(word) = self.scratch.writes.lookup(loc) {
             if let Some(t) = self.at.tracer() {
@@ -360,8 +330,7 @@ impl<'env> SwissTxn<'env> {
         // Eager W-W detection, lazy versioning: take the write lock now,
         // buffer the value until commit.
         self.acquire_wlock(loc.id())?;
-        let first_touch = self.scratch.writes.lookup(loc).is_none();
-        self.scratch.writes.insert(loc, word);
+        let first_touch = self.scratch.writes.insert(loc, word);
         if let Some(t) = self.at.tracer() {
             if first_touch {
                 t.op(loc.id(), TraceOp::Write(word));
@@ -436,7 +405,6 @@ impl Stm for Swiss {
             ub: 0,
             at: Attempt::new(&self.inst),
             scratch: TxScratch::acquire(),
-            held: Vec::new(),
         };
         driver::run(&mut txn, f)
     }
@@ -480,7 +448,7 @@ mod tests {
         // write call, not at commit.
         let stm = Swiss::with_config(StmConfig::default().with_max_retries(0));
         let v = TVar::new(0u64);
-        let slot = stm.wlocks.slot(v.core());
+        let slot = stm.wlocks.slot(v.core().id());
         slot.store(777, Ordering::SeqCst); // foreign owner
         let r = stm.try_run(TxKind::Regular, |tx| tx.write(&v, 1));
         assert!(r.is_err());
@@ -502,7 +470,7 @@ mod tests {
             let stm = Swiss::with_config(StmConfig::default().with_max_retries(0));
             let vars: Vec<TVar<u64>> = (0..writes).map(TVar::new).collect();
             let v = TVar::new(0u64);
-            let slot = stm.wlocks.slot(v.core());
+            let slot = stm.wlocks.slot(v.core().id());
             slot.store(u64::MAX, Ordering::SeqCst); // younger owner, never releases
             let r = stm.try_run(TxKind::Regular, |tx| {
                 for (i, w) in vars.iter().enumerate() {
@@ -532,7 +500,7 @@ mod tests {
         let stm = Swiss::new();
         let vars: Vec<TVar<u64>> = (0..8).map(|_| TVar::new(0u64)).collect();
         let target = TVar::new(0u64);
-        let slot = stm.wlocks.slot(target.core());
+        let slot = stm.wlocks.slot(target.core().id());
         let mut armed = true;
         stm.run(TxKind::Regular, |tx| {
             // Get past the timid threshold (4 writes) first.
@@ -630,13 +598,57 @@ mod tests {
         let v = TVar::new(0u64);
         stm.run(TxKind::Regular, |tx| {
             tx.write(&v, 1)?;
-            tx.write(&v, 2)?; // same slot; must not double-push
-            assert_eq!(tx.held.len(), 1);
-            Ok(())
+            tx.write(&v, 2) // same slot, taken once
         });
         assert_eq!(v.load_atomic(), 2);
         // Lock must be free again.
-        assert_eq!(stm.wlocks.slot(v.core()).load(Ordering::SeqCst), 0);
+        assert_eq!(stm.wlocks.slot(v.core().id()).load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn two_locations_sharing_a_write_lock_slot_free_it() {
+        // One more variable than the table has slots: two share one.
+        let stm = Swiss::with_config(StmConfig::default().with_max_retries(0));
+        let vars: Vec<TVar<u64>> = (0..=stm.wlocks.slots.len() as u64).map(TVar::new).collect();
+        let mut first = std::collections::HashMap::new();
+        let (a, b) = vars
+            .iter()
+            .enumerate()
+            .find_map(|(i, v)| {
+                let slot: *const AtomicU64 = stm.wlocks.slot(v.core().id());
+                first.insert(slot, i).map(|j| (&vars[j], v))
+            })
+            .expect("pigeonhole");
+        let slot = stm.wlocks.slot(a.core().id());
+        assert!(core::ptr::eq(slot, stm.wlocks.slot(b.core().id())));
+        let all_free = || {
+            stm.wlocks
+                .slots
+                .iter()
+                .all(|s| s.load(Ordering::SeqCst) == 0)
+        };
+        let r = stm.try_run(TxKind::Regular, |tx| {
+            tx.write(a, 1)?;
+            tx.write(b, 2)?;
+            Err::<(), _>(Abort::new(AbortReason::Explicit))
+        });
+        assert!(r.is_err());
+        assert!(all_free(), "every slot is free after an aborted attempt");
+        stm.run(TxKind::Regular, |tx| {
+            tx.write(a, 1)?;
+            tx.write(b, 2)
+        });
+        assert!(all_free(), "every slot is free after a commit");
+        assert_eq!((a.load_atomic(), b.load_atomic()), (1, 2));
+        // A slot another attempt took after the first release is left
+        // alone by the second.
+        let mut writes = WriteSet::new();
+        writes.insert(Loc::Var(a.core()), 0);
+        writes.insert(Loc::Var(b.core()), 0);
+        slot.store(777, Ordering::SeqCst);
+        release_wlocks(&stm.wlocks, Some(5), &writes);
+        assert_eq!(slot.load(Ordering::SeqCst), 777);
+        slot.store(0, Ordering::SeqCst);
     }
 
     #[test]

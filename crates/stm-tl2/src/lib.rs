@@ -14,8 +14,10 @@
 //!   an attempt that read one checks its clock age at commit (see
 //!   `stm_core::link`).
 //! * **Write**: buffer in the write set (lazy versioning / deferred update).
-//! * **Commit**: acquire the versioned locks of the write set (sorted by
-//!   location to avoid deadlock), increment the clock to obtain the write
+//! * **Commit**: acquire the versioned locks of the write set in write
+//!   order, giving every lock back and aborting at the first one held
+//!   elsewhere (no committer waits while holding a lock, so no order is
+//!   needed against deadlock), increment the clock to obtain the write
 //!   version `wv`, validate the read set (skippable when `wv == rv + 1`),
 //!   write back, and release every lock at `wv`.
 //!
@@ -177,8 +179,7 @@ impl<'env> Tl2Txn<'env> {
     }
 
     fn write_loc(&mut self, loc: Loc<'env>, word: u64) -> Result<(), Abort> {
-        let first_touch = self.scratch.writes.lookup(loc).is_none();
-        self.scratch.writes.insert(loc, word);
+        let first_touch = self.scratch.writes.insert(loc, word);
         if let Some(t) = self.at.tracer() {
             if first_touch {
                 t.op(loc.id(), TraceOp::Write(word));

@@ -7,7 +7,10 @@
 //!   guarantees that *consecutive* reads are mutually consistent, which is
 //!   precisely the guarantee list traversals rely on;
 //! * **zero-sum pair** — two locations updated together keep their
-//!   invariant under every STM.
+//!   invariant under every STM;
+//! * **opposite write orders** — two threads incrementing the same
+//!   variables in opposite orders both finish, with every increment
+//!   landed, under every STM.
 
 use composing_relaxed_transactions::oe_stm::OeStm;
 use composing_relaxed_transactions::stm_core::parallel::worker_threads;
@@ -16,7 +19,8 @@ use composing_relaxed_transactions::stm_lsa::Lsa;
 use composing_relaxed_transactions::stm_swiss::Swiss;
 use composing_relaxed_transactions::stm_tl2::Tl2;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const ACCOUNTS: usize = 16;
 const TOTAL: i64 = 1600;
@@ -96,6 +100,78 @@ fn conservation_swiss() {
 #[test]
 fn conservation_oestm_regular() {
     bank_conservation(OeStm::new());
+}
+
+/// Two threads increment the same variables, one in ascending and one in
+/// descending order, so each attempt can hold a lock the other wants
+/// next: a commit-time locker takes its locks in write order, an
+/// encounter-time locker as it writes. No locker waits unboundedly while
+/// holding a lock, so the race must end before the deadline with every
+/// increment landed.
+fn opposite_order_increments<S: Stm + 'static>(stm: S) {
+    const VARS: usize = 4;
+    const PER_THREAD: u64 = 10_000;
+    const DEADLINE: Duration = Duration::from_secs(60);
+    let stm = Arc::new(stm);
+    let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..VARS).map(|_| TVar::new(0)).collect());
+    let (done, finished) = mpsc::channel();
+    let start = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = [(0..VARS).collect::<Vec<_>>(), (0..VARS).rev().collect()]
+        .into_iter()
+        .map(|order| {
+            let (stm, vars, done, start) = (stm.clone(), vars.clone(), done.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..PER_THREAD {
+                    stm.run(TxKind::Regular, |tx| {
+                        for &k in &order {
+                            let x = tx.read(&vars[k])?;
+                            tx.write(&vars[k], x + 1)?;
+                        }
+                        Ok(())
+                    });
+                }
+                done.send(()).unwrap();
+            })
+        })
+        .collect();
+    // A thread that never finishes is left running: the deadline fails
+    // the test instead of hanging it.
+    let deadline = Instant::now() + DEADLINE;
+    for _ in 0..2 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert!(
+            finished.recv_timeout(left).is_ok(),
+            "{}: the increments did not finish within {DEADLINE:?}",
+            stm.name()
+        );
+    }
+    for t in threads {
+        t.join().unwrap();
+    }
+    for (k, v) in vars.iter().enumerate() {
+        assert_eq!(v.load_atomic(), 2 * PER_THREAD, "{}: var {k}", stm.name());
+    }
+}
+
+#[test]
+fn opposite_order_increments_tl2() {
+    opposite_order_increments(Tl2::new());
+}
+
+#[test]
+fn opposite_order_increments_lsa() {
+    opposite_order_increments(Lsa::new());
+}
+
+#[test]
+fn opposite_order_increments_swiss() {
+    opposite_order_increments(Swiss::new());
+}
+
+#[test]
+fn opposite_order_increments_oestm() {
+    opposite_order_increments(OeStm::new());
 }
 
 /// Two variables kept equal by every writer; an elastic reader reading

@@ -28,8 +28,8 @@
 //! validation, which must send it to a regular run; a single-client mix
 //! that never falls back; operations whose lock sets are disjoint, which
 //! must end each round in the outcome of a serial order; and, on LSA,
-//! GETs racing a writer whose in-place writes abort, which must never
-//! return the aborted value.
+//! GETs racing a writer whose locked, buffered writes abort, which must
+//! never return the aborted value.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -856,10 +856,10 @@ fn races_over_disjoint_lock_sets_end_in_a_serial_order_on_every_backend() {
 
 #[test]
 fn lsa_gets_never_return_a_value_whose_in_place_write_aborted() {
-    // LSA writes a word in place under its lock and restores it when the
-    // attempt aborts. A reader whose lock-value-lock check straddles the
-    // write and the restore must see the lock word change, or it returns
-    // a value no transaction committed: the marker.
+    // LSA takes a word's lock at the write and restores the pre-lock word
+    // when the attempt aborts, so the value word must never hold the
+    // uncommitted marker: a reader whose lock-value-lock check straddles
+    // the lock and the release would return it.
     const MARKER: u64 = 0xDEAD;
     const READS: usize = 20_000;
     let at = runner("lsa");

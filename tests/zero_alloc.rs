@@ -9,9 +9,8 @@
 //! Method: a `#[global_allocator]` wrapper around the system allocator
 //! counts every `alloc`/`realloc`/`alloc_zeroed` call. For each backend we
 //! run the same transaction body on warmed state and require the count to
-//! be **0** for a committing run (read set, write set, spill index, lock
-//! order, undo log and nesting frames all come back from the thread-local
-//! pool), and *identical* between a run that commits immediately and one
+//! be **0** for a committing run (read set, write set, spill index and
+//! nesting frames all come back from the thread-local pool), and *identical* between a run that commits immediately and one
 //! that commits after 32 forced aborts.
 //!
 //! The body deliberately stresses every scratch component: reads, >16
@@ -129,7 +128,7 @@ const RO_READS: usize = 12;
 fn assert_retries_do_not_allocate<S: Stm>(stm: &S, kind: TxKind, name: &str) {
     let vars: Vec<TVar<u64>> = (0..WRITES as u64).map(TVar::new).collect();
     // Warm up: fills the thread-local scratch pool (entry vectors, index
-    // table, lock order, the backends' own logs) and any lazy statics.
+    // table, the backends' own logs) and any lazy statics.
     alloc_events_for_run(stm, kind, &vars, 2);
     let clean = min_events(stm, kind, &vars, 0);
     assert_eq!(
